@@ -304,9 +304,6 @@ def check_impact_bundle(
     tested = skipped = 0
     viols: list[Violation] = []
     for idx, p in _by_relation(pairs, RelationKind.GEQ_ALL):
-        if not (bundle.defined_for(p.upper) and bundle.defined_for(p.lower)):
-            skipped += 1
-            continue
         thetas = _intersection_thetas(bundle, p.upper, p.lower, theta_grid)
         if not thetas:
             skipped += 1
@@ -327,9 +324,6 @@ def check_impact_bundle(
     tested = skipped = 0
     viols = []
     for idx, p in _by_relation(pairs, RelationKind.STRICT_ON_PREFIX):
-        if not (bundle.defined_for(p.upper) and bundle.defined_for(p.lower)):
-            skipped += 1
-            continue
         thetas = _image_thetas(
             bundle, (p.upper, p.lower), p.prefix_end, theta_grid, p.upper, p.lower
         )
@@ -353,9 +347,6 @@ def check_impact_bundle(
     tested = skipped = 0
     viols = []
     for idx, p in _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX):
-        if not (bundle.defined_for(p.upper) and bundle.defined_for(p.lower)):
-            skipped += 1
-            continue
         a = p.prefix_end
         xs = np.linspace(0.0, a, theta_grid + 1)[1:]
         tested += 1
@@ -482,12 +473,8 @@ def i_measure(x: float) -> Measure:
 
 
 def _members(pairs: Sequence[DominancePair]) -> list[RankFunction]:
-    seen: list[RankFunction] = []
-    for p in pairs:
-        for f in (p.upper, p.lower):
-            if not any(f is g or f == g for g in seen):
-                seen.append(f)
-    return seen
+    """Distinct functions of the pairs, in order of first appearance."""
+    return list(dict.fromkeys(f for p in pairs for f in (p.upper, p.lower)))
 
 
 def _positivity_report(
@@ -819,39 +806,33 @@ def _random_pwl(rng: np.random.Generator, cfg: GeneratorConfig) -> PiecewiseLine
     total = float(rng.uniform(max(1.5, 0.3 * cfg.value_scale), cfg.value_scale))
     drops *= total / drops.sum()
     ys = tail + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
-    return PiecewiseLinearFn.from_pairs(list(zip(xs.tolist(), ys.tolist())))
+    return PiecewiseLinearFn(xs, ys)
 
 
 def _shifted(z: PiecewiseLinearFn, c: float, taper: bool) -> PiecewiseLinearFn:
     """z plus a positive shift: constant, or linearly decaying to c/2 at T."""
     if not (c > 0.0):
         raise InputError("shift must be strictly positive")
-    T = z.T
-    pairs = []
-    for k in z.knots:
-        bump = c * (1.0 - 0.5 * k.x / T) if taper else c
-        pairs.append((k.x, k.y + bump))
-    return PiecewiseLinearFn.from_pairs(pairs)
+    bump = c * (1.0 - 0.5 * z.xs / z.T) if taper else c
+    return PiecewiseLinearFn(z.xs, z.ys + bump)
 
 
 def _prefix_gap(z: PiecewiseLinearFn, g: float, b: float) -> PiecewiseLinearFn:
     """z plus the wedge g * max(0, 1 - x/b): strictly above z on [0, b)."""
     if not (g > 0.0):
         raise InputError("gap height must be strictly positive")
-    xs = sorted({k.x for k in z.knots} | {b})
-    pairs = [(x, z.value(x) + g * max(0.0, 1.0 - x / b)) for x in xs]
-    return PiecewiseLinearFn.from_pairs(pairs)
+    xs = np.union1d(z.xs, [b])
+    return PiecewiseLinearFn(xs, z.values(xs) + g * np.maximum(0.0, 1.0 - xs / b))
 
 
 def _equal_prefix_variant(
     z: PiecewiseLinearFn, split: int, lam: float
 ) -> PiecewiseLinearFn:
     """Copy z up to knot ``split``, then shrink the remaining drop by lam."""
-    za = z.knots[split].y
-    pairs = [(k.x, k.y) for k in z.knots[: split + 1]]
-    for k in z.knots[split + 1 :]:
-        pairs.append((k.x, za + lam * (k.y - za)))
-    return PiecewiseLinearFn.from_pairs(pairs)
+    za = z.ys[split]
+    ys = z.ys.copy()
+    ys[split + 1 :] = za + lam * (ys[split + 1 :] - za)
+    return PiecewiseLinearFn(z.xs, ys)
 
 
 def _build_pair(
@@ -871,13 +852,13 @@ def _build_pair(
     if kind is RelationKind.EQUAL_ON_PREFIX:
         # bias toward deep prefixes so level-threshold checks get coverage
         if rng.random() < 0.5:
-            split = len(z.knots) - 2
+            split = len(z.xs) - 2
         else:
-            split = int(rng.integers(1, len(z.knots) - 1))
+            split = int(rng.integers(1, len(z.xs) - 1))
         lam = float(rng.uniform(0.2, 0.8))
         y = _equal_prefix_variant(z, split, lam)
         return DominancePair(
-            upper=y, lower=z, relation=kind, prefix_end=z.knots[split].x
+            upper=y, lower=z, relation=kind, prefix_end=float(z.xs[split])
         )
     raise InputError(f"unknown relation {kind!r}")  # pragma: no cover
 

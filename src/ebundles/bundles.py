@@ -8,13 +8,17 @@ bundles are provided:
                 e_theta(Z) = int_0^{Z^-1(theta)} (Z(s) - theta) ds,
                 defined for theta in [Z(T), Z(0)]
 * ``h_theta``   generalized h-index: the unique root of Z(h) = theta * h,
-                defined for theta >= Z(T)/T on functions positive before T
+                defined for theta >= Z(T)/T
 * ``mu_bundle`` running average (1/theta) int_0^theta Z, theta in [0, T]
 * ``i_bundle``  cumulative total int_0^theta Z, theta in [0, T]
 
 At theta = 1 the h bundle reduces to the classical h-index, and the excess
 area at that h equals the squared e-index sqrt(R^2 - h^2) of the h-core
 (both the area and its square root are exposed, see ``e_index``).
+
+``e_thetas`` and ``h_thetas`` score many levels at once; on piecewise linear
+functions they run in numpy with the scalar forms' arithmetic, so both give
+the same floats, and ``sweep`` uses them.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .functions import (
     InputError,
+    PiecewiseLinearFn,
     RankFunction,
     ThetaRange,
     ThetaRangeError,
@@ -35,7 +42,9 @@ from .functions import (
 __all__ = [
     "ConsistencyError",
     "e_theta",
+    "e_thetas",
     "h_theta",
+    "h_thetas",
     "mu_bundle",
     "i_bundle",
     "classical_h",
@@ -76,30 +85,51 @@ def e_theta(f: RankFunction, theta: float) -> float:
     return max(0.0, f.cumulative(x) - theta * x)
 
 
+def e_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    """``e_theta`` at every level; all must be admissible."""
+    thetas = np.asarray(thetas, dtype=float)
+    if not isinstance(f, PiecewiseLinearFn):
+        return np.array([e_theta(f, t) for t in thetas.tolist()], dtype=float)
+    x = f.inverses(thetas)  # checks and clamps the levels, as ``inverse`` does
+    thetas = f.admissible_range().clamp_each(thetas)
+    excess = f.cumulatives(x) - thetas * x
+    return np.where(excess > 0.0, excess, 0.0)
+
+
 def _h_range(f: RankFunction) -> ThetaRange:
-    return ThetaRange(f.value(f.T) / f.T, math.inf)
+    return ThetaRange(f.admissible_range().lo / f.T, math.inf)
+
+
+def _h_defined(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    """Levels at which ``h_theta`` returns rather than raises."""
+    z_T = f.admissible_range().lo
+    lo_theta = z_T / f.T
+    below = (z_T - thetas * f.T > 0.0) & (thetas < lo_theta - 1e-12 * max(1.0, lo_theta))
+    return np.isfinite(thetas) & (thetas >= 0.0) & ~below
 
 
 def h_theta(f: RankFunction, theta: float) -> float:
     """Generalized h-index: the unique h in [0, T] with Z(h) = theta * h.
 
-    The map h -> Z(h) - theta*h is strictly decreasing, so the root is unique;
-    bisection narrows the bracket to below 1e-12 absolute.  Requires Z > 0 on
-    [0, T) and theta >= Z(T)/T (otherwise no root exists in the domain).
+    The map h -> Z(h) - theta*h is strictly decreasing, so the root is unique
+    and exists for theta >= Z(T)/T.  On piecewise linear functions it is
+    solved exactly inside its segment (``PiecewiseLinearFn.ray_crossing``);
+    other families bisect the bracket to below 1e-13 * max(1, T).
     """
-    if not f.is_positive_before_T():
-        raise InputError("h bundle requires Z > 0 on [0, T)")
     if math.isnan(theta) or theta < 0 or math.isinf(theta):
         raise ThetaRangeError(f"theta={theta!r} must be finite and >= 0")
     T = f.T
-    g_at_T = f.value(T) - theta * T
+    z_T = f.admissible_range().lo
+    g_at_T = z_T - theta * T
     if g_at_T > 0.0:
-        lo_theta = f.value(T) / T
+        lo_theta = z_T / T
         if theta >= lo_theta - 1e-12 * max(1.0, lo_theta):
             return T  # within tolerance of the lower boundary
         raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {lo_theta}")
     if g_at_T == 0.0:
         return T
+    if isinstance(f, PiecewiseLinearFn):
+        return f.ray_crossing(theta)
 
     lo, hi = 0.0, T  # g(lo) > 0 >= g(hi); g(0) > 0 holds since Z(0) > 0
     xtol = 1e-13 * max(1.0, T)
@@ -114,6 +144,20 @@ def h_theta(f: RankFunction, theta: float) -> float:
         if hi - lo <= xtol:
             break
     return 0.5 * (lo + hi)
+
+
+def h_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    """``h_theta`` at every level; all must be admissible."""
+    thetas = np.asarray(thetas, dtype=float)
+    if not isinstance(f, PiecewiseLinearFn):
+        return np.array([h_theta(f, t) for t in thetas.tolist()], dtype=float)
+    bad = ~_h_defined(f, thetas)
+    if bad.any():
+        raise ThetaRangeError(f"theta={float(thetas[bad][0])!r} outside [Z(T)/T, inf)")
+    inner = f.admissible_range().lo - thetas * f.T < 0.0
+    out = np.full(thetas.shape, f.T)
+    out[inner] = f.ray_crossings(thetas[inner])
+    return out
 
 
 def mu_bundle(f: RankFunction, theta: float) -> float:
@@ -168,7 +212,6 @@ class BundleDef:
     measure: Callable[[RankFunction, float], float]
     level_of: Callable[[RankFunction, float], float]
     admissible: Callable[[RankFunction], ThetaRange]
-    defined_for: Callable[[RankFunction], bool] = lambda f: True
 
 
 def _level_identity(f: RankFunction, x: float) -> float:
@@ -195,7 +238,6 @@ H_BUNDLE = BundleDef(
     measure=h_theta,
     level_of=_level_value_over_rank,
     admissible=_h_range,
-    defined_for=lambda f: f.is_positive_before_T(),
 )
 
 MU_BUNDLE = BundleDef(
@@ -281,25 +323,39 @@ def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
 
     Inadmissibility is data rather than failure here, so out-of-range thetas
     produce missing markers instead of raising.  The theta list must be
-    strictly increasing and nonnegative.
+    finite, strictly increasing and nonnegative.  Each bundle's admissible
+    levels are found first and then scored in one vector call.
     """
-    ts = [float(t) for t in thetas]
-    for a, b in zip(ts, ts[1:]):
-        if b <= a:
-            raise InputError("theta list must be strictly increasing")
-    if ts and ts[0] < 0.0:
+    ts = np.array([float(t) for t in thetas], dtype=float)
+    if not np.isfinite(ts).all():
+        raise InputError("theta values must be finite")
+    if (np.diff(ts) <= 0.0).any():
+        raise InputError("theta list must be strictly increasing")
+    if ts.size and ts[0] < 0.0:
         raise InputError("theta values must be >= 0")
 
-    rows = []
-    for t in ts:
-        cells: dict[str, float | None] = {}
-        for b in BUNDLES.values():
-            if not b.defined_for(f) or not b.admissible(f).contains(t):
-                cells[b.name] = None
-                continue
-            try:
-                cells[b.name] = b.measure(f, t)
-            except InputError:
-                cells[b.name] = None
-        rows.append(SweepRow(t, cells["e"], cells["h"], cells["mu"], cells["i"]))
-    return SweepTable(tuple(rows))
+    e_ok = f.admissible_range().contains_each(ts)
+    h_ok = _h_range(f).contains_each(ts) & _h_defined(f, ts)
+    # mu and i read the rank theta itself, defined on [0, T] exactly; the
+    # running average has no value at a pole at the origin
+    i_ok = ts <= f.T
+    mu_ok = i_ok & ~((ts == 0.0) & f.unbounded_at_origin)
+    ranks = ts[mu_ok]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        averages = np.where(ranks > 0.0, f.cumulatives(ranks) / ranks, f.value_at_origin())
+    return SweepTable(tuple(map(
+        SweepRow,
+        ts.tolist(),
+        _column(e_ok, e_thetas(f, ts[e_ok])),
+        _column(h_ok, h_thetas(f, ts[h_ok])),
+        _column(mu_ok, averages),
+        _column(i_ok, f.cumulatives(ts[i_ok])),
+    )))
+
+
+def _column(admitted: np.ndarray, values: np.ndarray) -> list[float | None]:
+    """Python floats at the admitted levels, None elsewhere."""
+    col: list[float | None] = [None] * len(admitted)
+    for idx, v in zip(np.flatnonzero(admitted).tolist(), values.tolist()):
+        col[idx] = v
+    return col

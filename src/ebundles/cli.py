@@ -81,6 +81,8 @@ def _parse_theta_spec(theta: str | None, theta_list: str | None) -> tuple[float,
             raise fn.InputError(f"bad --theta-list {theta_list!r}") from None
         if not vals:
             raise fn.InputError("--theta-list is empty")
+        if not all(math.isfinite(v) for v in vals):
+            raise fn.InputError(f"--theta-list levels must be finite, got {theta_list!r}")
         return vals
     if theta:
         parts = theta.split(":")
@@ -90,6 +92,8 @@ def _parse_theta_spec(theta: str | None, theta_list: str | None) -> tuple[float,
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise fn.InputError(f"bad --theta {theta!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise fn.InputError(f"--theta bounds must be finite, got {theta!r}")
         if count < 1 or hi < lo:
             raise fn.InputError("--theta needs hi >= lo and count >= 1")
         if count == 1:
@@ -113,8 +117,16 @@ def _load_input(path: str) -> fn.RankFunction:
     if isinstance(obj, dict) and "type" in obj:
         return fn.function_from_spec(obj)
     if isinstance(obj, dict) and "citations" in obj:
-        return fn.from_citations([float(c) for c in obj["citations"]])
+        return fn.from_citations(_json_counts(obj["citations"]))
     raise fn.InputError(f"{path}: JSON must hold a function spec or a citations object")
+
+
+def _json_counts(values) -> list[float]:
+    """The counts of a ``{"citations": [...]}`` input."""
+    try:
+        return [float(c) for c in values]
+    except (TypeError, ValueError, OverflowError):
+        raise fn.InputError('"citations" must be a list of numbers') from None
 
 
 def _default_thetas(f: fn.RankFunction, count: int = 101) -> tuple[float, ...]:
@@ -232,7 +244,7 @@ def _suite_measure(cfg: RunConfig) -> ax.Measure:
         "h": lambda v: ax.Measure(
             name=f"h@{v:g}",
             apply=lambda f: bn.h_theta(f, v),
-            admissible=lambda f: f.is_positive_before_T() and v >= f.value(f.T) / f.T,
+            admissible=lambda f: v >= f.value(f.T) / f.T,
             # the level is a density/rank ratio, not a density, so the
             # boundary and prefix logic must go through the root itself
             determined_by=lambda f: bn.h_theta(f, v),
@@ -318,8 +330,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
         raise fn.InputError(f"cannot read {cfg.input_path}: {exc}") from None
     try:
         obj = json.loads(text)
-        counts = [float(c) for c in obj["citations"]]
-    except (json.JSONDecodeError, TypeError, KeyError):
+    except json.JSONDecodeError:
+        obj = None
+    if isinstance(obj, dict) and "citations" in obj:
+        counts = _json_counts(obj["citations"])
+    else:
         counts = fn.parse_citations(text)
     if any(b > a for a, b in zip(counts, counts[1:])):
         print("notice: input not sorted; sorting descending", file=sys.stderr)

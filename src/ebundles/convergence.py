@@ -122,6 +122,8 @@ class FunctionSequence:
         object.__setattr__(self, "n_values", ns)
         if not ns:
             raise InputError("need at least one n value")
+        if min(ns) < 1:
+            raise InputError(f"n values must be >= 1, got {min(ns)}")
         for a, b in zip(ns, ns[1:]):
             if b <= a:
                 raise InputError("n_values must be strictly increasing")

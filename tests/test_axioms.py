@@ -220,6 +220,21 @@ class TestImpactMeasureChecks:
         assert not rep.passed
         assert rep.violations[0].gap == pytest.approx(0.5 - 0.257 / 0.9, abs=1e-12)
 
+    def test_positivity_counts_equal_functions_once(self):
+        knots = [(0, 3), (1, 1), (2, 0.2)]
+        lower = [PiecewiseLinearFn.from_pairs(knots) for _ in range(2)]
+        assert lower[0] is not lower[1] and lower[0] == lower[1]
+        pairs = [
+            verify_pair(DominancePair(
+                PiecewiseLinearFn.from_pairs([(x, y + c) for x, y in knots]),
+                low,
+                RelationKind.GEQ_ALL,
+            ))
+            for c, low in ((0.5, lower[0]), (0.25, lower[1]))
+        ]
+        rep = check_impact_measure(e_measure(1.0), pairs)["IM.1"]
+        assert rep.pairs_tested + rep.skipped == 3
+
     def test_eta_fails_monotonicity_on_fixture(self):
         rep = check_impact_measure(eta_measure(0.5), [fixture_alt2().pair])["IM.2"]
         assert not rep.passed

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracles
-from conftest import seeded_pwl
+from conftest import pwl_functions, seeded_pwl
 from ebundles.axioms import GeneratorConfig, RelationKind, generate_pairs
 from ebundles.bundles import (
+    BUNDLES,
     classical_h,
     e_index,
     e_theta,
+    e_thetas,
     excess_at_h,
     h_theta,
+    h_thetas,
     i_bundle,
     mu_bundle,
     r_index_squared,
@@ -22,8 +28,10 @@ from ebundles.functions import (
     InputError,
     LinearFamily,
     PiecewiseLinearFn,
+    PowerComplement,
     ThetaRangeError,
     ZipfFamily,
+    from_citations,
 )
 
 LINE = PiecewiseLinearFn.from_pairs([(0, 10), (10, 0)])
@@ -224,3 +232,78 @@ class TestSweep:
         table = sweep(LINE, [12.0])
         obj = json.loads(table.to_json())
         assert obj["rows"][0]["e"] is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_levels(self, bad):
+        with pytest.raises(InputError):
+            sweep(LINE, [0.0, bad])
+
+
+def _scalar_sweep_cells(f, t):
+    """The per-cell sweep rule: NA unless admitted and the score returns."""
+    cells = {}
+    for b in BUNDLES.values():
+        if not b.admissible(f).contains(t):
+            cells[b.name] = None
+            continue
+        try:
+            cells[b.name] = b.measure(f, t)
+        except InputError:
+            cells[b.name] = None
+    return cells
+
+
+class TestVectorForms:
+    @settings(max_examples=80, deadline=None)
+    @given(f=pwl_functions(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_equal_to_scalar_forms(self, f, fracs):
+        rng = f.admissible_range()
+        levels = np.array([rng.lo + u * (rng.hi - rng.lo) for u in fracs])
+        assert f.inverses(levels).tolist() == [f.inverse(t) for t in levels.tolist()]
+        assert e_thetas(f, levels).tolist() == [e_theta(f, t) for t in levels.tolist()]
+        h_levels = f.value(f.T) / f.T + levels
+        assert h_thetas(f, h_levels).tolist() == [h_theta(f, t) for t in h_levels.tolist()]
+
+    def test_out_of_range_levels_raise(self):
+        with pytest.raises(ThetaRangeError):
+            e_thetas(LINE, [5.0, 11.0])
+        with pytest.raises(ThetaRangeError):
+            LINE.inverses([-1.0])
+        with pytest.raises(ThetaRangeError):
+            h_thetas(PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)]), [0.05])
+
+    def test_h_residual_on_80k_knots(self):
+        counts = np.floor(np.random.default_rng(2).pareto(1.2, 100_000) * 5)
+        f = from_citations(counts)
+        assert len(f.knots) > 80_000
+        thetas = np.linspace(0.0, 1.1 * f.value(0.0), 1001)
+        table = sweep(f, thetas)
+        theta = np.array([r.theta for r in table.rows if r.h is not None])
+        h = np.array([r.h for r in table.rows if r.h is not None])
+        assert len(h) == len(thetas)
+        resid = np.abs(np.interp(h, f.xs, f.ys) - theta * h)
+        assert np.all(resid <= 1e-12 * np.maximum(1.0, theta * h))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            from_citations([5, 3, 3, 1]),
+            PiecewiseLinearFn.from_pairs([(0, 300), (1, 100), (2, 20)]),
+            LinearFamily(S=10, T=20),
+            ZipfFamily(beta=0.5, T=2.0),
+            PowerComplement(n=3),
+        ],
+        ids=["citations", "steep", "linear", "zipf", "power"],
+    )
+    def test_na_pattern_at_range_ends(self, f):
+        T, z_T, z_0 = f.T, f.value(f.T), f.value_at_origin()
+        edges = {0.0, z_T, z_T / T, T, T + 1e-13, z_T / T - 5e-13}
+        if math.isfinite(z_0):
+            edges |= {z_0, z_0 + 1e-13}
+        thetas = sorted(t for t in edges if t >= 0.0)
+        for row in sweep(f, thetas).rows:
+            want = _scalar_sweep_cells(f, row.theta)
+            for name in ("e", "h", "mu", "i"):
+                assert (row.cell(name) is None) == (want[name] is None), (name, row.theta)
+            for name in ("e", "mu", "i"):
+                assert row.cell(name) == want[name], (name, row.theta)

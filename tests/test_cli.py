@@ -190,3 +190,38 @@ class TestIngestCmd:
     def test_missing_file(self, capsys):
         rc = main(["ingest", "--input", "/nonexistent/file.txt"])
         assert rc == 2
+
+
+class TestBadInputExit2:
+    @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"citations": [5, "x"]},
+            {"citations": [5, 10**400]},
+            {"type": "piecewise_linear", "knots": [[0, 10**400], [1, 0]]},
+        ],
+        ids=["non_numeric", "huge_int", "huge_int_knot"],
+    )
+    def test_bad_numbers(self, command, obj, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert main([command, "--input", str(p), "--output", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["0,nan", "0,inf"])
+    def test_non_finite_theta_list(self, levels, linear_spec, capsys):
+        assert main(["sweep", "--input", linear_spec, f"--theta-list={levels}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    def test_non_finite_theta_grid(self, linear_spec, capsys):
+        assert main(["sweep", "--input", linear_spec, "--theta", "0:inf:3"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_n_below_one(self, capsys):
+        assert main(["converge", "--n-list", "0,1"]) == 2
+        assert "n values must be >= 1" in capsys.readouterr().err

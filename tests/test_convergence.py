@@ -192,6 +192,10 @@ class TestFunctionSequenceValidation:
         with pytest.raises(InputError):
             FunctionSequence(family=scaled, n_values=(4, 2))
 
+    def test_needs_positive_n(self):
+        with pytest.raises(InputError):
+            FunctionSequence(family=scaled, n_values=(0, 1))
+
     def test_needs_some_n(self):
         with pytest.raises(InputError):
             FunctionSequence(family=scaled, n_values=())

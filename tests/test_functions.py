@@ -70,6 +70,34 @@ class TestConstruction:
         with pytest.raises(InputError):
             PiecewiseLinearFn.from_pairs([(1, 5), (2, 3)])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 5)],
+            [(0, 5), (1, -1)],
+            [(0, 5), (1, math.nan)],
+            [(0, 5), (math.inf, 1)],
+            [(0, 5, 1), (1, 1, 1)],
+        ],
+        ids=["one_knot", "negative", "nan", "inf", "triples"],
+    )
+    def test_rejects_invalid_knots(self, pairs):
+        with pytest.raises(InputError):
+            PiecewiseLinearFn.from_pairs(pairs)
+
+    def test_value_equality_and_hash(self):
+        f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
+        g = PiecewiseLinearFn.from_pairs([(0.0, 3.0), (1.0, 1.0), (2.0, 0.2)])
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert f != PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.3)])
+        assert len(f.knots) == 3 and f.knots[1] == Knot(1.0, 1.0)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            LINE.xs = np.array([0.0, 1.0])
+        with pytest.raises(ValueError):
+            LINE.ys[0] = 1.0
+
     def test_rejects_negative_values(self):
         with pytest.raises(InputError):
             Knot(0.0, -1.0)
@@ -270,6 +298,15 @@ class TestFromCitations:
         assert ys[0] == 4.0
         assert ys[1] == pytest.approx(4.0 - 4e-9, abs=1e-15)
         assert ys[2] == 0.0
+
+    def test_subnormal_tie_kept_once(self):
+        # no float lies strictly between 5e-324 and 0, so the tie cannot split
+        f = from_citations([5e-324, 5e-324])
+        assert [(k.x, k.y) for k in f.knots] == [(0.0, 5e-324), (2.0, 0.0)]
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(InputError):
+            from_citations([5, "x"])
 
     def test_all_zero_rejected(self):
         with pytest.raises(InputError):
