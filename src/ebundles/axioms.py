@@ -194,6 +194,7 @@ class AxiomReport:
             "violations": [v.to_json_obj() for v in self.violations],
             "skipped": self.skipped,
             "passed": self.passed,
+            "vacuous": self.pairs_tested == 0,
             "note": self.note,
         }
 

@@ -16,9 +16,11 @@ At theta = 1 the h bundle reduces to the classical h-index, and the excess
 area at that h equals the squared e-index sqrt(R^2 - h^2) of the h-core
 (both the area and its square root are exposed, see ``e_index``).
 
-``e_thetas`` and ``h_thetas`` score many levels at once; on piecewise linear
-functions they run in numpy with the scalar forms' arithmetic, so both give
-the same floats, and ``sweep`` uses them.
+``e_thetas`` and ``h_thetas`` score many levels at once through the
+functions' vector forms (``inverses``, ``cumulatives``, ``ray_crossings``),
+one code path for every family; ``sweep`` uses them.  They repeat the scalar
+forms' arithmetic, so both give the same floats, except that numpy's power
+can move a Zipf or power-complement inverse by an ulp or two.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 
 from .functions import (
     InputError,
-    PiecewiseLinearFn,
     RankFunction,
     ThetaRange,
     ThetaRangeError,
@@ -75,23 +76,15 @@ def e_theta(f: RankFunction, theta: float) -> float:
     Nonnegative because f >= theta left of x; tiny negative rounding is
     clamped to zero.
     """
-    rng = f.admissible_range()
-    if not rng.contains(theta):
-        raise ThetaRangeError(
-            f"theta={theta!r} outside admissible range [{rng.lo}, {rng.hi}]"
-        )
-    theta = rng.clamp(theta)
+    theta = f.admit_level(theta)
     x = f.inverse(theta)
     return max(0.0, f.cumulative(x) - theta * x)
 
 
 def e_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     """``e_theta`` at every level; all must be admissible."""
-    thetas = np.asarray(thetas, dtype=float)
-    if not isinstance(f, PiecewiseLinearFn):
-        return np.array([e_theta(f, t) for t in thetas.tolist()], dtype=float)
-    x = f.inverses(thetas)  # checks and clamps the levels, as ``inverse`` does
-    thetas = f.admissible_range().clamp_each(thetas)
+    thetas = f.admit_levels(thetas)
+    x = f.inverses(thetas)
     excess = f.cumulatives(x) - thetas * x
     return np.where(excess > 0.0, excess, 0.0)
 
@@ -112,9 +105,10 @@ def h_theta(f: RankFunction, theta: float) -> float:
     """Generalized h-index: the unique h in [0, T] with Z(h) = theta * h.
 
     The map h -> Z(h) - theta*h is strictly decreasing, so the root is unique
-    and exists for theta >= Z(T)/T.  On piecewise linear functions it is
-    solved exactly inside its segment (``PiecewiseLinearFn.ray_crossing``);
-    other families bisect the bracket to below 1e-13 * max(1, T).
+    and exists for theta >= Z(T)/T.  Inside the range it is the function's
+    ``ray_crossing``: exact inside its segment for piecewise linear
+    functions, closed form for the linear and Zipf families, and bisection
+    to below 1e-13 * max(1, T) otherwise.
     """
     if math.isnan(theta) or theta < 0 or math.isinf(theta):
         raise ThetaRangeError(f"theta={theta!r} must be finite and >= 0")
@@ -128,29 +122,12 @@ def h_theta(f: RankFunction, theta: float) -> float:
         raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {lo_theta}")
     if g_at_T == 0.0:
         return T
-    if isinstance(f, PiecewiseLinearFn):
-        return f.ray_crossing(theta)
-
-    lo, hi = 0.0, T  # g(lo) > 0 >= g(hi); g(0) > 0 holds since Z(0) > 0
-    xtol = 1e-13 * max(1.0, T)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f.value(mid) - theta * mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= xtol:
-            break
-    return 0.5 * (lo + hi)
+    return f.ray_crossing(theta)
 
 
 def h_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     """``h_theta`` at every level; all must be admissible."""
     thetas = np.asarray(thetas, dtype=float)
-    if not isinstance(f, PiecewiseLinearFn):
-        return np.array([h_theta(f, t) for t in thetas.tolist()], dtype=float)
     bad = ~_h_defined(f, thetas)
     if bad.any():
         raise ThetaRangeError(f"theta={float(thetas[bad][0])!r} outside [Z(T)/T, inf)")

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (including an expected counterexample reproducing),
 1 an axiom violation for a score that should satisfy it (or a fixture that
-fails to reproduce), 2 input or I/O failure.
+fails to reproduce), 2 input or I/O failure, including an axiom run that
+tested no pair.
 """
 
 from __future__ import annotations
@@ -199,6 +200,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_axioms(cfg: RunConfig) -> int:
+    if not math.isfinite(cfg.measure_theta):
+        raise fn.InputError(f"--measure-theta must be finite, got {cfg.measure_theta!r}")
+    if cfg.slack is not None and not (math.isfinite(cfg.slack) and cfg.slack >= 0.0):
+        raise fn.InputError(f"--slack must be finite and >= 0, got {cfg.slack!r}")
     gen = ax.GeneratorConfig(seed=cfg.seed, count=cfg.pairs)
     pairs = ax.generate_pairs(gen)
     bundle = bn.BUNDLES[cfg.bundle]
@@ -225,11 +230,19 @@ def cmd_axioms(cfg: RunConfig) -> int:
     print(f"{'axiom':<8} {'tested':>6} {'skipped':>7} {'violations':>10}  passed")
     for key in sorted(reports):
         r = reports[key]
-        print(f"{r.axiom:<8} {r.pairs_tested:>6} {r.skipped:>7} {len(r.violations):>10}  {r.passed}")
+        vacuous = "  (vacuous: no pair tested)" if not r.pairs_tested else ""
+        print(f"{r.axiom:<8} {r.pairs_tested:>6} {r.skipped:>7} {len(r.violations):>10}  {r.passed}{vacuous}")
         if not r.passed and key != "GM":
             failed_backed = True
         if not r.passed and key == "GM":
             print("  note: strict growth under cumulative order is not expected to hold")
+    # AX.1 is vacuous by construction; a run in which every other report is
+    # vacuous too has compared nothing and must not read as a pass
+    if not any(r.pairs_tested for key, r in reports.items() if key != "AX.1"):
+        raise fn.InputError(
+            f"no axiom report tested a pair (measure level {cfg.measure_theta:g}); "
+            "nothing was checked"
+        )
 
     obj = {k: reports[k].to_json_obj() for k in sorted(reports)}
     if cfg.output_path:

@@ -2,8 +2,11 @@
 
 Given a family rule n -> Z_n and an optional limit Z, a study tabulates three
 grid-sampled sup distances per n: the functions themselves, their inverses
-over the shared admissible levels, and their excess-area scores.  Grid
-maxima are lower bounds of the true sup; grids default to 10^4 points and a
+over the shared admissible levels, and their excess-area scores.  Each
+distance is one numpy expression per block of its grid, through the
+functions' vector forms (``values``, ``inverses`` and ``bundles.e_thetas``).
+Grid maxima are lower bounds of the true sup; the function grid defaults to
+10^4 points and the level grid to 10^3 (``run_study`` and the CLI), and a
 doubling check in the test suite confirms refinement changes results by
 less than 10 percent.
 
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import e_theta
+from .bundles import e_thetas
 from .functions import (
     InputError,
     LinearFamily,
@@ -31,6 +35,8 @@ from .functions import (
     PowerComplement,
     RankFunction,
     ZipfFamily,
+    _common_T,
+    _grid,
 )
 
 __all__ = [
@@ -51,11 +57,24 @@ __all__ = [
 
 VERDICT_THRESHOLD = 1e-3
 
+# Grid points per numpy pass in the sup distances.  A block's temporaries
+# (64 KiB each) stay below glibc's 128 KiB mmap threshold, so they are reused
+# from the heap.  Temporaries over a whole 10^5-point grid would be mapped,
+# faulted in page by page and unmapped on every call: about a third of a
+# converge job's time, and a cost that varies with the load on the host.
+_BLOCK = 8192
 
-def _shared_T(f: RankFunction, g: RankFunction) -> float:
-    if not math.isclose(f.T, g.T, rel_tol=1e-12, abs_tol=0.0):
-        raise InputError(f"domain mismatch: T={f.T} vs T={g.T}")
-    return f.T
+
+def _max_abs_gap(
+    f_vec: Callable[[np.ndarray], np.ndarray],
+    g_vec: Callable[[np.ndarray], np.ndarray],
+    grid: np.ndarray,
+) -> float:
+    """max |f_vec(grid) - g_vec(grid)|, one block of the grid at a time."""
+    return float(np.max([
+        np.max(np.abs(f_vec(block) - g_vec(block)))
+        for block in (grid[i : i + _BLOCK] for i in range(0, len(grid), _BLOCK))
+    ]))
 
 
 def sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
@@ -64,17 +83,14 @@ def sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> floa
     For functions unbounded at the origin the grid starts half a step in,
     so the reported value bounds the sup over that truncated domain.
     """
-    T = _shared_T(f, g)
-    if grid_n < 2:
-        raise InputError("grid_n must be >= 2")
-    xs = np.linspace(0.0, T, grid_n)
-    if f.unbounded_at_origin or g.unbounded_at_origin:
-        xs = xs.copy()
-        xs[0] = 0.5 * xs[1]
-    return float(np.max(np.abs(f.values(xs) - g.values(xs))))
+    xs = _grid((f, g), 0.0, _common_T(f, g), grid_n)
+    return _max_abs_gap(f.values, g.values, xs)
 
 
 def _shared_theta_grid(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndarray:
+    _common_T(f, g)
+    if grid_n < 2:
+        raise InputError(f"theta_grid_n must be >= 2, got {grid_n}")
     rf, rg = f.admissible_range(), g.admissible_range()
     lo = max(rf.lo, rg.lo)
     hi = min(rf.hi, rg.hi)
@@ -90,22 +106,14 @@ def _shared_theta_grid(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndar
 
 def inverse_sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
     """max |f^-1 - g^-1| over a level grid on the shared admissible range."""
-    _shared_T(f, g)
     thetas = _shared_theta_grid(f, g, grid_n)
-    worst = 0.0
-    for t in thetas:
-        worst = max(worst, abs(f.inverse(float(t)) - g.inverse(float(t))))
-    return worst
+    return _max_abs_gap(f.inverses, g.inverses, thetas)
 
 
 def e_sup_distance(f: RankFunction, g: RankFunction, theta_grid_n: int = 10_000) -> float:
     """max |e_theta(f) - e_theta(g)| over a shared level grid."""
-    _shared_T(f, g)
     thetas = _shared_theta_grid(f, g, theta_grid_n)
-    worst = 0.0
-    for t in thetas:
-        worst = max(worst, abs(e_theta(f, float(t)) - e_theta(g, float(t))))
-    return worst
+    return _max_abs_gap(partial(e_thetas, f), partial(e_thetas, g), thetas)
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ def _column_verdict(values: Sequence[float], threshold: float) -> bool:
     return decreasing and values[-1] < threshold
 
 
-def _discontinuity_flag(seq: FunctionSequence, grid_n: int) -> bool:
+def _discontinuity_flag(members: Sequence[RankFunction], grid_n: int) -> bool:
     """Detect that the pointwise limit cannot be continuous (heuristic).
 
     Uniform convergence of continuous functions forces a continuous limit,
@@ -195,11 +203,7 @@ def _discontinuity_flag(seq: FunctionSequence, grid_n: int) -> bool:
     the largest member exceeding a tenth of its value range over one grid
     step.  Needs a reasonably geometric spread of n values to be sharp.
     """
-    members = [seq.member(n) for n in seq.n_values]
-    xs = np.linspace(0.0, members[-1].T, min(grid_n, 2_000))
-    if any(m.unbounded_at_origin for m in members):
-        xs = xs.copy()
-        xs[0] = 0.5 * xs[1]
+    xs = _grid(members, 0.0, members[-1].T, min(grid_n, 2_000))
     gaps = [
         float(np.max(np.abs(a.values(xs) - b.values(xs))))
         for a, b in zip(members, members[1:])
@@ -223,11 +227,8 @@ def run_study(
     Without a limit the distance columns stay empty and the report instead
     carries the discontinuity flag for the empirical pointwise limit.
     """
-    peaks = []
-    for n in seq.n_values:
-        m = seq.member(n)
-        peaks.append(m.value_at_origin())
-    member_peak = max(peaks)
+    members = [seq.member(n) for n in seq.n_values]
+    member_peak = max(m.value_at_origin() for m in members)
 
     if seq.limit is None:
         rows = tuple(ConvergenceRow(n, None, None, None) for n in seq.n_values)
@@ -239,20 +240,18 @@ def run_study(
             fn_converges=None,
             inv_converges=None,
             e_converges=None,
-            limit_discontinuous=_discontinuity_flag(seq, grid_n),
+            limit_discontinuous=_discontinuity_flag(members, grid_n),
         )
 
-    rows = []
-    for n in seq.n_values:
-        m = seq.member(n)
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                sup_fn=sup_distance(m, seq.limit, grid_n),
-                sup_inv=inverse_sup_distance(m, seq.limit, theta_grid_n),
-                sup_e=e_sup_distance(m, seq.limit, theta_grid_n),
-            )
+    rows = [
+        ConvergenceRow(
+            n=n,
+            sup_fn=sup_distance(m, seq.limit, grid_n),
+            sup_inv=inverse_sup_distance(m, seq.limit, theta_grid_n),
+            sup_e=e_sup_distance(m, seq.limit, theta_grid_n),
         )
+        for n, m in zip(seq.n_values, members)
+    ]
     return ConvergenceReport(
         rows=tuple(rows),
         grid_n=grid_n,

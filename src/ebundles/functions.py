@@ -129,9 +129,12 @@ class RankFunction:
 
     Subclasses must provide ``T``, scalar ``value`` and vectorized ``values``.
     Generic fallbacks are supplied for ``inverse`` (bisection on [0, T] to an
-    absolute residual of 1e-12 * max(1, Z(0))) and ``cumulative`` (adaptive
-    quadrature, absolute tolerance 1e-9); every shipped subclass overrides
-    both with an exact or closed-form routine.
+    absolute residual of 1e-12 * max(1, Z(0))), ``cumulative`` (adaptive
+    quadrature, absolute tolerance 1e-9) and ``ray_crossing`` (bisection to a
+    bracket of 1e-13 * max(1, T)); their vector forms loop over the scalar
+    ones.  Every shipped subclass overrides ``inverse``/``inverses`` and
+    ``cumulative``/``cumulatives`` with exact or closed-form routines, and
+    all but ``PowerComplement`` override ``ray_crossing`` as well.
     """
 
     T: float
@@ -160,13 +163,28 @@ class RankFunction:
         """Theta values theta = Z(x) attained on the domain: [Z(T), Z(0)]."""
         return ThetaRange(self.value(self.T), self.value_at_origin())
 
-    def inverse(self, theta: float) -> float:
+    def admit_level(self, theta: float) -> float:
+        """``theta`` snapped onto the admissible range; raises if outside it."""
         rng = self.admissible_range()
         if not rng.contains(theta):
             raise ThetaRangeError(
                 f"theta={theta!r} outside admissible range [{rng.lo}, {rng.hi}]"
             )
-        theta = rng.clamp(theta)
+        return rng.clamp(theta)
+
+    def admit_levels(self, thetas: np.ndarray) -> np.ndarray:
+        """``admit_level`` for every element; raises on the first bad one."""
+        rng = self.admissible_range()
+        thetas = np.asarray(thetas, dtype=float)
+        bad = ~rng.contains_each(thetas)
+        if bad.any():
+            raise ThetaRangeError(
+                f"theta={float(thetas[bad][0])!r} outside admissible range [{rng.lo}, {rng.hi}]"
+            )
+        return rng.clamp_each(thetas)
+
+    def inverse(self, theta: float) -> float:
+        theta = self.admit_level(theta)
         abs_tol = 1e-12 * max(1.0, self.value_at_origin())
         lo, hi = 0.0, self.T  # value(lo) >= theta >= value(hi)
         for _ in range(200):
@@ -181,6 +199,34 @@ class RankFunction:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+    def inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return np.array([self.inverse(t) for t in np.asarray(thetas, dtype=float).tolist()],
+                        dtype=float)
+
+    def ray_crossing(self, theta: float) -> float:
+        """The x in [0, T] with Z(x) = theta * x, for theta > Z(T)/T.
+
+        Z(x) - theta * x strictly decreases from Z(0) > 0 and is negative at
+        T, so bisection of [0, T] keeps the root bracketed.
+        """
+        lo, hi = 0.0, self.T
+        xtol = 1e-13 * max(1.0, self.T)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if self.value(mid) - theta * mid > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= xtol:
+                break
+        return 0.5 * (lo + hi)
+
+    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
+        return np.array([self.ray_crossing(t) for t in np.asarray(thetas, dtype=float).tolist()],
+                        dtype=float)
 
     def cumulative(self, x: float) -> float:
         self._check_domain(x)
@@ -347,12 +393,7 @@ class PiecewiseLinearFn(RankFunction):
         return np.where(xs == x1, y1, y0 + t * (y1 - y0))
 
     def inverse(self, theta: float) -> float:
-        rng = self.admissible_range()
-        if not rng.contains(theta):
-            raise ThetaRangeError(
-                f"theta={theta!r} outside admissible range [{rng.lo}, {rng.hi}]"
-            )
-        theta = rng.clamp(theta)
+        theta = self.admit_level(theta)
         i = _bisect.bisect_left(self._neg_ys, -theta)
         i = min(max(i, 1), len(self._ys) - 1)
         y0, y1 = self._ys[i - 1], self._ys[i]
@@ -361,14 +402,7 @@ class PiecewiseLinearFn(RankFunction):
 
     def inverses(self, thetas: np.ndarray) -> np.ndarray:
         """``inverse`` at every level, with the same arithmetic."""
-        rng = self.admissible_range()
-        thetas = np.asarray(thetas, dtype=float)
-        bad = ~rng.contains_each(thetas)
-        if bad.any():
-            raise ThetaRangeError(
-                f"theta={float(thetas[bad][0])!r} outside admissible range [{rng.lo}, {rng.hi}]"
-            )
-        thetas = rng.clamp_each(thetas)
+        thetas = self.admit_levels(thetas)
         i = np.clip(np.searchsorted(-self.ys, -thetas, side="left"), 1, len(self.ys) - 1)
         y0, y1 = self.ys[i - 1], self.ys[i]
         x0, x1 = self.xs[i - 1], self.xs[i]
@@ -430,7 +464,11 @@ class PiecewiseLinearFn(RankFunction):
 
 @dataclass(frozen=True)
 class LinearFamily(RankFunction):
-    """Z(x) = S * (1 - x / T): a straight line from (0, S) down to (T, 0)."""
+    """Z(x) = S * (1 - x / T): a straight line from (0, S) down to (T, 0).
+
+    Z(x) = theta * x at x = S*T / (theta*T + S).  Every form here uses only
+    + - * /, so the scalar and vector forms agree bit for bit.
+    """
 
     S: float
     T: float
@@ -450,10 +488,16 @@ class LinearFamily(RankFunction):
         return self.S * (1.0 - xs / self.T)
 
     def inverse(self, theta: float) -> float:
-        rng = self.admissible_range()
-        if not rng.contains(theta):
-            raise ThetaRangeError(f"theta={theta!r} outside [0, {self.S}]")
-        return self.T * (1.0 - rng.clamp(theta) / self.S)
+        return self.T * (1.0 - self.admit_level(theta) / self.S)
+
+    def inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return self.T * (1.0 - self.admit_levels(thetas) / self.S)
+
+    def ray_crossing(self, theta: float) -> float:
+        return self.S * self.T / (theta * self.T + self.S)
+
+    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
+        return self.S * self.T / (np.asarray(thetas, dtype=float) * self.T + self.S)
 
     def cumulative(self, x: float) -> float:
         self._check_domain(x)
@@ -472,6 +516,11 @@ class ZipfFamily(RankFunction):
     integral is still finite and handled analytically:
     int_0^x (T/s)**beta ds = T**beta * x**(1-beta) / (1-beta).
     The admissible range is [Z(T), inf) = [1, inf), open above.
+    Z(x) = theta * x at x = (T**beta / theta) ** (1 / (1 + beta)).
+
+    The vector ``inverses`` and ``cumulatives`` use numpy's power, which can
+    differ from the scalar pow by an ulp or two; ``ray_crossings`` keeps the
+    generic loop over the scalar root, so h agrees bit for bit.
     """
 
     beta: float
@@ -500,9 +549,13 @@ class ZipfFamily(RankFunction):
         return ThetaRange(1.0, math.inf)
 
     def inverse(self, theta: float) -> float:
-        if theta < 1.0 - EQUALITY_TOL or math.isinf(theta):
-            raise ThetaRangeError(f"theta={theta!r} outside [1, inf)")
-        return self.T * max(theta, 1.0) ** (-1.0 / self.beta)
+        return self.T * self.admit_level(theta) ** (-1.0 / self.beta)
+
+    def inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return self.T * self.admit_levels(thetas) ** (-1.0 / self.beta)
+
+    def ray_crossing(self, theta: float) -> float:
+        return (self.T**self.beta / theta) ** (1.0 / (1.0 + self.beta))
 
     def cumulative(self, x: float) -> float:
         self._check_domain(x)
@@ -536,10 +589,10 @@ class PowerComplement(RankFunction):
         return 1.0 - xs**self.n
 
     def inverse(self, theta: float) -> float:
-        rng = self.admissible_range()
-        if not rng.contains(theta):
-            raise ThetaRangeError(f"theta={theta!r} outside [0, 1]")
-        return (1.0 - rng.clamp(theta)) ** (1.0 / self.n)
+        return (1.0 - self.admit_level(theta)) ** (1.0 / self.n)
+
+    def inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return (1.0 - self.admit_levels(thetas)) ** (1.0 / self.n)
 
     def cumulative(self, x: float) -> float:
         self._check_domain(x)
@@ -563,12 +616,14 @@ def _common_T(f: RankFunction, g: RankFunction) -> float:
     return f.T
 
 
-def _grid(f: RankFunction, g: RankFunction, lo: float, hi: float, n: int) -> np.ndarray:
+def _grid(fns: Sequence[RankFunction], lo: float, hi: float, n: int) -> np.ndarray:
+    """n >= 2 uniform points on [lo, hi], pole-free for every function in fns."""
+    if n < 2:
+        raise InputError(f"grid_n must be >= 2, got {n}")
     xs = np.linspace(lo, hi, n)
-    if xs[0] == 0.0 and (f.unbounded_at_origin or g.unbounded_at_origin):
+    if xs[0] == 0.0 and any(f.unbounded_at_origin for f in fns):
         # cannot sample the pole itself; start half a step in
-        xs = xs.copy()
-        xs[0] = 0.5 * xs[1] if n > 1 else 0.5 * hi
+        xs[0] = 0.5 * xs[1]
     return xs
 
 
@@ -606,15 +661,13 @@ def compare(
         a = T
     if not (0.0 < a <= T):
         raise InputError(f"prefix endpoint a={a!r} must lie in (0, T]")
-    if grid_n < 2:
-        raise InputError("grid_n must be >= 2")
 
-    xs_full = _grid(f, g, 0.0, T, grid_n)
+    xs_full = _grid((f, g), 0.0, T, grid_n)
     diff_full = f.values(xs_full) - g.values(xs_full)
     i_min = int(np.argmin(diff_full))
     geq = bool(diff_full[i_min] >= -EQUALITY_TOL)
 
-    xs_pre = _grid(f, g, 0.0, a, grid_n)
+    xs_pre = _grid((f, g), 0.0, a, grid_n)
     diff_pre = f.values(xs_pre) - g.values(xs_pre)
     j_min = int(np.argmin(diff_pre))
     min_gap = float(diff_pre[j_min])

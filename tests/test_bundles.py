@@ -253,7 +253,50 @@ def _scalar_sweep_cells(f, t):
     return cells
 
 
+PARAMETRIC = st.one_of(
+    st.builds(LinearFamily, S=st.floats(1e-3, 1e3), T=st.floats(1e-3, 1e3)),
+    st.builds(ZipfFamily, beta=st.floats(0.05, 0.95), T=st.floats(1e-3, 1e3)),
+    st.builds(PowerComplement, n=st.integers(1, 60)),
+)
+
+
 class TestVectorForms:
+    @settings(max_examples=200, deadline=None)
+    @given(f=PARAMETRIC, fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_parametric_vector_forms_match_scalar(self, f, fracs):
+        rng = f.admissible_range()
+        # Zipf levels run up to the value one millionth of the domain in
+        hi = f.value(1e-6 * f.T) if rng.unbounded_above else rng.hi
+        levels = rng.lo + np.array(fracs) * (hi - rng.lo)
+        inv = np.array([f.inverse(t) for t in levels.tolist()])
+        assert np.all(np.abs(f.inverses(levels) - inv) <= 2 * np.spacing(np.abs(inv)))
+        e = np.array([e_theta(f, t) for t in levels.tolist()])
+        assert np.all(np.abs(e_thetas(f, levels) - e) <= 1e-12 * max(1.0, hi - rng.lo))
+        if isinstance(f, LinearFamily):  # + - * / only: bit for bit
+            assert f.inverses(levels).tolist() == inv.tolist()
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            LinearFamily(S=2.0, T=3.0),
+            LinearFamily(S=0.5, T=40.0),
+            ZipfFamily(beta=0.5, T=1.0),
+            ZipfFamily(beta=0.2, T=40.0),
+            ZipfFamily(beta=0.9, T=0.05),
+        ],
+        ids=["linear", "linear-long", "zipf", "zipf-flat", "zipf-steep"],
+    )
+    def test_closed_form_h(self, f):
+        lo = f.value(f.T) / f.T
+        thetas = np.unique(np.concatenate(
+            ([lo, 123.0, 1e6], np.geomspace(max(lo, 1e-9), 1e6, 2_000))
+        ))
+        h = h_thetas(f, thetas)
+        assert h.tolist() == [h_theta(f, t) for t in thetas.tolist()]
+        assert h[0] == f.T  # the boundary level Z(T)/T
+        resid = np.abs(f.values(h) - thetas * h)
+        assert np.all(resid <= 1e-14 * np.maximum(1.0, thetas * h))
+
     @settings(max_examples=80, deadline=None)
     @given(f=pwl_functions(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
     def test_equal_to_scalar_forms(self, f, fracs):

@@ -132,7 +132,53 @@ class TestAxiomsCmd:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--measure-theta", "nan", "--suite", "all"],
+            ["--measure-theta", "inf", "--suite", "measure"],
+            ["--slack", "nan"],
+            ["--slack=-1e-9"],
+            ["--measure-theta", "1e9", "--suite", "measure"],
+        ],
+        ids=["nan-level", "inf-level", "nan-slack", "negative-slack", "level-tests-nothing"],
+    )
+    def test_runs_that_check_nothing_exit_2(self, args, tmp_path, capsys):
+        out = tmp_path / "axioms.json"
+        assert main(["axioms", "--pairs", "3", *args, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_vacuous_reports_flagged(self, tmp_path, capsys):
+        # mu at the domain end T = 1: IM.3, SM.3 and SM.4 test no pair
+        out = tmp_path / "axioms.json"
+        rc = main(["axioms", "--bundle", "mu", "--suite", "all", "--pairs", "4",
+                   "--measure-theta", "1", "--output", str(out)])
+        assert rc == 0
+        obj = json.loads(out.read_text())
+        for key, rep in obj.items():
+            assert rep["vacuous"] is (rep["tested"] == 0), key
+        assert obj["IM.3"]["vacuous"] and obj["AX.1"]["vacuous"]
+        assert not obj["IM.2"]["vacuous"]
+        assert "(vacuous: no pair tested)" in capsys.readouterr().out
+
+
 class TestConvergeCmd:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "power", "--grid-n", "0"],
+            ["--family", "zipf", "--theta-grid-n", "0"],
+            ["--family", "linear", "--theta-grid-n", "-3"],
+        ],
+        ids=["power-grid-0", "zipf-levels-0", "linear-levels-negative"],
+    )
+    def test_grid_below_two_points_exit_2(self, args, capsys):
+        assert main(["converge", "--n-list", "3,5", *args]) == 2
+        err = capsys.readouterr().err
+        assert "must be >= 2" in err and "Traceback" not in err
+
     def test_linear_family_csv(self, capsys):
         rc = main(["converge", "--family", "linear", "--n-list", "10,100",
                    "--grid-n", "1000", "--theta-grid-n", "200"])

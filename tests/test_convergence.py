@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ebundles import convergence
+from ebundles.bundles import e_thetas
 from ebundles.convergence import (
     ConvergenceReport,
     FunctionSequence,
@@ -96,7 +98,66 @@ class TestESupDistance:
         assert smaller == pytest.approx(5e-5, rel=0.2)
 
 
+class TestVectorDistances:
+    def test_no_scalar_inverse_calls(self, monkeypatch):
+        # the scalar e_theta reads the scalar inverse too
+        def scalar(*args):
+            raise AssertionError("scalar inverse called")
+
+        monkeypatch.setattr(ZipfFamily, "inverse", scalar)
+        seq = zipf_sequence([10, 100])
+        report = run_study(seq, grid_n=1_000, theta_grid_n=500)
+        assert all(r.sup_inv > 0.0 and r.sup_e > 0.0 for r in report.rows)
+
+    @pytest.mark.parametrize("fns", [
+        (ZipfFamily(beta=0.5 + 0.1 / 7, T=1.0), ZipfFamily(beta=0.5, T=1.0)),
+        (PiecewiseLinearFn.from_pairs([(0.0, 1.25), (1.0, 0.25)]), UNIT_LINE),
+    ])
+    def test_blocks_match_one_pass(self, fns):
+        f, g = fns
+        n = 3 * convergence._BLOCK + 5
+        xs = convergence._grid((f, g), 0.0, 1.0, n)
+        thetas = convergence._shared_theta_grid(f, g, n)
+        assert sup_distance(f, g, n) == float(np.max(np.abs(f.values(xs) - g.values(xs))))
+        assert inverse_sup_distance(f, g, n) == float(
+            np.max(np.abs(f.inverses(thetas) - g.inverses(thetas))))
+        assert e_sup_distance(f, g, n) == float(
+            np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas))))
+
+    def test_vector_forms_see_one_block_at_a_time(self, monkeypatch):
+        # temporaries over a whole grid would be mapped and unmapped per call
+        sizes = []
+        for name in ("values", "inverses", "cumulatives"):
+            method = getattr(ZipfFamily, name)
+
+            def spy(self, xs, method=method):
+                sizes.append(np.size(xs))
+                return method(self, xs)
+
+            monkeypatch.setattr(ZipfFamily, name, spy)
+        run_study(zipf_sequence([3, 30]), grid_n=100_000, theta_grid_n=20_000)
+        assert sizes and max(sizes) <= convergence._BLOCK
+
+    @pytest.mark.parametrize("grid_n", [-3, 0, 1])
+    def test_level_grid_needs_two_points(self, grid_n):
+        with pytest.raises(InputError):
+            inverse_sup_distance(scaled(3), UNIT_LINE, grid_n)
+        with pytest.raises(InputError):
+            run_study(zipf_sequence([3]), theta_grid_n=grid_n)
+
+
 class TestRunStudy:
+    @pytest.mark.parametrize("limit", [UNIT_LINE, None])
+    def test_builds_each_member_once(self, limit):
+        built = []
+
+        def family(n):
+            built.append(n)
+            return scaled(n)
+
+        run_study(FunctionSequence(family, (2, 5, 9), limit), grid_n=200, theta_grid_n=50)
+        assert built == [2, 5, 9]
+
     def test_scaled_linear_study(self):
         report = run_study(scaled_linear_sequence([10, 100, 1000]), grid_n=4_000, theta_grid_n=800)
         sup_fn = [r.sup_fn for r in report.rows]

@@ -1,0 +1,48 @@
+"""Committed CLI outputs that refactors must reproduce.
+
+The files under ``golden/`` were written by the code before the vector
+level API (commit 6ca0ee9) with
+
+    ebundles converge --family F --grid-n 20000 --theta-grid-n 4000 \\
+        --n-list 3,17,250,4001,60000 --output converge-F.csv 2> converge-F.stderr
+    ebundles counterexamples > counterexamples.txt
+
+Every output must match byte for byte, except the Zipf CSV: numpy's vector
+power and the C library's pow can differ by an ulp or two, so its cells may
+move by at most 8 * eps * T on the inverse values in [0, T].
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ebundles.cli import main
+from ebundles.convergence import ConvergenceReport
+
+GOLDEN = Path(__file__).parent / "golden"
+CONVERGE_ARGS = ["--grid-n", "20000", "--theta-grid-n", "4000", "--n-list", "3,17,250,4001,60000"]
+ZIPF_T = 1.0
+
+
+@pytest.mark.parametrize("family", ["linear", "shifted", "zipf", "power"])
+def test_converge(family, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["converge", "--family", family, *CONVERGE_ARGS, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == (GOLDEN / f"converge-{family}.stderr").read_text()
+    got, want = out.read_text(), (GOLDEN / f"converge-{family}.csv").read_text()
+    if family != "zipf":
+        assert got == want
+        return
+    got_rows = ConvergenceReport.rows_from_csv(got)
+    want_rows = ConvergenceReport.rows_from_csv(want)
+    assert [r.n for r in got_rows] == [r.n for r in want_rows]
+    tol = 8 * np.finfo(float).eps * ZIPF_T
+    for g, w in zip(got_rows, want_rows):
+        for name in ("sup_fn", "sup_inv", "sup_e"):
+            assert abs(getattr(g, name) - getattr(w, name)) <= tol, (g.n, name)
+
+
+def test_counterexamples(capsys):
+    assert main(["counterexamples"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "counterexamples.txt").read_text()
