@@ -15,7 +15,6 @@ from .functions import (
     InputError,
     Knot,
     LinearFamily,
-    ParametricFn,
     PiecewiseLinearFn,
     PowerComplement,
     RankFunction,
@@ -55,24 +54,19 @@ from .axioms import (
     DominancePair,
     Fixture,
     GeneratorConfig,
-    Measure,
     RelationKind,
     Violation,
     check_global_impact,
     check_impact_bundle,
     check_impact_measure,
     check_strong_impact,
-    e_measure,
-    eta_measure,
     eta_theta,
     fixture_alt1,
     fixture_alt2,
     fixture_global,
     generate_pairs,
-    i_measure,
-    mu_measure,
-    n_measure,
     n_theta,
+    pseudo_bundle_eta,
     pseudo_bundle_n,
     verify_pair,
 )
@@ -81,7 +75,6 @@ from .convergence import (
     ConvergenceRow,
     FunctionSequence,
     e_sup_distance,
-    fixture_example3,
     inverse_sup_distance,
     power_complement_sequence,
     run_study,

@@ -7,18 +7,24 @@ per-axiom reports with explicit violation witnesses:
   function (vacuous here, the function space excludes it), monotone under
   pointwise >=, strictly monotone under strict prefix dominance, and local
   (prefix-equal functions score equally on the prefix image).
-* ``check_impact_measure``  the three-axiom system for a single-score
-  functional: positivity, monotone under >=, strict under strict prefix
-  dominance with per-function thresholds.
+* ``check_impact_measure``  the three-axiom system for a single score:
+  positivity, monotone under >=, strict under strict prefix dominance with
+  per-function thresholds.
 * ``check_strong_impact``   the four-axiom strengthening whose third axiom
   demands strict growth whenever the running averages are strictly ordered
   on [0, T).
 * ``check_global_impact``   strict growth under the cumulative-integral
   partial order.
 
+The last three take the single score as a ``BundleDef`` and a level theta;
+the bundle's ``positive_for`` and ``rank_of`` say where that score is
+provably positive and which rank it reads up to.  Every report comes from
+one driver, ``_run_axiom``, that runs a per-pair (or per-function) check.
+
 The module also ships the two rejected alternative scores (``n_theta``,
-``eta_theta``), three exactly constructed counterexample fixtures that
-demonstrate which axioms each score breaks, and a seeded pair generator.
+``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``),
+three exactly constructed counterexample fixtures that demonstrate which
+axioms each score breaks, and a seeded pair generator.
 
 Violations are only recorded when the gap clears the reporting slack, so
 float ties never masquerade as axiom failures.  Pairs failing a checked
@@ -29,13 +35,14 @@ implications and an unmet premise proves nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bundles import BundleDef, e_theta
+from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, e_theta
 from .functions import (
     CumulativeOrder,
     InputError,
@@ -56,12 +63,6 @@ __all__ = [
     "verify_pair",
     "Violation",
     "AxiomReport",
-    "Measure",
-    "e_measure",
-    "n_measure",
-    "eta_measure",
-    "i_measure",
-    "mu_measure",
     "n_theta",
     "eta_theta",
     "check_impact_bundle",
@@ -73,6 +74,7 @@ __all__ = [
     "fixture_alt1",
     "fixture_alt2",
     "pseudo_bundle_n",
+    "pseudo_bundle_eta",
     "GeneratorConfig",
     "generate_pairs",
 ]
@@ -152,7 +154,7 @@ def verify_pair(pair: DominancePair, grid_n: int = 10_000) -> DominancePair:
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports and the one axiom driver
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,42 @@ class AxiomReport:
         }
 
 
+# What a check returns for an item it does not test: the axiom's premise
+# fails there, or the score is not defined.
+_SKIP = "skipped"
+# A skip that the report's note counts: strong impact claims no strictness
+# at the level where the score reads up to the end of the domain.
+_BOUNDARY = "boundary-level pairs excluded"
+
+
+def _run_axiom(
+    axiom: str,
+    items: Iterable[tuple[int, Any]],
+    check: Callable[[int, Any], Violation | str | None],
+    note: str = "",
+) -> AxiomReport:
+    """Run one axiom's ``check`` over indexed pairs or functions.
+
+    ``check(index, item)`` returns None when the item satisfies the axiom, a
+    ``Violation`` when it breaks it, or a skip reason when the axiom does not
+    apply.  The report's note counts every skip reason other than ``_SKIP``.
+    """
+    tested = 0
+    violations: list[Violation] = []
+    skips: Counter[str] = Counter()
+    for idx, item in items:
+        outcome = check(idx, item)
+        if isinstance(outcome, str):
+            skips[outcome] += 1
+            continue
+        tested += 1
+        if outcome is not None:
+            violations.append(outcome)
+    counted = [f"{reason}: {n}" for reason, n in skips.items() if reason != _SKIP]
+    note = "; ".join(filter(None, [note, *counted]))
+    return AxiomReport(axiom, tested, tuple(violations), sum(skips.values()), note)
+
+
 def _require_verified(pairs: Iterable[DominancePair]) -> list[DominancePair]:
     out = list(pairs)
     for p in out:
@@ -211,72 +249,85 @@ def _by_relation(pairs: Sequence[DominancePair], kind: RelationKind) -> list[tup
     return [(i, p) for i, p in enumerate(pairs) if p.relation is kind]
 
 
-# ---------------------------------------------------------------------------
-# Impact bundle axioms
+def _members(pairs: Sequence[DominancePair]) -> list[RankFunction]:
+    """Distinct functions of the pairs, in order of first appearance."""
+    return list(dict.fromkeys(f for p in pairs for f in (p.upper, p.lower)))
 
 
-def _intersection_thetas(
-    bundle: BundleDef, up: RankFunction, lo: RankFunction, n: int
-) -> list[float]:
-    """Theta samples covering the joint admissible range of a pair.
-
-    Bounded intersections get a uniform grid.  Unbounded ones (the h bundle,
-    Zipf ranges) are sampled through the rank-to-level maps over (0, T],
-    which walks the far tail without picking an arbitrary cap.
-    """
-    ru, rl = bundle.admissible(up), bundle.admissible(lo)
-    lo_t = max(ru.lo, rl.lo)
-    hi_t = min(ru.hi, rl.hi)
-    if lo_t > hi_t:
-        return []
-    if math.isinf(hi_t):
-        xs = np.linspace(0.0, up.T, n + 1)[1:]
-        cand = set()
-        for g in (up, lo):
-            for x in xs:
-                t = bundle.level_of(g, float(x))
-                if math.isfinite(t):
-                    cand.add(t)
-        return sorted(t for t in cand if ru.contains(t) and rl.contains(t))
-    return [float(t) for t in np.linspace(lo_t, hi_t, n)]
+# Verdicts on the scores (m_up, m_lo) of a pair's dominating and dominated
+# member at the level t; None when the axiom holds.
 
 
-def _image_thetas(
-    bundle: BundleDef,
-    fns: Sequence[RankFunction],
-    a: float,
-    n: int,
-    up: RankFunction,
-    lo: RankFunction,
-) -> list[float]:
-    """Level-map images over (0, a], filtered to the joint admissible set.
+def _below(
+    idx: int, t: float, m_up: float, m_lo: float, slack: float, note: str = ""
+) -> Violation | None:
+    if m_lo - m_up > slack:
+        return Violation(idx, t, m_up, m_lo, m_lo - m_up, note=note)
+    return None
 
-    x = 0 is excluded: the h-bundle level map diverges there and the
-    cumulative bundle is identically zero at level 0, where strictness is
-    meaningless.
-    """
-    ru, rl = bundle.admissible(up), bundle.admissible(lo)
-    xs = np.linspace(0.0, a, n + 1)[1:]
-    cand = set()
-    for g in fns:
-        for x in xs:
-            t = bundle.level_of(g, float(x))
-            if math.isfinite(t):
-                cand.add(t)
-    return sorted(t for t in cand if ru.contains(t) and rl.contains(t))
+
+def _not_above(
+    idx: int, t: float, m_up: float, m_lo: float, strict_slack: float, note: str = "not strict"
+) -> Violation | None:
+    if m_up - m_lo <= strict_slack:
+        return Violation(idx, t, m_up, m_lo, m_lo - m_up, note=note)
+    return None
+
+
+def _unequal(
+    idx: int, t: float, m_up: float, m_lo: float, eq_tol: float, note: str = ""
+) -> Violation | None:
+    if abs(m_up - m_lo) > eq_tol:
+        return Violation(idx, t, m_up, m_lo, abs(m_up - m_lo), note=note)
+    return None
 
 
 def _try_measure(bundle: BundleDef, f: RankFunction, t: float) -> float | None:
     """Evaluate a bundle score, treating domain errors as inadmissibility.
 
-    Custom bundles may be undefined at isolated points of their nominal
-    range (the per-rank excess score has no value at theta = Z(0)); such
+    Scores may be undefined at isolated points of their nominal range (the
+    per-rank excess score has no value at theta = Z(0), the running average
+    none at a pole at the origin, and mu and i none past the rank T); such
     thetas are simply not compared.
     """
     try:
         return bundle.measure(f, t)
     except InputError:
         return None
+
+
+# ---------------------------------------------------------------------------
+# Impact bundle axioms
+
+
+def _level_samples(
+    bundle: BundleDef,
+    p: DominancePair,
+    n: int,
+    fns: Sequence[RankFunction] | None = None,
+) -> list[float]:
+    """Levels at which to compare a pair's scores, admissible for both members.
+
+    With ``fns``, the images of the prefix (0, a] under their level maps.
+    Without, the pair's joint admissible range: n uniform levels when it is
+    bounded, and when it is not (the h bundle, Zipf ranges) the images of
+    (0, T] under both members' level maps, which walk the far tail without
+    picking an arbitrary cap.  x = 0 is excluded: the h-bundle level map
+    diverges there and the cumulative bundle is identically zero at level 0,
+    where strictness is meaningless.
+    """
+    ru, rl = bundle.admissible(p.upper), bundle.admissible(p.lower)
+    a = p.prefix_end
+    if fns is None:
+        lo_t, hi_t = max(ru.lo, rl.lo), min(ru.hi, rl.hi)
+        if lo_t > hi_t:
+            return []
+        if not math.isinf(hi_t):
+            return [float(t) for t in np.linspace(lo_t, hi_t, n)]
+        fns, a = (p.upper, p.lower), p.upper.T
+    xs = np.linspace(0.0, a, n + 1)[1:].tolist()
+    levels = {t for g in fns for x in xs if math.isfinite(t := bundle.level_of(g, x))}
+    return sorted(t for t in levels if ru.contains(t) and rl.contains(t))
 
 
 def check_impact_bundle(
@@ -294,114 +345,53 @@ def check_impact_bundle(
     """
     pairs = _require_verified(pairs)
 
-    reports: dict[str, AxiomReport] = {}
-    reports["AX.1"] = AxiomReport(
-        axiom="AX.1",
-        pairs_tested=0,
-        note="vacuous: the zero function is not a strictly decreasing rank function",
-    )
-
-    # AX.2: upper >= lower pointwise implies scores ordered the same way.
-    tested = skipped = 0
-    viols: list[Violation] = []
-    for idx, p in _by_relation(pairs, RelationKind.GEQ_ALL):
-        thetas = _intersection_thetas(bundle, p.upper, p.lower, theta_grid)
-        if not thetas:
-            skipped += 1
-            continue
-        tested += 1
+    def first_violation(idx, p, thetas, verdict, tol, note):
+        """The verdict at the first level, if any, that it flags."""
         for t in thetas:
             m_up = _try_measure(bundle, p.upper, t)
             m_lo = _try_measure(bundle, p.lower, t)
-            if m_up is None or m_lo is None:
-                continue
-            if m_lo - m_up > slack:
-                viols.append(Violation(idx, t, m_up, m_lo, m_lo - m_up))
-                break
-    reports["AX.2"] = AxiomReport("AX.2", tested, tuple(viols), skipped)
+            if m_up is not None and m_lo is not None and (
+                v := verdict(idx, t, m_up, m_lo, tol, note)
+            ):
+                return v
+        return None
+
+    # AX.2: upper >= lower pointwise implies scores ordered the same way.
+    def monotone(idx: int, p: DominancePair):
+        thetas = _level_samples(bundle, p, theta_grid)
+        if not thetas:
+            return _SKIP
+        return first_violation(idx, p, thetas, _below, slack, "")
 
     # AX.3: strict dominance on [0, a] forces strictly larger scores on the
     # level image of the prefix.
-    tested = skipped = 0
-    viols = []
-    for idx, p in _by_relation(pairs, RelationKind.STRICT_ON_PREFIX):
-        thetas = _image_thetas(
-            bundle, (p.upper, p.lower), p.prefix_end, theta_grid, p.upper, p.lower
-        )
+    def strict(idx: int, p: DominancePair):
+        thetas = _level_samples(bundle, p, theta_grid, (p.upper, p.lower))
         if not thetas:
-            skipped += 1
-            continue
-        tested += 1
-        for t in thetas:
-            m_up = _try_measure(bundle, p.upper, t)
-            m_lo = _try_measure(bundle, p.lower, t)
-            if m_up is None or m_lo is None:
-                continue
-            if m_up - m_lo <= strict_slack:
-                viols.append(
-                    Violation(idx, t, m_up, m_lo, m_lo - m_up, note="not strictly larger")
-                )
-                break
-    reports["AX.3"] = AxiomReport("AX.3", tested, tuple(viols), skipped)
+            return _SKIP
+        return first_violation(idx, p, thetas, _not_above, strict_slack, "not strictly larger")
 
     # AX.4: equal prefixes force equal level maps and equal scores there.
-    tested = skipped = 0
-    viols = []
-    for idx, p in _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX):
-        a = p.prefix_end
-        xs = np.linspace(0.0, a, theta_grid + 1)[1:]
-        tested += 1
-        bad = False
-        for x in xs:
-            lu = bundle.level_of(p.upper, float(x))
-            ll = bundle.level_of(p.lower, float(x))
+    def local(idx: int, p: DominancePair):
+        for x in np.linspace(0.0, p.prefix_end, theta_grid + 1)[1:].tolist():
+            lu, ll = bundle.level_of(p.upper, x), bundle.level_of(p.lower, x)
             if math.isfinite(lu) and math.isfinite(ll) and abs(lu - ll) > eq_tol:
-                viols.append(
-                    Violation(idx, float(x), lu, ll, abs(lu - ll), note="level maps differ")
-                )
-                bad = True
-                break
-        if bad:
-            continue
-        for t in _image_thetas(bundle, (p.lower,), a, theta_grid, p.upper, p.lower):
-            m_up = _try_measure(bundle, p.upper, t)
-            m_lo = _try_measure(bundle, p.lower, t)
-            if m_up is None or m_lo is None:
-                continue
-            if abs(m_up - m_lo) > eq_tol:
-                viols.append(
-                    Violation(idx, t, m_up, m_lo, abs(m_up - m_lo), note="scores differ")
-                )
-                break
-    reports["AX.4"] = AxiomReport("AX.4", tested, tuple(viols), skipped)
-    return reports
+                return Violation(idx, x, lu, ll, abs(lu - ll), note="level maps differ")
+        thetas = _level_samples(bundle, p, theta_grid, (p.lower,))
+        return first_violation(idx, p, thetas, _unequal, eq_tol, "scores differ")
+
+    return {
+        "AX.1": AxiomReport(
+            "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"
+        ),
+        "AX.2": _run_axiom("AX.2", _by_relation(pairs, RelationKind.GEQ_ALL), monotone),
+        "AX.3": _run_axiom("AX.3", _by_relation(pairs, RelationKind.STRICT_ON_PREFIX), strict),
+        "AX.4": _run_axiom("AX.4", _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX), local),
+    }
 
 
 # ---------------------------------------------------------------------------
-# Single-score measures
-
-
-@dataclass(frozen=True)
-class Measure:
-    """A single-score functional on rank functions, with domain predicates.
-
-    ``theta`` records the level the score was fixed at, when there is one;
-    the strong-impact checker uses it to exclude the boundary level Z(T).
-    ``positive_for`` states where strict positivity is provable, so the
-    positivity axiom can be hypothesis-filtered honestly.  ``determined_by``
-    maps a function to the rank below which the score is fully determined
-    (the inverse rank for the excess area, the root itself for a generalized
-    h, the fixed rank for averages and totals); the prefix-local axioms use
-    it to decide whether an equal or strict prefix actually covers what the
-    score reads.
-    """
-
-    name: str
-    apply: Callable[[RankFunction], float]
-    theta: float | None = None
-    admissible: Callable[[RankFunction], bool] = field(default=lambda f: True)
-    positive_for: Callable[[RankFunction], bool] = field(default=lambda f: True)
-    determined_by: Callable[[RankFunction], float] | None = None
+# Single-score axioms: a bundle fixed at one level theta
 
 
 def n_theta(f: RankFunction, theta: float) -> float:
@@ -421,92 +411,62 @@ def eta_theta(f: RankFunction, t: float) -> float:
     return f.cumulative(t) - t * f.value(t)
 
 
-def e_measure(theta: float) -> Measure:
-    return Measure(
-        name=f"e@{theta:g}",
-        apply=lambda f: e_theta(f, theta),
-        theta=theta,
-        admissible=lambda f: f.admissible_range().contains(theta),
-        positive_for=lambda f: theta < f.value_at_origin(),
-    )
+def _admits(bundle: BundleDef, f: RankFunction, theta: float) -> bool:
+    """Whether the level theta lies in f's admissible range for the bundle.
+
+    A density level (no ``rank_of``) is admitted within the range's slack,
+    because the density scores snap it onto the range.  A level that fixes a
+    rank (mu, i, eta, h) is admitted only inside the exact range.
+    """
+    rng = bundle.admissible(f)
+    return rng.contains(theta) if bundle.rank_of is None else rng.contains(theta, slack=0.0)
 
 
-def n_measure(theta: float) -> Measure:
-    def adm(f: RankFunction) -> bool:
-        return f.admissible_range().contains(theta) and theta < f.value_at_origin()
-
-    return Measure(
-        name=f"n@{theta:g}",
-        apply=lambda f: n_theta(f, theta),
-        theta=theta,
-        admissible=adm,
-        positive_for=adm,
-    )
+def _scores_at(bundle: BundleDef, theta: float, p: DominancePair) -> tuple[float, float] | None:
+    """Both members' scores at theta, or None unless both admit and score it."""
+    if not (_admits(bundle, p.upper, theta) and _admits(bundle, p.lower, theta)):
+        return None
+    m_up = _try_measure(bundle, p.upper, theta)
+    m_lo = _try_measure(bundle, p.lower, theta)
+    if m_up is None or m_lo is None:
+        return None
+    return m_up, m_lo
 
 
-def eta_measure(t: float) -> Measure:
-    return Measure(
-        name=f"eta@{t:g}",
-        apply=lambda f: eta_theta(f, t),
-        admissible=lambda f: 0.0 <= t <= f.T,
-        positive_for=lambda f: 0.0 < t <= f.T,
-        determined_by=lambda f: t,
-    )
-
-
-def mu_measure(x: float) -> Measure:
-    return Measure(
-        name=f"mu@{x:g}",
-        apply=lambda f: f.average(x),
-        admissible=lambda f: 0.0 <= x <= f.T and not (x == 0.0 and f.unbounded_at_origin),
-        determined_by=lambda f: x,
-    )
-
-
-def i_measure(x: float) -> Measure:
-    return Measure(
-        name=f"i@{x:g}",
-        apply=lambda f: f.cumulative(x),
-        admissible=lambda f: 0.0 <= x <= f.T,
-        positive_for=lambda f: x > 0.0,
-        determined_by=lambda f: x,
-    )
-
-
-def _members(pairs: Sequence[DominancePair]) -> list[RankFunction]:
-    """Distinct functions of the pairs, in order of first appearance."""
-    return list(dict.fromkeys(f for p in pairs for f in (p.upper, p.lower)))
+def _reads_past(bundle: BundleDef, theta: float, f: RankFunction, a: float) -> bool:
+    """Whether the score at theta reads f beyond the rank a."""
+    return bundle.rank_of is not None and bundle.rank_of(f, theta) > a + EQUALITY_ASSERT_TOL
 
 
 def _positivity_report(
-    axiom: str, measure: Measure, pairs: Sequence[DominancePair], strict_slack: float
+    axiom: str, bundle: BundleDef, theta: float, pairs: Sequence[DominancePair], strict_slack: float
 ) -> AxiomReport:
-    tested = skipped = 0
-    viols: list[Violation] = []
-    for i, f in enumerate(_members(pairs)):
-        if not (measure.admissible(f) and measure.positive_for(f)):
-            skipped += 1
-            continue
-        tested += 1
-        v = measure.apply(f)
+    def positive(idx: int, f: RankFunction):
+        if not (_admits(bundle, f, theta) and bundle.positive_for(f, theta)):
+            return _SKIP
+        v = _try_measure(bundle, f, theta)
+        if v is None:
+            return _SKIP
         if v <= strict_slack:
-            viols.append(Violation(i, math.nan, v, 0.0, -v, note="score not positive"))
-    return AxiomReport(
+            return Violation(idx, math.nan, v, 0.0, -v, note="score not positive")
+        return None
+
+    return _run_axiom(
         axiom,
-        tested,
-        tuple(viols),
-        skipped,
+        enumerate(_members(pairs)),
+        positive,
         note="zero-function clause vacuous: rank functions are strictly decreasing",
     )
 
 
 def check_impact_measure(
-    measure: Measure,
+    bundle: BundleDef,
+    theta: float,
     pairs: Sequence[DominancePair],
     slack: float = MONOTONE_SLACK,
     strict_slack: float = STRICT_SLACK,
 ) -> dict[str, AxiomReport]:
-    """Three-axiom check for a single-score functional.
+    """Three-axiom check for the single score of a bundle at the level theta.
 
     IM.1 positivity (the zero-function clause is vacuous on this function
     space), IM.2 monotone under pointwise >= plus equal scores on equal
@@ -514,45 +474,32 @@ def check_impact_measure(
     generated prefix endpoint playing the per-function threshold.
     """
     pairs = _require_verified(pairs)
-    reports = {"IM.1": _positivity_report("IM.1", measure, pairs, strict_slack)}
 
-    tested = skipped = 0
-    viols: list[Violation] = []
-    for idx, p in _by_relation(pairs, RelationKind.GEQ_ALL):
-        if not (measure.admissible(p.upper) and measure.admissible(p.lower)):
-            skipped += 1
-            continue
-        tested += 1
-        m_up = measure.apply(p.upper)
-        m_lo = measure.apply(p.lower)
-        if m_lo - m_up > slack:
-            viols.append(Violation(idx, math.nan, m_up, m_lo, m_lo - m_up))
-            continue
+    def monotone(idx: int, p: DominancePair):
+        scores = _scores_at(bundle, theta, p)
+        if scores is None:
+            return _SKIP
+        m_up, m_lo = scores
+        if v := _below(idx, math.nan, m_up, m_lo, slack):
+            return v
         # determinism half of the axiom: equal inputs give equal scores
-        if measure.apply(p.upper) != m_up:
-            viols.append(Violation(idx, math.nan, m_up, m_up, 0.0, note="not deterministic"))
-    reports["IM.2"] = AxiomReport("IM.2", tested, tuple(viols), skipped)
+        if bundle.measure(p.upper, theta) != m_up:
+            return Violation(idx, math.nan, m_up, m_up, 0.0, note="not deterministic")
+        return None
 
-    tested = skipped = 0
-    viols = []
-    for idx, p in _by_relation(pairs, RelationKind.STRICT_ON_PREFIX):
-        if not (measure.admissible(p.upper) and measure.admissible(p.lower)):
-            skipped += 1
-            continue
-        # root-local scores (generalized h, fixed-rank totals) are only
-        # constrained when the strict prefix covers everything they read
-        if measure.determined_by is not None and (
-            measure.determined_by(p.lower) > p.prefix_end + EQUALITY_ASSERT_TOL
-        ):
-            skipped += 1
-            continue
-        tested += 1
-        m_up = measure.apply(p.upper)
-        m_lo = measure.apply(p.lower)
-        if m_up - m_lo <= strict_slack:
-            viols.append(Violation(idx, math.nan, m_up, m_lo, m_lo - m_up, note="not strict"))
-    reports["IM.3"] = AxiomReport("IM.3", tested, tuple(viols), skipped)
-    return reports
+    def strict(idx: int, p: DominancePair):
+        scores = _scores_at(bundle, theta, p)
+        # a score that reads up to a rank (mu, i, h) is only constrained when
+        # the strict prefix covers everything it reads
+        if scores is None or _reads_past(bundle, theta, p.lower, p.prefix_end):
+            return _SKIP
+        return _not_above(idx, math.nan, *scores, strict_slack)
+
+    return {
+        "IM.1": _positivity_report("IM.1", bundle, theta, pairs, strict_slack),
+        "IM.2": _run_axiom("IM.2", _by_relation(pairs, RelationKind.GEQ_ALL), monotone),
+        "IM.3": _run_axiom("IM.3", _by_relation(pairs, RelationKind.STRICT_ON_PREFIX), strict),
+    }
 
 
 def _averages_strictly_ordered(
@@ -573,7 +520,8 @@ def _averages_strictly_ordered(
 
 
 def check_strong_impact(
-    measure: Measure,
+    bundle: BundleDef,
+    theta: float,
     pairs: Sequence[DominancePair],
     mu_grid: int = 512,
     slack: float = MONOTONE_SLACK,
@@ -581,90 +529,62 @@ def check_strong_impact(
     eq_tol: float = EQUALITY_ASSERT_TOL,
     boundary_tol: float = 1e-9,
 ) -> dict[str, AxiomReport]:
-    """Four-axiom strong-impact check for a single-score functional.
+    """Four-axiom strong-impact check for the score of a bundle at theta.
 
     SM.3 is hypothesis-filtered: a pair enters only after its running
     averages verify as strictly ordered on a grid over [0, T), and pairs
-    whose lower member satisfies Z(T) = theta are excluded and flagged (the
-    strictness claim does not cover that boundary level).  SM.4 realizes the
-    per-function threshold as the inverse rank of the measure's level, so it
-    applies to prefix-equal pairs whose prefix reaches that rank.
+    whose lower member is read up to the domain end at theta (a density
+    level equal to Z(T), or a rank equal to T) are excluded and flagged (the
+    strictness claim does not cover that boundary).  SM.4 realizes the
+    per-function threshold as the rank the score reads up to, or for a
+    density level its inverse rank, so it applies to prefix-equal pairs
+    whose prefix reaches that rank.
     """
     pairs = _require_verified(pairs)
-    reports = {"SM.1": _positivity_report("SM.1", measure, pairs, strict_slack)}
 
-    tested = skipped = 0
-    viols: list[Violation] = []
-    for idx, p in _by_relation(pairs, RelationKind.GEQ_ALL):
-        if not (measure.admissible(p.upper) and measure.admissible(p.lower)):
-            skipped += 1
-            continue
-        tested += 1
-        m_up = measure.apply(p.upper)
-        m_lo = measure.apply(p.lower)
-        if m_lo - m_up > slack:
-            viols.append(Violation(idx, math.nan, m_up, m_lo, m_lo - m_up))
-    reports["SM.2"] = AxiomReport("SM.2", tested, tuple(viols), skipped)
+    def monotone(idx: int, p: DominancePair):
+        scores = _scores_at(bundle, theta, p)
+        return _SKIP if scores is None else _below(idx, math.nan, *scores, slack)
 
-    tested = skipped = boundary = 0
-    viols = []
-    for idx, p in _by_relation(pairs, RelationKind.GEQ_ALL):
-        if not (measure.admissible(p.upper) and measure.admissible(p.lower)):
-            skipped += 1
-            continue
-        # strictness is not claimed at the boundary where the score reads
-        # up to the domain end: level = Z(T), or determining rank = T
-        at_boundary = measure.theta is not None and (
-            abs(measure.theta - p.lower.value(p.lower.T)) <= boundary_tol
-        )
-        if not at_boundary and measure.determined_by is not None:
-            rank = measure.determined_by(p.lower)
-            at_boundary = rank >= p.lower.T - boundary_tol * max(1.0, p.lower.T)
-        if at_boundary:
-            boundary += 1
-            continue
-        if not _averages_strictly_ordered(p.lower, p.upper, mu_grid):
-            skipped += 1
-            continue
-        tested += 1
-        m_up = measure.apply(p.upper)
-        m_lo = measure.apply(p.lower)
-        if m_up - m_lo <= strict_slack:
-            viols.append(Violation(idx, math.nan, m_up, m_lo, m_lo - m_up, note="not strict"))
-    note = f"boundary-level pairs excluded: {boundary}" if boundary else ""
-    reports["SM.3"] = AxiomReport("SM.3", tested, tuple(viols), skipped + boundary, note)
-
-    tested = skipped = 0
-    viols = []
-    if measure.determined_by is None and measure.theta is None:
-        reports["SM.4"] = AxiomReport(
-            "SM.4", 0, note="measure declares no determining rank or level; threshold not realizable"
-        )
-        return reports
-    for idx, p in _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX):
-        if not (measure.admissible(p.upper) and measure.admissible(p.lower)):
-            skipped += 1
-            continue
-        # the equal prefix must cover everything the score reads: the
-        # declared determining rank, or the inverse rank of the level
-        if measure.determined_by is not None:
-            covered = measure.determined_by(p.lower) <= p.prefix_end + EQUALITY_ASSERT_TOL
+    def strict(idx: int, p: DominancePair):
+        scores = _scores_at(bundle, theta, p)
+        if scores is None:
+            return _SKIP
+        lower = p.lower
+        if bundle.rank_of is None:
+            at_boundary = abs(theta - lower.value(lower.T)) <= boundary_tol
         else:
-            covered = measure.theta >= p.lower.value(p.prefix_end) - EQUALITY_ASSERT_TOL
-        if not covered:
-            skipped += 1
-            continue
-        tested += 1
-        m_up = measure.apply(p.upper)
-        m_lo = measure.apply(p.lower)
-        if abs(m_up - m_lo) > eq_tol:
-            viols.append(Violation(idx, math.nan, m_up, m_lo, abs(m_up - m_lo)))
-    reports["SM.4"] = AxiomReport("SM.4", tested, tuple(viols), skipped)
-    return reports
+            rank = bundle.rank_of(lower, theta)
+            at_boundary = rank >= lower.T - boundary_tol * max(1.0, lower.T)
+        if at_boundary:
+            return _BOUNDARY
+        if not _averages_strictly_ordered(lower, p.upper, mu_grid):
+            return _SKIP
+        return _not_above(idx, math.nan, *scores, strict_slack)
+
+    def local(idx: int, p: DominancePair):
+        scores = _scores_at(bundle, theta, p)
+        if scores is None:
+            return _SKIP
+        # the equal prefix must cover everything the score reads
+        if bundle.rank_of is None:
+            covered = theta >= p.lower.value(p.prefix_end) - EQUALITY_ASSERT_TOL
+        else:
+            covered = not _reads_past(bundle, theta, p.lower, p.prefix_end)
+        return _unequal(idx, math.nan, *scores, eq_tol) if covered else _SKIP
+
+    geq = _by_relation(pairs, RelationKind.GEQ_ALL)
+    return {
+        "SM.1": _positivity_report("SM.1", bundle, theta, pairs, strict_slack),
+        "SM.2": _run_axiom("SM.2", geq, monotone),
+        "SM.3": _run_axiom("SM.3", geq, strict),
+        "SM.4": _run_axiom("SM.4", _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX), local),
+    }
 
 
 def check_global_impact(
-    measure: Measure,
+    bundle: BundleDef,
+    theta: float,
     pairs: Sequence[DominancePair],
     strict_slack: float = STRICT_SLACK,
 ) -> AxiomReport:
@@ -675,18 +595,12 @@ def check_global_impact(
     report records that equality witness honestly.
     """
     pairs = _require_verified(pairs)
-    tested = skipped = 0
-    viols: list[Violation] = []
-    for idx, p in _by_relation(pairs, RelationKind.CUMULATIVE_PREC):
-        if not (measure.admissible(p.upper) and measure.admissible(p.lower)):
-            skipped += 1
-            continue
-        tested += 1
-        m_up = measure.apply(p.upper)
-        m_lo = measure.apply(p.lower)
-        if m_up - m_lo <= strict_slack:
-            viols.append(Violation(idx, math.nan, m_up, m_lo, m_lo - m_up, note="not strict"))
-    return AxiomReport("GM", tested, tuple(viols), skipped)
+
+    def strict(idx: int, p: DominancePair):
+        scores = _scores_at(bundle, theta, p)
+        return _SKIP if scores is None else _not_above(idx, math.nan, *scores, strict_slack)
+
+    return _run_axiom("GM", _by_relation(pairs, RelationKind.CUMULATIVE_PREC), strict)
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +661,19 @@ def fixture_alt2() -> Fixture:
 
 
 def pseudo_bundle_n() -> BundleDef:
-    """The per-rank excess score packaged as a bundle for violation demos."""
-    return BundleDef(
-        name="n",
-        measure=n_theta,
-        level_of=lambda f, x: f.value(x),
-        admissible=lambda f: f.admissible_range(),
-    )
+    """The per-rank excess score packaged as a bundle for violation demos.
+
+    Its level is a density, as for the e bundle it is built from.
+    """
+    return replace(E_BUNDLE, name="n", measure=n_theta)
+
+
+def pseudo_bundle_eta() -> BundleDef:
+    """The own-level area score packaged as a bundle for violation demos.
+
+    Its level is a rank, as for the i bundle it is built from.
+    """
+    return replace(I_BUNDLE, name="eta", measure=eta_theta)
 
 
 # ---------------------------------------------------------------------------

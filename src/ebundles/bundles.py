@@ -181,14 +181,22 @@ class BundleDef:
 
     ``level_of``(f, x) sends a rank x to the parameter value the bundle
     associates with it (the identity for mu/i, Z(x) for e, Z(x)/x for h).
+    Fixed at one level theta, a bundle is a single score, which the measure
+    axiom checkers take with two more facts: ``positive_for``(f, theta)
+    states where the score is provably strictly positive, and
+    ``rank_of``(f, theta) is the rank up to which the score reads f (theta
+    itself for mu/i, the root for h).  ``rank_of`` is None when the level is
+    a density (e): then the checkers compare theta with f's values instead.
     Custom instances can be passed to the axiom checkers to probe candidate
-    measures that are not part of the built-in registry.
+    scores that are not part of the built-in registry.
     """
 
     name: str
     measure: Callable[[RankFunction, float], float]
     level_of: Callable[[RankFunction, float], float]
     admissible: Callable[[RankFunction], ThetaRange]
+    positive_for: Callable[[RankFunction, float], bool] = lambda f, theta: True
+    rank_of: Callable[[RankFunction, float], float] | None = None
 
 
 def _level_identity(f: RankFunction, x: float) -> float:
@@ -208,6 +216,7 @@ E_BUNDLE = BundleDef(
     measure=e_theta,
     level_of=_level_value,
     admissible=lambda f: f.admissible_range(),
+    positive_for=lambda f, theta: theta < f.value_at_origin(),
 )
 
 H_BUNDLE = BundleDef(
@@ -215,6 +224,7 @@ H_BUNDLE = BundleDef(
     measure=h_theta,
     level_of=_level_value_over_rank,
     admissible=_h_range,
+    rank_of=h_theta,
 )
 
 MU_BUNDLE = BundleDef(
@@ -222,6 +232,7 @@ MU_BUNDLE = BundleDef(
     measure=mu_bundle,
     level_of=_level_identity,
     admissible=lambda f: ThetaRange(0.0, f.T),
+    rank_of=_level_identity,
 )
 
 I_BUNDLE = BundleDef(
@@ -229,6 +240,8 @@ I_BUNDLE = BundleDef(
     measure=i_bundle,
     level_of=_level_identity,
     admissible=lambda f: ThetaRange(0.0, f.T),
+    positive_for=lambda f, x: x > 0.0,
+    rank_of=_level_identity,
 )
 
 BUNDLES: dict[str, BundleDef] = {

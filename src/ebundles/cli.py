@@ -9,10 +9,11 @@ Subcommands:
   counterexamples  reproduce the three counterexample fixtures
   ingest           continuize a citation file into a function spec
 
-Exit codes: 0 success (including an expected counterexample reproducing),
-1 an axiom violation for a score that should satisfy it (or a fixture that
-fails to reproduce), 2 input or I/O failure, including an axiom run that
-tested no pair.
+Each command reads the parsed argparse namespace directly; the parser holds
+every default.  Exit codes: 0 success (including an expected counterexample
+reproducing), 1 an axiom violation for a score that should satisfy it (or a
+fixture that fails to reproduce), 2 input or I/O failure, including an axiom
+run that tested no pair.
 """
 
 from __future__ import annotations
@@ -23,33 +24,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import axioms as ax
 from . import bundles as bn
 from . import convergence as cv
 from . import functions as fn
 
-__all__ = ["RunConfig", "build_parser", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    thetas: tuple[float, ...] | None = None
-    seed: int = 0
-    pairs: int = 200
-    bundle: str = "e"
-    suite: str = "bundle"
-    measure_theta: float = 1.0
-    family: str = "linear"
-    n_list: tuple[int, ...] = (10, 100, 1000)
-    grid_n: int = 10_000
-    theta_grid_n: int = 1_000
-    fmt: str = "csv"
-    slack: float | None = None  # reporting-slack override for axiom suites
+__all__ = ["build_parser", "main"]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -72,7 +53,8 @@ def _emit(text: str, output_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_theta_spec(theta: str | None, theta_list: str | None) -> tuple[float, ...] | None:
+def _parse_theta_spec(args: argparse.Namespace) -> tuple[float, ...] | None:
+    theta, theta_list = args.theta, args.theta_list
     if theta and theta_list:
         raise fn.InputError("use either --theta or --theta-list, not both")
     if theta_list:
@@ -146,10 +128,11 @@ def _fmt_val(v: float | None) -> str:
 # Commands
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    if not cfg.input_path:
+def cmd_eval(args: argparse.Namespace) -> int:
+    thetas = _parse_theta_spec(args)
+    if not args.input:
         raise fn.InputError("eval requires --input")
-    f = _load_input(cfg.input_path)
+    f = _load_input(args.input)
     rng = f.admissible_range()
 
     lines = []
@@ -170,8 +153,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         lines.append(f"classical h:   NA ({exc})")
         result.update({"h": None, "r_squared": None, "e_index": None})
 
-    if cfg.thetas:
-        table = bn.sweep(f, sorted(set(cfg.thetas)))
+    if thetas:
+        table = bn.sweep(f, sorted(set(thetas)))
         lines.append("theta        e            h            mu           i")
         per_theta = []
         for r in table.rows:
@@ -183,33 +166,34 @@ def cmd_eval(cfg: RunConfig) -> int:
         result["per_theta"] = per_theta
 
     print("\n".join(lines))
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
+    if args.output:
+        _atomic_write(args.output, json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if not cfg.input_path:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    thetas = _parse_theta_spec(args)
+    if not args.input:
         raise fn.InputError("sweep requires --input")
-    f = _load_input(cfg.input_path)
-    thetas = cfg.thetas if cfg.thetas else _default_thetas(f)
-    table = bn.sweep(f, sorted(set(thetas)))
-    text = table.to_json() + "\n" if cfg.fmt == "json" else table.to_csv()
-    _emit(text, cfg.output_path)
+    f = _load_input(args.input)
+    table = bn.sweep(f, sorted(set(thetas or _default_thetas(f))))
+    text = table.to_json() + "\n" if args.format == "json" else table.to_csv()
+    _emit(text, args.output)
     return 0
 
 
-def cmd_axioms(cfg: RunConfig) -> int:
-    if not math.isfinite(cfg.measure_theta):
-        raise fn.InputError(f"--measure-theta must be finite, got {cfg.measure_theta!r}")
-    if cfg.slack is not None and not (math.isfinite(cfg.slack) and cfg.slack >= 0.0):
-        raise fn.InputError(f"--slack must be finite and >= 0, got {cfg.slack!r}")
-    gen = ax.GeneratorConfig(seed=cfg.seed, count=cfg.pairs)
+def cmd_axioms(args: argparse.Namespace) -> int:
+    theta = args.measure_theta
+    if not math.isfinite(theta):
+        raise fn.InputError(f"--measure-theta must be finite, got {theta!r}")
+    if args.slack is not None and not (math.isfinite(args.slack) and args.slack >= 0.0):
+        raise fn.InputError(f"--slack must be finite and >= 0, got {args.slack!r}")
+    gen = ax.GeneratorConfig(seed=args.seed, count=args.pairs)
     pairs = ax.generate_pairs(gen)
-    bundle = bn.BUNDLES[cfg.bundle]
-    slack = ax.MONOTONE_SLACK if cfg.slack is None else cfg.slack
+    bundle = bn.BUNDLES[args.bundle]
+    slack = ax.MONOTONE_SLACK if args.slack is None else args.slack
 
-    suites = ["bundle", "measure", "strong", "global"] if cfg.suite == "all" else [cfg.suite]
+    suites = ["bundle", "measure", "strong", "global"] if args.suite == "all" else [args.suite]
     reports: dict[str, ax.AxiomReport] = {}
     for suite in suites:
         if suite == "bundle":
@@ -217,16 +201,16 @@ def cmd_axioms(cfg: RunConfig) -> int:
                 ax.check_impact_bundle(bundle, pairs, theta_grid=gen.theta_grid, slack=slack)
             )
         elif suite == "measure":
-            reports.update(ax.check_impact_measure(_suite_measure(cfg), pairs, slack=slack))
+            reports.update(ax.check_impact_measure(bundle, theta, pairs, slack=slack))
         elif suite == "strong":
-            reports.update(ax.check_strong_impact(_suite_measure(cfg), pairs, slack=slack))
+            reports.update(ax.check_strong_impact(bundle, theta, pairs, slack=slack))
         elif suite == "global":
-            reports["GM"] = ax.check_global_impact(_suite_measure(cfg), pairs)
+            reports["GM"] = ax.check_global_impact(bundle, theta, pairs)
         else:
             raise fn.InputError(f"unknown suite {suite!r}")
 
     failed_backed = False
-    print(f"bundle={cfg.bundle} seed={cfg.seed} pairs={cfg.pairs} per relation kind")
+    print(f"bundle={args.bundle} seed={args.seed} pairs={args.pairs} per relation kind")
     print(f"{'axiom':<8} {'tested':>6} {'skipped':>7} {'violations':>10}  passed")
     for key in sorted(reports):
         r = reports[key]
@@ -240,40 +224,26 @@ def cmd_axioms(cfg: RunConfig) -> int:
     # vacuous too has compared nothing and must not read as a pass
     if not any(r.pairs_tested for key, r in reports.items() if key != "AX.1"):
         raise fn.InputError(
-            f"no axiom report tested a pair (measure level {cfg.measure_theta:g}); "
+            f"no axiom report tested a pair (measure level {theta:g}); "
             "nothing was checked"
         )
 
     obj = {k: reports[k].to_json_obj() for k in sorted(reports)}
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    if args.output:
+        _atomic_write(args.output, json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 1 if failed_backed else 0
 
 
-def _suite_measure(cfg: RunConfig) -> ax.Measure:
-    t = cfg.measure_theta
-    makers = {
-        "e": ax.e_measure,
-        "h": lambda v: ax.Measure(
-            name=f"h@{v:g}",
-            apply=lambda f: bn.h_theta(f, v),
-            admissible=lambda f: v >= f.value(f.T) / f.T,
-            # the level is a density/rank ratio, not a density, so the
-            # boundary and prefix logic must go through the root itself
-            determined_by=lambda f: bn.h_theta(f, v),
-        ),
-        "mu": ax.mu_measure,
-        "i": ax.i_measure,
-    }
-    return makers[cfg.bundle](t)
-
-
-def cmd_converge(cfg: RunConfig) -> int:
-    if cfg.family not in cv.SEQUENCE_FAMILIES:
-        raise fn.InputError(f"unknown family {cfg.family!r}; pick from {sorted(cv.SEQUENCE_FAMILIES)}")
-    seq = cv.SEQUENCE_FAMILIES[cfg.family](cfg.n_list)
-    report = cv.run_study(seq, grid_n=cfg.grid_n, theta_grid_n=cfg.theta_grid_n)
-    _emit(report.to_csv(), cfg.output_path)
+def cmd_converge(args: argparse.Namespace) -> int:
+    try:
+        n_list = tuple(int(v) for v in args.n_list.split(","))
+    except ValueError:
+        raise fn.InputError(f"bad --n-list {args.n_list!r}") from None
+    if args.family not in cv.SEQUENCE_FAMILIES:
+        raise fn.InputError(f"unknown family {args.family!r}; pick from {sorted(cv.SEQUENCE_FAMILIES)}")
+    seq = cv.SEQUENCE_FAMILIES[args.family](n_list)
+    report = cv.run_study(seq, grid_n=args.grid_n, theta_grid_n=args.theta_grid_n)
+    _emit(report.to_csv(), args.output)
     peak = "inf" if math.isinf(report.member_peak) else f"{report.member_peak:g}"
     print(f"# member peak at origin: {peak}", file=sys.stderr)
     if report.limit_discontinuous is not None:
@@ -290,7 +260,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_counterexamples(cfg: RunConfig) -> int:
+def cmd_counterexamples(args: argparse.Namespace) -> int:
     ok = True
 
     fx = ax.fixture_global()
@@ -333,14 +303,14 @@ def cmd_counterexamples(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    if not cfg.input_path:
+def cmd_ingest(args: argparse.Namespace) -> int:
+    if not args.input:
         raise fn.InputError("ingest requires --input")
     try:
-        with open(cfg.input_path) as fh:
+        with open(args.input) as fh:
             text = fh.read()
     except OSError as exc:
-        raise fn.InputError(f"cannot read {cfg.input_path}: {exc}") from None
+        raise fn.InputError(f"cannot read {args.input}: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
@@ -352,7 +322,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     if any(b > a for a, b in zip(counts, counts[1:])):
         print("notice: input not sorted; sorting descending", file=sys.stderr)
     f = fn.from_citations(counts)
-    _emit(json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n", cfg.output_path)
+    _emit(json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n", args.output)
     return 0
 
 
@@ -409,33 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    thetas = _parse_theta_spec(getattr(args, "theta", None), getattr(args, "theta_list", None))
-    n_list: tuple[int, ...] = RunConfig.n_list
-    if getattr(args, "n_list", None):
-        try:
-            n_list = tuple(int(v) for v in args.n_list.split(","))
-        except ValueError:
-            raise fn.InputError(f"bad --n-list {args.n_list!r}") from None
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        thetas=thetas,
-        seed=getattr(args, "seed", 0),
-        pairs=getattr(args, "pairs", 200),
-        bundle=getattr(args, "bundle", "e"),
-        suite=getattr(args, "suite", "bundle"),
-        measure_theta=getattr(args, "measure_theta", 1.0),
-        family=getattr(args, "family", "linear"),
-        n_list=n_list,
-        grid_n=getattr(args, "grid_n", 10_000),
-        theta_grid_n=getattr(args, "theta_grid_n", 1_000),
-        fmt=getattr(args, "format", "csv"),
-        slack=getattr(args, "slack", None),
-    )
-
-
 _COMMANDS = {
     "eval": cmd_eval,
     "sweep": cmd_sweep,
@@ -449,8 +392,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except fn.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

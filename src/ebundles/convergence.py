@@ -47,7 +47,6 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceReport",
     "run_study",
-    "fixture_example3",
     "scaled_linear_sequence",
     "shifted_linear_sequence",
     "zipf_sequence",
@@ -225,8 +224,11 @@ def run_study(
     """Tabulate sup distances per n against the sequence's limit.
 
     Without a limit the distance columns stay empty and the report instead
-    carries the discontinuity flag for the empirical pointwise limit.
+    carries the discontinuity flag for the empirical pointwise limit.  Both
+    grids need at least 2 points, with or without a limit.
     """
+    if theta_grid_n < 2:
+        raise InputError(f"theta_grid_n must be >= 2, got {theta_grid_n}")
     members = [seq.member(n) for n in seq.n_values]
     member_peak = max(m.value_at_origin() for m in members)
 
@@ -264,14 +266,6 @@ def run_study(
     )
 
 
-def fixture_example3(n: int) -> PowerComplement:
-    """The family 1 - x**n on [0, 1]: strictly decreasing for every n, but
-    its pointwise limit jumps from 1 to 0 at x = 1."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n!r}")
-    return PowerComplement(n=int(n))
-
-
 def scaled_linear_sequence(n_values: Sequence[int]) -> FunctionSequence:
     """Z_n = (1 + 1/n)(1 - x) on [0, 1], shrinking onto 1 - x."""
     return FunctionSequence(
@@ -305,9 +299,11 @@ def zipf_sequence(n_values: Sequence[int], beta: float = 0.5, delta: float = 0.1
 
 
 def power_complement_sequence(n_values: Sequence[int]) -> FunctionSequence:
-    """The 1 - x**n family; no continuous strictly decreasing limit exists."""
+    """The 1 - x**n family on [0, 1]: strictly decreasing for every n, but its
+    pointwise limit jumps from 1 to 0 at x = 1, so no continuous strictly
+    decreasing limit exists."""
     return FunctionSequence(
-        family=fixture_example3,
+        family=PowerComplement,
         n_values=tuple(n_values),
         limit=None,
         name="power_complement",

@@ -3,7 +3,7 @@
 A rank-frequency function Z maps a continuous source rank x in [0, T] to a
 nonnegative item density Z(x), strictly decreasing in x.  This module provides
 the concrete representations (piecewise linear from knots, plus three
-parametric families), pointwise evaluation, exact or tolerance-bounded
+parametric families), pointwise evaluation, exact or closed-form
 inversion, cumulative integration I_Z(x) = int_0^x Z, running averages, and
 the order comparisons used by the axiom checkers:
 
@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "LinearFamily",
     "ZipfFamily",
     "PowerComplement",
-    "ParametricFn",
     "DominanceVerdict",
     "CumulativeOrder",
     "CumulativeVerdict",
@@ -127,14 +125,12 @@ class Knot:
 class RankFunction:
     """Base class: continuous, strictly decreasing, nonnegative on [0, T].
 
-    Subclasses must provide ``T``, scalar ``value`` and vectorized ``values``.
-    Generic fallbacks are supplied for ``inverse`` (bisection on [0, T] to an
-    absolute residual of 1e-12 * max(1, Z(0))), ``cumulative`` (adaptive
-    quadrature, absolute tolerance 1e-9) and ``ray_crossing`` (bisection to a
-    bracket of 1e-13 * max(1, T)); their vector forms loop over the scalar
-    ones.  Every shipped subclass overrides ``inverse``/``inverses`` and
-    ``cumulative``/``cumulatives`` with exact or closed-form routines, and
-    all but ``PowerComplement`` override ``ray_crossing`` as well.
+    Subclasses must provide ``T`` and exact or closed-form scalar and vector
+    routines: ``value``/``values``, ``inverse``/``inverses`` and
+    ``cumulative``/``cumulatives``.  ``ray_crossing`` has a generic fallback,
+    bisection to a bracket of 1e-13 * max(1, T), which only
+    ``PowerComplement`` uses; ``ray_crossings`` loops over the scalar form
+    unless a subclass overrides it.
     """
 
     T: float
@@ -183,27 +179,6 @@ class RankFunction:
             )
         return rng.clamp_each(thetas)
 
-    def inverse(self, theta: float) -> float:
-        theta = self.admit_level(theta)
-        abs_tol = 1e-12 * max(1.0, self.value_at_origin())
-        lo, hi = 0.0, self.T  # value(lo) >= theta >= value(hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            v = self.value(mid)
-            if abs(v - theta) <= abs_tol:
-                return mid
-            if v > theta:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def inverses(self, thetas: np.ndarray) -> np.ndarray:
-        return np.array([self.inverse(t) for t in np.asarray(thetas, dtype=float).tolist()],
-                        dtype=float)
-
     def ray_crossing(self, theta: float) -> float:
         """The x in [0, T] with Z(x) = theta * x, for theta > Z(T)/T.
 
@@ -227,18 +202,6 @@ class RankFunction:
     def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
         return np.array([self.ray_crossing(t) for t in np.asarray(thetas, dtype=float).tolist()],
                         dtype=float)
-
-    def cumulative(self, x: float) -> float:
-        self._check_domain(x)
-        if x == 0.0:
-            return 0.0
-        from scipy.integrate import quad
-
-        val, _err = quad(self.value, 0.0, x, epsabs=1e-9, epsrel=1e-12, limit=200)
-        return val
-
-    def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.cumulative(float(x)) for x in np.asarray(xs)])
 
     def average(self, x: float) -> float:
         """Running average (1/x) int_0^x Z; equals Z(0) at x = 0."""
@@ -382,15 +345,22 @@ class PiecewiseLinearFn(RankFunction):
         t = (x - x0) / (x1 - x0)
         return y0 + t * (y1 - y0)
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
+    def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points as floats and the index i of the segment [x_{i-1}, x_i]
+        holding each, after checking they lie in the domain."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < 0.0 or xs.max() > self.T):
             raise InputError("grid points outside domain")
-        i = np.clip(np.searchsorted(self.xs, xs, side="right"), 1, len(self.xs) - 1)
+        return xs, np.clip(np.searchsorted(self.xs, xs, side="right"), 1, len(self.xs) - 1)
+
+    def _interpolate(self, xs: np.ndarray, i: np.ndarray) -> np.ndarray:
         x0, x1 = self.xs[i - 1], self.xs[i]
         y0, y1 = self.ys[i - 1], self.ys[i]
         t = (xs - x0) / (x1 - x0)
         return np.where(xs == x1, y1, y0 + t * (y1 - y0))
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        return self._interpolate(*self._segments(xs))
 
     def inverse(self, theta: float) -> float:
         theta = self.admit_level(theta)
@@ -454,11 +424,10 @@ class PiecewiseLinearFn(RankFunction):
         return float(self._area_prefix[i - 1]) + (x - x0) * (y0 + yx) * 0.5
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        i = np.clip(np.searchsorted(self.xs, xs, side="right"), 1, len(self.xs) - 1)
+        xs, i = self._segments(xs)
         x0 = self.xs[i - 1]
         y0 = self.ys[i - 1]
-        yx = self.values(xs)
+        yx = self._interpolate(xs, i)
         return self._area_prefix[i - 1] + (xs - x0) * (y0 + yx) * 0.5
 
 
@@ -601,9 +570,6 @@ class PowerComplement(RankFunction):
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return xs - xs ** (self.n + 1) / (self.n + 1)
-
-
-ParametricFn = Union[LinearFamily, ZipfFamily, PowerComplement]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from ebundles.axioms import (
     RelationKind,
     check_impact_bundle,
     check_strong_impact,
-    e_measure,
     eta_theta,
     fixture_alt1,
     fixture_alt2,
@@ -130,13 +129,13 @@ def test_criterion_5_strong_impact_property_suite():
     cfg = GeneratorConfig(seed=2, count=200)
     pairs = generate_pairs(cfg, RelationKind.GEQ_ALL)
     pairs += generate_pairs(GeneratorConfig(seed=3, count=200), RelationKind.EQUAL_ON_PREFIX)
-    reports = check_strong_impact(e_measure(1.0), pairs)
+    reports = check_strong_impact(E_BUNDLE, 1.0, pairs)
 
     # the boundary level Z(T) = theta must be excluded and flagged
     lo = PiecewiseLinearFn.from_pairs([(0, 4), (1, 1)])
     up = PiecewiseLinearFn.from_pairs([(0, 5), (1, 1)])
     boundary_pair = verify_pair(DominancePair(up, lo, RelationKind.GEQ_ALL))
-    boundary_rep = check_strong_impact(e_measure(1.0), [boundary_pair])["SM.3"]
+    boundary_rep = check_strong_impact(E_BUNDLE, 1.0, [boundary_pair])["SM.3"]
     elapsed = time.perf_counter() - t0
 
     ok = (

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,31 +9,36 @@ from ebundles.axioms import (
     AxiomReport,
     DominancePair,
     GeneratorConfig,
-    Measure,
     RelationKind,
     VerificationError,
     check_global_impact,
     check_impact_bundle,
     check_impact_measure,
     check_strong_impact,
-    e_measure,
-    eta_measure,
     eta_theta,
     fixture_alt1,
     fixture_alt2,
     fixture_global,
     generate_pairs,
-    i_measure,
-    n_measure,
     n_theta,
+    pseudo_bundle_eta,
     pseudo_bundle_n,
     verify_pair,
 )
-from ebundles.bundles import E_BUNDLE, H_BUNDLE, I_BUNDLE, MU_BUNDLE, e_theta, i_bundle
+from ebundles.bundles import (
+    E_BUNDLE,
+    H_BUNDLE,
+    I_BUNDLE,
+    MU_BUNDLE,
+    BundleDef,
+    e_theta,
+    i_bundle,
+)
 from ebundles.functions import (
     CumulativeOrder,
     InputError,
     PiecewiseLinearFn,
+    ThetaRange,
     compare,
     cumulative_dominates,
 )
@@ -203,20 +209,25 @@ class TestImpactBundleChecks:
 
 class TestImpactMeasureChecks:
     def test_e_measure_passes(self, small_pairs):
-        reports = check_impact_measure(e_measure(1.0), small_pairs)
+        reports = check_impact_measure(E_BUNDLE, 1.0, small_pairs)
         assert all(r.passed for r in reports.values())
         assert reports["IM.2"].pairs_tested == 15
         assert reports["IM.3"].pairs_tested == 15
         assert reports["IM.1"].pairs_tested > 0
 
     def test_zero_measure_fails_positivity(self, small_pairs):
-        zero = Measure(name="zero", apply=lambda f: 0.0)
-        rep = check_impact_measure(zero, small_pairs)["IM.1"]
+        zero = BundleDef(
+            name="zero",
+            measure=lambda f, theta: 0.0,
+            level_of=lambda f, x: x,
+            admissible=lambda f: ThetaRange(0.0, math.inf),
+        )
+        rep = check_impact_measure(zero, 1.0, small_pairs)["IM.1"]
         assert not rep.passed
         assert rep.violations[0].note == "score not positive"
 
     def test_n_fails_monotonicity_on_fixture(self):
-        rep = check_impact_measure(n_measure(1.0), [fixture_alt1().pair])["IM.2"]
+        rep = check_impact_measure(pseudo_bundle_n(), 1.0, [fixture_alt1().pair])["IM.2"]
         assert not rep.passed
         assert rep.violations[0].gap == pytest.approx(0.5 - 0.257 / 0.9, abs=1e-12)
 
@@ -232,11 +243,11 @@ class TestImpactMeasureChecks:
             ))
             for c, low in ((0.5, lower[0]), (0.25, lower[1]))
         ]
-        rep = check_impact_measure(e_measure(1.0), pairs)["IM.1"]
+        rep = check_impact_measure(E_BUNDLE, 1.0, pairs)["IM.1"]
         assert rep.pairs_tested + rep.skipped == 3
 
     def test_eta_fails_monotonicity_on_fixture(self):
-        rep = check_impact_measure(eta_measure(0.5), [fixture_alt2().pair])["IM.2"]
+        rep = check_impact_measure(pseudo_bundle_eta(), 0.5, [fixture_alt2().pair])["IM.2"]
         assert not rep.passed
         assert rep.violations[0].gap == pytest.approx(0.0625, abs=1e-12)
 
@@ -244,7 +255,7 @@ class TestImpactMeasureChecks:
 class TestStrongImpactChecks:
     def test_shifted_pairs_pass(self):
         pairs = generate_pairs(GeneratorConfig(seed=29, count=40), RelationKind.GEQ_ALL)
-        reports = check_strong_impact(e_measure(1.0), pairs)
+        reports = check_strong_impact(E_BUNDLE, 1.0, pairs)
         assert all(r.passed for r in reports.values())
         # constant and tapered shifts keep the averages strictly ordered, so
         # nothing should be dropped by the hypothesis filter
@@ -254,7 +265,7 @@ class TestStrongImpactChecks:
         lo = PiecewiseLinearFn.from_pairs([(0, 4), (1, 1)])  # Z(T) = theta = 1
         up = PiecewiseLinearFn.from_pairs([(0, 5), (1, 1)])
         pair = verify_pair(DominancePair(up, lo, RelationKind.GEQ_ALL))
-        rep = check_strong_impact(e_measure(1.0), [pair])["SM.3"]
+        rep = check_strong_impact(E_BUNDLE, 1.0, [pair])["SM.3"]
         assert rep.pairs_tested == 0
         assert rep.skipped == 1
         assert "boundary" in rep.note
@@ -266,7 +277,7 @@ class TestStrongImpactChecks:
         pair = verify_pair(
             DominancePair(up, lo, RelationKind.EQUAL_ON_PREFIX, prefix_end=0.5)
         )
-        rep = check_strong_impact(e_measure(1.0), [pair])["SM.4"]
+        rep = check_strong_impact(E_BUNDLE, 1.0, [pair])["SM.4"]
         assert rep.pairs_tested == 1 and rep.passed
         assert e_theta(up, 1.0) == e_theta(lo, 1.0)
 
@@ -275,13 +286,13 @@ class TestStrongImpactChecks:
         a = PiecewiseLinearFn.from_pairs([(0, 4), (1, 0.1)])
         b = PiecewiseLinearFn.from_pairs([(0, 3), (1, 2)])
         pair = DominancePair(b, a, RelationKind.GEQ_ALL, verified=True)
-        rep = check_strong_impact(e_measure(1.0), [pair])["SM.3"]
+        rep = check_strong_impact(E_BUNDLE, 1.0, [pair])["SM.3"]
         assert rep.pairs_tested == 0 and rep.skipped == 1 and rep.passed
 
 
 class TestGlobalImpactChecks:
     def test_fixture_reproduces_equality_violation(self):
-        rep = check_global_impact(e_measure(1.0), [fixture_global().pair])
+        rep = check_global_impact(E_BUNDLE, 1.0, [fixture_global().pair])
         assert not rep.passed
         assert len(rep.violations) == 1  # exactly one equality witness
         v = rep.violations[0]
@@ -291,12 +302,17 @@ class TestGlobalImpactChecks:
     def test_cumulative_total_also_stalls(self):
         # the totals at T are equal too: honest violation for the i score
         fx = fixture_global()
-        rep = check_global_impact(i_measure(fx.pair.upper.T), [fx.pair])
+        T = fx.pair.upper.T
+        rep = check_global_impact(I_BUNDLE, T, [fx.pair])
         assert not rep.passed
         assert rep.violations[0].lhs == pytest.approx(rep.violations[0].rhs, abs=1e-12)
+        # a rank level is admitted exactly: one ulp past T the pair is
+        # skipped, not scored past the domain
+        past = check_global_impact(I_BUNDLE, math.nextafter(T, math.inf), [fx.pair])
+        assert (past.pairs_tested, past.skipped, past.passed) == (0, 1, True)
 
     def test_generated_pairs_recorded_observationally(self, small_pairs):
-        rep = check_global_impact(e_measure(1.0), small_pairs)
+        rep = check_global_impact(E_BUNDLE, 1.0, small_pairs)
         assert isinstance(rep, AxiomReport)
         assert rep.pairs_tested == 15  # one per CUMULATIVE_PREC pair
 

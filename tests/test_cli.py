@@ -171,8 +171,9 @@ class TestConvergeCmd:
             ["--family", "power", "--grid-n", "0"],
             ["--family", "zipf", "--theta-grid-n", "0"],
             ["--family", "linear", "--theta-grid-n", "-3"],
+            ["--family", "power", "--theta-grid-n", "-5"],
         ],
-        ids=["power-grid-0", "zipf-levels-0", "linear-levels-negative"],
+        ids=["power-grid-0", "zipf-levels-0", "linear-levels-negative", "power-levels-negative"],
     )
     def test_grid_below_two_points_exit_2(self, args, capsys):
         assert main(["converge", "--n-list", "3,5", *args]) == 2

@@ -7,7 +7,6 @@ from ebundles.convergence import (
     ConvergenceReport,
     FunctionSequence,
     e_sup_distance,
-    fixture_example3,
     inverse_sup_distance,
     power_complement_sequence,
     run_study,
@@ -229,15 +228,16 @@ class TestInverseConvergenceAcrossFamilies:
 
 class TestExample3Fixture:
     def test_base_cases(self):
-        assert fixture_example3(1) == PowerComplement(n=1)
-        assert fixture_example3(2).value(0.5) == 0.75
+        family = power_complement_sequence([1, 2]).member
+        assert family(1) == PowerComplement(n=1)
+        assert family(2).value(0.5) == 0.75
 
     def test_rejects_bad_n(self):
         with pytest.raises(InputError):
-            fixture_example3(0)
+            PowerComplement(n=0)
 
     def test_pointwise_limit_is_discontinuous(self):
-        f = fixture_example3(64)
+        f = PowerComplement(n=64)
         assert f.value(1.0) == 0.0  # limit 0 at the right endpoint
         assert f.value(0.9) > 0.99  # limit 1 strictly inside
         # monotone decreasing for each fixed n (float plateaus near 1.0 are

@@ -14,7 +14,6 @@ from ebundles.functions import (
     LinearFamily,
     PiecewiseLinearFn,
     PowerComplement,
-    RankFunction,
     SingularityError,
     ThetaRangeError,
     ZipfFamily,
@@ -383,28 +382,3 @@ class TestParseCitations:
 
     def test_blank_lines_skipped(self):
         assert parse_citations("5\n\n3\n") == [5.0, 3.0]
-
-
-class _ExpDecay(RankFunction):
-    """exp(-x) on [0, 1]: exercises the generic quadrature and bisection."""
-
-    T = 1.0
-
-    def value(self, x):
-        self._check_domain(x)
-        return math.exp(-x)
-
-    def values(self, xs):
-        return np.exp(-np.asarray(xs, dtype=float))
-
-
-class TestGenericFallbacks:
-    def test_quadrature_cumulative(self):
-        f = _ExpDecay()
-        assert f.cumulative(1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
-
-    def test_bisection_inverse(self):
-        f = _ExpDecay()
-        x = f.inverse(0.5)
-        assert abs(f.value(x) - 0.5) <= 1e-12
-        assert x == pytest.approx(math.log(2.0), abs=1e-9)

@@ -1,11 +1,18 @@
 """Committed CLI outputs that refactors must reproduce.
 
-The files under ``golden/`` were written by the code before the vector
-level API (commit 6ca0ee9) with
+The converge and counterexamples files under ``golden/`` were written by
+the code before the vector level API (commit 6ca0ee9) with
 
     ebundles converge --family F --grid-n 20000 --theta-grid-n 4000 \\
         --n-list 3,17,250,4001,60000 --output converge-F.csv 2> converge-F.stderr
     ebundles counterexamples > counterexamples.txt
+
+and the axioms files by the code before the single axiom driver (commit
+1b8a46b), for each bundle B at the benchmark's level L (e 2.5, h 8, mu 0.5,
+i 0.5), with
+
+    ebundles axioms --suite all --pairs 50 --seed 7 --bundle B \\
+        --measure-theta L --output axioms-B.json > axioms-B.txt
 
 Every output must match byte for byte, except the Zipf CSV: numpy's vector
 power and the C library's pow can differ by an ulp or two, so its cells may
@@ -23,6 +30,7 @@ from ebundles.convergence import ConvergenceReport
 GOLDEN = Path(__file__).parent / "golden"
 CONVERGE_ARGS = ["--grid-n", "20000", "--theta-grid-n", "4000", "--n-list", "3,17,250,4001,60000"]
 ZIPF_T = 1.0
+AXIOMS_LEVELS = {"e": "2.5", "h": "8", "mu": "0.5", "i": "0.5"}
 
 
 @pytest.mark.parametrize("family", ["linear", "shifted", "zipf", "power"])
@@ -46,3 +54,29 @@ def test_converge(family, tmp_path, capsys):
 def test_counterexamples(capsys):
     assert main(["counterexamples"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "counterexamples.txt").read_text()
+
+
+@pytest.mark.parametrize("bundle", sorted(AXIOMS_LEVELS))
+def test_axioms(bundle, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc = main(["axioms", "--suite", "all", "--pairs", "50", "--seed", "7", "--bundle", bundle,
+               "--measure-theta", AXIOMS_LEVELS[bundle], "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / f"axioms-{bundle}.txt").read_text()
+    assert out.read_text() == (GOLDEN / f"axioms-{bundle}.json").read_text()
+
+
+@pytest.mark.parametrize("bundle", ["mu", "i"])
+def test_axioms_level_just_past_domain_end(bundle, capsys):
+    # 1 + 1e-13 lies inside the admissible range's 1e-12 slack but outside
+    # the rank domain [0, 1] that mu and i read: every pair is skipped
+    rc = main(["axioms", "--bundle", bundle, "--suite", "measure", "--pairs", "3",
+               "--measure-theta", "1.0000000000001"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no axiom report tested a pair (measure level 1); nothing was checked\n"
+    )
+    rows = captured.out.splitlines()[2:]
+    assert [r.split()[:3] for r in rows] == [["IM.1", "0", "24"], ["IM.2", "0", "3"],
+                                             ["IM.3", "0", "3"]]
