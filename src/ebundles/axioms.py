@@ -16,15 +16,22 @@ per-axiom reports with explicit violation witnesses:
 * ``check_global_impact``   strict growth under the cumulative-integral
   partial order.
 
-The last three take the single score as a ``BundleDef`` and a level theta;
-the bundle's ``positive_for`` and ``rank_of`` say where that score is
-provably positive and which rank it reads up to.  Every report comes from
-one driver, ``_run_axiom``, that runs a per-pair (or per-function) check.
+``check_impact_bundle`` samples each pair's levels through the vector level
+map ``BundleDef.levels`` and scores both members at all of them in one
+``BundleDef.scores`` call each; a score or level map other than the
+built-in ones falls back to one scalar call per level, with the same report.  The last three
+take the single score as a ``BundleDef`` and a level theta; the bundle's
+``positive_for`` and ``rank_of`` say where that score is provably positive
+and which rank it reads up to.  Every report comes from one driver,
+``_run_axiom``, that runs a per-pair (or per-function) check.  The
+positivity report (IM.1, SM.1) is the same check in both suites; a run of
+both computes it once and hands IM.1 to ``_strong_impact``.
 
 The module also ships the two rejected alternative scores (``n_theta``,
 ``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``),
 three exactly constructed counterexample fixtures that demonstrate which
-axioms each score breaks, and a seeded pair generator.
+axioms each score breaks, and a seeded pair generator whose ``verify_pair``
+evaluates only the one grid each relation needs.
 
 Violations are only recorded when the gap clears the reporting slack, so
 float ties never masquerade as axiom failures.  Pairs failing a checked
@@ -48,7 +55,10 @@ from .functions import (
     InputError,
     PiecewiseLinearFn,
     RankFunction,
-    compare,
+    _equal_verdict,
+    _gaps,
+    _geq_verdict,
+    _strict_verdict,
     cumulative_dominates,
 )
 
@@ -120,33 +130,33 @@ class DominancePair:
 
 
 def verify_pair(pair: DominancePair, grid_n: int = 10_000) -> DominancePair:
-    """Re-check the declared relation and return a verified copy."""
+    """Re-check the declared relation and return a verified copy.
+
+    Each relation evaluates one grid: the full domain for GEQ_ALL and
+    CUMULATIVE_PREC, the prefix [0, a] for the prefix relations.
+    """
     up, lo, rel = pair.upper, pair.lower, pair.relation
     if rel in (RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX):
         if pair.prefix_end is None:
             raise InputError(f"{rel.value} pair needs prefix_end")
 
     if rel is RelationKind.GEQ_ALL:
-        v = compare(up, lo, a=up.T, grid_n=grid_n)
-        if not v.geq_everywhere:
-            raise VerificationError(f"upper < lower at x={v.geq_witness}")
+        geq, witness = _geq_verdict(*_gaps(up, lo, None, grid_n))
+        if not geq:
+            raise VerificationError(f"upper < lower at x={witness}")
     elif rel is RelationKind.STRICT_ON_PREFIX:
-        v = compare(up, lo, a=pair.prefix_end, grid_n=grid_n)
-        if not v.strict_on_prefix:
-            raise VerificationError(
-                f"not strict on prefix: gap {v.min_gap} at x={v.strict_witness}"
-            )
+        strict, min_gap, witness = _strict_verdict(*_gaps(up, lo, pair.prefix_end, grid_n))
+        if not strict:
+            raise VerificationError(f"not strict on prefix: gap {min_gap} at x={witness}")
     elif rel is RelationKind.EQUAL_ON_PREFIX:
-        v = compare(up, lo, a=pair.prefix_end, grid_n=grid_n)
-        if not v.equal_on_prefix:
-            raise VerificationError(
-                f"not equal on prefix: deviation {v.max_deviation} at x={v.equal_witness}"
-            )
+        equal, max_dev, witness = _equal_verdict(*_gaps(up, lo, pair.prefix_end, grid_n))
+        if not equal:
+            raise VerificationError(f"not equal on prefix: deviation {max_dev} at x={witness}")
     elif rel is RelationKind.CUMULATIVE_PREC:
         cv = cumulative_dominates(lo, up, grid_n=grid_n)
         if cv.order is not CumulativeOrder.PRECEDES:
             raise VerificationError(f"cumulative order is {cv.order.value}")
-        if compare(up, lo, a=up.T, grid_n=grid_n).equal_on_prefix:
+        if _equal_verdict(*_gaps(up, lo, None, grid_n))[0]:
             raise VerificationError("functions coincide; relation requires lower != upper")
     else:  # pragma: no cover
         raise InputError(f"unknown relation {rel!r}")
@@ -255,31 +265,50 @@ def _members(pairs: Sequence[DominancePair]) -> list[RankFunction]:
 
 
 # Verdicts on the scores (m_up, m_lo) of a pair's dominating and dominated
-# member at the level t; None when the axiom holds.
+# member, floats or arrays over levels: whether they break the axiom, and
+# the gap a violation reports.
 
 
-def _below(
-    idx: int, t: float, m_up: float, m_lo: float, slack: float, note: str = ""
+def _below(m_up, m_lo, slack):
+    gap = m_lo - m_up
+    return gap > slack, gap
+
+
+def _not_above(m_up, m_lo, strict_slack):
+    return m_up - m_lo <= strict_slack, m_lo - m_up
+
+
+def _unequal(m_up, m_lo, eq_tol):
+    gap = abs(m_up - m_lo)
+    return gap > eq_tol, gap
+
+
+# The note of a single-level strictness violation.
+_NOT_STRICT = "not strict"
+
+
+def _violation(
+    idx: int, t: float, m_up: float, m_lo: float, verdict, tol: float, note: str = ""
 ) -> Violation | None:
-    if m_lo - m_up > slack:
-        return Violation(idx, t, m_up, m_lo, m_lo - m_up, note=note)
-    return None
+    """The verdict on one pair of scores as a ``Violation``, or None."""
+    flagged, gap = verdict(m_up, m_lo, tol)
+    return Violation(idx, t, m_up, m_lo, gap, note=note) if flagged else None
 
 
-def _not_above(
-    idx: int, t: float, m_up: float, m_lo: float, strict_slack: float, note: str = "not strict"
+def _first_violation(
+    idx: int, ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray, verdict, tol: float, note: str
 ) -> Violation | None:
-    if m_up - m_lo <= strict_slack:
-        return Violation(idx, t, m_up, m_lo, m_lo - m_up, note=note)
-    return None
+    """The verdict at the first level of ``ts`` that it flags, or None.
 
-
-def _unequal(
-    idx: int, t: float, m_up: float, m_lo: float, eq_tol: float, note: str = ""
-) -> Violation | None:
-    if abs(m_up - m_lo) > eq_tol:
-        return Violation(idx, t, m_up, m_lo, abs(m_up - m_lo), note=note)
-    return None
+    A NaN score (undefined at that level) never flags: every comparison
+    with NaN is false.
+    """
+    flagged, gap = verdict(m_up, m_lo, tol)
+    hit = np.flatnonzero(flagged)
+    if not hit.size:
+        return None
+    i = int(hit[0])
+    return Violation(idx, float(ts[i]), float(m_up[i]), float(m_lo[i]), float(gap[i]), note=note)
 
 
 def _try_measure(bundle: BundleDef, f: RankFunction, t: float) -> float | None:
@@ -300,34 +329,39 @@ def _try_measure(bundle: BundleDef, f: RankFunction, t: float) -> float | None:
 # Impact bundle axioms
 
 
-def _level_samples(
-    bundle: BundleDef,
-    p: DominancePair,
-    n: int,
-    fns: Sequence[RankFunction] | None = None,
-) -> list[float]:
-    """Levels at which to compare a pair's scores, admissible for both members.
+def _prefix_ranks(a: float, n: int) -> np.ndarray:
+    """n uniform ranks on (0, a]."""
+    return np.linspace(0.0, a, n + 1)[1:]
 
-    With ``fns``, the images of the prefix (0, a] under their level maps.
-    Without, the pair's joint admissible range: n uniform levels when it is
-    bounded, and when it is not (the h bundle, Zipf ranges) the images of
-    (0, T] under both members' level maps, which walk the far tail without
-    picking an arbitrary cap.  x = 0 is excluded: the h-bundle level map
-    diverges there and the cumulative bundle is identically zero at level 0,
-    where strictness is meaningless.
+
+def _pair_levels(bundle: BundleDef, p: DominancePair, xs: np.ndarray) -> np.ndarray:
+    """Both members' levels at the ranks xs, in one array."""
+    return np.concatenate((bundle.levels(p.upper, xs), bundle.levels(p.lower, xs)))
+
+
+def _level_samples(
+    bundle: BundleDef, p: DominancePair, n: int, levels: np.ndarray | None = None
+) -> np.ndarray:
+    """Sorted levels at which to compare a pair's scores, admissible for both.
+
+    ``levels`` are candidate levels, the images of a prefix (0, a] under
+    level maps.  Without them, the pair's joint admissible range: n uniform
+    levels when it is bounded, and when it is not (the h bundle, Zipf
+    ranges) the images of (0, T] under both members' level maps, which walk
+    the far tail without picking an arbitrary cap.  x = 0 is excluded: the
+    h-bundle level map diverges there and the cumulative bundle is
+    identically zero at level 0, where strictness is meaningless.
     """
     ru, rl = bundle.admissible(p.upper), bundle.admissible(p.lower)
-    a = p.prefix_end
-    if fns is None:
+    if levels is None:
         lo_t, hi_t = max(ru.lo, rl.lo), min(ru.hi, rl.hi)
         if lo_t > hi_t:
-            return []
+            return np.empty(0)
         if not math.isinf(hi_t):
-            return [float(t) for t in np.linspace(lo_t, hi_t, n)]
-        fns, a = (p.upper, p.lower), p.upper.T
-    xs = np.linspace(0.0, a, n + 1)[1:].tolist()
-    levels = {t for g in fns for x in xs if math.isfinite(t := bundle.level_of(g, x))}
-    return sorted(t for t in levels if ru.contains(t) and rl.contains(t))
+            return np.linspace(lo_t, hi_t, n)
+        levels = _pair_levels(bundle, p, _prefix_ranks(p.upper.T, n))
+    levels = np.unique(levels[np.isfinite(levels)])
+    return levels[ru.contains_each(levels) & rl.contains_each(levels)]
 
 
 def check_impact_bundle(
@@ -340,45 +374,44 @@ def check_impact_bundle(
 ) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
-    Only the first violation per pair and axiom is reported; pairs whose
-    members fall outside the bundle's domain are skipped and counted.
+    Each pair's members are scored at all of its sampled levels in one
+    ``BundleDef.scores`` call each.  Only the first violation per pair and
+    axiom, at the lowest flagged level, is reported; pairs whose members
+    fall outside the bundle's domain are skipped and counted.
     """
     pairs = _require_verified(pairs)
 
-    def first_violation(idx, p, thetas, verdict, tol, note):
-        """The verdict at the first level, if any, that it flags."""
-        for t in thetas:
-            m_up = _try_measure(bundle, p.upper, t)
-            m_lo = _try_measure(bundle, p.lower, t)
-            if m_up is not None and m_lo is not None and (
-                v := verdict(idx, t, m_up, m_lo, tol, note)
-            ):
-                return v
-        return None
+    def at_levels(idx, p, thetas, verdict, tol, note):
+        m_up, m_lo = bundle.scores(p.upper, thetas), bundle.scores(p.lower, thetas)
+        return _first_violation(idx, thetas, m_up, m_lo, verdict, tol, note)
 
     # AX.2: upper >= lower pointwise implies scores ordered the same way.
     def monotone(idx: int, p: DominancePair):
         thetas = _level_samples(bundle, p, theta_grid)
-        if not thetas:
+        if not thetas.size:
             return _SKIP
-        return first_violation(idx, p, thetas, _below, slack, "")
+        return at_levels(idx, p, thetas, _below, slack, "")
 
     # AX.3: strict dominance on [0, a] forces strictly larger scores on the
     # level image of the prefix.
     def strict(idx: int, p: DominancePair):
-        thetas = _level_samples(bundle, p, theta_grid, (p.upper, p.lower))
-        if not thetas:
+        levels = _pair_levels(bundle, p, _prefix_ranks(p.prefix_end, theta_grid))
+        thetas = _level_samples(bundle, p, theta_grid, levels)
+        if not thetas.size:
             return _SKIP
-        return first_violation(idx, p, thetas, _not_above, strict_slack, "not strictly larger")
+        return at_levels(idx, p, thetas, _not_above, strict_slack, "not strictly larger")
 
     # AX.4: equal prefixes force equal level maps and equal scores there.
     def local(idx: int, p: DominancePair):
-        for x in np.linspace(0.0, p.prefix_end, theta_grid + 1)[1:].tolist():
-            lu, ll = bundle.level_of(p.upper, x), bundle.level_of(p.lower, x)
-            if math.isfinite(lu) and math.isfinite(ll) and abs(lu - ll) > eq_tol:
-                return Violation(idx, x, lu, ll, abs(lu - ll), note="level maps differ")
-        thetas = _level_samples(bundle, p, theta_grid, (p.lower,))
-        return first_violation(idx, p, thetas, _unequal, eq_tol, "scores differ")
+        xs = _prefix_ranks(p.prefix_end, theta_grid)
+        lu, ll = bundle.levels(p.upper, xs), bundle.levels(p.lower, xs)
+        # an undefined or infinite level is not compared
+        finite = np.isfinite(lu) & np.isfinite(ll)
+        if v := _first_violation(idx, xs[finite], lu[finite], ll[finite], _unequal, eq_tol,
+                                 "level maps differ"):
+            return v
+        thetas = _level_samples(bundle, p, theta_grid, ll)
+        return at_levels(idx, p, thetas, _unequal, eq_tol, "scores differ")
 
     return {
         "AX.1": AxiomReport(
@@ -480,7 +513,7 @@ def check_impact_measure(
         if scores is None:
             return _SKIP
         m_up, m_lo = scores
-        if v := _below(idx, math.nan, m_up, m_lo, slack):
+        if v := _violation(idx, math.nan, m_up, m_lo, _below, slack):
             return v
         # determinism half of the axiom: equal inputs give equal scores
         if bundle.measure(p.upper, theta) != m_up:
@@ -493,7 +526,7 @@ def check_impact_measure(
         # the strict prefix covers everything it reads
         if scores is None or _reads_past(bundle, theta, p.lower, p.prefix_end):
             return _SKIP
-        return _not_above(idx, math.nan, *scores, strict_slack)
+        return _violation(idx, math.nan, *scores, _not_above, strict_slack, _NOT_STRICT)
 
     return {
         "IM.1": _positivity_report("IM.1", bundle, theta, pairs, strict_slack),
@@ -531,6 +564,7 @@ def check_strong_impact(
 ) -> dict[str, AxiomReport]:
     """Four-axiom strong-impact check for the score of a bundle at theta.
 
+    SM.1 is the same positivity check as ``check_impact_measure``'s IM.1.
     SM.3 is hypothesis-filtered: a pair enters only after its running
     averages verify as strictly ordered on a grid over [0, T), and pairs
     whose lower member is read up to the domain end at theta (a density
@@ -541,10 +575,32 @@ def check_strong_impact(
     whose prefix reaches that rank.
     """
     pairs = _require_verified(pairs)
+    positivity = _positivity_report("SM.1", bundle, theta, pairs, strict_slack)
+    return _strong_impact(
+        bundle, theta, pairs, positivity, mu_grid, slack, strict_slack, eq_tol, boundary_tol
+    )
+
+
+def _strong_impact(
+    bundle: BundleDef,
+    theta: float,
+    pairs: Sequence[DominancePair],
+    positivity: AxiomReport,
+    mu_grid: int = 512,
+    slack: float = MONOTONE_SLACK,
+    strict_slack: float = STRICT_SLACK,
+    eq_tol: float = EQUALITY_ASSERT_TOL,
+    boundary_tol: float = 1e-9,
+) -> dict[str, AxiomReport]:
+    """``check_strong_impact`` on verified pairs, with SM.1 given.
+
+    ``positivity`` must be the positivity report for the same bundle, level,
+    pairs and ``strict_slack``: IM.1's report of a run of both suites.
+    """
 
     def monotone(idx: int, p: DominancePair):
         scores = _scores_at(bundle, theta, p)
-        return _SKIP if scores is None else _below(idx, math.nan, *scores, slack)
+        return _SKIP if scores is None else _violation(idx, math.nan, *scores, _below, slack)
 
     def strict(idx: int, p: DominancePair):
         scores = _scores_at(bundle, theta, p)
@@ -560,7 +616,7 @@ def check_strong_impact(
             return _BOUNDARY
         if not _averages_strictly_ordered(lower, p.upper, mu_grid):
             return _SKIP
-        return _not_above(idx, math.nan, *scores, strict_slack)
+        return _violation(idx, math.nan, *scores, _not_above, strict_slack, _NOT_STRICT)
 
     def local(idx: int, p: DominancePair):
         scores = _scores_at(bundle, theta, p)
@@ -571,11 +627,11 @@ def check_strong_impact(
             covered = theta >= p.lower.value(p.prefix_end) - EQUALITY_ASSERT_TOL
         else:
             covered = not _reads_past(bundle, theta, p.lower, p.prefix_end)
-        return _unequal(idx, math.nan, *scores, eq_tol) if covered else _SKIP
+        return _violation(idx, math.nan, *scores, _unequal, eq_tol) if covered else _SKIP
 
     geq = _by_relation(pairs, RelationKind.GEQ_ALL)
     return {
-        "SM.1": _positivity_report("SM.1", bundle, theta, pairs, strict_slack),
+        "SM.1": replace(positivity, axiom="SM.1"),
         "SM.2": _run_axiom("SM.2", geq, monotone),
         "SM.3": _run_axiom("SM.3", geq, strict),
         "SM.4": _run_axiom("SM.4", _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX), local),
@@ -598,7 +654,9 @@ def check_global_impact(
 
     def strict(idx: int, p: DominancePair):
         scores = _scores_at(bundle, theta, p)
-        return _SKIP if scores is None else _not_above(idx, math.nan, *scores, strict_slack)
+        if scores is None:
+            return _SKIP
+        return _violation(idx, math.nan, *scores, _not_above, strict_slack, _NOT_STRICT)
 
     return _run_axiom("GM", _by_relation(pairs, RelationKind.CUMULATIVE_PREC), strict)
 
@@ -718,7 +776,7 @@ def _random_pwl(rng: np.random.Generator, cfg: GeneratorConfig) -> PiecewiseLine
     for _ in range(100):
         interior = np.sort(rng.uniform(0.0, cfg.T, size=k - 2))
         xs = np.concatenate(([0.0], interior, [cfg.T]))
-        if np.min(np.diff(xs)) > 1e-6 * cfg.T:
+        if (xs[1:] - xs[:-1]).min() > 1e-6 * cfg.T:
             break
     else:
         raise GenerationError("could not draw well-separated knot ranks")

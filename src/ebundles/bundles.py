@@ -25,6 +25,7 @@ can move a Zipf or power-complement inverse by an ulp or two.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import math
@@ -132,7 +133,7 @@ def h_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ThetaRangeError(f"theta={float(thetas[bad][0])!r} outside [Z(T)/T, inf)")
     inner = f.admissible_range().lo - thetas * f.T < 0.0
-    out = np.full(thetas.shape, f.T)
+    out = np.full(thetas.shape, f.T, dtype=float)  # T may be an int
     out[inner] = f.ray_crossings(thetas[inner])
     return out
 
@@ -187,8 +188,16 @@ class BundleDef:
     ``rank_of``(f, theta) is the rank up to which the score reads f (theta
     itself for mu/i, the root for h).  ``rank_of`` is None when the level is
     a density (e): then the checkers compare theta with f's values instead.
-    Custom instances can be passed to the axiom checkers to probe candidate
-    scores that are not part of the built-in registry.
+
+    ``levels`` and ``scores`` are the vector forms of ``level_of`` and
+    ``measure``: levels at many ranks and scores at many levels, NaN where
+    the scalar form raises ``InputError``.  The vector form follows from the
+    scalar callable: the built-in callables map to the functions' vector
+    routines (same floats as the scalar forms), and any other callable is
+    looped over.  Custom instances, including ones made with
+    ``dataclasses.replace`` from a built-in bundle, can be passed to the
+    axiom checkers to probe candidate scores that are not part of the
+    built-in registry.
     """
 
     name: str
@@ -198,17 +207,112 @@ class BundleDef:
     positive_for: Callable[[RankFunction, float], bool] = lambda f, theta: True
     rank_of: Callable[[RankFunction, float], float] | None = None
 
+    def scores(self, f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+        """``measure`` at every level, NaN where it is undefined."""
+        return _vectorized(_SCORES, self.measure, f, np.asarray(thetas, dtype=float))
+
+    def levels(self, f: RankFunction, xs: np.ndarray) -> np.ndarray:
+        """``level_of`` at every rank, NaN where it is undefined."""
+        return _vectorized(_LEVELS, self.level_of, f, np.asarray(xs, dtype=float))
+
+
+VectorForm = Callable[[RankFunction, np.ndarray], np.ndarray]
+
+
+def _vectorized(known: dict[Callable, VectorForm], scalar: Callable, f: RankFunction,
+                args: np.ndarray) -> np.ndarray:
+    """scalar at every arg: through its known vector form, else in a loop.
+
+    A wrapper that names what it wraps (``__wrapped__``, as ``functools.wraps``
+    sets) is taken to give the same values, so it keeps the vector form.
+    """
+    vector = known.get(inspect.unwrap(scalar))
+    return _each(scalar, f, args) if vector is None else vector(f, args)
+
+
+def _each(scalar: Callable[[RankFunction, float], float], f: RankFunction,
+          args: np.ndarray) -> np.ndarray:
+    """scalar(f, a) for every a, NaN where it raises ``InputError``."""
+    def one(a: float) -> float:
+        try:
+            return scalar(f, a)
+        except InputError:
+            return math.nan
+    return np.array([one(a) for a in args.tolist()], dtype=float)
+
+
+def _defined(ok: np.ndarray, values_at: Callable[[np.ndarray], np.ndarray],
+             args: np.ndarray) -> np.ndarray:
+    """values_at(args[ok]) where ok holds, NaN elsewhere."""
+    if ok.all():
+        return values_at(args)
+    out = np.full(args.shape, math.nan)
+    out[ok] = values_at(args[ok])
+    return out
+
+
+def _on_domain(f: RankFunction, xs: np.ndarray) -> np.ndarray:
+    """Ranks inside [0, T]."""
+    return (xs >= 0.0) & (xs <= f.T)
+
+
+def _off_pole(f: RankFunction, xs: np.ndarray) -> np.ndarray:
+    """Ranks inside [0, T], except a pole at the origin."""
+    return _on_domain(f, xs) & ~((xs == 0.0) & f.unbounded_at_origin)
+
 
 def _level_identity(f: RankFunction, x: float) -> float:
     return x
 
+def _levels_identity(f: RankFunction, xs: np.ndarray) -> np.ndarray:
+    return xs
+
 def _level_value(f: RankFunction, x: float) -> float:
     return f.value(x)
+
+def _levels_value(f: RankFunction, xs: np.ndarray) -> np.ndarray:
+    return _defined(_off_pole(f, xs), f.values, xs)
 
 def _level_value_over_rank(f: RankFunction, x: float) -> float:
     if x == 0.0:
         return math.inf
     return f.value(x) / x
+
+def _levels_value_over_rank(f: RankFunction, xs: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(xs == 0.0, math.inf, _levels_value(f, xs) / xs)
+
+
+def _e_scores(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    return _defined(f.admissible_range().contains_each(thetas), lambda t: e_thetas(f, t), thetas)
+
+def _h_scores(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    return _defined(_h_defined(f, thetas), lambda t: h_thetas(f, t), thetas)
+
+def _averages(f: RankFunction, ranks: np.ndarray) -> np.ndarray:
+    def average(r: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(r > 0.0, f.cumulatives(r) / r, f.value_at_origin())
+
+    return _defined(_off_pole(f, ranks), average, ranks)
+
+def _cumulatives(f: RankFunction, ranks: np.ndarray) -> np.ndarray:
+    return _defined(_on_domain(f, ranks), f.cumulatives, ranks)
+
+
+# The vector forms of the built-in scalar callables, keyed by the callable,
+# so a bundle that replaces its scalar callable drops the vector form too.
+_SCORES: dict[Callable, VectorForm] = {
+    e_theta: _e_scores,
+    h_theta: _h_scores,
+    mu_bundle: _averages,
+    i_bundle: _cumulatives,
+}
+_LEVELS: dict[Callable, VectorForm] = {
+    _level_identity: _levels_identity,
+    _level_value: _levels_value,
+    _level_value_over_rank: _levels_value_over_rank,
+}
 
 
 E_BUNDLE = BundleDef(
@@ -313,8 +417,9 @@ def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
 
     Inadmissibility is data rather than failure here, so out-of-range thetas
     produce missing markers instead of raising.  The theta list must be
-    finite, strictly increasing and nonnegative.  Each bundle's admissible
-    levels are found first and then scored in one vector call.
+    finite, strictly increasing and nonnegative.  Each bundle scores every
+    level in one vector call (``BundleDef.scores``); a cell is None unless
+    its level is admissible and the score defined there.
     """
     ts = np.array([float(t) for t in thetas], dtype=float)
     if not np.isfinite(ts).all():
@@ -324,28 +429,13 @@ def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
     if ts.size and ts[0] < 0.0:
         raise InputError("theta values must be >= 0")
 
-    e_ok = f.admissible_range().contains_each(ts)
-    h_ok = _h_range(f).contains_each(ts) & _h_defined(f, ts)
-    # mu and i read the rank theta itself, defined on [0, T] exactly; the
-    # running average has no value at a pole at the origin
-    i_ok = ts <= f.T
-    mu_ok = i_ok & ~((ts == 0.0) & f.unbounded_at_origin)
-    ranks = ts[mu_ok]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        averages = np.where(ranks > 0.0, f.cumulatives(ranks) / ranks, f.value_at_origin())
-    return SweepTable(tuple(map(
-        SweepRow,
-        ts.tolist(),
-        _column(e_ok, e_thetas(f, ts[e_ok])),
-        _column(h_ok, h_thetas(f, ts[h_ok])),
-        _column(mu_ok, averages),
-        _column(i_ok, f.cumulatives(ts[i_ok])),
-    )))
+    columns = [
+        np.where(b.admissible(f).contains_each(ts), b.scores(f, ts), math.nan)
+        for b in (E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE)
+    ]
+    return SweepTable(tuple(map(SweepRow, ts.tolist(), *map(_column, columns))))
 
 
-def _column(admitted: np.ndarray, values: np.ndarray) -> list[float | None]:
-    """Python floats at the admitted levels, None elsewhere."""
-    col: list[float | None] = [None] * len(admitted)
-    for idx, v in zip(np.flatnonzero(admitted).tolist(), values.tolist()):
-        col[idx] = v
-    return col
+def _column(scores: np.ndarray) -> list[float | None]:
+    """Python floats, None for NaN."""
+    return [None if math.isnan(v) else v for v in scores.tolist()]

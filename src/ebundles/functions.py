@@ -308,6 +308,10 @@ class PiecewiseLinearFn(RankFunction):
         return float(self.ys[0])
 
     def admissible_range(self) -> ThetaRange:
+        return self._range
+
+    @cached_property
+    def _range(self) -> ThetaRange:
         return ThetaRange(float(self.ys[-1]), float(self.ys[0]))
 
     # The scalar methods read Python tuples: indexing them is several times
@@ -324,11 +328,22 @@ class PiecewiseLinearFn(RankFunction):
     def _neg_ys(self) -> tuple[float, ...]:
         return tuple((-self.ys).tolist())
 
+    # The vector methods read segment j = [x_j, x_{j+1}] through its left
+    # knot and these per-segment steps, which equal x_{j+1} - x_j and
+    # y_{j+1} - y_j bit for bit.
+    @cached_property
+    def _dxs(self) -> np.ndarray:
+        return self.xs[1:] - self.xs[:-1]
+
+    @cached_property
+    def _dys(self) -> np.ndarray:
+        return self.ys[1:] - self.ys[:-1]
+
     @cached_property
     def _area_prefix(self) -> np.ndarray:
         """Trapezoid area accumulated up to each knot."""
-        xs, ys = self.xs, self.ys
-        seg = np.diff(xs) * (ys[:-1] + ys[1:]) * 0.5
+        ys = self.ys
+        seg = self._dxs * (ys[:-1] + ys[1:]) * 0.5
         return np.concatenate(([0.0], np.cumsum(seg)))
 
     def _segment(self, x: float) -> int:
@@ -345,19 +360,24 @@ class PiecewiseLinearFn(RankFunction):
         t = (x - x0) / (x1 - x0)
         return y0 + t * (y1 - y0)
 
-    def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The points as floats and the index i of the segment [x_{i-1}, x_i]
-        holding each, after checking they lie in the domain."""
+    def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points as floats, the index j of the segment [x_j, x_{j+1}]
+        holding each, and their offsets x - x_j, after checking they lie in
+        the domain.
+
+        j counts the interior knots at or left of x: the same segment as
+        ``value``'s clamped bisection, with T on the last segment.
+        """
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < 0.0 or xs.max() > self.T):
             raise InputError("grid points outside domain")
-        return xs, np.clip(np.searchsorted(self.xs, xs, side="right"), 1, len(self.xs) - 1)
+        j = np.searchsorted(self.xs[1:-1], xs, side="right")
+        return xs, j, xs - self.xs[j]
 
-    def _interpolate(self, xs: np.ndarray, i: np.ndarray) -> np.ndarray:
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        y0, y1 = self.ys[i - 1], self.ys[i]
-        t = (xs - x0) / (x1 - x0)
-        return np.where(xs == x1, y1, y0 + t * (y1 - y0))
+    def _interpolate(self, xs: np.ndarray, j: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        y = self.ys[j] + dx / self._dxs[j] * self._dys[j]
+        # knot hits stay exact; T is the only point on a segment's right end
+        return np.where(xs == self.T, self.ys[-1], y)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         return self._interpolate(*self._segments(xs))
@@ -373,10 +393,11 @@ class PiecewiseLinearFn(RankFunction):
     def inverses(self, thetas: np.ndarray) -> np.ndarray:
         """``inverse`` at every level, with the same arithmetic."""
         thetas = self.admit_levels(thetas)
-        i = np.clip(np.searchsorted(-self.ys, -thetas, side="left"), 1, len(self.ys) - 1)
-        y0, y1 = self.ys[i - 1], self.ys[i]
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        return x0 + (y0 - thetas) / (y0 - y1) * (x1 - x0)
+        # j counts the interior knots above theta: the scalar form's clamped
+        # bisection.  (theta - y_j) / (y_{j+1} - y_j) negates both sides of
+        # its quotient, which leaves the quotient unchanged.
+        j = np.searchsorted(-self.ys[1:-1], -thetas, side="left")
+        return self.xs[j] + (thetas - self.ys[j]) / self._dys[j] * self._dxs[j]
 
     def ray_crossing(self, theta: float) -> float:
         """The x in [0, T] with Z(x) = theta * x, for theta > Z(T)/T.
@@ -424,11 +445,9 @@ class PiecewiseLinearFn(RankFunction):
         return float(self._area_prefix[i - 1]) + (x - x0) * (y0 + yx) * 0.5
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        xs, i = self._segments(xs)
-        x0 = self.xs[i - 1]
-        y0 = self.ys[i - 1]
-        yx = self._interpolate(xs, i)
-        return self._area_prefix[i - 1] + (xs - x0) * (y0 + yx) * 0.5
+        xs, j, dx = self._segments(xs)
+        yx = self._interpolate(xs, j, dx)
+        return self._area_prefix[j] + dx * (self.ys[j] + yx) * 0.5
 
 
 @dataclass(frozen=True)
@@ -615,6 +634,44 @@ class DominanceVerdict:
     equal_witness: float | None
 
 
+def _gaps(
+    f: RankFunction, g: RankFunction, a: float | None, grid_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid of ``grid_n`` points on [0, a] (a = None: [0, T]) and f - g
+    at each point."""
+    T = _common_T(f, g)
+    if a is None:
+        a = T
+    if not (0.0 < a <= T):
+        raise InputError(f"prefix endpoint a={a!r} must lie in (0, T]")
+    xs = _grid((f, g), 0.0, a, grid_n)
+    return xs, f.values(xs) - g.values(xs)
+
+
+# The three grid verdicts on (xs, f - g): whether the relation holds, the
+# extreme gap where one is reported, and a witness point when it fails.
+
+
+def _geq_verdict(xs: np.ndarray, diff: np.ndarray) -> tuple[bool, float | None]:
+    i = int(np.argmin(diff))
+    geq = bool(diff[i] >= -EQUALITY_TOL)
+    return geq, None if geq else float(xs[i])
+
+
+def _strict_verdict(xs: np.ndarray, diff: np.ndarray) -> tuple[bool, float, float | None]:
+    j = int(np.argmin(diff))
+    min_gap = float(diff[j])
+    strict = bool(min_gap > 0.0)
+    return strict, min_gap, None if strict else float(xs[j])
+
+
+def _equal_verdict(xs: np.ndarray, diff: np.ndarray) -> tuple[bool, float, float | None]:
+    j = int(np.argmax(np.abs(diff)))
+    max_dev = float(abs(diff[j]))
+    equal = bool(max_dev <= EQUALITY_TOL)
+    return equal, max_dev, None if equal else float(xs[j])
+
+
 def compare(
     f: RankFunction,
     g: RankFunction,
@@ -623,36 +680,23 @@ def compare(
 ) -> DominanceVerdict:
     """Check f >= g on [0, T], f > g on [0, a], and f = g on [0, a]."""
     T = _common_T(f, g)
-    if a is None:
-        a = T
-    if not (0.0 < a <= T):
-        raise InputError(f"prefix endpoint a={a!r} must lie in (0, T]")
-
-    xs_full = _grid((f, g), 0.0, T, grid_n)
-    diff_full = f.values(xs_full) - g.values(xs_full)
-    i_min = int(np.argmin(diff_full))
-    geq = bool(diff_full[i_min] >= -EQUALITY_TOL)
-
-    xs_pre = _grid((f, g), 0.0, a, grid_n)
-    diff_pre = f.values(xs_pre) - g.values(xs_pre)
-    j_min = int(np.argmin(diff_pre))
-    min_gap = float(diff_pre[j_min])
-    strict = bool(min_gap > 0.0)
-    j_max = int(np.argmax(np.abs(diff_pre)))
-    max_dev = float(abs(diff_pre[j_max]))
-    equal = bool(max_dev <= EQUALITY_TOL)
-
+    a = T if a is None else a
+    prefix = _gaps(f, g, a, grid_n)
+    full = prefix if a == T else _gaps(f, g, None, grid_n)
+    geq, geq_witness = _geq_verdict(*full)
+    strict, min_gap, strict_witness = _strict_verdict(*prefix)
+    equal, max_dev, equal_witness = _equal_verdict(*prefix)
     return DominanceVerdict(
         a=a,
         grid_n=grid_n,
         geq_everywhere=geq,
-        geq_witness=None if geq else float(xs_full[i_min]),
+        geq_witness=geq_witness,
         strict_on_prefix=strict,
         min_gap=min_gap,
-        strict_witness=None if strict else float(xs_pre[j_min]),
+        strict_witness=strict_witness,
         equal_on_prefix=equal,
         max_deviation=max_dev,
-        equal_witness=None if equal else float(xs_pre[j_max]),
+        equal_witness=equal_witness,
     )
 
 
@@ -687,7 +731,7 @@ def _pwl_cumulative_extrema(
     e = fe - ge
     d = np.empty_like(xs)
     d[0] = 0.0
-    d[1:] = np.cumsum(np.diff(xs) * (e[:-1] + e[1:]) * 0.5)
+    d[1:] = np.cumsum((xs[1:] - xs[:-1]) * (e[:-1] + e[1:]) * 0.5)
 
     cand_x = list(xs)
     cand_d = list(d)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from ebundles.axioms import (
     pseudo_bundle_eta,
     pseudo_bundle_n,
     verify_pair,
+    _strong_impact,
 )
 from ebundles.bundles import (
     E_BUNDLE,
@@ -207,6 +209,69 @@ class TestImpactBundleChecks:
         assert v.gap > 1e-9
 
 
+# A custom bundle with scalar callables only: its vector forms loop over them.
+E_SCALAR_ONLY = BundleDef(
+    name="e-scalar",
+    measure=e_theta,
+    level_of=lambda f, x: f.value(x),
+    admissible=lambda f: f.admissible_range(),
+)
+
+AX_BUNDLES = {
+    "e": E_BUNDLE, "h": H_BUNDLE, "mu": MU_BUNDLE, "i": I_BUNDLE,
+    "n": pseudo_bundle_n(), "eta": pseudo_bundle_eta(), "e-scalar": E_SCALAR_ONLY,
+}
+
+
+def _ax_json(reports):
+    return {k: reports[k].to_json_obj() for k in ("AX.2", "AX.3", "AX.4")}
+
+
+class TestImpactBundleAgainstScalarLoop:
+    """``check_impact_bundle`` scores every level of a pair in one vector call
+    per member; the reports, violation floats included, must equal those of
+    the scalar loop in ``oracles.scalar_impact_bundle``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(AX_BUNDLES))
+    def test_generated_pairs(self, name, seed):
+        pairs = generate_pairs(GeneratorConfig(seed=seed, count=6))
+        bundle = AX_BUNDLES[name]
+        want = oracles.scalar_impact_bundle(bundle, pairs)
+        assert _ax_json(check_impact_bundle(bundle, pairs)) == _ax_json(want)
+
+    @pytest.mark.parametrize("name", sorted(AX_BUNDLES))
+    def test_fixtures(self, name):
+        pairs = [fixture_alt1().pair, fixture_alt2().pair]
+        bundle = AX_BUNDLES[name]
+        want = oracles.scalar_impact_bundle(bundle, pairs, theta_grid=200)
+        got = check_impact_bundle(bundle, pairs, theta_grid=200)
+        assert _ax_json(got) == _ax_json(want)
+        if name == "n":  # the per-rank excess score must not borrow e's vector scores
+            assert not got["AX.2"].passed
+
+    def test_replaced_measure_is_scored(self):
+        # a bundle that swaps e's score for n must be scored with n, not e
+        bundle = dataclasses.replace(E_BUNDLE, measure=n_theta)
+        reports = check_impact_bundle(bundle, [fixture_alt1().pair], theta_grid=200)
+        assert not reports["AX.2"].passed
+        assert check_impact_bundle(E_BUNDLE, [fixture_alt1().pair], theta_grid=200)["AX.2"].passed
+
+    def test_replaced_level_map_is_used(self):
+        # a bundle that swaps e's level map must sample levels with it
+        ranks = []
+
+        def level(f, x):
+            ranks.append(x)
+            return f.value(x)
+
+        bundle = dataclasses.replace(E_BUNDLE, level_of=level)
+        pairs = generate_pairs(GeneratorConfig(seed=0, count=4))  # prefix pairs read levels
+        got = check_impact_bundle(bundle, pairs)
+        assert ranks
+        assert _ax_json(got) == _ax_json(oracles.scalar_impact_bundle(E_BUNDLE, pairs))
+
+
 class TestImpactMeasureChecks:
     def test_e_measure_passes(self, small_pairs):
         reports = check_impact_measure(E_BUNDLE, 1.0, small_pairs)
@@ -289,6 +354,12 @@ class TestStrongImpactChecks:
         rep = check_strong_impact(E_BUNDLE, 1.0, [pair])["SM.3"]
         assert rep.pairs_tested == 0 and rep.skipped == 1 and rep.passed
 
+    def test_positivity_report_reused(self, small_pairs):
+        im1 = check_impact_measure(E_BUNDLE, 1.0, small_pairs)["IM.1"]
+        fresh = check_strong_impact(E_BUNDLE, 1.0, small_pairs)
+        reused = _strong_impact(E_BUNDLE, 1.0, small_pairs, im1)
+        assert reused == fresh and reused["SM.1"].axiom == "SM.1"
+
 
 class TestGlobalImpactChecks:
     def test_fixture_reproduces_equality_violation(self):
@@ -339,6 +410,38 @@ class TestGenerator:
         for p in pairs:
             by_kind[p.relation] += 1
         assert all(v == 3 for v in by_kind.values())
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "bc5d3de5c287751a22cc5a6ed0f7b2877653bee8c0c33aaedc5a07d1208be9db"),
+        (1, "f6255046ea3abc6f87caa2ef69c9a1fafe361df6b986ac0b22515f53749a88b9"),
+        (2, "c6eeaa336296d226b357a6f8c51f94875648d53bb159587c995ce5e2e23bcd13"),
+    ])
+    def test_pairs_pinned(self, seed, digest):
+        # SHA-256 of the pairs written by the generator that verified every
+        # pair through compare(); a cheaper verification must accept the same
+        h = hashlib.sha256()
+        for p in generate_pairs(GeneratorConfig(seed=seed, count=10)):
+            h.update(f"{p.relation.value}:{p.prefix_end!r}".encode())
+            for f in (p.upper, p.lower):
+                h.update(np.concatenate((f.xs, f.ys)).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_verification_evaluates_one_grid(self, monkeypatch):
+        pairs = [dataclasses.replace(p, verified=False)
+                 for p in generate_pairs(GeneratorConfig(seed=3, count=4))]
+        calls = []
+        values = PiecewiseLinearFn.values
+
+        def spy(self, xs):
+            calls.append(len(xs))
+            return values(self, xs)
+
+        monkeypatch.setattr(PiecewiseLinearFn, "values", spy)
+        for p in pairs:
+            calls.clear()
+            assert verify_pair(p, grid_n=2_000).verified
+            if p.relation is not RelationKind.CUMULATIVE_PREC:
+                assert calls == [2_000, 2_000], p.relation
 
     def test_config_validation(self):
         with pytest.raises(InputError):

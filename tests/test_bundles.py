@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -280,11 +282,12 @@ class TestVectorForms:
         [
             LinearFamily(S=2.0, T=3.0),
             LinearFamily(S=0.5, T=40.0),
+            LinearFamily(S=10, T=20),
             ZipfFamily(beta=0.5, T=1.0),
             ZipfFamily(beta=0.2, T=40.0),
             ZipfFamily(beta=0.9, T=0.05),
         ],
-        ids=["linear", "linear-long", "zipf", "zipf-flat", "zipf-steep"],
+        ids=["linear", "linear-long", "linear-int-T", "zipf", "zipf-flat", "zipf-steep"],
     )
     def test_closed_form_h(self, f):
         lo = f.value(f.T) / f.T
@@ -306,6 +309,55 @@ class TestVectorForms:
         assert e_thetas(f, levels).tolist() == [e_theta(f, t) for t in levels.tolist()]
         h_levels = f.value(f.T) / f.T + levels
         assert h_thetas(f, h_levels).tolist() == [h_theta(f, t) for t in h_levels.tolist()]
+
+    @pytest.mark.parametrize("name", sorted(BUNDLES))
+    @pytest.mark.parametrize(
+        "f",
+        [
+            from_citations([5, 3, 3, 1]),
+            LinearFamily(S=10, T=20),
+            ZipfFamily(beta=0.5, T=2.0),
+            PowerComplement(n=3),
+        ],
+        ids=["citations", "linear", "zipf", "power"],
+    )
+    def test_bundle_vector_forms_match_scalar_loop(self, f, name):
+        bundle = BUNDLES[name]
+        # wrapped callables are not the built-in ones, so their vector forms loop
+        loop = dataclasses.replace(bundle, measure=lambda f, t: bundle.measure(f, t),
+                                   level_of=lambda f, x: bundle.level_of(f, x))
+        T, z_T = f.T, f.value(f.T)
+        args = np.array([-1.0, 0.0, 0.3 * T, z_T, z_T / T, z_T / T - 5e-13, T, T + 1e-13,
+                         2.0 * T, 7.0, math.inf, math.nan])
+        exact = isinstance(f, (PiecewiseLinearFn, LinearFamily))
+        for vector, scalar in ((bundle.scores, loop.scores), (bundle.levels, loop.levels)):
+            got, want = vector(f, args), scalar(f, args)
+            assert np.isnan(got).tolist() == np.isnan(want).tolist()
+            ok = ~np.isnan(want)
+            if exact:  # numpy's power may move a parametric value by an ulp
+                assert got[ok].tolist() == want[ok].tolist()
+            else:
+                np.testing.assert_allclose(got[ok], want[ok], rtol=4 * np.finfo(float).eps)
+
+    def test_wrapped_callables_keep_vector_forms(self):
+        # a wrapper that names what it wraps scores through the vector form
+        calls = []
+
+        def wrapping(scalar):
+            @functools.wraps(scalar)
+            def wrapper(f, t):
+                calls.append(t)
+                return scalar(f, t)
+            return wrapper
+
+        f = LinearFamily(S=10, T=20)
+        args = np.array([0.1, 0.5, 2.0, 7.0])
+        h = BUNDLES["h"]
+        bundle = dataclasses.replace(h, measure=wrapping(h.measure),
+                                     level_of=wrapping(h.level_of))
+        assert bundle.scores(f, args).tolist() == h.scores(f, args).tolist()
+        assert bundle.levels(f, args).tolist() == h.levels(f, args).tolist()
+        assert calls == []
 
     def test_out_of_range_levels_raise(self):
         with pytest.raises(ThetaRangeError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ebundles import axioms as ax
 from ebundles.bundles import SweepTable, classical_h
 from ebundles.cli import main
 from ebundles.functions import from_citations
@@ -115,6 +116,22 @@ class TestAxiomsCmd:
             assert rep["passed"], key
             assert set(rep) >= {"axiom", "tested", "violations", "passed"}
 
+    def test_positivity_checked_once_per_run(self, tmp_path, monkeypatch):
+        # IM.1 and SM.1 are the same check on the same functions at one level
+        made = []
+        report = ax._positivity_report
+
+        def spy(axiom, *args):
+            made.append(axiom)
+            return report(axiom, *args)
+
+        monkeypatch.setattr(ax, "_positivity_report", spy)
+        out = tmp_path / "axioms.json"
+        assert main(["axioms", "--suite", "all", "--pairs", "4", "--output", str(out)]) == 0
+        assert made == ["IM.1"]
+        obj = json.loads(out.read_text())
+        assert obj["SM.1"] == {**obj["IM.1"], "axiom": "SM.1"}
+
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -179,6 +196,13 @@ class TestConvergeCmd:
         assert main(["converge", "--n-list", "3,5", *args]) == 2
         err = capsys.readouterr().err
         assert "must be >= 2" in err and "Traceback" not in err
+
+    def test_unknown_family_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--family", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'nope'" in err and "Traceback" not in err
 
     def test_linear_family_csv(self, capsys):
         rc = main(["converge", "--family", "linear", "--n-list", "10,100",
