@@ -14,9 +14,22 @@ i 0.5), with
     ebundles axioms --suite all --pairs 50 --seed 7 --bundle B \\
         --measure-theta L --output axioms-B.json > axioms-B.txt
 
-Every output must match byte for byte, except the Zipf CSV: numpy's vector
-power and the C library's pow can differ by an ulp or two, so its cells may
-move by at most 8 * eps * T on the inverse values in [0, T].
+The eval, sweep and ingest files were written by the code before the scalar
+forms became wrappers of the vector forms (commit b8ddfbc), for each input
+N under ``golden/inputs/`` (a citation file with ties, the linear, Zipf and
+power-complement specs, and a three-knot piecewise linear spec), with
+
+    ebundles eval --input N --theta-list 0,0.5,1,2,3.5,5,7,9.5,15 \
+        --output eval-N.json > eval-N.txt
+    ebundles sweep --input N --output sweep-N.csv
+    ebundles sweep --input N --theta 0:12:25 --format json --output sweep-N.json
+    ebundles ingest --input citations.txt --output ingest-citations.json \
+        2> ingest-citations.stderr
+
+Every output must match byte for byte, except the Zipf converge CSV:
+numpy's vector power and the C library's pow can differ by an ulp or two,
+so its cells may move by at most 8 * eps * T on the inverse values in
+[0, T].
 """
 
 from pathlib import Path
@@ -31,6 +44,13 @@ GOLDEN = Path(__file__).parent / "golden"
 CONVERGE_ARGS = ["--grid-n", "20000", "--theta-grid-n", "4000", "--n-list", "3,17,250,4001,60000"]
 ZIPF_T = 1.0
 AXIOMS_LEVELS = {"e": "2.5", "h": "8", "mu": "0.5", "i": "0.5"}
+INPUTS = {"citations": "citations.txt", "linear": "linear.json", "zipf": "zipf.json",
+          "power": "power.json", "pwl": "pwl.json"}
+EVAL_LEVELS = "0,0.5,1,2,3.5,5,7,9.5,15"
+
+
+def _input(name):
+    return str(GOLDEN / "inputs" / INPUTS[name])
 
 
 @pytest.mark.parametrize("family", ["linear", "shifted", "zipf", "power"])
@@ -80,3 +100,29 @@ def test_axioms_level_just_past_domain_end(bundle, capsys):
     rows = captured.out.splitlines()[2:]
     assert [r.split()[:3] for r in rows] == [["IM.1", "0", "24"], ["IM.2", "0", "3"],
                                              ["IM.3", "0", "3"]]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_eval(name, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc = main(["eval", "--input", _input(name), "--theta-list", EVAL_LEVELS, "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / f"eval-{name}.txt").read_text()
+    assert out.read_text() == (GOLDEN / f"eval-{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_sweep(name, tmp_path):
+    csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(["sweep", "--input", _input(name), "--output", str(csv)]) == 0
+    assert csv.read_text() == (GOLDEN / f"sweep-{name}.csv").read_text()
+    assert main(["sweep", "--input", _input(name), "--theta", "0:12:25", "--format", "json",
+                 "--output", str(js)]) == 0
+    assert js.read_text() == (GOLDEN / f"sweep-{name}.json").read_text()
+
+
+def test_ingest(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["ingest", "--input", _input("citations"), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == (GOLDEN / "ingest-citations.stderr").read_text()
+    assert out.read_text() == (GOLDEN / "ingest-citations.json").read_text()
