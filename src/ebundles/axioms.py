@@ -19,13 +19,14 @@ per-axiom reports with explicit violation witnesses:
 ``check_impact_bundle`` samples each pair's levels through the vector level
 map ``BundleDef.levels`` and scores both members at all of them in one
 ``BundleDef.scores`` call each; a score or level map other than the
-built-in ones falls back to one scalar call per level, with the same report.  The last three
-take the single score as a ``BundleDef`` and a level theta; the bundle's
-``positive_for`` and ``rank_of`` say where that score is provably positive
-and which rank it reads up to.  Every report comes from one driver,
-``_run_axiom``, that runs a per-pair (or per-function) check.  The
-positivity report (IM.1, SM.1) is the same check in both suites; a run of
-both computes it once and hands IM.1 to ``_strong_impact``.
+built-in ones falls back to one scalar call per level, with the same
+report.  The last three take the single score as a ``BundleDef`` and a
+level theta; the bundle's ``positive_for`` and ``rank_of`` say where that
+score is provably positive and which rank it reads up to.  Each scores
+every distinct function of its pairs once, in one stacked pass
+(``_level_table``), and reads every pair's verdict from that table.  Every
+report comes from one driver, ``_run_axiom``, that runs a per-pair (or
+per-function) check.
 
 The module also ships the two rejected alternative scores (``n_theta``,
 ``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``),
@@ -49,7 +50,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, e_theta
+from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, _at_level, e_theta
 from .functions import (
     CumulativeOrder,
     InputError,
@@ -95,6 +96,14 @@ MONOTONE_SLACK = 1e-9
 STRICT_SLACK = 1e-12
 # Equality assertions are checked to this tolerance.
 EQUALITY_ASSERT_TOL = 1e-10
+# SM.3 excludes a pair whose lower member the score reads up to this close
+# to the domain end.
+_BOUNDARY_TOL = 1e-9
+# Points on [0, T) at which SM.3 checks that the running averages are
+# strictly ordered.
+_AVERAGES_GRID = 512
+# Points at which ``generate_pairs`` verifies each pair.
+_VERIFY_GRID = 2_000
 
 
 class GenerationError(RuntimeError):
@@ -311,20 +320,6 @@ def _first_violation(
     return Violation(idx, float(ts[i]), float(m_up[i]), float(m_lo[i]), float(gap[i]), note=note)
 
 
-def _try_measure(bundle: BundleDef, f: RankFunction, t: float) -> float | None:
-    """Evaluate a bundle score, treating domain errors as inadmissibility.
-
-    Scores may be undefined at isolated points of their nominal range (the
-    per-rank excess score has no value at theta = Z(0), the running average
-    none at a pole at the origin, and mu and i none past the rank T); such
-    thetas are simply not compared.
-    """
-    try:
-        return bundle.measure(f, t)
-    except InputError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Impact bundle axioms
 
@@ -455,30 +450,53 @@ def _admits(bundle: BundleDef, f: RankFunction, theta: float) -> bool:
     return rng.contains(theta) if bundle.rank_of is None else rng.contains(theta, slack=0.0)
 
 
-def _scores_at(bundle: BundleDef, theta: float, p: DominancePair) -> tuple[float, float] | None:
-    """Both members' scores at theta, or None unless both admit and score it."""
-    if not (_admits(bundle, p.upper, theta) and _admits(bundle, p.lower, theta)):
-        return None
-    m_up = _try_measure(bundle, p.upper, theta)
-    m_lo = _try_measure(bundle, p.lower, theta)
-    if m_up is None or m_lo is None:
-        return None
-    return m_up, m_lo
+_Table = dict[RankFunction, float]
 
 
-def _reads_past(bundle: BundleDef, theta: float, f: RankFunction, a: float) -> bool:
-    """Whether the score at theta reads f beyond the rank a."""
-    return bundle.rank_of is not None and bundle.rank_of(f, theta) > a + EQUALITY_ASSERT_TOL
+def _level_table(bundle: BundleDef, theta: float, fns: Iterable[RankFunction]) -> tuple[_Table, _Table]:
+    """Each distinct function's score at theta and, for a bundle with
+    ``rank_of``, the rank up to which the score reads it.
+
+    Only functions that admit theta get entries; a score undefined there is
+    NaN.  Each map is one ``_at_level`` pass over the functions, which reads
+    all the piecewise linear ones in one stacked numpy pass.
+    """
+    admitted = [f for f in dict.fromkeys(fns) if _admits(bundle, f, theta)]
+    scores = dict(zip(admitted, _at_level(bundle.measure, admitted, theta).tolist()))
+    if bundle.rank_of is None:
+        return scores, {}
+    if bundle.rank_of is bundle.measure:  # h reads up to its own root
+        return scores, scores
+    return scores, dict(zip(admitted, _at_level(bundle.rank_of, admitted, theta).tolist()))
+
+
+def _pair_check(
+    scores: _Table, verdict, tol: float, note: str = "",
+    skip: Callable[[DominancePair], str | None] = lambda p: None,
+) -> Callable[[int, DominancePair], Violation | str | None]:
+    """A single-level axiom's check: the verdict on a pair's scores in the
+    table.  A pair is skipped when a member has no score, or for the reason
+    ``skip`` gives."""
+    def check(idx: int, p: DominancePair):
+        m_up, m_lo = scores.get(p.upper, math.nan), scores.get(p.lower, math.nan)
+        if math.isnan(m_up) or math.isnan(m_lo):
+            return _SKIP
+        return skip(p) or _violation(idx, math.nan, m_up, m_lo, verdict, tol, note)
+    return check
+
+
+def _reads_past(bundle: BundleDef, ranks: _Table, f: RankFunction, a: float) -> bool:
+    """Whether the score reads f beyond the rank a."""
+    return bundle.rank_of is not None and ranks[f] > a + EQUALITY_ASSERT_TOL
 
 
 def _positivity_report(
-    axiom: str, bundle: BundleDef, theta: float, pairs: Sequence[DominancePair], strict_slack: float
+    axiom: str, bundle: BundleDef, theta: float, members: Sequence[RankFunction], scores: _Table,
+    strict_slack: float,
 ) -> AxiomReport:
     def positive(idx: int, f: RankFunction):
-        if not (_admits(bundle, f, theta) and bundle.positive_for(f, theta)):
-            return _SKIP
-        v = _try_measure(bundle, f, theta)
-        if v is None:
+        v = scores.get(f, math.nan)
+        if math.isnan(v) or not bundle.positive_for(f, theta):
             return _SKIP
         if v <= strict_slack:
             return Violation(idx, math.nan, v, 0.0, -v, note="score not positive")
@@ -486,7 +504,7 @@ def _positivity_report(
 
     return _run_axiom(
         axiom,
-        enumerate(_members(pairs)),
+        enumerate(members),
         positive,
         note="zero-function clause vacuous: rank functions are strictly decreasing",
     )
@@ -507,40 +525,35 @@ def check_impact_measure(
     generated prefix endpoint playing the per-function threshold.
     """
     pairs = _require_verified(pairs)
+    members = _members(pairs)
+    scores, ranks = _level_table(bundle, theta, members)
+    geq = _by_relation(pairs, RelationKind.GEQ_ALL)
+    # the determinism half of IM.2 scores the dominating members a second time
+    uppers = [f for f in dict.fromkeys(p.upper for _, p in geq) if f in scores]
+    again = dict(zip(uppers, _at_level(bundle.measure, uppers, theta).tolist()))
+    below = _pair_check(scores, _below, slack)
 
     def monotone(idx: int, p: DominancePair):
-        scores = _scores_at(bundle, theta, p)
-        if scores is None:
-            return _SKIP
-        m_up, m_lo = scores
-        if v := _violation(idx, math.nan, m_up, m_lo, _below, slack):
-            return v
-        # determinism half of the axiom: equal inputs give equal scores
-        if bundle.measure(p.upper, theta) != m_up:
+        outcome = below(idx, p)
+        if outcome is None and again[p.upper] != scores[p.upper]:
+            m_up = scores[p.upper]
             return Violation(idx, math.nan, m_up, m_up, 0.0, note="not deterministic")
-        return None
+        return outcome
 
-    def strict(idx: int, p: DominancePair):
-        scores = _scores_at(bundle, theta, p)
-        # a score that reads up to a rank (mu, i, h) is only constrained when
-        # the strict prefix covers everything it reads
-        if scores is None or _reads_past(bundle, theta, p.lower, p.prefix_end):
-            return _SKIP
-        return _violation(idx, math.nan, *scores, _not_above, strict_slack, _NOT_STRICT)
-
+    # a score that reads up to a rank (mu, i, h) is only constrained when the
+    # strict prefix covers everything it reads
+    strict = _pair_check(scores, _not_above, strict_slack, _NOT_STRICT,
+                         lambda p: _SKIP if _reads_past(bundle, ranks, p.lower, p.prefix_end) else None)
     return {
-        "IM.1": _positivity_report("IM.1", bundle, theta, pairs, strict_slack),
-        "IM.2": _run_axiom("IM.2", _by_relation(pairs, RelationKind.GEQ_ALL), monotone),
+        "IM.1": _positivity_report("IM.1", bundle, theta, members, scores, strict_slack),
+        "IM.2": _run_axiom("IM.2", geq, monotone),
         "IM.3": _run_axiom("IM.3", _by_relation(pairs, RelationKind.STRICT_ON_PREFIX), strict),
     }
 
 
-def _averages_strictly_ordered(
-    lower: RankFunction, upper: RankFunction, grid_n: int
-) -> bool:
+def _averages_strictly_ordered(lower: RankFunction, upper: RankFunction) -> bool:
     """Whether the running average of upper exceeds lower's on all of [0, T)."""
-    T = lower.T
-    xs = np.linspace(0.0, T, grid_n, endpoint=False)
+    xs = np.linspace(0.0, lower.T, _AVERAGES_GRID, endpoint=False)
     xs = xs[1:]  # x = 0 handled separately
     with np.errstate(divide="ignore"):
         mu_lo = lower.cumulatives(xs) / xs
@@ -549,18 +562,16 @@ def _averages_strictly_ordered(
         return False
     if lower.unbounded_at_origin or upper.unbounded_at_origin:
         return True  # averages diverge at 0; the interior grid decides
-    return upper.value(0.0) > lower.value(0.0)
+    return upper.value_at_origin() > lower.value_at_origin()
 
 
 def check_strong_impact(
     bundle: BundleDef,
     theta: float,
     pairs: Sequence[DominancePair],
-    mu_grid: int = 512,
     slack: float = MONOTONE_SLACK,
     strict_slack: float = STRICT_SLACK,
     eq_tol: float = EQUALITY_ASSERT_TOL,
-    boundary_tol: float = 1e-9,
 ) -> dict[str, AxiomReport]:
     """Four-axiom strong-impact check for the score of a bundle at theta.
 
@@ -575,66 +586,35 @@ def check_strong_impact(
     whose prefix reaches that rank.
     """
     pairs = _require_verified(pairs)
-    positivity = _positivity_report("SM.1", bundle, theta, pairs, strict_slack)
-    return _strong_impact(
-        bundle, theta, pairs, positivity, mu_grid, slack, strict_slack, eq_tol, boundary_tol
-    )
+    members = _members(pairs)
+    scores, ranks = _level_table(bundle, theta, members)
 
-
-def _strong_impact(
-    bundle: BundleDef,
-    theta: float,
-    pairs: Sequence[DominancePair],
-    positivity: AxiomReport,
-    mu_grid: int = 512,
-    slack: float = MONOTONE_SLACK,
-    strict_slack: float = STRICT_SLACK,
-    eq_tol: float = EQUALITY_ASSERT_TOL,
-    boundary_tol: float = 1e-9,
-) -> dict[str, AxiomReport]:
-    """``check_strong_impact`` on verified pairs, with SM.1 given.
-
-    ``positivity`` must be the positivity report for the same bundle, level,
-    pairs and ``strict_slack``: IM.1's report of a run of both suites.
-    """
-
-    def monotone(idx: int, p: DominancePair):
-        scores = _scores_at(bundle, theta, p)
-        return _SKIP if scores is None else _violation(idx, math.nan, *scores, _below, slack)
-
-    def strict(idx: int, p: DominancePair):
-        scores = _scores_at(bundle, theta, p)
-        if scores is None:
-            return _SKIP
+    def unclaimed(p: DominancePair) -> str | None:
         lower = p.lower
         if bundle.rank_of is None:
-            at_boundary = abs(theta - lower.value(lower.T)) <= boundary_tol
+            at_boundary = abs(theta - lower.value(lower.T)) <= _BOUNDARY_TOL
         else:
-            rank = bundle.rank_of(lower, theta)
-            at_boundary = rank >= lower.T - boundary_tol * max(1.0, lower.T)
+            at_boundary = ranks[lower] >= lower.T - _BOUNDARY_TOL * max(1.0, lower.T)
         if at_boundary:
             return _BOUNDARY
-        if not _averages_strictly_ordered(lower, p.upper, mu_grid):
-            return _SKIP
-        return _violation(idx, math.nan, *scores, _not_above, strict_slack, _NOT_STRICT)
+        return None if _averages_strictly_ordered(lower, p.upper) else _SKIP
 
-    def local(idx: int, p: DominancePair):
-        scores = _scores_at(bundle, theta, p)
-        if scores is None:
-            return _SKIP
+    def uncovered(p: DominancePair) -> str | None:
         # the equal prefix must cover everything the score reads
         if bundle.rank_of is None:
             covered = theta >= p.lower.value(p.prefix_end) - EQUALITY_ASSERT_TOL
         else:
-            covered = not _reads_past(bundle, theta, p.lower, p.prefix_end)
-        return _violation(idx, math.nan, *scores, _unequal, eq_tol) if covered else _SKIP
+            covered = not _reads_past(bundle, ranks, p.lower, p.prefix_end)
+        return None if covered else _SKIP
 
     geq = _by_relation(pairs, RelationKind.GEQ_ALL)
     return {
-        "SM.1": replace(positivity, axiom="SM.1"),
-        "SM.2": _run_axiom("SM.2", geq, monotone),
-        "SM.3": _run_axiom("SM.3", geq, strict),
-        "SM.4": _run_axiom("SM.4", _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX), local),
+        "SM.1": _positivity_report("SM.1", bundle, theta, members, scores, strict_slack),
+        "SM.2": _run_axiom("SM.2", geq, _pair_check(scores, _below, slack)),
+        "SM.3": _run_axiom("SM.3", geq, _pair_check(scores, _not_above, strict_slack, _NOT_STRICT,
+                                                    unclaimed)),
+        "SM.4": _run_axiom("SM.4", _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX),
+                           _pair_check(scores, _unequal, eq_tol, skip=uncovered)),
     }
 
 
@@ -651,14 +631,9 @@ def check_global_impact(
     report records that equality witness honestly.
     """
     pairs = _require_verified(pairs)
-
-    def strict(idx: int, p: DominancePair):
-        scores = _scores_at(bundle, theta, p)
-        if scores is None:
-            return _SKIP
-        return _violation(idx, math.nan, *scores, _not_above, strict_slack, _NOT_STRICT)
-
-    return _run_axiom("GM", _by_relation(pairs, RelationKind.CUMULATIVE_PREC), strict)
+    prec = _by_relation(pairs, RelationKind.CUMULATIVE_PREC)
+    scores, _ = _level_table(bundle, theta, (f for _, p in prec for f in (p.upper, p.lower)))
+    return _run_axiom("GM", prec, _pair_check(scores, _not_above, strict_slack, _NOT_STRICT))
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +729,6 @@ class GeneratorConfig:
     T: float = 1.0
     value_scale: float = 10.0
     theta_grid: int = 24
-    verify_grid: int = 2_000
     shift_scale: float = 0.4
 
     def __post_init__(self) -> None:
@@ -860,7 +834,7 @@ def generate_pairs(
             for _attempt in range(100):
                 try:
                     pair = _build_pair(rng, config, kind)
-                    out.append(verify_pair(pair, grid_n=config.verify_grid))
+                    out.append(verify_pair(pair, grid_n=_VERIFY_GRID))
                     break
                 except (InputError, VerificationError):
                     continue

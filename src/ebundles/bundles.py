@@ -18,9 +18,12 @@ area at that h equals the squared e-index sqrt(R^2 - h^2) of the h-core
 
 ``e_thetas`` and ``h_thetas`` score many levels at once through the
 functions' vector forms (``inverses``, ``cumulatives``, ``ray_crossings``),
-one code path for every family; ``sweep`` uses them.  They repeat the scalar
-forms' arithmetic, so both give the same floats, except that numpy's power
-can move a Zipf or power-complement inverse by an ulp or two.
+one code path for every family; ``sweep`` uses them, and ``e_theta`` and
+``h_theta`` read them at one level.  Each score rule (admissibility slack,
+clamping, NaN where the score is undefined, h's boundary tolerance) is
+written once here, and runs on a single function at many levels or on a
+``_PwlStack`` of piecewise linear functions at one level each
+(``_at_level``, for the single-level axiom suites).
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ import numpy as np
 
 from .functions import (
     InputError,
+    PiecewiseLinearFn,
     RankFunction,
     ThetaRange,
     ThetaRangeError,
+    _PwlStack,
 )
 
 __all__ = [
@@ -69,25 +74,43 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed beyond numerical tolerance."""
 
 
+# The score rules below take f as a rank function, or as a ``_PwlStack`` of
+# piecewise linear functions with one level each.
+
+
+def _defined(ok: np.ndarray, f: RankFunction, score: Callable[[RankFunction, np.ndarray], np.ndarray],
+             args: np.ndarray) -> np.ndarray:
+    """score(f, args) where ok holds, NaN elsewhere (a stack keeps the rows
+    that ok holds for)."""
+    if ok.all():
+        return score(f, args)
+    out = np.full(args.shape, math.nan)
+    if ok.any():
+        out[ok] = score(f._select(ok), args[ok])
+    return out
+
+
+def _excess(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    """The excess area at admitted levels: I(x) - theta * x at x = f^-1(theta),
+    with tiny negative rounding clamped to zero."""
+    x = f._inverses(thetas)
+    excess = f.cumulatives(x) - thetas * x
+    return np.where(excess > 0.0, excess, 0.0)
+
+
 def e_theta(f: RankFunction, theta: float) -> float:
     """Excess area of f above the level theta, left of the inverse rank.
 
     Computed as I(x) - theta * x with x = f^-1(theta), which is exact for
     piecewise linear functions and closed form for the parametric families.
-    Nonnegative because f >= theta left of x; tiny negative rounding is
-    clamped to zero.
+    Nonnegative because f >= theta left of x.
     """
-    theta = f.admit_level(theta)
-    x = f.inverse(theta)
-    return max(0.0, f.cumulative(x) - theta * x)
+    return float(e_thetas(f, [theta])[0])
 
 
 def e_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     """``e_theta`` at every level; all must be admissible."""
-    thetas = f.admit_levels(thetas)
-    x = f.inverses(thetas)
-    excess = f.cumulatives(x) - thetas * x
-    return np.where(excess > 0.0, excess, 0.0)
+    return _excess(f, f.admit_levels(thetas))
 
 
 def _h_range(f: RankFunction) -> ThetaRange:
@@ -95,11 +118,19 @@ def _h_range(f: RankFunction) -> ThetaRange:
 
 
 def _h_defined(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
-    """Levels at which ``h_theta`` returns rather than raises."""
+    """Levels at which ``h_thetas`` returns rather than raises: finite, >= 0
+    and not below Z(T)/T by more than a tolerance of 1e-12 * max(1, Z(T)/T)."""
     z_T = f.admissible_range().lo
     lo_theta = z_T / f.T
-    below = (z_T - thetas * f.T > 0.0) & (thetas < lo_theta - 1e-12 * max(1.0, lo_theta))
+    below = (z_T - thetas * f.T > 0.0) & (thetas < lo_theta - 1e-12 * np.maximum(1.0, lo_theta))
     return np.isfinite(thetas) & (thetas >= 0.0) & ~below
+
+
+def _h_roots(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    """h at defined levels: T where Z(T) >= theta * T (the boundary and its
+    tolerance), the function's ray crossing elsewhere."""
+    inner = f.admissible_range().lo - thetas * f.T < 0.0
+    return np.where(inner, _defined(inner, f, lambda g, t: g.ray_crossings(t), thetas), f.T)
 
 
 def h_theta(f: RankFunction, theta: float) -> float:
@@ -107,35 +138,23 @@ def h_theta(f: RankFunction, theta: float) -> float:
 
     The map h -> Z(h) - theta*h is strictly decreasing, so the root is unique
     and exists for theta >= Z(T)/T.  Inside the range it is the function's
-    ``ray_crossing``: exact inside its segment for piecewise linear
-    functions, closed form for the linear and Zipf families, and bisection
-    to below 1e-13 * max(1, T) otherwise.
+    ray crossing: exact inside its segment for piecewise linear functions,
+    closed form for the linear and Zipf families, and bisection to below
+    1e-13 * max(1, T) otherwise.
     """
-    if math.isnan(theta) or theta < 0 or math.isinf(theta):
-        raise ThetaRangeError(f"theta={theta!r} must be finite and >= 0")
-    T = f.T
-    z_T = f.admissible_range().lo
-    g_at_T = z_T - theta * T
-    if g_at_T > 0.0:
-        lo_theta = z_T / T
-        if theta >= lo_theta - 1e-12 * max(1.0, lo_theta):
-            return T  # within tolerance of the lower boundary
-        raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {lo_theta}")
-    if g_at_T == 0.0:
-        return T
-    return f.ray_crossing(theta)
+    return float(h_thetas(f, [theta])[0])
 
 
 def h_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     """``h_theta`` at every level; all must be admissible."""
     thetas = np.asarray(thetas, dtype=float)
-    bad = ~_h_defined(f, thetas)
-    if bad.any():
-        raise ThetaRangeError(f"theta={float(thetas[bad][0])!r} outside [Z(T)/T, inf)")
-    inner = f.admissible_range().lo - thetas * f.T < 0.0
-    out = np.full(thetas.shape, f.T, dtype=float)  # T may be an int
-    out[inner] = f.ray_crossings(thetas[inner])
-    return out
+    ok = _h_defined(f, thetas)
+    if not ok.all():
+        theta = float(thetas[~ok][0])
+        if not (math.isfinite(theta) and theta >= 0.0):
+            raise ThetaRangeError(f"theta={theta!r} must be finite and >= 0")
+        raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {f.admissible_range().lo / f.T}")
+    return _h_roots(f, thetas)
 
 
 def mu_bundle(f: RankFunction, theta: float) -> float:
@@ -192,11 +211,11 @@ class BundleDef:
     ``levels`` and ``scores`` are the vector forms of ``level_of`` and
     ``measure``: levels at many ranks and scores at many levels, NaN where
     the scalar form raises ``InputError``.  The vector form follows from the
-    scalar callable: the built-in callables map to the functions' vector
-    routines (same floats as the scalar forms), and any other callable is
-    looped over.  Custom instances, including ones made with
-    ``dataclasses.replace`` from a built-in bundle, can be passed to the
-    axiom checkers to probe candidate scores that are not part of the
+    scalar callable: each built-in callable maps to its vector rule here
+    (the built-in scalar scores are one-element reads of those rules), and
+    any other callable is looped over.  Custom instances, including ones
+    made with ``dataclasses.replace`` from a built-in bundle, can be passed
+    to the axiom checkers to probe candidate scores that are not part of the
     built-in registry.
     """
 
@@ -209,25 +228,44 @@ class BundleDef:
 
     def scores(self, f: RankFunction, thetas: np.ndarray) -> np.ndarray:
         """``measure`` at every level, NaN where it is undefined."""
-        return _vectorized(_SCORES, self.measure, f, np.asarray(thetas, dtype=float))
+        return _vectorized(self.measure, f, np.asarray(thetas, dtype=float))
 
     def levels(self, f: RankFunction, xs: np.ndarray) -> np.ndarray:
         """``level_of`` at every rank, NaN where it is undefined."""
-        return _vectorized(_LEVELS, self.level_of, f, np.asarray(xs, dtype=float))
+        return _vectorized(self.level_of, f, np.asarray(xs, dtype=float))
 
 
 VectorForm = Callable[[RankFunction, np.ndarray], np.ndarray]
 
 
-def _vectorized(known: dict[Callable, VectorForm], scalar: Callable, f: RankFunction,
-                args: np.ndarray) -> np.ndarray:
+def _vectorized(scalar: Callable, f: RankFunction, args: np.ndarray) -> np.ndarray:
     """scalar at every arg: through its known vector form, else in a loop.
 
     A wrapper that names what it wraps (``__wrapped__``, as ``functools.wraps``
     sets) is taken to give the same values, so it keeps the vector form.
     """
-    vector = known.get(inspect.unwrap(scalar))
+    vector = _VECTOR_FORMS.get(inspect.unwrap(scalar))
     return _each(scalar, f, args) if vector is None else vector(f, args)
+
+
+def _at_level(scalar: Callable[[RankFunction, float], float], fs: Sequence[RankFunction],
+              theta: float) -> np.ndarray:
+    """scalar(f, theta) for every f in fs, NaN where it is undefined.
+
+    Through the callable's vector form, the piecewise linear functions are
+    read in one stacked pass (``_PwlStack``, one row each) and any other
+    function in one vector call each; a callable without a vector form is
+    called once per function.
+    """
+    known = inspect.unwrap(scalar) in _VECTOR_FORMS
+    rows = [i for i, f in enumerate(fs) if known and isinstance(f, PiecewiseLinearFn)]
+    out = np.empty(len(fs))
+    if rows:
+        stack = _PwlStack([fs[i] for i in rows])
+        out[rows] = _vectorized(scalar, stack, np.full(len(rows), float(theta)))
+    for i in sorted(set(range(len(fs))) - set(rows)):
+        out[i] = _vectorized(scalar, fs[i], np.array([theta], dtype=float))[0]
+    return out
 
 
 def _each(scalar: Callable[[RankFunction, float], float], f: RankFunction,
@@ -239,16 +277,6 @@ def _each(scalar: Callable[[RankFunction, float], float], f: RankFunction,
         except InputError:
             return math.nan
     return np.array([one(a) for a in args.tolist()], dtype=float)
-
-
-def _defined(ok: np.ndarray, values_at: Callable[[np.ndarray], np.ndarray],
-             args: np.ndarray) -> np.ndarray:
-    """values_at(args[ok]) where ok holds, NaN elsewhere."""
-    if ok.all():
-        return values_at(args)
-    out = np.full(args.shape, math.nan)
-    out[ok] = values_at(args[ok])
-    return out
 
 
 def _on_domain(f: RankFunction, xs: np.ndarray) -> np.ndarray:
@@ -271,7 +299,7 @@ def _level_value(f: RankFunction, x: float) -> float:
     return f.value(x)
 
 def _levels_value(f: RankFunction, xs: np.ndarray) -> np.ndarray:
-    return _defined(_off_pole(f, xs), f.values, xs)
+    return _defined(_off_pole(f, xs), f, lambda g, x: g.values(x), xs)
 
 def _level_value_over_rank(f: RankFunction, x: float) -> float:
     if x == 0.0:
@@ -284,31 +312,30 @@ def _levels_value_over_rank(f: RankFunction, xs: np.ndarray) -> np.ndarray:
 
 
 def _e_scores(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
-    return _defined(f.admissible_range().contains_each(thetas), lambda t: e_thetas(f, t), thetas)
+    rng = f.admissible_range()
+    return _defined(rng.contains_each(thetas), f, _excess, rng.clamp_each(thetas))
 
 def _h_scores(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
-    return _defined(_h_defined(f, thetas), lambda t: h_thetas(f, t), thetas)
+    return _defined(_h_defined(f, thetas), f, _h_roots, thetas)
+
+def _average(f: RankFunction, ranks: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ranks > 0.0, f.cumulatives(ranks) / ranks, f.value_at_origin())
 
 def _averages(f: RankFunction, ranks: np.ndarray) -> np.ndarray:
-    def average(r: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r > 0.0, f.cumulatives(r) / r, f.value_at_origin())
-
-    return _defined(_off_pole(f, ranks), average, ranks)
+    return _defined(_off_pole(f, ranks), f, _average, ranks)
 
 def _cumulatives(f: RankFunction, ranks: np.ndarray) -> np.ndarray:
-    return _defined(_on_domain(f, ranks), f.cumulatives, ranks)
+    return _defined(_on_domain(f, ranks), f, lambda g, r: g.cumulatives(r), ranks)
 
 
 # The vector forms of the built-in scalar callables, keyed by the callable,
 # so a bundle that replaces its scalar callable drops the vector form too.
-_SCORES: dict[Callable, VectorForm] = {
+_VECTOR_FORMS: dict[Callable, VectorForm] = {
     e_theta: _e_scores,
     h_theta: _h_scores,
     mu_bundle: _averages,
     i_bundle: _cumulatives,
-}
-_LEVELS: dict[Callable, VectorForm] = {
     _level_identity: _levels_identity,
     _level_value: _levels_value,
     _level_value_over_rank: _levels_value_over_rank,

@@ -203,14 +203,9 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         elif suite == "measure":
             reports.update(ax.check_impact_measure(bundle, theta, pairs, slack=slack))
         elif suite == "strong":
-            if "IM.1" in reports:  # SM.1 is the same positivity check; make it once
-                reports.update(ax._strong_impact(bundle, theta, pairs, reports["IM.1"], slack=slack))
-            else:
-                reports.update(ax.check_strong_impact(bundle, theta, pairs, slack=slack))
-        elif suite == "global":
+            reports.update(ax.check_strong_impact(bundle, theta, pairs, slack=slack))
+        else:  # global
             reports["GM"] = ax.check_global_impact(bundle, theta, pairs)
-        else:
-            raise fn.InputError(f"unknown suite {suite!r}")
 
     failed_backed = False
     print(f"bundle={args.bundle} seed={args.seed} pairs={args.pairs} per relation kind")

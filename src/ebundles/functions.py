@@ -10,15 +10,19 @@ the order comparisons used by the axiom checkers:
 * ``compare``              pointwise dominance on a grid (>=, strict >, =)
 * ``cumulative_dominates`` the partial order I_Z(x) <= I_Y(x) for all x
 
+Every operation has one code path, a vector routine (``values``,
+``inverses``, ``cumulatives``, ``ray_crossings``); each scalar form reads
+it at one argument.  ``_PwlStack`` runs the piecewise linear routines on
+many functions at once, one argument per function.
+
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-import bisect as _bisect
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -67,13 +71,17 @@ class ThetaRange:
     """Admissible theta interval [lo, hi]; hi may be ``math.inf``.
 
     An unbounded range is open above: ``contains`` never admits theta = inf,
-    so nothing is ever evaluated at the point at infinity.
+    so nothing is ever evaluated at the point at infinity.  The range of a
+    stack of functions (``_PwlStack``) holds per-row bound arrays, which
+    ``contains_each`` and ``clamp_each`` compare row by row.
     """
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.lo, np.ndarray):
+            return  # a stack's rows, valid by construction
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise InputError(f"invalid theta range [{self.lo}, {self.hi}]")
 
@@ -90,21 +98,16 @@ class ThetaRange:
             return True
         return theta <= self.hi + slack
 
-    def clamp(self, theta: float) -> float:
-        """Snap a theta accepted by ``contains`` onto the closed interval."""
-        hi = self.hi if not self.unbounded_above else theta
-        return min(max(theta, self.lo), hi)
-
     def contains_each(self, thetas: np.ndarray) -> np.ndarray:
         """``contains`` for every element of an array."""
         slack = EQUALITY_TOL
         return np.isfinite(thetas) & (thetas >= self.lo - slack) & (thetas <= self.hi + slack)
 
     def clamp_each(self, thetas: np.ndarray) -> np.ndarray:
-        """``clamp`` for every element, picking the same operand on ties."""
-        hi = self.hi if not self.unbounded_above else thetas
+        """Every theta accepted by ``contains_each`` snapped onto the closed
+        interval (an infinite hi leaves it as it is)."""
         clamped = np.where(self.lo > thetas, self.lo, thetas)
-        return np.where(hi < clamped, hi, clamped)
+        return np.where(self.hi < clamped, self.hi, clamped)
 
 
 @dataclass(frozen=True)
@@ -122,25 +125,44 @@ class Knot:
                 raise InputError(f"knot {name} must be >= 0, got {v!r}")
 
 
+def _at(vector: Callable[[np.ndarray], np.ndarray], arg: float) -> float:
+    """A vector form read at one argument, as a Python float."""
+    return float(vector(np.array([arg], dtype=float))[0])
+
+
 class RankFunction:
     """Base class: continuous, strictly decreasing, nonnegative on [0, T].
 
-    Subclasses must provide ``T`` and exact or closed-form scalar and vector
-    routines: ``value``/``values``, ``inverse``/``inverses`` and
-    ``cumulative``/``cumulatives``.  ``ray_crossing`` has a generic fallback,
-    bisection to a bracket of 1e-13 * max(1, T), which only
-    ``PowerComplement`` uses; ``ray_crossings`` loops over the scalar form
-    unless a subclass overrides it.
+    Subclasses provide ``T`` and exact or closed-form vector routines:
+    ``values``, ``cumulatives`` and ``_inverses`` (the inverse at levels
+    already admitted).  Every operation has one code path: ``inverses``
+    admits its levels before ``_inverses``, and each scalar form (``value``,
+    ``inverse``, ``cumulative``, ``ray_crossing``) reads its vector form at
+    one argument, so a scalar and a vector call give the same floats.
+    ``ray_crossings`` defaults to a bisection per level, to a bracket of
+    1e-13 * max(1, T), which only ``PowerComplement`` uses.
     """
 
     T: float
     unbounded_at_origin: bool = False
 
-    def value(self, x: float) -> float:
-        raise NotImplementedError
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def cumulatives(self, xs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _select(self, keep: np.ndarray) -> "RankFunction":
+        """What a vector call reads at the kept arguments: this function.
+        (A ``_PwlStack``, one function per argument, keeps the kept rows.)"""
+        return self
+
+    def value(self, x: float) -> float:
+        self._check_domain(x)
+        return _at(self.values, x)
 
     def __call__(self, x: float) -> float:
         return self.value(x)
@@ -159,17 +181,9 @@ class RankFunction:
         """Theta values theta = Z(x) attained on the domain: [Z(T), Z(0)]."""
         return ThetaRange(self.value(self.T), self.value_at_origin())
 
-    def admit_level(self, theta: float) -> float:
-        """``theta`` snapped onto the admissible range; raises if outside it."""
-        rng = self.admissible_range()
-        if not rng.contains(theta):
-            raise ThetaRangeError(
-                f"theta={theta!r} outside admissible range [{rng.lo}, {rng.hi}]"
-            )
-        return rng.clamp(theta)
-
     def admit_levels(self, thetas: np.ndarray) -> np.ndarray:
-        """``admit_level`` for every element; raises on the first bad one."""
+        """The levels snapped onto the admissible range; raises on the first
+        one outside it."""
         rng = self.admissible_range()
         thetas = np.asarray(thetas, dtype=float)
         bad = ~rng.contains_each(thetas)
@@ -179,12 +193,28 @@ class RankFunction:
             )
         return rng.clamp_each(thetas)
 
-    def ray_crossing(self, theta: float) -> float:
-        """The x in [0, T] with Z(x) = theta * x, for theta > Z(T)/T.
+    def inverses(self, thetas: np.ndarray) -> np.ndarray:
+        """The rank x with Z(x) = theta at every level; all must be admissible."""
+        return self._inverses(self.admit_levels(thetas))
 
-        Z(x) - theta * x strictly decreases from Z(0) > 0 and is negative at
-        T, so bisection of [0, T] keeps the root bracketed.
-        """
+    def inverse(self, theta: float) -> float:
+        return _at(self.inverses, theta)
+
+    def cumulative(self, x: float) -> float:
+        self._check_domain(x)
+        return _at(self.cumulatives, x)
+
+    def ray_crossing(self, theta: float) -> float:
+        return _at(self.ray_crossings, theta)
+
+    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
+        """The x in [0, T] with Z(x) = theta * x at every level theta > Z(T)/T."""
+        return np.array([self._bisect_crossing(t) for t in np.asarray(thetas, dtype=float).tolist()],
+                        dtype=float)
+
+    def _bisect_crossing(self, theta: float) -> float:
+        """Z(x) - theta * x strictly decreases from Z(0) > 0 and is negative at
+        T, so bisection of [0, T] keeps the root bracketed."""
         lo, hi = 0.0, self.T
         xtol = 1e-13 * max(1.0, self.T)
         for _ in range(200):
@@ -198,10 +228,6 @@ class RankFunction:
             if hi - lo <= xtol:
                 break
         return 0.5 * (lo + hi)
-
-    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
-        return np.array([self.ray_crossing(t) for t in np.asarray(thetas, dtype=float).tolist()],
-                        dtype=float)
 
     def average(self, x: float) -> float:
         """Running average (1/x) int_0^x Z; equals Z(0) at x = 0."""
@@ -233,7 +259,47 @@ class _KnotView(Sequence[Knot]):
         return map(Knot, self._xs.tolist(), self._ys.tolist())
 
 
-class PiecewiseLinearFn(RankFunction):
+class _KnotArithmetic:
+    """Piecewise linear arithmetic on knot arrays, read through the index j
+    of the segment [x_j, x_{j+1}] holding each argument.
+
+    ``PiecewiseLinearFn`` finds j by binary search and ``_PwlStack`` by
+    counting each row's knots; both then run these expressions, so a stack
+    row gets its function's floats bit for bit.  Besides ``xs``, ``ys`` and
+    ``T``, a subclass provides ``_last`` (the index of the knot at T), the
+    steps ``_dxs``/``_dys`` and trapezoid areas ``_area_prefix`` per knot,
+    and the segment finders.
+    """
+
+    def _interpolate(self, xs: np.ndarray, j: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        y = self.ys[j] + dx / self._dxs[j] * self._dys[j]
+        # knot hits stay exact; T is the only point on a segment's right end
+        return np.where(xs == self.T, self.ys[self._last], y)
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        return self._interpolate(*self._segments(xs))
+
+    def cumulatives(self, xs: np.ndarray) -> np.ndarray:
+        xs, j, dx = self._segments(xs)
+        return self._area_prefix[j] + dx * (self.ys[j] + self._interpolate(xs, j, dx)) * 0.5
+
+    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
+        j = self._level_segments(thetas)
+        x = self.xs[j] + (thetas - self.ys[j]) / self._dys[j] * self._dxs[j]
+        # at the level Z(T), x_j + (x_{j+1} - x_j) can round past T
+        return np.minimum(x, self.T)
+
+    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
+        """The root of Z(x) = theta * x for theta > Z(T)/T: the knot residuals
+        y_i - theta * x_i change sign on segment j, linearly along it."""
+        thetas = np.asarray(thetas, dtype=float)
+        j = self._crossing_segments(thetas)
+        r0 = self.ys[j] - thetas * self.xs[j]
+        r1 = self.ys[j + 1] - thetas * self.xs[j + 1]
+        return self.xs[j] + r0 * self._dxs[j] / (r0 - r1)
+
+
+class PiecewiseLinearFn(_KnotArithmetic, RankFunction):
     """Strictly decreasing piecewise linear function given by its knots.
 
     Knots must start at x = 0, end at x = T > 0, be strictly increasing in x
@@ -244,6 +310,8 @@ class PiecewiseLinearFn(RankFunction):
     integration accumulates trapezoids, so these operations are exact up to
     float rounding.  Equality and hashing compare the knot values.
     """
+
+    _last = -1
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
         xs = np.array(xs, dtype=float)
@@ -314,23 +382,6 @@ class PiecewiseLinearFn(RankFunction):
     def _range(self) -> ThetaRange:
         return ThetaRange(float(self.ys[-1]), float(self.ys[0]))
 
-    # The scalar methods read Python tuples: indexing them is several times
-    # cheaper than indexing arrays, and the axiom suites make ~10^4 calls.
-    @cached_property
-    def _xs(self) -> tuple[float, ...]:
-        return tuple(self.xs.tolist())
-
-    @cached_property
-    def _ys(self) -> tuple[float, ...]:
-        return tuple(self.ys.tolist())
-
-    @cached_property
-    def _neg_ys(self) -> tuple[float, ...]:
-        return tuple((-self.ys).tolist())
-
-    # The vector methods read segment j = [x_j, x_{j+1}] through its left
-    # knot and these per-segment steps, which equal x_{j+1} - x_j and
-    # y_{j+1} - y_j bit for bit.
     @cached_property
     def _dxs(self) -> np.ndarray:
         return self.xs[1:] - self.xs[:-1]
@@ -346,27 +397,12 @@ class PiecewiseLinearFn(RankFunction):
         seg = self._dxs * (ys[:-1] + ys[1:]) * 0.5
         return np.concatenate(([0.0], np.cumsum(seg)))
 
-    def _segment(self, x: float) -> int:
-        i = _bisect.bisect_right(self._xs, x)
-        return min(max(i, 1), len(self._xs) - 1)
-
-    def value(self, x: float) -> float:
-        self._check_domain(x)
-        i = self._segment(x)
-        x0, x1 = self._xs[i - 1], self._xs[i]
-        if x == x1:  # knot hits stay exact
-            return self._ys[i]
-        y0, y1 = self._ys[i - 1], self._ys[i]
-        t = (x - x0) / (x1 - x0)
-        return y0 + t * (y1 - y0)
-
     def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The points as floats, the index j of the segment [x_j, x_{j+1}]
-        holding each, and their offsets x - x_j, after checking they lie in
-        the domain.
+        """The points as floats, the segment j holding each, and their offsets
+        x - x_j, after checking they lie in the domain.
 
-        j counts the interior knots at or left of x: the same segment as
-        ``value``'s clamped bisection, with T on the last segment.
+        j counts the interior knots at or left of x, so T is on the last
+        segment.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < 0.0 or xs.max() > self.T):
@@ -374,88 +410,85 @@ class PiecewiseLinearFn(RankFunction):
         j = np.searchsorted(self.xs[1:-1], xs, side="right")
         return xs, j, xs - self.xs[j]
 
-    def _interpolate(self, xs: np.ndarray, j: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        y = self.ys[j] + dx / self._dxs[j] * self._dys[j]
-        # knot hits stay exact; T is the only point on a segment's right end
-        return np.where(xs == self.T, self.ys[-1], y)
+    def _level_segments(self, thetas: np.ndarray) -> np.ndarray:
+        """For each admitted level, j counts the interior knots above it."""
+        return np.searchsorted(-self.ys[1:-1], -thetas, side="left")
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        return self._interpolate(*self._segments(xs))
-
-    def inverse(self, theta: float) -> float:
-        theta = self.admit_level(theta)
-        i = _bisect.bisect_left(self._neg_ys, -theta)
-        i = min(max(i, 1), len(self._ys) - 1)
-        y0, y1 = self._ys[i - 1], self._ys[i]
-        x0, x1 = self._xs[i - 1], self._xs[i]
-        return x0 + (y0 - theta) / (y0 - y1) * (x1 - x0)
-
-    def inverses(self, thetas: np.ndarray) -> np.ndarray:
-        """``inverse`` at every level, with the same arithmetic."""
-        thetas = self.admit_levels(thetas)
-        # j counts the interior knots above theta: the scalar form's clamped
-        # bisection.  (theta - y_j) / (y_{j+1} - y_j) negates both sides of
-        # its quotient, which leaves the quotient unchanged.
-        j = np.searchsorted(-self.ys[1:-1], -thetas, side="left")
-        return self.xs[j] + (thetas - self.ys[j]) / self._dys[j] * self._dxs[j]
-
-    def ray_crossing(self, theta: float) -> float:
-        """The x in [0, T] with Z(x) = theta * x, for theta > Z(T)/T.
-
-        The knot residuals y_i - theta * x_i strictly decrease from y_0 > 0,
-        so a binary search finds the segment where they change sign, and the
-        residual is linear along it.
-        """
-        xs, ys = self._xs, self._ys
-        lo, hi = 0, len(xs) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ys[mid] - theta * xs[mid] > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        r0 = ys[lo] - theta * xs[lo]
-        r1 = ys[hi] - theta * xs[hi]
-        return xs[lo] + r0 * (xs[hi] - xs[lo]) / (r0 - r1)
-
-    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
-        """``ray_crossing`` at every level, with the same arithmetic."""
-        thetas = np.asarray(thetas, dtype=float)
+    def _crossing_segments(self, thetas: np.ndarray) -> np.ndarray:
+        """The knot residuals strictly decrease from y_0 > 0, so a binary
+        search finds the segment where they change sign."""
         xs, ys = self.xs, self.ys
         lo = np.zeros(thetas.shape, dtype=np.intp)
         hi = np.full(thetas.shape, len(xs) - 1, dtype=np.intp)
         while True:
             open_ = hi - lo > 1
             if not open_.any():
-                break
+                return lo
             mid = (lo + hi) // 2
             pos = ys[mid] - thetas * xs[mid] > 0.0
             lo = np.where(open_ & pos, mid, lo)
             hi = np.where(open_ & ~pos, mid, hi)
-        r0 = ys[lo] - thetas * xs[lo]
-        r1 = ys[hi] - thetas * xs[hi]
-        return xs[lo] + r0 * (xs[hi] - xs[lo]) / (r0 - r1)
 
-    def cumulative(self, x: float) -> float:
-        self._check_domain(x)
-        i = self._segment(x)
-        x0 = self._xs[i - 1]
-        y0 = self._ys[i - 1]
-        yx = self.value(x)
-        return float(self._area_prefix[i - 1]) + (x - x0) * (y0 + yx) * 0.5
 
-    def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        xs, j, dx = self._segments(xs)
-        yx = self._interpolate(xs, j, dx)
-        return self._area_prefix[j] + dx * (self.ys[j] + yx) * 0.5
+class _PwlStack(_KnotArithmetic):
+    """Piecewise linear functions stacked one per row, row i read at
+    argument i: the vector API that the bundle score rules call, with a
+    per-row array wherever a function answers a scalar (``T``, the range
+    bounds, Z(0)).  The knots are concatenated, and each row finds its
+    segment by counting its own knots, so every row costs one numpy pass.
+    """
+
+    unbounded_at_origin = False
+
+    def __init__(self, fns: Sequence[PiecewiseLinearFn]) -> None:
+        self._fns = fns
+        self._sizes = np.array([len(f.xs) for f in fns])
+        self._last = np.cumsum(self._sizes) - 1
+        self._first = self._last - (self._sizes - 1)
+        self.xs = np.concatenate([f.xs for f in fns])
+        self.ys = np.concatenate([f.ys for f in fns])
+        # the steps that straddle two rows are never read
+        self._dxs = self.xs[1:] - self.xs[:-1]
+        self._dys = self.ys[1:] - self.ys[:-1]
+        self.T = self.xs[self._last]
+
+    @cached_property
+    def _area_prefix(self) -> np.ndarray:
+        return np.concatenate([f._area_prefix for f in self._fns])
+
+    def _select(self, keep: np.ndarray) -> "_PwlStack":
+        return _PwlStack([f for f, kept in zip(self._fns, keep.tolist()) if kept])
+
+    def value_at_origin(self) -> np.ndarray:
+        return self.ys[self._first]
+
+    def admissible_range(self) -> ThetaRange:
+        return ThetaRange(self.ys[self._last], self.ys[self._first])
+
+    def _segment(self, hits: np.ndarray) -> np.ndarray:
+        """Per row, the segment ``PiecewiseLinearFn``'s search would find: the
+        row's first knot plus the count of its interior knots that the flags
+        (one per knot) mark."""
+        hits[self._first] = hits[self._last] = False
+        return self._first + np.add.reduceat(hits, self._first, dtype=np.intp)
+
+    def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xs = np.asarray(xs, dtype=float)
+        j = self._segment(self.xs <= np.repeat(xs, self._sizes))
+        return xs, j, xs - self.xs[j]
+
+    def _level_segments(self, thetas: np.ndarray) -> np.ndarray:
+        return self._segment(self.ys > np.repeat(thetas, self._sizes))
+
+    def _crossing_segments(self, thetas: np.ndarray) -> np.ndarray:
+        return self._segment(self.ys - np.repeat(thetas, self._sizes) * self.xs > 0.0)
 
 
 @dataclass(frozen=True)
 class LinearFamily(RankFunction):
     """Z(x) = S * (1 - x / T): a straight line from (0, S) down to (T, 0).
 
-    Z(x) = theta * x at x = S*T / (theta*T + S).  Every form here uses only
-    + - * /, so the scalar and vector forms agree bit for bit.
+    Z(x) = theta * x at x = S*T / (theta*T + S).
     """
 
     S: float
@@ -467,29 +500,15 @@ class LinearFamily(RankFunction):
         if not (self.T > 0 and math.isfinite(self.T)):
             raise InputError(f"T must be positive and finite, got {self.T!r}")
 
-    def value(self, x: float) -> float:
-        self._check_domain(x)
-        return self.S * (1.0 - x / self.T)
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return self.S * (1.0 - xs / self.T)
 
-    def inverse(self, theta: float) -> float:
-        return self.T * (1.0 - self.admit_level(theta) / self.S)
-
-    def inverses(self, thetas: np.ndarray) -> np.ndarray:
-        return self.T * (1.0 - self.admit_levels(thetas) / self.S)
-
-    def ray_crossing(self, theta: float) -> float:
-        return self.S * self.T / (theta * self.T + self.S)
+    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return self.T * (1.0 - thetas / self.S)
 
     def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
         return self.S * self.T / (np.asarray(thetas, dtype=float) * self.T + self.S)
-
-    def cumulative(self, x: float) -> float:
-        self._check_domain(x)
-        return self.S * (x - x * x / (2.0 * self.T))
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -506,9 +525,9 @@ class ZipfFamily(RankFunction):
     The admissible range is [Z(T), inf) = [1, inf), open above.
     Z(x) = theta * x at x = (T**beta / theta) ** (1 / (1 + beta)).
 
-    The vector ``inverses`` and ``cumulatives`` use numpy's power, which can
-    differ from the scalar pow by an ulp or two; ``ray_crossings`` keeps the
-    generic loop over the scalar root, so h agrees bit for bit.
+    ``ray_crossings`` loops over that root in Python's pow: numpy's vector
+    power differs from the C library's pow by an ulp on some levels, and the
+    loop keeps h on the C library's floats.
     """
 
     beta: float
@@ -521,33 +540,22 @@ class ZipfFamily(RankFunction):
         if not (self.T > 0 and math.isfinite(self.T)):
             raise InputError(f"T must be positive and finite, got {self.T!r}")
 
-    def value(self, x: float) -> float:
-        self._check_domain(x)
-        if x == 0.0:
-            raise SingularityError("Zipf function diverges at x=0")
-        return (self.T / x) ** self.beta
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.size and xs.min() <= 0.0:
-            raise SingularityError("Zipf grid must stay strictly positive")
+            raise SingularityError("Zipf function has a pole at x=0; points must be > 0")
         return (self.T / xs) ** self.beta
 
     def admissible_range(self) -> ThetaRange:
         return ThetaRange(1.0, math.inf)
 
-    def inverse(self, theta: float) -> float:
-        return self.T * self.admit_level(theta) ** (-1.0 / self.beta)
+    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return self.T * thetas ** (-1.0 / self.beta)
 
-    def inverses(self, thetas: np.ndarray) -> np.ndarray:
-        return self.T * self.admit_levels(thetas) ** (-1.0 / self.beta)
-
-    def ray_crossing(self, theta: float) -> float:
-        return (self.T**self.beta / theta) ** (1.0 / (1.0 + self.beta))
-
-    def cumulative(self, x: float) -> float:
-        self._check_domain(x)
-        return self.T**self.beta * x ** (1.0 - self.beta) / (1.0 - self.beta)
+    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
+        scale, power = self.T**self.beta, 1.0 / (1.0 + self.beta)
+        return np.array([(scale / t) ** power for t in np.asarray(thetas, dtype=float).tolist()],
+                        dtype=float)
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -568,23 +576,12 @@ class PowerComplement(RankFunction):
     def T(self) -> float:
         return 1.0
 
-    def value(self, x: float) -> float:
-        self._check_domain(x)
-        return 1.0 - x**self.n
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return 1.0 - xs**self.n
 
-    def inverse(self, theta: float) -> float:
-        return (1.0 - self.admit_level(theta)) ** (1.0 / self.n)
-
-    def inverses(self, thetas: np.ndarray) -> np.ndarray:
-        return (1.0 - self.admit_levels(thetas)) ** (1.0 / self.n)
-
-    def cumulative(self, x: float) -> float:
-        self._check_domain(x)
-        return x - x ** (self.n + 1) / (self.n + 1)
+    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return (1.0 - thetas) ** (1.0 / self.n)
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -25,7 +25,6 @@ from ebundles.axioms import (
     pseudo_bundle_eta,
     pseudo_bundle_n,
     verify_pair,
-    _strong_impact,
 )
 from ebundles.bundles import (
     E_BUNDLE,
@@ -353,12 +352,6 @@ class TestStrongImpactChecks:
         pair = DominancePair(b, a, RelationKind.GEQ_ALL, verified=True)
         rep = check_strong_impact(E_BUNDLE, 1.0, [pair])["SM.3"]
         assert rep.pairs_tested == 0 and rep.skipped == 1 and rep.passed
-
-    def test_positivity_report_reused(self, small_pairs):
-        im1 = check_impact_measure(E_BUNDLE, 1.0, small_pairs)["IM.1"]
-        fresh = check_strong_impact(E_BUNDLE, 1.0, small_pairs)
-        reused = _strong_impact(E_BUNDLE, 1.0, small_pairs, im1)
-        assert reused == fresh and reused["SM.1"].axiom == "SM.1"
 
 
 class TestGlobalImpactChecks:

@@ -1,11 +1,16 @@
+import dataclasses
+import functools
 import json
 
 import pytest
 
-from ebundles import axioms as ax
+from ebundles import bundles as bn
 from ebundles.bundles import SweepTable, classical_h
 from ebundles.cli import main
 from ebundles.functions import from_citations
+
+# each bundle with the level its benchmark and golden runs use
+LEVELS = [("e", "2.5"), ("h", "8"), ("mu", "0.5"), ("i", "0.5")]
 
 
 @pytest.fixture
@@ -116,21 +121,36 @@ class TestAxiomsCmd:
             assert rep["passed"], key
             assert set(rep) >= {"axiom", "tested", "violations", "passed"}
 
-    def test_positivity_checked_once_per_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("bundle, level", LEVELS)
+    def test_strong_positivity_equals_measure_positivity(self, bundle, level, tmp_path):
         # IM.1 and SM.1 are the same check on the same functions at one level
-        made = []
-        report = ax._positivity_report
-
-        def spy(axiom, *args):
-            made.append(axiom)
-            return report(axiom, *args)
-
-        monkeypatch.setattr(ax, "_positivity_report", spy)
         out = tmp_path / "axioms.json"
-        assert main(["axioms", "--suite", "all", "--pairs", "4", "--output", str(out)]) == 0
-        assert made == ["IM.1"]
+        assert main(["axioms", "--bundle", bundle, "--suite", "all", "--pairs", "6",
+                     "--measure-theta", level, "--output", str(out)]) == 0
         obj = json.loads(out.read_text())
+        assert obj["IM.1"]["tested"] > 0
         assert obj["SM.1"] == {**obj["IM.1"], "axiom": "SM.1"}
+
+    @pytest.mark.parametrize("bundle, level", LEVELS)
+    def test_no_scalar_score_per_pair(self, bundle, level, monkeypatch, capsys):
+        # the single-level suites read every member's score and rank from
+        # one table, so no pair calls the scalar score or rank
+        calls = []
+
+        def spy(scalar):
+            @functools.wraps(scalar)
+            def wrapper(f, t):
+                calls.append(t)
+                return scalar(f, t)
+            return wrapper
+
+        b = bn.BUNDLES[bundle]
+        monkeypatch.setitem(bn.BUNDLES, bundle, dataclasses.replace(
+            b, measure=spy(b.measure), rank_of=b.rank_of and spy(b.rank_of)))
+        assert main(["axioms", "--bundle", bundle, "--suite", "all", "--pairs", "50",
+                     "--seed", "7", "--measure-theta", level]) == 0
+        assert calls == []
+        assert "IM.2" in capsys.readouterr().out
 
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -99,7 +99,7 @@ class TestESupDistance:
 
 class TestVectorDistances:
     def test_no_scalar_inverse_calls(self, monkeypatch):
-        # the scalar e_theta reads the scalar inverse too
+        # a scalar inverse per level would cost a one-element vector call each
         def scalar(*args):
             raise AssertionError("scalar inverse called")
 
