@@ -353,6 +353,13 @@ class TestStrongImpactChecks:
         rep = check_strong_impact(E_BUNDLE, 1.0, [pair])["SM.3"]
         assert rep.pairs_tested == 0 and rep.skipped == 1 and rep.passed
 
+    def test_positivity_report_reused(self, small_pairs):
+        # SM.1 is IM.1's positivity report under its own name
+        im1 = check_impact_measure(E_BUNDLE, 1.0, small_pairs)["IM.1"]
+        sm1 = check_strong_impact(E_BUNDLE, 1.0, small_pairs)["SM.1"]
+        assert im1.pairs_tested > 0
+        assert sm1 == dataclasses.replace(im1, axiom="SM.1")
+
 
 class TestGlobalImpactChecks:
     def test_fixture_reproduces_equality_violation(self):

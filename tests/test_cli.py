@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ebundles import axioms as ax
 from ebundles import bundles as bn
 from ebundles.bundles import SweepTable, classical_h
 from ebundles.cli import main
@@ -120,6 +121,23 @@ class TestAxiomsCmd:
         for key, rep in obj.items():
             assert rep["passed"], key
             assert set(rep) >= {"axiom", "tested", "violations", "passed"}
+
+    def test_positivity_checked_once_per_run(self, tmp_path, monkeypatch):
+        # each single-level suite makes one positivity report per run, not
+        # one per pair
+        made = []
+        report = ax._positivity_report
+
+        def spy(axiom, *args):
+            made.append(axiom)
+            return report(axiom, *args)
+
+        monkeypatch.setattr(ax, "_positivity_report", spy)
+        out = tmp_path / "axioms.json"
+        assert main(["axioms", "--suite", "all", "--pairs", "4", "--output", str(out)]) == 0
+        assert made == ["IM.1", "SM.1"]
+        obj = json.loads(out.read_text())
+        assert obj["SM.1"] == {**obj["IM.1"], "axiom": "SM.1"}
 
     @pytest.mark.parametrize("bundle, level", LEVELS)
     def test_strong_positivity_equals_measure_positivity(self, bundle, level, tmp_path):
