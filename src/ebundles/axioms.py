@@ -16,23 +16,27 @@ per-axiom reports with explicit violation witnesses:
 * ``check_global_impact``   strict growth under the cumulative-integral
   partial order.
 
-``check_impact_bundle`` samples each pair's levels through the vector level
-map ``BundleDef.levels`` and scores both members at all of them in one
-``BundleDef.scores`` call each; a score or level map other than the
-built-in ones falls back to one scalar call per level, with the same
-report.  The last three take the single score as a ``BundleDef`` and a
-level theta; the bundle's ``positive_for`` and ``rank_of`` say where that
-score is provably positive and which rank it reads up to.  Each scores
-every distinct function of its pairs once, in one stacked pass
+The pair set, not the pair, is the unit of work.  Each
+``check_impact_bundle`` axiom reads all its pairs at once (``_PairSet``):
+the members' level maps at the sampled ranks in one stacked pass, then both
+members' scores at every sampled level of every pair in another, with the
+first flagged level per pair found by ``argmax``; a score or level map
+other than the built-in ones falls back to one scalar call per level, with
+the same report.  The last three take the single score as a ``BundleDef``
+and a level theta; the bundle's ``positive_for`` and ``rank_of`` say where
+that score is provably positive and which rank it reads up to.  Each admits
+and scores every distinct function of its pairs once, in stacked passes
 (``_level_table``), and reads every pair's verdict from that table.  Every
-report comes from one driver, ``_run_axiom``, that runs a per-pair (or
-per-function) check.
+stacked pass runs in blocks of ``functions._BLOCK`` rows.  Every report
+comes from one driver, ``_run_axiom``.
 
 The module also ships the two rejected alternative scores (``n_theta``,
 ``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``),
 three exactly constructed counterexample fixtures that demonstrate which
-axioms each score breaks, and a seeded pair generator whose ``verify_pair``
-evaluates only the one grid each relation needs.
+axioms each score breaks, and a seeded pair generator.  Its verification
+(``verify_pair``, ``_rejections``) is exact for piecewise linear pairs, at
+their merged knots, and verifies a whole batch in one stacked pass; a
+rejected pair rewinds the generator to just after its draws.
 
 Violations are only recorded when the gap clears the reporting slack, so
 float ties never masquerade as axiom failures.  Pairs failing a checked
@@ -50,16 +54,20 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, _at_level, e_theta
+from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, _at_level, _at_levels, _ranges, e_theta
 from .functions import (
+    EQUALITY_TOL,
     CumulativeOrder,
     InputError,
     PiecewiseLinearFn,
     RankFunction,
-    _equal_verdict,
+    ThetaRange,
+    _common_T,
+    _cumulative_extrema,
+    _cumulative_order,
+    _extremes,
     _gaps,
-    _geq_verdict,
-    _strict_verdict,
+    _merged_gaps,
     cumulative_dominates,
 )
 
@@ -102,8 +110,6 @@ _BOUNDARY_TOL = 1e-9
 # Points on [0, T) at which SM.3 checks that the running averages are
 # strictly ordered.
 _AVERAGES_GRID = 512
-# Points at which ``generate_pairs`` verifies each pair.
-_VERIFY_GRID = 2_000
 
 
 class GenerationError(RuntimeError):
@@ -138,37 +144,66 @@ class DominancePair:
     verified: bool = False
 
 
-def verify_pair(pair: DominancePair, grid_n: int = 10_000) -> DominancePair:
-    """Re-check the declared relation and return a verified copy.
+def _end(pair: DominancePair) -> float:
+    """The end a of the range [0, a] that the pair's relation covers."""
+    T = _common_T(pair.upper, pair.lower)
+    if pair.relation in (RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC):
+        return T
+    if pair.prefix_end is None or not (0.0 < pair.prefix_end <= T):
+        raise InputError(
+            f"{pair.relation.value} pair needs prefix_end in (0, T], got {pair.prefix_end!r}")
+    return pair.prefix_end
 
-    Each relation evaluates one grid: the full domain for GEQ_ALL and
-    CUMULATIVE_PREC, the prefix [0, a] for the prefix relations.
-    """
-    up, lo, rel = pair.upper, pair.lower, pair.relation
-    if rel in (RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX):
-        if pair.prefix_end is None:
-            raise InputError(f"{rel.value} pair needs prefix_end")
 
+def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, min_at: float,
+            max_dev: float, dev_at: float) -> str | None:
+    """Why a pair fails its relation, None when it holds, from the cumulative
+    order of lower against upper (read for CUMULATIVE_PREC only) and the
+    extremes of upper - lower on the relation's range (``_extremes``)."""
     if rel is RelationKind.GEQ_ALL:
-        geq, witness = _geq_verdict(*_gaps(up, lo, None, grid_n))
-        if not geq:
-            raise VerificationError(f"upper < lower at x={witness}")
-    elif rel is RelationKind.STRICT_ON_PREFIX:
-        strict, min_gap, witness = _strict_verdict(*_gaps(up, lo, pair.prefix_end, grid_n))
-        if not strict:
-            raise VerificationError(f"not strict on prefix: gap {min_gap} at x={witness}")
-    elif rel is RelationKind.EQUAL_ON_PREFIX:
-        equal, max_dev, witness = _equal_verdict(*_gaps(up, lo, pair.prefix_end, grid_n))
-        if not equal:
-            raise VerificationError(f"not equal on prefix: deviation {max_dev} at x={witness}")
-    elif rel is RelationKind.CUMULATIVE_PREC:
-        cv = cumulative_dominates(lo, up, grid_n=grid_n)
-        if cv.order is not CumulativeOrder.PRECEDES:
-            raise VerificationError(f"cumulative order is {cv.order.value}")
-        if _equal_verdict(*_gaps(up, lo, None, grid_n))[0]:
-            raise VerificationError("functions coincide; relation requires lower != upper")
-    else:  # pragma: no cover
-        raise InputError(f"unknown relation {rel!r}")
+        return None if min_gap >= -EQUALITY_TOL else f"upper < lower at x={min_at}"
+    if rel is RelationKind.STRICT_ON_PREFIX:
+        return None if min_gap > 0.0 else f"not strict on prefix: gap {min_gap} at x={min_at}"
+    if rel is RelationKind.EQUAL_ON_PREFIX:
+        return (None if max_dev <= EQUALITY_TOL
+                else f"not equal on prefix: deviation {max_dev} at x={dev_at}")
+    if order is not CumulativeOrder.PRECEDES:
+        return f"cumulative order is {order.value}"
+    return (None if max_dev > EQUALITY_TOL
+            else "functions coincide; relation requires lower != upper")
+
+
+def _rejections(pairs: Sequence[DominancePair], grid_n: int = 10_000) -> list[str | None]:
+    """``_reason`` for every pair.
+
+    A set of piecewise linear pairs is decided exactly, in one stacked pass:
+    upper - lower is linear between the merged knots of the two, so >=, >
+    and = hold on [0, a] exactly when they hold at the merged knots inside
+    [0, a] and at a (``_merged_gaps``), and vertex analysis gives the
+    cumulative order.  Any other set is sampled on one grid of ``grid_n``
+    points per pair, over the relation's range [0, a].
+    """
+    ends = np.array([_end(p) for p in pairs])
+    if all(isinstance(f, PiecewiseLinearFn) for p in pairs for f in (p.upper, p.lower)):
+        xs, gaps = _merged_gaps([p.upper for p in pairs], [p.lower for p in pairs], ends)
+        extrema = (v.tolist() for v in _cumulative_extrema(xs, -gaps)[:2])
+        orders = [_cumulative_order(dmin, dmax) for dmin, dmax in zip(*extrema)]
+    else:
+        xs, gaps = map(np.array, zip(*(_gaps(p.upper, p.lower, a, grid_n)
+                                       for p, a in zip(pairs, ends.tolist()))))
+        orders = [cumulative_dominates(p.lower, p.upper, grid_n=grid_n).order
+                  if p.relation is RelationKind.CUMULATIVE_PREC else None for p in pairs]
+    facts = zip(*(v.tolist() for v in _extremes(xs, gaps)))
+    return [_reason(p.relation, order, *fact) for p, order, fact in zip(pairs, orders, facts)]
+
+
+def verify_pair(pair: DominancePair, grid_n: int = 10_000) -> DominancePair:
+    """Re-check the declared relation and return a verified copy: exactly
+    for two piecewise linear members, else on a grid of ``grid_n`` points
+    (``_rejections``)."""
+    reason = _rejections([pair], grid_n)[0]
+    if reason:
+        raise VerificationError(reason)
     return replace(pair, verified=True)
 
 
@@ -296,67 +331,70 @@ def _unequal(m_up, m_lo, eq_tol):
 _NOT_STRICT = "not strict"
 
 
-def _violation(
-    idx: int, t: float, m_up: float, m_lo: float, verdict, tol: float, note: str = ""
-) -> Violation | None:
-    """The verdict on one pair of scores as a ``Violation``, or None."""
+def _first_violations(
+    idx: Sequence[int], ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray, verdict, tol: float,
+    note: str
+) -> list[Violation | None]:
+    """Per row of the levels (or ranks) ts and the scores there, the verdict
+    at the first column that it flags, or None.  A NaN score (undefined, or
+    no level there) never flags: every comparison with NaN is false."""
     flagged, gap = verdict(m_up, m_lo, tol)
-    return Violation(idx, t, m_up, m_lo, gap, note=note) if flagged else None
-
-
-def _first_violation(
-    idx: int, ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray, verdict, tol: float, note: str
-) -> Violation | None:
-    """The verdict at the first level of ``ts`` that it flags, or None.
-
-    A NaN score (undefined at that level) never flags: every comparison
-    with NaN is false.
-    """
-    flagged, gap = verdict(m_up, m_lo, tol)
-    hit = np.flatnonzero(flagged)
-    if not hit.size:
-        return None
-    i = int(hit[0])
-    return Violation(idx, float(ts[i]), float(m_up[i]), float(m_lo[i]), float(gap[i]), note=note)
+    first = np.argmax(flagged, axis=1).tolist()
+    return [Violation(i, float(ts[r, j]), float(m_up[r, j]), float(m_lo[r, j]), float(gap[r, j]),
+                      note=note) if flagged[r, j] else None
+            for r, (i, j) in enumerate(zip(idx, first))]
 
 
 # ---------------------------------------------------------------------------
 # Impact bundle axioms
 
 
-def _prefix_ranks(a: float, n: int) -> np.ndarray:
-    """n uniform ranks on (0, a]."""
-    return np.linspace(0.0, a, n + 1)[1:]
+def _linspaces(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """``np.linspace(lo[i], hi[i], n)`` as row i."""
+    rows = [np.linspace(a, b, n) for a, b in zip(lo.tolist(), hi.tolist())]
+    return np.array(rows).reshape(len(lo), n)
 
 
-def _pair_levels(bundle: BundleDef, p: DominancePair, xs: np.ndarray) -> np.ndarray:
-    """Both members' levels at the ranks xs, in one array."""
-    return np.concatenate((bundle.levels(p.upper, xs), bundle.levels(p.lower, xs)))
+class _PairSet:
+    """One relation kind's pairs, read together for a bundle: the members
+    (uppers, then lowers) with each pair's rows ``up`` and ``lo``, their
+    admissible ranges, and n ranks per pair on (0, a], a the prefix end or
+    else T."""
 
+    def __init__(self, bundle: BundleDef, pairs: Sequence[DominancePair], kind: RelationKind,
+                 n: int) -> None:
+        items = _by_relation(pairs, kind)
+        self.bundle, self.idx, ps = bundle, [i for i, _ in items], [p for _, p in items]
+        self.fns = [p.upper for p in ps] + [p.lower for p in ps]
+        self.up, self.lo = np.arange(len(ps)), np.arange(len(ps), 2 * len(ps))
+        self.ranges = _ranges(bundle.admissible, self.fns)
+        ends = np.array([p.upper.T if p.prefix_end is None else p.prefix_end for p in ps])
+        self.ranks = _linspaces(np.zeros(len(ps)), ends, n + 1)[:, 1:]
 
-def _level_samples(
-    bundle: BundleDef, p: DominancePair, n: int, levels: np.ndarray | None = None
-) -> np.ndarray:
-    """Sorted levels at which to compare a pair's scores, admissible for both.
+    def levels(self, pick=slice(None)) -> np.ndarray:
+        """The picked pairs' level maps at their ranks (uppers', then
+        lowers'), in one stacked pass."""
+        ranks = self.ranks[pick]
+        rows = np.repeat(np.concatenate((self.up[pick], self.lo[pick])), ranks.shape[1])
+        flat = _at_levels(self.bundle.level_of, self.fns, rows, np.tile(ranks.ravel(), 2))
+        return np.hstack(flat.reshape(2, *ranks.shape))
 
-    ``levels`` are candidate levels, the images of a prefix (0, a] under
-    level maps.  Without them, the pair's joint admissible range: n uniform
-    levels when it is bounded, and when it is not (the h bundle, Zipf
-    ranges) the images of (0, T] under both members' level maps, which walk
-    the far tail without picking an arbitrary cap.  x = 0 is excluded: the
-    h-bundle level map diverges there and the cumulative bundle is
-    identically zero at level 0, where strictness is meaningless.
-    """
-    ru, rl = bundle.admissible(p.upper), bundle.admissible(p.lower)
-    if levels is None:
-        lo_t, hi_t = max(ru.lo, rl.lo), min(ru.hi, rl.hi)
-        if lo_t > hi_t:
-            return np.empty(0)
-        if not math.isinf(hi_t):
-            return np.linspace(lo_t, hi_t, n)
-        levels = _pair_levels(bundle, p, _prefix_ranks(p.upper.T, n))
-    levels = np.unique(levels[np.isfinite(levels)])
-    return levels[ru.contains_each(levels) & rl.contains_each(levels)]
+    def violations(self, levels: np.ndarray, verdict, tol: float, note: str) -> list:
+        """Per pair, the verdict on its members' scores at the lowest of its
+        distinct candidate levels that are finite and admissible for both
+        (``_SKIP`` if none is), all scored in one stacked pass."""
+        levels = np.sort(levels, axis=1)
+        keep = np.ones(levels.shape, dtype=bool)
+        keep[:, 1:] = levels[:, 1:] != levels[:, :-1]
+        for rows in (self.up, self.lo):
+            keep &= ThetaRange(*(end[rows, None] for end in self.ranges)).contains_each(levels)
+        rows, cols = np.nonzero(keep)
+        m = np.full((2, *levels.shape), math.nan)
+        m[:, rows, cols] = _at_levels(self.bundle.measure, self.fns,
+                                      np.concatenate((self.up[rows], self.lo[rows])),
+                                      np.tile(levels[rows, cols], 2)).reshape(2, -1)
+        found = _first_violations(self.idx, levels, m[0], m[1], verdict, tol, note)
+        return [v if kept else _SKIP for v, kept in zip(found, keep.any(axis=1).tolist())]
 
 
 def check_impact_bundle(
@@ -369,52 +407,53 @@ def check_impact_bundle(
 ) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
-    Each pair's members are scored at all of its sampled levels in one
-    ``BundleDef.scores`` call each.  Only the first violation per pair and
-    axiom, at the lowest flagged level, is reported; pairs whose members
-    fall outside the bundle's domain are skipped and counted.
+    Each axiom reads all its pairs at once (``_PairSet``).  Only the first
+    violation per pair and axiom, at the lowest flagged level, is reported;
+    pairs whose members fall outside the bundle's domain are skipped and
+    counted.  The rank x = 0 is never sampled: the h-bundle level map
+    diverges there and the cumulative bundle is identically zero at level
+    0, where strictness is meaningless.
     """
     pairs = _require_verified(pairs)
+    n = theta_grid
+    geq, strict, local = (_PairSet(bundle, pairs, kind, n) for kind in (
+        RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX))
 
-    def at_levels(idx, p, thetas, verdict, tol, note):
-        m_up, m_lo = bundle.scores(p.upper, thetas), bundle.scores(p.lower, thetas)
-        return _first_violation(idx, thetas, m_up, m_lo, verdict, tol, note)
+    def report(axiom: str, pair_set: _PairSet, outcomes: list) -> AxiomReport:
+        return _run_axiom(axiom, zip(pair_set.idx, outcomes), lambda idx, outcome: outcome)
 
-    # AX.2: upper >= lower pointwise implies scores ordered the same way.
-    def monotone(idx: int, p: DominancePair):
-        thetas = _level_samples(bundle, p, theta_grid)
-        if not thetas.size:
-            return _SKIP
-        return at_levels(idx, p, thetas, _below, slack, "")
+    # AX.2: upper >= lower pointwise implies scores ordered the same way, at
+    # n levels across the pair's joint admissible range or, where it is
+    # unbounded (h, Zipf), at the images of (0, T] under both level maps.
+    lo_t = np.maximum(*(geq.ranges[0][rows] for rows in (geq.up, geq.lo)))
+    hi_t = np.minimum(*(geq.ranges[1][rows] for rows in (geq.up, geq.lo)))
+    bounded = np.isfinite(hi_t)
+    levels = np.full((len(geq.idx), 2 * n), math.nan)
+    levels[bounded, :n] = _linspaces(lo_t[bounded], hi_t[bounded], n)
+    if not bounded.all():
+        levels[~bounded] = geq.levels(~bounded)
+    levels[lo_t > hi_t] = math.nan
 
-    # AX.3: strict dominance on [0, a] forces strictly larger scores on the
-    # level image of the prefix.
-    def strict(idx: int, p: DominancePair):
-        levels = _pair_levels(bundle, p, _prefix_ranks(p.prefix_end, theta_grid))
-        thetas = _level_samples(bundle, p, theta_grid, levels)
-        if not thetas.size:
-            return _SKIP
-        return at_levels(idx, p, thetas, _not_above, strict_slack, "not strictly larger")
-
-    # AX.4: equal prefixes force equal level maps and equal scores there.
-    def local(idx: int, p: DominancePair):
-        xs = _prefix_ranks(p.prefix_end, theta_grid)
-        lu, ll = bundle.levels(p.upper, xs), bundle.levels(p.lower, xs)
-        # an undefined or infinite level is not compared
-        finite = np.isfinite(lu) & np.isfinite(ll)
-        if v := _first_violation(idx, xs[finite], lu[finite], ll[finite], _unequal, eq_tol,
-                                 "level maps differ"):
-            return v
-        thetas = _level_samples(bundle, p, theta_grid, ll)
-        return at_levels(idx, p, thetas, _unequal, eq_tol, "scores differ")
+    # AX.4: equal prefixes force equal level maps (an undefined or infinite
+    # level is not compared), then equal scores at the lower's levels.
+    lu, ll = np.hsplit(local.levels(), 2)
+    finite = np.isfinite(lu) & np.isfinite(ll)
+    maps = _first_violations(local.idx, local.ranks, np.where(finite, lu, math.nan),
+                             np.where(finite, ll, math.nan), _unequal, eq_tol, "level maps differ")
+    scores = local.violations(ll, _unequal, eq_tol, "scores differ")
 
     return {
         "AX.1": AxiomReport(
             "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"
         ),
-        "AX.2": _run_axiom("AX.2", _by_relation(pairs, RelationKind.GEQ_ALL), monotone),
-        "AX.3": _run_axiom("AX.3", _by_relation(pairs, RelationKind.STRICT_ON_PREFIX), strict),
-        "AX.4": _run_axiom("AX.4", _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX), local),
+        "AX.2": report("AX.2", geq, geq.violations(levels, _below, slack, "")),
+        # AX.3: strict dominance on [0, a] forces strictly larger scores on
+        # the level image of the prefix.
+        "AX.3": report("AX.3", strict, strict.violations(strict.levels(), _not_above, strict_slack,
+                                                         "not strictly larger")),
+        # AX.4 tests a pair even when no level is left to score
+        "AX.4": report("AX.4", local, [m or (None if v is _SKIP else v)
+                                       for m, v in zip(maps, scores)]),
     }
 
 
@@ -439,29 +478,20 @@ def eta_theta(f: RankFunction, t: float) -> float:
     return f.cumulative(t) - t * f.value(t)
 
 
-def _admits(bundle: BundleDef, f: RankFunction, theta: float) -> bool:
-    """Whether the level theta lies in f's admissible range for the bundle.
-
-    A density level (no ``rank_of``) is admitted within the range's slack,
-    because the density scores snap it onto the range.  A level that fixes a
-    rank (mu, i, eta, h) is admitted only inside the exact range.
-    """
-    rng = bundle.admissible(f)
-    return rng.contains(theta) if bundle.rank_of is None else rng.contains(theta, slack=0.0)
-
-
 _Table = dict[RankFunction, float]
 
 
 def _level_table(bundle: BundleDef, theta: float, fns: Iterable[RankFunction]) -> tuple[_Table, _Table]:
     """Each distinct function's score at theta and, for a bundle with
-    ``rank_of``, the rank up to which the score reads it.
-
-    Only functions that admit theta get entries; a score undefined there is
-    NaN.  Each map is one ``_at_level`` pass over the functions, which reads
-    all the piecewise linear ones in one stacked numpy pass.
-    """
-    admitted = [f for f in dict.fromkeys(fns) if _admits(bundle, f, theta)]
+    ``rank_of``, the rank up to which the score reads it, each in one
+    stacked pass.  Only functions that admit theta get entries (a density
+    level within the range's slack, as the density scores snap it onto the
+    range, one that fixes a rank exactly); an undefined score is NaN."""
+    fns = list(dict.fromkeys(fns))
+    lo, hi = _ranges(bundle.admissible, fns)
+    slack = EQUALITY_TOL if bundle.rank_of is None else 0.0
+    admits = math.isfinite(theta) & (theta >= lo - slack) & (theta <= hi + slack)
+    admitted = [f for f, ok in zip(fns, admits.tolist()) if ok]
     scores = dict(zip(admitted, _at_level(bundle.measure, admitted, theta).tolist()))
     if bundle.rank_of is None:
         return scores, {}
@@ -481,7 +511,9 @@ def _pair_check(
         m_up, m_lo = scores.get(p.upper, math.nan), scores.get(p.lower, math.nan)
         if math.isnan(m_up) or math.isnan(m_lo):
             return _SKIP
-        return skip(p) or _violation(idx, math.nan, m_up, m_lo, verdict, tol, note)
+        flagged, gap = verdict(m_up, m_lo, tol)
+        violation = Violation(idx, math.nan, m_up, m_lo, gap, note=note) if flagged else None
+        return skip(p) or violation
     return check
 
 
@@ -764,16 +796,12 @@ def _random_pwl(rng: np.random.Generator, cfg: GeneratorConfig) -> PiecewiseLine
 
 def _shifted(z: PiecewiseLinearFn, c: float, taper: bool) -> PiecewiseLinearFn:
     """z plus a positive shift: constant, or linearly decaying to c/2 at T."""
-    if not (c > 0.0):
-        raise InputError("shift must be strictly positive")
     bump = c * (1.0 - 0.5 * z.xs / z.T) if taper else c
     return PiecewiseLinearFn(z.xs, z.ys + bump)
 
 
 def _prefix_gap(z: PiecewiseLinearFn, g: float, b: float) -> PiecewiseLinearFn:
     """z plus the wedge g * max(0, 1 - x/b): strictly above z on [0, b)."""
-    if not (g > 0.0):
-        raise InputError("gap height must be strictly positive")
     xs = np.union1d(z.xs, [b])
     return PiecewiseLinearFn(xs, z.values(xs) + g * np.maximum(0.0, 1.0 - xs / b))
 
@@ -823,21 +851,34 @@ def generate_pairs(
     """Generate ``config.count`` verified pairs per relation kind.
 
     Deterministic for a fixed config: the same seed reproduces the same
-    pairs.  Every pair is re-verified before being returned; a construction
-    that fails verification is retried up to 100 times.
+    pairs.  Each kind's pairs are built in draw order and then verified
+    together, exactly, in one stacked pass (``_rejections``).  A pair that
+    fails to build or to verify is retried, up to 100 attempts per pair:
+    when the pass rejects a pair, the generator is rewound to its state just
+    after that pair's draws and building resumes there, dropping the pairs
+    built after it.  So the pairs are those that building and verifying one
+    pair at a time would give.
     """
     kinds = [relation] if relation is not None else list(RelationKind)
     rng = np.random.default_rng(config.seed)
     out: list[DominancePair] = []
     for kind in kinds:
-        for _ in range(config.count):
-            for _attempt in range(100):
+        todo, used = config.count, 0  # used: the attempts spent on the first open slot
+        while todo:
+            batch = []  # (pair, generator state after its draws, attempts spent)
+            while len(batch) < todo:
+                if used == 100:
+                    raise GenerationError(f"gave up generating a {kind.value} pair")
+                used += 1
                 try:
-                    pair = _build_pair(rng, config, kind)
-                    out.append(verify_pair(pair, grid_n=_VERIFY_GRID))
-                    break
-                except (InputError, VerificationError):
+                    batch.append((_build_pair(rng, config, kind), rng.bit_generator.state, used))
+                    used = 0
+                except InputError:
                     continue
-            else:
-                raise GenerationError(f"gave up generating a {kind.value} pair")
+            reasons = _rejections([pair for pair, _, _ in batch])
+            k = next((i for i, reason in enumerate(reasons) if reason), todo)
+            out += [replace(pair, verified=True) for pair, _, _ in batch[:k]]
+            todo -= k
+            if todo:
+                _, rng.bit_generator.state, used = batch[k]
     return out

@@ -22,18 +22,19 @@ one code path for every family; ``sweep`` uses them, and ``e_theta`` and
 ``h_theta`` read them at one level.  Each score rule (admissibility slack,
 clamping, NaN where the score is undefined, h's boundary tolerance) is
 written once here, and runs on a single function at many levels or on a
-``_PwlStack`` of piecewise linear functions at one level each
-(``_at_level``, for the single-level axiom suites).
+``_PwlStack`` of piecewise linear functions at one level per row
+(``_at_levels``, for the axiom suites, which read whole pair sets).
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 import numpy as np
 
@@ -179,11 +180,17 @@ def r_index_squared(f: RankFunction) -> float:
 
 def e_index(f: RankFunction) -> float:
     """Classical e-index sqrt(R^2 - h^2): root of the h-core excess area."""
+    return _h_core(f)[2]
+
+
+def _h_core(f: RankFunction) -> tuple[float, float, float]:
+    """The classical h, R^2 and the e-index, from one root."""
     h = classical_h(f)
-    radicand = f.cumulative(h) - h * h
+    r2 = f.cumulative(h)
+    radicand = r2 - h * h
     if radicand < -1e-12:
         raise ConsistencyError(f"negative excess area {radicand} at h={h}")
-    return math.sqrt(max(0.0, radicand))
+    return h, r2, math.sqrt(max(0.0, radicand))
 
 
 def excess_at_h(f: RankFunction) -> float:
@@ -248,24 +255,42 @@ def _vectorized(scalar: Callable, f: RankFunction, args: np.ndarray) -> np.ndarr
     return _each(scalar, f, args) if vector is None else vector(f, args)
 
 
+def _at_levels(scalar: Callable[[RankFunction, float], float], fns: Sequence[RankFunction],
+               rows: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """scalar(fns[r], a) for every row r and argument a, NaN where it is
+    undefined: through the callable's vector form, in stacked passes
+    (``_PwlStack``) for piecewise linear functions and one call per function
+    otherwise; a callable without a vector form is called per argument."""
+    if fns and _stacks(scalar, fns, _VECTOR_FORMS):
+        return _PwlStack(fns)._read(functools.partial(_vectorized, scalar), rows, args)
+    out = np.empty(len(rows))
+    for i in np.unique(rows).tolist():
+        mine = rows == i
+        out[mine] = _vectorized(scalar, fns[i], args[mine])
+    return out
+
+
+def _stacks(scalar: Callable, fns: Sequence[RankFunction], known: Container[Callable]) -> bool:
+    """Whether a built-in callable (one in ``known``) reads fns as a stack."""
+    return inspect.unwrap(scalar) in known and all(isinstance(f, PiecewiseLinearFn) for f in fns)
+
+
 def _at_level(scalar: Callable[[RankFunction, float], float], fs: Sequence[RankFunction],
               theta: float) -> np.ndarray:
-    """scalar(f, theta) for every f in fs, NaN where it is undefined.
+    """scalar(f, theta) for every f in fs (``_at_levels`` at one level)."""
+    return _at_levels(scalar, fs, np.arange(len(fs)), np.full(len(fs), float(theta)))
 
-    Through the callable's vector form, the piecewise linear functions are
-    read in one stacked pass (``_PwlStack``, one row each) and any other
-    function in one vector call each; a callable without a vector form is
-    called once per function.
-    """
-    known = inspect.unwrap(scalar) in _VECTOR_FORMS
-    rows = [i for i, f in enumerate(fs) if known and isinstance(f, PiecewiseLinearFn)]
-    out = np.empty(len(fs))
-    if rows:
-        stack = _PwlStack([fs[i] for i in rows])
-        out[rows] = _vectorized(scalar, stack, np.full(len(rows), float(theta)))
-    for i in sorted(set(range(len(fs))) - set(rows)):
-        out[i] = _vectorized(scalar, fs[i], np.array([theta], dtype=float))[0]
-    return out
+
+def _ranges(admissible: Callable[[RankFunction], ThetaRange],
+            fns: Sequence[RankFunction]) -> tuple[np.ndarray, np.ndarray]:
+    """Each function's admissible range, as arrays of its ends: a built-in
+    range reads a set of piecewise linear functions in one stacked call,
+    and any other set one function at a time."""
+    if fns and _stacks(admissible, fns, _STACKED_RANGES):
+        rng = admissible(_PwlStack(fns))
+        return np.broadcast_to(rng.lo, len(fns)), np.broadcast_to(rng.hi, len(fns))
+    rngs = [admissible(f) for f in fns]
+    return np.array([r.lo for r in rngs], dtype=float), np.array([r.hi for r in rngs], dtype=float)
 
 
 def _each(scalar: Callable[[RankFunction, float], float], f: RankFunction,
@@ -378,6 +403,9 @@ I_BUNDLE = BundleDef(
 BUNDLES: dict[str, BundleDef] = {
     b.name: b for b in (E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE)
 }
+
+# The built-in admissible ranges, which run on a ``_PwlStack`` as they are.
+_STACKED_RANGES = {b.admissible for b in BUNDLES.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     result: dict = {"T": f.T, "theta_lo": rng.lo, "theta_hi": None if rng.unbounded_above else rng.hi}
     try:
-        h = bn.classical_h(f)
-        r2 = bn.r_index_squared(f)
-        e = bn.e_index(f)
+        h, r2, e = bn._h_core(f)
         lines.append(f"classical h:   {h:.6f}")
         lines.append(f"R^2 (h-core):  {r2:.6f}")
         lines.append(f"e-index:       {e:.6f}  (excess area at h: {e * e:.6f})")

@@ -13,7 +13,7 @@ the order comparisons used by the axiom checkers:
 Every operation has one code path, a vector routine (``values``,
 ``inverses``, ``cumulatives``, ``ray_crossings``); each scalar form reads
 it at one argument.  ``_PwlStack`` runs the piecewise linear routines on
-many functions at once, one argument per function.
+many rows at once, each a function read at its own argument.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -80,7 +80,7 @@ class ThetaRange:
     hi: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.lo, np.ndarray):
+        if np.ndim(self.lo) or np.ndim(self.hi):
             return  # a stack's rows, valid by construction
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise InputError(f"invalid theta range [{self.lo}, {self.hi}]")
@@ -430,23 +430,37 @@ class PiecewiseLinearFn(_KnotArithmetic, RankFunction):
             hi = np.where(open_ & ~pos, mid, hi)
 
 
+# Rows per stacked pass, which gathers its rows' knots: a bound on its memory.
+_BLOCK = 512
+
+
 class _PwlStack(_KnotArithmetic):
     """Piecewise linear functions stacked one per row, row i read at
     argument i: the vector API that the bundle score rules call, with a
     per-row array wherever a function answers a scalar (``T``, the range
-    bounds, Z(0)).  The knots are concatenated, and each row finds its
-    segment by counting its own knots, so every row costs one numpy pass.
+    bounds, Z(0)).  The distinct functions' knots are concatenated once;
+    ``_select`` gathers any rows of them (a function may fill many rows)
+    with one fancy index, and each row finds its segment by counting its own
+    knots, so a pass costs no Python per row.
     """
 
     unbounded_at_origin = False
 
     def __init__(self, fns: Sequence[PiecewiseLinearFn]) -> None:
-        self._fns = fns
-        self._sizes = np.array([len(f.xs) for f in fns])
+        sizes = np.array([len(f.xs) for f in fns])
+        self._pool = {"fns": fns, "xs": np.concatenate([f.xs for f in fns]),
+                      "ys": np.concatenate([f.ys for f in fns]), "sizes": sizes,
+                      "starts": np.cumsum(sizes) - sizes}
+        self._gather(np.arange(len(fns)))
+
+    def _gather(self, rows: np.ndarray) -> None:
+        pool = self._pool
+        self._rows, self._sizes = rows, pool["sizes"][rows]
         self._last = np.cumsum(self._sizes) - 1
         self._first = self._last - (self._sizes - 1)
-        self.xs = np.concatenate([f.xs for f in fns])
-        self.ys = np.concatenate([f.ys for f in fns])
+        self._knots = (np.repeat(pool["starts"][rows] - self._first, self._sizes)
+                       + np.arange(self._sizes.sum()))
+        self.xs, self.ys = pool["xs"][self._knots], pool["ys"][self._knots]
         # the steps that straddle two rows are never read
         self._dxs = self.xs[1:] - self.xs[:-1]
         self._dys = self.ys[1:] - self.ys[:-1]
@@ -454,10 +468,24 @@ class _PwlStack(_KnotArithmetic):
 
     @cached_property
     def _area_prefix(self) -> np.ndarray:
-        return np.concatenate([f._area_prefix for f in self._fns])
+        if "area" not in self._pool:  # only the passes that integrate need it
+            self._pool["area"] = np.concatenate([f._area_prefix for f in self._pool["fns"]])
+        return self._pool["area"][self._knots]
 
     def _select(self, keep: np.ndarray) -> "_PwlStack":
-        return _PwlStack([f for f, kept in zip(self._fns, keep.tolist()) if kept])
+        """The rows that a mask or an index array picks."""
+        stack = object.__new__(_PwlStack)
+        stack._pool = self._pool
+        stack._gather(self._rows[keep])
+        return stack
+
+    def _read(self, vector: Callable[["_PwlStack", np.ndarray], np.ndarray], rows: np.ndarray,
+              args: np.ndarray) -> np.ndarray:
+        """vector(stack of the given rows, args), ``_BLOCK`` rows at a time."""
+        out = np.empty(len(rows))
+        for i in range(0, len(rows), _BLOCK):
+            out[i : i + _BLOCK] = vector(self._select(rows[i : i + _BLOCK]), args[i : i + _BLOCK])
+        return out
 
     def value_at_origin(self) -> np.ndarray:
         return self.ys[self._first]
@@ -611,12 +639,13 @@ def _grid(fns: Sequence[RankFunction], lo: float, hi: float, n: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class DominanceVerdict:
-    """Grid-sampled dominance report for a pair (f, g) and prefix [0, a].
+    """Grid-sampled dominance report of ``compare`` for a pair (f, g) and
+    prefix [0, a].
 
     ``geq_everywhere`` covers the full domain [0, T]; the strictness and
-    equality verdicts cover [0, a] only.  Grid verdicts are sound for
-    refutation (a witness is a real counterexample up to float noise) and
-    heuristic for confirmation.
+    equality verdicts cover [0, a] only.  A grid verdict is sound for
+    refutation but can miss a dip between grid points; ``verify_pair``
+    decides piecewise linear pairs exactly, at their merged knots.
     """
 
     a: float
@@ -645,28 +674,35 @@ def _gaps(
     return xs, f.values(xs) - g.values(xs)
 
 
-# The three grid verdicts on (xs, f - g): whether the relation holds, the
-# extreme gap where one is reported, and a witness point when it fails.
+def _merged_gaps(
+    fs: Sequence[PiecewiseLinearFn], gs: Sequence[PiecewiseLinearFn], ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """f - g for the piecewise linear pairs (f, g) = (fs[i], gs[i]) at their
+    merged knots inside [0, ends[i]] and at ends[i], in one stacked pass:
+    one row per pair of points (sorted, padded by repeats) and of gaps.
+    f - g is linear between merged knots, so its extremes on [0, ends[i]]
+    are among these points."""
+    stack, up, lo = _PwlStack([*fs, *gs]), np.arange(len(fs)), np.arange(len(fs), 2 * len(fs))
+    xs, starts, sizes = (stack._pool[key] for key in ("xs", "starts", "sizes"))
+
+    def knots(rows: np.ndarray) -> np.ndarray:  # padded by repeating the last
+        return xs[starts[rows, None] + np.minimum(np.arange(sizes.max()), sizes[rows, None] - 1)]
+
+    # a knot past the end is moved onto it, and the last knot of each is past
+    points = np.sort(np.minimum(np.hstack((knots(up), knots(lo))), ends[:, None]), axis=1)
+    width, flat = points.shape[1], points.ravel()
+    f, g = (stack._read(_PwlStack.values, np.repeat(rows, width), flat) for rows in (up, lo))
+    return points, (f - g).reshape(points.shape)
 
 
-def _geq_verdict(xs: np.ndarray, diff: np.ndarray) -> tuple[bool, float | None]:
-    i = int(np.argmin(diff))
-    geq = bool(diff[i] >= -EQUALITY_TOL)
-    return geq, None if geq else float(xs[i])
-
-
-def _strict_verdict(xs: np.ndarray, diff: np.ndarray) -> tuple[bool, float, float | None]:
-    j = int(np.argmin(diff))
-    min_gap = float(diff[j])
-    strict = bool(min_gap > 0.0)
-    return strict, min_gap, None if strict else float(xs[j])
-
-
-def _equal_verdict(xs: np.ndarray, diff: np.ndarray) -> tuple[bool, float, float | None]:
-    j = int(np.argmax(np.abs(diff)))
-    max_dev = float(abs(diff[j]))
-    equal = bool(max_dev <= EQUALITY_TOL)
-    return equal, max_dev, None if equal else float(xs[j])
+def _extremes(xs: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Over the last axis of the points xs and the gaps diff there: the least
+    gap and the first point where it falls, the largest |gap| and the first
+    point where it falls."""
+    i = np.argmin(diff, axis=-1)[..., None]
+    j = np.argmax(np.abs(diff), axis=-1)[..., None]
+    pick = lambda a, k: np.take_along_axis(a, k, -1)[..., 0]  # noqa: E731
+    return pick(diff, i), pick(xs, i), np.abs(pick(diff, j)), pick(xs, j)
 
 
 def compare(
@@ -680,20 +716,13 @@ def compare(
     a = T if a is None else a
     prefix = _gaps(f, g, a, grid_n)
     full = prefix if a == T else _gaps(f, g, None, grid_n)
-    geq, geq_witness = _geq_verdict(*full)
-    strict, min_gap, strict_witness = _strict_verdict(*prefix)
-    equal, max_dev, equal_witness = _equal_verdict(*prefix)
+    full_min, full_at = (v.tolist() for v in _extremes(*full)[:2])
+    min_gap, min_at, max_dev, dev_at = (v.tolist() for v in _extremes(*prefix))
+    geq, strict, equal = full_min >= -EQUALITY_TOL, min_gap > 0.0, max_dev <= EQUALITY_TOL
     return DominanceVerdict(
-        a=a,
-        grid_n=grid_n,
-        geq_everywhere=geq,
-        geq_witness=geq_witness,
-        strict_on_prefix=strict,
-        min_gap=min_gap,
-        strict_witness=strict_witness,
-        equal_on_prefix=equal,
-        max_deviation=max_dev,
-        equal_witness=equal_witness,
+        a=a, grid_n=grid_n, geq_everywhere=geq, geq_witness=None if geq else full_at,
+        strict_on_prefix=strict, min_gap=min_gap, strict_witness=None if strict else min_at,
+        equal_on_prefix=equal, max_deviation=max_dev, equal_witness=None if equal else dev_at,
     )
 
 
@@ -713,36 +742,37 @@ class CumulativeVerdict:
     witness_max: float
 
 
-def _pwl_cumulative_extrema(
-    f: PiecewiseLinearFn, g: PiecewiseLinearFn
-) -> tuple[float, float, float, float]:
-    """Exact extrema of d(x) = I_f(x) - I_g(x) for piecewise linear inputs.
+def _cumulative_extrema(xs: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Exact extrema of d(x) = I_f(x) - I_g(x) for piecewise linear pairs,
+    one per row of the merged knots xs (a repeated knot adds nothing) and of
+    e = f - g there: the least and largest d and where each first falls.
 
     On each merged segment both functions are linear, so d is quadratic with
     d' = f - g; extrema can only occur at segment ends or at the interior
-    zero of f - g (vertex analysis).
+    zero of f - g (vertex analysis).  Candidates are the knots, then the
+    crossings by segment.
     """
-    xs = np.unique(np.concatenate([f.xs, g.xs]))
-    fe = f.values(xs)
-    ge = g.values(xs)
-    e = fe - ge
-    d = np.empty_like(xs)
-    d[0] = 0.0
-    d[1:] = np.cumsum((xs[1:] - xs[:-1]) * (e[:-1] + e[1:]) * 0.5)
+    u, eu, ev = xs[:, :-1], e[:, :-1], e[:, 1:]
+    dx = xs[:, 1:] - u
+    d = np.zeros_like(xs)
+    d[:, 1:] = np.cumsum(dx * (eu + ev) * 0.5, axis=1)
+    crossing = eu * ev < 0.0
+    x_star = u + eu * dx / np.where(crossing, eu - ev, 1.0)
+    d_star = d[:, :-1] + (x_star - u) * eu * 0.5
+    cand_d, cand_x, rows = np.hstack((d, d_star)), np.hstack((xs, x_star)), np.arange(len(xs))
+    i_min = np.argmin(np.hstack((d, np.where(crossing, d_star, math.inf))), axis=1)
+    i_max = np.argmax(np.hstack((d, np.where(crossing, d_star, -math.inf))), axis=1)
+    return cand_d[rows, i_min], cand_d[rows, i_max], cand_x[rows, i_min], cand_x[rows, i_max]
 
-    cand_x = list(xs)
-    cand_d = list(d)
-    for i in range(len(xs) - 1):
-        eu, ev = e[i], e[i + 1]
-        if eu * ev < 0.0:
-            u, v = xs[i], xs[i + 1]
-            x_star = u + eu * (v - u) / (eu - ev)
-            cand_x.append(float(x_star))
-            cand_d.append(float(d[i] + (x_star - u) * eu * 0.5))
-    cand_d_arr = np.asarray(cand_d)
-    i_min = int(np.argmin(cand_d_arr))
-    i_max = int(np.argmax(cand_d_arr))
-    return cand_d[i_min], cand_d[i_max], cand_x[i_min], cand_x[i_max]
+
+def _cumulative_order(dmin: float, dmax: float, tol: float = EQUALITY_TOL) -> CumulativeOrder:
+    """The order that the extremes of I_f - I_g give, to a tolerance that
+    scales with them."""
+    scale = max(1.0, abs(dmin), abs(dmax))
+    above = dmax <= tol * scale
+    if dmin >= -tol * scale:
+        return CumulativeOrder.EQUAL if above else CumulativeOrder.FOLLOWS
+    return CumulativeOrder.PRECEDES if above else CumulativeOrder.INCOMPARABLE
 
 
 def cumulative_dominates(
@@ -759,26 +789,16 @@ def cumulative_dominates(
     """
     T = _common_T(f, g)
     if isinstance(f, PiecewiseLinearFn) and isinstance(g, PiecewiseLinearFn):
-        dmin, dmax, wmin, wmax = _pwl_cumulative_extrema(f, g)
+        xs = np.unique(np.concatenate([f.xs, g.xs]))
+        extrema = _cumulative_extrema(xs[None], (f.values(xs) - g.values(xs))[None])
+        dmin, dmax, wmin, wmax = (float(v[0]) for v in extrema)
     else:
         xs = np.linspace(0.0, T, grid_n)
         d = f.cumulatives(xs) - g.cumulatives(xs)
         i_min, i_max = int(np.argmin(d)), int(np.argmax(d))
         dmin, dmax = float(d[i_min]), float(d[i_max])
         wmin, wmax = float(xs[i_min]), float(xs[i_max])
-
-    scale = max(1.0, abs(dmin), abs(dmax))
-    below = dmin >= -tol * scale
-    above = dmax <= tol * scale
-    if below and above:
-        order = CumulativeOrder.EQUAL
-    elif above:
-        order = CumulativeOrder.PRECEDES
-    elif below:
-        order = CumulativeOrder.FOLLOWS
-    else:
-        order = CumulativeOrder.INCOMPARABLE
-    return CumulativeVerdict(order, dmin, dmax, wmin, wmax)
+    return CumulativeVerdict(_cumulative_order(dmin, dmax, tol), dmin, dmax, wmin, wmax)
 
 
 # ---------------------------------------------------------------------------

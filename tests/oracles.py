@@ -9,16 +9,21 @@ integrands with an integrable pole there).
 ``scalar_impact_bundle`` is the reference for ``check_impact_bundle``: the
 scalar loop over levels, one ``measure`` call per member and level, that
 the vector level path replaced.
+
+``exact_order_facts`` and ``exact_relation_holds`` decide the dominance
+relations of a piecewise linear pair in rational arithmetic
+(``fractions.Fraction``), at the merged knots.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ebundles.axioms import AxiomReport, Violation
+from ebundles.axioms import AxiomReport, RelationKind, Violation
 from ebundles.functions import (
     InputError,
     LinearFamily,
@@ -165,3 +170,55 @@ def scalar_impact_bundle(bundle, pairs, theta_grid=24, slack=1e-9, strict_slack=
         "AX.3": report("AX.3", "strict_on_prefix", strict),
         "AX.4": report("AX.4", "equal_on_prefix", local),
     }
+
+
+def _exact_value(f: PiecewiseLinearFn, x: Fraction) -> Fraction:
+    """f(x) by exact linear interpolation between its knots."""
+    xs = [Fraction(v) for v in f.xs.tolist()]
+    ys = [Fraction(v) for v in f.ys.tolist()]
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if x <= x1:
+            return y0 + (x - x0) / (x1 - x0) * (y1 - y0)
+    raise ValueError(f"x={x} outside [0, {xs[-1]}]")
+
+
+def exact_order_facts(upper: PiecewiseLinearFn, lower: PiecewiseLinearFn, a: float | None = None):
+    """Exact extremes of upper - lower on [0, a] (a = None: [0, T]) and of
+    I_lower - I_upper on [0, T], as Fractions.
+
+    upper - lower is linear between the merged knots, so its extremes on
+    [0, a] lie at the merged knots inside [0, a] or at a; I_lower - I_upper
+    is quadratic there, with extremes at the knots or where lower - upper
+    changes sign.
+    """
+    T = Fraction(upper.T)
+    end = T if a is None else Fraction(a)
+    merged = sorted({Fraction(x) for f in (upper, lower) for x in f.xs.tolist()})
+    points = sorted({x for x in merged if x <= end} | {end})
+    gaps = [_exact_value(upper, x) - _exact_value(lower, x) for x in points]
+    e = [_exact_value(lower, x) - _exact_value(upper, x) for x in merged]
+    d, cands = Fraction(0), [Fraction(0)]
+    for u, v, eu, ev in zip(merged, merged[1:], e, e[1:]):
+        if eu * ev < 0:
+            x_star = u + eu * (v - u) / (eu - ev)
+            cands.append(d + (x_star - u) * eu / 2)
+        d += (v - u) * (eu + ev) / 2
+        cands.append(d)
+    return {"min_gap": min(gaps), "max_dev": max(abs(g) for g in gaps),
+            "dmin": min(cands), "dmax": max(cands)}
+
+
+def exact_relation_holds(relation: RelationKind, facts: dict, tol: float = 1e-12) -> bool:
+    """The relation's verdict on ``exact_order_facts``, with the library's
+    tolerances: >= within tol, > strictly, = within tol, and the cumulative
+    order to tol * max(1, |extremes|) with upper != lower beyond tol."""
+    tol = Fraction(tol)
+    if relation is RelationKind.GEQ_ALL:
+        return facts["min_gap"] >= -tol
+    if relation is RelationKind.STRICT_ON_PREFIX:
+        return facts["min_gap"] > 0
+    if relation is RelationKind.EQUAL_ON_PREFIX:
+        return facts["max_dev"] <= tol
+    scale = max(Fraction(1), abs(facts["dmin"]), abs(facts["dmax"]))
+    precedes = facts["dmax"] <= tol * scale and not facts["dmin"] >= -tol * scale
+    return precedes and facts["max_dev"] > tol

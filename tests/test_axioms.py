@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from ebundles import axioms as ax
+from ebundles import functions as fn
 from ebundles.axioms import (
     AxiomReport,
     DominancePair,
@@ -27,6 +31,7 @@ from ebundles.axioms import (
     verify_pair,
 )
 from ebundles.bundles import (
+    BUNDLES,
     E_BUNDLE,
     H_BUNDLE,
     I_BUNDLE,
@@ -38,8 +43,12 @@ from ebundles.bundles import (
 from ebundles.functions import (
     CumulativeOrder,
     InputError,
+    LinearFamily,
     PiecewiseLinearFn,
+    PowerComplement,
     ThetaRange,
+    ZipfFamily,
+    _PwlStack,
     compare,
     cumulative_dominates,
 )
@@ -222,6 +231,27 @@ AX_BUNDLES = {
 }
 
 
+def _pwl(*knots):
+    return PiecewiseLinearFn.from_pairs(knots)
+
+
+# Verified pairs with a parametric member: the grid decides their relation,
+# and the bundle axioms score their members one function at a time.
+PARAMETRIC_PAIRS = [
+    verify_pair(DominancePair(up, lo, rel, prefix_end=a)) for up, lo, rel, a in (
+        (LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.GEQ_ALL, None),
+        (ZipfFamily(beta=0.6, T=1), ZipfFamily(beta=0.4, T=1), RelationKind.GEQ_ALL, None),
+        (PowerComplement(n=3), PowerComplement(n=2), RelationKind.GEQ_ALL, None),
+        (_pwl((0, 12), (0.5, 6.5), (1, 0.5)), LinearFamily(S=10, T=1), RelationKind.GEQ_ALL, None),
+        (LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.STRICT_ON_PREFIX, 0.5),
+        (ZipfFamily(beta=0.6, T=1), ZipfFamily(beta=0.4, T=1), RelationKind.STRICT_ON_PREFIX, 0.5),
+        (_pwl((0, 10), (0.5, 5), (1, 0.5)), LinearFamily(S=10, T=1), RelationKind.EQUAL_ON_PREFIX,
+         0.5),
+        (LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.CUMULATIVE_PREC, None),
+    )
+]
+
+
 def _ax_json(reports):
     return {k: reports[k].to_json_obj() for k in ("AX.2", "AX.3", "AX.4")}
 
@@ -249,6 +279,31 @@ class TestImpactBundleAgainstScalarLoop:
         if name == "n":  # the per-rank excess score must not borrow e's vector scores
             assert not got["AX.2"].passed
 
+    @pytest.mark.parametrize("name", sorted(AX_BUNDLES))
+    def test_parametric_pairs(self, name):
+        bundle = AX_BUNDLES[name]
+        want = oracles.scalar_impact_bundle(bundle, PARAMETRIC_PAIRS)
+        assert _ax_json(check_impact_bundle(bundle, PARAMETRIC_PAIRS)) == _ax_json(want)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLES))
+    def test_no_score_or_level_call_per_pair(self, name, monkeypatch):
+        # every axiom reads its pairs' levels and scores in stacked passes
+        calls = []
+        for method in ("scores", "levels"):
+            monkeypatch.setattr(BundleDef, method, lambda self, f, args: calls.append(f))
+        pairs = generate_pairs(GeneratorConfig(seed=2, count=10))
+        assert check_impact_bundle(BUNDLES[name], pairs)["AX.2"].pairs_tested == 10
+        assert calls == []
+
+    def test_joint_range_empty_within_slack(self):
+        # the members' e ranges miss each other by less than the admission
+        # slack: the pair has no joint range and is skipped, as in the loop
+        pair = verify_pair(DominancePair(_pwl((0, 3.5), (1, 2 + 5e-13)), _pwl((0, 2), (1, 1)),
+                                         RelationKind.GEQ_ALL))
+        got = check_impact_bundle(E_BUNDLE, [pair])
+        assert (got["AX.2"].pairs_tested, got["AX.2"].skipped) == (0, 1)
+        assert _ax_json(got) == _ax_json(oracles.scalar_impact_bundle(E_BUNDLE, [pair]))
+
     def test_replaced_measure_is_scored(self):
         # a bundle that swaps e's score for n must be scored with n, not e
         bundle = dataclasses.replace(E_BUNDLE, measure=n_theta)
@@ -271,7 +326,117 @@ class TestImpactBundleAgainstScalarLoop:
         assert _ax_json(got) == _ax_json(oracles.scalar_impact_bundle(E_BUNDLE, pairs))
 
 
+@st.composite
+def _pwl_on(draw, T):
+    """A random piecewise linear function on [0, T]."""
+    inner = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=5))))
+    xs = np.array([0.0, *(T * u for u in inner), T])
+    drops = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=len(xs) - 1,
+                                   max_size=len(xs) - 1)))
+    tail = draw(st.floats(0.0, 2.0))
+    return PiecewiseLinearFn(xs, tail + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0])))
+
+
+@st.composite
+def _pwl_pairs(draw):
+    """A pair of piecewise linear functions on a shared domain, often close
+    (shifted, or equal up to a knot), with a relation and a prefix end."""
+    T = draw(st.sampled_from([1.0, 2.5, 40.0]))
+    upper = draw(_pwl_on(T))
+    mode = draw(st.sampled_from(["independent", "shifted", "equal prefix"]))
+    if mode == "independent":
+        lower = draw(_pwl_on(T))
+    elif mode == "shifted":
+        lower = PiecewiseLinearFn(upper.xs, upper.ys - draw(st.floats(-0.5, float(upper.ys[-1]))))
+    else:
+        split = draw(st.integers(1, len(upper.xs) - 1))
+        ys = upper.ys.copy()
+        ys[split:] = ys[split - 1] + draw(st.floats(0.2, 0.9)) * (ys[split:] - ys[split - 1])
+        lower = PiecewiseLinearFn(upper.xs, ys)
+    relation = draw(st.sampled_from(list(RelationKind)))
+    a = T * draw(st.floats(0.05, 1.0)) if relation in (
+        RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX) else None
+    return DominancePair(upper, lower, relation, prefix_end=a)
+
+
+def _decided(pair, facts, margin=1e-10):
+    """Whether floats must reach the exact verdict: each deciding quantity
+    clears its threshold by more than rounding, or is exactly 0 against a
+    nonzero tolerance."""
+    tol = 1e-12
+    scale = max(1, abs(facts["dmin"]), abs(facts["dmax"]))
+    checks = {
+        RelationKind.GEQ_ALL: [(facts["min_gap"], -tol)],
+        RelationKind.STRICT_ON_PREFIX: [(facts["min_gap"], 0)],
+        RelationKind.EQUAL_ON_PREFIX: [(facts["max_dev"], tol)],
+        RelationKind.CUMULATIVE_PREC: [(facts["dmax"], tol * scale), (facts["dmin"], -tol * scale),
+                                       (facts["max_dev"], tol)],
+    }[pair.relation]
+    return all((q == 0 and t != 0) or abs(q - t) > margin for q, t in checks)
+
+
+class TestExactVerification:
+    """Piecewise linear pairs are verified exactly at their merged knots, in
+    one stacked pass; the verdicts must equal the rational-arithmetic oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(_pwl_pairs(), min_size=1, max_size=6))
+    def test_stacked_verdicts_equal_exact_oracle(self, pairs):
+        reasons = ax._rejections(pairs)
+        for pair, reason in zip(pairs, reasons):
+            facts = oracles.exact_order_facts(pair.upper, pair.lower, pair.prefix_end)
+            if _decided(pair, facts):
+                assert (reason is None) == oracles.exact_relation_holds(pair.relation, facts), pair
+
+    # upper touches lower at the shared knot x = 0.5
+    TOUCH = (_pwl((0, 3), (0.5, 1), (1, 0.5)), _pwl((0, 2), (0.5, 1), (1, 0)))
+    # upper dips below lower between two points of a 2,000-point grid, at a
+    # knot of upper's (DIP) or at a knot of lower's (BUMP)
+    DIP = (_pwl((0, 2), (0.0002, 1.5), (1, 0)), _pwl((0, 1.99), (0.00045, 1.0), (1, 0)))
+    BUMP = (_pwl((0, 2), (1, 0.1)), _pwl((0, 1.99), (0.5, 1.05 + 1e-6), (1, 0)))
+
+    @pytest.mark.parametrize("relation, a, holds", [
+        (RelationKind.GEQ_ALL, None, True),
+        (RelationKind.STRICT_ON_PREFIX, 0.4, True),
+        (RelationKind.STRICT_ON_PREFIX, 0.75, False),
+        (RelationKind.EQUAL_ON_PREFIX, 0.5, False),
+        (RelationKind.CUMULATIVE_PREC, None, True),
+    ])
+    def test_touch_at_a_knot(self, relation, a, holds):
+        pair = DominancePair(*self.TOUCH, relation, prefix_end=a)
+        facts = oracles.exact_order_facts(pair.upper, pair.lower, a)
+        assert oracles.exact_relation_holds(relation, facts) is holds
+        assert (ax._rejections([pair])[0] is None) is holds
+
+    @pytest.mark.parametrize("case, at", [("DIP", "0.0002"), ("BUMP", "0.5")])
+    def test_dip_between_grid_points(self, case, at):
+        upper, lower = getattr(self, case)
+        assert compare(upper, lower, grid_n=2_000).geq_everywhere  # the grid misses it
+        facts = oracles.exact_order_facts(upper, lower)
+        assert not oracles.exact_relation_holds(RelationKind.GEQ_ALL, facts)
+        with pytest.raises(VerificationError, match=f"upper < lower at x={at}$"):
+            verify_pair(DominancePair(upper, lower, RelationKind.GEQ_ALL))
+
+    def test_batch_equals_one_pair_at_a_time(self):
+        pairs = [dataclasses.replace(p, verified=False)
+                 for p in generate_pairs(GeneratorConfig(seed=8, count=5))]
+        pairs += [DominancePair(*self.DIP, RelationKind.GEQ_ALL),
+                  DominancePair(*self.TOUCH, RelationKind.STRICT_ON_PREFIX, prefix_end=0.75)]
+        assert ax._rejections(pairs) == [ax._rejections([p])[0] for p in pairs]
+        assert ax._rejections(pairs)[-2:] == [
+            "upper < lower at x=0.0002", "not strict on prefix: gap 0.0 at x=0.5"]
+
+
 class TestImpactMeasureChecks:
+    def test_admission_slack(self):
+        # a density level is admitted within the range's slack (the e score
+        # snaps it onto the range); a level that fixes a rank only exactly
+        f = _pwl((0, 3), (1, 1), (2, 0.2))
+        below = 0.2 - 5e-13
+        assert ax._level_table(E_BUNDLE, below, [f])[0] == {f: e_theta(f, 0.2)}
+        assert ax._level_table(H_BUNDLE, 0.1 - 5e-13, [f]) == ({}, {})
+        assert ax._level_table(I_BUNDLE, math.nextafter(2.0, 3.0), [f]) == ({}, {})
+
     def test_e_measure_passes(self, small_pairs):
         reports = check_impact_measure(E_BUNDLE, 1.0, small_pairs)
         assert all(r.passed for r in reports.values())
@@ -427,21 +592,99 @@ class TestGenerator:
         assert h.hexdigest() == digest
 
     def test_verification_evaluates_one_grid(self, monkeypatch):
+        # piecewise linear pairs are read at their merged knots in one stacked
+        # pass, never on a grid; parametric pairs evaluate one grid_n grid
         pairs = [dataclasses.replace(p, verified=False)
                  for p in generate_pairs(GeneratorConfig(seed=3, count=4))]
-        calls = []
+        calls, stacked = [], []
+
+        def spy(values, log):
+            def wrapper(self, xs):
+                log.append(len(xs))
+                return values(self, xs)
+            return wrapper
+
+        for cls in (PiecewiseLinearFn, LinearFamily, ZipfFamily, PowerComplement):
+            monkeypatch.setattr(cls, "values", spy(cls.values, calls))
+        monkeypatch.setattr(_PwlStack, "values", spy(_PwlStack.values, stacked))
+        for p in pairs:
+            calls.clear(), stacked.clear()
+            assert verify_pair(p, grid_n=2_000).verified
+            assert calls == []
+            merged = len(np.union1d(p.upper.xs, p.lower.xs))
+            assert len(stacked) == 2 and stacked[0] == stacked[1] <= 2 * merged + 1
+        for p in PARAMETRIC_PAIRS:
+            calls.clear()
+            assert verify_pair(dataclasses.replace(p, verified=False), grid_n=2_000).verified
+            if p.relation is not RelationKind.CUMULATIVE_PREC:
+                assert calls == [2_000, 2_000], p.relation
+
+    def test_generation_reads_no_grid(self, monkeypatch):
+        sizes = []
         values = PiecewiseLinearFn.values
 
         def spy(self, xs):
-            calls.append(len(xs))
+            sizes.append(len(xs))
             return values(self, xs)
 
         monkeypatch.setattr(PiecewiseLinearFn, "values", spy)
-        for p in pairs:
-            calls.clear()
-            assert verify_pair(p, grid_n=2_000).verified
-            if p.relation is not RelationKind.CUMULATIVE_PREC:
-                assert calls == [2_000, 2_000], p.relation
+        assert not hasattr(ax, "_VERIFY_GRID")
+        generate_pairs(GeneratorConfig(seed=1, count=10))
+        assert sizes and max(sizes) <= 2 * GeneratorConfig().knot_range[1]
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_rejected_pair_rewinds_the_generator(self, k, monkeypatch):
+        # the pass rejects the k-th pair of the first batch once; the pairs
+        # must be those of building and verifying one pair at a time
+        real, calls = ax._rejections, []
+
+        def reject_once(pairs, *args):
+            reasons = real(pairs, *args)
+            if not calls:
+                reasons[k] = "rejected once"
+            calls.append(len(pairs))
+            return reasons
+
+        cfg = GeneratorConfig(seed=13, count=6)
+        monkeypatch.setattr(ax, "_rejections", reject_once)
+        got = generate_pairs(cfg)
+        assert calls[:2] == [6, 6 - k]
+
+        rng, want, forced = np.random.default_rng(cfg.seed), [], False
+        for kind in RelationKind:
+            for slot in range(cfg.count):
+                while True:
+                    try:
+                        pair = ax._build_pair(rng, cfg, kind)
+                    except InputError:
+                        continue
+                    if kind is RelationKind.GEQ_ALL and slot == k and not forced:
+                        forced = True
+                        continue
+                    if real([pair])[0] is None:
+                        want.append(dataclasses.replace(pair, verified=True))
+                        break
+        assert got == want
+
+    def test_blocks_change_nothing(self, monkeypatch, tmp_path):
+        # a run in blocks of a few rows equals one unblocked pass, pairs and
+        # reports alike
+        def run(block):
+            monkeypatch.setattr(fn, "_BLOCK", block)
+            pairs = generate_pairs(GeneratorConfig(seed=17, count=200))
+            reports = {}
+            for name, level in (("e", 2.5), ("h", 8.0), ("mu", 0.5), ("i", 0.5)):
+                bundle = BUNDLES[name]
+                for suite in (check_impact_bundle(bundle, pairs),
+                              check_impact_measure(bundle, level, pairs),
+                              check_strong_impact(bundle, level, pairs),
+                              {"GM": check_global_impact(bundle, level, pairs)}):
+                    reports.update({f"{name}:{k}": r.to_json_obj() for k, r in suite.items()})
+            return pairs, reports
+
+        blocked, unblocked = run(37), run(10**9)
+        assert blocked[0] == unblocked[0]
+        assert blocked[1] == unblocked[1]
 
     def test_config_validation(self):
         with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,23 @@ class TestEval:
         assert rc == 0
         obj = json.loads(out.read_text())
         assert obj["h"] == pytest.approx(20 / 3, abs=1e-9)
+
+
+    def test_classical_h_computed_once(self, monkeypatch, capsys):
+        # h, R^2 and the e-index of one eval read one root, so a
+        # power-complement eval runs one bisection
+        levels = []
+        h_thetas = bn.h_thetas
+
+        def spy(f, thetas):
+            levels.append(list(thetas))
+            return h_thetas(f, thetas)
+
+        monkeypatch.setattr(bn, "h_thetas", spy)
+        power = Path(__file__).parent / "golden" / "inputs" / "power.json"
+        assert main(["eval", "--input", str(power)]) == 0
+        assert levels == [[1.0]]
+        assert "e-index" in capsys.readouterr().out
 
 
 class TestSweep:
