@@ -21,6 +21,7 @@ function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -263,9 +264,9 @@ class _KnotArithmetic:
     """Piecewise linear arithmetic on knot arrays, read through the index j
     of the segment [x_j, x_{j+1}] holding each argument.
 
-    ``PiecewiseLinearFn`` finds j by binary search and ``_PwlStack`` by
-    counting each row's knots; both then run these expressions, so a stack
-    row gets its function's floats bit for bit.  Besides ``xs``, ``ys`` and
+    ``PiecewiseLinearFn`` and ``_PwlStack`` (per row, among the row's own
+    knots) find the same j by binary search, and both then run these
+    expressions, so a stack row gets its function's floats bit for bit.  Besides ``xs``, ``ys`` and
     ``T``, a subclass provides ``_last`` (the index of the knot at T), the
     steps ``_dxs``/``_dys`` and trapezoid areas ``_area_prefix`` per knot,
     and the segment finders.
@@ -418,19 +419,27 @@ class PiecewiseLinearFn(_KnotArithmetic, RankFunction):
         """The knot residuals strictly decrease from y_0 > 0, so a binary
         search finds the segment where they change sign."""
         xs, ys = self.xs, self.ys
-        lo = np.zeros(thetas.shape, dtype=np.intp)
-        hi = np.full(thetas.shape, len(xs) - 1, dtype=np.intp)
-        while True:
-            open_ = hi - lo > 1
-            if not open_.any():
-                return lo
-            mid = (lo + hi) // 2
-            pos = ys[mid] - thetas * xs[mid] > 0.0
-            lo = np.where(open_ & pos, mid, lo)
-            hi = np.where(open_ & ~pos, mid, hi)
+        return _bisect(np.zeros(thetas.shape, dtype=np.intp), np.full(thetas.shape, len(xs) - 1),
+                       lambda k: ys[k] - thetas * xs[k] > 0.0)
 
 
-# Rows per stacked pass, which gathers its rows' knots: a bound on its memory.
+def _bisect(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per argument, the last knot index in [lo, hi) at which ``holds`` does,
+    lo counting as holding: a binary search, one numpy pass per halving.
+    ``holds`` maps knot indices (one per argument) to flags and must hold on
+    a leading run of each range, as the segment predicates do on
+    increasing xs and decreasing ys."""
+    while True:
+        open_ = hi - lo > 1
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        pos = holds(mid)
+        lo = np.where(open_ & pos, mid, lo)
+        hi = np.where(open_ & ~pos, mid, hi)
+
+
+# Rows per stacked pass: a bound on the memory of every pass.
 _BLOCK = 512
 
 
@@ -438,45 +447,40 @@ class _PwlStack(_KnotArithmetic):
     """Piecewise linear functions stacked one per row, row i read at
     argument i: the vector API that the bundle score rules call, with a
     per-row array wherever a function answers a scalar (``T``, the range
-    bounds, Z(0)).  The distinct functions' knots are concatenated once;
-    ``_select`` gathers any rows of them (a function may fill many rows)
-    with one fancy index, and each row finds its segment by counting its own
-    knots, so a pass costs no Python per row.
+    bounds, Z(0)).  The distinct functions' knots are concatenated once, a
+    row names the function it reads (a function may fill many rows), and
+    ``_select`` only picks rows.  Each row finds its segment by binary
+    search among its own knots, so a pass costs O(log K) numpy steps and no
+    Python per row.
     """
 
     unbounded_at_origin = False
 
     def __init__(self, fns: Sequence[PiecewiseLinearFn]) -> None:
-        sizes = np.array([len(f.xs) for f in fns])
-        self._pool = {"fns": fns, "xs": np.concatenate([f.xs for f in fns]),
-                      "ys": np.concatenate([f.ys for f in fns]), "sizes": sizes,
-                      "starts": np.cumsum(sizes) - sizes}
-        self._gather(np.arange(len(fns)))
-
-    def _gather(self, rows: np.ndarray) -> None:
-        pool = self._pool
-        self._rows, self._sizes = rows, pool["sizes"][rows]
-        self._last = np.cumsum(self._sizes) - 1
-        self._first = self._last - (self._sizes - 1)
-        self._knots = (np.repeat(pool["starts"][rows] - self._first, self._sizes)
-                       + np.arange(self._sizes.sum()))
-        self.xs, self.ys = pool["xs"][self._knots], pool["ys"][self._knots]
-        # the steps that straddle two rows are never read
+        last = np.cumsum([len(f.xs) for f in fns]) - 1
+        self._pool = {"fns": fns, "first": np.r_[0, last[:-1] + 1], "last": last}
+        self.xs = np.concatenate([f.xs for f in fns])
+        self.ys = np.concatenate([f.ys for f in fns])
+        # the steps that straddle two functions are never read
         self._dxs = self.xs[1:] - self.xs[:-1]
         self._dys = self.ys[1:] - self.ys[:-1]
+        self._pick(np.arange(len(fns)))
+
+    def _pick(self, rows: np.ndarray) -> None:
+        self._rows = rows
+        self._first, self._last = self._pool["first"][rows], self._pool["last"][rows]
         self.T = self.xs[self._last]
 
-    @cached_property
+    @property
     def _area_prefix(self) -> np.ndarray:
         if "area" not in self._pool:  # only the passes that integrate need it
             self._pool["area"] = np.concatenate([f._area_prefix for f in self._pool["fns"]])
-        return self._pool["area"][self._knots]
+        return self._pool["area"]
 
     def _select(self, keep: np.ndarray) -> "_PwlStack":
         """The rows that a mask or an index array picks."""
-        stack = object.__new__(_PwlStack)
-        stack._pool = self._pool
-        stack._gather(self._rows[keep])
+        stack = copy.copy(self)
+        stack._pick(self._rows[keep])
         return stack
 
     def _read(self, vector: Callable[["_PwlStack", np.ndarray], np.ndarray], rows: np.ndarray,
@@ -493,23 +497,16 @@ class _PwlStack(_KnotArithmetic):
     def admissible_range(self) -> ThetaRange:
         return ThetaRange(self.ys[self._last], self.ys[self._first])
 
-    def _segment(self, hits: np.ndarray) -> np.ndarray:
-        """Per row, the segment ``PiecewiseLinearFn``'s search would find: the
-        row's first knot plus the count of its interior knots that the flags
-        (one per knot) mark."""
-        hits[self._first] = hits[self._last] = False
-        return self._first + np.add.reduceat(hits, self._first, dtype=np.intp)
-
     def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
-        j = self._segment(self.xs <= np.repeat(xs, self._sizes))
+        j = _bisect(self._first, self._last, lambda k: self.xs[k] <= xs)
         return xs, j, xs - self.xs[j]
 
     def _level_segments(self, thetas: np.ndarray) -> np.ndarray:
-        return self._segment(self.ys > np.repeat(thetas, self._sizes))
+        return _bisect(self._first, self._last, lambda k: self.ys[k] > thetas)
 
     def _crossing_segments(self, thetas: np.ndarray) -> np.ndarray:
-        return self._segment(self.ys - np.repeat(thetas, self._sizes) * self.xs > 0.0)
+        return _bisect(self._first, self._last, lambda k: self.ys[k] - thetas * self.xs[k] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -683,10 +680,11 @@ def _merged_gaps(
     f - g is linear between merged knots, so its extremes on [0, ends[i]]
     are among these points."""
     stack, up, lo = _PwlStack([*fs, *gs]), np.arange(len(fs)), np.arange(len(fs), 2 * len(fs))
-    xs, starts, sizes = (stack._pool[key] for key in ("xs", "starts", "sizes"))
+    first, last = stack._pool["first"], stack._pool["last"]
 
     def knots(rows: np.ndarray) -> np.ndarray:  # padded by repeating the last
-        return xs[starts[rows, None] + np.minimum(np.arange(sizes.max()), sizes[rows, None] - 1)]
+        steps = np.minimum(np.arange(np.max(last - first) + 1), (last - first)[rows, None])
+        return stack.xs[first[rows, None] + steps]
 
     # a knot past the end is moved onto it, and the last knot of each is past
     points = np.sort(np.minimum(np.hstack((knots(up), knots(lo))), ends[:, None]), axis=1)

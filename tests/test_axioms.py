@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from ebundles.functions import (
     _PwlStack,
     compare,
     cumulative_dominates,
+    from_citations,
 )
 
 
@@ -416,6 +418,20 @@ class TestExactVerification:
         assert not oracles.exact_relation_holds(RelationKind.GEQ_ALL, facts)
         with pytest.raises(VerificationError, match=f"upper < lower at x={at}$"):
             verify_pair(DominancePair(upper, lower, RelationKind.GEQ_ALL))
+
+    def test_large_pair_reads_in_linear_memory(self):
+        # each stacked row searches its own function's knots, so reading a
+        # K-knot pair at its 2K merged knots costs O(K log K), not O(K^2)
+        counts = np.floor(np.random.default_rng(4).pareto(1.2, 1_500) * 5) + 1
+        lower = from_citations(counts)
+        upper = PiecewiseLinearFn(lower.xs, lower.ys + 0.5)
+        tracemalloc.start()
+        try:
+            assert verify_pair(DominancePair(upper, lower, RelationKind.GEQ_ALL)).verified
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lower.xs) > 1_000 and peak < 4 * 2**20
 
     def test_batch_equals_one_pair_at_a_time(self):
         pairs = [dataclasses.replace(p, verified=False)
