@@ -20,18 +20,20 @@ The pair set, not the pair, is the unit of work.  Each
 ``check_impact_bundle`` axiom reads all its pairs at once (``_PairSet``):
 the members' level maps at the sampled ranks in one stacked pass, then both
 members' scores at every sampled level of every pair in another, with the
-first flagged level per pair found by ``argmax``; a score or level map
-other than the built-in ones falls back to one scalar call per level, with
-the same report.  The last three take the single score as a ``BundleDef``
-and a level theta; the bundle's ``positive_for`` and ``rank_of`` say where
-that score is provably positive and which rank it reads up to.  Each admits
-and scores every distinct function of its pairs once, in stacked passes
-(``_level_table``), and reads every pair's verdict from that table.  Every
-stacked pass runs in blocks of ``functions._BLOCK`` rows.  Every report
-comes from one driver, ``_run_axiom``.
+first flagged level per pair found by ``argmax``.  The last three take the
+single score as a ``BundleDef`` and a level theta; the bundle's
+``positive_for`` and ``rank_of`` say where that score is provably positive
+and which rank it reads up to.  Each admits and scores every distinct
+function of its pairs once, in stacked passes (``_level_table``), and reads
+every pair's verdict from that table.  A pair set or a table stacks its
+piecewise linear members once (``bundles._pool``), every pass reads rows of
+that stack through the bundle's vector rules, built-in or custom alike, in
+blocks of ``functions._BLOCK`` rows, and a set with another member is read
+one function at a time.  Every report comes from one driver, ``_run_axiom``.
 
 The module also ships the two rejected alternative scores (``n_theta``,
-``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``),
+``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``,
+whose vector rules the stacked passes read as they read the built-in ones),
 three exactly constructed counterexample fixtures that demonstrate which
 axioms each score breaks, and a seeded pair generator.  Its verification
 (``verify_pair``, ``_rejections``) is exact for piecewise linear pairs, at
@@ -54,7 +56,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, _at_level, _at_levels, _ranges, e_theta
+from .bundles import (E_BUNDLE, I_BUNDLE, BundleDef, _at_levels, _defined, _excess, _on_domain,
+                      _pool, _ranges, _read)
 from .functions import (
     EQUALITY_TOL,
     CumulativeOrder,
@@ -357,15 +360,15 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 
 class _PairSet:
     """One relation kind's pairs, read together for a bundle: the members
-    (uppers, then lowers) with each pair's rows ``up`` and ``lo``, their
-    admissible ranges, and n ranks per pair on (0, a], a the prefix end or
-    else T."""
+    (uppers, then lowers, as one ``_pool``) with each pair's rows ``up`` and
+    ``lo``, their admissible ranges, and n ranks per pair on (0, a], a the
+    prefix end or else T."""
 
     def __init__(self, bundle: BundleDef, pairs: Sequence[DominancePair], kind: RelationKind,
                  n: int) -> None:
         items = _by_relation(pairs, kind)
         self.bundle, self.idx, ps = bundle, [i for i, _ in items], [p for _, p in items]
-        self.fns = [p.upper for p in ps] + [p.lower for p in ps]
+        self.fns = _pool([p.upper for p in ps] + [p.lower for p in ps])
         self.up, self.lo = np.arange(len(ps)), np.arange(len(ps), 2 * len(ps))
         self.ranges = _ranges(bundle.admissible, self.fns)
         ends = np.array([p.upper.T if p.prefix_end is None else p.prefix_end for p in ps])
@@ -376,7 +379,7 @@ class _PairSet:
         lowers'), in one stacked pass."""
         ranks = self.ranks[pick]
         rows = np.repeat(np.concatenate((self.up[pick], self.lo[pick])), ranks.shape[1])
-        flat = _at_levels(self.bundle.level_of, self.fns, rows, np.tile(ranks.ravel(), 2))
+        flat = _at_levels(self.bundle.levels, self.fns, rows, np.tile(ranks.ravel(), 2))
         return np.hstack(flat.reshape(2, *ranks.shape))
 
     def violations(self, levels: np.ndarray, verdict, tol: float, note: str) -> list:
@@ -390,7 +393,7 @@ class _PairSet:
             keep &= ThetaRange(*(end[rows, None] for end in self.ranges)).contains_each(levels)
         rows, cols = np.nonzero(keep)
         m = np.full((2, *levels.shape), math.nan)
-        m[:, rows, cols] = _at_levels(self.bundle.measure, self.fns,
+        m[:, rows, cols] = _at_levels(self.bundle.scores, self.fns,
                                       np.concatenate((self.up[rows], self.lo[rows])),
                                       np.tile(levels[rows, cols], 2)).reshape(2, -1)
         found = _first_violations(self.idx, levels, m[0], m[1], verdict, tol, note)
@@ -461,21 +464,34 @@ def check_impact_bundle(
 # Single-score axioms: a bundle fixed at one level theta
 
 
+def _n_scores(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
+    """The excess area per unit rank, e / x at x = f^-1(theta), at admitted
+    levels; undefined at theta = Z(0), where x = 0."""
+    rng = f.admissible_range()
+
+    def per_rank(g: RankFunction, t: np.ndarray) -> np.ndarray:
+        x = g._inverses(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0.0, _excess(g, t) / x, math.nan)
+    return _defined(rng.contains_each(thetas), f, per_rank, rng.clamp_each(thetas))
+
+
+def _eta_scores(f: RankFunction, ts: np.ndarray) -> np.ndarray:
+    """The area between f and its own level f(t) over [0, t], I(t) - t f(t),
+    for ranks t on the domain; exactly 0 at t = 0, where f is not read."""
+    inner = _on_domain(f, ts) & (ts > 0.0)
+    area = _defined(inner, f, lambda g, t: g.cumulatives(t) - t * g.values(t), ts)
+    return np.where(ts == 0.0, 0.0, area)
+
+
 def n_theta(f: RankFunction, theta: float) -> float:
     """Excess area per unit rank: e_theta divided by the inverse rank."""
-    x = f.inverse(theta)
-    if x == 0.0:
-        raise InputError("n undefined at theta = Z(0): inverse rank is zero")
-    return e_theta(f, theta) / x
+    return _read(_n_scores, f, theta, "n")
 
 
 def eta_theta(f: RankFunction, t: float) -> float:
     """Area between f and its own level f(t) over [0, t]; t is a rank."""
-    if math.isnan(t) or not (0.0 <= t <= f.T):
-        raise InputError(f"t={t!r} outside domain [0, {f.T}]")
-    if t == 0.0:
-        return 0.0
-    return f.cumulative(t) - t * f.value(t)
+    return _read(_eta_scores, f, t, "eta")
 
 
 _Table = dict[RankFunction, float]
@@ -484,20 +500,22 @@ _Table = dict[RankFunction, float]
 def _level_table(bundle: BundleDef, theta: float, fns: Iterable[RankFunction]) -> tuple[_Table, _Table]:
     """Each distinct function's score at theta and, for a bundle with
     ``rank_of``, the rank up to which the score reads it, each in one
-    stacked pass.  Only functions that admit theta get entries (a density
-    level within the range's slack, as the density scores snap it onto the
-    range, one that fixes a rank exactly); an undefined score is NaN."""
+    stacked pass over one ``_pool``.  Only functions that admit theta get
+    entries (a density level within the range's slack, as the density
+    scores snap it onto the range, one that fixes a rank exactly); an
+    undefined score is NaN."""
     fns = list(dict.fromkeys(fns))
-    lo, hi = _ranges(bundle.admissible, fns)
+    pool = _pool(fns)
+    lo, hi = _ranges(bundle.admissible, pool)
     slack = EQUALITY_TOL if bundle.rank_of is None else 0.0
-    admits = math.isfinite(theta) & (theta >= lo - slack) & (theta <= hi + slack)
-    admitted = [f for f, ok in zip(fns, admits.tolist()) if ok]
-    scores = dict(zip(admitted, _at_level(bundle.measure, admitted, theta).tolist()))
+    rows = np.flatnonzero(math.isfinite(theta) & (theta >= lo - slack) & (theta <= hi + slack))
+    admitted, thetas = [fns[r] for r in rows.tolist()], np.full(len(rows), float(theta))
+    scores = dict(zip(admitted, _at_levels(bundle.scores, pool, rows, thetas).tolist()))
     if bundle.rank_of is None:
         return scores, {}
-    if bundle.rank_of is bundle.measure:  # h reads up to its own root
+    if bundle.rank_of is bundle.scores:  # h reads up to its own root
         return scores, scores
-    return scores, dict(zip(admitted, _at_level(bundle.rank_of, admitted, theta).tolist()))
+    return scores, dict(zip(admitted, _at_levels(bundle.rank_of, pool, rows, thetas).tolist()))
 
 
 def _pair_check(
@@ -552,33 +570,22 @@ def check_impact_measure(
     """Three-axiom check for the single score of a bundle at the level theta.
 
     IM.1 positivity (the zero-function clause is vacuous on this function
-    space), IM.2 monotone under pointwise >= plus equal scores on equal
-    inputs, IM.3 strict growth under strict prefix dominance, with the
-    generated prefix endpoint playing the per-function threshold.
+    space), IM.2 monotone under pointwise >= (equal inputs score equally by
+    construction: a score is a rule on f), IM.3 strict growth under strict
+    prefix dominance, with the generated prefix endpoint playing the
+    per-function threshold.
     """
     pairs = _require_verified(pairs)
     members = _members(pairs)
     scores, ranks = _level_table(bundle, theta, members)
-    geq = _by_relation(pairs, RelationKind.GEQ_ALL)
-    # the determinism half of IM.2 scores the dominating members a second time
-    uppers = [f for f in dict.fromkeys(p.upper for _, p in geq) if f in scores]
-    again = dict(zip(uppers, _at_level(bundle.measure, uppers, theta).tolist()))
-    below = _pair_check(scores, _below, slack)
-
-    def monotone(idx: int, p: DominancePair):
-        outcome = below(idx, p)
-        if outcome is None and again[p.upper] != scores[p.upper]:
-            m_up = scores[p.upper]
-            return Violation(idx, math.nan, m_up, m_up, 0.0, note="not deterministic")
-        return outcome
-
     # a score that reads up to a rank (mu, i, h) is only constrained when the
     # strict prefix covers everything it reads
     strict = _pair_check(scores, _not_above, strict_slack, _NOT_STRICT,
                          lambda p: _SKIP if _reads_past(bundle, ranks, p.lower, p.prefix_end) else None)
     return {
         "IM.1": _positivity_report("IM.1", bundle, theta, members, scores, strict_slack),
-        "IM.2": _run_axiom("IM.2", geq, monotone),
+        "IM.2": _run_axiom("IM.2", _by_relation(pairs, RelationKind.GEQ_ALL),
+                           _pair_check(scores, _below, slack)),
         "IM.3": _run_axiom("IM.3", _by_relation(pairs, RelationKind.STRICT_ON_PREFIX), strict),
     }
 
@@ -730,7 +737,7 @@ def pseudo_bundle_n() -> BundleDef:
 
     Its level is a density, as for the e bundle it is built from.
     """
-    return replace(E_BUNDLE, name="n", measure=n_theta)
+    return replace(E_BUNDLE, name="n", scores=_n_scores)
 
 
 def pseudo_bundle_eta() -> BundleDef:
@@ -738,7 +745,7 @@ def pseudo_bundle_eta() -> BundleDef:
 
     Its level is a rank, as for the i bundle it is built from.
     """
-    return replace(I_BUNDLE, name="eta", measure=eta_theta)
+    return replace(I_BUNDLE, name="eta", scores=_eta_scores)
 
 
 # ---------------------------------------------------------------------------

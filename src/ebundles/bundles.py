@@ -18,23 +18,23 @@ area at that h equals the squared e-index sqrt(R^2 - h^2) of the h-core
 
 ``e_thetas`` and ``h_thetas`` score many levels at once through the
 functions' vector forms (``inverses``, ``cumulatives``, ``ray_crossings``),
-one code path for every family; ``sweep`` uses them, and ``e_theta`` and
-``h_theta`` read them at one level.  Each score rule (admissibility slack,
-clamping, NaN where the score is undefined, h's boundary tolerance) is
-written once here, and runs on a single function at many levels or on a
-``_PwlStack`` of piecewise linear functions at one level per row
-(``_at_levels``, for the axiom suites, which read whole pair sets).
+one code path for every family, and ``e_theta`` and ``h_theta`` read them
+at one level.  A bundle (``BundleDef``) is its vector rules.  Each rule
+(admissibility slack, clamping, NaN where the score is undefined, h's
+boundary tolerance) is written once here, and runs on a single function at
+many levels (``sweep``) or on a ``_PwlStack`` of piecewise linear functions
+at one level per row (``_at_levels``, for the axiom suites, which read
+whole pair sets); ``BundleDef.measure`` and ``level_of`` read a rule at one
+argument.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Container, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .functions import (
     ThetaRange,
     ThetaRangeError,
     _PwlStack,
+    _at,
 )
 
 __all__ = [
@@ -78,9 +79,10 @@ class ConsistencyError(RuntimeError):
 # The score rules below take f as a rank function, or as a ``_PwlStack`` of
 # piecewise linear functions with one level each.
 
+VectorRule = Callable[[RankFunction, np.ndarray], np.ndarray]
 
-def _defined(ok: np.ndarray, f: RankFunction, score: Callable[[RankFunction, np.ndarray], np.ndarray],
-             args: np.ndarray) -> np.ndarray:
+
+def _defined(ok: np.ndarray, f: RankFunction, score: VectorRule, args: np.ndarray) -> np.ndarray:
     """score(f, args) where ok holds, NaN elsewhere (a stack keeps the rows
     that ok holds for)."""
     if ok.all():
@@ -204,104 +206,82 @@ def excess_at_h(f: RankFunction) -> float:
 
 @dataclass(frozen=True)
 class BundleDef:
-    """A bundle as data: its score, rank-to-level map, and admissibility.
+    """A bundle as data: its vector rules and admissibility.
 
-    ``level_of``(f, x) sends a rank x to the parameter value the bundle
-    associates with it (the identity for mu/i, Z(x) for e, Z(x)/x for h).
+    Each rule takes a rank function, or a ``_PwlStack`` of piecewise linear
+    functions with one argument per row, and an array of arguments, and
+    returns NaN where it is undefined.  ``scores``(f, thetas) is the score
+    at every level, and ``levels``(f, xs) sends every rank x to the level
+    the bundle associates with it (the identity for mu/i, Z(x) for e,
+    Z(x)/x for h).  ``measure`` and ``level_of`` read them at one argument
+    and raise ``InputError`` where they give NaN.  ``admissible``(f) is the
+    range of levels, a ``ThetaRange`` with per-row ends on a stack.
+
     Fixed at one level theta, a bundle is a single score, which the measure
     axiom checkers take with two more facts: ``positive_for``(f, theta)
     states where the score is provably strictly positive, and
-    ``rank_of``(f, theta) is the rank up to which the score reads f (theta
-    itself for mu/i, the root for h).  ``rank_of`` is None when the level is
-    a density (e): then the checkers compare theta with f's values instead.
-
-    ``levels`` and ``scores`` are the vector forms of ``level_of`` and
-    ``measure``: levels at many ranks and scores at many levels, NaN where
-    the scalar form raises ``InputError``.  The vector form follows from the
-    scalar callable: each built-in callable maps to its vector rule here
-    (the built-in scalar scores are one-element reads of those rules), and
-    any other callable is looped over.  Custom instances, including ones
-    made with ``dataclasses.replace`` from a built-in bundle, can be passed
-    to the axiom checkers to probe candidate scores that are not part of the
-    built-in registry.
+    ``rank_of``(f, thetas), a rule too, is the rank up to which the score
+    reads f (theta itself for mu/i, the root for h).  ``rank_of`` is None
+    when the level is a density (e): then the checkers compare theta with
+    f's values instead.  Custom instances, including ones made with
+    ``dataclasses.replace`` from a built-in bundle, can be passed to the
+    axiom checkers to probe candidate scores.
     """
 
     name: str
-    measure: Callable[[RankFunction, float], float]
-    level_of: Callable[[RankFunction, float], float]
+    scores: VectorRule
+    levels: VectorRule
     admissible: Callable[[RankFunction], ThetaRange]
     positive_for: Callable[[RankFunction, float], bool] = lambda f, theta: True
-    rank_of: Callable[[RankFunction, float], float] | None = None
+    rank_of: VectorRule | None = None
 
-    def scores(self, f: RankFunction, thetas: np.ndarray) -> np.ndarray:
-        """``measure`` at every level, NaN where it is undefined."""
-        return _vectorized(self.measure, f, np.asarray(thetas, dtype=float))
+    def measure(self, f: RankFunction, theta: float) -> float:
+        """``scores`` at one level."""
+        return _read(self.scores, f, theta, f"{self.name} score")
 
-    def levels(self, f: RankFunction, xs: np.ndarray) -> np.ndarray:
-        """``level_of`` at every rank, NaN where it is undefined."""
-        return _vectorized(self.level_of, f, np.asarray(xs, dtype=float))
-
-
-VectorForm = Callable[[RankFunction, np.ndarray], np.ndarray]
+    def level_of(self, f: RankFunction, x: float) -> float:
+        """``levels`` at one rank."""
+        return _read(self.levels, f, x, f"{self.name} level")
 
 
-def _vectorized(scalar: Callable, f: RankFunction, args: np.ndarray) -> np.ndarray:
-    """scalar at every arg: through its known vector form, else in a loop.
-
-    A wrapper that names what it wraps (``__wrapped__``, as ``functools.wraps``
-    sets) is taken to give the same values, so it keeps the vector form.
-    """
-    vector = _VECTOR_FORMS.get(inspect.unwrap(scalar))
-    return _each(scalar, f, args) if vector is None else vector(f, args)
+def _read(rule: VectorRule, f: RankFunction, arg: float, what: str) -> float:
+    """rule at one argument; raises ``InputError`` where it gives NaN."""
+    value = _at(lambda args: rule(f, args), arg)
+    if math.isnan(value):
+        raise InputError(f"{what} undefined at {arg!r}")
+    return value
 
 
-def _at_levels(scalar: Callable[[RankFunction, float], float], fns: Sequence[RankFunction],
-               rows: np.ndarray, args: np.ndarray) -> np.ndarray:
-    """scalar(fns[r], a) for every row r and argument a, NaN where it is
-    undefined: through the callable's vector form, in stacked passes
-    (``_PwlStack``) for piecewise linear functions and one call per function
-    otherwise; a callable without a vector form is called per argument."""
-    if fns and _stacks(scalar, fns, _VECTOR_FORMS):
-        return _PwlStack(fns)._read(functools.partial(_vectorized, scalar), rows, args)
+def _pool(fns: Sequence[RankFunction]) -> Sequence[RankFunction] | _PwlStack:
+    """The functions as one stack when all are piecewise linear, so that every
+    pass reads rows of it, else as they are."""
+    if fns and all(isinstance(f, PiecewiseLinearFn) for f in fns):
+        return _PwlStack(fns)
+    return fns
+
+
+def _at_levels(rule: VectorRule, fns: Sequence[RankFunction] | _PwlStack, rows: np.ndarray,
+               args: np.ndarray) -> np.ndarray:
+    """rule(fns[r], a) for every row r and argument a: in stacked passes over
+    a ``_pool`` stack, else in one call per function."""
+    if isinstance(fns, _PwlStack):
+        return fns._read(rule, rows, args)
     out = np.empty(len(rows))
     for i in np.unique(rows).tolist():
         mine = rows == i
-        out[mine] = _vectorized(scalar, fns[i], args[mine])
+        out[mine] = rule(fns[i], args[mine])
     return out
 
 
-def _stacks(scalar: Callable, fns: Sequence[RankFunction], known: Container[Callable]) -> bool:
-    """Whether a built-in callable (one in ``known``) reads fns as a stack."""
-    return inspect.unwrap(scalar) in known and all(isinstance(f, PiecewiseLinearFn) for f in fns)
-
-
-def _at_level(scalar: Callable[[RankFunction, float], float], fs: Sequence[RankFunction],
-              theta: float) -> np.ndarray:
-    """scalar(f, theta) for every f in fs (``_at_levels`` at one level)."""
-    return _at_levels(scalar, fs, np.arange(len(fs)), np.full(len(fs), float(theta)))
-
-
 def _ranges(admissible: Callable[[RankFunction], ThetaRange],
-            fns: Sequence[RankFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """Each function's admissible range, as arrays of its ends: a built-in
-    range reads a set of piecewise linear functions in one stacked call,
-    and any other set one function at a time."""
-    if fns and _stacks(admissible, fns, _STACKED_RANGES):
-        rng = admissible(_PwlStack(fns))
-        return np.broadcast_to(rng.lo, len(fns)), np.broadcast_to(rng.hi, len(fns))
+            fns: Sequence[RankFunction] | _PwlStack) -> tuple[np.ndarray, np.ndarray]:
+    """Each function's admissible range, as arrays of its ends: one call on
+    a ``_pool`` stack, else one per function."""
+    if isinstance(fns, _PwlStack):
+        rng = admissible(fns)
+        return np.broadcast_to(rng.lo, fns.T.shape), np.broadcast_to(rng.hi, fns.T.shape)
     rngs = [admissible(f) for f in fns]
     return np.array([r.lo for r in rngs], dtype=float), np.array([r.hi for r in rngs], dtype=float)
-
-
-def _each(scalar: Callable[[RankFunction, float], float], f: RankFunction,
-          args: np.ndarray) -> np.ndarray:
-    """scalar(f, a) for every a, NaN where it raises ``InputError``."""
-    def one(a: float) -> float:
-        try:
-            return scalar(f, a)
-        except InputError:
-            return math.nan
-    return np.array([one(a) for a in args.tolist()], dtype=float)
 
 
 def _on_domain(f: RankFunction, xs: np.ndarray) -> np.ndarray:
@@ -314,22 +294,11 @@ def _off_pole(f: RankFunction, xs: np.ndarray) -> np.ndarray:
     return _on_domain(f, xs) & ~((xs == 0.0) & f.unbounded_at_origin)
 
 
-def _level_identity(f: RankFunction, x: float) -> float:
-    return x
-
 def _levels_identity(f: RankFunction, xs: np.ndarray) -> np.ndarray:
     return xs
 
-def _level_value(f: RankFunction, x: float) -> float:
-    return f.value(x)
-
 def _levels_value(f: RankFunction, xs: np.ndarray) -> np.ndarray:
     return _defined(_off_pole(f, xs), f, lambda g, x: g.values(x), xs)
-
-def _level_value_over_rank(f: RankFunction, x: float) -> float:
-    if x == 0.0:
-        return math.inf
-    return f.value(x) / x
 
 def _levels_value_over_rank(f: RankFunction, xs: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
@@ -354,58 +323,42 @@ def _cumulatives(f: RankFunction, ranks: np.ndarray) -> np.ndarray:
     return _defined(_on_domain(f, ranks), f, lambda g, r: g.cumulatives(r), ranks)
 
 
-# The vector forms of the built-in scalar callables, keyed by the callable,
-# so a bundle that replaces its scalar callable drops the vector form too.
-_VECTOR_FORMS: dict[Callable, VectorForm] = {
-    e_theta: _e_scores,
-    h_theta: _h_scores,
-    mu_bundle: _averages,
-    i_bundle: _cumulatives,
-    _level_identity: _levels_identity,
-    _level_value: _levels_value,
-    _level_value_over_rank: _levels_value_over_rank,
-}
-
-
 E_BUNDLE = BundleDef(
     name="e",
-    measure=e_theta,
-    level_of=_level_value,
+    scores=_e_scores,
+    levels=_levels_value,
     admissible=lambda f: f.admissible_range(),
     positive_for=lambda f, theta: theta < f.value_at_origin(),
 )
 
 H_BUNDLE = BundleDef(
     name="h",
-    measure=h_theta,
-    level_of=_level_value_over_rank,
+    scores=_h_scores,
+    levels=_levels_value_over_rank,
     admissible=_h_range,
-    rank_of=h_theta,
+    rank_of=_h_scores,
 )
 
 MU_BUNDLE = BundleDef(
     name="mu",
-    measure=mu_bundle,
-    level_of=_level_identity,
+    scores=_averages,
+    levels=_levels_identity,
     admissible=lambda f: ThetaRange(0.0, f.T),
-    rank_of=_level_identity,
+    rank_of=_levels_identity,
 )
 
 I_BUNDLE = BundleDef(
     name="i",
-    measure=i_bundle,
-    level_of=_level_identity,
+    scores=_cumulatives,
+    levels=_levels_identity,
     admissible=lambda f: ThetaRange(0.0, f.T),
     positive_for=lambda f, x: x > 0.0,
-    rank_of=_level_identity,
+    rank_of=_levels_identity,
 )
 
 BUNDLES: dict[str, BundleDef] = {
     b.name: b for b in (E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE)
 }
-
-# The built-in admissible ranges, which run on a ``_PwlStack`` as they are.
-_STACKED_RANGES = {b.admissible for b in BUNDLES.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -55,19 +55,17 @@ def _emit(text: str, output_path: str | None) -> None:
 
 def _parse_theta_spec(args: argparse.Namespace) -> tuple[float, ...] | None:
     theta, theta_list = args.theta, args.theta_list
-    if theta and theta_list:
+    if theta is not None and theta_list is not None:
         raise fn.InputError("use either --theta or --theta-list, not both")
-    if theta_list:
+    if theta_list is not None:
         try:
             vals = tuple(float(v) for v in theta_list.split(","))
         except ValueError:
             raise fn.InputError(f"bad --theta-list {theta_list!r}") from None
-        if not vals:
-            raise fn.InputError("--theta-list is empty")
         if not all(math.isfinite(v) for v in vals):
             raise fn.InputError(f"--theta-list levels must be finite, got {theta_list!r}")
         return vals
-    if theta:
+    if theta is not None:
         parts = theta.split(":")
         if len(parts) != 3:
             raise fn.InputError("--theta must look like lo:hi:count")

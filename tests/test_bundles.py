@@ -1,5 +1,3 @@
-import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -10,10 +8,17 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import pwl_functions, seeded_pwl
-from ebundles.axioms import GeneratorConfig, RelationKind, generate_pairs
+from ebundles.axioms import (
+    GeneratorConfig,
+    RelationKind,
+    generate_pairs,
+    pseudo_bundle_eta,
+    pseudo_bundle_n,
+)
 from ebundles.bundles import (
     BUNDLES,
-    _at_level,
+    _at_levels,
+    _pool,
     classical_h,
     e_index,
     e_theta,
@@ -324,42 +329,24 @@ class TestVectorForms:
         ids=["citations", "linear", "zipf", "power"],
     )
     def test_bundle_vector_forms_match_scalar_loop(self, f, name):
+        # measure and level_of read the rules at one argument: they raise
+        # exactly where the rule gives NaN and return its value elsewhere
         bundle = BUNDLES[name]
-        # wrapped callables are not the built-in ones, so their vector forms loop
-        loop = dataclasses.replace(bundle, measure=lambda f, t: bundle.measure(f, t),
-                                   level_of=lambda f, x: bundle.level_of(f, x))
         T, z_T = f.T, f.value(f.T)
         args = np.array([-1.0, 0.0, 0.3 * T, z_T, z_T / T, z_T / T - 5e-13, T, T + 1e-13,
                          2.0 * T, 7.0, math.inf, math.nan])
         exact = isinstance(f, (PiecewiseLinearFn, LinearFamily))
-        for vector, scalar in ((bundle.scores, loop.scores), (bundle.levels, loop.levels)):
-            got, want = vector(f, args), scalar(f, args)
-            assert np.isnan(got).tolist() == np.isnan(want).tolist()
-            ok = ~np.isnan(want)
-            if exact:  # numpy's power may move a parametric value by an ulp
-                assert got[ok].tolist() == want[ok].tolist()
-            else:
-                np.testing.assert_allclose(got[ok], want[ok], rtol=4 * np.finfo(float).eps)
-
-    def test_wrapped_callables_keep_vector_forms(self):
-        # a wrapper that names what it wraps scores through the vector form
-        calls = []
-
-        def wrapping(scalar):
-            @functools.wraps(scalar)
-            def wrapper(f, t):
-                calls.append(t)
-                return scalar(f, t)
-            return wrapper
-
-        f = LinearFamily(S=10, T=20)
-        args = np.array([0.1, 0.5, 2.0, 7.0])
-        h = BUNDLES["h"]
-        bundle = dataclasses.replace(h, measure=wrapping(h.measure),
-                                     level_of=wrapping(h.level_of))
-        assert bundle.scores(f, args).tolist() == h.scores(f, args).tolist()
-        assert bundle.levels(f, args).tolist() == h.levels(f, args).tolist()
-        assert calls == []
+        for rule, scalar in ((bundle.scores, bundle.measure), (bundle.levels, bundle.level_of)):
+            want = rule(f, args)
+            for a, w in zip(args.tolist(), want.tolist()):
+                if math.isnan(w):
+                    with pytest.raises(InputError):
+                        scalar(f, a)
+                elif exact:  # numpy's power may move a parametric value by an ulp
+                    assert scalar(f, a) == w
+                else:
+                    assert scalar(f, a) == pytest.approx(w, rel=4 * np.finfo(float).eps)
+            assert not np.isnan(want).all()
 
     def test_out_of_range_levels_raise(self):
         with pytest.raises(ThetaRangeError):
@@ -419,16 +406,20 @@ def _stack_members(seed):
     return fns + [PiecewiseLinearFn.from_pairs([(0, 4), (2, 1)]), from_citations([5, 3, 3, 1])]
 
 
+# The built-in bundles and the two rejected scores, all read in stacked passes.
+STACKED = {**BUNDLES, "n": pseudo_bundle_n(), "eta": pseudo_bundle_eta()}
+
+
 class TestStackedPass:
     """A ``_PwlStack`` reads row i on its own function at argument i; every
     row must equal that function's ``BundleDef.scores``, bit for bit and NaN
     for NaN, at the ends of every range, at a knot, and one ulp off each."""
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("name", sorted(BUNDLES))
+    @pytest.mark.parametrize("name", sorted(STACKED))
     def test_rows_at_range_edges(self, name, seed):
         fns = _stack_members(seed)
-        bundle = BUNDLES[name]
+        bundle = STACKED[name]
         stack = _PwlStack(fns)
         T = np.array([f.T for f in fns])
         z_T = np.array([f.admissible_range().lo for f in fns])
@@ -437,27 +428,19 @@ class TestStackedPass:
         x_1, y_1 = np.array([f.xs[1] for f in fns]), np.array([f.ys[1] for f in fns])
         for edge in (z_T, z_0, z_T / T, np.zeros(len(fns)), T, y_1, y_1 / x_1, x_1):
             for thetas in (np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)):
-                want = np.array([bundle.scores(f, [t])[0] for f, t in zip(fns, thetas.tolist())])
+                want = np.array([bundle.scores(f, np.array([t]))[0]
+                                 for f, t in zip(fns, thetas.tolist())])
                 _same_rows(bundle.scores(stack, thetas), want)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("name, level", [("e", 2.5), ("h", 8.0), ("mu", 0.5), ("i", 0.5)])
+    @pytest.mark.parametrize("name, level", [("e", 2.5), ("h", 8.0), ("mu", 0.5), ("i", 0.5),
+                                             ("n", 2.5), ("eta", 0.5)])
     def test_at_level(self, name, level, seed):
         # the benchmark's levels, with parametric members scored one by one
         fns = _stack_members(seed) + [LinearFamily(S=10, T=1.0), ZipfFamily(beta=0.5, T=1.0),
                                       PowerComplement(n=3)]
-        bundle = BUNDLES[name]
-        want = np.array([bundle.scores(f, [level])[0] for f in fns])
-        _same_rows(_at_level(bundle.measure, fns, level), want)
+        bundle = STACKED[name]
+        want = np.array([bundle.scores(f, np.array([level]))[0] for f in fns])
+        rows = np.arange(len(fns))
+        _same_rows(_at_levels(bundle.scores, _pool(fns), rows, np.full(len(fns), level)), want)
         assert not np.isnan(want).all()
-
-    def test_custom_score_is_called_per_function(self):
-        calls = []
-
-        def score(f, t):
-            calls.append(f)
-            return f.value_at_origin() - t
-
-        fns = _stack_members(0)
-        assert _at_level(score, fns, 1.0).tolist() == [f.value_at_origin() - 1.0 for f in fns]
-        assert calls == fns

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 from pathlib import Path
 
@@ -7,6 +6,7 @@ import pytest
 
 from ebundles import axioms as ax
 from ebundles import bundles as bn
+from ebundles import functions as fn
 from ebundles.bundles import SweepTable, classical_h
 from ebundles.cli import main
 from ebundles.functions import from_citations
@@ -169,23 +169,24 @@ class TestAxiomsCmd:
 
     @pytest.mark.parametrize("bundle, level", LEVELS)
     def test_no_scalar_score_per_pair(self, bundle, level, monkeypatch, capsys):
-        # the single-level suites read every member's score and rank from
-        # one table, so no pair calls the scalar score or rank
-        calls = []
+        # every suite reads its members' levels, scores and ranks in stacked
+        # passes: at most one rule call per block and pass, never one per pair
+        rows, spies = [], {}
 
-        def spy(scalar):
-            @functools.wraps(scalar)
-            def wrapper(f, t):
-                calls.append(t)
-                return scalar(f, t)
-            return wrapper
+        def spy(rule):
+            def counted(f, args):
+                rows.append(len(args))
+                return rule(f, args)
+            return spies.setdefault(rule, counted)  # a rule shared by two fields stays shared
 
         b = bn.BUNDLES[bundle]
         monkeypatch.setitem(bn.BUNDLES, bundle, dataclasses.replace(
-            b, measure=spy(b.measure), rank_of=b.rank_of and spy(b.rank_of)))
+            b, scores=spy(b.scores), levels=spy(b.levels), rank_of=b.rank_of and spy(b.rank_of)))
         assert main(["axioms", "--bundle", bundle, "--suite", "all", "--pairs", "50",
                      "--seed", "7", "--measure-theta", level]) == 0
-        assert calls == []
+        passes = 12  # 6 in the bundle suite, a score and a rank pass in each of the other 3
+        assert 0 < len(rows) <= passes + sum(rows) // fn._BLOCK
+        assert len(rows) < 50  # the pairs of one relation kind
         assert "IM.2" in capsys.readouterr().out
 
     def test_deterministic_reports(self, tmp_path):
@@ -338,12 +339,23 @@ class TestBadInputExit2:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("levels", ["0,nan", "0,inf"])
-    def test_non_finite_theta_list(self, levels, linear_spec, capsys):
-        assert main(["sweep", "--input", linear_spec, f"--theta-list={levels}"]) == 2
+    @pytest.mark.parametrize(
+        "command, arg, said",
+        [
+            pytest.param("sweep", "--theta-list=0,nan", "finite", id="0,nan"),
+            pytest.param("sweep", "--theta-list=0,inf", "finite", id="0,inf"),
+            # an empty spec is bad input, not a request for the default grid
+            pytest.param("sweep", "--theta-list=", "bad --theta-list ''", id="sweep-empty-list"),
+            pytest.param("sweep", "--theta=", "lo:hi:count", id="sweep-empty-grid"),
+            pytest.param("eval", "--theta-list=", "bad --theta-list ''", id="eval-empty-list"),
+            pytest.param("eval", "--theta=", "lo:hi:count", id="eval-empty-grid"),
+        ],
+    )
+    def test_non_finite_theta_list(self, command, arg, said, linear_spec, capsys):
+        assert main([command, "--input", linear_spec, arg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "finite" in captured.err
+        assert said in captured.err
 
     def test_non_finite_theta_grid(self, linear_spec, capsys):
         assert main(["sweep", "--input", linear_spec, "--theta", "0:inf:3"]) == 2
