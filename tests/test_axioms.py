@@ -586,6 +586,18 @@ class TestGlobalImpactChecks:
         assert rep.pairs_tested == 15  # one per CUMULATIVE_PREC pair
 
 
+def _digest(configs):
+    """SHA-256 over the generated pairs of every config: relation, prefix
+    end and both members' knots."""
+    h = hashlib.sha256()
+    for cfg in configs:
+        for p in generate_pairs(cfg):
+            h.update(f"{p.relation.value}:{p.prefix_end!r}".encode())
+            for f in (p.upper, p.lower):
+                h.update(np.concatenate((f.xs, f.ys)).tobytes())
+    return h.hexdigest()
+
+
 class TestGenerator:
     def test_deterministic(self):
         a = generate_pairs(GeneratorConfig(seed=42, count=1))
@@ -617,12 +629,13 @@ class TestGenerator:
     def test_pairs_pinned(self, seed, digest):
         # SHA-256 of the pairs written by the generator that verified every
         # pair through compare(); a cheaper verification must accept the same
-        h = hashlib.sha256()
-        for p in generate_pairs(GeneratorConfig(seed=seed, count=10)):
-            h.update(f"{p.relation.value}:{p.prefix_end!r}".encode())
-            for f in (p.upper, p.lower):
-                h.update(np.concatenate((f.xs, f.ys)).tobytes())
-        assert h.hexdigest() == digest
+        assert _digest([GeneratorConfig(seed=seed, count=10)]) == digest
+
+    def test_hundred_seeds_pinned(self):
+        # one SHA-256 over seeds 0-99 at 50 pairs per kind, written by the
+        # generator that built and verified one pair at a time
+        digest = _digest(GeneratorConfig(seed=s, count=50) for s in range(100))
+        assert digest == "a3e92cf2431fa2d2668b40238e3711013635a1685f34dad818e44dbeb761cbb7"
 
     def test_verification_evaluates_one_grid(self, monkeypatch):
         # piecewise linear pairs are read at their merged knots in one stacked
