@@ -16,20 +16,24 @@ per-axiom reports with explicit violation witnesses:
 * ``check_global_impact``   strict growth under the cumulative-integral
   partial order.
 
-The pair set, not the pair, is the unit of work.  Each
-``check_impact_bundle`` axiom reads all its pairs at once (``_PairSet``):
-the members' level maps at the sampled ranks in one stacked pass, then both
-members' scores at every sampled level of every pair in another, with the
-first flagged level per pair found by ``argmax``.  The last three take the
-single score as a ``BundleDef`` and a level theta; the bundle's
-``positive_for`` and ``rank_of`` say where that score is provably positive
-and which rank it reads up to.  Each admits and scores every distinct
-function of its pairs once, in stacked passes (``_level_table``), and reads
-every pair's verdict from that table.  A pair set or a table stacks its
-piecewise linear members once (``bundles._pool``), every pass reads rows of
-that stack through the bundle's vector rules, built-in or custom alike, in
-blocks of ``functions._BLOCK`` rows, and a set with another member is read
-one function at a time.  Every report comes from one driver, ``_run_axiom``.
+The pair set, not the pair, is the unit of work, and it is one stack of
+knot arrays (``_Pairs``): row i holds pair i's upper and row n + i its
+lower.  ``generate_pairs`` writes its pairs' knots into that stack and
+hands it on with them; any other list of pairs is stacked once
+(``bundles._pool``).  Each ``check_impact_bundle`` axiom reads its kind's
+rows at once (``_PairSet``): the members' level maps at the sampled ranks
+in one stacked pass, then both members' scores at every sampled level of
+every pair in another, with the first flagged level per pair found by
+``argmax``.  The last three take the single score as a ``BundleDef`` and a
+level theta; the bundle's ``positive_for`` and ``rank_of`` say where that
+score is provably positive and which rank it reads up to.  Each scores
+every row at theta in stacked passes (``_level_table``) and reads every
+pair's verdict from that table by row; SM.3's premise on the running
+averages is exact for piecewise linear pairs, in one pass over their
+merged knots (``_averages_ordered``).  Every pass reads rows of the stack
+through the bundle's vector rules, built-in or custom alike, in blocks of
+``functions._BLOCK`` rows, and a set with a parametric member is read one
+function at a time.  Every report comes from one driver, ``_run_axiom``.
 
 The module also ships the two rejected alternative scores (``n_theta``,
 ``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``,
@@ -38,7 +42,7 @@ three exactly constructed counterexample fixtures that demonstrate which
 axioms each score breaks, and a seeded pair generator.  Its verification
 (``verify_pair``, ``_rejections``) is exact for piecewise linear pairs, at
 their merged knots, and verifies a whole batch in one stacked pass; a
-rejected pair rewinds the generator to just after its draws.
+rejected attempt is dropped, and the generator draws on.
 
 Violations are only recorded when the gap clears the reporting slack, so
 float ties never masquerade as axiom failures.  Pairs failing a checked
@@ -49,15 +53,17 @@ implications and an unmet premise proves nothing.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from itertools import chain
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .bundles import (E_BUNDLE, I_BUNDLE, BundleDef, _at_levels, _defined, _excess, _on_domain,
-                      _pool, _ranges, _read)
+                      _per_row, _pool, _ranges, _read)
 from .functions import (
     EQUALITY_TOL,
     CumulativeOrder,
@@ -66,11 +72,14 @@ from .functions import (
     RankFunction,
     ThetaRange,
     _common_T,
+    _cumulative_candidates,
     _cumulative_extrema,
     _cumulative_order,
     _extremes,
     _gaps,
     _merged_gaps,
+    _PwlStack,
+    _valid_knots,
     cumulative_dominates,
 )
 
@@ -110,9 +119,8 @@ EQUALITY_ASSERT_TOL = 1e-10
 # SM.3 excludes a pair whose lower member the score reads up to this close
 # to the domain end.
 _BOUNDARY_TOL = 1e-9
-# Points on [0, T) at which SM.3 checks that the running averages are
-# strictly ordered.
-_AVERAGES_GRID = 512
+# Points of the grid on which a pair with a parametric member is sampled.
+_GRID_N = 10_000
 
 
 class GenerationError(RuntimeError):
@@ -147,15 +155,62 @@ class DominancePair:
     verified: bool = False
 
 
-def _end(pair: DominancePair) -> float:
-    """The end a of the range [0, a] that the pair's relation covers."""
-    T = _common_T(pair.upper, pair.lower)
-    if pair.relation in (RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC):
-        return T
-    if pair.prefix_end is None or not (0.0 < pair.prefix_end <= T):
-        raise InputError(
-            f"{pair.relation.value} pair needs prefix_end in (0, T], got {pair.prefix_end!r}")
-    return pair.prefix_end
+class _Pairs:
+    """Pairs as one stack: row i of ``fns`` is pair i's upper and row n + i
+    its lower, stacked once (``bundles._pool``: a ``_PwlStack`` when every
+    member is piecewise linear, else the functions themselves), with each
+    pair's relation, prefix end (NaN for none) and domain end T.
+    ``generate_pairs`` builds one on its knot arrays, and ``of`` stacks any
+    other list of pairs."""
+
+    def __init__(self, fns: Sequence[RankFunction] | _PwlStack, kinds: list[RelationKind],
+                 prefix: np.ndarray, T: np.ndarray, pairs: Sequence[DominancePair] = ()) -> None:
+        self.fns, self.kinds, self.prefix, self.T, self.pairs = fns, kinds, prefix, T, pairs
+        self.up, self.lo = np.arange(len(kinds)), np.arange(len(kinds), 2 * len(kinds))
+
+    @classmethod
+    def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":
+        return cls(_pool([p.upper for p in pairs] + [p.lower for p in pairs]),
+                   [p.relation for p in pairs], np.array([p.prefix_end for p in pairs], dtype=float),
+                   np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float), pairs)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def where(self, kind: RelationKind) -> np.ndarray:
+        """The indices of the pairs of one relation kind."""
+        return np.flatnonzero(np.array([k is kind for k in self.kinds], dtype=bool))
+
+    def ends(self) -> np.ndarray:
+        """The end a of the range [0, a] that each pair's relation covers."""
+        whole = np.array([k in (RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC)
+                          for k in self.kinds], dtype=bool)
+        ok = whole | ((self.prefix > 0.0) & (self.prefix <= self.T))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InputError(f"{self.kinds[i].value} pair needs prefix_end in (0, T], "
+                             f"got {self.pairs[i].prefix_end!r}")
+        return np.where(whole, self.T, self.prefix)
+
+
+class _PairList(list):
+    """``generate_pairs``'s pairs, with their stack (``stacked``), which the
+    checkers read while the list holds exactly these pairs."""
+
+    __slots__ = ("stacked",)
+
+
+def _stacked(pairs: Sequence[DominancePair]) -> _Pairs:
+    """Verified pairs as a ``_Pairs``: the generator's own stack when the
+    list holds exactly its pairs, else the pairs stacked once."""
+    stacked = getattr(pairs, "stacked", None)
+    if (stacked is not None and len(stacked.pairs) == len(pairs)
+            and all(map(operator.is_, stacked.pairs, pairs))):
+        return stacked
+    pairs = list(pairs)
+    if not all(p.verified for p in pairs):
+        raise InputError("axiom checks require verified pairs; run verify_pair first")
+    return _Pairs.of(pairs)
 
 
 def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, min_at: float,
@@ -176,7 +231,7 @@ def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, mi
             else "functions coincide; relation requires lower != upper")
 
 
-def _rejections(pairs: Sequence[DominancePair], grid_n: int = 10_000) -> list[str | None]:
+def _rejections(pairs: Sequence[DominancePair] | _Pairs, grid_n: int = _GRID_N) -> list[str | None]:
     """``_reason`` for every pair.
 
     A set of piecewise linear pairs is decided exactly, in one stacked pass:
@@ -186,21 +241,23 @@ def _rejections(pairs: Sequence[DominancePair], grid_n: int = 10_000) -> list[st
     cumulative order.  Any other set is sampled on one grid of ``grid_n``
     points per pair, over the relation's range [0, a].
     """
-    ends = np.array([_end(p) for p in pairs])
-    if all(isinstance(f, PiecewiseLinearFn) for p in pairs for f in (p.upper, p.lower)):
-        xs, gaps = _merged_gaps([p.upper for p in pairs], [p.lower for p in pairs], ends)
+    ps = pairs if isinstance(pairs, _Pairs) else _Pairs.of(pairs)
+    ends = ps.ends()
+    if isinstance(ps.fns, _PwlStack):
+        xs, gaps = _merged_gaps(ps.fns, ps.up, ps.lo, ends)
         extrema = (v.tolist() for v in _cumulative_extrema(xs, -gaps)[:2])
-        orders = [_cumulative_order(dmin, dmax) for dmin, dmax in zip(*extrema)]
+        orders = [_cumulative_order(dmin, dmax) if kind is RelationKind.CUMULATIVE_PREC else None
+                  for kind, dmin, dmax in zip(ps.kinds, *extrema)]
     else:
         xs, gaps = map(np.array, zip(*(_gaps(p.upper, p.lower, a, grid_n)
-                                       for p, a in zip(pairs, ends.tolist()))))
+                                       for p, a in zip(ps.pairs, ends.tolist()))))
         orders = [cumulative_dominates(p.lower, p.upper, grid_n=grid_n).order
-                  if p.relation is RelationKind.CUMULATIVE_PREC else None for p in pairs]
+                  if p.relation is RelationKind.CUMULATIVE_PREC else None for p in ps.pairs]
     facts = zip(*(v.tolist() for v in _extremes(xs, gaps)))
-    return [_reason(p.relation, order, *fact) for p, order, fact in zip(pairs, orders, facts)]
+    return [_reason(kind, order, *fact) for kind, order, fact in zip(ps.kinds, orders, facts)]
 
 
-def verify_pair(pair: DominancePair, grid_n: int = 10_000) -> DominancePair:
+def verify_pair(pair: DominancePair, grid_n: int = _GRID_N) -> DominancePair:
     """Re-check the declared relation and return a verified copy: exactly
     for two piecewise linear members, else on a grid of ``grid_n`` points
     (``_rejections``)."""
@@ -224,14 +281,9 @@ class Violation:
     note: str = ""
 
     def to_json_obj(self) -> dict:
-        return {
-            "pair": self.pair_index,
-            "theta": self.theta,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "note": self.note,
-        }
+        obj = asdict(self)
+        obj["pair"] = obj.pop("pair_index")
+        return obj
 
 
 @dataclass(frozen=True)
@@ -266,23 +318,16 @@ _SKIP = "skipped"
 _BOUNDARY = "boundary-level pairs excluded"
 
 
-def _run_axiom(
-    axiom: str,
-    items: Iterable[tuple[int, Any]],
-    check: Callable[[int, Any], Violation | str | None],
-    note: str = "",
-) -> AxiomReport:
-    """Run one axiom's ``check`` over indexed pairs or functions.
-
-    ``check(index, item)`` returns None when the item satisfies the axiom, a
-    ``Violation`` when it breaks it, or a skip reason when the axiom does not
-    apply.  The report's note counts every skip reason other than ``_SKIP``.
+def _run_axiom(axiom: str, outcomes: Iterable[Violation | str | None], note: str = "") -> AxiomReport:
+    """The report on one axiom's outcomes, one per pair or function: None
+    when the item satisfies the axiom, a ``Violation`` when it breaks it, or
+    a skip reason when the axiom does not apply.  The report's note counts
+    every skip reason other than ``_SKIP``.
     """
     tested = 0
     violations: list[Violation] = []
     skips: Counter[str] = Counter()
-    for idx, item in items:
-        outcome = check(idx, item)
+    for outcome in outcomes:
         if isinstance(outcome, str):
             skips[outcome] += 1
             continue
@@ -292,23 +337,6 @@ def _run_axiom(
     counted = [f"{reason}: {n}" for reason, n in skips.items() if reason != _SKIP]
     note = "; ".join(filter(None, [note, *counted]))
     return AxiomReport(axiom, tested, tuple(violations), sum(skips.values()), note)
-
-
-def _require_verified(pairs: Iterable[DominancePair]) -> list[DominancePair]:
-    out = list(pairs)
-    for p in out:
-        if not p.verified:
-            raise InputError("axiom checks require verified pairs; run verify_pair first")
-    return out
-
-
-def _by_relation(pairs: Sequence[DominancePair], kind: RelationKind) -> list[tuple[int, DominancePair]]:
-    return [(i, p) for i, p in enumerate(pairs) if p.relation is kind]
-
-
-def _members(pairs: Sequence[DominancePair]) -> list[RankFunction]:
-    """Distinct functions of the pairs, in order of first appearance."""
-    return list(dict.fromkeys(f for p in pairs for f in (p.upper, p.lower)))
 
 
 # Verdicts on the scores (m_up, m_lo) of a pair's dominating and dominated
@@ -334,10 +362,8 @@ def _unequal(m_up, m_lo, eq_tol):
 _NOT_STRICT = "not strict"
 
 
-def _first_violations(
-    idx: Sequence[int], ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray, verdict, tol: float,
-    note: str
-) -> list[Violation | None]:
+def _first_violations(idx: Sequence[int], ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray,
+                      verdict, tol: float, note: str) -> list[Violation | None]:
     """Per row of the levels (or ranks) ts and the scores there, the verdict
     at the first column that it flags, or None.  A NaN score (undefined, or
     no level there) never flags: every comparison with NaN is false."""
@@ -353,26 +379,31 @@ def _first_violations(
 
 
 def _linspaces(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """``np.linspace(lo[i], hi[i], n)`` as row i."""
-    rows = [np.linspace(a, b, n) for a, b in zip(lo.tolist(), hi.tolist())]
-    return np.array(rows).reshape(len(lo), n)
+    """``np.linspace(lo[i], hi[i], n)`` as row i, to the same floats, in one
+    pass."""
+    delta = (hi - lo)[:, None]
+    step = delta / max(n - 1, 1)
+    k = np.arange(n, dtype=float)
+    # numpy scales by the unrounded fraction where a step rounds to zero
+    rows = np.where(step == 0.0, k / max(n - 1, 1) * delta, k * step) + lo[:, None]
+    if n > 1:
+        rows[:, -1] = hi
+    return rows
 
 
 class _PairSet:
-    """One relation kind's pairs, read together for a bundle: the members
-    (uppers, then lowers, as one ``_pool``) with each pair's rows ``up`` and
-    ``lo``, their admissible ranges, and n ranks per pair on (0, a], a the
-    prefix end or else T."""
+    """One relation kind's pairs of a ``_Pairs``, read together for a
+    bundle: their rows ``up`` and ``lo`` in the stack, the admissible ranges
+    of all its rows, and n ranks per pair on (0, a], a the prefix end or
+    else T."""
 
-    def __init__(self, bundle: BundleDef, pairs: Sequence[DominancePair], kind: RelationKind,
-                 n: int) -> None:
-        items = _by_relation(pairs, kind)
-        self.bundle, self.idx, ps = bundle, [i for i, _ in items], [p for _, p in items]
-        self.fns = _pool([p.upper for p in ps] + [p.lower for p in ps])
-        self.up, self.lo = np.arange(len(ps)), np.arange(len(ps), 2 * len(ps))
-        self.ranges = _ranges(bundle.admissible, self.fns)
-        ends = np.array([p.upper.T if p.prefix_end is None else p.prefix_end for p in ps])
-        self.ranks = _linspaces(np.zeros(len(ps)), ends, n + 1)[:, 1:]
+    def __init__(self, bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
+                 kind: RelationKind, n: int) -> None:
+        idx = ps.where(kind)
+        self.bundle, self.fns, self.ranges = bundle, ps.fns, ranges
+        self.idx, self.up, self.lo = idx.tolist(), ps.up[idx], ps.lo[idx]
+        ends = np.where(np.isnan(ps.prefix), ps.T, ps.prefix)[idx]
+        self.ranks = _linspaces(np.zeros(len(idx)), ends, n + 1)[:, 1:]
 
     def levels(self, pick=slice(None)) -> np.ndarray:
         """The picked pairs' level maps at their ranks (uppers', then
@@ -400,14 +431,9 @@ class _PairSet:
         return [v if kept else _SKIP for v, kept in zip(found, keep.any(axis=1).tolist())]
 
 
-def check_impact_bundle(
-    bundle: BundleDef,
-    pairs: Sequence[DominancePair],
-    theta_grid: int = 24,
-    slack: float = MONOTONE_SLACK,
-    strict_slack: float = STRICT_SLACK,
-    eq_tol: float = EQUALITY_ASSERT_TOL,
-) -> dict[str, AxiomReport]:
+def check_impact_bundle(bundle: BundleDef, pairs: Sequence[DominancePair], theta_grid: int = 24,
+                        slack: float = MONOTONE_SLACK, strict_slack: float = STRICT_SLACK,
+                        eq_tol: float = EQUALITY_ASSERT_TOL) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
     Each axiom reads all its pairs at once (``_PairSet``).  Only the first
@@ -417,13 +443,10 @@ def check_impact_bundle(
     diverges there and the cumulative bundle is identically zero at level
     0, where strictness is meaningless.
     """
-    pairs = _require_verified(pairs)
-    n = theta_grid
-    geq, strict, local = (_PairSet(bundle, pairs, kind, n) for kind in (
+    ps = _stacked(pairs)
+    n, ranges = theta_grid, _ranges(bundle.admissible, ps.fns)
+    geq, strict, local = (_PairSet(bundle, ps, ranges, kind, n) for kind in (
         RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX))
-
-    def report(axiom: str, pair_set: _PairSet, outcomes: list) -> AxiomReport:
-        return _run_axiom(axiom, zip(pair_set.idx, outcomes), lambda idx, outcome: outcome)
 
     # AX.2: upper >= lower pointwise implies scores ordered the same way, at
     # n levels across the pair's joint admissible range or, where it is
@@ -447,16 +470,15 @@ def check_impact_bundle(
 
     return {
         "AX.1": AxiomReport(
-            "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"
-        ),
-        "AX.2": report("AX.2", geq, geq.violations(levels, _below, slack, "")),
+            "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"),
+        "AX.2": _run_axiom("AX.2", geq.violations(levels, _below, slack, "")),
         # AX.3: strict dominance on [0, a] forces strictly larger scores on
         # the level image of the prefix.
-        "AX.3": report("AX.3", strict, strict.violations(strict.levels(), _not_above, strict_slack,
-                                                         "not strictly larger")),
+        "AX.3": _run_axiom("AX.3", strict.violations(strict.levels(), _not_above, strict_slack,
+                                                     "not strictly larger")),
         # AX.4 tests a pair even when no level is left to score
-        "AX.4": report("AX.4", local, [m or (None if v is _SKIP else v)
-                                       for m, v in zip(maps, scores)]),
+        "AX.4": _run_axiom("AX.4", [m or (None if v is _SKIP else v)
+                                    for m, v in zip(maps, scores)]),
     }
 
 
@@ -494,79 +516,71 @@ def eta_theta(f: RankFunction, t: float) -> float:
     return _read(_eta_scores, f, t, "eta")
 
 
-_Table = dict[RankFunction, float]
-
-
-def _level_table(bundle: BundleDef, theta: float, fns: Iterable[RankFunction]) -> tuple[_Table, _Table]:
-    """Each distinct function's score at theta and, for a bundle with
-    ``rank_of``, the rank up to which the score reads it, each in one
-    stacked pass over one ``_pool``.  Only functions that admit theta get
-    entries (a density level within the range's slack, as the density
-    scores snap it onto the range, one that fixes a rank exactly); an
-    undefined score is NaN."""
-    fns = list(dict.fromkeys(fns))
-    pool = _pool(fns)
-    lo, hi = _ranges(bundle.admissible, pool)
+def _level_table(bundle: BundleDef, theta: float,
+                 fns: Sequence[RankFunction] | _PwlStack) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every row's score at theta and, for a bundle with ``rank_of``, the
+    rank up to which the score reads it, each in one stacked pass over the
+    rows of a ``_pool``.  A row gets NaN unless it admits theta (a density
+    level within the range's slack, as the density scores snap it onto the
+    range, one that fixes a rank exactly) and its score is defined there."""
+    lo, hi = _ranges(bundle.admissible, fns)
     slack = EQUALITY_TOL if bundle.rank_of is None else 0.0
     rows = np.flatnonzero(math.isfinite(theta) & (theta >= lo - slack) & (theta <= hi + slack))
-    admitted, thetas = [fns[r] for r in rows.tolist()], np.full(len(rows), float(theta))
-    scores = dict(zip(admitted, _at_levels(bundle.scores, pool, rows, thetas).tolist()))
-    if bundle.rank_of is None:
-        return scores, {}
-    if bundle.rank_of is bundle.scores:  # h reads up to its own root
-        return scores, scores
-    return scores, dict(zip(admitted, _at_levels(bundle.rank_of, pool, rows, thetas).tolist()))
+    thetas = np.full(len(rows), float(theta))
+
+    def table(rule) -> np.ndarray:
+        out = np.full(len(lo), math.nan)
+        out[rows] = _at_levels(rule, fns, rows, thetas)
+        return out
+    scores, rank_of = table(bundle.scores), bundle.rank_of
+    return scores, None if rank_of is None else scores if rank_of is bundle.scores else table(rank_of)
 
 
-def _pair_check(
-    scores: _Table, verdict, tol: float, note: str = "",
-    skip: Callable[[DominancePair], str | None] = lambda p: None,
-) -> Callable[[int, DominancePair], Violation | str | None]:
-    """A single-level axiom's check: the verdict on a pair's scores in the
-    table.  A pair is skipped when a member has no score, or for the reason
-    ``skip`` gives."""
-    def check(idx: int, p: DominancePair):
-        m_up, m_lo = scores.get(p.upper, math.nan), scores.get(p.lower, math.nan)
-        if math.isnan(m_up) or math.isnan(m_lo):
-            return _SKIP
-        flagged, gap = verdict(m_up, m_lo, tol)
-        violation = Violation(idx, math.nan, m_up, m_lo, gap, note=note) if flagged else None
-        return skip(p) or violation
-    return check
+def _pair_outcomes(ps: _Pairs, idx: np.ndarray, scores: np.ndarray, verdict, tol: float,
+                   note: str = "", skips: Sequence[str | None] | None = None) -> list:
+    """A single-level axiom's outcome for each pair of idx: ``_SKIP`` when
+    a member has no score, else the pair's skip reason in skips, if any,
+    else the verdict on its members' scores in the table."""
+    m_up, m_lo = scores[ps.up[idx], None], scores[ps.lo[idx], None]
+    found = _first_violations(idx.tolist(), np.full(m_up.shape, math.nan), m_up, m_lo, verdict,
+                              tol, note)
+    missing = (np.isnan(m_up) | np.isnan(m_lo))[:, 0].tolist()
+    skips = [None] * len(idx) if skips is None else skips
+    return [_SKIP if miss else skip or v for miss, skip, v in zip(missing, skips, found)]
 
 
-def _reads_past(bundle: BundleDef, ranks: _Table, f: RankFunction, a: float) -> bool:
-    """Whether the score reads f beyond the rank a."""
-    return bundle.rank_of is not None and ranks[f] > a + EQUALITY_ASSERT_TOL
+def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Whether the score reads each row beyond its rank a (never, for a
+    density level)."""
+    return np.zeros(len(rows), dtype=bool) if ranks is None else ranks[rows] > a + EQUALITY_ASSERT_TOL
 
 
-def _positivity_report(
-    axiom: str, bundle: BundleDef, theta: float, members: Sequence[RankFunction], scores: _Table,
-    strict_slack: float,
-) -> AxiomReport:
-    def positive(idx: int, f: RankFunction):
-        v = scores.get(f, math.nan)
-        if math.isnan(v) or not bundle.positive_for(f, theta):
-            return _SKIP
-        if v <= strict_slack:
-            return Violation(idx, math.nan, v, 0.0, -v, note="score not positive")
-        return None
-
-    return _run_axiom(
-        axiom,
-        enumerate(members),
-        positive,
-        note="zero-function clause vacuous: rank functions are strictly decreasing",
-    )
+def _members(ps: _Pairs) -> np.ndarray:
+    """The rows of the pairs' distinct functions, in order of first
+    appearance (each pair's upper, then its lower)."""
+    order = np.column_stack((ps.up, ps.lo)).ravel().tolist()
+    keys = ps.fns._keys() if isinstance(ps.fns, _PwlStack) else ps.fns
+    first: dict = {}
+    for row in order:
+        first.setdefault(keys[row], row)
+    return np.array(list(first.values()), dtype=int)
 
 
-def check_impact_measure(
-    bundle: BundleDef,
-    theta: float,
-    pairs: Sequence[DominancePair],
-    slack: float = MONOTONE_SLACK,
-    strict_slack: float = STRICT_SLACK,
-) -> dict[str, AxiomReport]:
+def _positivity_report(axiom: str, bundle: BundleDef, theta: float, ps: _Pairs,
+                       scores: np.ndarray, strict_slack: float) -> AxiomReport:
+    rows = _members(ps)
+    positive = _per_row(lambda f: bundle.positive_for(f, theta), ps.fns)[rows].tolist()
+    outcomes = [_SKIP if math.isnan(v) or not pos
+                else Violation(i, math.nan, v, 0.0, -v, note="score not positive")
+                if v <= strict_slack else None
+                for i, (v, pos) in enumerate(zip(scores[rows].tolist(), positive))]
+    return _run_axiom(axiom, outcomes,
+                      note="zero-function clause vacuous: rank functions are strictly decreasing")
+
+
+def check_impact_measure(bundle: BundleDef, theta: float, pairs: Sequence[DominancePair],
+                         slack: float = MONOTONE_SLACK, strict_slack: float = STRICT_SLACK
+                         ) -> dict[str, AxiomReport]:
     """Three-axiom check for the single score of a bundle at the level theta.
 
     IM.1 positivity (the zero-function clause is vacuous on this function
@@ -575,104 +589,107 @@ def check_impact_measure(
     prefix dominance, with the generated prefix endpoint playing the
     per-function threshold.
     """
-    pairs = _require_verified(pairs)
-    members = _members(pairs)
-    scores, ranks = _level_table(bundle, theta, members)
+    ps = _stacked(pairs)
+    scores, ranks = _level_table(bundle, theta, ps.fns)
+    geq, strict = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.STRICT_ON_PREFIX)
     # a score that reads up to a rank (mu, i, h) is only constrained when the
     # strict prefix covers everything it reads
-    strict = _pair_check(scores, _not_above, strict_slack, _NOT_STRICT,
-                         lambda p: _SKIP if _reads_past(bundle, ranks, p.lower, p.prefix_end) else None)
+    past = _reads_past(ranks, ps.lo[strict], ps.prefix[strict]).tolist()
     return {
-        "IM.1": _positivity_report("IM.1", bundle, theta, members, scores, strict_slack),
-        "IM.2": _run_axiom("IM.2", _by_relation(pairs, RelationKind.GEQ_ALL),
-                           _pair_check(scores, _below, slack)),
-        "IM.3": _run_axiom("IM.3", _by_relation(pairs, RelationKind.STRICT_ON_PREFIX), strict),
+        "IM.1": _positivity_report("IM.1", bundle, theta, ps, scores, strict_slack),
+        "IM.2": _run_axiom("IM.2", _pair_outcomes(ps, geq, scores, _below, slack)),
+        "IM.3": _run_axiom("IM.3", _pair_outcomes(ps, strict, scores, _not_above, strict_slack,
+                                                  _NOT_STRICT, [_SKIP if p else None for p in past])),
     }
 
 
-def _averages_strictly_ordered(lower: RankFunction, upper: RankFunction) -> bool:
-    """Whether the running average of upper exceeds lower's on all of [0, T)."""
-    xs = np.linspace(0.0, lower.T, _AVERAGES_GRID, endpoint=False)
-    xs = xs[1:]  # x = 0 handled separately
-    with np.errstate(divide="ignore"):
-        mu_lo = lower.cumulatives(xs) / xs
-        mu_up = upper.cumulatives(xs) / xs
-    if not bool(np.all(mu_up > mu_lo)):
-        return False
-    if lower.unbounded_at_origin or upper.unbounded_at_origin:
-        return True  # averages diverge at 0; the interior grid decides
-    return upper.value_at_origin() > lower.value_at_origin()
+def _averages_ordered(ps: _Pairs, idx: np.ndarray) -> np.ndarray:
+    """Whether each pair of idx has the running average of its upper above
+    its lower's on all of [0, T): at x -> 0, where Z_up(0) > Z_lo(0) decides
+    (a pole at the origin leaves it to the rest), and wherever x > 0, where
+    d = I_up - I_lo > 0 decides.
+
+    Piecewise linear pairs are decided exactly, in one pass over their
+    merged knots: d's least value among the candidates of
+    ``_cumulative_candidates`` with x > 0.  These include T, where d is
+    largest for a pair with upper >= lower.  Other pairs are sampled at the
+    interior points of a ``_GRID_N``-point grid on [0, T].
+    """
+    up, lo = ps.up[idx], ps.lo[idx]
+    z0 = _per_row(lambda f: f.value_at_origin(), ps.fns)
+    at_origin = np.isinf(z0[up]) | np.isinf(z0[lo]) | (z0[up] > z0[lo])
+    if isinstance(ps.fns, _PwlStack):
+        d, x, real = _cumulative_candidates(*_merged_gaps(ps.fns, up, lo, ps.T[idx]))
+        return at_origin & (np.where(real & (x > 0.0), d, math.inf).min(axis=1) > 0.0)
+    ranks = _linspaces(np.zeros(len(idx)), ps.T[idx], _GRID_N)[:, 1:-1]
+
+    def integrals(rows: np.ndarray) -> np.ndarray:
+        flat = _at_levels(lambda f, x: f.cumulatives(x), ps.fns,
+                          np.repeat(rows, ranks.shape[1]), ranks.ravel())
+        return flat.reshape(ranks.shape)
+    return at_origin & (integrals(up) > integrals(lo)).all(axis=1)
 
 
-def check_strong_impact(
-    bundle: BundleDef,
-    theta: float,
-    pairs: Sequence[DominancePair],
-    slack: float = MONOTONE_SLACK,
-    strict_slack: float = STRICT_SLACK,
-    eq_tol: float = EQUALITY_ASSERT_TOL,
-) -> dict[str, AxiomReport]:
+def check_strong_impact(bundle: BundleDef, theta: float, pairs: Sequence[DominancePair],
+                        slack: float = MONOTONE_SLACK, strict_slack: float = STRICT_SLACK,
+                        eq_tol: float = EQUALITY_ASSERT_TOL) -> dict[str, AxiomReport]:
     """Four-axiom strong-impact check for the score of a bundle at theta.
 
     SM.1 is the same positivity check as ``check_impact_measure``'s IM.1.
-    SM.3 is hypothesis-filtered: a pair enters only after its running
-    averages verify as strictly ordered on a grid over [0, T), and pairs
-    whose lower member is read up to the domain end at theta (a density
-    level equal to Z(T), or a rank equal to T) are excluded and flagged (the
-    strictness claim does not cover that boundary).  SM.4 realizes the
-    per-function threshold as the rank the score reads up to, or for a
-    density level its inverse rank, so it applies to prefix-equal pairs
-    whose prefix reaches that rank.
+    SM.3 is hypothesis-filtered: a pair enters only if its running averages
+    are strictly ordered on [0, T) (``_averages_ordered``, exact for
+    piecewise linear pairs), and pairs whose lower member is read up to the
+    domain end at theta (a density level equal to Z(T), or a rank equal to
+    T) are excluded and flagged (the strictness claim does not cover that
+    boundary).  SM.4 realizes the per-function threshold as the rank the
+    score reads up to, or for a density level its inverse rank, so it
+    applies to prefix-equal pairs whose prefix reaches that rank.
     """
-    pairs = _require_verified(pairs)
-    members = _members(pairs)
-    scores, ranks = _level_table(bundle, theta, members)
+    ps = _stacked(pairs)
+    scores, ranks = _level_table(bundle, theta, ps.fns)
+    geq, local = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.EQUAL_ON_PREFIX)
 
-    def unclaimed(p: DominancePair) -> str | None:
-        lower = p.lower
-        if bundle.rank_of is None:
-            at_boundary = abs(theta - lower.value(lower.T)) <= _BOUNDARY_TOL
-        else:
-            at_boundary = ranks[lower] >= lower.T - _BOUNDARY_TOL * max(1.0, lower.T)
-        if at_boundary:
-            return _BOUNDARY
-        return None if _averages_strictly_ordered(lower, p.upper) else _SKIP
+    lower = ps.lo[geq]
+    if ranks is None:
+        z_T = _per_row(lambda f: f.admissible_range().lo, ps.fns)[lower]
+        at_boundary = np.abs(theta - z_T) <= _BOUNDARY_TOL
+    else:
+        T = _per_row(lambda f: f.T, ps.fns)[lower]
+        at_boundary = ranks[lower] >= T - _BOUNDARY_TOL * np.maximum(1.0, T)
+    unclaimed = [_BOUNDARY if edge else None if ordered else _SKIP for edge, ordered in
+                 zip(at_boundary.tolist(), _averages_ordered(ps, geq).tolist())]
 
-    def uncovered(p: DominancePair) -> str | None:
-        # the equal prefix must cover everything the score reads
-        if bundle.rank_of is None:
-            covered = theta >= p.lower.value(p.prefix_end) - EQUALITY_ASSERT_TOL
-        else:
-            covered = not _reads_past(bundle, ranks, p.lower, p.prefix_end)
-        return None if covered else _SKIP
+    # the equal prefix must cover everything the score reads
+    lower, a = ps.lo[local], ps.prefix[local]
+    if ranks is None:
+        at_a = _at_levels(lambda f, x: f.values(x), ps.fns, lower, a)
+        covered = theta >= at_a - EQUALITY_ASSERT_TOL
+    else:
+        covered = ~_reads_past(ranks, lower, a)
+    uncovered = [None if c else _SKIP for c in covered.tolist()]
 
-    geq = _by_relation(pairs, RelationKind.GEQ_ALL)
     return {
-        "SM.1": _positivity_report("SM.1", bundle, theta, members, scores, strict_slack),
-        "SM.2": _run_axiom("SM.2", geq, _pair_check(scores, _below, slack)),
-        "SM.3": _run_axiom("SM.3", geq, _pair_check(scores, _not_above, strict_slack, _NOT_STRICT,
-                                                    unclaimed)),
-        "SM.4": _run_axiom("SM.4", _by_relation(pairs, RelationKind.EQUAL_ON_PREFIX),
-                           _pair_check(scores, _unequal, eq_tol, skip=uncovered)),
+        "SM.1": _positivity_report("SM.1", bundle, theta, ps, scores, strict_slack),
+        "SM.2": _run_axiom("SM.2", _pair_outcomes(ps, geq, scores, _below, slack)),
+        "SM.3": _run_axiom("SM.3", _pair_outcomes(ps, geq, scores, _not_above, strict_slack,
+                                                  _NOT_STRICT, unclaimed)),
+        "SM.4": _run_axiom("SM.4", _pair_outcomes(ps, local, scores, _unequal, eq_tol,
+                                                  skips=uncovered)),
     }
 
 
-def check_global_impact(
-    bundle: BundleDef,
-    theta: float,
-    pairs: Sequence[DominancePair],
-    strict_slack: float = STRICT_SLACK,
-) -> AxiomReport:
+def check_global_impact(bundle: BundleDef, theta: float, pairs: Sequence[DominancePair],
+                        strict_slack: float = STRICT_SLACK) -> AxiomReport:
     """Strict growth under the cumulative-integral partial order.
 
     Expected to fail for the excess-area score: ``fixture_global`` produces
     a pair with lower strictly preceding upper yet equal scores, and the
     report records that equality witness honestly.
     """
-    pairs = _require_verified(pairs)
-    prec = _by_relation(pairs, RelationKind.CUMULATIVE_PREC)
-    scores, _ = _level_table(bundle, theta, (f for _, p in prec for f in (p.upper, p.lower)))
-    return _run_axiom("GM", prec, _pair_check(scores, _not_above, strict_slack, _NOT_STRICT))
+    ps = _stacked(pairs)
+    scores, _ = _level_table(bundle, theta, ps.fns)
+    return _run_axiom("GM", _pair_outcomes(ps, ps.where(RelationKind.CUMULATIVE_PREC), scores,
+                                           _not_above, strict_slack, _NOT_STRICT))
 
 
 # ---------------------------------------------------------------------------
@@ -784,108 +801,127 @@ class GeneratorConfig:
             raise InputError("shift_scale must lie in (0, 1]")
 
 
-def _random_pwl(rng: np.random.Generator, cfg: GeneratorConfig) -> PiecewiseLinearFn:
-    k = int(rng.integers(cfg.knot_range[0], cfg.knot_range[1] + 1))
+def _build_pair(rng: np.random.Generator, cfg: GeneratorConfig, kind: RelationKind) -> tuple:
+    """One attempt's draws, in the generator's order: the lower member's
+    knot count and ranks, then uniforms u in [0, 1) for its tail, its drops
+    from knot to knot and their total, then the kind's three draws.  A u is
+    the draw behind ``rng.uniform(lo, hi)``, which is lo + (hi - lo) * u, and
+    ``_pair_knots`` scales it so.  Ranks and drops are padded to the width
+    of the batch."""
+    k, width = int(rng.integers(cfg.knot_range[0], cfg.knot_range[1] + 1)), cfg.knot_range[1] + 1
+    T = float(cfg.T)
     for _ in range(100):
-        interior = np.sort(rng.uniform(0.0, cfg.T, size=k - 2))
-        xs = np.concatenate(([0.0], interior, [cfg.T]))
-        if (xs[1:] - xs[:-1]).min() > 1e-6 * cfg.T:
+        xs = [0.0, *sorted(map(T.__mul__, rng.random(k - 2).tolist())), T]
+        if min(map(operator.sub, xs[1:], xs)) > 1e-6 * T:
             break
     else:
         raise GenerationError("could not draw well-separated knot ranks")
-    tail = float(rng.uniform(0.0, 0.4))
-    drops = rng.uniform(0.3, 1.0, size=k - 1)
-    total = float(rng.uniform(max(1.5, 0.3 * cfg.value_scale), cfg.value_scale))
-    drops *= total / drops.sum()
-    ys = tail + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
-    return PiecewiseLinearFn(xs, ys)
-
-
-def _shifted(z: PiecewiseLinearFn, c: float, taper: bool) -> PiecewiseLinearFn:
-    """z plus a positive shift: constant, or linearly decaying to c/2 at T."""
-    bump = c * (1.0 - 0.5 * z.xs / z.T) if taper else c
-    return PiecewiseLinearFn(z.xs, z.ys + bump)
-
-
-def _prefix_gap(z: PiecewiseLinearFn, g: float, b: float) -> PiecewiseLinearFn:
-    """z plus the wedge g * max(0, 1 - x/b): strictly above z on [0, b)."""
-    xs = np.union1d(z.xs, [b])
-    return PiecewiseLinearFn(xs, z.values(xs) + g * np.maximum(0.0, 1.0 - xs / b))
-
-
-def _equal_prefix_variant(
-    z: PiecewiseLinearFn, split: int, lam: float
-) -> PiecewiseLinearFn:
-    """Copy z up to knot ``split``, then shrink the remaining drop by lam."""
-    za = z.ys[split]
-    ys = z.ys.copy()
-    ys[split + 1 :] = za + lam * (ys[split + 1 :] - za)
-    return PiecewiseLinearFn(z.xs, ys)
-
-
-def _build_pair(
-    rng: np.random.Generator, cfg: GeneratorConfig, kind: RelationKind
-) -> DominancePair:
-    z = _random_pwl(rng, cfg)
+    pad = width - k
+    head = (k, xs + [T] * pad, rng.random(), rng.random(k - 1).tolist() + [0.0] * pad, rng.random())
     if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
-        c = float(rng.uniform(0.05, cfg.shift_scale))
-        y = _shifted(z, c, taper=bool(rng.random() < 0.5))
-        return DominancePair(upper=y, lower=z, relation=kind)
+        return (*head, rng.random(), rng.random(), 0.0)  # shift, taper
     if kind is RelationKind.STRICT_ON_PREFIX:
-        a = float(rng.uniform(0.25, 0.75)) * cfg.T
-        b = float(rng.uniform(a + 0.05 * cfg.T, cfg.T))
-        g = float(rng.uniform(0.05, cfg.shift_scale))
-        y = _prefix_gap(z, g, b)
-        return DominancePair(upper=y, lower=z, relation=kind, prefix_end=a)
+        return (*head, rng.random(), rng.random(), rng.random())  # prefix end, wedge end, height
     if kind is RelationKind.EQUAL_ON_PREFIX:
         # bias toward deep prefixes so level-threshold checks get coverage
-        if rng.random() < 0.5:
-            split = len(z.xs) - 2
-        else:
-            split = int(rng.integers(1, len(z.xs) - 1))
-        lam = float(rng.uniform(0.2, 0.8))
-        y = _equal_prefix_variant(z, split, lam)
-        return DominancePair(
-            upper=y, lower=z, relation=kind, prefix_end=float(z.xs[split])
-        )
+        split = k - 2 if rng.random() < 0.5 else int(rng.integers(1, k - 1))
+        return (*head, split, rng.random(), 0.0)  # split knot, shrink
     raise InputError(f"unknown relation {kind!r}")  # pragma: no cover
 
 
-def generate_pairs(
-    config: GeneratorConfig,
-    relation: RelationKind | None = None,
-) -> list[DominancePair]:
+def _uniform(lo, hi, u: np.ndarray) -> np.ndarray:
+    """What ``rng.uniform(lo, hi)`` returns for the draw u of ``rng.random``."""
+    return lo + (hi - lo) * u
+
+
+def _pair_knots(cfg: GeneratorConfig, kind: RelationKind, draws: list[tuple]) -> tuple:
+    """A batch of attempts' pairs, from their draws (``_build_pair``), in one
+    vector pass: the uppers' and the lowers' padded knot arrays and knot
+    counts, and the prefix ends (NaN for none).
+
+    A lower z has the knots (x_i, tail + the drops right of x_i).  Its upper
+    is z plus a shift c, constant or decaying linearly to c/2 at T
+    (``GEQ_ALL``, ``CUMULATIVE_PREC``); z plus the wedge g max(0, 1 - x/b),
+    with a knot added at b, strictly above z on [0, a] (``STRICT_ON_PREFIX``);
+    or z with its drop right of the split knot shrunk by lam, equal to z up
+    to that knot (``EQUAL_ON_PREFIX``).
+    """
+    size, x, tail, drops, total, p, q, r = (np.array(v) for v in zip(*draws))
+    tail, total, p, q, r = (v[:, None] for v in (tail, total, p, q, r))
+    cols, T = np.arange(x.shape[1]), float(cfg.T)
+    drops = np.where(cols[:-1] < size[:, None] - 1, _uniform(0.3, 1.0, drops), 0.0)
+    # each row's drops scaled to its total: numpy sums a row of one length as
+    # it sums that row alone
+    sums = np.empty_like(total)
+    for k in np.unique(size).tolist():
+        sums[size == k] = drops[size == k, : k - 1].sum(axis=1, keepdims=True)
+    drops *= _uniform(max(1.5, 0.3 * cfg.value_scale), cfg.value_scale, total) / sums
+    # the drops right of each knot, summed from T leftwards; the padding adds 0
+    right = np.cumsum(drops[:, ::-1], axis=1)[:, ::-1]
+    y = _uniform(0.0, 0.4, tail) + np.hstack((right, np.zeros_like(tail)))
+    prefix, x_up, size_up = np.full(len(size), math.nan), x, size
+    if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
+        c = _uniform(0.05, cfg.shift_scale, p)
+        y_up = y + np.where(q < 0.5, c * (1.0 - 0.5 * x / T), c)
+    elif kind is RelationKind.STRICT_ON_PREFIX:
+        a = _uniform(0.25, 0.75, p) * cfg.T
+        b, g = _uniform(a + 0.05 * cfg.T, cfg.T, q), _uniform(0.05, cfg.shift_scale, r)
+        m = (x < b).sum(axis=1, keepdims=True)  # knots left of b; z(b) interpolates m-1 to m
+        new = np.take_along_axis(x, m, 1) != b
+        x0, x1, y0, y1 = (np.take_along_axis(v, m + s, 1) for v in (x, y) for s in (-1, 0))
+        x_up, y_up = (np.take_along_axis(v, cols - ((cols > m) & new), 1) for v in (x, y))
+        at_b = (cols == m) & new
+        x_up = np.where(at_b, b, x_up)
+        y_up = np.where(at_b, y0 + (b - x0) / (x1 - x0) * (y1 - y0), y_up)
+        y_up = y_up + g * np.maximum(0.0, 1.0 - x_up / b)
+        prefix, size_up = a[:, 0], size + new[:, 0]
+    else:
+        split, lam = p.astype(int), _uniform(0.2, 0.8, q)
+        za = np.take_along_axis(y, split, 1)
+        y_up = np.where(cols > split, za + lam * (y - za), y)
+        prefix = np.take_along_axis(x, split, 1)[:, 0]
+    return (x_up, y_up, size_up), (x, y, size), prefix
+
+
+def generate_pairs(config: GeneratorConfig, relation: RelationKind | None = None
+                   ) -> list[DominancePair]:
     """Generate ``config.count`` verified pairs per relation kind.
 
     Deterministic for a fixed config: the same seed reproduces the same
-    pairs.  Each kind's pairs are built in draw order and then verified
-    together, exactly, in one stacked pass (``_rejections``).  A pair that
-    fails to build or to verify is retried, up to 100 attempts per pair:
-    when the pass rejects a pair, the generator is rewound to its state just
-    after that pair's draws and building resumes there, dropping the pairs
-    built after it.  So the pairs are those that building and verifying one
-    pair at a time would give.
+    pairs.  Each attempt draws its numbers (``_build_pair``) in one stream,
+    in order; a batch of attempts, one per open slot, becomes knot arrays in
+    one vector pass (``_pair_knots``), and the batch is validated and
+    verified together, exactly, in one stacked pass (``_rejections``).  A
+    rejected attempt is dropped and the next batch fills the slots left, up
+    to 100 attempts per slot.  So the pairs are those that building and
+    verifying one pair at a time would give.  All pairs share one stack of
+    knot arrays, which the returned list keeps for the checkers; each
+    member is a read-only view of its row.
     """
-    kinds = [relation] if relation is not None else list(RelationKind)
-    rng = np.random.default_rng(config.seed)
-    out: list[DominancePair] = []
-    for kind in kinds:
-        todo, used = config.count, 0  # used: the attempts spent on the first open slot
+    rng, T, batches = np.random.default_rng(config.seed), float(config.T), []
+    for kind in [relation] if relation is not None else list(RelationKind):
+        todo, failed = config.count, 0  # failed: attempts dropped in a row
         while todo:
-            batch = []  # (pair, generator state after its draws, attempts spent)
-            while len(batch) < todo:
-                if used == 100:
+            up, lo, prefix = _pair_knots(config, kind, [_build_pair(rng, config, kind)
+                                                        for _ in range(todo)])
+            ok = _valid_knots(*up) & _valid_knots(*lo)
+            n = int(ok.sum())
+            stack = _PwlStack(*(np.concatenate((u[ok], v[ok])) for u, v in zip(up, lo)))
+            ok[ok] = [r is None for r in _rejections(_Pairs(stack, [kind] * n, prefix[ok],
+                                                              np.full(n, T)))]
+            for good in ok.tolist():
+                failed = 0 if good else failed + 1
+                if failed == 100:
                     raise GenerationError(f"gave up generating a {kind.value} pair")
-                used += 1
-                try:
-                    batch.append((_build_pair(rng, config, kind), rng.bit_generator.state, used))
-                    used = 0
-                except InputError:
-                    continue
-            reasons = _rejections([pair for pair, _, _ in batch])
-            k = next((i for i, reason in enumerate(reasons) if reason), todo)
-            out += [replace(pair, verified=True) for pair, _, _ in batch[:k]]
-            todo -= k
-            if todo:
-                _, rng.bit_generator.state, used = batch[k]
-    return out
+            batches.append((kind, [v[ok] for v in (*up, *lo)], prefix[ok]))
+            todo -= int(ok.sum())
+    kinds = [kind for kind, _, prefix in batches for _ in prefix]
+    knots = [np.concatenate(v) for v in zip(*(k for _, k, _ in batches))]
+    xs, ys, size = (np.concatenate((knots[i], knots[i + 3])) for i in range(3))
+    xs.flags.writeable = ys.flags.writeable = False
+    fns = [PiecewiseLinearFn._view(x[:k], y[:k]) for x, y, k in zip(xs, ys, size.tolist())]
+    prefix, n = np.concatenate([prefix for *_, prefix in batches]), len(kinds)
+    pairs = _PairList(DominancePair(up, lo, kind, None if math.isnan(a) else a, verified=True)
+                      for up, lo, kind, a in zip(fns[:n], fns[n:], kinds, prefix.tolist()))
+    pairs.stacked = _Pairs(_PwlStack(xs, ys, size), kinds, prefix, np.full(n, T), tuple(pairs))
+    return pairs

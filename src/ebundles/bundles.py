@@ -161,13 +161,15 @@ def h_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
 
 
 def mu_bundle(f: RankFunction, theta: float) -> float:
-    """Running average of f over [0, theta]; theta is a rank here."""
-    return f.average(theta)
+    """Running average of f over [0, theta], Z(0) at theta = 0; theta is a
+    rank here.  Raises ``InputError`` off [0, T] and at a pole at 0."""
+    return MU_BUNDLE.measure(f, theta)
 
 
 def i_bundle(f: RankFunction, theta: float) -> float:
-    """Cumulative total of f over [0, theta]; theta is a rank here."""
-    return f.cumulative(theta)
+    """Cumulative total of f over [0, theta]; theta is a rank here.  Raises
+    ``InputError`` off [0, T]."""
+    return I_BUNDLE.measure(f, theta)
 
 
 def classical_h(f: RankFunction) -> float:
@@ -181,7 +183,14 @@ def r_index_squared(f: RankFunction) -> float:
 
 
 def e_index(f: RankFunction) -> float:
-    """Classical e-index sqrt(R^2 - h^2): root of the h-core excess area."""
+    """Classical e-index sqrt(R^2 - h^2): root of the h-core excess area.
+
+    On a curve continuized from citation counts (``from_citations``) h and
+    R^2 are the curve's: for integer counts h lies in (h_d - 1, h_d], h_d
+    the discrete h-index, and R^2 is a trapezoid integral (the whole curve
+    integrates to sum(c) - c_1/2 for tie-free counts), so the result
+    approximates Zhang's discrete e-index rather than equals it.
+    """
     return _h_core(f)[2]
 
 
@@ -256,7 +265,7 @@ def _pool(fns: Sequence[RankFunction]) -> Sequence[RankFunction] | _PwlStack:
     """The functions as one stack when all are piecewise linear, so that every
     pass reads rows of it, else as they are."""
     if fns and all(isinstance(f, PiecewiseLinearFn) for f in fns):
-        return _PwlStack(fns)
+        return _PwlStack.of(fns)
     return fns
 
 
@@ -273,15 +282,19 @@ def _at_levels(rule: VectorRule, fns: Sequence[RankFunction] | _PwlStack, rows: 
     return out
 
 
+def _per_row(rule: Callable[[RankFunction], object],
+             fns: Sequence[RankFunction] | _PwlStack) -> np.ndarray:
+    """rule(f) for every row of a ``_pool``, as an array: one call on a
+    stack, else one per function."""
+    if isinstance(fns, _PwlStack):
+        return np.broadcast_to(rule(fns), fns.T.shape)
+    return np.array([rule(f) for f in fns])
+
+
 def _ranges(admissible: Callable[[RankFunction], ThetaRange],
             fns: Sequence[RankFunction] | _PwlStack) -> tuple[np.ndarray, np.ndarray]:
-    """Each function's admissible range, as arrays of its ends: one call on
-    a ``_pool`` stack, else one per function."""
-    if isinstance(fns, _PwlStack):
-        rng = admissible(fns)
-        return np.broadcast_to(rng.lo, fns.T.shape), np.broadcast_to(rng.hi, fns.T.shape)
-    rngs = [admissible(f) for f in fns]
-    return np.array([r.lo for r in rngs], dtype=float), np.array([r.hi for r in rngs], dtype=float)
+    """Each row's admissible range, as arrays of its ends."""
+    return tuple(_per_row(lambda f: getattr(admissible(f), end), fns) for end in ("lo", "hi"))
 
 
 def _on_domain(f: RankFunction, xs: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ run that tested no pair.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -371,6 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser``'s parser, built on the first ``main`` call and kept:
+    parsing reads it and never changes it."""
+    return build_parser()
+
+
 _COMMANDS = {
     "eval": cmd_eval,
     "sweep": cmd_sweep,
@@ -382,7 +390,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except fn.InputError as exc:

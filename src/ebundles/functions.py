@@ -230,15 +230,6 @@ class RankFunction:
                 break
         return 0.5 * (lo + hi)
 
-    def average(self, x: float) -> float:
-        """Running average (1/x) int_0^x Z; equals Z(0) at x = 0."""
-        self._check_domain(x)
-        if x == 0.0:
-            if self.unbounded_at_origin:
-                raise SingularityError("average undefined at x=0 for unbounded origin")
-            return self.value(0.0)
-        return self.cumulative(x) / x
-
 
 class _KnotView(Sequence[Knot]):
     """Read-only ``Knot`` sequence over a function's knot arrays."""
@@ -349,6 +340,15 @@ class PiecewiseLinearFn(_KnotArithmetic, RankFunction):
             raise InputError("knots must be a list of (x, y) pairs")
         return cls(arr[:, 0], arr[:, 1])
 
+    @classmethod
+    def _view(cls, xs: np.ndarray, ys: np.ndarray) -> "PiecewiseLinearFn":
+        """The function on read-only knot arrays that a batch check has
+        already found valid, without checking them again."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "xs", xs)
+        object.__setattr__(f, "ys", ys)
+        return f
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseLinearFn):
             return NotImplemented
@@ -423,6 +423,16 @@ class PiecewiseLinearFn(_KnotArithmetic, RankFunction):
                        lambda k: ys[k] - thetas * xs[k] > 0.0)
 
 
+def _valid_knots(xs: np.ndarray, ys: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Per row of padded knot arrays, whether its first size[i] knots pass
+    ``PiecewiseLinearFn``'s checks: finite and >= 0, at least two, the first
+    at x = 0, xs strictly increasing and ys strictly decreasing."""
+    step = np.arange(xs.shape[1] - 1) < (size - 1)[:, None]
+    bad = step & ((xs[:, 1:] <= xs[:, :-1]) | (ys[:, 1:] >= ys[:, :-1]))
+    finite = np.isfinite(xs) & (xs >= 0.0) & np.isfinite(ys) & (ys >= 0.0)
+    return (size >= 2) & (xs[:, 0] == 0.0) & finite.all(axis=1) & ~bad.any(axis=1)
+
+
 def _bisect(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Per argument, the last knot index in [lo, hi) at which ``holds`` does,
     lo counting as holding: a binary search, one numpy pass per halving.
@@ -440,42 +450,70 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.nda
 
 
 # Rows per stacked pass: a bound on the memory of every pass.
-_BLOCK = 512
+_BLOCK = 4096
 
 
 class _PwlStack(_KnotArithmetic):
     """Piecewise linear functions stacked one per row, row i read at
     argument i: the vector API that the bundle score rules call, with a
     per-row array wherever a function answers a scalar (``T``, the range
-    bounds, Z(0)).  The distinct functions' knots are concatenated once, a
-    row names the function it reads (a function may fill many rows), and
-    ``_select`` only picks rows.  Each row finds its segment by binary
-    search among its own knots, so a pass costs O(log K) numpy steps and no
-    Python per row.
+    bounds, Z(0)).  The functions' knots sit once in two (functions, width)
+    arrays, each function's row padded by repeating its last knot, and are
+    read flat; a row names the function it reads (a function may fill many
+    rows), and ``_select`` only picks rows.  Each row finds its segment by
+    binary search among its own knots, so a pass costs O(log K) numpy steps
+    and no Python per row.
     """
 
     unbounded_at_origin = False
 
-    def __init__(self, fns: Sequence[PiecewiseLinearFn]) -> None:
-        last = np.cumsum([len(f.xs) for f in fns]) - 1
-        self._pool = {"fns": fns, "first": np.r_[0, last[:-1] + 1], "last": last}
-        self.xs = np.concatenate([f.xs for f in fns])
-        self.ys = np.concatenate([f.ys for f in fns])
-        # the steps that straddle two functions are never read
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, size: np.ndarray) -> None:
+        """The stack of padded knot arrays xs and ys, row i holding a function
+        of size[i] knots."""
+        first = np.arange(len(xs)) * xs.shape[1]
+        self._pool = {"first": first, "last": first + size - 1, "width": xs.shape[1]}
+        self.xs, self.ys = xs.ravel(), ys.ravel()
+        # the steps that straddle two rows are never read
         self._dxs = self.xs[1:] - self.xs[:-1]
         self._dys = self.ys[1:] - self.ys[:-1]
-        self._pick(np.arange(len(fns)))
+        self._pick(np.arange(len(xs)))
+
+    @classmethod
+    def of(cls, fns: Sequence[PiecewiseLinearFn]) -> "_PwlStack":
+        """The functions stacked in order."""
+        size = np.array([len(f.xs) for f in fns])
+        at = np.r_[0, np.cumsum(size)[:-1]][:, None] + np.minimum(np.arange(size.max()),
+                                                                   size[:, None] - 1)
+        return cls(*(np.concatenate([getattr(f, v) for f in fns])[at] for v in ("xs", "ys")), size)
 
     def _pick(self, rows: np.ndarray) -> None:
         self._rows = rows
         self._first, self._last = self._pool["first"][rows], self._pool["last"][rows]
         self.T = self.xs[self._last]
 
+    def _knots(self, rows: np.ndarray) -> np.ndarray:
+        """The picked rows' padded knot ranks, one row each."""
+        return self.xs.reshape(-1, self._pool["width"])[self._rows[rows]]
+
     @property
     def _area_prefix(self) -> np.ndarray:
+        """Trapezoid area accumulated up to each knot, for all rows in one
+        pass: the cumulative sum runs along each row, as
+        ``PiecewiseLinearFn._area_prefix`` does along its knots."""
         if "area" not in self._pool:  # only the passes that integrate need it
-            self._pool["area"] = np.concatenate([f._area_prefix for f in self._pool["fns"]])
+            xs, ys = (v.reshape(-1, self._pool["width"]) for v in (self.xs, self.ys))
+            area = np.zeros(xs.shape)
+            np.cumsum((xs[:, 1:] - xs[:, :-1]) * (ys[:, :-1] + ys[:, 1:]) * 0.5, axis=1,
+                      out=area[:, 1:])
+            self._pool["area"] = area.ravel()
         return self._pool["area"]
+
+    def _keys(self) -> list[bytes]:
+        """Per picked row, bytes that equal another row's exactly when the two
+        functions' knots are equal."""
+        width = self._pool["width"]
+        knots = np.hstack([v.reshape(-1, width)[self._rows] for v in (self.xs, self.ys)]) + 0.0
+        return knots.view(np.dtype((np.void, knots.itemsize * 2 * width))).ravel().tolist()
 
     def _select(self, keep: np.ndarray) -> "_PwlStack":
         """The rows that a mask or an index array picks."""
@@ -671,23 +709,16 @@ def _gaps(
     return xs, f.values(xs) - g.values(xs)
 
 
-def _merged_gaps(
-    fs: Sequence[PiecewiseLinearFn], gs: Sequence[PiecewiseLinearFn], ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """f - g for the piecewise linear pairs (f, g) = (fs[i], gs[i]) at their
-    merged knots inside [0, ends[i]] and at ends[i], in one stacked pass:
-    one row per pair of points (sorted, padded by repeats) and of gaps.
-    f - g is linear between merged knots, so its extremes on [0, ends[i]]
-    are among these points."""
-    stack, up, lo = _PwlStack([*fs, *gs]), np.arange(len(fs)), np.arange(len(fs), 2 * len(fs))
-    first, last = stack._pool["first"], stack._pool["last"]
-
-    def knots(rows: np.ndarray) -> np.ndarray:  # padded by repeating the last
-        steps = np.minimum(np.arange(np.max(last - first) + 1), (last - first)[rows, None])
-        return stack.xs[first[rows, None] + steps]
-
+def _merged_gaps(stack: _PwlStack, up: np.ndarray, lo: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f - g for the piecewise linear pairs (f, g) = (rows up[i], lo[i]) of a
+    stack at their merged knots inside [0, ends[i]] and at ends[i], in one
+    stacked pass: one row per pair of points (sorted, padded by repeats) and
+    of gaps.  f - g is linear between merged knots, so its extremes on
+    [0, ends[i]] are among these points."""
     # a knot past the end is moved onto it, and the last knot of each is past
-    points = np.sort(np.minimum(np.hstack((knots(up), knots(lo))), ends[:, None]), axis=1)
+    points = np.sort(np.minimum(np.hstack((stack._knots(up), stack._knots(lo))), ends[:, None]),
+                     axis=1)
     width, flat = points.shape[1], points.ravel()
     f, g = (stack._read(_PwlStack.values, np.repeat(rows, width), flat) for rows in (up, lo))
     return points, (f - g).reshape(points.shape)
@@ -740,15 +771,16 @@ class CumulativeVerdict:
     witness_max: float
 
 
-def _cumulative_extrema(xs: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Exact extrema of d(x) = I_f(x) - I_g(x) for piecewise linear pairs,
-    one per row of the merged knots xs (a repeated knot adds nothing) and of
-    e = f - g there: the least and largest d and where each first falls.
+def _cumulative_candidates(xs: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every point where d(x) = I_f(x) - I_g(x) can take an extreme, for
+    piecewise linear pairs, one row per row of the merged knots xs (a
+    repeated knot adds nothing) and of e = f - g there: d and x at the
+    candidates, and whether each candidate exists.
 
     On each merged segment both functions are linear, so d is quadratic with
     d' = f - g; extrema can only occur at segment ends or at the interior
     zero of f - g (vertex analysis).  Candidates are the knots, then the
-    crossings by segment.
+    crossings by segment, which exist where f - g changes sign.
     """
     u, eu, ev = xs[:, :-1], e[:, :-1], e[:, 1:]
     dx = xs[:, 1:] - u
@@ -757,9 +789,18 @@ def _cumulative_extrema(xs: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]
     crossing = eu * ev < 0.0
     x_star = u + eu * dx / np.where(crossing, eu - ev, 1.0)
     d_star = d[:, :-1] + (x_star - u) * eu * 0.5
-    cand_d, cand_x, rows = np.hstack((d, d_star)), np.hstack((xs, x_star)), np.arange(len(xs))
-    i_min = np.argmin(np.hstack((d, np.where(crossing, d_star, math.inf))), axis=1)
-    i_max = np.argmax(np.hstack((d, np.where(crossing, d_star, -math.inf))), axis=1)
+    return (np.hstack((d, d_star)), np.hstack((xs, x_star)),
+            np.hstack((np.ones(xs.shape, dtype=bool), crossing)))
+
+
+def _cumulative_extrema(xs: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Exact extrema of d(x) = I_f(x) - I_g(x) over the candidates of
+    ``_cumulative_candidates``: the least and largest d and where each
+    first falls."""
+    cand_d, cand_x, real = _cumulative_candidates(xs, e)
+    rows = np.arange(len(xs))
+    i_min = np.argmin(np.where(real, cand_d, math.inf), axis=1)
+    i_max = np.argmax(np.where(real, cand_d, -math.inf), axis=1)
     return cand_d[rows, i_min], cand_d[rows, i_max], cand_x[rows, i_min], cand_x[rows, i_max]
 
 
@@ -810,12 +851,20 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
     trailing zeros are dropped, and the k positive values become knots
     (i, c_{i+1}) for i = 0..k-1 with a terminal knot (k, 0), so T = k.  Tied
     runs are broken by subtracting j*eps from the j-th member of each run,
-    eps = 1e-9 * max(counts), which keeps the knots strictly decreasing
-    while preserving the total citation count to within rounding.  When the
-    nominal eps would overshoot the gap to the next distinct value (extreme
-    dynamic range in the counts), it is shrunk to half that gap spread over
-    the run, so the output is always a valid rank function.  A tie that no
-    float can split (subnormal counts) keeps only its first member as a knot.
+    eps = 1e-9 * max(counts), which keeps the knots strictly decreasing.
+    When the nominal eps would overshoot the gap to the next distinct value
+    (extreme dynamic range in the counts), it is shrunk to half that gap
+    spread over the run, so the output is always a valid rank function.  A
+    tie that no float can split (subnormal counts) keeps only its first
+    member as a knot.
+
+    What the curve keeps of the counts: its integral over [0, T] is the
+    trapezoid sum, sum(c) - c_1/2 for tie-free counts (c_1 the largest;
+    ``[3, 2, 1]`` integrates to 4.5, not 6), and the tie-breaking lowers it
+    further.  For integer counts its classical h (``bundles.classical_h``)
+    satisfies h_d - 1 < h <= h_d, h_d the discrete h-index: Z(h_d - 1) =
+    c_{h_d} >= h_d and Z(h_d) = c_{h_d+1} <= h_d.  Neither the order of the
+    counts nor zeros among them change the result.
     """
     try:
         vals = np.array(counts, dtype=float)

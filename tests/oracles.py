@@ -13,6 +13,10 @@ the vector level path replaced.
 ``exact_order_facts`` and ``exact_relation_holds`` decide the dominance
 relations of a piecewise linear pair in rational arithmetic
 (``fractions.Fraction``), at the merged knots.
+
+``pairs_one_at_a_time`` is the reference for ``generate_pairs``: the
+per-pair builders that draw, build and verify one pair at a time, which the
+array generator must match pair for pair.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
-from ebundles.axioms import AxiomReport, RelationKind, Violation
+from ebundles.axioms import (AxiomReport, DominancePair, GenerationError, RelationKind,
+                             VerificationError, Violation, verify_pair)
 from ebundles.functions import (
     InputError,
     LinearFamily,
@@ -222,3 +227,135 @@ def exact_relation_holds(relation: RelationKind, facts: dict, tol: float = 1e-12
     scale = max(Fraction(1), abs(facts["dmin"]), abs(facts["dmax"]))
     precedes = facts["dmax"] <= tol * scale and not facts["dmin"] >= -tol * scale
     return precedes and facts["max_dev"] > tol
+
+
+def exact_averages_min(upper: PiecewiseLinearFn, lower: PiecewiseLinearFn) -> Fraction:
+    """The least value of d = I_upper - I_lower over x in (0, T], exactly:
+    d is quadratic between merged knots, so its least value there lies at a
+    knot or where upper - lower changes sign."""
+    merged = sorted({Fraction(x) for f in (upper, lower) for x in f.xs.tolist()})
+    e = [_exact_value(upper, x) - _exact_value(lower, x) for x in merged]
+    d, cands = Fraction(0), []
+    for u, v, eu, ev in zip(merged, merged[1:], e, e[1:]):
+        if eu * ev < 0:
+            cands.append(d + eu * eu * (v - u) / (2 * (eu - ev)))
+        d += (v - u) * (eu + ev) / 2
+        cands.append(d)
+    return min(cands)
+
+
+def exact_averages_ordered(upper: PiecewiseLinearFn, lower: PiecewiseLinearFn) -> bool:
+    """Whether upper's running average exceeds lower's at every x in
+    [0, T], decided in rational arithmetic: Z_up(0) > Z_lo(0) at x = 0, and
+    I_up - I_lo > 0 for x > 0."""
+    return upper.ys[0] > lower.ys[0] and exact_averages_min(upper, lower) > 0
+
+
+def sampled_averages_ordered(upper: RankFunction, lower: RankFunction, n: int = 512) -> bool:
+    """The premise sampled at the n - 1 interior points of an n-point grid
+    on [0, T) (a pole at the origin leaves x = 0 to them)."""
+    xs = np.linspace(0.0, lower.T, n, endpoint=False)[1:]
+    if not bool(np.all(upper.cumulatives(xs) / xs > lower.cumulatives(xs) / xs)):
+        return False
+    if lower.unbounded_at_origin or upper.unbounded_at_origin:
+        return True
+    return upper.value_at_origin() > lower.value_at_origin()
+
+
+def discrete_h(counts) -> int:
+    """The h-index of a citation vector: the most h papers with at least h
+    citations each."""
+    ranked = sorted(counts, reverse=True)
+    return sum(1 for i, c in enumerate(ranked, start=1) if c >= i)
+
+
+def continuized_integral(counts) -> Fraction:
+    """The trapezoid integral of the knots (i, c_{i+1}), i = 0..k-1, and
+    (k, 0) of the positive counts sorted decreasing, summed exactly."""
+    ys = [Fraction(c) for c in sorted(counts, reverse=True) if c > 0] + [Fraction(0)]
+    return sum((a + b) / 2 for a, b in zip(ys, ys[1:]))
+
+
+# ---------------------------------------------------------------------------
+# The pair generator, one pair at a time
+
+
+def _random_pwl(rng: np.random.Generator, cfg) -> PiecewiseLinearFn:
+    k = int(rng.integers(cfg.knot_range[0], cfg.knot_range[1] + 1))
+    for _ in range(100):
+        interior = np.sort(rng.uniform(0.0, cfg.T, size=k - 2))
+        xs = np.concatenate(([0.0], interior, [cfg.T]))
+        if (xs[1:] - xs[:-1]).min() > 1e-6 * cfg.T:
+            break
+    else:
+        raise GenerationError("could not draw well-separated knot ranks")
+    tail = float(rng.uniform(0.0, 0.4))
+    drops = rng.uniform(0.3, 1.0, size=k - 1)
+    total = float(rng.uniform(max(1.5, 0.3 * cfg.value_scale), cfg.value_scale))
+    drops *= total / drops.sum()
+    ys = tail + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
+    return PiecewiseLinearFn(xs, ys)
+
+
+def _shifted(z: PiecewiseLinearFn, c: float, taper: bool) -> PiecewiseLinearFn:
+    """z plus a positive shift: constant, or linearly decaying to c/2 at T."""
+    bump = c * (1.0 - 0.5 * z.xs / z.T) if taper else c
+    return PiecewiseLinearFn(z.xs, z.ys + bump)
+
+
+def _prefix_gap(z: PiecewiseLinearFn, g: float, b: float) -> PiecewiseLinearFn:
+    """z plus the wedge g * max(0, 1 - x/b): strictly above z on [0, b)."""
+    xs = np.union1d(z.xs, [b])
+    return PiecewiseLinearFn(xs, z.values(xs) + g * np.maximum(0.0, 1.0 - xs / b))
+
+
+def _equal_prefix_variant(z: PiecewiseLinearFn, split: int, lam: float) -> PiecewiseLinearFn:
+    """Copy z up to knot ``split``, then shrink the remaining drop by lam."""
+    za = z.ys[split]
+    ys = z.ys.copy()
+    ys[split + 1:] = za + lam * (ys[split + 1:] - za)
+    return PiecewiseLinearFn(z.xs, ys)
+
+
+def build_pair(rng: np.random.Generator, cfg, kind: RelationKind) -> DominancePair:
+    """One pair of the given kind, drawn and built; raises ``InputError``
+    when a member fails its checks."""
+    z = _random_pwl(rng, cfg)
+    if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
+        c = float(rng.uniform(0.05, cfg.shift_scale))
+        y = _shifted(z, c, taper=bool(rng.random() < 0.5))
+        return DominancePair(upper=y, lower=z, relation=kind)
+    if kind is RelationKind.STRICT_ON_PREFIX:
+        a = float(rng.uniform(0.25, 0.75)) * cfg.T
+        b = float(rng.uniform(a + 0.05 * cfg.T, cfg.T))
+        g = float(rng.uniform(0.05, cfg.shift_scale))
+        return DominancePair(upper=_prefix_gap(z, g, b), lower=z, relation=kind, prefix_end=a)
+    # bias toward deep prefixes so level-threshold checks get coverage
+    if rng.random() < 0.5:
+        split = len(z.xs) - 2
+    else:
+        split = int(rng.integers(1, len(z.xs) - 1))
+    lam = float(rng.uniform(0.2, 0.8))
+    y = _equal_prefix_variant(z, split, lam)
+    return DominancePair(upper=y, lower=z, relation=kind, prefix_end=float(z.xs[split]))
+
+
+def pairs_one_at_a_time(cfg, relation=None, drop=lambda kind, slot, attempt: False):
+    """``generate_pairs``'s pairs, built and verified one at a time: each
+    slot retries until a pair builds and verifies (``verify_pair``), up to
+    100 attempts.  ``drop(kind, slot, attempt)`` rejects an attempt that
+    would otherwise pass."""
+    rng, out = np.random.default_rng(cfg.seed), []
+    for kind in [relation] if relation is not None else list(RelationKind):
+        for slot in range(cfg.count):
+            for attempt in range(100):
+                try:
+                    pair = build_pair(rng, cfg, kind)
+                    if not drop(kind, slot, attempt):
+                        out.append(verify_pair(pair))
+                        break
+                except (InputError, VerificationError):
+                    pass
+            else:
+                raise GenerationError(f"gave up generating a {kind.value} pair")
+    return out

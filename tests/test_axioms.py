@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -265,6 +266,50 @@ def _ax_json(reports):
     return {k: reports[k].to_json_obj() for k in ("AX.2", "AX.3", "AX.4")}
 
 
+# Each score with the level its benchmark runs use.
+SUITE_LEVELS = {"e": 2.5, "h": 8.0, "mu": 0.5, "i": 0.5, "n": 2.5, "eta": 0.5}
+
+
+def _all_reports(bundle, level, pairs):
+    reports = dict(check_impact_bundle(bundle, pairs))
+    reports.update(check_impact_measure(bundle, level, pairs))
+    reports.update(check_strong_impact(bundle, level, pairs))
+    reports["GM"] = check_global_impact(bundle, level, pairs)
+    return {k: r.to_json_obj() for k, r in reports.items()}
+
+
+class TestGeneratedStackEqualsPlainList:
+    """The checkers read the generator's own stack of knot arrays; the same
+    pairs rebuilt one function at a time, as a plain list, must give the
+    same reports, to the last digit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", sorted(SUITE_LEVELS))
+    def test_reports(self, name, seed):
+        pairs = generate_pairs(GeneratorConfig(seed=seed, count=12))
+        rebuilt = [dataclasses.replace(p, upper=PiecewiseLinearFn.from_pairs(_knots(p.upper)),
+                                       lower=PiecewiseLinearFn.from_pairs(_knots(p.lower)))
+                   for p in pairs]
+        assert ax._stacked(pairs) is pairs.stacked and ax._stacked(rebuilt) is not pairs.stacked
+        bundle, level = AX_BUNDLES[name], SUITE_LEVELS[name]
+        got, want = _all_reports(bundle, level, pairs), _all_reports(bundle, level, rebuilt)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _knots(f):
+    return list(zip(f.xs.tolist(), f.ys.tolist()))
+
+
+class TestLinspaces:
+    @pytest.mark.parametrize("n", [1, 2, 3, 25])
+    def test_rows_equal_numpy(self, n):
+        rng = np.random.default_rng(n)
+        lo = np.r_[rng.uniform(-3, 3, 40), 0.0, 1.5, 5e-324, 0.0]
+        hi = np.r_[lo[:40] + rng.uniform(0, 1e3, 40), 0.0, 1.5, 1e-323, 1e-310]
+        want = np.array([np.linspace(a, b, n) for a, b in zip(lo.tolist(), hi.tolist())])
+        assert ax._linspaces(lo, hi, n).tolist() == want.tolist()
+
+
 class TestImpactBundleAgainstScalarLoop:
     """``check_impact_bundle`` scores every level of a pair in one vector call
     per member; the reports, violation floats included, must equal those of
@@ -460,15 +505,60 @@ class TestExactVerification:
             "upper < lower at x=0.0002", "not strict on prefix: gap 0.0 at x=0.5"]
 
 
+class TestExactAveragesPremise:
+    """SM.3 enters a GEQ pair only when the running average of its upper
+    stays above its lower's; for piecewise linear pairs this is decided
+    exactly, and must agree with the rational-arithmetic oracle."""
+
+    # lower runs along 2 - x but for a zigzag between the grid points 2/512
+    # and 3/512: 3e-4 above the line at g1 + 4e-4, 3e-4 below it at
+    # g1 + 8e-4; upper is 2 - x plus 2e-5 at the origin, tapering to 0 by
+    # x = 0.002.  I_up - I_lo is 2e-8 at g1, dips to -7e-8 inside the zigzag
+    # and is 1.3e-7 again from g2 on
+    G1, G2 = 2 / 512, 3 / 512
+    LOWER = _pwl((0, 2), (G1, 2 - G1), (G1 + 4e-4, 2 - G1 - 4e-4 + 3e-4),
+                 (G1 + 8e-4, 2 - G1 - 8e-4 - 3e-4), (G2, 2 - G2), (1, 1))
+    UPPER = _pwl((0, 2.00002), (0.002, 1.998), (1, 1))
+
+    def test_crossing_between_grid_points(self):
+        pair = DominancePair(self.UPPER, self.LOWER, RelationKind.GEQ_ALL, verified=True)
+        assert oracles.sampled_averages_ordered(pair.upper, pair.lower)  # the grid admits it
+        assert not oracles.exact_averages_ordered(pair.upper, pair.lower)
+        assert ax._averages_ordered(ax._Pairs.of([pair]), np.array([0])).tolist() == [False]
+        rep = check_strong_impact(E_BUNDLE, 1.5, [pair])["SM.3"]
+        assert (rep.pairs_tested, rep.skipped) == (0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(_pwl_pairs(), min_size=1, max_size=6))
+    def test_agrees_with_exact_oracle(self, pairs):
+        got = ax._averages_ordered(ax._Pairs.of(pairs), np.arange(len(pairs))).tolist()
+        for pair, ordered in zip(pairs, got):
+            d_min = oracles.exact_averages_min(pair.upper, pair.lower)
+            if abs(d_min) > 1e-10:  # rounding cannot move the verdict
+                assert ordered == oracles.exact_averages_ordered(pair.upper, pair.lower), pair
+
+    def test_generated_pairs_all_ordered(self):
+        pairs = generate_pairs(GeneratorConfig(seed=7, count=50), RelationKind.GEQ_ALL)
+        assert ax._averages_ordered(ax._stacked(pairs), np.arange(50)).all()
+        assert all(oracles.exact_averages_ordered(p.upper, p.lower) for p in pairs[:10])
+
+    def test_parametric_pairs_sampled(self):
+        geq = [p for p in PARAMETRIC_PAIRS if p.relation is RelationKind.GEQ_ALL]
+        got = ax._averages_ordered(ax._Pairs.of(geq), np.arange(len(geq))).tolist()
+        assert got == [oracles.sampled_averages_ordered(p.upper, p.lower) for p in geq]
+
+
 class TestImpactMeasureChecks:
     def test_admission_slack(self):
         # a density level is admitted within the range's slack (the e score
         # snaps it onto the range); a level that fixes a rank only exactly
         f = _pwl((0, 3), (1, 1), (2, 0.2))
         below = 0.2 - 5e-13
-        assert ax._level_table(E_BUNDLE, below, [f])[0] == {f: e_theta(f, 0.2)}
-        assert ax._level_table(H_BUNDLE, 0.1 - 5e-13, [f]) == ({}, {})
-        assert ax._level_table(I_BUNDLE, math.nextafter(2.0, 3.0), [f]) == ({}, {})
+        for fns in ([f], _PwlStack.of([f])):
+            assert ax._level_table(E_BUNDLE, below, fns)[0].tolist() == [e_theta(f, 0.2)]
+            for bundle, level in ((H_BUNDLE, 0.1 - 5e-13), (I_BUNDLE, math.nextafter(2.0, 3.0))):
+                assert [np.isnan(v).tolist() for v in ax._level_table(bundle, level, fns)] == [
+                    [True], [True]]
 
     def test_e_measure_passes(self, small_pairs):
         reports = check_impact_measure(E_BUNDLE, 1.0, small_pairs)
@@ -666,22 +756,48 @@ class TestGenerator:
                 assert calls == [2_000, 2_000], p.relation
 
     def test_generation_reads_no_grid(self, monkeypatch):
-        sizes = []
-        values = PiecewiseLinearFn.values
+        # members are views of the batch's knot arrays, checked and verified
+        # in stacked passes: no function is built or read one at a time, and
+        # each pass reads a pair at no more than its merged knots
+        sizes, built = [], []
+        values, init = _PwlStack.values, PiecewiseLinearFn.__init__
 
         def spy(self, xs):
             sizes.append(len(xs))
             return values(self, xs)
 
-        monkeypatch.setattr(PiecewiseLinearFn, "values", spy)
+        monkeypatch.setattr(_PwlStack, "values", spy)
+        monkeypatch.setattr(PiecewiseLinearFn, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        monkeypatch.setattr(PiecewiseLinearFn, "values", None)
         assert not hasattr(ax, "_VERIFY_GRID")
-        generate_pairs(GeneratorConfig(seed=1, count=10))
-        assert sizes and max(sizes) <= 2 * GeneratorConfig().knot_range[1]
+        pairs = generate_pairs(GeneratorConfig(seed=1, count=10))
+        width = GeneratorConfig().knot_range[1] + 1
+        # both members of each pair at the 2 * width merged knots
+        assert sum(sizes) == 2 * 2 * width * len(pairs) and built == []
+
+    @pytest.mark.parametrize("cfg, relation", [
+        (GeneratorConfig(seed=0, count=30), None),
+        (GeneratorConfig(seed=5, count=25, knot_range=(3, 14)), None),
+        (GeneratorConfig(seed=6, count=20, knot_range=(4, 4), T=37.5, value_scale=3.0,
+                         shift_scale=1.0), None),
+        (GeneratorConfig(seed=9, count=40, T=2), RelationKind.STRICT_ON_PREFIX),
+    ])
+    def test_pairs_equal_the_one_at_a_time_reference(self, cfg, relation):
+        got = generate_pairs(cfg, relation)
+        want = oracles.pairs_one_at_a_time(cfg, relation)
+        assert got == want
+        assert [p.prefix_end for p in got] == [p.prefix_end for p in want]
+        for p in got:
+            for f in (p.upper, p.lower):
+                assert not f.xs.flags.writeable and not f.ys.flags.writeable
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_rejected_pair_rewinds_the_generator(self, k, monkeypatch):
         # the pass rejects the k-th pair of the first batch once; the pairs
-        # must be those of building and verifying one pair at a time
+        # must be those of building and verifying one pair at a time.  The
+        # generator keeps drawing where it stopped: a rejected attempt is
+        # dropped, and the next batch fills the one slot left
         real, calls = ax._rejections, []
 
         def reject_once(pairs, *args):
@@ -694,23 +810,24 @@ class TestGenerator:
         cfg = GeneratorConfig(seed=13, count=6)
         monkeypatch.setattr(ax, "_rejections", reject_once)
         got = generate_pairs(cfg)
-        assert calls[:2] == [6, 6 - k]
-
-        rng, want, forced = np.random.default_rng(cfg.seed), [], False
-        for kind in RelationKind:
-            for slot in range(cfg.count):
-                while True:
-                    try:
-                        pair = ax._build_pair(rng, cfg, kind)
-                    except InputError:
-                        continue
-                    if kind is RelationKind.GEQ_ALL and slot == k and not forced:
-                        forced = True
-                        continue
-                    if real([pair])[0] is None:
-                        want.append(dataclasses.replace(pair, verified=True))
-                        break
+        assert calls[:2] == [6, 1]
+        want = oracles.pairs_one_at_a_time(
+            cfg, drop=lambda kind, slot, attempt: (kind, slot, attempt) == (
+                RelationKind.GEQ_ALL, k, 0))
         assert got == want
+
+    def test_hundred_rejections_give_up(self, monkeypatch):
+        monkeypatch.setattr(ax, "_rejections", lambda pairs, *args: ["rejected"] * len(pairs))
+        with pytest.raises(ax.GenerationError, match="gave up generating a geq_all pair"):
+            generate_pairs(GeneratorConfig(seed=1, count=3))
+
+    def test_checkers_read_the_generator_stack_only_while_it_holds(self):
+        pairs = generate_pairs(GeneratorConfig(seed=4, count=5))
+        assert ax._stacked(pairs) is pairs.stacked
+        assert ax._stacked(pairs[:-1]) is not pairs.stacked
+        pairs += generate_pairs(GeneratorConfig(seed=5, count=5))
+        rebuilt = ax._stacked(pairs)
+        assert rebuilt is not pairs.stacked and len(rebuilt) == 40
 
     def test_blocks_change_nothing(self, monkeypatch, tmp_path):
         # a run in blocks of a few rows equals one unblocked pass, pairs and

@@ -420,7 +420,7 @@ class TestStackedPass:
     def test_rows_at_range_edges(self, name, seed):
         fns = _stack_members(seed)
         bundle = STACKED[name]
-        stack = _PwlStack(fns)
+        stack = _PwlStack.of(fns)
         T = np.array([f.T for f in fns])
         z_T = np.array([f.admissible_range().lo for f in fns])
         z_0 = np.array([f.value_at_origin() for f in fns])

@@ -364,3 +364,53 @@ class TestBadInputExit2:
     def test_n_below_one(self, capsys):
         assert main(["converge", "--n-list", "0,1"]) == 2
         assert "n values must be >= 1" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and only reads it."""
+
+    COMMANDS = ["eval", "sweep", "axioms", "converge", "counterexamples", "ingest"]
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        rc = main([*argv, "--output", str(out)])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err, out.read_text()
+
+    def test_two_commands_in_one_process_equal_separate_calls(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from ebundles import cli
+        runs = [["converge", "--family", "linear", "--n-list", "2,5", "--grid-n", "50",
+                 "--theta-grid-n", "20"],
+                ["axioms", "--bundle", "h", "--suite", "all", "--pairs", "5", "--seed", "3",
+                 "--measure-theta", "8"]]
+        built, build = [], cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        together = [self._run(argv, tmp_path, capsys) for argv in runs]
+        assert len(built) == 1
+        separate = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            separate.append(self._run(argv, tmp_path, capsys))
+        assert together == separate
+        assert all(rc == 0 for rc, *_ in together)
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_after_use_equals_a_fresh_parser(self, command, tmp_path, capsys):
+        from ebundles.cli import build_parser
+        argv = [command, "--help"] if command else ["--help"]
+        main(["counterexamples"])  # the kept parser has parsed before
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(argv)
+        kept = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert kept == capsys.readouterr().out and kept.startswith("usage: ebundles")

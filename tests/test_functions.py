@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import pwl_functions, seeded_pwl
+from ebundles.bundles import classical_h, mu_bundle
 from ebundles.functions import (
     CumulativeOrder,
     InputError,
@@ -186,20 +187,23 @@ class TestCumulative:
 
 
 class TestAverage:
+    """The running average, read through the mu bundle's rule."""
+
     def test_pwl(self):
         # (40 - 8) / 4
-        assert LINE.average(4.0) == 8.0
+        assert mu_bundle(LINE, 4.0) == 8.0
 
     def test_at_zero_is_peak(self):
         for f in (LINE, LinearFamily(S=3, T=5), PowerComplement(n=2)):
-            assert f.average(0.0) == f.value(0.0)
+            assert mu_bundle(f, 0.0) == f.value(0.0)
 
     def test_linear_total(self):
-        assert LinearFamily(S=10, T=20).average(20.0) == 5.0
+        assert mu_bundle(LinearFamily(S=10, T=20), 20.0) == 5.0
 
     def test_zipf_at_zero_raises(self):
-        with pytest.raises(SingularityError):
-            ZipfFamily(beta=0.5, T=1).average(0.0)
+        # undefined at the pole: the rule gives NaN, read as InputError
+        with pytest.raises(InputError, match="mu score undefined at 0.0"):
+            mu_bundle(ZipfFamily(beta=0.5, T=1), 0.0)
 
     def test_non_increasing(self):
         rng = np.random.default_rng(5)
@@ -340,6 +344,42 @@ class TestFromCitations:
             (a.y + b.y) * (b.x - a.x) * 0.5 for a, b in zip(f.knots, f.knots[1:])
         )
         assert f.cumulative(f.T) == pytest.approx(staircase, rel=1e-12)
+
+
+_COUNTS = st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60).filter(any)
+
+
+class TestContinuizationContract:
+    """What ``from_citations`` keeps of a citation vector, against discrete
+    oracles: the trapezoid integral is the total minus half the largest
+    count on tie-free input, the continuous h lies within one below the
+    discrete h-index, and neither order nor trailing zeros matter."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=_COUNTS)
+    def test_h_within_one_below_discrete_h(self, counts):
+        h_d, h_c = oracles.discrete_h(counts), classical_h(from_citations(counts))
+        assert h_d - 1 < h_c <= h_d
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=60,
+                           unique=True))
+    def test_integral_without_ties(self, counts):
+        f = from_citations(counts)
+        want = oracles.continuized_integral(counts)
+        assert f.cumulative(f.T) == pytest.approx(want, rel=1e-12)
+        assert want == sum(counts) - max(counts) / 2
+
+    def test_integral_by_hand(self):
+        assert from_citations([3, 2, 1]).cumulative(3.0) == 4.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=_COUNTS, order=st.randoms(use_true_random=False),
+           zeros=st.integers(min_value=0, max_value=5))
+    def test_order_and_zeros_do_not_matter(self, counts, order, zeros):
+        shuffled = list(counts)
+        order.shuffle(shuffled)
+        assert from_citations(shuffled + [0] * zeros) == from_citations(counts)
 
 
 class TestSpecRoundTrip:
