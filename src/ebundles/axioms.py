@@ -808,9 +808,10 @@ def _build_pair(rng: np.random.Generator, cfg: GeneratorConfig, kind: RelationKi
     the draw behind ``rng.uniform(lo, hi)``, which is lo + (hi - lo) * u, and
     ``_pair_knots`` scales it so.  Ranks and drops are padded to the width
     of the batch."""
-    k, width = int(rng.integers(cfg.knot_range[0], cfg.knot_range[1] + 1)), cfg.knot_range[1] + 1
-    T = float(cfg.T)
+    width, T = cfg.knot_range[1] + 1, float(cfg.T)
+    k = int(rng.integers(cfg.knot_range[0], width))
     for _ in range(100):
+        # rng.uniform(0, T) draws T * u
         xs = [0.0, *sorted(map(T.__mul__, rng.random(k - 2).tolist())), T]
         if min(map(operator.sub, xs[1:], xs)) > 1e-6 * T:
             break
@@ -830,7 +831,9 @@ def _build_pair(rng: np.random.Generator, cfg: GeneratorConfig, kind: RelationKi
 
 
 def _uniform(lo, hi, u: np.ndarray) -> np.ndarray:
-    """What ``rng.uniform(lo, hi)`` returns for the draw u of ``rng.random``."""
+    """What ``rng.uniform(lo, hi)`` returns for the draw u of ``rng.random``:
+    numpy rounds (hi - lo) * u before adding lo, as here (the pinned
+    digests in the tests check every draw)."""
     return lo + (hi - lo) * u
 
 

@@ -228,7 +228,8 @@ class BundleDef:
 
     Fixed at one level theta, a bundle is a single score, which the measure
     axiom checkers take with two more facts: ``positive_for``(f, theta)
-    states where the score is provably strictly positive, and
+    states where the score is provably strictly positive (per row, or for
+    all rows at once, on a stack), and
     ``rank_of``(f, thetas), a rule too, is the rank up to which the score
     reads f (theta itself for mu/i, the root for h).  ``rank_of`` is None
     when the level is a density (e): then the checkers compare theta with
