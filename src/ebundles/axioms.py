@@ -55,10 +55,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from itertools import chain
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -171,7 +170,8 @@ class _Pairs:
     @classmethod
     def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":
         return cls(_pool([p.upper for p in pairs] + [p.lower for p in pairs]),
-                   [p.relation for p in pairs], np.array([p.prefix_end for p in pairs], dtype=float),
+                   [p.relation for p in pairs],
+                   np.array([p.prefix_end for p in pairs], dtype=float),
                    np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float), pairs)
 
     def __len__(self) -> int:
@@ -281,9 +281,14 @@ class Violation:
     note: str = ""
 
     def to_json_obj(self) -> dict:
-        obj = asdict(self)
-        obj["pair"] = obj.pop("pair_index")
-        return obj
+        return {
+            "pair": self.pair_index,
+            "theta": self.theta,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "gap": self.gap,
+            "note": self.note,
+        }
 
 
 @dataclass(frozen=True)
@@ -318,7 +323,8 @@ _SKIP = "skipped"
 _BOUNDARY = "boundary-level pairs excluded"
 
 
-def _run_axiom(axiom: str, outcomes: Iterable[Violation | str | None], note: str = "") -> AxiomReport:
+def _run_axiom(axiom: str, outcomes: Iterable[Violation | str | None],
+               note: str = "") -> AxiomReport:
     """The report on one axiom's outcomes, one per pair or function: None
     when the item satisfies the axiom, a ``Violation`` when it breaks it, or
     a skip reason when the axiom does not apply.  The report's note counts
@@ -362,8 +368,10 @@ def _unequal(m_up, m_lo, eq_tol):
 _NOT_STRICT = "not strict"
 
 
-def _first_violations(idx: Sequence[int], ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray,
-                      verdict, tol: float, note: str) -> list[Violation | None]:
+def _first_violations(
+    idx: Sequence[int], ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray, verdict, tol: float,
+    note: str
+) -> list[Violation | None]:
     """Per row of the levels (or ranks) ts and the scores there, the verdict
     at the first column that it flags, or None.  A NaN score (undefined, or
     no level there) never flags: every comparison with NaN is false."""
@@ -431,9 +439,14 @@ class _PairSet:
         return [v if kept else _SKIP for v, kept in zip(found, keep.any(axis=1).tolist())]
 
 
-def check_impact_bundle(bundle: BundleDef, pairs: Sequence[DominancePair], theta_grid: int = 24,
-                        slack: float = MONOTONE_SLACK, strict_slack: float = STRICT_SLACK,
-                        eq_tol: float = EQUALITY_ASSERT_TOL) -> dict[str, AxiomReport]:
+def check_impact_bundle(
+    bundle: BundleDef,
+    pairs: Sequence[DominancePair],
+    theta_grid: int = 24,
+    slack: float = MONOTONE_SLACK,
+    strict_slack: float = STRICT_SLACK,
+    eq_tol: float = EQUALITY_ASSERT_TOL,
+) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
     Each axiom reads all its pairs at once (``_PairSet``).  Only the first
@@ -470,7 +483,8 @@ def check_impact_bundle(bundle: BundleDef, pairs: Sequence[DominancePair], theta
 
     return {
         "AX.1": AxiomReport(
-            "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"),
+            "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"
+        ),
         "AX.2": _run_axiom("AX.2", geq.violations(levels, _below, slack, "")),
         # AX.3: strict dominance on [0, a] forces strictly larger scores on
         # the level image of the prefix.
@@ -532,8 +546,12 @@ def _level_table(bundle: BundleDef, theta: float,
         out = np.full(len(lo), math.nan)
         out[rows] = _at_levels(rule, fns, rows, thetas)
         return out
-    scores, rank_of = table(bundle.scores), bundle.rank_of
-    return scores, None if rank_of is None else scores if rank_of is bundle.scores else table(rank_of)
+    scores = table(bundle.scores)
+    if bundle.rank_of is None:
+        return scores, None
+    if bundle.rank_of is bundle.scores:  # h reads up to its own root
+        return scores, scores
+    return scores, table(bundle.rank_of)
 
 
 def _pair_outcomes(ps: _Pairs, idx: np.ndarray, scores: np.ndarray, verdict, tol: float,
@@ -552,7 +570,9 @@ def _pair_outcomes(ps: _Pairs, idx: np.ndarray, scores: np.ndarray, verdict, tol
 def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Whether the score reads each row beyond its rank a (never, for a
     density level)."""
-    return np.zeros(len(rows), dtype=bool) if ranks is None else ranks[rows] > a + EQUALITY_ASSERT_TOL
+    if ranks is None:
+        return np.zeros(len(rows), dtype=bool)
+    return ranks[rows] > a + EQUALITY_ASSERT_TOL
 
 
 def _members(ps: _Pairs) -> np.ndarray:
@@ -566,8 +586,10 @@ def _members(ps: _Pairs) -> np.ndarray:
     return np.array(list(first.values()), dtype=int)
 
 
-def _positivity_report(axiom: str, bundle: BundleDef, theta: float, ps: _Pairs,
-                       scores: np.ndarray, strict_slack: float) -> AxiomReport:
+def _positivity_report(
+    axiom: str, bundle: BundleDef, theta: float, ps: _Pairs, scores: np.ndarray,
+    strict_slack: float,
+) -> AxiomReport:
     rows = _members(ps)
     positive = _per_row(lambda f: bundle.positive_for(f, theta), ps.fns)[rows].tolist()
     outcomes = [_SKIP if math.isnan(v) or not pos
@@ -578,9 +600,13 @@ def _positivity_report(axiom: str, bundle: BundleDef, theta: float, ps: _Pairs,
                       note="zero-function clause vacuous: rank functions are strictly decreasing")
 
 
-def check_impact_measure(bundle: BundleDef, theta: float, pairs: Sequence[DominancePair],
-                         slack: float = MONOTONE_SLACK, strict_slack: float = STRICT_SLACK
-                         ) -> dict[str, AxiomReport]:
+def check_impact_measure(
+    bundle: BundleDef,
+    theta: float,
+    pairs: Sequence[DominancePair],
+    slack: float = MONOTONE_SLACK,
+    strict_slack: float = STRICT_SLACK,
+) -> dict[str, AxiomReport]:
     """Three-axiom check for the single score of a bundle at the level theta.
 
     IM.1 positivity (the zero-function clause is vacuous on this function
@@ -594,12 +620,12 @@ def check_impact_measure(bundle: BundleDef, theta: float, pairs: Sequence[Domina
     geq, strict = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.STRICT_ON_PREFIX)
     # a score that reads up to a rank (mu, i, h) is only constrained when the
     # strict prefix covers everything it reads
-    past = _reads_past(ranks, ps.lo[strict], ps.prefix[strict]).tolist()
+    past = [_SKIP if p else None for p in _reads_past(ranks, ps.lo[strict], ps.prefix[strict])]
     return {
         "IM.1": _positivity_report("IM.1", bundle, theta, ps, scores, strict_slack),
         "IM.2": _run_axiom("IM.2", _pair_outcomes(ps, geq, scores, _below, slack)),
         "IM.3": _run_axiom("IM.3", _pair_outcomes(ps, strict, scores, _not_above, strict_slack,
-                                                  _NOT_STRICT, [_SKIP if p else None for p in past])),
+                                                  _NOT_STRICT, past)),
     }
 
 
@@ -630,9 +656,14 @@ def _averages_ordered(ps: _Pairs, idx: np.ndarray) -> np.ndarray:
     return at_origin & (integrals(up) > integrals(lo)).all(axis=1)
 
 
-def check_strong_impact(bundle: BundleDef, theta: float, pairs: Sequence[DominancePair],
-                        slack: float = MONOTONE_SLACK, strict_slack: float = STRICT_SLACK,
-                        eq_tol: float = EQUALITY_ASSERT_TOL) -> dict[str, AxiomReport]:
+def check_strong_impact(
+    bundle: BundleDef,
+    theta: float,
+    pairs: Sequence[DominancePair],
+    slack: float = MONOTONE_SLACK,
+    strict_slack: float = STRICT_SLACK,
+    eq_tol: float = EQUALITY_ASSERT_TOL,
+) -> dict[str, AxiomReport]:
     """Four-axiom strong-impact check for the score of a bundle at theta.
 
     SM.1 is the same positivity check as ``check_impact_measure``'s IM.1.
@@ -678,8 +709,12 @@ def check_strong_impact(bundle: BundleDef, theta: float, pairs: Sequence[Dominan
     }
 
 
-def check_global_impact(bundle: BundleDef, theta: float, pairs: Sequence[DominancePair],
-                        strict_slack: float = STRICT_SLACK) -> AxiomReport:
+def check_global_impact(
+    bundle: BundleDef,
+    theta: float,
+    pairs: Sequence[DominancePair],
+    strict_slack: float = STRICT_SLACK,
+) -> AxiomReport:
     """Strict growth under the cumulative-integral partial order.
 
     Expected to fail for the excess-area score: ``fixture_global`` produces
@@ -886,8 +921,10 @@ def _pair_knots(cfg: GeneratorConfig, kind: RelationKind, draws: list[tuple]) ->
     return (x_up, y_up, size_up), (x, y, size), prefix
 
 
-def generate_pairs(config: GeneratorConfig, relation: RelationKind | None = None
-                   ) -> list[DominancePair]:
+def generate_pairs(
+    config: GeneratorConfig,
+    relation: RelationKind | None = None,
+) -> list[DominancePair]:
     """Generate ``config.count`` verified pairs per relation kind.
 
     Deterministic for a fixed config: the same seed reproduces the same
