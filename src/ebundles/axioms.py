@@ -16,24 +16,25 @@ per-axiom reports with explicit violation witnesses:
 * ``check_global_impact``   strict growth under the cumulative-integral
   partial order.
 
-The pair set, not the pair, is the unit of work, and it is one stack of
-knot arrays (``_Pairs``): row i holds pair i's upper and row n + i its
-lower.  ``generate_pairs`` writes its pairs' knots into that stack and
-hands it on with them; any other list of pairs is stacked once
-(``bundles._pool``).  Each ``check_impact_bundle`` axiom reads its kind's
-rows at once (``_PairSet``): the members' level maps at the sampled ranks
-in one stacked pass, then both members' scores at every sampled level of
-every pair in another, with the first flagged level per pair found by
-``argmax``.  The last three take the single score as a ``BundleDef`` and a
-level theta; the bundle's ``positive_for`` and ``rank_of`` say where that
-score is provably positive and which rank it reads up to.  Each scores
-every row at theta in stacked passes (``_level_table``) and reads every
-pair's verdict from that table by row; SM.3's premise on the running
-averages is exact for piecewise linear pairs, in one pass over their
-merged knots (``_averages_ordered``).  Every pass reads rows of the stack
-through the bundle's vector rules, built-in or custom alike, in blocks of
-``functions._BLOCK`` rows, and a set with a parametric member is read one
-function at a time.  Every report comes from one driver, ``_run_axiom``.
+The pair set, not the pair, is the unit of work: an immutable tuple of
+verified pairs (``_Pairs``) that carries one stack of knot arrays, row i
+pair i's upper and row n + i its lower.  ``generate_pairs`` writes its
+pairs' knots into that stack and returns the set; any other sequence of
+pairs is stacked once (``_Pairs.of``).  Each ``check_impact_bundle`` axiom
+reads its kind's rows at once (``_PairSet``): the members' level maps at
+the sampled ranks in one stacked pass, then both members' scores at every
+sampled level of every pair in another, with the first flagged level per
+pair found by ``argmax``.  The last three take the single score as a
+``BundleDef`` and a level theta; the bundle's ``positive_for`` and
+``rank_of`` say where that score is provably positive and which rank it
+reads up to.  Each scores every row at theta in stacked passes
+(``_level_table``) and reads every pair's verdict from that table by row;
+SM.3's premise on the running averages is exact for piecewise linear
+pairs, in one pass over their merged knots (``_averages_ordered``).  Every
+pass reads rows of the set (``_Pairs.read``) through the bundle's vector
+rules, built-in or custom alike, in blocks of ``functions._BLOCK`` rows,
+and a set with a parametric member is read one function at a time.  Every
+report comes from one driver, ``_run_axiom``.
 
 The module also ships the two rejected alternative scores (``n_theta``,
 ``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``,
@@ -57,12 +58,12 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bundles import (E_BUNDLE, I_BUNDLE, BundleDef, _at_levels, _defined, _excess, _on_domain,
-                      _per_row, _pool, _ranges, _read)
+from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, VectorRule, _defined, _excess, _on_domain, _read
 from .functions import (
     EQUALITY_TOL,
     CumulativeOrder,
@@ -154,63 +155,97 @@ class DominancePair:
     verified: bool = False
 
 
-class _Pairs:
-    """Pairs as one stack: row i of ``fns`` is pair i's upper and row n + i
-    its lower, stacked once (``bundles._pool``: a ``_PwlStack`` when every
-    member is piecewise linear, else the functions themselves), with each
-    pair's relation, prefix end (NaN for none) and domain end T.
-    ``generate_pairs`` builds one on its knot arrays, and ``of`` stacks any
-    other list of pairs."""
+def _ends(kinds: list[RelationKind], prefix: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The end a of the range [0, a] that each pair's relation covers: T for
+    GEQ_ALL and CUMULATIVE_PREC, whatever their prefix end, else the prefix
+    end, which must lie in (0, T]."""
+    whole = np.array([k in (RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC)
+                      for k in kinds], dtype=bool)
+    ok = whole | ((prefix > 0.0) & (prefix <= T))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        a = None if math.isnan(prefix[i]) else float(prefix[i])
+        raise InputError(f"{kinds[i].value} pair needs prefix_end in (0, T], got {a!r}")
+    return np.where(whole, T, prefix)
 
-    def __init__(self, fns: Sequence[RankFunction] | _PwlStack, kinds: list[RelationKind],
-                 prefix: np.ndarray, T: np.ndarray, pairs: Sequence[DominancePair] = ()) -> None:
-        self.fns, self.kinds, self.prefix, self.T, self.pairs = fns, kinds, prefix, T, pairs
-        self.up, self.lo = np.arange(len(kinds)), np.arange(len(kinds), 2 * len(kinds))
+
+class _Pairs(tuple):
+    """Verified pairs, an immutable tuple, with their rows as one stack.
+
+    Row i of ``fns`` is pair i's upper and row n + i its lower: a
+    ``_PwlStack`` when every member is piecewise linear, else the functions
+    themselves.  The set also holds each pair's relation (``kinds``), prefix
+    end (``prefix``, NaN for none), domain end ``T`` and the end of the
+    range its relation covers (``ends``, checked when the set is built).
+    ``generate_pairs`` builds one on its own knot arrays, and ``of`` stacks
+    any other sequence of pairs; a slice or a sum of sets is a plain tuple.
+    """
+
+    def __new__(cls, pairs: Iterable[DominancePair], fns: Sequence[RankFunction] | _PwlStack,
+                T: np.ndarray) -> "_Pairs":
+        ps = super().__new__(cls, pairs)
+        kinds, n = [p.relation for p in ps], len(ps)
+        prefix = np.array([p.prefix_end for p in ps], dtype=float)
+        vars(ps).update(fns=fns, kinds=kinds, prefix=prefix, T=T, ends=_ends(kinds, prefix, T),
+                        up=np.arange(n), lo=np.arange(n, 2 * n))
+        return ps
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("_Pairs is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild the set on its stack
+        return _Pairs, (tuple(self), self.fns, self.T)
 
     @classmethod
     def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":
-        return cls(_pool([p.upper for p in pairs] + [p.lower for p in pairs]),
-                   [p.relation for p in pairs],
-                   np.array([p.prefix_end for p in pairs], dtype=float),
-                   np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float), pairs)
-
-    def __len__(self) -> int:
-        return len(self.kinds)
+        """The pairs as a set: a set as it is, any other sequence stacked."""
+        if isinstance(pairs, _Pairs):
+            return pairs
+        pairs = list(pairs)
+        if not all(p.verified for p in pairs):
+            raise InputError("axiom checks require verified pairs; run verify_pair first")
+        fns = [p.upper for p in pairs] + [p.lower for p in pairs]
+        if fns and all(isinstance(f, PiecewiseLinearFn) for f in fns):
+            fns = _PwlStack.of(fns)
+        return cls(pairs, fns, np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float))
 
     def where(self, kind: RelationKind) -> np.ndarray:
         """The indices of the pairs of one relation kind."""
         return np.flatnonzero(np.array([k is kind for k in self.kinds], dtype=bool))
 
-    def ends(self) -> np.ndarray:
-        """The end a of the range [0, a] that each pair's relation covers."""
-        whole = np.array([k in (RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC)
-                          for k in self.kinds], dtype=bool)
-        ok = whole | ((self.prefix > 0.0) & (self.prefix <= self.T))
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise InputError(f"{self.kinds[i].value} pair needs prefix_end in (0, T], "
-                             f"got {self.pairs[i].prefix_end!r}")
-        return np.where(whole, self.T, self.prefix)
+    def read(self, rule: VectorRule, rows: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """rule(fns[r], a) for every row r and argument a: in stacked passes
+        over a stack, else in one call per function."""
+        if isinstance(self.fns, _PwlStack):
+            return self.fns._read(rule, rows, args)
+        out = np.empty(len(rows))
+        for i in np.unique(rows).tolist():
+            mine = rows == i
+            out[mine] = rule(self.fns[i], args[mine])
+        return out
 
+    def per_row(self, rule: Callable[[RankFunction], object]) -> np.ndarray:
+        """rule(f) for every row, as an array: one call on a stack, else one
+        per function."""
+        if isinstance(self.fns, _PwlStack):
+            return np.broadcast_to(rule(self.fns), self.fns.T.shape)
+        return np.array([rule(f) for f in self.fns])
 
-class _PairList(list):
-    """``generate_pairs``'s pairs, with their stack (``stacked``), which the
-    checkers read while the list holds exactly these pairs."""
+    def ranges(self, admissible: Callable[[RankFunction], ThetaRange]) -> tuple[np.ndarray, ...]:
+        """Each row's admissible range, as arrays of its ends."""
+        return tuple(self.per_row(lambda f: getattr(admissible(f), end)) for end in ("lo", "hi"))
 
-    __slots__ = ("stacked",)
-
-
-def _stacked(pairs: Sequence[DominancePair]) -> _Pairs:
-    """Verified pairs as a ``_Pairs``: the generator's own stack when the
-    list holds exactly its pairs, else the pairs stacked once."""
-    stacked = getattr(pairs, "stacked", None)
-    if (stacked is not None and len(stacked.pairs) == len(pairs)
-            and all(map(operator.is_, stacked.pairs, pairs))):
-        return stacked
-    pairs = list(pairs)
-    if not all(p.verified for p in pairs):
-        raise InputError("axiom checks require verified pairs; run verify_pair first")
-    return _Pairs.of(pairs)
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The rows of the pairs' distinct functions, in order of first
+        appearance (each pair's upper, then its lower)."""
+        order = np.column_stack((self.up, self.lo)).ravel().tolist()
+        keys = self.fns._keys() if isinstance(self.fns, _PwlStack) else self.fns
+        first: dict = {}
+        for row in order:
+            first.setdefault(keys[row], row)
+        return np.array(list(first.values()), dtype=int)
 
 
 def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, min_at: float,
@@ -231,40 +266,44 @@ def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, mi
             else "functions coincide; relation requires lower != upper")
 
 
-def _rejections(pairs: Sequence[DominancePair] | _Pairs, grid_n: int = _GRID_N) -> list[str | None]:
-    """``_reason`` for every pair.
+def _rejections(fns: Sequence[RankFunction] | _PwlStack, kinds: list[RelationKind],
+                ends: np.ndarray, grid_n: int = _GRID_N) -> list[str | None]:
+    """``_reason`` for every pair of the rows fns (pair i's upper in row i,
+    its lower in row n + i), each of relation kinds[i] on [0, ends[i]].
 
-    A set of piecewise linear pairs is decided exactly, in one stacked pass:
-    upper - lower is linear between the merged knots of the two, so >=, >
-    and = hold on [0, a] exactly when they hold at the merged knots inside
+    Rows on a ``_PwlStack`` are decided exactly, in one stacked pass: the
+    gap upper - lower is linear between the merged knots of the two, so >=,
+    > and = hold on [0, a] exactly when they hold at the merged knots inside
     [0, a] and at a (``_merged_gaps``), and vertex analysis gives the
-    cumulative order.  Any other set is sampled on one grid of ``grid_n``
+    cumulative order.  Any other rows are sampled on one grid of ``grid_n``
     points per pair, over the relation's range [0, a].
     """
-    ps = pairs if isinstance(pairs, _Pairs) else _Pairs.of(pairs)
-    ends = ps.ends()
-    if isinstance(ps.fns, _PwlStack):
-        xs, gaps = _merged_gaps(ps.fns, ps.up, ps.lo, ends)
+    n = len(kinds)
+    if isinstance(fns, _PwlStack):
+        xs, gaps = _merged_gaps(fns, np.arange(n), np.arange(n, 2 * n), ends)
         extrema = (v.tolist() for v in _cumulative_extrema(xs, -gaps)[:2])
         orders = [_cumulative_order(dmin, dmax) if kind is RelationKind.CUMULATIVE_PREC else None
-                  for kind, dmin, dmax in zip(ps.kinds, *extrema)]
+                  for kind, dmin, dmax in zip(kinds, *extrema)]
     else:
-        xs, gaps = map(np.array, zip(*(_gaps(p.upper, p.lower, a, grid_n)
-                                       for p, a in zip(ps.pairs, ends.tolist()))))
-        orders = [cumulative_dominates(p.lower, p.upper, grid_n=grid_n).order
-                  if p.relation is RelationKind.CUMULATIVE_PREC else None for p in ps.pairs]
+        members = list(zip(fns[:n], fns[n:], ends.tolist()))
+        xs, gaps = map(np.array, zip(*(_gaps(up, lo, a, grid_n) for up, lo, a in members)))
+        orders = [cumulative_dominates(lo, up, grid_n=grid_n).order
+                  if kind is RelationKind.CUMULATIVE_PREC else None
+                  for (up, lo, _), kind in zip(members, kinds)]
     facts = zip(*(v.tolist() for v in _extremes(xs, gaps)))
-    return [_reason(kind, order, *fact) for kind, order, fact in zip(ps.kinds, orders, facts)]
+    return [_reason(kind, order, *fact) for kind, order, fact in zip(kinds, orders, facts)]
 
 
 def verify_pair(pair: DominancePair, grid_n: int = _GRID_N) -> DominancePair:
     """Re-check the declared relation and return a verified copy: exactly
     for two piecewise linear members, else on a grid of ``grid_n`` points
     (``_rejections``)."""
-    reason = _rejections([pair], grid_n)[0]
+    verified = replace(pair, verified=True)
+    ps = _Pairs.of([verified])  # the rows of the copy, which only escapes if it holds
+    reason = _rejections(ps.fns, ps.kinds, ps.ends, grid_n)[0]
     if reason:
         raise VerificationError(reason)
-    return replace(pair, verified=True)
+    return verified
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +394,13 @@ def _below(m_up, m_lo, slack):
     return gap > slack, gap
 
 
-def _not_above(m_up, m_lo, strict_slack):
-    return m_up - m_lo <= strict_slack, m_lo - m_up
+def _not_above(m_up, m_lo, slack):
+    return m_up - m_lo <= slack, m_lo - m_up
 
 
-def _unequal(m_up, m_lo, eq_tol):
+def _unequal(m_up, m_lo, tol):
     gap = abs(m_up - m_lo)
-    return gap > eq_tol, gap
+    return gap > tol, gap
 
 
 # The note of a single-level strictness violation.
@@ -402,23 +441,22 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 class _PairSet:
     """One relation kind's pairs of a ``_Pairs``, read together for a
     bundle: their rows ``up`` and ``lo`` in the stack, the admissible ranges
-    of all its rows, and n ranks per pair on (0, a], a the prefix end or
-    else T."""
+    of all its rows, and n ranks per pair on (0, a], a the end of the range
+    its relation covers (``_Pairs.ends``)."""
 
     def __init__(self, bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
                  kind: RelationKind, n: int) -> None:
         idx = ps.where(kind)
-        self.bundle, self.fns, self.ranges = bundle, ps.fns, ranges
+        self.bundle, self.ps, self.ranges = bundle, ps, ranges
         self.idx, self.up, self.lo = idx.tolist(), ps.up[idx], ps.lo[idx]
-        ends = np.where(np.isnan(ps.prefix), ps.T, ps.prefix)[idx]
-        self.ranks = _linspaces(np.zeros(len(idx)), ends, n + 1)[:, 1:]
+        self.ranks = _linspaces(np.zeros(len(idx)), ps.ends[idx], n + 1)[:, 1:]
 
     def levels(self, pick=slice(None)) -> np.ndarray:
         """The picked pairs' level maps at their ranks (uppers', then
         lowers'), in one stacked pass."""
         ranks = self.ranks[pick]
         rows = np.repeat(np.concatenate((self.up[pick], self.lo[pick])), ranks.shape[1])
-        flat = _at_levels(self.bundle.levels, self.fns, rows, np.tile(ranks.ravel(), 2))
+        flat = self.ps.read(self.bundle.levels, rows, np.tile(ranks.ravel(), 2))
         return np.hstack(flat.reshape(2, *ranks.shape))
 
     def violations(self, levels: np.ndarray, verdict, tol: float, note: str) -> list:
@@ -432,9 +470,9 @@ class _PairSet:
             keep &= ThetaRange(*(end[rows, None] for end in self.ranges)).contains_each(levels)
         rows, cols = np.nonzero(keep)
         m = np.full((2, *levels.shape), math.nan)
-        m[:, rows, cols] = _at_levels(self.bundle.scores, self.fns,
-                                      np.concatenate((self.up[rows], self.lo[rows])),
-                                      np.tile(levels[rows, cols], 2)).reshape(2, -1)
+        m[:, rows, cols] = self.ps.read(self.bundle.scores,
+                                        np.concatenate((self.up[rows], self.lo[rows])),
+                                        np.tile(levels[rows, cols], 2)).reshape(2, -1)
         found = _first_violations(self.idx, levels, m[0], m[1], verdict, tol, note)
         return [v if kept else _SKIP for v, kept in zip(found, keep.any(axis=1).tolist())]
 
@@ -444,8 +482,6 @@ def check_impact_bundle(
     pairs: Sequence[DominancePair],
     theta_grid: int = 24,
     slack: float = MONOTONE_SLACK,
-    strict_slack: float = STRICT_SLACK,
-    eq_tol: float = EQUALITY_ASSERT_TOL,
 ) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
@@ -456,8 +492,8 @@ def check_impact_bundle(
     diverges there and the cumulative bundle is identically zero at level
     0, where strictness is meaningless.
     """
-    ps = _stacked(pairs)
-    n, ranges = theta_grid, _ranges(bundle.admissible, ps.fns)
+    ps = _Pairs.of(pairs)
+    n, ranges = theta_grid, ps.ranges(bundle.admissible)
     geq, strict, local = (_PairSet(bundle, ps, ranges, kind, n) for kind in (
         RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX))
 
@@ -478,8 +514,9 @@ def check_impact_bundle(
     lu, ll = np.hsplit(local.levels(), 2)
     finite = np.isfinite(lu) & np.isfinite(ll)
     maps = _first_violations(local.idx, local.ranks, np.where(finite, lu, math.nan),
-                             np.where(finite, ll, math.nan), _unequal, eq_tol, "level maps differ")
-    scores = local.violations(ll, _unequal, eq_tol, "scores differ")
+                             np.where(finite, ll, math.nan), _unequal, EQUALITY_ASSERT_TOL,
+                             "level maps differ")
+    scores = local.violations(ll, _unequal, EQUALITY_ASSERT_TOL, "scores differ")
 
     return {
         "AX.1": AxiomReport(
@@ -488,7 +525,7 @@ def check_impact_bundle(
         "AX.2": _run_axiom("AX.2", geq.violations(levels, _below, slack, "")),
         # AX.3: strict dominance on [0, a] forces strictly larger scores on
         # the level image of the prefix.
-        "AX.3": _run_axiom("AX.3", strict.violations(strict.levels(), _not_above, strict_slack,
+        "AX.3": _run_axiom("AX.3", strict.violations(strict.levels(), _not_above, STRICT_SLACK,
                                                      "not strictly larger")),
         # AX.4 tests a pair even when no level is left to score
         "AX.4": _run_axiom("AX.4", [m or (None if v is _SKIP else v)
@@ -531,20 +568,20 @@ def eta_theta(f: RankFunction, t: float) -> float:
 
 
 def _level_table(bundle: BundleDef, theta: float,
-                 fns: Sequence[RankFunction] | _PwlStack) -> tuple[np.ndarray, np.ndarray | None]:
+                 ps: _Pairs) -> tuple[np.ndarray, np.ndarray | None]:
     """Every row's score at theta and, for a bundle with ``rank_of``, the
     rank up to which the score reads it, each in one stacked pass over the
-    rows of a ``_pool``.  A row gets NaN unless it admits theta (a density
+    rows of the set.  A row gets NaN unless it admits theta (a density
     level within the range's slack, as the density scores snap it onto the
     range, one that fixes a rank exactly) and its score is defined there."""
-    lo, hi = _ranges(bundle.admissible, fns)
+    lo, hi = ps.ranges(bundle.admissible)
     slack = EQUALITY_TOL if bundle.rank_of is None else 0.0
     rows = np.flatnonzero(math.isfinite(theta) & (theta >= lo - slack) & (theta <= hi + slack))
     thetas = np.full(len(rows), float(theta))
 
     def table(rule) -> np.ndarray:
         out = np.full(len(lo), math.nan)
-        out[rows] = _at_levels(rule, fns, rows, thetas)
+        out[rows] = ps.read(rule, rows, thetas)
         return out
     scores = table(bundle.scores)
     if bundle.rank_of is None:
@@ -575,26 +612,14 @@ def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np
     return ranks[rows] > a + EQUALITY_ASSERT_TOL
 
 
-def _members(ps: _Pairs) -> np.ndarray:
-    """The rows of the pairs' distinct functions, in order of first
-    appearance (each pair's upper, then its lower)."""
-    order = np.column_stack((ps.up, ps.lo)).ravel().tolist()
-    keys = ps.fns._keys() if isinstance(ps.fns, _PwlStack) else ps.fns
-    first: dict = {}
-    for row in order:
-        first.setdefault(keys[row], row)
-    return np.array(list(first.values()), dtype=int)
-
-
 def _positivity_report(
-    axiom: str, bundle: BundleDef, theta: float, ps: _Pairs, scores: np.ndarray,
-    strict_slack: float,
+    axiom: str, bundle: BundleDef, theta: float, ps: _Pairs, scores: np.ndarray
 ) -> AxiomReport:
-    rows = _members(ps)
-    positive = _per_row(lambda f: bundle.positive_for(f, theta), ps.fns)[rows].tolist()
+    rows = ps.members
+    positive = ps.per_row(lambda f: bundle.positive_for(f, theta))[rows].tolist()
     outcomes = [_SKIP if math.isnan(v) or not pos
                 else Violation(i, math.nan, v, 0.0, -v, note="score not positive")
-                if v <= strict_slack else None
+                if v <= STRICT_SLACK else None
                 for i, (v, pos) in enumerate(zip(scores[rows].tolist(), positive))]
     return _run_axiom(axiom, outcomes,
                       note="zero-function clause vacuous: rank functions are strictly decreasing")
@@ -605,7 +630,6 @@ def check_impact_measure(
     theta: float,
     pairs: Sequence[DominancePair],
     slack: float = MONOTONE_SLACK,
-    strict_slack: float = STRICT_SLACK,
 ) -> dict[str, AxiomReport]:
     """Three-axiom check for the single score of a bundle at the level theta.
 
@@ -615,16 +639,16 @@ def check_impact_measure(
     prefix dominance, with the generated prefix endpoint playing the
     per-function threshold.
     """
-    ps = _stacked(pairs)
-    scores, ranks = _level_table(bundle, theta, ps.fns)
+    ps = _Pairs.of(pairs)
+    scores, ranks = _level_table(bundle, theta, ps)
     geq, strict = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.STRICT_ON_PREFIX)
     # a score that reads up to a rank (mu, i, h) is only constrained when the
     # strict prefix covers everything it reads
     past = [_SKIP if p else None for p in _reads_past(ranks, ps.lo[strict], ps.prefix[strict])]
     return {
-        "IM.1": _positivity_report("IM.1", bundle, theta, ps, scores, strict_slack),
+        "IM.1": _positivity_report("IM.1", bundle, theta, ps, scores),
         "IM.2": _run_axiom("IM.2", _pair_outcomes(ps, geq, scores, _below, slack)),
-        "IM.3": _run_axiom("IM.3", _pair_outcomes(ps, strict, scores, _not_above, strict_slack,
+        "IM.3": _run_axiom("IM.3", _pair_outcomes(ps, strict, scores, _not_above, STRICT_SLACK,
                                                   _NOT_STRICT, past)),
     }
 
@@ -642,7 +666,7 @@ def _averages_ordered(ps: _Pairs, idx: np.ndarray) -> np.ndarray:
     interior points of a ``_GRID_N``-point grid on [0, T].
     """
     up, lo = ps.up[idx], ps.lo[idx]
-    z0 = _per_row(lambda f: f.value_at_origin(), ps.fns)
+    z0 = ps.per_row(lambda f: f.value_at_origin())
     at_origin = np.isinf(z0[up]) | np.isinf(z0[lo]) | (z0[up] > z0[lo])
     if isinstance(ps.fns, _PwlStack):
         d, x, real = _cumulative_candidates(*_merged_gaps(ps.fns, up, lo, ps.T[idx]))
@@ -650,8 +674,8 @@ def _averages_ordered(ps: _Pairs, idx: np.ndarray) -> np.ndarray:
     ranks = _linspaces(np.zeros(len(idx)), ps.T[idx], _GRID_N)[:, 1:-1]
 
     def integrals(rows: np.ndarray) -> np.ndarray:
-        flat = _at_levels(lambda f, x: f.cumulatives(x), ps.fns,
-                          np.repeat(rows, ranks.shape[1]), ranks.ravel())
+        flat = ps.read(lambda f, x: f.cumulatives(x), np.repeat(rows, ranks.shape[1]),
+                       ranks.ravel())
         return flat.reshape(ranks.shape)
     return at_origin & (integrals(up) > integrals(lo)).all(axis=1)
 
@@ -661,8 +685,6 @@ def check_strong_impact(
     theta: float,
     pairs: Sequence[DominancePair],
     slack: float = MONOTONE_SLACK,
-    strict_slack: float = STRICT_SLACK,
-    eq_tol: float = EQUALITY_ASSERT_TOL,
 ) -> dict[str, AxiomReport]:
     """Four-axiom strong-impact check for the score of a bundle at theta.
 
@@ -676,16 +698,16 @@ def check_strong_impact(
     score reads up to, or for a density level its inverse rank, so it
     applies to prefix-equal pairs whose prefix reaches that rank.
     """
-    ps = _stacked(pairs)
-    scores, ranks = _level_table(bundle, theta, ps.fns)
+    ps = _Pairs.of(pairs)
+    scores, ranks = _level_table(bundle, theta, ps)
     geq, local = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.EQUAL_ON_PREFIX)
 
     lower = ps.lo[geq]
     if ranks is None:
-        z_T = _per_row(lambda f: f.admissible_range().lo, ps.fns)[lower]
+        z_T = ps.per_row(lambda f: f.admissible_range().lo)[lower]
         at_boundary = np.abs(theta - z_T) <= _BOUNDARY_TOL
     else:
-        T = _per_row(lambda f: f.T, ps.fns)[lower]
+        T = ps.per_row(lambda f: f.T)[lower]
         at_boundary = ranks[lower] >= T - _BOUNDARY_TOL * np.maximum(1.0, T)
     unclaimed = [_BOUNDARY if edge else None if ordered else _SKIP for edge, ordered in
                  zip(at_boundary.tolist(), _averages_ordered(ps, geq).tolist())]
@@ -693,18 +715,18 @@ def check_strong_impact(
     # the equal prefix must cover everything the score reads
     lower, a = ps.lo[local], ps.prefix[local]
     if ranks is None:
-        at_a = _at_levels(lambda f, x: f.values(x), ps.fns, lower, a)
+        at_a = ps.read(lambda f, x: f.values(x), lower, a)
         covered = theta >= at_a - EQUALITY_ASSERT_TOL
     else:
         covered = ~_reads_past(ranks, lower, a)
     uncovered = [None if c else _SKIP for c in covered.tolist()]
 
     return {
-        "SM.1": _positivity_report("SM.1", bundle, theta, ps, scores, strict_slack),
+        "SM.1": _positivity_report("SM.1", bundle, theta, ps, scores),
         "SM.2": _run_axiom("SM.2", _pair_outcomes(ps, geq, scores, _below, slack)),
-        "SM.3": _run_axiom("SM.3", _pair_outcomes(ps, geq, scores, _not_above, strict_slack,
+        "SM.3": _run_axiom("SM.3", _pair_outcomes(ps, geq, scores, _not_above, STRICT_SLACK,
                                                   _NOT_STRICT, unclaimed)),
-        "SM.4": _run_axiom("SM.4", _pair_outcomes(ps, local, scores, _unequal, eq_tol,
+        "SM.4": _run_axiom("SM.4", _pair_outcomes(ps, local, scores, _unequal, EQUALITY_ASSERT_TOL,
                                                   skips=uncovered)),
     }
 
@@ -713,7 +735,6 @@ def check_global_impact(
     bundle: BundleDef,
     theta: float,
     pairs: Sequence[DominancePair],
-    strict_slack: float = STRICT_SLACK,
 ) -> AxiomReport:
     """Strict growth under the cumulative-integral partial order.
 
@@ -721,10 +742,10 @@ def check_global_impact(
     a pair with lower strictly preceding upper yet equal scores, and the
     report records that equality witness honestly.
     """
-    ps = _stacked(pairs)
-    scores, _ = _level_table(bundle, theta, ps.fns)
+    ps = _Pairs.of(pairs)
+    scores, _ = _level_table(bundle, theta, ps)
     return _run_axiom("GM", _pair_outcomes(ps, ps.where(RelationKind.CUMULATIVE_PREC), scores,
-                                           _not_above, strict_slack, _NOT_STRICT))
+                                           _not_above, STRICT_SLACK, _NOT_STRICT))
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +840,6 @@ class GeneratorConfig:
     knot_range: tuple[int, int] = (3, 8)
     T: float = 1.0
     value_scale: float = 10.0
-    theta_grid: int = 24
     shift_scale: float = 0.4
 
     def __post_init__(self) -> None:
@@ -924,7 +944,7 @@ def _pair_knots(cfg: GeneratorConfig, kind: RelationKind, draws: list[tuple]) ->
 def generate_pairs(
     config: GeneratorConfig,
     relation: RelationKind | None = None,
-) -> list[DominancePair]:
+) -> tuple[DominancePair, ...]:
     """Generate ``config.count`` verified pairs per relation kind.
 
     Deterministic for a fixed config: the same seed reproduces the same
@@ -934,9 +954,10 @@ def generate_pairs(
     verified together, exactly, in one stacked pass (``_rejections``).  A
     rejected attempt is dropped and the next batch fills the slots left, up
     to 100 attempts per slot.  So the pairs are those that building and
-    verifying one pair at a time would give.  All pairs share one stack of
-    knot arrays, which the returned list keeps for the checkers; each
-    member is a read-only view of its row.
+    verifying one pair at a time would give.  The pairs come back as an
+    immutable tuple (a ``_Pairs``) that holds their one stack of knot
+    arrays, which the checkers read as it is; each member is a read-only
+    view of its row.
     """
     rng, T, batches = np.random.default_rng(config.seed), float(config.T), []
     for kind in [relation] if relation is not None else list(RelationKind):
@@ -945,10 +966,10 @@ def generate_pairs(
             up, lo, prefix = _pair_knots(config, kind, [_build_pair(rng, config, kind)
                                                         for _ in range(todo)])
             ok = _valid_knots(*up) & _valid_knots(*lo)
-            n = int(ok.sum())
+            kinds = [kind] * int(ok.sum())
             stack = _PwlStack(*(np.concatenate((u[ok], v[ok])) for u, v in zip(up, lo)))
-            ok[ok] = [r is None for r in _rejections(_Pairs(stack, [kind] * n, prefix[ok],
-                                                              np.full(n, T)))]
+            ends = _ends(kinds, prefix[ok], np.full(len(kinds), T))
+            ok[ok] = [r is None for r in _rejections(stack, kinds, ends)]
             for good in ok.tolist():
                 failed = 0 if good else failed + 1
                 if failed == 100:
@@ -960,8 +981,7 @@ def generate_pairs(
     xs, ys, size = (np.concatenate((knots[i], knots[i + 3])) for i in range(3))
     xs.flags.writeable = ys.flags.writeable = False
     fns = [PiecewiseLinearFn._view(x[:k], y[:k]) for x, y, k in zip(xs, ys, size.tolist())]
-    prefix, n = np.concatenate([prefix for *_, prefix in batches]), len(kinds)
-    pairs = _PairList(DominancePair(up, lo, kind, None if math.isnan(a) else a, verified=True)
-                      for up, lo, kind, a in zip(fns[:n], fns[n:], kinds, prefix.tolist()))
-    pairs.stacked = _Pairs(_PwlStack(xs, ys, size), kinds, prefix, np.full(n, T), tuple(pairs))
-    return pairs
+    prefix, n = np.concatenate([prefix for *_, prefix in batches]).tolist(), len(kinds)
+    pairs = (DominancePair(up, lo, kind, None if math.isnan(a) else a, verified=True)
+             for up, lo, kind, a in zip(fns[:n], fns[n:], kinds, prefix))
+    return _Pairs(pairs, _PwlStack(xs, ys, size), np.full(n, T))

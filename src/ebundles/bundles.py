@@ -22,10 +22,10 @@ one code path for every family, and ``e_theta`` and ``h_theta`` read them
 at one level.  A bundle (``BundleDef``) is its vector rules.  Each rule
 (admissibility slack, clamping, NaN where the score is undefined, h's
 boundary tolerance) is written once here, and runs on a single function at
-many levels (``sweep``) or on a ``_PwlStack`` of piecewise linear functions
-at one level per row (``_at_levels``, for the axiom suites, which read
-whole pair sets); ``BundleDef.measure`` and ``level_of`` read a rule at one
-argument.
+many levels (``sweep``) or on a stack of piecewise linear functions at one
+level per row (the axiom suites read whole pair sets so, through
+``axioms._Pairs``); ``BundleDef.measure`` and ``level_of`` read a rule at
+one argument.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ import numpy as np
 
 from .functions import (
     InputError,
-    PiecewiseLinearFn,
     RankFunction,
     ThetaRange,
     ThetaRangeError,
-    _PwlStack,
     _at,
 )
 
@@ -260,42 +258,6 @@ def _read(rule: VectorRule, f: RankFunction, arg: float, what: str) -> float:
     if math.isnan(value):
         raise InputError(f"{what} undefined at {arg!r}")
     return value
-
-
-def _pool(fns: Sequence[RankFunction]) -> Sequence[RankFunction] | _PwlStack:
-    """The functions as one stack when all are piecewise linear, so that every
-    pass reads rows of it, else as they are."""
-    if fns and all(isinstance(f, PiecewiseLinearFn) for f in fns):
-        return _PwlStack.of(fns)
-    return fns
-
-
-def _at_levels(rule: VectorRule, fns: Sequence[RankFunction] | _PwlStack, rows: np.ndarray,
-               args: np.ndarray) -> np.ndarray:
-    """rule(fns[r], a) for every row r and argument a: in stacked passes over
-    a ``_pool`` stack, else in one call per function."""
-    if isinstance(fns, _PwlStack):
-        return fns._read(rule, rows, args)
-    out = np.empty(len(rows))
-    for i in np.unique(rows).tolist():
-        mine = rows == i
-        out[mine] = rule(fns[i], args[mine])
-    return out
-
-
-def _per_row(rule: Callable[[RankFunction], object],
-             fns: Sequence[RankFunction] | _PwlStack) -> np.ndarray:
-    """rule(f) for every row of a ``_pool``, as an array: one call on a
-    stack, else one per function."""
-    if isinstance(fns, _PwlStack):
-        return np.broadcast_to(rule(fns), fns.T.shape)
-    return np.array([rule(f) for f in fns])
-
-
-def _ranges(admissible: Callable[[RankFunction], ThetaRange],
-            fns: Sequence[RankFunction] | _PwlStack) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's admissible range, as arrays of its ends."""
-    return tuple(_per_row(lambda f: getattr(admissible(f), end), fns) for end in ("lo", "hi"))
 
 
 def _on_domain(f: RankFunction, xs: np.ndarray) -> np.ndarray:

@@ -85,30 +85,43 @@ def _parse_theta_spec(args: argparse.Namespace) -> tuple[float, ...] | None:
     return None
 
 
-def _load_input(path: str) -> fn.RankFunction:
-    """Read a function spec (JSON) or a citation file (JSON or line format)."""
+def _read_input(args: argparse.Namespace) -> tuple[object, str]:
+    """The ``--input`` file's JSON value and its text.  The value is None
+    where the text is not JSON, or is a single number: a citation file of
+    one count."""
+    if not args.input:
+        raise fn.InputError(f"{args.command} requires --input")
     try:
-        with open(path) as fh:
+        with open(args.input) as fh:
             text = fh.read()
     except OSError as exc:
-        raise fn.InputError(f"cannot read {path}: {exc}") from None
+        raise fn.InputError(f"cannot read {args.input}: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
-        return fn.from_citations(fn.parse_citations(text))
-    if isinstance(obj, dict) and "type" in obj:
-        return fn.function_from_spec(obj)
-    if isinstance(obj, dict) and "citations" in obj:
-        return fn.from_citations(_json_counts(obj["citations"]))
-    raise fn.InputError(f"{path}: JSON must hold a function spec or a citations object")
+        return None, text
+    return (None if type(obj) in (int, float) else obj), text
 
 
-def _json_counts(values) -> list[float]:
-    """The counts of a ``{"citations": [...]}`` input."""
+def _counts(obj, text: str) -> list[float]:
+    """The citation counts of an input: a ``{"citations": [...]}`` object's,
+    else one count per line of its text."""
+    if not (isinstance(obj, dict) and "citations" in obj):
+        return fn.parse_citations(text)
     try:
-        return [float(c) for c in values]
+        return [float(c) for c in obj["citations"]]
     except (TypeError, ValueError, OverflowError):
         raise fn.InputError('"citations" must be a list of numbers') from None
+
+
+def _load_input(args: argparse.Namespace) -> fn.RankFunction:
+    """Read a function spec (JSON) or a citation file (JSON or line format)."""
+    obj, text = _read_input(args)
+    if isinstance(obj, dict) and "type" in obj:
+        return fn.function_from_spec(obj)
+    if obj is None or isinstance(obj, dict) and "citations" in obj:
+        return fn.from_citations(_counts(obj, text))
+    raise fn.InputError(f"{args.input}: JSON must hold a function spec or a citations object")
 
 
 def _default_thetas(f: fn.RankFunction, count: int = 101) -> tuple[float, ...]:
@@ -129,9 +142,7 @@ def _fmt_val(v: float | None) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     thetas = _parse_theta_spec(args)
-    if not args.input:
-        raise fn.InputError("eval requires --input")
-    f = _load_input(args.input)
+    f = _load_input(args)
     rng = f.admissible_range()
 
     lines = []
@@ -153,14 +164,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if thetas:
         table = bn.sweep(f, sorted(set(thetas)))
         lines.append("theta        e            h            mu           i")
-        per_theta = []
         for r in table.rows:
             lines.append(
                 f"{r.theta:<12.6g} {_fmt_val(r.e):<12} {_fmt_val(r.h):<12} "
                 f"{_fmt_val(r.mu):<12} {_fmt_val(r.i):<12}"
             )
-            per_theta.append({"theta": r.theta, "e": r.e, "h": r.h, "mu": r.mu, "i": r.i})
-        result["per_theta"] = per_theta
+        result["per_theta"] = table.to_json_obj()["rows"]
 
     print("\n".join(lines))
     if args.output:
@@ -170,9 +179,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     thetas = _parse_theta_spec(args)
-    if not args.input:
-        raise fn.InputError("sweep requires --input")
-    f = _load_input(args.input)
+    f = _load_input(args)
     table = bn.sweep(f, sorted(set(thetas or _default_thetas(f))))
     text = table.to_json() + "\n" if args.format == "json" else table.to_csv()
     _emit(text, args.output)
@@ -185,8 +192,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         raise fn.InputError(f"--measure-theta must be finite, got {theta!r}")
     if args.slack is not None and not (math.isfinite(args.slack) and args.slack >= 0.0):
         raise fn.InputError(f"--slack must be finite and >= 0, got {args.slack!r}")
-    gen = ax.GeneratorConfig(seed=args.seed, count=args.pairs)
-    pairs = ax.generate_pairs(gen)
+    pairs = ax.generate_pairs(ax.GeneratorConfig(seed=args.seed, count=args.pairs))
     bundle = bn.BUNDLES[args.bundle]
     slack = ax.MONOTONE_SLACK if args.slack is None else args.slack
 
@@ -194,9 +200,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     reports: dict[str, ax.AxiomReport] = {}
     for suite in suites:
         if suite == "bundle":
-            reports.update(
-                ax.check_impact_bundle(bundle, pairs, theta_grid=gen.theta_grid, slack=slack)
-            )
+            reports.update(ax.check_impact_bundle(bundle, pairs, slack=slack))
         elif suite == "measure":
             reports.update(ax.check_impact_measure(bundle, theta, pairs, slack=slack))
         elif suite == "strong":
@@ -297,21 +301,7 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    if not args.input:
-        raise fn.InputError("ingest requires --input")
-    try:
-        with open(args.input) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise fn.InputError(f"cannot read {args.input}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict) and "citations" in obj:
-        counts = _json_counts(obj["citations"])
-    else:
-        counts = fn.parse_citations(text)
+    counts = _counts(*_read_input(args))
     if any(b > a for a, b in zip(counts, counts[1:])):
         print("notice: input not sorted; sorting descending", file=sys.stderr)
     f = fn.from_citations(counts)

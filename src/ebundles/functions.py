@@ -4,8 +4,8 @@ A rank-frequency function Z maps a continuous source rank x in [0, T] to a
 nonnegative item density Z(x), strictly decreasing in x.  This module provides
 the concrete representations (piecewise linear from knots, plus three
 parametric families), pointwise evaluation, exact or closed-form
-inversion, cumulative integration I_Z(x) = int_0^x Z, running averages, and
-the order comparisons used by the axiom checkers:
+inversion, cumulative integration I_Z(x) = int_0^x Z, and the order
+comparisons used by the axiom checkers:
 
 * ``compare``              pointwise dominance on a grid (>=, strict >, =)
 * ``cumulative_dominates`` the partial order I_Z(x) <= I_Y(x) for all x
@@ -90,14 +90,9 @@ class ThetaRange:
     def unbounded_above(self) -> bool:
         return math.isinf(self.hi)
 
-    def contains(self, theta: float, slack: float = EQUALITY_TOL) -> bool:
-        if math.isinf(theta) or math.isnan(theta):
-            return False
-        if theta < self.lo - slack:
-            return False
-        if self.unbounded_above:
-            return True
-        return theta <= self.hi + slack
+    def contains(self, theta: float) -> bool:
+        """Whether theta is finite and in the range, to within ``EQUALITY_TOL``."""
+        return bool(self.contains_each(np.float64(theta)))
 
     def contains_each(self, thetas: np.ndarray) -> np.ndarray:
         """``contains`` for every element of an array."""
@@ -804,12 +799,12 @@ def _cumulative_extrema(xs: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]
     return cand_d[rows, i_min], cand_d[rows, i_max], cand_x[rows, i_min], cand_x[rows, i_max]
 
 
-def _cumulative_order(dmin: float, dmax: float, tol: float = EQUALITY_TOL) -> CumulativeOrder:
-    """The order that the extremes of I_f - I_g give, to a tolerance that
-    scales with them."""
-    scale = max(1.0, abs(dmin), abs(dmax))
-    above = dmax <= tol * scale
-    if dmin >= -tol * scale:
+def _cumulative_order(dmin: float, dmax: float) -> CumulativeOrder:
+    """The order that the extremes of I_f - I_g give, to ``EQUALITY_TOL``
+    scaled by the larger of 1 and their size."""
+    tol = EQUALITY_TOL * max(1.0, abs(dmin), abs(dmax))
+    above = dmax <= tol
+    if dmin >= -tol:
         return CumulativeOrder.EQUAL if above else CumulativeOrder.FOLLOWS
     return CumulativeOrder.PRECEDES if above else CumulativeOrder.INCOMPARABLE
 
@@ -818,7 +813,6 @@ def cumulative_dominates(
     f: RankFunction,
     g: RankFunction,
     grid_n: int = 10_000,
-    tol: float = EQUALITY_TOL,
 ) -> CumulativeVerdict:
     """Order f and g by their cumulative integrals over the shared domain.
 
@@ -837,7 +831,7 @@ def cumulative_dominates(
         i_min, i_max = int(np.argmin(d)), int(np.argmax(d))
         dmin, dmax = float(d[i_min]), float(d[i_max])
         wmin, wmax = float(xs[i_min]), float(xs[i_max])
-    return CumulativeVerdict(_cumulative_order(dmin, dmax, tol), dmin, dmax, wmin, wmax)
+    return CumulativeVerdict(_cumulative_order(dmin, dmax), dmin, dmax, wmin, wmax)
 
 
 # ---------------------------------------------------------------------------

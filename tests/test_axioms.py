@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -290,7 +292,8 @@ class TestGeneratedStackEqualsPlainList:
         rebuilt = [dataclasses.replace(p, upper=PiecewiseLinearFn.from_pairs(_knots(p.upper)),
                                        lower=PiecewiseLinearFn.from_pairs(_knots(p.lower)))
                    for p in pairs]
-        assert ax._stacked(pairs) is pairs.stacked and ax._stacked(rebuilt) is not pairs.stacked
+        # the generator's set is read as it is; the plain list is stacked
+        assert ax._Pairs.of(pairs) is pairs and isinstance(ax._Pairs.of(rebuilt), ax._Pairs)
         bundle, level = AX_BUNDLES[name], SUITE_LEVELS[name]
         got, want = _all_reports(bundle, level, pairs), _all_reports(bundle, level, rebuilt)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -298,6 +301,17 @@ class TestGeneratedStackEqualsPlainList:
 
 def _knots(f):
     return list(zip(f.xs.tolist(), f.ys.tolist()))
+
+
+def _as_set(pairs):
+    """Any pairs, verified or not, as a ``_Pairs`` on their rows."""
+    return ax._Pairs.of([dataclasses.replace(p, verified=True) for p in pairs])
+
+
+def _rejections(pairs):
+    """``_rejections`` on the rows of any pairs."""
+    ps = _as_set(pairs)
+    return ax._rejections(ps.fns, ps.kinds, ps.ends)
 
 
 class TestLinspaces:
@@ -446,7 +460,7 @@ class TestExactVerification:
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(_pwl_pairs(), min_size=1, max_size=6))
     def test_stacked_verdicts_equal_exact_oracle(self, pairs):
-        reasons = ax._rejections(pairs)
+        reasons = _rejections(pairs)
         for pair, reason in zip(pairs, reasons):
             facts = oracles.exact_order_facts(pair.upper, pair.lower, pair.prefix_end)
             if _decided(pair, facts):
@@ -470,7 +484,7 @@ class TestExactVerification:
         pair = DominancePair(*self.TOUCH, relation, prefix_end=a)
         facts = oracles.exact_order_facts(pair.upper, pair.lower, a)
         assert oracles.exact_relation_holds(relation, facts) is holds
-        assert (ax._rejections([pair])[0] is None) is holds
+        assert (_rejections([pair])[0] is None) is holds
 
     @pytest.mark.parametrize("case, at", [("DIP", "0.0002"), ("BUMP", "0.5")])
     def test_dip_between_grid_points(self, case, at):
@@ -500,8 +514,8 @@ class TestExactVerification:
                  for p in generate_pairs(GeneratorConfig(seed=8, count=5))]
         pairs += [DominancePair(*self.DIP, RelationKind.GEQ_ALL),
                   DominancePair(*self.TOUCH, RelationKind.STRICT_ON_PREFIX, prefix_end=0.75)]
-        assert ax._rejections(pairs) == [ax._rejections([p])[0] for p in pairs]
-        assert ax._rejections(pairs)[-2:] == [
+        assert _rejections(pairs) == [_rejections([p])[0] for p in pairs]
+        assert _rejections(pairs)[-2:] == [
             "upper < lower at x=0.0002", "not strict on prefix: gap 0.0 at x=0.5"]
 
 
@@ -531,7 +545,7 @@ class TestExactAveragesPremise:
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(_pwl_pairs(), min_size=1, max_size=6))
     def test_agrees_with_exact_oracle(self, pairs):
-        got = ax._averages_ordered(ax._Pairs.of(pairs), np.arange(len(pairs))).tolist()
+        got = ax._averages_ordered(_as_set(pairs), np.arange(len(pairs))).tolist()
         for pair, ordered in zip(pairs, got):
             d_min = oracles.exact_averages_min(pair.upper, pair.lower)
             if abs(d_min) > 1e-10:  # rounding cannot move the verdict
@@ -539,7 +553,7 @@ class TestExactAveragesPremise:
 
     def test_generated_pairs_all_ordered(self):
         pairs = generate_pairs(GeneratorConfig(seed=7, count=50), RelationKind.GEQ_ALL)
-        assert ax._averages_ordered(ax._stacked(pairs), np.arange(50)).all()
+        assert ax._averages_ordered(pairs, np.arange(50)).all()
         assert all(oracles.exact_averages_ordered(p.upper, p.lower) for p in pairs[:10])
 
     def test_parametric_pairs_sampled(self):
@@ -548,16 +562,32 @@ class TestExactAveragesPremise:
         assert got == [oracles.sampled_averages_ordered(p.upper, p.lower) for p in geq]
 
 
+class TestPairSetEnds:
+    def test_ax2_ignores_prefix_end_on_geq_pairs(self):
+        # a GEQ_ALL pair covers [0, T] whatever its prefix end, so AX.2 reads
+        # the level maps' images of (0, T] for an unbounded range
+        pairs = generate_pairs(GeneratorConfig(seed=3, count=20), RelationKind.GEQ_ALL)
+        halved = [dataclasses.replace(p, prefix_end=0.5 * p.upper.T) for p in pairs]
+        negated = dataclasses.replace(H_BUNDLE, name="-h",
+                                      scores=lambda f, t: -H_BUNDLE.scores(f, t))
+        want = check_impact_bundle(negated, pairs)["AX.2"]
+        assert not want.passed
+        assert check_impact_bundle(negated, halved)["AX.2"] == want
+
+
 class TestImpactMeasureChecks:
     def test_admission_slack(self):
         # a density level is admitted within the range's slack (the e score
         # snaps it onto the range); a level that fixes a rank only exactly
         f = _pwl((0, 3), (1, 1), (2, 0.2))
         below = 0.2 - 5e-13
-        for fns in ([f], _PwlStack.of([f])):
-            assert ax._level_table(E_BUNDLE, below, fns)[0].tolist() == [e_theta(f, 0.2)]
+        # the set's rows as a list of functions and as a stack
+        pair = DominancePair(f, f, RelationKind.GEQ_ALL, verified=True)
+        for ps in (ax._Pairs([pair], [f, f], np.array([f.T])), ax._Pairs.of([pair])):
+            up = ps.up
+            assert ax._level_table(E_BUNDLE, below, ps)[0][up].tolist() == [e_theta(f, 0.2)]
             for bundle, level in ((H_BUNDLE, 0.1 - 5e-13), (I_BUNDLE, math.nextafter(2.0, 3.0))):
-                assert [np.isnan(v).tolist() for v in ax._level_table(bundle, level, fns)] == [
+                assert [np.isnan(v[up]).tolist() for v in ax._level_table(bundle, level, ps)] == [
                     [True], [True]]
 
     def test_e_measure_passes(self, small_pairs):
@@ -786,7 +816,7 @@ class TestGenerator:
     def test_pairs_equal_the_one_at_a_time_reference(self, cfg, relation):
         got = generate_pairs(cfg, relation)
         want = oracles.pairs_one_at_a_time(cfg, relation)
-        assert got == want
+        assert list(got) == want
         assert [p.prefix_end for p in got] == [p.prefix_end for p in want]
         for p in got:
             for f in (p.upper, p.lower):
@@ -800,11 +830,11 @@ class TestGenerator:
         # dropped, and the next batch fills the one slot left
         real, calls = ax._rejections, []
 
-        def reject_once(pairs, *args):
-            reasons = real(pairs, *args)
+        def reject_once(fns, kinds, *args):
+            reasons = real(fns, kinds, *args)
             if not calls:
                 reasons[k] = "rejected once"
-            calls.append(len(pairs))
+            calls.append(len(kinds))
             return reasons
 
         cfg = GeneratorConfig(seed=13, count=6)
@@ -814,20 +844,33 @@ class TestGenerator:
         want = oracles.pairs_one_at_a_time(
             cfg, drop=lambda kind, slot, attempt: (kind, slot, attempt) == (
                 RelationKind.GEQ_ALL, k, 0))
-        assert got == want
+        assert list(got) == want
 
     def test_hundred_rejections_give_up(self, monkeypatch):
-        monkeypatch.setattr(ax, "_rejections", lambda pairs, *args: ["rejected"] * len(pairs))
+        monkeypatch.setattr(ax, "_rejections", lambda fns, kinds, *args: ["rejected"] * len(kinds))
         with pytest.raises(ax.GenerationError, match="gave up generating a geq_all pair"):
             generate_pairs(GeneratorConfig(seed=1, count=3))
 
-    def test_checkers_read_the_generator_stack_only_while_it_holds(self):
+    def test_slices_and_sums_are_stacked_again(self):
+        # the generator's set is immutable and read as it is; a slice or a
+        # sum of sets is a plain tuple, which the checkers stack once
         pairs = generate_pairs(GeneratorConfig(seed=4, count=5))
-        assert ax._stacked(pairs) is pairs.stacked
-        assert ax._stacked(pairs[:-1]) is not pairs.stacked
-        pairs += generate_pairs(GeneratorConfig(seed=5, count=5))
-        rebuilt = ax._stacked(pairs)
-        assert rebuilt is not pairs.stacked and len(rebuilt) == 40
+        assert isinstance(pairs, ax._Pairs) and ax._Pairs.of(pairs) is pairs
+        with pytest.raises(AttributeError):
+            pairs.fns = None
+        for part in (pairs[:-1], pairs + generate_pairs(GeneratorConfig(seed=5, count=5))):
+            assert type(part) is tuple
+            rebuilt = ax._Pairs.of(part)
+            assert rebuilt is not part and rebuilt.fns is not pairs.fns and rebuilt == part
+            assert isinstance(rebuilt.fns, _PwlStack) and len(rebuilt.fns.T) == 2 * len(part)
+        assert len(ax._Pairs.of(part)) == 40
+
+    def test_copies_and_pickles_keep_the_set(self):
+        pairs = generate_pairs(GeneratorConfig(seed=4, count=5))
+        want = json.dumps(_all_reports(E_BUNDLE, 2.5, pairs), sort_keys=True)
+        for twin in (copy.copy(pairs), copy.deepcopy(pairs), pickle.loads(pickle.dumps(pairs))):
+            assert isinstance(twin, ax._Pairs) and twin == pairs
+            assert json.dumps(_all_reports(E_BUNDLE, 2.5, twin), sort_keys=True) == want
 
     def test_blocks_change_nothing(self, monkeypatch, tmp_path):
         # a run in blocks of a few rows equals one unblocked pass, pairs and

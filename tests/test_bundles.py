@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 import oracles
 from conftest import pwl_functions, seeded_pwl
 from ebundles.axioms import (
+    DominancePair,
     GeneratorConfig,
     RelationKind,
+    _Pairs,
     generate_pairs,
     pseudo_bundle_eta,
     pseudo_bundle_n,
 )
 from ebundles.bundles import (
     BUNDLES,
-    _at_levels,
-    _pool,
     classical_h,
     e_index,
     e_theta,
@@ -441,6 +441,7 @@ class TestStackedPass:
                                       PowerComplement(n=3)]
         bundle = STACKED[name]
         want = np.array([bundle.scores(f, np.array([level]))[0] for f in fns])
-        rows = np.arange(len(fns))
-        _same_rows(_at_levels(bundle.scores, _pool(fns), rows, np.full(len(fns), level)), want)
+        # each function as the upper of a pair with itself
+        ps = _Pairs.of([DominancePair(f, f, RelationKind.GEQ_ALL, verified=True) for f in fns])
+        _same_rows(ps.read(bundle.scores, ps.up, np.full(len(fns), level)), want)
         assert not np.isnan(want).all()

@@ -157,6 +157,14 @@ class TestAxiomsCmd:
         obj = json.loads(out.read_text())
         assert obj["SM.1"] == {**obj["IM.1"], "axiom": "SM.1"}
 
+    def test_members_deduped_once_per_run(self, monkeypatch, capsys):
+        # IM.1 and SM.1 read the distinct members of one pair set, which
+        # the set finds once
+        keys, calls = fn._PwlStack._keys, []
+        monkeypatch.setattr(fn._PwlStack, "_keys", lambda self: calls.append(1) or keys(self))
+        assert main(["axioms", "--suite", "all", "--pairs", "4"]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("bundle, level", LEVELS)
     def test_strong_positivity_equals_measure_positivity(self, bundle, level, tmp_path):
         # IM.1 and SM.1 are the same check on the same functions at one level
@@ -318,6 +326,20 @@ class TestIngestCmd:
     def test_missing_file(self, capsys):
         rc = main(["ingest", "--input", "/nonexistent/file.txt"])
         assert rc == 2
+
+    def test_one_count_file_in_every_command(self, tmp_path, capsys):
+        # a single count is valid JSON, a number; every command reads the
+        # file as citations, and gives the function that ingest writes
+        one, spec = tmp_path / "one.txt", tmp_path / "spec.json"
+        one.write_text("5\n")
+        assert main(["ingest", "--input", str(one), "--output", str(spec)]) == 0
+        assert json.loads(spec.read_text()) == fn.function_to_spec(from_citations([5]))
+        for command, extra in (("eval", ["--theta-list", "1,2.5"]),
+                               ("sweep", ["--format", "json"])):
+            outs = [tmp_path / f"{command}-{src.stem}.json" for src in (one, spec)]
+            for src, out in zip((one, spec), outs):
+                assert main([command, "--input", str(src), *extra, "--output", str(out)]) == 0
+            assert outs[0].read_text() == outs[1].read_text()
 
 
 class TestBadInputExit2:
