@@ -26,6 +26,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import axioms as ax
 from . import bundles as bn
 from . import convergence as cv
@@ -88,7 +90,7 @@ def _parse_theta_spec(args: argparse.Namespace) -> tuple[float, ...] | None:
 def _read_input(args: argparse.Namespace) -> tuple[object, str]:
     """The ``--input`` file's JSON value and its text.  The value is None
     where the text is not JSON, or is a single number: a citation file of
-    one count."""
+    one count.  JSON null holds nothing, so it reads as ``{}``."""
     if not args.input:
         raise fn.InputError(f"{args.command} requires --input")
     try:
@@ -100,14 +102,20 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str]:
         obj = json.loads(text)
     except json.JSONDecodeError:
         return None, text
-    return (None if type(obj) in (int, float) else obj), text
+    return (None if type(obj) in (int, float) else {} if obj is None else obj), text
 
 
-def _counts(obj, text: str) -> list[float]:
+def _counts(obj, text: str, args: argparse.Namespace) -> list[float]:
     """The citation counts of an input: a ``{"citations": [...]}`` object's,
-    else one count per line of its text."""
-    if not (isinstance(obj, dict) and "citations" in obj):
+    else one count per line of its text.  Other JSON holds no counts."""
+    if obj is None:
         return fn.parse_citations(text)
+    if isinstance(obj, list):
+        raise fn.InputError(
+            f'{args.input}: a JSON list is not citation input; write {{"citations": [...]}}')
+    if not (isinstance(obj, dict) and "citations" in obj):
+        raise fn.InputError(
+            f'{args.input}: {args.command} needs citation counts, one per line or {{"citations": [...]}}')
     try:
         return [float(c) for c in obj["citations"]]
     except (TypeError, ValueError, OverflowError):
@@ -119,8 +127,8 @@ def _load_input(args: argparse.Namespace) -> fn.RankFunction:
     obj, text = _read_input(args)
     if isinstance(obj, dict) and "type" in obj:
         return fn.function_from_spec(obj)
-    if obj is None or isinstance(obj, dict) and "citations" in obj:
-        return fn.from_citations(_counts(obj, text))
+    if obj is None or isinstance(obj, list) or isinstance(obj, dict) and "citations" in obj:
+        return fn.from_citations(_counts(obj, text, args))
     raise fn.InputError(f"{args.input}: JSON must hold a function spec or a citations object")
 
 
@@ -300,12 +308,22 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _spec_text(f: fn.PiecewiseLinearFn) -> str:
+    """``json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
+    byte for byte, without the pure-Python encoder that ``indent`` selects:
+    json writes a finite float as its ``repr``."""
+    knot = "    [\n      {!r},\n      {!r}\n    ]".format
+    knots = ",\n".join(map(knot, f.xs.tolist(), f.ys.tolist()))
+    return f'{{\n  "T": {f.T!r},\n  "knots": [\n{knots}\n  ],\n  "type": "piecewise_linear"\n}}\n'
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    counts = _counts(*_read_input(args))
-    if any(b > a for a, b in zip(counts, counts[1:])):
+    counts = np.asarray(_counts(*_read_input(args), args))
+    # compared, not differenced: inf - inf would warn on stderr
+    if (counts[1:] > counts[:-1]).any():
         print("notice: input not sorted; sorting descending", file=sys.stderr)
     f = fn.from_citations(counts)
-    _emit(json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n", args.output)
+    _emit(_spec_text(f), args.output)
     return 0
 
 

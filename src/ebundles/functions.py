@@ -893,21 +893,26 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
 
 def parse_citations(text: str) -> list[float]:
     """Parse one nonnegative count per line; blank lines are skipped."""
-    out: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            v = float(stripped)
-        except ValueError:
-            raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
-        if math.isnan(v) or v < 0:
-            raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
-        out.append(v)
-    if not out:
+    lines = text.splitlines()
+    try:
+        vals = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
+    except ValueError:
+        vals = None
+    if vals is None or not (vals >= 0).all():  # NaN fails >= 0 too
+        # the vector pass failed: name the first bad line
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                v = float(stripped)
+            except ValueError:
+                raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
+            if not v >= 0:
+                raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
+    if not vals.size:
         raise InputError("no citation values found")
-    return out
+    return vals.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ the vector level path replaced.
 relations of a piecewise linear pair in rational arithmetic
 (``fractions.Fraction``), at the merged knots.
 
+``parse_citations_by_line`` is the reference for ``parse_citations``: the
+per-line loop that the vector parse replaced, which reads each line with
+``float`` and stops at the first bad one.
+
 ``pairs_one_at_a_time`` is the reference for ``generate_pairs``: the
 per-pair builders that draw, build and verify one pair at a time, which the
 array generator must match pair for pair.
@@ -274,6 +278,26 @@ def continuized_integral(counts) -> Fraction:
     (k, 0) of the positive counts sorted decreasing, summed exactly."""
     ys = [Fraction(c) for c in sorted(counts, reverse=True) if c > 0] + [Fraction(0)]
     return sum((a + b) / 2 for a, b in zip(ys, ys[1:]))
+
+
+def parse_citations_by_line(text: str) -> list[float]:
+    """One nonnegative count per line, blank lines skipped, read one line at
+    a time."""
+    out: list[float] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            v = float(stripped)
+        except ValueError:
+            raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
+        if math.isnan(v) or v < 0:
+            raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
+        out.append(v)
+    if not out:
+        raise InputError("no citation values found")
+    return out
 
 
 # ---------------------------------------------------------------------------

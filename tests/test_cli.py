@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebundles import axioms as ax
 from ebundles import bundles as bn
+from ebundles import cli
 from ebundles import functions as fn
 from ebundles.bundles import SweepTable, classical_h
 from ebundles.cli import main
@@ -315,6 +320,40 @@ class TestIngestCmd:
         assert "notice" in captured.err
         assert json.loads(captured.out)["knots"][0] == [0.0, 5.0]
 
+    @pytest.mark.parametrize("text", ["5\n3\n3\n1\n", "5\n5\n0\n0\n", '{"citations": [5, 3, 3, 0]}'],
+                             ids=["line-ties", "line-zeros", "json"])
+    def test_sorted_input_has_no_notice(self, text, tmp_path, capsys):
+        p = tmp_path / "sorted.txt"
+        p.write_text(text)
+        assert main(["ingest", "--input", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["knots"][0] == [0.0, 5.0]
+
+    def test_memory_peak_at_1e5_counts(self, tmp_path, capsys):
+        # json.dumps(indent=2) over the knot lists peaks at about 36 MB in this
+        # test, the one-join writer at about 17 MB
+        counts = np.floor(np.random.default_rng(13).pareto(1.2, 10**5) * 5.0)
+        src, out = tmp_path / "c.txt", tmp_path / "spec.json"
+        src.write_text("".join(f"{c}\n" for c in counts.astype(int).tolist()))
+        tracemalloc.start()
+        try:
+            assert main(["ingest", "--input", str(src), "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+        assert fn.function_from_spec(json.loads(out.read_text())) == from_citations(counts)
+
+    @pytest.mark.parametrize("text", ['{"type": "linear", "S": 10, "T": 20}', "{}", "null",
+                                      "true", '"5"'])
+    def test_json_without_counts(self, text, tmp_path, capsys):
+        p = tmp_path / "in.json"
+        p.write_text(text)
+        assert main(["ingest", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f'error: {p}: ingest needs citation counts, one per line or {{"citations": [...]}}\n')
+
     def test_json_citations_object(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"citations": [4, 4]}))
@@ -342,7 +381,49 @@ class TestIngestCmd:
             assert outs[0].read_text() == outs[1].read_text()
 
 
+# counts whose reprs have exponents, span 1e-300..1e300, or lie next to
+# the subnormals, where the tie-breaking steps are subnormal themselves
+_COUNT = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.integers(min_value=0, max_value=10**6).map(float),
+    st.sampled_from([1e16, 1e-05, 1.5e300, 1e-300, 2.2250738585072014e-308,
+                     2.225073858507201e-308, 1e-310, 5e-324]),
+)
+
+
+@st.composite
+def _count_vectors(draw):
+    base = draw(st.lists(_COUNT, min_size=1, max_size=20).filter(lambda c: max(c) > 0))
+    ties = draw(st.lists(st.integers(min_value=0, max_value=len(base) - 1), max_size=20))
+    return base + [base[i] for i in ties]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_vectors())
+def test_spec_text_is_the_json_encoding(counts):
+    f = from_citations(counts)
+    text = cli._spec_text(f)
+    assert text == json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n"
+    assert fn.function_from_spec(json.loads(text)) == f
+
+
 class TestBadInputExit2:
+    @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
+    def test_json_list_has_one_wording(self, command, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[5, 3, 1]")
+        assert main([command, "--input", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f'error: {p}: a JSON list is not citation input; write {{"citations": [...]}}\n')
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_json_null_holds_no_input(self, command, tmp_path, capsys):
+        p = tmp_path / "null.json"
+        p.write_text("null")
+        assert main([command, "--input", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {p}: JSON must hold a function spec or a citations object\n")
+
     @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
     @pytest.mark.parametrize(
         "obj",
@@ -402,7 +483,6 @@ class TestParserReuse:
 
     def test_two_commands_in_one_process_equal_separate_calls(self, tmp_path, capsys,
                                                                 monkeypatch):
-        from ebundles import cli
         runs = [["converge", "--family", "linear", "--n-list", "2,5", "--grid-n", "50",
                  "--theta-grid-n", "20"],
                 ["axioms", "--bundle", "h", "--suite", "all", "--pairs", "5", "--seed", "3",

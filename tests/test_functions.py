@@ -422,3 +422,26 @@ class TestParseCitations:
 
     def test_blank_lines_skipped(self):
         assert parse_citations("5\n\n3\n") == [5.0, 3.0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(
+            st.sampled_from(["1e3", "1_000", "inf", "-inf", "-0", "0", "nan", "-nan", "-3",
+                             "-1e-300", "abc", "1__0", "0x10", "", "5", "3.5", "1e400",
+                             "1 2", "+7"]),
+            st.integers(min_value=-3, max_value=10**6).map(str),
+            st.floats(allow_nan=False).map(repr),
+        ),
+        st.sampled_from(["", " ", "\t", "  "]),
+        st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\n\n", " \n"]),
+    ), max_size=12))
+    def test_matches_the_line_loop(self, lines):
+        text = "".join(pad + token + pad + end for token, pad, end in lines)
+
+        def outcome(parse):
+            try:
+                return repr(parse(text))  # repr tells -0.0 from 0.0
+            except InputError as exc:
+                return f"InputError: {exc}"
+
+        assert outcome(parse_citations) == outcome(oracles.parse_citations_by_line)
