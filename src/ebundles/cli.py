@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -37,10 +38,20 @@ __all__ = ["build_parser", "main"]
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file and a rename.  The file
+    gets the mode ``open(path, "w")`` would give it: a replaced file keeps
+    its own, a new one gets 0o666 less the umask (``mkstemp`` makes 0o600)."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:  # a new file, or a path mkstemp reports on
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-ebundles-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

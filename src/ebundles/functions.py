@@ -12,8 +12,10 @@ comparisons used by the axiom checkers:
 
 Every operation has one code path, a vector routine (``values``,
 ``inverses``, ``cumulatives``, ``ray_crossings``); each scalar form reads
-it at one argument.  ``_PwlStack`` runs the piecewise linear routines on
-many rows at once, each a function read at its own argument.
+it at one argument.  ``_PwlStack`` is the one piecewise linear engine: it
+runs the routines on many rows at once, each a function read at its own
+argument, and a ``PiecewiseLinearFn`` reads through its knots as a one-row
+stack.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -246,59 +248,18 @@ class _KnotView(Sequence[Knot]):
         return map(Knot, self._xs.tolist(), self._ys.tolist())
 
 
-class _KnotArithmetic:
-    """Piecewise linear arithmetic on knot arrays, read through the index j
-    of the segment [x_j, x_{j+1}] holding each argument.
-
-    ``PiecewiseLinearFn`` and ``_PwlStack`` (per row, among the row's own
-    knots) find the same j by binary search, and both then run these
-    expressions, so a stack row gets its function's floats bit for bit.  Besides ``xs``, ``ys`` and
-    ``T``, a subclass provides ``_last`` (the index of the knot at T), the
-    steps ``_dxs``/``_dys`` and trapezoid areas ``_area_prefix`` per knot,
-    and the segment finders.
-    """
-
-    def _interpolate(self, xs: np.ndarray, j: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        y = self.ys[j] + dx / self._dxs[j] * self._dys[j]
-        # knot hits stay exact; T is the only point on a segment's right end
-        return np.where(xs == self.T, self.ys[self._last], y)
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        return self._interpolate(*self._segments(xs))
-
-    def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        xs, j, dx = self._segments(xs)
-        return self._area_prefix[j] + dx * (self.ys[j] + self._interpolate(xs, j, dx)) * 0.5
-
-    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
-        j = self._level_segments(thetas)
-        x = self.xs[j] + (thetas - self.ys[j]) / self._dys[j] * self._dxs[j]
-        # at the level Z(T), x_j + (x_{j+1} - x_j) can round past T
-        return np.minimum(x, self.T)
-
-    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
-        """The root of Z(x) = theta * x for theta > Z(T)/T: the knot residuals
-        y_i - theta * x_i change sign on segment j, linearly along it."""
-        thetas = np.asarray(thetas, dtype=float)
-        j = self._crossing_segments(thetas)
-        r0 = self.ys[j] - thetas * self.xs[j]
-        r1 = self.ys[j + 1] - thetas * self.xs[j + 1]
-        return self.xs[j] + r0 * self._dxs[j] / (r0 - r1)
-
-
-class PiecewiseLinearFn(_KnotArithmetic, RankFunction):
+class PiecewiseLinearFn(RankFunction):
     """Strictly decreasing piecewise linear function given by its knots.
 
     Knots must start at x = 0, end at x = T > 0, be strictly increasing in x
     and strictly decreasing in y (exact comparison on the stored values).
     They are stored as two read-only float arrays ``xs`` and ``ys``;
-    ``knots`` views them as ``Knot`` values.  Evaluation interpolates
+    ``knots`` views them as ``Knot`` values.  Every read goes through
+    ``_stack``, the knots as a one-row ``_PwlStack``: evaluation interpolates
     linearly, inversion solves the containing segment exactly, and
     integration accumulates trapezoids, so these operations are exact up to
     float rounding.  Equality and hashing compare the knot values.
     """
-
-    _last = -1
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
         xs = np.array(xs, dtype=float)
@@ -379,43 +340,28 @@ class PiecewiseLinearFn(_KnotArithmetic, RankFunction):
         return ThetaRange(float(self.ys[-1]), float(self.ys[0]))
 
     @cached_property
-    def _dxs(self) -> np.ndarray:
-        return self.xs[1:] - self.xs[:-1]
+    def _stack(self) -> "_PwlStack":
+        """The knots as a one-row stack, picked by a 0-d row that broadcasts."""
+        return _PwlStack(self.xs[None], self.ys[None], np.array([len(self.xs)]))._select(0)
 
-    @cached_property
-    def _dys(self) -> np.ndarray:
-        return self.ys[1:] - self.ys[:-1]
-
-    @cached_property
-    def _area_prefix(self) -> np.ndarray:
-        """Trapezoid area accumulated up to each knot."""
-        ys = self.ys
-        seg = self._dxs * (ys[:-1] + ys[1:]) * 0.5
-        return np.concatenate(([0.0], np.cumsum(seg)))
-
-    def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The points as floats, the segment j holding each, and their offsets
-        x - x_j, after checking they lie in the domain.
-
-        j counts the interior knots at or left of x, so T is on the last
-        segment.
-        """
+    def _in_domain(self, xs: np.ndarray) -> np.ndarray:
+        """The points as floats, after checking they lie in [0, T]."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < 0.0 or xs.max() > self.T):
             raise InputError("grid points outside domain")
-        j = np.searchsorted(self.xs[1:-1], xs, side="right")
-        return xs, j, xs - self.xs[j]
+        return xs
 
-    def _level_segments(self, thetas: np.ndarray) -> np.ndarray:
-        """For each admitted level, j counts the interior knots above it."""
-        return np.searchsorted(-self.ys[1:-1], -thetas, side="left")
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        return self._stack.values(self._in_domain(xs))
 
-    def _crossing_segments(self, thetas: np.ndarray) -> np.ndarray:
-        """The knot residuals strictly decrease from y_0 > 0, so a binary
-        search finds the segment where they change sign."""
-        xs, ys = self.xs, self.ys
-        return _bisect(np.zeros(thetas.shape, dtype=np.intp), np.full(thetas.shape, len(xs) - 1),
-                       lambda k: ys[k] - thetas * xs[k] > 0.0)
+    def cumulatives(self, xs: np.ndarray) -> np.ndarray:
+        return self._stack.cumulatives(self._in_domain(xs))
+
+    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
+        return self._stack._inverses(thetas)
+
+    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
+        return self._stack.ray_crossings(thetas)
 
 
 def _valid_knots(xs: np.ndarray, ys: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -433,7 +379,7 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.nda
     lo counting as holding: a binary search, one numpy pass per halving.
     ``holds`` maps knot indices (one per argument) to flags and must hold on
     a leading run of each range, as the segment predicates do on
-    increasing xs and decreasing ys."""
+    increasing xs and decreasing ys; scalar bounds broadcast."""
     while True:
         open_ = hi - lo > 1
         if not open_.any():
@@ -448,16 +394,18 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.nda
 _BLOCK = 4096
 
 
-class _PwlStack(_KnotArithmetic):
+class _PwlStack:
     """Piecewise linear functions stacked one per row, row i read at
-    argument i: the vector API that the bundle score rules call, with a
-    per-row array wherever a function answers a scalar (``T``, the range
-    bounds, Z(0)).  The functions' knots sit once in two (functions, width)
-    arrays, each function's row padded by repeating its last knot, and are
-    read flat; a row names the function it reads (a function may fill many
-    rows), and ``_select`` only picks rows.  Each row finds its segment by
-    binary search among its own knots, so a pass costs O(log K) numpy steps
-    and no Python per row.
+    argument i: the one piecewise linear engine.  The bundle rules read it
+    as a vector API, with a per-row array wherever a function answers a
+    scalar (``T``, the range bounds, Z(0)), and each ``PiecewiseLinearFn``
+    reads through its own one-row stack.  The knots sit once in two
+    (functions, width) arrays, each row padded by repeating its last knot,
+    and are read flat; a row names the function it reads (a function may
+    fill many rows), and ``_select`` only picks rows (a 0-d pick reads one
+    row at arguments of any shape).  Each search finds the segment
+    [x_j, x_{j+1}] of every argument by binary search among its row's own
+    knots, so a pass costs O(log K) numpy steps and no Python per row.
     """
 
     unbounded_at_origin = False
@@ -493,8 +441,7 @@ class _PwlStack(_KnotArithmetic):
     @property
     def _area_prefix(self) -> np.ndarray:
         """Trapezoid area accumulated up to each knot, for all rows in one
-        pass: the cumulative sum runs along each row, as
-        ``PiecewiseLinearFn._area_prefix`` does along its knots."""
+        pass, the cumulative sum running along each row."""
         if "area" not in self._pool:  # only the passes that integrate need it
             xs, ys = (v.reshape(-1, self._pool["width"]) for v in (self.xs, self.ys))
             area = np.zeros(xs.shape)
@@ -531,15 +478,39 @@ class _PwlStack(_KnotArithmetic):
         return ThetaRange(self.ys[self._last], self.ys[self._first])
 
     def _segments(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points as floats, the segment j holding each (T is on the last
+        one) and their offsets x - x_j."""
         xs = np.asarray(xs, dtype=float)
         j = _bisect(self._first, self._last, lambda k: self.xs[k] <= xs)
         return xs, j, xs - self.xs[j]
 
-    def _level_segments(self, thetas: np.ndarray) -> np.ndarray:
-        return _bisect(self._first, self._last, lambda k: self.ys[k] > thetas)
+    def _interpolate(self, xs: np.ndarray, j: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        y = self.ys[j] + dx / self._dxs[j] * self._dys[j]
+        # knot hits stay exact; T is the only point on a segment's right end
+        return np.where(xs == self.T, self.ys[self._last], y)
 
-    def _crossing_segments(self, thetas: np.ndarray) -> np.ndarray:
-        return _bisect(self._first, self._last, lambda k: self.ys[k] - thetas * self.xs[k] > 0.0)
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        return self._interpolate(*self._segments(xs))
+
+    def cumulatives(self, xs: np.ndarray) -> np.ndarray:
+        xs, j, dx = self._segments(xs)
+        return self._area_prefix[j] + dx * (self.ys[j] + self._interpolate(xs, j, dx)) * 0.5
+
+    def _inverses(self, thetas: np.ndarray) -> np.ndarray:
+        j = _bisect(self._first, self._last, lambda k: self.ys[k] > thetas)
+        x = self.xs[j] + (thetas - self.ys[j]) / self._dys[j] * self._dxs[j]
+        # at the level Z(T), x_j + (x_{j+1} - x_j) can round past T
+        return np.minimum(x, self.T)
+
+    def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
+        """The root of Z(x) = theta * x for theta > Z(T)/T: the knot residuals
+        y_i - theta * x_i strictly decrease from y_0 > 0, so a binary search
+        finds the segment j where they change sign, linearly along it."""
+        thetas = np.asarray(thetas, dtype=float)
+        j = _bisect(self._first, self._last, lambda k: self.ys[k] - thetas * self.xs[k] > 0.0)
+        r0 = self.ys[j] - thetas * self.xs[j]
+        r1 = self.ys[j + 1] - thetas * self.xs[j + 1]
+        return self.xs[j] + r0 * self._dxs[j] / (r0 - r1)
 
 
 @dataclass(frozen=True)
@@ -935,7 +906,10 @@ def function_from_spec(spec: dict) -> RankFunction:
         if kind == "zipf":
             return ZipfFamily(beta=float(spec["beta"]), T=float(spec["T"]))
         if kind == "power_complement":
-            return PowerComplement(n=int(spec["n"]))
+            n = spec["n"]
+            if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
+                raise InputError(f"n must be an integer >= 1, got {n!r}")
+            return PowerComplement(n=int(n))
     except KeyError as exc:
         raise InputError(f"function spec missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

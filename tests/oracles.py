@@ -18,6 +18,11 @@ relations of a piecewise linear pair in rational arithmetic
 per-line loop that the vector parse replaced, which reads each line with
 ``float`` and stops at the first bad one.
 
+``SearchsortedPwl`` is the reference for a ``PiecewiseLinearFn``'s reads:
+the arithmetic the function ran on its own before it read through a
+one-row ``_PwlStack``, with ``np.searchsorted`` segment finders and a 1-d
+trapezoid prefix.
+
 ``pairs_one_at_a_time`` is the reference for ``generate_pairs``: the
 per-pair builders that draw, build and verify one pair at a time, which the
 array generator must match pair for pair.
@@ -298,6 +303,54 @@ def parse_citations_by_line(text: str) -> list[float]:
     if not out:
         raise InputError("no citation values found")
     return out
+
+
+class SearchsortedPwl:
+    """A piecewise linear function's values, cumulatives, inverses and ray
+    crossings, each segment found by ``np.searchsorted`` among the interior
+    knots (ray crossings by counting the interior knots whose residual
+    y - theta * x is positive), then the same interpolation and trapezoid
+    expressions, so the floats must match the library's bit for bit."""
+
+    def __init__(self, f: PiecewiseLinearFn) -> None:
+        self.xs, self.ys, self.T = f.xs, f.ys, f.T
+        self.dxs = f.xs[1:] - f.xs[:-1]
+        self.dys = f.ys[1:] - f.ys[:-1]
+        seg = self.dxs * (f.ys[:-1] + f.ys[1:]) * 0.5
+        self.area_prefix = np.concatenate(([0.0], np.cumsum(seg)))
+
+    def _segments(self, xs):
+        # j counts the interior knots at or left of x, so T is on the last segment
+        xs = np.asarray(xs, dtype=float)
+        j = np.searchsorted(self.xs[1:-1], xs, side="right")
+        return xs, j, xs - self.xs[j]
+
+    def _interpolate(self, xs, j, dx):
+        y = self.ys[j] + dx / self.dxs[j] * self.dys[j]
+        return np.where(xs == self.T, self.ys[-1], y)
+
+    def values(self, xs):
+        return self._interpolate(*self._segments(xs))
+
+    def cumulatives(self, xs):
+        xs, j, dx = self._segments(xs)
+        return self.area_prefix[j] + dx * (self.ys[j] + self._interpolate(xs, j, dx)) * 0.5
+
+    def inverses(self, thetas):
+        """At levels snapped onto [Z(T), Z(0)]; j counts the interior knots
+        above each."""
+        thetas = np.clip(np.asarray(thetas, dtype=float), self.ys[-1], self.ys[0])
+        j = np.searchsorted(-self.ys[1:-1], -thetas, side="left")
+        x = self.xs[j] + (thetas - self.ys[j]) / self.dys[j] * self.dxs[j]
+        return np.minimum(x, self.T)
+
+    def ray_crossings(self, thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        residual = self.ys[1:-1] - thetas[..., None] * self.xs[1:-1]
+        j = (residual > 0.0).sum(axis=-1)
+        r0 = self.ys[j] - thetas * self.xs[j]
+        r1 = self.ys[j + 1] - thetas * self.xs[j + 1]
+        return self.xs[j] + r0 * self.dxs[j] / (r0 - r1)
 
 
 # ---------------------------------------------------------------------------

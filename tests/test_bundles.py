@@ -411,9 +411,11 @@ STACKED = {**BUNDLES, "n": pseudo_bundle_n(), "eta": pseudo_bundle_eta()}
 
 
 class TestStackedPass:
-    """A ``_PwlStack`` reads row i on its own function at argument i; every
-    row must equal that function's ``BundleDef.scores``, bit for bit and NaN
-    for NaN, at the ends of every range, at a knot, and one ulp off each."""
+    """A ``_PwlStack`` of many functions reads row i on its own function at
+    argument i; every row must equal that function's ``BundleDef.scores``,
+    which read through the function's own one-row stack, bit for bit and NaN
+    for NaN, at the ends of every range, at a knot, and one ulp off each.
+    This checks the padding, the flat offsets and the row picks."""
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("name", sorted(STACKED))

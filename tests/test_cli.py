@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -381,6 +383,32 @@ class TestIngestCmd:
             assert outs[0].read_text() == outs[1].read_text()
 
 
+class TestOutputMode:
+    """An output file gets the mode ``open(path, "w")`` would give it: a new
+    one 0o666 less the umask, a replaced one its own."""
+
+    @staticmethod
+    def _ingest(citations_file, out, umask):
+        old = os.umask(umask)
+        try:
+            assert main(["ingest", "--input", citations_file, "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        return stat.S_IMODE(out.stat().st_mode)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_new_file_follows_the_umask(self, umask, mode, citations_file, tmp_path):
+        assert self._ingest(citations_file, tmp_path / "spec.json", umask) == mode
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_replaced_file_keeps_its_mode(self, umask, citations_file, tmp_path):
+        out = tmp_path / "spec.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert self._ingest(citations_file, out, umask) == 0o640
+        assert json.loads(out.read_text())["T"] == 3.0
+
+
 # counts whose reprs have exponents, span 1e-300..1e300, or lie next to
 # the subnormals, where the tie-breaking steps are subnormal themselves
 _COUNT = st.one_of(
@@ -463,6 +491,23 @@ class TestBadInputExit2:
     def test_non_finite_theta_grid(self, linear_spec, capsys):
         assert main(["sweep", "--input", linear_spec, "--theta", "0:inf:3"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("n", [2.5, True], ids=["fraction", "bool"])
+    def test_power_complement_n_not_integral(self, command, n, tmp_path, capsys):
+        p = tmp_path / "power.json"
+        p.write_text(json.dumps({"type": "power_complement", "n": n}))
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n must be an integer >= 1, got {n!r}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("n", [3, 3.0])
+    def test_power_complement_n_integral_loads(self, command, n, tmp_path, capsys):
+        p = tmp_path / "power.json"
+        p.write_text(json.dumps({"type": "power_complement", "n": n}))
+        assert main([command, "--input", str(p)]) == 0
 
     def test_n_below_one(self, capsys):
         assert main(["converge", "--n-list", "0,1"]) == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -445,3 +445,63 @@ class TestParseCitations:
                 return f"InputError: {exc}"
 
         assert outcome(parse_citations) == outcome(oracles.parse_citations_by_line)
+
+
+# knot magnitudes from 1e-300 to 1e300, ranks and values scaled apart
+_SCALE = st.integers(min_value=-300, max_value=299).map(lambda e: 10.0**e)
+_STEPS = st.floats(min_value=0.05, max_value=5.0)
+
+
+@st.composite
+def _knot_sets(draw):
+    """Two-knot sets, tie-broken ``from_citations`` output, and knots of up
+    to eight at any magnitude."""
+    kind = draw(st.sampled_from(["two", "citations", "many"]))
+    if kind == "citations":
+        base = draw(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=12))
+        ties = draw(st.lists(st.sampled_from(base), min_size=1, max_size=12))
+        scale = draw(_SCALE)
+        return from_citations([c * scale for c in base + ties])
+    k = 2 if kind == "two" else draw(st.integers(min_value=3, max_value=8))
+    gaps = draw(st.lists(_STEPS, min_size=k - 1, max_size=k - 1))
+    drops = draw(st.lists(_STEPS, min_size=k - 1, max_size=k - 1))
+    tail = draw(st.floats(min_value=0.0, max_value=2.0))
+    sx, sy = draw(_SCALE), draw(_SCALE)
+    xs = np.concatenate(([0.0], np.cumsum(gaps))) * sx
+    ys = (tail + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))) * sy
+    assume(np.all(np.diff(xs) > 0.0) and np.all(np.diff(ys) < 0.0))
+    return PiecewiseLinearFn(xs, ys)
+
+
+def _arguments(f, fracs):
+    """0, T, Z(T), Z(0), every knot's rank, value and ray slope y/x, one ulp
+    either side of each, and the fractions of T and of Z(0)."""
+    slopes = f.ys[1:] / f.xs[1:]
+    edges = np.concatenate(([0.0, f.T, f.ys[-1], f.ys[0]], f.xs, f.ys, slopes))
+    near = np.concatenate((np.nextafter(edges, -math.inf), edges, np.nextafter(edges, math.inf)))
+    fracs = np.array(fracs)
+    return np.concatenate((near, fracs * f.T, fracs * f.ys[0]))
+
+
+class TestOneRowStack:
+    """A ``PiecewiseLinearFn`` reads through its knots as a one-row
+    ``_PwlStack``: every read must equal the searchsorted arithmetic it ran
+    before (``oracles.SearchsortedPwl``) bit for bit, and keep the shape of
+    its argument."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=_knot_sets(), fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8))
+    # products of 1e300 ranks and 1e300 values overflow, to the same inf and
+    # NaN on both sides
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_reads_equal_the_searchsorted_oracle(self, f, fracs):
+        ref = oracles.SearchsortedPwl(f)
+        args = _arguments(f, fracs)
+        ranks = args[(args >= 0.0) & (args <= f.T)]
+        for name, points in (("values", ranks), ("cumulatives", ranks),
+                             ("inverses", args[f.admissible_range().contains_each(args)]),
+                             ("ray_crossings", args[args > f.ys[-1] / f.T])):
+            for arg in (points, np.stack((points, points[::-1])), *points[:3].tolist()):
+                got, want = getattr(f, name)(arg), getattr(ref, name)(arg)
+                assert np.shape(got) == np.shape(arg), name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, arg)
