@@ -116,7 +116,7 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str]:
     return (None if type(obj) in (int, float) else {} if obj is None else obj), text
 
 
-def _counts(obj, text: str, args: argparse.Namespace) -> list[float]:
+def _counts(obj, text: str, args: argparse.Namespace) -> np.ndarray:
     """The citation counts of an input: a ``{"citations": [...]}`` object's,
     else one count per line of its text.  Other JSON holds no counts."""
     if obj is None:
@@ -128,7 +128,7 @@ def _counts(obj, text: str, args: argparse.Namespace) -> list[float]:
         raise fn.InputError(
             f'{args.input}: {args.command} needs citation counts, one per line or {{"citations": [...]}}')
     try:
-        return [float(c) for c in obj["citations"]]
+        return np.fromiter(map(float, obj["citations"]), float)
     except (TypeError, ValueError, OverflowError):
         raise fn.InputError('"citations" must be a list of numbers') from None
 
@@ -323,13 +323,14 @@ def _spec_text(f: fn.PiecewiseLinearFn) -> str:
     """``json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
     byte for byte, without the pure-Python encoder that ``indent`` selects:
     json writes a finite float as its ``repr``."""
-    knot = "    [\n      {!r},\n      {!r}\n    ]".format
-    knots = ",\n".join(map(knot, f.xs.tolist(), f.ys.tolist()))
-    return f'{{\n  "T": {f.T!r},\n  "knots": [\n{knots}\n  ],\n  "type": "piecewise_linear"\n}}\n'
+    pairs = map(",\n      ".join, zip(map(repr, f.xs.tolist()), map(repr, f.ys.tolist())))
+    knots = "\n    ],\n    [\n      ".join(pairs)
+    return (f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      {knots}\n    ]\n  ],\n'
+            '  "type": "piecewise_linear"\n}\n')
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    counts = np.asarray(_counts(*_read_input(args), args))
+    counts = _counts(*_read_input(args), args)
     # compared, not differenced: inf - inf would warn on stderr
     if (counts[1:] > counts[:-1]).any():
         print("notice: input not sorted; sorting descending", file=sys.stderr)

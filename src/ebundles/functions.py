@@ -29,6 +29,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -291,10 +292,16 @@ class PiecewiseLinearFn(RankFunction):
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "PiecewiseLinearFn":
-        arr = np.array(pairs, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InputError("knots must be a list of (x, y) pairs")
-        return cls(arr[:, 0], arr[:, 1])
+        """The function on knots given as (x, y) pairs: the pairs and their
+        container each a list, tuple or numpy array, read in one flat pass."""
+        try:
+            if not (len(pairs) > 0 and set(map(len, pairs)) == {2} and all(
+                    issubclass(t, (list, tuple, np.ndarray)) for t in {type(pairs), *map(type, pairs)})):
+                raise TypeError
+            flat = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("knots must be a list of (x, y) pairs") from None
+        return cls(flat[0::2], flat[1::2])
 
     @classmethod
     def _view(cls, xs: np.ndarray, ys: np.ndarray) -> "PiecewiseLinearFn":
@@ -832,7 +839,7 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
     counts nor zeros among them change the result.
     """
     try:
-        vals = np.array(counts, dtype=float)
+        vals = np.asarray(counts, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InputError("citation counts must be numbers") from None
     if vals.ndim != 1:
@@ -862,8 +869,9 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(xs, np.r_[adjusted[keep], 0.0])
 
 
-def parse_citations(text: str) -> list[float]:
-    """Parse one nonnegative count per line; blank lines are skipped."""
+def parse_citations(text: str) -> np.ndarray:
+    """Parse one nonnegative count per line, blank lines skipped, into a
+    float array."""
     lines = text.splitlines()
     try:
         vals = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
@@ -883,7 +891,7 @@ def parse_citations(text: str) -> list[float]:
                 raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
     if not vals.size:
         raise InputError("no citation values found")
-    return vals.tolist()
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -897,9 +905,15 @@ def function_from_spec(spec: dict) -> RankFunction:
     kind = spec["type"]
     try:
         if kind == "piecewise_linear":
-            fn = PiecewiseLinearFn.from_pairs(spec["knots"])
-            if "T" in spec and not math.isclose(float(spec["T"]), fn.T, rel_tol=1e-12):
-                raise InputError(f"spec T={spec['T']} disagrees with last knot x={fn.T}")
+            knots = spec["knots"]
+            fn = PiecewiseLinearFn.from_pairs(knots)
+            T = spec.get("T", fn.T)
+            # from_pairs also reads bools and numeric strings; a spec holds JSON numbers
+            if not {type(T), *map(type, chain.from_iterable(knots))} <= {int, float}:
+                bad = next(v for v in (T, *chain.from_iterable(knots)) if type(v) not in (int, float))
+                raise InputError(f"knot coordinates and T must be numbers, got {bad!r}")
+            if not math.isclose(float(T), fn.T, rel_tol=1e-12):
+                raise InputError(f"spec T={T} disagrees with last knot x={fn.T}")
             return fn
         if kind == "linear":
             return LinearFamily(S=float(spec["S"]), T=float(spec["T"]))

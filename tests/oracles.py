@@ -18,6 +18,11 @@ relations of a piecewise linear pair in rational arithmetic
 per-line loop that the vector parse replaced, which reads each line with
 ``float`` and stops at the first bad one.
 
+``knots_by_nested_array`` is the reference for
+``PiecewiseLinearFn.from_pairs``'s conversion: one ``np.array`` over the
+nested pair list, and its shape check, which the flat ``np.fromiter`` read
+replaced.
+
 ``SearchsortedPwl`` is the reference for a ``PiecewiseLinearFn``'s reads:
 the arithmetic the function ran on its own before it read through a
 one-row ``_PwlStack``, with ``np.searchsorted`` segment finders and a 1-d
@@ -303,6 +308,14 @@ def parse_citations_by_line(text: str) -> list[float]:
     if not out:
         raise InputError("no citation values found")
     return out
+
+
+def knots_by_nested_array(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The knot xs and ys of a list of (x, y) pairs, read as one 2-d array."""
+    arr = np.array(pairs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InputError("knots must be a list of (x, y) pairs")
+    return arr[:, 0], arr[:, 1]
 
 
 class SearchsortedPwl:

@@ -509,6 +509,35 @@ class TestBadInputExit2:
         p.write_text(json.dumps({"type": "power_complement", "n": n}))
         assert main([command, "--input", str(p)]) == 0
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize(
+        "knots, T, said",
+        [
+            ([[False, 3], [True, 0]], 1, "False"),
+            ([["0", "3"], ["1", "0"]], 1, "'0'"),
+            ([[0, 3], [1, 0]], True, "True"),
+            ([[0, 3], [1, 0]], "1", "'1'"),
+        ],
+        ids=["bool_knots", "string_knots", "bool_T", "string_T"],
+    )
+    def test_knot_coordinates_must_be_numbers(self, command, knots, T, said, tmp_path, capsys):
+        p = tmp_path / "pwl.json"
+        p.write_text(json.dumps({"type": "piecewise_linear", "T": T, "knots": knots}))
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: knot coordinates and T must be numbers, got {said}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("knots", [[[0, 3], [1]], [[0, 3, 1], [1, 0, 1]], [[0, 3], None], [],
+                                       {"0": 3}, [[[0], [3]], [[1], [0]]]],
+                             ids=["ragged", "triples", "null", "empty", "dict", "deeper"])
+    def test_knots_must_be_pairs(self, command, knots, tmp_path, capsys):
+        p = tmp_path / "pwl.json"
+        p.write_text(json.dumps({"type": "piecewise_linear", "knots": knots}))
+        assert main([command, "--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: knots must be a list of (x, y) pairs\n"
+
     def test_n_below_one(self, capsys):
         assert main(["converge", "--n-list", "0,1"]) == 2
         assert "n values must be >= 1" in capsys.readouterr().err

@@ -421,7 +421,9 @@ class TestParseCitations:
             parse_citations("\n\n")
 
     def test_blank_lines_skipped(self):
-        assert parse_citations("5\n\n3\n") == [5.0, 3.0]
+        vals = parse_citations("5\n\n3\n")
+        assert isinstance(vals, np.ndarray) and vals.dtype == float
+        assert vals.tolist() == [5.0, 3.0]
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.tuples(
@@ -444,7 +446,8 @@ class TestParseCitations:
             except InputError as exc:
                 return f"InputError: {exc}"
 
-        assert outcome(parse_citations) == outcome(oracles.parse_citations_by_line)
+        assert (outcome(lambda t: parse_citations(t).tolist())
+                == outcome(oracles.parse_citations_by_line))
 
 
 # knot magnitudes from 1e-300 to 1e300, ranks and values scaled apart
@@ -505,3 +508,72 @@ class TestOneRowStack:
                 got, want = getattr(f, name)(arg), getattr(ref, name)(arg)
                 assert np.shape(got) == np.shape(arg), name
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, arg)
+
+
+_MALFORMED = ("ragged", "triple", "scalar", "deeper_one", "deeper_all", "dict", "set",
+              "digit_strings", "text", "no_pairs", "empty_pair", "null_pair")
+
+
+@st.composite
+def _pair_lists(draw):
+    """A ``_knot_sets`` function's knots as a caller writes them (integral
+    values at times as ints, a first x or last y of -0.0 at times, each pair
+    a list, tuple or numpy row), then at times one malformation."""
+    f = draw(_knot_sets())
+    xs, ys = f.xs.tolist(), f.ys.tolist()
+    if draw(st.booleans()):
+        xs, ys = ([int(v) if v.is_integer() else v for v in vs] for vs in (xs, ys))
+    if draw(st.booleans()):
+        xs[0] = -0.0
+    if draw(st.booleans()) and ys[-1] == 0.0:
+        ys[-1] = -0.0
+    containers = st.sampled_from([list, tuple, lambda p: np.array(p, dtype=float)])
+    pairs = [draw(containers)(p) for p in zip(xs, ys)]
+    bad = draw(st.sampled_from((None, *_MALFORMED)))
+    i = draw(st.integers(min_value=0, max_value=len(pairs) - 1))
+    if bad in ("ragged", "triple", "scalar", "deeper_one", "empty_pair", "null_pair"):
+        pairs[i] = {"ragged": [xs[i]], "triple": [xs[i], ys[i], ys[i]], "scalar": xs[i],
+                    "deeper_one": [[xs[i]], ys[i]], "empty_pair": [], "null_pair": None}[bad]
+    elif bad == "deeper_all":
+        pairs = [[[x], [y]] for x, y in zip(xs, ys)]
+    elif bad in ("dict", "set"):
+        pairs = dict.fromkeys(zip(xs, ys)) if bad == "dict" else set(zip(xs, ys))
+    elif bad == "digit_strings":  # two characters that each read as a float
+        pairs = [f"{k % 10}{(k + 3) % 10}" for k in range(len(pairs))]
+    elif bad == "text":
+        pairs = repr(list(zip(xs, ys)))
+    elif bad == "no_pairs":
+        pairs = []
+    if bad not in ("dict", "set", "text"):
+        pairs = draw(st.sampled_from([list, tuple]))(pairs)
+    return pairs, bad
+
+
+def _by_nested_array(pairs):
+    try:
+        xs, ys = oracles.knots_by_nested_array(pairs)
+    except (ValueError, TypeError, OverflowError):
+        raise InputError("knots must be a list of (x, y) pairs") from None
+    return PiecewiseLinearFn(xs, ys)
+
+
+class TestKnotConversion:
+    """``from_pairs`` reads knots in one flat pass: every list the nested
+    ``np.array`` read gives the same bytes, and every list it could not read
+    as pairs raises ``InputError``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_pair_lists())
+    def test_matches_the_nested_array(self, case):
+        pairs, bad = case
+
+        def outcome(read):
+            try:
+                f = read(pairs)
+            except InputError as exc:
+                return str(exc)
+            return f.xs.tobytes(), f.ys.tobytes()
+
+        got = outcome(PiecewiseLinearFn.from_pairs)
+        assert got == outcome(_by_nested_array)
+        assert (got == "knots must be a list of (x, y) pairs") == (bad is not None)
