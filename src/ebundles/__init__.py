@@ -11,7 +11,6 @@ counterexample fixtures, and convergence studies round out the library.
 from .functions import (
     CumulativeOrder,
     CumulativeVerdict,
-    DominanceVerdict,
     InputError,
     Knot,
     LinearFamily,
@@ -22,7 +21,6 @@ from .functions import (
     ThetaRange,
     ThetaRangeError,
     ZipfFamily,
-    compare,
     cumulative_dominates,
     from_citations,
     function_from_spec,
@@ -42,7 +40,6 @@ from .bundles import (
     classical_h,
     e_index,
     e_theta,
-    excess_at_h,
     h_theta,
     i_bundle,
     mu_bundle,

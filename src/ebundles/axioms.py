@@ -29,21 +29,24 @@ pair found by ``argmax``.  The last three take the single score as a
 ``rank_of`` say where that score is provably positive and which rank it
 reads up to.  Each scores every row at theta in stacked passes
 (``_level_table``) and reads every pair's verdict from that table by row;
-SM.3's premise on the running averages is exact for piecewise linear
-pairs, in one pass over their merged knots (``_averages_ordered``).  Every
-pass reads rows of the set (``_Pairs.read``) through the bundle's vector
-rules, built-in or custom alike, in blocks of ``functions._BLOCK`` rows,
-and a set with a parametric member is read one function at a time.  Every
-report comes from one driver, ``_run_axiom``.
+SM.3's premise on the running averages is exact, in one pass over the
+pairs' merged knots (``_averages_ordered``).  Every pass reads rows of the
+stack through the bundle's vector rules, built-in or custom alike, in
+blocks of ``functions._BLOCK`` rows.  Every report is built by
+``_run_axiom``.
+
+Pairs are of piecewise linear functions only, the functions that the
+generator and the fixtures build: a pair with any other member raises
+``InputError`` naming its type, in ``verify_pair`` and in every checker.
 
 The module also ships the two rejected alternative scores (``n_theta``,
 ``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``,
 whose vector rules the stacked passes read as they read the built-in ones),
 three exactly constructed counterexample fixtures that demonstrate which
 axioms each score breaks, and a seeded pair generator.  Its verification
-(``verify_pair``, ``_rejections``) is exact for piecewise linear pairs, at
-their merged knots, and verifies a whole batch in one stacked pass; a
-rejected attempt is dropped, and the generator draws on.
+(``verify_pair``, ``_rejections``) is exact, at the pairs' merged knots,
+and verifies a whole batch in one stacked pass; a rejected attempt is
+dropped, and the generator draws on.
 
 Violations are only recorded when the gap clears the reporting slack, so
 float ties never masquerade as axiom failures.  Pairs failing a checked
@@ -63,7 +66,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, VectorRule, _defined, _excess, _on_domain, _read
+from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, _defined, _excess, _on_domain, _read
 from .functions import (
     EQUALITY_TOL,
     CumulativeOrder,
@@ -76,11 +79,10 @@ from .functions import (
     _cumulative_extrema,
     _cumulative_order,
     _extremes,
-    _gaps,
     _merged_gaps,
+    _piecewise_linear,
     _PwlStack,
     _valid_knots,
-    cumulative_dominates,
 )
 
 __all__ = [
@@ -119,8 +121,6 @@ EQUALITY_ASSERT_TOL = 1e-10
 # SM.3 excludes a pair whose lower member the score reads up to this close
 # to the domain end.
 _BOUNDARY_TOL = 1e-9
-# Points of the grid on which a pair with a parametric member is sampled.
-_GRID_N = 10_000
 
 
 class GenerationError(RuntimeError):
@@ -172,17 +172,15 @@ def _ends(kinds: list[RelationKind], prefix: np.ndarray, T: np.ndarray) -> np.nd
 class _Pairs(tuple):
     """Verified pairs, an immutable tuple, with their rows as one stack.
 
-    Row i of ``fns`` is pair i's upper and row n + i its lower: a
-    ``_PwlStack`` when every member is piecewise linear, else the functions
-    themselves.  The set also holds each pair's relation (``kinds``), prefix
+    Row i of the ``_PwlStack`` ``fns`` is pair i's upper and row n + i its
+    lower.  The set also holds each pair's relation (``kinds``), prefix
     end (``prefix``, NaN for none), domain end ``T`` and the end of the
     range its relation covers (``ends``, checked when the set is built).
     ``generate_pairs`` builds one on its own knot arrays, and ``of`` stacks
     any other sequence of pairs; a slice or a sum of sets is a plain tuple.
     """
 
-    def __new__(cls, pairs: Iterable[DominancePair], fns: Sequence[RankFunction] | _PwlStack,
-                T: np.ndarray) -> "_Pairs":
+    def __new__(cls, pairs: Iterable[DominancePair], fns: _PwlStack, T: np.ndarray) -> "_Pairs":
         ps = super().__new__(cls, pairs)
         kinds, n = [p.relation for p in ps], len(ps)
         prefix = np.array([p.prefix_end for p in ps], dtype=float)
@@ -199,40 +197,27 @@ class _Pairs(tuple):
 
     @classmethod
     def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":
-        """The pairs as a set: a set as it is, any other sequence stacked."""
+        """The pairs as a set: a set as it is, any other sequence stacked
+        (raises ``InputError`` on a member that is not piecewise linear)."""
         if isinstance(pairs, _Pairs):
             return pairs
         pairs = list(pairs)
         if not all(p.verified for p in pairs):
             raise InputError("axiom checks require verified pairs; run verify_pair first")
         fns = [p.upper for p in pairs] + [p.lower for p in pairs]
-        if fns and all(isinstance(f, PiecewiseLinearFn) for f in fns):
-            fns = _PwlStack.of(fns)
-        return cls(pairs, fns, np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float))
+        _piecewise_linear(fns)
+        T = np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float)
+        return cls(pairs, _PwlStack.of(fns), T)
 
     def where(self, kind: RelationKind) -> np.ndarray:
         """The indices of the pairs of one relation kind."""
         return np.flatnonzero(np.array([k is kind for k in self.kinds], dtype=bool))
 
-    def read(self, rule: VectorRule, rows: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """rule(fns[r], a) for every row r and argument a: in stacked passes
-        over a stack, else in one call per function."""
-        if isinstance(self.fns, _PwlStack):
-            return self.fns._read(rule, rows, args)
-        out = np.empty(len(rows))
-        for i in np.unique(rows).tolist():
-            mine = rows == i
-            out[mine] = rule(self.fns[i], args[mine])
-        return out
+    def per_row(self, rule: Callable[[_PwlStack], object]) -> np.ndarray:
+        """rule(stack) for every row, as an array, in one call."""
+        return np.broadcast_to(rule(self.fns), self.fns.T.shape)
 
-    def per_row(self, rule: Callable[[RankFunction], object]) -> np.ndarray:
-        """rule(f) for every row, as an array: one call on a stack, else one
-        per function."""
-        if isinstance(self.fns, _PwlStack):
-            return np.broadcast_to(rule(self.fns), self.fns.T.shape)
-        return np.array([rule(f) for f in self.fns])
-
-    def ranges(self, admissible: Callable[[RankFunction], ThetaRange]) -> tuple[np.ndarray, ...]:
+    def ranges(self, admissible: Callable[[_PwlStack], ThetaRange]) -> tuple[np.ndarray, ...]:
         """Each row's admissible range, as arrays of its ends."""
         return tuple(self.per_row(lambda f: getattr(admissible(f), end)) for end in ("lo", "hi"))
 
@@ -241,8 +226,7 @@ class _Pairs(tuple):
         """The rows of the pairs' distinct functions, in order of first
         appearance (each pair's upper, then its lower)."""
         order = np.column_stack((self.up, self.lo)).ravel().tolist()
-        keys = self.fns._keys() if isinstance(self.fns, _PwlStack) else self.fns
-        first: dict = {}
+        keys, first = self.fns._keys(), {}
         for row in order:
             first.setdefault(keys[row], row)
         return np.array(list(first.values()), dtype=int)
@@ -266,41 +250,30 @@ def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, mi
             else "functions coincide; relation requires lower != upper")
 
 
-def _rejections(fns: Sequence[RankFunction] | _PwlStack, kinds: list[RelationKind],
-                ends: np.ndarray, grid_n: int = _GRID_N) -> list[str | None]:
+def _rejections(fns: _PwlStack, kinds: list[RelationKind], ends: np.ndarray) -> list[str | None]:
     """``_reason`` for every pair of the rows fns (pair i's upper in row i,
     its lower in row n + i), each of relation kinds[i] on [0, ends[i]].
 
-    Rows on a ``_PwlStack`` are decided exactly, in one stacked pass: the
-    gap upper - lower is linear between the merged knots of the two, so >=,
-    > and = hold on [0, a] exactly when they hold at the merged knots inside
-    [0, a] and at a (``_merged_gaps``), and vertex analysis gives the
-    cumulative order.  Any other rows are sampled on one grid of ``grid_n``
-    points per pair, over the relation's range [0, a].
+    The rows are decided exactly, in one stacked pass: the gap upper - lower
+    is linear between the merged knots of the two, so >=, > and = hold on
+    [0, a] exactly when they hold at the merged knots inside [0, a] and at a
+    (``_merged_gaps``), and vertex analysis gives the cumulative order.
     """
     n = len(kinds)
-    if isinstance(fns, _PwlStack):
-        xs, gaps = _merged_gaps(fns, np.arange(n), np.arange(n, 2 * n), ends)
-        extrema = (v.tolist() for v in _cumulative_extrema(xs, -gaps)[:2])
-        orders = [_cumulative_order(dmin, dmax) if kind is RelationKind.CUMULATIVE_PREC else None
-                  for kind, dmin, dmax in zip(kinds, *extrema)]
-    else:
-        members = list(zip(fns[:n], fns[n:], ends.tolist()))
-        xs, gaps = map(np.array, zip(*(_gaps(up, lo, a, grid_n) for up, lo, a in members)))
-        orders = [cumulative_dominates(lo, up, grid_n=grid_n).order
-                  if kind is RelationKind.CUMULATIVE_PREC else None
-                  for (up, lo, _), kind in zip(members, kinds)]
+    xs, gaps = _merged_gaps(fns, np.arange(n), np.arange(n, 2 * n), ends)
+    extrema = (v.tolist() for v in _cumulative_extrema(xs, -gaps)[:2])
+    orders = [_cumulative_order(dmin, dmax) if kind is RelationKind.CUMULATIVE_PREC else None
+              for kind, dmin, dmax in zip(kinds, *extrema)]
     facts = zip(*(v.tolist() for v in _extremes(xs, gaps)))
     return [_reason(kind, order, *fact) for kind, order, fact in zip(kinds, orders, facts)]
 
 
-def verify_pair(pair: DominancePair, grid_n: int = _GRID_N) -> DominancePair:
-    """Re-check the declared relation and return a verified copy: exactly
-    for two piecewise linear members, else on a grid of ``grid_n`` points
-    (``_rejections``)."""
+def verify_pair(pair: DominancePair) -> DominancePair:
+    """Re-check the declared relation, exactly (``_rejections``), and return
+    a verified copy."""
     verified = replace(pair, verified=True)
     ps = _Pairs.of([verified])  # the rows of the copy, which only escapes if it holds
-    reason = _rejections(ps.fns, ps.kinds, ps.ends, grid_n)[0]
+    reason = _rejections(ps.fns, ps.kinds, ps.ends)[0]
     if reason:
         raise VerificationError(reason)
     return verified
@@ -456,7 +429,7 @@ class _PairSet:
         lowers'), in one stacked pass."""
         ranks = self.ranks[pick]
         rows = np.repeat(np.concatenate((self.up[pick], self.lo[pick])), ranks.shape[1])
-        flat = self.ps.read(self.bundle.levels, rows, np.tile(ranks.ravel(), 2))
+        flat = self.ps.fns._read(self.bundle.levels, rows, np.tile(ranks.ravel(), 2))
         return np.hstack(flat.reshape(2, *ranks.shape))
 
     def violations(self, levels: np.ndarray, verdict, tol: float, note: str) -> list:
@@ -470,9 +443,9 @@ class _PairSet:
             keep &= ThetaRange(*(end[rows, None] for end in self.ranges)).contains_each(levels)
         rows, cols = np.nonzero(keep)
         m = np.full((2, *levels.shape), math.nan)
-        m[:, rows, cols] = self.ps.read(self.bundle.scores,
-                                        np.concatenate((self.up[rows], self.lo[rows])),
-                                        np.tile(levels[rows, cols], 2)).reshape(2, -1)
+        m[:, rows, cols] = self.ps.fns._read(self.bundle.scores,
+                                             np.concatenate((self.up[rows], self.lo[rows])),
+                                             np.tile(levels[rows, cols], 2)).reshape(2, -1)
         found = _first_violations(self.idx, levels, m[0], m[1], verdict, tol, note)
         return [v if kept else _SKIP for v, kept in zip(found, keep.any(axis=1).tolist())]
 
@@ -581,7 +554,7 @@ def _level_table(bundle: BundleDef, theta: float,
 
     def table(rule) -> np.ndarray:
         out = np.full(len(lo), math.nan)
-        out[rows] = ps.read(rule, rows, thetas)
+        out[rows] = ps.fns._read(rule, rows, thetas)
         return out
     scores = table(bundle.scores)
     if bundle.rank_of is None:
@@ -655,29 +628,18 @@ def check_impact_measure(
 
 def _averages_ordered(ps: _Pairs, idx: np.ndarray) -> np.ndarray:
     """Whether each pair of idx has the running average of its upper above
-    its lower's on all of [0, T): at x -> 0, where Z_up(0) > Z_lo(0) decides
-    (a pole at the origin leaves it to the rest), and wherever x > 0, where
-    d = I_up - I_lo > 0 decides.
+    its lower's on all of [0, T): at x -> 0, where Z_up(0) > Z_lo(0) decides,
+    and wherever x > 0, where d = I_up - I_lo > 0 decides.
 
-    Piecewise linear pairs are decided exactly, in one pass over their
-    merged knots: d's least value among the candidates of
-    ``_cumulative_candidates`` with x > 0.  These include T, where d is
-    largest for a pair with upper >= lower.  Other pairs are sampled at the
-    interior points of a ``_GRID_N``-point grid on [0, T].
+    It is decided exactly, in one pass over the pairs' merged knots: d's
+    least value among the candidates of ``_cumulative_candidates`` with
+    x > 0.  These include T, where d is largest for a pair with upper >=
+    lower.
     """
     up, lo = ps.up[idx], ps.lo[idx]
-    z0 = ps.per_row(lambda f: f.value_at_origin())
-    at_origin = np.isinf(z0[up]) | np.isinf(z0[lo]) | (z0[up] > z0[lo])
-    if isinstance(ps.fns, _PwlStack):
-        d, x, real = _cumulative_candidates(*_merged_gaps(ps.fns, up, lo, ps.T[idx]))
-        return at_origin & (np.where(real & (x > 0.0), d, math.inf).min(axis=1) > 0.0)
-    ranks = _linspaces(np.zeros(len(idx)), ps.T[idx], _GRID_N)[:, 1:-1]
-
-    def integrals(rows: np.ndarray) -> np.ndarray:
-        flat = ps.read(lambda f, x: f.cumulatives(x), np.repeat(rows, ranks.shape[1]),
-                       ranks.ravel())
-        return flat.reshape(ranks.shape)
-    return at_origin & (integrals(up) > integrals(lo)).all(axis=1)
+    z0 = ps.fns.value_at_origin()
+    d, x, real = _cumulative_candidates(*_merged_gaps(ps.fns, up, lo, ps.T[idx]))
+    return (z0[up] > z0[lo]) & (np.where(real & (x > 0.0), d, math.inf).min(axis=1) > 0.0)
 
 
 def check_strong_impact(
@@ -690,13 +652,13 @@ def check_strong_impact(
 
     SM.1 is the same positivity check as ``check_impact_measure``'s IM.1.
     SM.3 is hypothesis-filtered: a pair enters only if its running averages
-    are strictly ordered on [0, T) (``_averages_ordered``, exact for
-    piecewise linear pairs), and pairs whose lower member is read up to the
-    domain end at theta (a density level equal to Z(T), or a rank equal to
-    T) are excluded and flagged (the strictness claim does not cover that
-    boundary).  SM.4 realizes the per-function threshold as the rank the
-    score reads up to, or for a density level its inverse rank, so it
-    applies to prefix-equal pairs whose prefix reaches that rank.
+    are strictly ordered on [0, T) (``_averages_ordered``, exact), and
+    pairs whose lower member is read up to the domain end at theta (a
+    density level equal to Z(T), or a rank equal to T) are excluded and
+    flagged (the strictness claim does not cover that boundary).  SM.4
+    realizes the per-function threshold as the rank the score reads up to,
+    or for a density level its inverse rank, so it applies to prefix-equal
+    pairs whose prefix reaches that rank.
     """
     ps = _Pairs.of(pairs)
     scores, ranks = _level_table(bundle, theta, ps)
@@ -715,7 +677,7 @@ def check_strong_impact(
     # the equal prefix must cover everything the score reads
     lower, a = ps.lo[local], ps.prefix[local]
     if ranks is None:
-        at_a = ps.read(lambda f, x: f.values(x), lower, a)
+        at_a = ps.fns._read(lambda f, x: f.values(x), lower, a)
         covered = theta >= at_a - EQUALITY_ASSERT_TOL
     else:
         covered = ~_reads_past(ranks, lower, a)

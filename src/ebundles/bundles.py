@@ -57,7 +57,6 @@ __all__ = [
     "classical_h",
     "r_index_squared",
     "e_index",
-    "excess_at_h",
     "BundleDef",
     "E_BUNDLE",
     "H_BUNDLE",
@@ -200,11 +199,6 @@ def _h_core(f: RankFunction) -> tuple[float, float, float]:
     if radicand < -1e-12:
         raise ConsistencyError(f"negative excess area {radicand} at h={h}")
     return h, r2, math.sqrt(max(0.0, radicand))
-
-
-def excess_at_h(f: RankFunction) -> float:
-    """The excess area e_theta at theta = classical h; equals e_index**2."""
-    return e_theta(f, classical_h(f))
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,13 @@ def _counts(obj, text: str, args: argparse.Namespace) -> np.ndarray:
     if not (isinstance(obj, dict) and "citations" in obj):
         raise fn.InputError(
             f'{args.input}: {args.command} needs citation counts, one per line or {{"citations": [...]}}')
+    counts = obj["citations"]
+    if type(counts) is not list:
+        raise fn.InputError(f'"citations" must be a list of numbers, got {counts!r}')
+    fn._numbers("citation counts", lambda: counts)
     try:
-        return np.fromiter(map(float, obj["citations"]), float)
-    except (TypeError, ValueError, OverflowError):
+        return np.fromiter(counts, float, len(counts))
+    except OverflowError:
         raise fn.InputError('"citations" must be a list of numbers') from None
 
 

@@ -36,7 +36,6 @@ from .functions import (
     RankFunction,
     ZipfFamily,
     _common_T,
-    _grid,
 )
 
 __all__ = [
@@ -62,6 +61,17 @@ VERDICT_THRESHOLD = 1e-3
 # faulted in page by page and unmapped on every call: about a third of a
 # converge job's time, and a cost that varies with the load on the host.
 _BLOCK = 8192
+
+
+def _grid(fns: Sequence[RankFunction], lo: float, hi: float, n: int) -> np.ndarray:
+    """n >= 2 uniform points on [lo, hi], pole-free for every function in fns."""
+    if n < 2:
+        raise InputError(f"grid_n must be >= 2, got {n}")
+    xs = np.linspace(lo, hi, n)
+    if xs[0] == 0.0 and any(f.unbounded_at_origin for f in fns):
+        # cannot sample the pole itself; start half a step in
+        xs[0] = 0.5 * xs[1]
+    return xs
 
 
 def _max_abs_gap(

@@ -4,11 +4,12 @@ A rank-frequency function Z maps a continuous source rank x in [0, T] to a
 nonnegative item density Z(x), strictly decreasing in x.  This module provides
 the concrete representations (piecewise linear from knots, plus three
 parametric families), pointwise evaluation, exact or closed-form
-inversion, cumulative integration I_Z(x) = int_0^x Z, and the order
-comparisons used by the axiom checkers:
-
-* ``compare``              pointwise dominance on a grid (>=, strict >, =)
-* ``cumulative_dominates`` the partial order I_Z(x) <= I_Y(x) for all x
+inversion, cumulative integration I_Z(x) = int_0^x Z, and the exact order
+comparisons of piecewise linear functions used by the axiom checkers: the
+gaps f - g at merged knots (``_merged_gaps``), from which the checkers read
+pointwise dominance (>=, strict >, =), and ``cumulative_dominates``, the
+partial order I_Z(x) <= I_Y(x) for all x.  They take piecewise linear
+functions only and raise ``InputError`` naming any other type.
 
 Every operation has one code path, a vector routine (``values``,
 ``inverses``, ``cumulatives``, ``ray_crossings``); each scalar form reads
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -44,10 +45,8 @@ __all__ = [
     "LinearFamily",
     "ZipfFamily",
     "PowerComplement",
-    "DominanceVerdict",
     "CumulativeOrder",
     "CumulativeVerdict",
-    "compare",
     "cumulative_dominates",
     "from_citations",
     "parse_citations",
@@ -430,11 +429,12 @@ class _PwlStack:
 
     @classmethod
     def of(cls, fns: Sequence[PiecewiseLinearFn]) -> "_PwlStack":
-        """The functions stacked in order."""
-        size = np.array([len(f.xs) for f in fns])
-        at = np.r_[0, np.cumsum(size)[:-1]][:, None] + np.minimum(np.arange(size.max()),
-                                                                   size[:, None] - 1)
-        return cls(*(np.concatenate([getattr(f, v) for f in fns])[at] for v in ("xs", "ys")), size)
+        """The functions stacked in order (none: a stack of no rows)."""
+        size = np.array([len(f.xs) for f in fns], dtype=int)
+        at = (np.cumsum(size) - size)[:, None] + np.minimum(np.arange(size.max(initial=1)),
+                                                            size[:, None] - 1)
+        return cls(*(np.concatenate([[], *(getattr(f, v) for f in fns)])[at]
+                     for v in ("xs", "ys")), size)
 
     def _pick(self, rows: np.ndarray) -> None:
         self._rows = rows
@@ -628,58 +628,19 @@ class PowerComplement(RankFunction):
 # Order comparisons
 
 
+def _piecewise_linear(fns: Sequence[RankFunction]) -> None:
+    """Raise ``InputError``, naming the type, unless every function is
+    piecewise linear: pair checks are exact on knots only."""
+    for f in fns:
+        if not isinstance(f, PiecewiseLinearFn):
+            raise InputError(f"exact pair checks need piecewise linear functions, got "
+                             f"{type(f).__name__}")
+
+
 def _common_T(f: RankFunction, g: RankFunction) -> float:
     if not math.isclose(f.T, g.T, rel_tol=1e-12, abs_tol=0.0):
         raise InputError(f"domain mismatch: T={f.T} vs T={g.T}")
     return f.T
-
-
-def _grid(fns: Sequence[RankFunction], lo: float, hi: float, n: int) -> np.ndarray:
-    """n >= 2 uniform points on [lo, hi], pole-free for every function in fns."""
-    if n < 2:
-        raise InputError(f"grid_n must be >= 2, got {n}")
-    xs = np.linspace(lo, hi, n)
-    if xs[0] == 0.0 and any(f.unbounded_at_origin for f in fns):
-        # cannot sample the pole itself; start half a step in
-        xs[0] = 0.5 * xs[1]
-    return xs
-
-
-@dataclass(frozen=True)
-class DominanceVerdict:
-    """Grid-sampled dominance report of ``compare`` for a pair (f, g) and
-    prefix [0, a].
-
-    ``geq_everywhere`` covers the full domain [0, T]; the strictness and
-    equality verdicts cover [0, a] only.  A grid verdict is sound for
-    refutation but can miss a dip between grid points; ``verify_pair``
-    decides piecewise linear pairs exactly, at their merged knots.
-    """
-
-    a: float
-    grid_n: int
-    geq_everywhere: bool
-    geq_witness: float | None
-    strict_on_prefix: bool
-    min_gap: float
-    strict_witness: float | None
-    equal_on_prefix: bool
-    max_deviation: float
-    equal_witness: float | None
-
-
-def _gaps(
-    f: RankFunction, g: RankFunction, a: float | None, grid_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The grid of ``grid_n`` points on [0, a] (a = None: [0, T]) and f - g
-    at each point."""
-    T = _common_T(f, g)
-    if a is None:
-        a = T
-    if not (0.0 < a <= T):
-        raise InputError(f"prefix endpoint a={a!r} must lie in (0, T]")
-    xs = _grid((f, g), 0.0, a, grid_n)
-    return xs, f.values(xs) - g.values(xs)
 
 
 def _merged_gaps(stack: _PwlStack, up: np.ndarray, lo: np.ndarray,
@@ -705,27 +666,6 @@ def _extremes(xs: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, ...]:
     j = np.argmax(np.abs(diff), axis=-1)[..., None]
     pick = lambda a, k: np.take_along_axis(a, k, -1)[..., 0]  # noqa: E731
     return pick(diff, i), pick(xs, i), np.abs(pick(diff, j)), pick(xs, j)
-
-
-def compare(
-    f: RankFunction,
-    g: RankFunction,
-    a: float | None = None,
-    grid_n: int = 10_000,
-) -> DominanceVerdict:
-    """Check f >= g on [0, T], f > g on [0, a], and f = g on [0, a]."""
-    T = _common_T(f, g)
-    a = T if a is None else a
-    prefix = _gaps(f, g, a, grid_n)
-    full = prefix if a == T else _gaps(f, g, None, grid_n)
-    full_min, full_at = (v.tolist() for v in _extremes(*full)[:2])
-    min_gap, min_at, max_dev, dev_at = (v.tolist() for v in _extremes(*prefix))
-    geq, strict, equal = full_min >= -EQUALITY_TOL, min_gap > 0.0, max_dev <= EQUALITY_TOL
-    return DominanceVerdict(
-        a=a, grid_n=grid_n, geq_everywhere=geq, geq_witness=None if geq else full_at,
-        strict_on_prefix=strict, min_gap=min_gap, strict_witness=None if strict else min_at,
-        equal_on_prefix=equal, max_deviation=max_dev, equal_witness=None if equal else dev_at,
-    )
 
 
 class CumulativeOrder(Enum):
@@ -787,28 +727,15 @@ def _cumulative_order(dmin: float, dmax: float) -> CumulativeOrder:
     return CumulativeOrder.PRECEDES if above else CumulativeOrder.INCOMPARABLE
 
 
-def cumulative_dominates(
-    f: RankFunction,
-    g: RankFunction,
-    grid_n: int = 10_000,
-) -> CumulativeVerdict:
-    """Order f and g by their cumulative integrals over the shared domain.
-
-    Piecewise linear pairs get an exact verdict via quadratic vertex analysis
-    on the merged knot grid; anything parametric falls back to a grid of
-    ``grid_n`` closed-form cumulative evaluations.
-    """
-    T = _common_T(f, g)
-    if isinstance(f, PiecewiseLinearFn) and isinstance(g, PiecewiseLinearFn):
-        xs = np.unique(np.concatenate([f.xs, g.xs]))
-        extrema = _cumulative_extrema(xs[None], (f.values(xs) - g.values(xs))[None])
-        dmin, dmax, wmin, wmax = (float(v[0]) for v in extrema)
-    else:
-        xs = np.linspace(0.0, T, grid_n)
-        d = f.cumulatives(xs) - g.cumulatives(xs)
-        i_min, i_max = int(np.argmin(d)), int(np.argmax(d))
-        dmin, dmax = float(d[i_min]), float(d[i_max])
-        wmin, wmax = float(xs[i_min]), float(xs[i_max])
+def cumulative_dominates(f: RankFunction, g: RankFunction) -> CumulativeVerdict:
+    """Order the piecewise linear f and g by their cumulative integrals over
+    the shared domain, exactly: quadratic vertex analysis on the merged knot
+    grid."""
+    _piecewise_linear((f, g))
+    _common_T(f, g)
+    xs = np.unique(np.concatenate([f.xs, g.xs]))
+    extrema = _cumulative_extrema(xs[None], (f.values(xs) - g.values(xs))[None])
+    dmin, dmax, wmin, wmax = (float(v[0]) for v in extrema)
     return CumulativeVerdict(_cumulative_order(dmin, dmax), dmin, dmax, wmin, wmax)
 
 
@@ -898,6 +825,16 @@ def parse_citations(text: str) -> np.ndarray:
 # Function spec (JSON-structured) round trip
 
 
+def _numbers(what: str, values: Callable[[], Iterable]) -> None:
+    """Raise ``InputError``, naming what and the first bad value, unless
+    every value that ``values()`` yields is a JSON number: an int or a
+    float, not a bool or a string, which ``float`` would read too.  The bad
+    value is found by a second call, so no input is copied."""
+    if not set(map(type, values())) <= {int, float}:
+        bad = next(v for v in values() if type(v) not in (int, float))
+        raise InputError(f"{what} must be numbers, got {bad!r}")
+
+
 def function_from_spec(spec: dict) -> RankFunction:
     """Build a rank function from its JSON-style mapping."""
     if not isinstance(spec, dict) or "type" not in spec:
@@ -908,16 +845,16 @@ def function_from_spec(spec: dict) -> RankFunction:
             knots = spec["knots"]
             fn = PiecewiseLinearFn.from_pairs(knots)
             T = spec.get("T", fn.T)
-            # from_pairs also reads bools and numeric strings; a spec holds JSON numbers
-            if not {type(T), *map(type, chain.from_iterable(knots))} <= {int, float}:
-                bad = next(v for v in (T, *chain.from_iterable(knots)) if type(v) not in (int, float))
-                raise InputError(f"knot coordinates and T must be numbers, got {bad!r}")
+            # from_pairs also reads bools and numeric strings
+            _numbers("knot coordinates and T", lambda: chain((T,), chain.from_iterable(knots)))
             if not math.isclose(float(T), fn.T, rel_tol=1e-12):
                 raise InputError(f"spec T={T} disagrees with last knot x={fn.T}")
             return fn
         if kind == "linear":
+            _numbers("S and T", lambda: (spec["S"], spec["T"]))
             return LinearFamily(S=float(spec["S"]), T=float(spec["T"]))
         if kind == "zipf":
+            _numbers("beta and T", lambda: (spec["beta"], spec["T"]))
             return ZipfFamily(beta=float(spec["beta"]), T=float(spec["T"]))
         if kind == "power_complement":
             n = spec["n"]

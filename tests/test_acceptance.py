@@ -35,7 +35,6 @@ from ebundles.functions import (
     PiecewiseLinearFn,
     PowerComplement,
     ZipfFamily,
-    compare,
     cumulative_dominates,
 )
 
@@ -162,7 +161,8 @@ def test_criterion_6_global_counterexample():
     e_lo = e_theta(fx.pair.lower, fx.theta)
     e_up = e_theta(fx.pair.upper, fx.theta)
     order = cumulative_dominates(fx.pair.lower, fx.pair.upper).order
-    distinct = not compare(fx.pair.upper, fx.pair.lower).equal_on_prefix
+    facts = oracles.exact_order_facts(fx.pair.upper, fx.pair.lower)
+    distinct = not oracles.exact_relation_holds(RelationKind.EQUAL_ON_PREFIX, facts)
     ok = (
         abs(e_lo - 1.0) <= 1e-12
         and abs(e_up - 1.0) <= 1e-12
@@ -181,12 +181,12 @@ def test_criterion_7_per_rank_alternative():
     fx = fixture_alt1()
     n_lo = n_theta(fx.pair.lower, 1.0)
     n_up = n_theta(fx.pair.upper, 1.0)
-    v = compare(fx.pair.upper, fx.pair.lower, a=1.0, grid_n=10_000)
+    facts = oracles.exact_order_facts(fx.pair.upper, fx.pair.lower, a=1.0)
     ok = (
         abs(n_lo - 0.5) <= 1e-12
         and abs(n_up - 0.257 / 0.9) <= 1e-12
-        and v.strict_on_prefix
-        and v.geq_everywhere
+        and oracles.exact_relation_holds(RelationKind.STRICT_ON_PREFIX, facts)
+        and oracles.exact_relation_holds(RelationKind.GEQ_ALL, facts)
         and n_up < n_lo
     )
     _report(
@@ -200,9 +200,10 @@ def test_criterion_8_own_level_alternative():
     fx = fixture_alt2()
     eta_lo = eta_theta(fx.pair.lower, fx.theta)
     eta_up = eta_theta(fx.pair.upper, fx.theta)
-    v = compare(fx.pair.upper, fx.pair.lower, grid_n=10_000)
+    facts = oracles.exact_order_facts(fx.pair.upper, fx.pair.lower)
     # 3 T^2/16 > T^2/8 at T = 1, both exactly representable
-    ok = eta_lo == 0.1875 and eta_up == 0.125 and v.geq_everywhere
+    ok = (eta_lo == 0.1875 and eta_up == 0.125
+          and oracles.exact_relation_holds(RelationKind.GEQ_ALL, facts))
     _report(8, ok, f"eta(lower) = {eta_lo!r} > eta(upper) = {eta_up!r} despite dominance")
 
 

@@ -53,7 +53,6 @@ from ebundles.functions import (
     ThetaRange,
     ZipfFamily,
     _PwlStack,
-    compare,
     cumulative_dominates,
     from_citations,
 )
@@ -79,7 +78,8 @@ class TestFixtureGlobal:
         assert v.order is CumulativeOrder.PRECEDES
         # functions differ although cumulative totals meet at x = 1 and stay
         # together (identical suffix knots give bitwise equal values there)
-        assert not compare(fx.pair.upper, fx.pair.lower).equal_on_prefix
+        facts = oracles.exact_order_facts(fx.pair.upper, fx.pair.lower)
+        assert not oracles.exact_relation_holds(RelationKind.EQUAL_ON_PREFIX, facts)
         for x in (1.0, 1.3, 1.7, 2.0):
             assert fx.pair.upper.value(x) == fx.pair.lower.value(x)
 
@@ -110,9 +110,10 @@ class TestFixtureAlt1:
 
     def test_dominance_shape(self):
         fx = fixture_alt1()
-        v = compare(fx.pair.upper, fx.pair.lower, a=1.0, grid_n=10_000)
-        assert v.geq_everywhere and v.strict_on_prefix
-        assert v.min_gap == pytest.approx(0.01, abs=1e-12)
+        facts = oracles.exact_order_facts(fx.pair.upper, fx.pair.lower, a=1.0)
+        assert oracles.exact_relation_holds(RelationKind.GEQ_ALL, facts)
+        assert oracles.exact_relation_holds(RelationKind.STRICT_ON_PREFIX, facts)
+        assert facts["min_gap"] == pytest.approx(0.01, abs=1e-12)
 
     def test_ordering_inverts(self):
         fx = fixture_alt1()
@@ -127,8 +128,8 @@ class TestFixtureAlt2:
 
     def test_dominance_shape(self):
         fx = fixture_alt2()
-        v = compare(fx.pair.upper, fx.pair.lower, grid_n=10_000)
-        assert v.geq_everywhere
+        facts = oracles.exact_order_facts(fx.pair.upper, fx.pair.lower)
+        assert oracles.exact_relation_holds(RelationKind.GEQ_ALL, facts)
         assert eta_theta(fx.pair.lower, fx.theta) > eta_theta(fx.pair.upper, fx.theta)
 
     def test_riemann_oracle_agreement(self):
@@ -247,21 +248,49 @@ def _pwl(*knots):
     return PiecewiseLinearFn.from_pairs(knots)
 
 
-# Verified pairs with a parametric member: the grid decides their relation,
-# and the bundle axioms score their members one function at a time.
+# Pairs with a parametric member, marked verified by hand (verify_pair
+# rejects them): every pass over a pair set takes piecewise linear functions.
 PARAMETRIC_PAIRS = [
-    verify_pair(DominancePair(up, lo, rel, prefix_end=a)) for up, lo, rel, a in (
-        (LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.GEQ_ALL, None),
-        (ZipfFamily(beta=0.6, T=1), ZipfFamily(beta=0.4, T=1), RelationKind.GEQ_ALL, None),
-        (PowerComplement(n=3), PowerComplement(n=2), RelationKind.GEQ_ALL, None),
-        (_pwl((0, 12), (0.5, 6.5), (1, 0.5)), LinearFamily(S=10, T=1), RelationKind.GEQ_ALL, None),
-        (LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.STRICT_ON_PREFIX, 0.5),
-        (ZipfFamily(beta=0.6, T=1), ZipfFamily(beta=0.4, T=1), RelationKind.STRICT_ON_PREFIX, 0.5),
-        (_pwl((0, 10), (0.5, 5), (1, 0.5)), LinearFamily(S=10, T=1), RelationKind.EQUAL_ON_PREFIX,
-         0.5),
-        (LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.CUMULATIVE_PREC, None),
-    )
+    DominancePair(LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.GEQ_ALL,
+                  verified=True),
+    DominancePair(ZipfFamily(beta=0.6, T=1), _pwl((0, 10), (1, 0.5)), RelationKind.GEQ_ALL,
+                  verified=True),
+    DominancePair(_pwl((0, 10), (0.5, 5), (1, 0.5)), PowerComplement(n=2),
+                  RelationKind.EQUAL_ON_PREFIX, 0.5, verified=True),
 ]
+
+
+# Every entry point that reads a pair set or orders two functions.
+PAIR_READERS = {
+    "verify_pair": lambda p: verify_pair(dataclasses.replace(p, verified=False)),
+    "check_impact_bundle": lambda p: check_impact_bundle(E_BUNDLE, [p]),
+    "check_impact_measure": lambda p: check_impact_measure(E_BUNDLE, 1.0, [p]),
+    "check_strong_impact": lambda p: check_strong_impact(E_BUNDLE, 1.0, [p]),
+    "check_global_impact": lambda p: check_global_impact(E_BUNDLE, 1.0, [p]),
+    "cumulative_dominates": lambda p: cumulative_dominates(p.upper, p.lower),
+}
+
+
+class TestPiecewiseLinearOnly:
+    """Pair sets and order checks are exact on knots, so they take piecewise
+    linear functions only: a parametric member is bad input, named."""
+
+    @pytest.mark.parametrize("pair", PARAMETRIC_PAIRS, ids=["linear", "zipf", "power"])
+    @pytest.mark.parametrize("reader", sorted(PAIR_READERS))
+    def test_parametric_member_rejected(self, reader, pair):
+        kind = next(type(f).__name__ for f in (pair.upper, pair.lower)
+                    if not isinstance(f, PiecewiseLinearFn))
+        with pytest.raises(InputError, match=f"piecewise linear functions, got {kind}$"):
+            PAIR_READERS[reader](pair)
+
+    @pytest.mark.parametrize("name", sorted(AX_BUNDLES))
+    def test_no_pairs_are_vacuous(self, name):
+        bundle = AX_BUNDLES[name]
+        level = SUITE_LEVELS.get(name, 2.5)
+        for pairs in ([], ()):
+            reports = _all_reports(bundle, level, pairs)
+            assert reports and all(r["vacuous"] and r["passed"] and r["skipped"] == 0
+                                   for r in reports.values()), reports
 
 
 def _ax_json(reports):
@@ -346,12 +375,6 @@ class TestImpactBundleAgainstScalarLoop:
         assert _ax_json(got) == _ax_json(want)
         if name == "n":  # the per-rank excess score must not borrow e's vector scores
             assert not got["AX.2"].passed
-
-    @pytest.mark.parametrize("name", sorted(AX_BUNDLES))
-    def test_parametric_pairs(self, name):
-        bundle = AX_BUNDLES[name]
-        want = oracles.scalar_impact_bundle(bundle, PARAMETRIC_PAIRS)
-        assert _ax_json(check_impact_bundle(bundle, PARAMETRIC_PAIRS)) == _ax_json(want)
 
     @pytest.mark.parametrize("name", sorted(BUNDLES))
     def test_no_score_or_level_call_per_pair(self, name):
@@ -489,7 +512,8 @@ class TestExactVerification:
     @pytest.mark.parametrize("case, at", [("DIP", "0.0002"), ("BUMP", "0.5")])
     def test_dip_between_grid_points(self, case, at):
         upper, lower = getattr(self, case)
-        assert compare(upper, lower, grid_n=2_000).geq_everywhere  # the grid misses it
+        grid = np.linspace(0.0, 1.0, 2_000)
+        assert (upper.values(grid) - lower.values(grid)).min() >= -1e-12  # the grid misses it
         facts = oracles.exact_order_facts(upper, lower)
         assert not oracles.exact_relation_holds(RelationKind.GEQ_ALL, facts)
         with pytest.raises(VerificationError, match=f"upper < lower at x={at}$"):
@@ -556,11 +580,6 @@ class TestExactAveragesPremise:
         assert ax._averages_ordered(pairs, np.arange(50)).all()
         assert all(oracles.exact_averages_ordered(p.upper, p.lower) for p in pairs[:10])
 
-    def test_parametric_pairs_sampled(self):
-        geq = [p for p in PARAMETRIC_PAIRS if p.relation is RelationKind.GEQ_ALL]
-        got = ax._averages_ordered(ax._Pairs.of(geq), np.arange(len(geq))).tolist()
-        assert got == [oracles.sampled_averages_ordered(p.upper, p.lower) for p in geq]
-
 
 class TestPairSetEnds:
     def test_ax2_ignores_prefix_end_on_geq_pairs(self):
@@ -581,14 +600,12 @@ class TestImpactMeasureChecks:
         # snaps it onto the range); a level that fixes a rank only exactly
         f = _pwl((0, 3), (1, 1), (2, 0.2))
         below = 0.2 - 5e-13
-        # the set's rows as a list of functions and as a stack
-        pair = DominancePair(f, f, RelationKind.GEQ_ALL, verified=True)
-        for ps in (ax._Pairs([pair], [f, f], np.array([f.T])), ax._Pairs.of([pair])):
-            up = ps.up
-            assert ax._level_table(E_BUNDLE, below, ps)[0][up].tolist() == [e_theta(f, 0.2)]
-            for bundle, level in ((H_BUNDLE, 0.1 - 5e-13), (I_BUNDLE, math.nextafter(2.0, 3.0))):
-                assert [np.isnan(v[up]).tolist() for v in ax._level_table(bundle, level, ps)] == [
-                    [True], [True]]
+        ps = ax._Pairs.of([DominancePair(f, f, RelationKind.GEQ_ALL, verified=True)])
+        up = ps.up
+        assert ax._level_table(E_BUNDLE, below, ps)[0][up].tolist() == [e_theta(f, 0.2)]
+        for bundle, level in ((H_BUNDLE, 0.1 - 5e-13), (I_BUNDLE, math.nextafter(2.0, 3.0))):
+            assert [np.isnan(v[up]).tolist() for v in ax._level_table(bundle, level, ps)] == [
+                [True], [True]]
 
     def test_e_measure_passes(self, small_pairs):
         reports = check_impact_measure(E_BUNDLE, 1.0, small_pairs)
@@ -748,7 +765,7 @@ class TestGenerator:
     ])
     def test_pairs_pinned(self, seed, digest):
         # SHA-256 of the pairs written by the generator that verified every
-        # pair through compare(); a cheaper verification must accept the same
+        # pair on a 10,000-point grid; the exact verification must accept the same
         assert _digest([GeneratorConfig(seed=seed, count=10)]) == digest
 
     def test_hundred_seeds_pinned(self):
@@ -757,9 +774,9 @@ class TestGenerator:
         digest = _digest(GeneratorConfig(seed=s, count=50) for s in range(100))
         assert digest == "a3e92cf2431fa2d2668b40238e3711013635a1685f34dad818e44dbeb761cbb7"
 
-    def test_verification_evaluates_one_grid(self, monkeypatch):
-        # piecewise linear pairs are read at their merged knots in one stacked
-        # pass, never on a grid; parametric pairs evaluate one grid_n grid
+    def test_verification_reads_merged_knots(self, monkeypatch):
+        # pairs are read at their merged knots in one stacked pass, never on
+        # a grid
         pairs = [dataclasses.replace(p, verified=False)
                  for p in generate_pairs(GeneratorConfig(seed=3, count=4))]
         calls, stacked = [], []
@@ -770,20 +787,14 @@ class TestGenerator:
                 return values(self, xs)
             return wrapper
 
-        for cls in (PiecewiseLinearFn, LinearFamily, ZipfFamily, PowerComplement):
-            monkeypatch.setattr(cls, "values", spy(cls.values, calls))
+        monkeypatch.setattr(PiecewiseLinearFn, "values", spy(PiecewiseLinearFn.values, calls))
         monkeypatch.setattr(_PwlStack, "values", spy(_PwlStack.values, stacked))
         for p in pairs:
             calls.clear(), stacked.clear()
-            assert verify_pair(p, grid_n=2_000).verified
+            assert verify_pair(p).verified
             assert calls == []
             merged = len(np.union1d(p.upper.xs, p.lower.xs))
             assert len(stacked) == 2 and stacked[0] == stacked[1] <= 2 * merged + 1
-        for p in PARAMETRIC_PAIRS:
-            calls.clear()
-            assert verify_pair(dataclasses.replace(p, verified=False), grid_n=2_000).verified
-            if p.relation is not RelationKind.CUMULATIVE_PREC:
-                assert calls == [2_000, 2_000], p.relation
 
     def test_generation_reads_no_grid(self, monkeypatch):
         # members are views of the batch's knot arrays, checked and verified

@@ -528,8 +528,45 @@ class TestBadInputExit2:
         assert captured.out == ""
         assert captured.err == f"error: knot coordinates and T must be numbers, got {said}\n"
 
+    @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
+    @pytest.mark.parametrize(
+        "counts, said",
+        [
+            ("531", "\"citations\" must be a list of numbers, got '531'"),
+            ({"5": 0, "3": 1}, "\"citations\" must be a list of numbers, got {'5': 0, '3': 1}"),
+            ([True, 3], "citation counts must be numbers, got True"),
+        ],
+        ids=["string", "object", "bool"],
+    )
+    def test_citations_must_be_a_list_of_numbers(self, command, counts, said, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"citations": counts}))
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {said}\n"
+
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("knots", [[[0, 3], [1]], [[0, 3, 1], [1, 0, 1]], [[0, 3], None], [],
+    @pytest.mark.parametrize(
+        "spec, said",
+        [
+            ({"type": "linear", "S": "10", "T": True}, "S and T must be numbers, got '10'"),
+            ({"type": "linear", "S": 10, "T": True}, "S and T must be numbers, got True"),
+            ({"type": "zipf", "beta": "0.5", "T": True}, "beta and T must be numbers, got '0.5'"),
+            ({"type": "zipf", "beta": 0.5, "T": "1"}, "beta and T must be numbers, got '1'"),
+        ],
+        ids=["linear_S", "linear_T", "zipf_beta", "zipf_T"],
+    )
+    def test_family_fields_must_be_numbers(self, command, spec, said, tmp_path, capsys):
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps(spec))
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {said}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("knots", [[[0, 3], [1]],[[0, 3, 1], [1, 0, 1]], [[0, 3], None], [],
                                        {"0": 3}, [[[0], [3]], [[1], [0]]]],
                              ids=["ragged", "triples", "null", "empty", "dict", "deeper"])
     def test_knots_must_be_pairs(self, command, knots, tmp_path, capsys):

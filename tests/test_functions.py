@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import pwl_functions, seeded_pwl
+from ebundles.axioms import DominancePair, RelationKind, VerificationError, verify_pair
 from ebundles.bundles import classical_h, mu_bundle
 from ebundles.functions import (
     CumulativeOrder,
@@ -18,7 +19,9 @@ from ebundles.functions import (
     SingularityError,
     ThetaRangeError,
     ZipfFamily,
-    compare,
+    _extremes,
+    _merged_gaps,
+    _PwlStack,
     cumulative_dominates,
     from_citations,
     function_from_spec,
@@ -230,29 +233,40 @@ class TestAdmissibleRange:
 
 
 class TestCompare:
+    """Pointwise comparison of two functions, decided exactly at their merged
+    knots by ``verify_pair``."""
+
+    @staticmethod
+    def _gap_extremes(f, g, a):
+        """The least gap f - g on [0, a] and the largest |f - g| there."""
+        xs, gaps = _merged_gaps(_PwlStack.of([f, g]), np.array([0]), np.array([1]), np.array([a]))
+        min_gap, _, max_dev, _ = (v.item() for v in _extremes(xs, gaps))
+        return min_gap, max_dev
+
     def test_identical(self):
-        v = compare(LINE, LINE, a=10.0, grid_n=500)
-        assert v.equal_on_prefix and v.max_deviation == 0.0
-        assert v.geq_everywhere
+        for relation in (RelationKind.EQUAL_ON_PREFIX, RelationKind.GEQ_ALL):
+            assert verify_pair(DominancePair(LINE, LINE, relation, prefix_end=10.0)).verified
+        assert self._gap_extremes(LINE, LINE, 10.0)[1] == 0.0
 
     def test_strict_dominance_unit_gap(self):
         # 10 - x over 9 - x: constant gap 1 (domain [0, 9] keeps both >= 0)
         f = PiecewiseLinearFn.from_pairs([(0, 10), (9, 1)])
         g = PiecewiseLinearFn.from_pairs([(0, 9), (9, 0)])
-        v = compare(f, g, a=9.0, grid_n=1000)
-        assert v.geq_everywhere and v.strict_on_prefix
-        assert v.min_gap == pytest.approx(1.0, abs=1e-12)
+        for relation in (RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX):
+            assert verify_pair(DominancePair(f, g, relation, prefix_end=9.0)).verified
+        assert self._gap_extremes(f, g, 9.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_witness_reported(self):
         f = PiecewiseLinearFn.from_pairs([(0, 5), (10, 1)])
         g = PiecewiseLinearFn.from_pairs([(0, 6), (10, 0)])  # crosses f
-        v = compare(f, g, grid_n=4000)
-        assert not v.geq_everywhere
-        assert v.geq_witness is not None and v.geq_witness < 2.0
+        with pytest.raises(VerificationError, match="upper < lower at x=") as err:
+            verify_pair(DominancePair(f, g, RelationKind.GEQ_ALL))
+        assert float(str(err.value).rpartition("x=")[2]) < 2.0
 
     def test_domain_mismatch(self):
-        with pytest.raises(InputError):
-            compare(LINE, LinearFamily(S=10, T=5))
+        with pytest.raises(InputError, match="domain mismatch"):
+            verify_pair(DominancePair(LINE, PiecewiseLinearFn.from_pairs([(0, 10), (5, 0)]),
+                                      RelationKind.GEQ_ALL))
 
 
 class TestCumulativeDominates:
@@ -273,10 +287,6 @@ class TestCumulativeDominates:
         g = PiecewiseLinearFn.from_pairs([(0, 20), (1, 0.1), (10, 0.05)])
         v = cumulative_dominates(g, f)
         assert v.order is CumulativeOrder.INCOMPARABLE
-
-    def test_parametric_grid_path(self):
-        v = cumulative_dominates(LinearFamily(S=9, T=10), LinearFamily(S=10, T=10))
-        assert v.order is CumulativeOrder.PRECEDES
 
     def test_vertex_analysis_catches_interior_dip(self):
         # d' changes sign inside a segment; endpoints alone would miss the dip
