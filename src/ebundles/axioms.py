@@ -21,10 +21,11 @@ verified pairs (``_Pairs``) that carries one stack of knot arrays, row i
 pair i's upper and row n + i its lower.  ``generate_pairs`` writes its
 pairs' knots into that stack and returns the set; any other sequence of
 pairs is stacked once (``_Pairs.of``).  Each ``check_impact_bundle`` axiom
-reads its kind's rows at once (``_PairSet``): the members' level maps at
-the sampled ranks in one stacked pass, then both members' scores at every
-sampled level of every pair in another, with the first flagged level per
-pair found by ``argmax``.  The last three take the single score as a
+reads its kind's rows at once (``_PairSet``), at ``_LEVELS`` (24) sampled
+levels or ranks per pair: the members' level maps at the ranks in one
+stacked pass, then both members' scores at every sampled level of every
+pair in another, with the first flagged level per pair found by
+``argmax``.  The last three take the single score as a
 ``BundleDef`` and a level theta; the bundle's ``positive_for`` and
 ``rank_of`` say where that score is provably positive and which rank it
 reads up to.  Each scores every row at theta in stacked passes
@@ -43,14 +44,16 @@ The module also ships the two rejected alternative scores (``n_theta``,
 ``eta_theta``, and as bundles ``pseudo_bundle_n``, ``pseudo_bundle_eta``,
 whose vector rules the stacked passes read as they read the built-in ones),
 three exactly constructed counterexample fixtures that demonstrate which
-axioms each score breaks, and a seeded pair generator.  Its verification
+axioms each score breaks, and a seeded pair generator of one fixed shape
+(``GeneratorConfig`` sets only the seed and the count).  Its verification
 (``verify_pair``, ``_rejections``) is exact, at the pairs' merged knots,
 and verifies a whole batch in one stacked pass; a rejected attempt is
 dropped, and the generator draws on.
 
 Violations are only recorded when the gap clears the reporting slack, so
-float ties never masquerade as axiom failures.  Pairs failing a checked
-hypothesis are skipped and counted, never flagged: the axioms are
+float ties never masquerade as axiom failures.  Every slack and tolerance
+is a module constant, the same for every run and caller.  Pairs failing a
+checked hypothesis are skipped and counted, never flagged: the axioms are
 implications and an unmet premise proves nothing.
 """
 
@@ -121,6 +124,8 @@ EQUALITY_ASSERT_TOL = 1e-10
 # SM.3 excludes a pair whose lower member the score reads up to this close
 # to the domain end.
 _BOUNDARY_TOL = 1e-9
+# AX.2 to AX.4 sample this many levels (or ranks) per pair.
+_LEVELS = 24
 
 
 class GenerationError(RuntimeError):
@@ -450,12 +455,8 @@ class _PairSet:
         return [v if kept else _SKIP for v, kept in zip(found, keep.any(axis=1).tolist())]
 
 
-def check_impact_bundle(
-    bundle: BundleDef,
-    pairs: Sequence[DominancePair],
-    theta_grid: int = 24,
-    slack: float = MONOTONE_SLACK,
-) -> dict[str, AxiomReport]:
+def check_impact_bundle(bundle: BundleDef,
+                        pairs: Sequence[DominancePair]) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
     Each axiom reads all its pairs at once (``_PairSet``).  Only the first
@@ -466,7 +467,7 @@ def check_impact_bundle(
     0, where strictness is meaningless.
     """
     ps = _Pairs.of(pairs)
-    n, ranges = theta_grid, ps.ranges(bundle.admissible)
+    n, ranges = _LEVELS, ps.ranges(bundle.admissible)
     geq, strict, local = (_PairSet(bundle, ps, ranges, kind, n) for kind in (
         RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX))
 
@@ -495,7 +496,7 @@ def check_impact_bundle(
         "AX.1": AxiomReport(
             "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"
         ),
-        "AX.2": _run_axiom("AX.2", geq.violations(levels, _below, slack, "")),
+        "AX.2": _run_axiom("AX.2", geq.violations(levels, _below, MONOTONE_SLACK, "")),
         # AX.3: strict dominance on [0, a] forces strictly larger scores on
         # the level image of the prefix.
         "AX.3": _run_axiom("AX.3", strict.violations(strict.levels(), _not_above, STRICT_SLACK,
@@ -598,12 +599,8 @@ def _positivity_report(
                       note="zero-function clause vacuous: rank functions are strictly decreasing")
 
 
-def check_impact_measure(
-    bundle: BundleDef,
-    theta: float,
-    pairs: Sequence[DominancePair],
-    slack: float = MONOTONE_SLACK,
-) -> dict[str, AxiomReport]:
+def check_impact_measure(bundle: BundleDef, theta: float,
+                         pairs: Sequence[DominancePair]) -> dict[str, AxiomReport]:
     """Three-axiom check for the single score of a bundle at the level theta.
 
     IM.1 positivity (the zero-function clause is vacuous on this function
@@ -620,7 +617,7 @@ def check_impact_measure(
     past = [_SKIP if p else None for p in _reads_past(ranks, ps.lo[strict], ps.prefix[strict])]
     return {
         "IM.1": _positivity_report("IM.1", bundle, theta, ps, scores),
-        "IM.2": _run_axiom("IM.2", _pair_outcomes(ps, geq, scores, _below, slack)),
+        "IM.2": _run_axiom("IM.2", _pair_outcomes(ps, geq, scores, _below, MONOTONE_SLACK)),
         "IM.3": _run_axiom("IM.3", _pair_outcomes(ps, strict, scores, _not_above, STRICT_SLACK,
                                                   _NOT_STRICT, past)),
     }
@@ -642,12 +639,8 @@ def _averages_ordered(ps: _Pairs, idx: np.ndarray) -> np.ndarray:
     return (z0[up] > z0[lo]) & (np.where(real & (x > 0.0), d, math.inf).min(axis=1) > 0.0)
 
 
-def check_strong_impact(
-    bundle: BundleDef,
-    theta: float,
-    pairs: Sequence[DominancePair],
-    slack: float = MONOTONE_SLACK,
-) -> dict[str, AxiomReport]:
+def check_strong_impact(bundle: BundleDef, theta: float,
+                        pairs: Sequence[DominancePair]) -> dict[str, AxiomReport]:
     """Four-axiom strong-impact check for the score of a bundle at theta.
 
     SM.1 is the same positivity check as ``check_impact_measure``'s IM.1.
@@ -685,7 +678,7 @@ def check_strong_impact(
 
     return {
         "SM.1": _positivity_report("SM.1", bundle, theta, ps, scores),
-        "SM.2": _run_axiom("SM.2", _pair_outcomes(ps, geq, scores, _below, slack)),
+        "SM.2": _run_axiom("SM.2", _pair_outcomes(ps, geq, scores, _below, MONOTONE_SLACK)),
         "SM.3": _run_axiom("SM.3", _pair_outcomes(ps, geq, scores, _not_above, STRICT_SLACK,
                                                   _NOT_STRICT, unclaimed)),
         "SM.4": _run_axiom("SM.4", _pair_outcomes(ps, local, scores, _unequal, EQUALITY_ASSERT_TOL,
@@ -787,55 +780,49 @@ def pseudo_bundle_eta() -> BundleDef:
 # Seeded pair generation
 
 
+# The generator's fixed shape (``GeneratorConfig``): knots and shift bound.
+_KNOT_RANGE = (3, 8)
+_SHIFT_SCALE = 0.4
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Deterministic recipe for random dominance pairs.
 
-    ``count`` pairs are produced per requested relation kind.  ``shift_scale``
-    bounds the vertical shifts used for dominating pairs; keeping it below
-    1 - (largest tail value) guarantees level 1 stays admissible for both
-    members, which the measure suites rely on.
+    ``count`` pairs are produced per requested relation kind, all of one
+    shape: a lower member has 3 to 8 knots on [0, 1], a tail below 0.4 and
+    drops that total 3 to 10; its upper adds 0.05 to 0.4.  Shifts stay
+    below 0.4, under 1 - (largest tail value), so level 1 stays admissible
+    for both members, which the measure suites rely on; a setting for them
+    could quietly break that.
     """
 
     seed: int = 0
     count: int = 20
-    knot_range: tuple[int, int] = (3, 8)
-    T: float = 1.0
-    value_scale: float = 10.0
-    shift_scale: float = 0.4
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise InputError("count must be >= 1")
-        lo, hi = self.knot_range
-        if lo < 3 or hi < lo:
-            raise InputError("knot_range must satisfy 3 <= lo <= hi")
-        if not (self.T > 0):
-            raise InputError("T must be positive")
-        if not (self.value_scale > 1.5):
-            raise InputError("value_scale must exceed 1.5")
-        if not (0.0 < self.shift_scale <= 1.0):
-            raise InputError("shift_scale must lie in (0, 1]")
 
 
-def _build_pair(rng: np.random.Generator, cfg: GeneratorConfig, kind: RelationKind) -> tuple:
+def _build_pair(rng: np.random.Generator, kind: RelationKind) -> tuple:
     """One attempt's draws, in the generator's order: the lower member's
     knot count and ranks, then uniforms u in [0, 1) for its tail, its drops
     from knot to knot and their total, then the kind's three draws.  A u is
     the draw behind ``rng.uniform(lo, hi)``, which is lo + (hi - lo) * u, and
     ``_pair_knots`` scales it so.  Ranks and drops are padded to the width
     of the batch."""
-    width, T = cfg.knot_range[1] + 1, float(cfg.T)
-    k = int(rng.integers(cfg.knot_range[0], width))
+    width = _KNOT_RANGE[1] + 1
+    k = int(rng.integers(_KNOT_RANGE[0], width))
     for _ in range(100):
-        # rng.uniform(0, T) draws T * u
-        xs = [0.0, *sorted(map(T.__mul__, rng.random(k - 2).tolist())), T]
-        if min(map(operator.sub, xs[1:], xs)) > 1e-6 * T:
+        # rng.uniform(0, 1) draws u
+        xs = [0.0, *sorted(rng.random(k - 2).tolist()), 1.0]
+        if min(map(operator.sub, xs[1:], xs)) > 1e-6:
             break
     else:
         raise GenerationError("could not draw well-separated knot ranks")
     pad = width - k
-    head = (k, xs + [T] * pad, rng.random(), rng.random(k - 1).tolist() + [0.0] * pad, rng.random())
+    head = (k, xs + [1.0] * pad, rng.random(), rng.random(k - 1).tolist() + [0.0] * pad, rng.random())
     if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
         return (*head, rng.random(), rng.random(), 0.0)  # shift, taper
     if kind is RelationKind.STRICT_ON_PREFIX:
@@ -854,13 +841,13 @@ def _uniform(lo, hi, u: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def _pair_knots(cfg: GeneratorConfig, kind: RelationKind, draws: list[tuple]) -> tuple:
+def _pair_knots(kind: RelationKind, draws: list[tuple]) -> tuple:
     """A batch of attempts' pairs, from their draws (``_build_pair``), in one
     vector pass: the uppers' and the lowers' padded knot arrays and knot
     counts, and the prefix ends (NaN for none).
 
     A lower z has the knots (x_i, tail + the drops right of x_i).  Its upper
-    is z plus a shift c, constant or decaying linearly to c/2 at T
+    is z plus a shift c, constant or decaying linearly to c/2 at 1
     (``GEQ_ALL``, ``CUMULATIVE_PREC``); z plus the wedge g max(0, 1 - x/b),
     with a knot added at b, strictly above z on [0, a] (``STRICT_ON_PREFIX``);
     or z with its drop right of the split knot shrunk by lam, equal to z up
@@ -868,24 +855,24 @@ def _pair_knots(cfg: GeneratorConfig, kind: RelationKind, draws: list[tuple]) ->
     """
     size, x, tail, drops, total, p, q, r = (np.array(v) for v in zip(*draws))
     tail, total, p, q, r = (v[:, None] for v in (tail, total, p, q, r))
-    cols, T = np.arange(x.shape[1]), float(cfg.T)
+    cols = np.arange(x.shape[1])
     drops = np.where(cols[:-1] < size[:, None] - 1, _uniform(0.3, 1.0, drops), 0.0)
     # each row's drops scaled to its total: numpy sums a row of one length as
     # it sums that row alone
     sums = np.empty_like(total)
     for k in np.unique(size).tolist():
         sums[size == k] = drops[size == k, : k - 1].sum(axis=1, keepdims=True)
-    drops *= _uniform(max(1.5, 0.3 * cfg.value_scale), cfg.value_scale, total) / sums
-    # the drops right of each knot, summed from T leftwards; the padding adds 0
+    drops *= _uniform(3.0, 10.0, total) / sums
+    # the drops right of each knot, summed from 1 leftwards; the padding adds 0
     right = np.cumsum(drops[:, ::-1], axis=1)[:, ::-1]
     y = _uniform(0.0, 0.4, tail) + np.hstack((right, np.zeros_like(tail)))
     prefix, x_up, size_up = np.full(len(size), math.nan), x, size
     if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
-        c = _uniform(0.05, cfg.shift_scale, p)
-        y_up = y + np.where(q < 0.5, c * (1.0 - 0.5 * x / T), c)
+        c = _uniform(0.05, _SHIFT_SCALE, p)
+        y_up = y + np.where(q < 0.5, c * (1.0 - 0.5 * x), c)
     elif kind is RelationKind.STRICT_ON_PREFIX:
-        a = _uniform(0.25, 0.75, p) * cfg.T
-        b, g = _uniform(a + 0.05 * cfg.T, cfg.T, q), _uniform(0.05, cfg.shift_scale, r)
+        a = _uniform(0.25, 0.75, p)
+        b, g = _uniform(a + 0.05, 1.0, q), _uniform(0.05, _SHIFT_SCALE, r)
         m = (x < b).sum(axis=1, keepdims=True)  # knots left of b; z(b) interpolates m-1 to m
         new = np.take_along_axis(x, m, 1) != b
         x0, x1, y0, y1 = (np.take_along_axis(v, m + s, 1) for v in (x, y) for s in (-1, 0))
@@ -921,16 +908,15 @@ def generate_pairs(
     arrays, which the checkers read as it is; each member is a read-only
     view of its row.
     """
-    rng, T, batches = np.random.default_rng(config.seed), float(config.T), []
+    rng, batches = np.random.default_rng(config.seed), []
     for kind in [relation] if relation is not None else list(RelationKind):
         todo, failed = config.count, 0  # failed: attempts dropped in a row
         while todo:
-            up, lo, prefix = _pair_knots(config, kind, [_build_pair(rng, config, kind)
-                                                        for _ in range(todo)])
+            up, lo, prefix = _pair_knots(kind, [_build_pair(rng, kind) for _ in range(todo)])
             ok = _valid_knots(*up) & _valid_knots(*lo)
             kinds = [kind] * int(ok.sum())
             stack = _PwlStack(*(np.concatenate((u[ok], v[ok])) for u, v in zip(up, lo)))
-            ends = _ends(kinds, prefix[ok], np.full(len(kinds), T))
+            ends = _ends(kinds, prefix[ok], np.ones(len(kinds)))
             ok[ok] = [r is None for r in _rejections(stack, kinds, ends)]
             for good in ok.tolist():
                 failed = 0 if good else failed + 1
@@ -946,4 +932,4 @@ def generate_pairs(
     prefix, n = np.concatenate([prefix for *_, prefix in batches]).tolist(), len(kinds)
     pairs = (DominancePair(up, lo, kind, None if math.isnan(a) else a, verified=True)
              for up, lo, kind, a in zip(fns[:n], fns[n:], kinds, prefix))
-    return _Pairs(pairs, _PwlStack(xs, ys, size), np.full(n, T))
+    return _Pairs(pairs, _PwlStack(xs, ys, size), np.ones(n))

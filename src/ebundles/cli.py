@@ -147,12 +147,14 @@ def _load_input(args: argparse.Namespace) -> fn.RankFunction:
     raise fn.InputError(f"{args.input}: JSON must hold a function spec or a citations object")
 
 
-def _default_thetas(f: fn.RankFunction, count: int = 101) -> tuple[float, ...]:
+def _default_thetas(f: fn.RankFunction) -> tuple[float, ...]:
+    """101 evenly spaced levels over the admissible range, or over
+    [lo, lo + 9 max(1, lo)] where the range is unbounded above."""
     rng = f.admissible_range()
     lo = rng.lo
     hi = rng.hi if not rng.unbounded_above else lo + 9.0 * max(1.0, lo)
-    step = (hi - lo) / (count - 1)
-    return tuple(lo + i * step for i in range(count))
+    step = (hi - lo) / 100
+    return tuple(lo + i * step for i in range(101))
 
 
 def _fmt_val(v: float | None) -> str:
@@ -213,21 +215,18 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     theta = args.measure_theta
     if not math.isfinite(theta):
         raise fn.InputError(f"--measure-theta must be finite, got {theta!r}")
-    if args.slack is not None and not (math.isfinite(args.slack) and args.slack >= 0.0):
-        raise fn.InputError(f"--slack must be finite and >= 0, got {args.slack!r}")
     pairs = ax.generate_pairs(ax.GeneratorConfig(seed=args.seed, count=args.pairs))
     bundle = bn.BUNDLES[args.bundle]
-    slack = ax.MONOTONE_SLACK if args.slack is None else args.slack
 
     suites = ["bundle", "measure", "strong", "global"] if args.suite == "all" else [args.suite]
     reports: dict[str, ax.AxiomReport] = {}
     for suite in suites:
         if suite == "bundle":
-            reports.update(ax.check_impact_bundle(bundle, pairs, slack=slack))
+            reports.update(ax.check_impact_bundle(bundle, pairs))
         elif suite == "measure":
-            reports.update(ax.check_impact_measure(bundle, theta, pairs, slack=slack))
+            reports.update(ax.check_impact_measure(bundle, theta, pairs))
         elif suite == "strong":
-            reports.update(ax.check_strong_impact(bundle, theta, pairs, slack=slack))
+            reports.update(ax.check_strong_impact(bundle, theta, pairs))
         else:  # global
             reports["GM"] = ax.check_global_impact(bundle, theta, pairs)
 
@@ -379,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pairs", type=int, default=200)
     sp.add_argument("--measure-theta", type=float, default=1.0)
-    sp.add_argument("--slack", type=float, help="violation reporting slack override")
 
     sp = sub.add_parser("converge", help="convergence study for a sequence family")
     add_io(sp, need_input=False)

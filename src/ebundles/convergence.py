@@ -15,7 +15,11 @@ under threshold and weak decrease over the last half); no limit claim is
 made.  When no limit is supplied the study instead estimates the pointwise
 limit from the largest members and flags an apparent jump discontinuity,
 the signature of families whose pointwise limit leaves the space of
-continuous decreasing functions.
+continuous decreasing functions.  Either way ``run_study`` builds one
+``ConvergenceReport``: the rows, the members' largest value at the origin
+and the verdict flags.  The named families (``SEQUENCE_FAMILIES``) take
+only their n values; the Zipf one moves its exponent 0.5 + 0.1/n onto
+0.5.
 """
 
 from __future__ import annotations
@@ -132,7 +136,6 @@ class FunctionSequence:
     family: Callable[[int], RankFunction]
     n_values: tuple[int, ...]
     limit: RankFunction | None = None
-    name: str = ""
 
     def __post_init__(self) -> None:
         ns = tuple(int(n) for n in self.n_values)
@@ -144,9 +147,6 @@ class FunctionSequence:
         for a, b in zip(ns, ns[1:]):
             if b <= a:
                 raise InputError("n_values must be strictly increasing")
-
-    def member(self, n: int) -> RankFunction:
-        return self.family(n)
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
-    grid_n: int
-    theta_grid_n: int
     # largest member value at the origin over the studied n (inf if unbounded)
     member_peak: float
     fn_converges: bool | None
@@ -239,41 +237,20 @@ def run_study(
     """
     if theta_grid_n < 2:
         raise InputError(f"theta_grid_n must be >= 2, got {theta_grid_n}")
-    members = [seq.member(n) for n in seq.n_values]
-    member_peak = max(m.value_at_origin() for m in members)
-
-    if seq.limit is None:
-        rows = tuple(ConvergenceRow(n, None, None, None) for n in seq.n_values)
-        return ConvergenceReport(
-            rows=rows,
-            grid_n=grid_n,
-            theta_grid_n=theta_grid_n,
-            member_peak=member_peak,
-            fn_converges=None,
-            inv_converges=None,
-            e_converges=None,
-            limit_discontinuous=_discontinuity_flag(members, grid_n),
-        )
-
-    rows = [
-        ConvergenceRow(
-            n=n,
-            sup_fn=sup_distance(m, seq.limit, grid_n),
-            sup_inv=inverse_sup_distance(m, seq.limit, theta_grid_n),
-            sup_e=e_sup_distance(m, seq.limit, theta_grid_n),
-        )
-        for n, m in zip(seq.n_values, members)
-    ]
+    members = [seq.family(n) for n in seq.n_values]
+    limit = seq.limit
+    rows = tuple(
+        ConvergenceRow(n, None, None, None) if limit is None
+        else ConvergenceRow(n, sup_distance(m, limit, grid_n),
+                            inverse_sup_distance(m, limit, theta_grid_n),
+                            e_sup_distance(m, limit, theta_grid_n))
+        for n, m in zip(seq.n_values, members))
+    # each distance column's verdict, none without a limit
+    verdicts = [None if limit is None else _column_verdict(column, VERDICT_THRESHOLD)
+                for column in zip(*((r.sup_fn, r.sup_inv, r.sup_e) for r in rows))]
     return ConvergenceReport(
-        rows=tuple(rows),
-        grid_n=grid_n,
-        theta_grid_n=theta_grid_n,
-        member_peak=member_peak,
-        fn_converges=_column_verdict([r.sup_fn for r in rows], VERDICT_THRESHOLD),
-        inv_converges=_column_verdict([r.sup_inv for r in rows], VERDICT_THRESHOLD),
-        e_converges=_column_verdict([r.sup_e for r in rows], VERDICT_THRESHOLD),
-        limit_discontinuous=None,
-    )
+        rows, max(m.value_at_origin() for m in members), *verdicts,
+        limit_discontinuous=_discontinuity_flag(members, grid_n) if limit is None else None)
 
 
 def scaled_linear_sequence(n_values: Sequence[int]) -> FunctionSequence:
@@ -282,7 +259,6 @@ def scaled_linear_sequence(n_values: Sequence[int]) -> FunctionSequence:
         family=lambda n: LinearFamily(S=1.0 + 1.0 / n, T=1.0),
         n_values=tuple(n_values),
         limit=LinearFamily(S=1.0, T=1.0),
-        name="scaled_linear",
     )
 
 
@@ -294,17 +270,15 @@ def shifted_linear_sequence(n_values: Sequence[int]) -> FunctionSequence:
         ),
         n_values=tuple(n_values),
         limit=LinearFamily(S=1.0, T=1.0),
-        name="shifted_linear",
     )
 
 
-def zipf_sequence(n_values: Sequence[int], beta: float = 0.5, delta: float = 0.1) -> FunctionSequence:
-    """Zipf members with exponent beta + delta/n approaching exponent beta."""
+def zipf_sequence(n_values: Sequence[int]) -> FunctionSequence:
+    """Zipf members with exponent 0.5 + 0.1/n approaching exponent 0.5."""
     return FunctionSequence(
-        family=lambda n: ZipfFamily(beta=beta + delta / n, T=1.0),
+        family=lambda n: ZipfFamily(beta=0.5 + 0.1 / n, T=1.0),
         n_values=tuple(n_values),
-        limit=ZipfFamily(beta=beta, T=1.0),
-        name="zipf",
+        limit=ZipfFamily(beta=0.5, T=1.0),
     )
 
 
@@ -316,7 +290,6 @@ def power_complement_sequence(n_values: Sequence[int]) -> FunctionSequence:
         family=PowerComplement,
         n_values=tuple(n_values),
         limit=None,
-        name="power_complement",
     )
 
 

@@ -860,6 +860,7 @@ def function_from_spec(spec: dict) -> RankFunction:
             n = spec["n"]
             if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
                 raise InputError(f"n must be an integer >= 1, got {n!r}")
+            _numbers("n", lambda: (n,))
             return PowerComplement(n=int(n))
     except KeyError as exc:
         raise InputError(f"function spec missing field {exc}") from None

@@ -30,7 +30,7 @@ trapezoid prefix.
 
 ``pairs_one_at_a_time`` is the reference for ``generate_pairs``: the
 per-pair builders that draw, build and verify one pair at a time, which the
-array generator must match pair for pair.
+array generator must match pair for pair, at the generator's fixed shape.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
-from ebundles.axioms import (AxiomReport, DominancePair, GenerationError, RelationKind,
-                             VerificationError, Violation, verify_pair)
+from ebundles.axioms import (_KNOT_RANGE, _SHIFT_SCALE, AxiomReport, DominancePair,
+                             GenerationError, RelationKind, VerificationError, Violation,
+                             verify_pair)
 from ebundles.functions import (
     InputError,
     LinearFamily,
@@ -370,18 +371,18 @@ class SearchsortedPwl:
 # The pair generator, one pair at a time
 
 
-def _random_pwl(rng: np.random.Generator, cfg) -> PiecewiseLinearFn:
-    k = int(rng.integers(cfg.knot_range[0], cfg.knot_range[1] + 1))
+def _random_pwl(rng: np.random.Generator) -> PiecewiseLinearFn:
+    k = int(rng.integers(_KNOT_RANGE[0], _KNOT_RANGE[1] + 1))
     for _ in range(100):
-        interior = np.sort(rng.uniform(0.0, cfg.T, size=k - 2))
-        xs = np.concatenate(([0.0], interior, [cfg.T]))
-        if (xs[1:] - xs[:-1]).min() > 1e-6 * cfg.T:
+        interior = np.sort(rng.uniform(0.0, 1.0, size=k - 2))
+        xs = np.concatenate(([0.0], interior, [1.0]))
+        if (xs[1:] - xs[:-1]).min() > 1e-6:
             break
     else:
         raise GenerationError("could not draw well-separated knot ranks")
     tail = float(rng.uniform(0.0, 0.4))
     drops = rng.uniform(0.3, 1.0, size=k - 1)
-    total = float(rng.uniform(max(1.5, 0.3 * cfg.value_scale), cfg.value_scale))
+    total = float(rng.uniform(3.0, 10.0))
     drops *= total / drops.sum()
     ys = tail + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
     return PiecewiseLinearFn(xs, ys)
@@ -407,18 +408,18 @@ def _equal_prefix_variant(z: PiecewiseLinearFn, split: int, lam: float) -> Piece
     return PiecewiseLinearFn(z.xs, ys)
 
 
-def build_pair(rng: np.random.Generator, cfg, kind: RelationKind) -> DominancePair:
-    """One pair of the given kind, drawn and built; raises ``InputError``
-    when a member fails its checks."""
-    z = _random_pwl(rng, cfg)
+def build_pair(rng: np.random.Generator, kind: RelationKind) -> DominancePair:
+    """One pair of the given kind, drawn and built on [0, 1]; raises
+    ``InputError`` when a member fails its checks."""
+    z = _random_pwl(rng)
     if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
-        c = float(rng.uniform(0.05, cfg.shift_scale))
+        c = float(rng.uniform(0.05, _SHIFT_SCALE))
         y = _shifted(z, c, taper=bool(rng.random() < 0.5))
         return DominancePair(upper=y, lower=z, relation=kind)
     if kind is RelationKind.STRICT_ON_PREFIX:
-        a = float(rng.uniform(0.25, 0.75)) * cfg.T
-        b = float(rng.uniform(a + 0.05 * cfg.T, cfg.T))
-        g = float(rng.uniform(0.05, cfg.shift_scale))
+        a = float(rng.uniform(0.25, 0.75))
+        b = float(rng.uniform(a + 0.05, 1.0))
+        g = float(rng.uniform(0.05, _SHIFT_SCALE))
         return DominancePair(upper=_prefix_gap(z, g, b), lower=z, relation=kind, prefix_end=a)
     # bias toward deep prefixes so level-threshold checks get coverage
     if rng.random() < 0.5:
@@ -440,7 +441,7 @@ def pairs_one_at_a_time(cfg, relation=None, drop=lambda kind, slot, attempt: Fal
         for slot in range(cfg.count):
             for attempt in range(100):
                 try:
-                    pair = build_pair(rng, cfg, kind)
+                    pair = build_pair(rng, kind)
                     if not drop(kind, slot, attempt):
                         out.append(verify_pair(pair))
                         break

@@ -110,7 +110,7 @@ def test_criterion_4_impact_bundle_property_suite():
     t0 = time.perf_counter()
     pairs = generate_pairs(GeneratorConfig(seed=1, count=200))
     assert len(pairs) == 800  # 200 per relation kind
-    reports = check_impact_bundle(E_BUNDLE, pairs, slack=1e-9)
+    reports = check_impact_bundle(E_BUNDLE, pairs)
     elapsed = time.perf_counter() - t0
     counts = {k: (r.pairs_tested, len(r.violations)) for k, r in reports.items()}
     ok = (

@@ -234,9 +234,17 @@ class TestAxiomsCmd:
     )
     def test_runs_that_check_nothing_exit_2(self, args, tmp_path, capsys):
         out = tmp_path / "axioms.json"
-        assert main(["axioms", "--pairs", "3", *args, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        argv = ["axioms", "--pairs", "3", *args, "--output", str(out)]
+        if args[0].startswith("--slack"):
+            # every tolerance is a module constant: argparse rejects --slack
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --slack" in capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
     def test_vacuous_reports_flagged(self, tmp_path, capsys):
@@ -554,8 +562,9 @@ class TestBadInputExit2:
             ({"type": "linear", "S": 10, "T": True}, "S and T must be numbers, got True"),
             ({"type": "zipf", "beta": "0.5", "T": True}, "beta and T must be numbers, got '0.5'"),
             ({"type": "zipf", "beta": 0.5, "T": "1"}, "beta and T must be numbers, got '1'"),
+            ({"type": "power_complement", "n": "3"}, "n must be numbers, got '3'"),
         ],
-        ids=["linear_S", "linear_T", "zipf_beta", "zipf_T"],
+        ids=["linear_S", "linear_T", "zipf_beta", "zipf_T", "power_complement_n"],
     )
     def test_family_fields_must_be_numbers(self, command, spec, said, tmp_path, capsys):
         p = tmp_path / "family.json"

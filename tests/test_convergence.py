@@ -228,7 +228,7 @@ class TestInverseConvergenceAcrossFamilies:
 
 class TestExample3Fixture:
     def test_base_cases(self):
-        family = power_complement_sequence([1, 2]).member
+        family = power_complement_sequence([1, 2]).family
         assert family(1) == PowerComplement(n=1)
         assert family(2).value(0.5) == 0.75
 
