@@ -50,7 +50,6 @@ from .axioms import (
     AxiomReport,
     DominancePair,
     Fixture,
-    GeneratorConfig,
     RelationKind,
     Violation,
     check_global_impact,

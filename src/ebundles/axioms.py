@@ -45,7 +45,7 @@ The module also ships the two rejected alternative scores (``n_theta``,
 whose vector rules the stacked passes read as they read the built-in ones),
 three exactly constructed counterexample fixtures that demonstrate which
 axioms each score breaks, and a seeded pair generator of one fixed shape
-(``GeneratorConfig`` sets only the seed and the count).  Its verification
+(``generate_pairs`` takes only the seed and the count).  Its verification
 (``verify_pair``, ``_rejections``) is exact, at the pairs' merged knots,
 and verifies a whole batch in one stacked pass; a rejected attempt is
 dropped, and the generator draws on.
@@ -111,7 +111,6 @@ __all__ = [
     "fixture_alt2",
     "pseudo_bundle_n",
     "pseudo_bundle_eta",
-    "GeneratorConfig",
     "generate_pairs",
 ]
 
@@ -711,7 +710,6 @@ def check_global_impact(
 class Fixture:
     pair: DominancePair
     theta: float
-    description: str
 
 
 def fixture_global() -> Fixture:
@@ -727,7 +725,7 @@ def fixture_global() -> Fixture:
     pair = verify_pair(
         DominancePair(upper=upper, lower=lower, relation=RelationKind.CUMULATIVE_PREC)
     )
-    return Fixture(pair, 1.0, "equal excess areas despite strict cumulative dominance")
+    return Fixture(pair, 1.0)
 
 
 def fixture_alt1() -> Fixture:
@@ -742,7 +740,7 @@ def fixture_alt1() -> Fixture:
     pair = verify_pair(
         DominancePair(upper=upper, lower=lower, relation=RelationKind.GEQ_ALL)
     )
-    return Fixture(pair, 1.0, "per-rank excess score drops under pointwise dominance")
+    return Fixture(pair, 1.0)
 
 
 def fixture_alt2() -> Fixture:
@@ -757,7 +755,7 @@ def fixture_alt2() -> Fixture:
     pair = verify_pair(
         DominancePair(upper=upper, lower=lower, relation=RelationKind.GEQ_ALL)
     )
-    return Fixture(pair, 0.5, "own-level area score drops under pointwise dominance")
+    return Fixture(pair, 0.5)
 
 
 def pseudo_bundle_n() -> BundleDef:
@@ -780,29 +778,9 @@ def pseudo_bundle_eta() -> BundleDef:
 # Seeded pair generation
 
 
-# The generator's fixed shape (``GeneratorConfig``): knots and shift bound.
+# The generator's fixed shape (``generate_pairs``): knots and shift bound.
 _KNOT_RANGE = (3, 8)
 _SHIFT_SCALE = 0.4
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Deterministic recipe for random dominance pairs.
-
-    ``count`` pairs are produced per requested relation kind, all of one
-    shape: a lower member has 3 to 8 knots on [0, 1], a tail below 0.4 and
-    drops that total 3 to 10; its upper adds 0.05 to 0.4.  Shifts stay
-    below 0.4, under 1 - (largest tail value), so level 1 stays admissible
-    for both members, which the measure suites rely on; a setting for them
-    could quietly break that.
-    """
-
-    seed: int = 0
-    count: int = 20
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InputError("count must be >= 1")
 
 
 def _build_pair(rng: np.random.Generator, kind: RelationKind) -> tuple:
@@ -890,14 +868,18 @@ def _pair_knots(kind: RelationKind, draws: list[tuple]) -> tuple:
     return (x_up, y_up, size_up), (x, y, size), prefix
 
 
-def generate_pairs(
-    config: GeneratorConfig,
-    relation: RelationKind | None = None,
-) -> tuple[DominancePair, ...]:
-    """Generate ``config.count`` verified pairs per relation kind.
+def generate_pairs(seed: int = 0, count: int = 20,
+                   relation: RelationKind | None = None) -> tuple[DominancePair, ...]:
+    """Generate ``count`` (>= 1) verified pairs per requested relation kind.
 
-    Deterministic for a fixed config: the same seed reproduces the same
-    pairs.  Each attempt draws its numbers (``_build_pair``) in one stream,
+    The pairs are all of one shape: a lower member has 3 to 8 knots on
+    [0, 1], a tail below 0.4 and drops that total 3 to 10; its upper adds
+    0.05 to 0.4.  Shifts stay below 0.4, under 1 - (largest tail value), so
+    level 1 stays admissible for both members, which the measure suites
+    rely on; a setting for them could quietly break that.
+
+    Deterministic for a fixed seed and count: the same seed reproduces the
+    same pairs.  Each attempt draws its numbers (``_build_pair``) in one stream,
     in order; a batch of attempts, one per open slot, becomes knot arrays in
     one vector pass (``_pair_knots``), and the batch is validated and
     verified together, exactly, in one stacked pass (``_rejections``).  A
@@ -908,9 +890,11 @@ def generate_pairs(
     arrays, which the checkers read as it is; each member is a read-only
     view of its row.
     """
-    rng, batches = np.random.default_rng(config.seed), []
+    if count < 1:
+        raise InputError("count must be >= 1")
+    rng, batches = np.random.default_rng(seed), []
     for kind in [relation] if relation is not None else list(RelationKind):
-        todo, failed = config.count, 0  # failed: attempts dropped in a row
+        todo, failed = count, 0  # failed: attempts dropped in a row
         while todo:
             up, lo, prefix = _pair_knots(kind, [_build_pair(rng, kind) for _ in range(todo)])
             ok = _valid_knots(*up) & _valid_knots(*lo)

@@ -343,9 +343,6 @@ class SweepRow:
     mu: float | None
     i: float | None
 
-    def cell(self, name: str) -> float | None:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class SweepTable:
@@ -357,26 +354,9 @@ class SweepTable:
         buf = io.StringIO()
         buf.write("theta,e,h,mu,i\n")
         for r in self.rows:
-            cells = [repr(r.theta)]
-            for name in ("e", "h", "mu", "i"):
-                v = r.cell(name)
-                cells.append("NA" if v is None else repr(v))
+            cells = [repr(r.theta)] + ["NA" if v is None else repr(v) for v in (r.e, r.h, r.mu, r.i)]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SweepTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "theta,e,h,mu,i":
-            raise InputError("sweep CSV must start with header theta,e,h,mu,i")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 5:
-                raise InputError(f"sweep CSV row has {len(parts)} cells: {ln!r}")
-            vals = [None if p == "NA" else float(p) for p in parts]
-            rows.append(SweepRow(float(parts[0]), *vals[1:]))
-        return cls(tuple(rows))
 
     def to_json_obj(self) -> dict:
         return {

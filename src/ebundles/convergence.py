@@ -101,7 +101,7 @@ def sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> floa
 
 
 def _shared_theta_grid(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndarray:
-    _common_T(f, g)
+    T = _common_T(f, g)
     if grid_n < 2:
         raise InputError(f"theta_grid_n must be >= 2, got {grid_n}")
     rf, rg = f.admissible_range(), g.admissible_range()
@@ -110,7 +110,7 @@ def _shared_theta_grid(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndar
     if math.isinf(hi):
         # cap an unbounded intersection at the level reached one grid step
         # from the origin, the same truncation sup_distance applies
-        x_min = min(f.T, g.T) / grid_n
+        x_min = T / grid_n
         hi = min(f.value(x_min), g.value(x_min))
     if not lo < hi:
         raise InputError(f"admissible ranges do not overlap: [{rf.lo},{rf.hi}] vs [{rg.lo},{rg.hi}]")
@@ -176,20 +176,6 @@ class ConvergenceReport:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def rows_from_csv(cls, text: str) -> tuple[ConvergenceRow, ...]:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "n,sup_fn,sup_inv,sup_e":
-            raise InputError("convergence CSV must start with header n,sup_fn,sup_inv,sup_e")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise InputError(f"convergence CSV row has {len(parts)} cells: {ln!r}")
-            vals = [None if p == "NA" else float(p) for p in parts[1:]]
-            rows.append(ConvergenceRow(int(parts[0]), *vals))
-        return tuple(rows)
-
 
 def _column_verdict(values: Sequence[float], threshold: float) -> bool:
     """Final value below threshold and weakly decreasing over the last half."""
@@ -209,15 +195,13 @@ def _discontinuity_flag(members: Sequence[RankFunction], grid_n: int) -> bool:
     limit.  With a single consecutive pair the fallback looks for a jump in
     the largest member exceeding a tenth of its value range over one grid
     step.  Needs a reasonably geometric spread of n values to be sharp.
+    The gaps are ``sup_distance``'s, so the members must share a domain.
     """
-    xs = _grid(members, 0.0, members[-1].T, min(grid_n, 2_000))
-    gaps = [
-        float(np.max(np.abs(a.values(xs) - b.values(xs))))
-        for a, b in zip(members, members[1:])
-    ]
+    n = min(grid_n, 2_000)
+    gaps = [sup_distance(a, b, n) for a, b in zip(members, members[1:])]
     if len(gaps) >= 2:
         return gaps[-1] > 0.5 * gaps[0] and gaps[-1] > 1e-6
-    est = members[-1].values(xs)
+    est = members[-1].values(_grid(members, 0.0, members[-1].T, n))
     value_range = float(np.max(est) - np.min(est))
     if value_range == 0.0:
         return False

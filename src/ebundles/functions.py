@@ -638,9 +638,11 @@ def _piecewise_linear(fns: Sequence[RankFunction]) -> None:
 
 
 def _common_T(f: RankFunction, g: RankFunction) -> float:
+    """The shared domain end: the smaller T, so that a read of both stays
+    inside both domains; raises unless the two agree to 1e-12 relative."""
     if not math.isclose(f.T, g.T, rel_tol=1e-12, abs_tol=0.0):
         raise InputError(f"domain mismatch: T={f.T} vs T={g.T}")
-    return f.T
+    return min(f.T, g.T)
 
 
 def _merged_gaps(stack: _PwlStack, up: np.ndarray, lo: np.ndarray,
@@ -730,12 +732,12 @@ def _cumulative_order(dmin: float, dmax: float) -> CumulativeOrder:
 def cumulative_dominates(f: RankFunction, g: RankFunction) -> CumulativeVerdict:
     """Order the piecewise linear f and g by their cumulative integrals over
     the shared domain, exactly: quadratic vertex analysis on the merged knot
-    grid."""
+    grid, the pass that pair verification reads (``_merged_gaps``,
+    ``_cumulative_extrema``) on the two as a two-row stack."""
     _piecewise_linear((f, g))
-    _common_T(f, g)
-    xs = np.unique(np.concatenate([f.xs, g.xs]))
-    extrema = _cumulative_extrema(xs[None], (f.values(xs) - g.values(xs))[None])
-    dmin, dmax, wmin, wmax = (float(v[0]) for v in extrema)
+    ends = np.array([_common_T(f, g)])
+    gaps = _merged_gaps(_PwlStack.of([f, g]), np.array([0]), np.array([1]), ends)
+    dmin, dmax, wmin, wmax = (float(v[0]) for v in _cumulative_extrema(*gaps))
     return CumulativeVerdict(_cumulative_order(dmin, dmax), dmin, dmax, wmin, wmax)
 
 

@@ -431,14 +431,14 @@ def build_pair(rng: np.random.Generator, kind: RelationKind) -> DominancePair:
     return DominancePair(upper=y, lower=z, relation=kind, prefix_end=float(z.xs[split]))
 
 
-def pairs_one_at_a_time(cfg, relation=None, drop=lambda kind, slot, attempt: False):
+def pairs_one_at_a_time(seed, count, relation=None, drop=lambda kind, slot, attempt: False):
     """``generate_pairs``'s pairs, built and verified one at a time: each
     slot retries until a pair builds and verifies (``verify_pair``), up to
     100 attempts.  ``drop(kind, slot, attempt)`` rejects an attempt that
     would otherwise pass."""
-    rng, out = np.random.default_rng(cfg.seed), []
+    rng, out = np.random.default_rng(seed), []
     for kind in [relation] if relation is not None else list(RelationKind):
-        for slot in range(cfg.count):
+        for slot in range(count):
             for attempt in range(100):
                 try:
                     pair = build_pair(rng, kind)

@@ -15,7 +15,6 @@ import oracles
 from conftest import seeded_pwl
 from ebundles.axioms import (
     DominancePair,
-    GeneratorConfig,
     RelationKind,
     check_impact_bundle,
     check_strong_impact,
@@ -108,7 +107,7 @@ def test_criterion_3_excess_root_consistency():
 
 def test_criterion_4_impact_bundle_property_suite():
     t0 = time.perf_counter()
-    pairs = generate_pairs(GeneratorConfig(seed=1, count=200))
+    pairs = generate_pairs(seed=1, count=200)
     assert len(pairs) == 800  # 200 per relation kind
     reports = check_impact_bundle(E_BUNDLE, pairs)
     elapsed = time.perf_counter() - t0
@@ -125,9 +124,8 @@ def test_criterion_4_impact_bundle_property_suite():
 
 def test_criterion_5_strong_impact_property_suite():
     t0 = time.perf_counter()
-    cfg = GeneratorConfig(seed=2, count=200)
-    pairs = generate_pairs(cfg, RelationKind.GEQ_ALL)
-    pairs += generate_pairs(GeneratorConfig(seed=3, count=200), RelationKind.EQUAL_ON_PREFIX)
+    pairs = generate_pairs(seed=2, count=200, relation=RelationKind.GEQ_ALL)
+    pairs += generate_pairs(seed=3, count=200, relation=RelationKind.EQUAL_ON_PREFIX)
     reports = check_strong_impact(E_BUNDLE, 1.0, pairs)
 
     # the boundary level Z(T) = theta must be excluded and flagged

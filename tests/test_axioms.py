@@ -17,7 +17,6 @@ from ebundles import functions as fn
 from ebundles.axioms import (
     AxiomReport,
     DominancePair,
-    GeneratorConfig,
     RelationKind,
     VerificationError,
     check_global_impact,
@@ -60,7 +59,7 @@ from ebundles.functions import (
 
 @pytest.fixture(scope="module")
 def small_pairs():
-    return generate_pairs(GeneratorConfig(seed=5, count=15))
+    return generate_pairs(seed=5, count=15)
 
 
 class TestFixtureGlobal:
@@ -318,7 +317,7 @@ class TestGeneratedStackEqualsPlainList:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("name", sorted(SUITE_LEVELS))
     def test_reports(self, name, seed):
-        pairs = generate_pairs(GeneratorConfig(seed=seed, count=12))
+        pairs = generate_pairs(seed=seed, count=12)
         rebuilt = [dataclasses.replace(p, upper=PiecewiseLinearFn.from_pairs(_knots(p.upper)),
                                        lower=PiecewiseLinearFn.from_pairs(_knots(p.lower)))
                    for p in pairs]
@@ -362,7 +361,7 @@ class TestImpactBundleAgainstScalarLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(AX_BUNDLES))
     def test_generated_pairs(self, name, seed):
-        pairs = generate_pairs(GeneratorConfig(seed=seed, count=6))
+        pairs = generate_pairs(seed=seed, count=6)
         bundle = AX_BUNDLES[name]
         want = oracles.scalar_impact_bundle(bundle, pairs)
         assert _ax_json(check_impact_bundle(bundle, pairs)) == _ax_json(want)
@@ -392,7 +391,7 @@ class TestImpactBundleAgainstScalarLoop:
 
         b = BUNDLES[name]
         bundle = dataclasses.replace(b, scores=spy(b.scores), levels=spy(b.levels))
-        pairs = generate_pairs(GeneratorConfig(seed=2, count=10))
+        pairs = generate_pairs(seed=2, count=10)
         assert check_impact_bundle(bundle, pairs)["AX.2"].pairs_tested == 10
         passes = 6  # a level pass and a score pass per axiom, AX.2 to AX.4
         assert 0 < len(rows) <= passes + sum(rows) // fn._BLOCK
@@ -424,7 +423,7 @@ class TestImpactBundleAgainstScalarLoop:
             return E_BUNDLE.levels(f, xs)
 
         bundle = dataclasses.replace(E_BUNDLE, levels=level)
-        pairs = generate_pairs(GeneratorConfig(seed=0, count=4))  # prefix pairs read levels
+        pairs = generate_pairs(seed=0, count=4)  # prefix pairs read levels
         got = check_impact_bundle(bundle, pairs)
         assert ranks
         assert _ax_json(got) == _ax_json(oracles.scalar_impact_bundle(E_BUNDLE, pairs))
@@ -538,7 +537,7 @@ class TestExactVerification:
 
     def test_batch_equals_one_pair_at_a_time(self):
         pairs = [dataclasses.replace(p, verified=False)
-                 for p in generate_pairs(GeneratorConfig(seed=8, count=5))]
+                 for p in generate_pairs(seed=8, count=5)]
         pairs += [DominancePair(*self.DIP, RelationKind.GEQ_ALL),
                   DominancePair(*self.TOUCH, RelationKind.STRICT_ON_PREFIX, prefix_end=0.75)]
         assert _rejections(pairs) == [_rejections([p])[0] for p in pairs]
@@ -579,7 +578,7 @@ class TestExactAveragesPremise:
                 assert ordered == oracles.exact_averages_ordered(pair.upper, pair.lower), pair
 
     def test_generated_pairs_all_ordered(self):
-        pairs = generate_pairs(GeneratorConfig(seed=7, count=50), RelationKind.GEQ_ALL)
+        pairs = generate_pairs(seed=7, count=50, relation=RelationKind.GEQ_ALL)
         assert ax._averages_ordered(pairs, np.arange(50)).all()
         assert all(oracles.exact_averages_ordered(p.upper, p.lower) for p in pairs[:10])
 
@@ -588,7 +587,7 @@ class TestPairSetEnds:
     def test_ax2_ignores_prefix_end_on_geq_pairs(self):
         # a GEQ_ALL pair covers [0, T] whatever its prefix end, so AX.2 reads
         # the level maps' images of (0, T] for an unbounded range
-        pairs = generate_pairs(GeneratorConfig(seed=3, count=20), RelationKind.GEQ_ALL)
+        pairs = generate_pairs(seed=3, count=20, relation=RelationKind.GEQ_ALL)
         halved = [dataclasses.replace(p, prefix_end=0.5 * p.upper.T) for p in pairs]
         negated = dataclasses.replace(H_BUNDLE, name="-h",
                                       scores=lambda f, t: -H_BUNDLE.scores(f, t))
@@ -656,7 +655,7 @@ class TestImpactMeasureChecks:
 
 class TestStrongImpactChecks:
     def test_shifted_pairs_pass(self):
-        pairs = generate_pairs(GeneratorConfig(seed=29, count=40), RelationKind.GEQ_ALL)
+        pairs = generate_pairs(seed=29, count=40, relation=RelationKind.GEQ_ALL)
         reports = check_strong_impact(E_BUNDLE, 1.0, pairs)
         assert all(r.passed for r in reports.values())
         # constant and tapered shifts keep the averages strictly ordered, so
@@ -727,11 +726,11 @@ class TestGlobalImpactChecks:
 
 
 def _digest(configs):
-    """SHA-256 over the generated pairs of every config: relation, prefix
-    end and both members' knots."""
+    """SHA-256 over the generated pairs of every (seed, count): relation,
+    prefix end and both members' knots."""
     h = hashlib.sha256()
-    for cfg in configs:
-        for p in generate_pairs(cfg):
+    for seed, count in configs:
+        for p in generate_pairs(seed=seed, count=count):
             h.update(f"{p.relation.value}:{p.prefix_end!r}".encode())
             for f in (p.upper, p.lower):
                 h.update(np.concatenate((f.xs, f.ys)).tobytes())
@@ -740,22 +739,22 @@ def _digest(configs):
 
 class TestGenerator:
     def test_deterministic(self):
-        a = generate_pairs(GeneratorConfig(seed=42, count=1))
-        b = generate_pairs(GeneratorConfig(seed=42, count=1))
+        a = generate_pairs(seed=42, count=1)
+        b = generate_pairs(seed=42, count=1)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = generate_pairs(GeneratorConfig(seed=1, count=1))
-        b = generate_pairs(GeneratorConfig(seed=2, count=1))
+        a = generate_pairs(seed=1, count=1)
+        b = generate_pairs(seed=2, count=1)
         assert a != b
 
     def test_every_pair_verifies(self):
-        for p in generate_pairs(GeneratorConfig(seed=3, count=5)):
+        for p in generate_pairs(seed=3, count=5):
             assert p.verified
             assert verify_pair(dataclasses.replace(p, verified=False)).verified
 
     def test_relation_counts(self):
-        pairs = generate_pairs(GeneratorConfig(seed=4, count=3))
+        pairs = generate_pairs(seed=4, count=3)
         by_kind = {k: 0 for k in RelationKind}
         for p in pairs:
             by_kind[p.relation] += 1
@@ -769,19 +768,19 @@ class TestGenerator:
     def test_pairs_pinned(self, seed, digest):
         # SHA-256 of the pairs written by the generator that verified every
         # pair on a 10,000-point grid; the exact verification must accept the same
-        assert _digest([GeneratorConfig(seed=seed, count=10)]) == digest
+        assert _digest([(seed, 10)]) == digest
 
     def test_hundred_seeds_pinned(self):
         # one SHA-256 over seeds 0-99 at 50 pairs per kind, written by the
         # generator that built and verified one pair at a time
-        digest = _digest(GeneratorConfig(seed=s, count=50) for s in range(100))
+        digest = _digest((s, 50) for s in range(100))
         assert digest == "a3e92cf2431fa2d2668b40238e3711013635a1685f34dad818e44dbeb761cbb7"
 
     def test_verification_reads_merged_knots(self, monkeypatch):
         # pairs are read at their merged knots in one stacked pass, never on
         # a grid
         pairs = [dataclasses.replace(p, verified=False)
-                 for p in generate_pairs(GeneratorConfig(seed=3, count=4))]
+                 for p in generate_pairs(seed=3, count=4)]
         calls, stacked = [], []
 
         def spy(values, log):
@@ -815,18 +814,18 @@ class TestGenerator:
                             lambda self, *args: built.append(args) or init(self, *args))
         monkeypatch.setattr(PiecewiseLinearFn, "values", None)
         assert not hasattr(ax, "_VERIFY_GRID")
-        pairs = generate_pairs(GeneratorConfig(seed=1, count=10))
+        pairs = generate_pairs(seed=1, count=10)
         width = ax._KNOT_RANGE[1] + 1
         # both members of each pair at the 2 * width merged knots
         assert sum(sizes) == 2 * 2 * width * len(pairs) and built == []
 
     @pytest.mark.parametrize("cfg, relation", [
-        (GeneratorConfig(seed=0, count=30), None),
-        (GeneratorConfig(seed=9, count=40), RelationKind.STRICT_ON_PREFIX),
+        ((0, 30), None),  # (seed, count)
+        ((9, 40), RelationKind.STRICT_ON_PREFIX),
     ])
     def test_pairs_equal_the_one_at_a_time_reference(self, cfg, relation):
-        got = generate_pairs(cfg, relation)
-        want = oracles.pairs_one_at_a_time(cfg, relation)
+        got = generate_pairs(*cfg, relation)
+        want = oracles.pairs_one_at_a_time(*cfg, relation)
         assert list(got) == want
         assert [p.prefix_end for p in got] == [p.prefix_end for p in want]
         for p in got:
@@ -848,28 +847,27 @@ class TestGenerator:
             calls.append(len(kinds))
             return reasons
 
-        cfg = GeneratorConfig(seed=13, count=6)
         monkeypatch.setattr(ax, "_rejections", reject_once)
-        got = generate_pairs(cfg)
+        got = generate_pairs(seed=13, count=6)
         assert calls[:2] == [6, 1]
         want = oracles.pairs_one_at_a_time(
-            cfg, drop=lambda kind, slot, attempt: (kind, slot, attempt) == (
+            13, 6, drop=lambda kind, slot, attempt: (kind, slot, attempt) == (
                 RelationKind.GEQ_ALL, k, 0))
         assert list(got) == want
 
     def test_hundred_rejections_give_up(self, monkeypatch):
         monkeypatch.setattr(ax, "_rejections", lambda fns, kinds, *args: ["rejected"] * len(kinds))
         with pytest.raises(ax.GenerationError, match="gave up generating a geq_all pair"):
-            generate_pairs(GeneratorConfig(seed=1, count=3))
+            generate_pairs(seed=1, count=3)
 
     def test_slices_and_sums_are_stacked_again(self):
         # the generator's set is immutable and read as it is; a slice or a
         # sum of sets is a plain tuple, which the checkers stack once
-        pairs = generate_pairs(GeneratorConfig(seed=4, count=5))
+        pairs = generate_pairs(seed=4, count=5)
         assert isinstance(pairs, ax._Pairs) and ax._Pairs.of(pairs) is pairs
         with pytest.raises(AttributeError):
             pairs.fns = None
-        for part in (pairs[:-1], pairs + generate_pairs(GeneratorConfig(seed=5, count=5))):
+        for part in (pairs[:-1], pairs + generate_pairs(seed=5, count=5)):
             assert type(part) is tuple
             rebuilt = ax._Pairs.of(part)
             assert rebuilt is not part and rebuilt.fns is not pairs.fns and rebuilt == part
@@ -877,7 +875,7 @@ class TestGenerator:
         assert len(ax._Pairs.of(part)) == 40
 
     def test_copies_and_pickles_keep_the_set(self):
-        pairs = generate_pairs(GeneratorConfig(seed=4, count=5))
+        pairs = generate_pairs(seed=4, count=5)
         want = json.dumps(_all_reports(E_BUNDLE, 2.5, pairs), sort_keys=True)
         for twin in (copy.copy(pairs), copy.deepcopy(pairs), pickle.loads(pickle.dumps(pairs))):
             assert isinstance(twin, ax._Pairs) and twin == pairs
@@ -888,7 +886,7 @@ class TestGenerator:
         # reports alike
         def run(block):
             monkeypatch.setattr(fn, "_BLOCK", block)
-            pairs = generate_pairs(GeneratorConfig(seed=17, count=200))
+            pairs = generate_pairs(seed=17, count=200)
             reports = {}
             for name, level in (("e", 2.5), ("h", 8.0), ("mu", 0.5), ("i", 0.5)):
                 bundle = BUNDLES[name]
@@ -905,4 +903,4 @@ class TestGenerator:
 
     def test_config_validation(self):
         with pytest.raises(InputError):
-            GeneratorConfig(count=0)
+            generate_pairs(count=0)

@@ -4,7 +4,6 @@ import pytest
 from ebundles import convergence
 from ebundles.bundles import e_thetas
 from ebundles.convergence import (
-    ConvergenceReport,
     FunctionSequence,
     e_sup_distance,
     inverse_sup_distance,
@@ -16,11 +15,13 @@ from ebundles.convergence import (
     zipf_sequence,
 )
 from ebundles.functions import (
+    CumulativeOrder,
     InputError,
     LinearFamily,
     PiecewiseLinearFn,
     PowerComplement,
     ZipfFamily,
+    cumulative_dominates,
 )
 
 UNIT_LINE = LinearFamily(S=1.0, T=1.0)
@@ -63,6 +64,15 @@ class TestSupDistance:
     def test_domain_mismatch(self):
         with pytest.raises(InputError):
             sup_distance(UNIT_LINE, LinearFamily(S=1, T=2))
+
+    def test_near_equal_domains_read_the_shorter(self):
+        # domain ends within 1e-12 relative pass as one domain; every
+        # two-function read stays inside both, in either order
+        f = PiecewiseLinearFn.from_pairs([(0.0, 3.0), (1.0, 0.0)])
+        g = PiecewiseLinearFn.from_pairs([(0.0, 2.0), (1.0 + 1e-13, 0.0)])
+        assert sup_distance(f, g) == sup_distance(g, f) == 1.0
+        assert cumulative_dominates(f, g).order is CumulativeOrder.FOLLOWS
+        assert cumulative_dominates(g, f).order is CumulativeOrder.PRECEDES
 
 
 class TestInverseSupDistance:
@@ -199,8 +209,9 @@ class TestRunStudy:
 
     def test_csv_round_trip(self):
         report = run_study(scaled_linear_sequence([2, 4]), grid_n=200, theta_grid_n=50)
-        rows = ConvergenceReport.rows_from_csv(report.to_csv())
-        assert rows == report.rows
+        # repr writes each float so that it reads back exactly
+        cells = np.loadtxt(report.to_csv().splitlines(), delimiter=",", skiprows=1, ndmin=2)
+        assert cells.tolist() == [[r.n, r.sup_fn, r.sup_inv, r.sup_e] for r in report.rows]
 
 
 class TestInverseConvergenceAcrossFamilies:
@@ -260,3 +271,10 @@ class TestFunctionSequenceValidation:
     def test_needs_some_n(self):
         with pytest.raises(InputError):
             FunctionSequence(family=scaled, n_values=())
+
+    def test_no_limit_members_need_one_domain(self):
+        # the discontinuity flag compares consecutive members on a shared
+        # domain, as the distances to a limit do
+        seq = FunctionSequence(lambda n: LinearFamily(S=1, T=n), (1, 2, 3), None)
+        with pytest.raises(InputError, match="domain mismatch"):
+            run_study(seq)
