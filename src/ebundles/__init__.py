@@ -12,7 +12,6 @@ from .functions import (
     CumulativeOrder,
     CumulativeVerdict,
     InputError,
-    Knot,
     LinearFamily,
     PiecewiseLinearFn,
     PowerComplement,
@@ -30,7 +29,6 @@ from .functions import (
 from .bundles import (
     BUNDLES,
     BundleDef,
-    ConsistencyError,
     E_BUNDLE,
     H_BUNDLE,
     I_BUNDLE,

@@ -1,7 +1,8 @@
 """Numerical checks of the bundle and measure axiom systems.
 
-Four checker families, each consuming verified dominance pairs and producing
-per-axiom reports with explicit violation witnesses:
+Four checker families, each consuming verified dominance pairs and returning
+its reports by axiom name (``dict[str, AxiomReport]``), with explicit
+violation witnesses:
 
 * ``check_impact_bundle``   the four bundle axioms: zero on the empty
   function (vacuous here, the function space excludes it), monotone under
@@ -14,7 +15,7 @@ per-axiom reports with explicit violation witnesses:
   demands strict growth whenever the running averages are strictly ordered
   on [0, T).
 * ``check_global_impact``   strict growth under the cumulative-integral
-  partial order.
+  partial order (GM).
 
 The pair set, not the pair, is the unit of work: an immutable tuple of
 verified pairs (``_Pairs``) that carries one stack of knot arrays, row i
@@ -564,17 +565,18 @@ def _level_table(bundle: BundleDef, theta: float,
     return scores, table(bundle.rank_of)
 
 
-def _pair_outcomes(ps: _Pairs, idx: np.ndarray, scores: np.ndarray, verdict, tol: float,
-                   note: str = "", skips: Sequence[str | None] | None = None) -> list:
-    """A single-level axiom's outcome for each pair of idx: ``_SKIP`` when
-    a member has no score, else the pair's skip reason in skips, if any,
-    else the verdict on its members' scores in the table."""
+def _pair_report(axiom: str, ps: _Pairs, idx: np.ndarray, theta: float, scores: np.ndarray,
+                 verdict, tol: float, note: str = "", skips: list | None = None) -> AxiomReport:
+    """A single-level axiom's report on the pairs of idx.  A pair's outcome
+    is ``_SKIP`` when a member has no score at theta, else its skip reason
+    in skips, if any, else the verdict on its members' scores in the table."""
     m_up, m_lo = scores[ps.up[idx], None], scores[ps.lo[idx], None]
-    found = _first_violations(idx.tolist(), np.full(m_up.shape, math.nan), m_up, m_lo, verdict,
-                              tol, note)
+    found = _first_violations(idx.tolist(), np.full(m_up.shape, float(theta)), m_up, m_lo,
+                              verdict, tol, note)
     missing = (np.isnan(m_up) | np.isnan(m_lo))[:, 0].tolist()
     skips = [None] * len(idx) if skips is None else skips
-    return [_SKIP if miss else skip or v for miss, skip, v in zip(missing, skips, found)]
+    return _run_axiom(axiom, [_SKIP if miss else skip or v
+                              for miss, skip, v in zip(missing, skips, found)])
 
 
 def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -588,12 +590,15 @@ def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np
 def _positivity_report(
     axiom: str, bundle: BundleDef, theta: float, ps: _Pairs, scores: np.ndarray
 ) -> AxiomReport:
-    rows = ps.members
+    """IM.1 or SM.1 on the distinct members; a violation names the first
+    pair that holds the member: row r is pair r's upper, row n + r its lower."""
+    rows, n = ps.members, len(ps)
     positive = ps.per_row(lambda f: bundle.positive_for(f, theta))[rows].tolist()
     outcomes = [_SKIP if math.isnan(v) or not pos
-                else Violation(i, math.nan, v, 0.0, -v, note="score not positive")
+                else Violation(r % n, float(theta), v, 0.0, -v,
+                               note=f"score not positive ({'upper' if r < n else 'lower'})")
                 if v <= STRICT_SLACK else None
-                for i, (v, pos) in enumerate(zip(scores[rows].tolist(), positive))]
+                for r, v, pos in zip(rows.tolist(), scores[rows].tolist(), positive)]
     return _run_axiom(axiom, outcomes,
                       note="zero-function clause vacuous: rank functions are strictly decreasing")
 
@@ -616,9 +621,9 @@ def check_impact_measure(bundle: BundleDef, theta: float,
     past = [_SKIP if p else None for p in _reads_past(ranks, ps.lo[strict], ps.prefix[strict])]
     return {
         "IM.1": _positivity_report("IM.1", bundle, theta, ps, scores),
-        "IM.2": _run_axiom("IM.2", _pair_outcomes(ps, geq, scores, _below, MONOTONE_SLACK)),
-        "IM.3": _run_axiom("IM.3", _pair_outcomes(ps, strict, scores, _not_above, STRICT_SLACK,
-                                                  _NOT_STRICT, past)),
+        "IM.2": _pair_report("IM.2", ps, geq, theta, scores, _below, MONOTONE_SLACK),
+        "IM.3": _pair_report("IM.3", ps, strict, theta, scores, _not_above, STRICT_SLACK,
+                             _NOT_STRICT, past),
     }
 
 
@@ -677,20 +682,17 @@ def check_strong_impact(bundle: BundleDef, theta: float,
 
     return {
         "SM.1": _positivity_report("SM.1", bundle, theta, ps, scores),
-        "SM.2": _run_axiom("SM.2", _pair_outcomes(ps, geq, scores, _below, MONOTONE_SLACK)),
-        "SM.3": _run_axiom("SM.3", _pair_outcomes(ps, geq, scores, _not_above, STRICT_SLACK,
-                                                  _NOT_STRICT, unclaimed)),
-        "SM.4": _run_axiom("SM.4", _pair_outcomes(ps, local, scores, _unequal, EQUALITY_ASSERT_TOL,
-                                                  skips=uncovered)),
+        "SM.2": _pair_report("SM.2", ps, geq, theta, scores, _below, MONOTONE_SLACK),
+        "SM.3": _pair_report("SM.3", ps, geq, theta, scores, _not_above, STRICT_SLACK,
+                             _NOT_STRICT, unclaimed),
+        "SM.4": _pair_report("SM.4", ps, local, theta, scores, _unequal, EQUALITY_ASSERT_TOL,
+                             skips=uncovered),
     }
 
 
-def check_global_impact(
-    bundle: BundleDef,
-    theta: float,
-    pairs: Sequence[DominancePair],
-) -> AxiomReport:
-    """Strict growth under the cumulative-integral partial order.
+def check_global_impact(bundle: BundleDef, theta: float,
+                        pairs: Sequence[DominancePair]) -> dict[str, AxiomReport]:
+    """Strict growth under the cumulative-integral partial order, GM.
 
     Expected to fail for the excess-area score: ``fixture_global`` produces
     a pair with lower strictly preceding upper yet equal scores, and the
@@ -698,8 +700,8 @@ def check_global_impact(
     """
     ps = _Pairs.of(pairs)
     scores, _ = _level_table(bundle, theta, ps)
-    return _run_axiom("GM", _pair_outcomes(ps, ps.where(RelationKind.CUMULATIVE_PREC), scores,
-                                           _not_above, STRICT_SLACK, _NOT_STRICT))
+    return {"GM": _pair_report("GM", ps, ps.where(RelationKind.CUMULATIVE_PREC), theta, scores,
+                               _not_above, STRICT_SLACK, _NOT_STRICT)}
 
 
 # ---------------------------------------------------------------------------

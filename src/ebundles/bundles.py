@@ -14,7 +14,9 @@ bundles are provided:
 
 At theta = 1 the h bundle reduces to the classical h-index, and the excess
 area at that h equals the squared e-index sqrt(R^2 - h^2) of the h-core
-(both the area and its square root are exposed, see ``e_index``).
+(both the area and its square root are exposed, see ``e_index``).  h, R^2
+and the e-index come from one root; R^2 >= h^2 holds by monotonicity, so a
+rounding below it reads as an e-index of 0, never as a failure.
 
 ``e_thetas`` and ``h_thetas`` score many levels at once through the
 functions' vector forms (``inverses``, ``cumulatives``, ``ray_crossings``),
@@ -47,7 +49,6 @@ from .functions import (
 )
 
 __all__ = [
-    "ConsistencyError",
     "e_theta",
     "e_thetas",
     "h_theta",
@@ -67,10 +68,6 @@ __all__ = [
     "SweepTable",
     "sweep",
 ]
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed beyond numerical tolerance."""
 
 
 # The score rules below take f as a rank function, or as a ``_PwlStack`` of
@@ -192,13 +189,11 @@ def e_index(f: RankFunction) -> float:
 
 
 def _h_core(f: RankFunction) -> tuple[float, float, float]:
-    """The classical h, R^2 and the e-index, from one root."""
+    """The classical h, R^2 and the e-index, from one root; R^2 >= h^2 as
+    Z >= Z(h) = h on [0, h], so R^2 - h^2 below 0 is rounding and reads 0."""
     h = classical_h(f)
     r2 = f.cumulative(h)
-    radicand = r2 - h * h
-    if radicand < -1e-12:
-        raise ConsistencyError(f"negative excess area {radicand} at h={h}")
-    return h, r2, math.sqrt(max(0.0, radicand))
+    return h, r2, math.sqrt(max(0.0, r2 - h * h))
 
 
 # ---------------------------------------------------------------------------

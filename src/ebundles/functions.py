@@ -2,14 +2,15 @@
 
 A rank-frequency function Z maps a continuous source rank x in [0, T] to a
 nonnegative item density Z(x), strictly decreasing in x.  This module provides
-the concrete representations (piecewise linear from knots, plus three
-parametric families), pointwise evaluation, exact or closed-form
-inversion, cumulative integration I_Z(x) = int_0^x Z, and the exact order
-comparisons of piecewise linear functions used by the axiom checkers: the
-gaps f - g at merged knots (``_merged_gaps``), from which the checkers read
-pointwise dominance (>=, strict >, =), and ``cumulative_dominates``, the
-partial order I_Z(x) <= I_Y(x) for all x.  They take piecewise linear
-functions only and raise ``InputError`` naming any other type.
+the concrete representations (piecewise linear from knots, held as the
+read-only arrays ``xs`` and ``ys``, plus three parametric families),
+pointwise evaluation, exact or closed-form inversion, cumulative
+integration I_Z(x) = int_0^x Z, and the exact order comparisons of
+piecewise linear functions used by the axiom checkers: the gaps f - g at
+merged knots (``_merged_gaps``), from which the checkers read pointwise
+dominance (>=, strict >, =), and ``cumulative_dominates``, the partial
+order I_Z(x) <= I_Y(x) for all x.  They take piecewise linear functions
+only and raise ``InputError`` naming any other type.
 
 Every operation has one code path, a vector routine (``values``,
 ``inverses``, ``cumulatives``, ``ray_crossings``); each scalar form reads
@@ -38,7 +39,6 @@ __all__ = [
     "InputError",
     "SingularityError",
     "ThetaRangeError",
-    "Knot",
     "ThetaRange",
     "RankFunction",
     "PiecewiseLinearFn",
@@ -106,21 +106,6 @@ class ThetaRange:
         interval (an infinite hi leaves it as it is)."""
         clamped = np.where(self.lo > thetas, self.lo, thetas)
         return np.where(self.hi < clamped, self.hi, clamped)
-
-
-@dataclass(frozen=True)
-class Knot:
-    """A sample point (rank x, density y) of a piecewise linear function."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("x", self.x), ("y", self.y)):
-            if not math.isfinite(v):
-                raise InputError(f"knot {name} must be finite, got {v!r}")
-            if v < 0:
-                raise InputError(f"knot {name} must be >= 0, got {v!r}")
 
 
 def _at(vector: Callable[[np.ndarray], np.ndarray], arg: float) -> float:
@@ -228,33 +213,14 @@ class RankFunction:
         return 0.5 * (lo + hi)
 
 
-class _KnotView(Sequence[Knot]):
-    """Read-only ``Knot`` sequence over a function's knot arrays."""
-
-    __slots__ = ("_xs", "_ys")
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        self._xs, self._ys = xs, ys
-
-    def __len__(self) -> int:
-        return len(self._xs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(Knot, self._xs[i].tolist(), self._ys[i].tolist()))
-        return Knot(float(self._xs[i]), float(self._ys[i]))
-
-    def __iter__(self):
-        return map(Knot, self._xs.tolist(), self._ys.tolist())
-
-
 class PiecewiseLinearFn(RankFunction):
     """Strictly decreasing piecewise linear function given by its knots.
 
     Knots must start at x = 0, end at x = T > 0, be strictly increasing in x
     and strictly decreasing in y (exact comparison on the stored values).
     They are stored as two read-only float arrays ``xs`` and ``ys``;
-    ``knots`` views them as ``Knot`` values.  Every read goes through
+    ``knots`` is a read-only (K, 2) copy of them, one (x, y) row per knot,
+    which ``from_pairs`` reads back.  Every read goes through
     ``_stack``, the knots as a one-row ``_PwlStack``: evaluation interpolates
     linearly, inversion solves the containing segment exactly, and
     integration accumulates trapezoids, so these operations are exact up to
@@ -328,8 +294,10 @@ class PiecewiseLinearFn(RankFunction):
         return f"PiecewiseLinearFn.from_pairs({list(zip(self.xs.tolist(), self.ys.tolist()))})"
 
     @property
-    def knots(self) -> _KnotView:
-        return _KnotView(self.xs, self.ys)
+    def knots(self) -> np.ndarray:
+        knots = np.column_stack((self.xs, self.ys))
+        knots.flags.writeable = False
+        return knots
 
     @property
     def T(self) -> float:
@@ -878,7 +846,7 @@ def function_to_spec(f: RankFunction) -> dict:
         return {
             "type": "piecewise_linear",
             "T": f.T,
-            "knots": np.column_stack((f.xs, f.ys)).tolist(),
+            "knots": f.knots.tolist(),
         }
     if isinstance(f, LinearFamily):
         return {"type": "linear", "S": f.S, "T": f.T}

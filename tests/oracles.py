@@ -59,8 +59,7 @@ RIEMANN_PANELS = 1_000_000
 def oracle_value_fn(f: RankFunction):
     """A vectorized evaluator independent of the library's interpolation."""
     if isinstance(f, PiecewiseLinearFn):
-        xs = np.array([k.x for k in f.knots])
-        ys = np.array([k.y for k in f.knots])
+        xs, ys = f.knots.T
         return lambda s: np.interp(s, xs, ys)
     if isinstance(f, LinearFamily):
         return lambda s: f.S * (1.0 - np.asarray(s) / f.T)

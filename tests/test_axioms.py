@@ -303,9 +303,8 @@ SUITE_LEVELS = {"e": 2.5, "h": 8.0, "mu": 0.5, "i": 0.5, "n": 2.5, "eta": 0.5}
 
 def _all_reports(bundle, level, pairs):
     reports = dict(check_impact_bundle(bundle, pairs))
-    reports.update(check_impact_measure(bundle, level, pairs))
-    reports.update(check_strong_impact(bundle, level, pairs))
-    reports["GM"] = check_global_impact(bundle, level, pairs)
+    for check in (check_impact_measure, check_strong_impact, check_global_impact):
+        reports.update(check(bundle, level, pairs))
     return {k: r.to_json_obj() for k, r in reports.items()}
 
 
@@ -625,7 +624,24 @@ class TestImpactMeasureChecks:
         )
         rep = check_impact_measure(zero, 1.0, small_pairs)["IM.1"]
         assert not rep.passed
-        assert rep.violations[0].note == "score not positive"
+        assert rep.violations[0].note == "score not positive (upper)"
+
+    def test_positivity_names_the_members_pair(self):
+        # four distinct members; only the lower of pair 1 scores below 0
+        pairs = [verify_pair(DominancePair(_pwl((0, up), (1, 0)), _pwl((0, lo), (1, 0)),
+                                           RelationKind.GEQ_ALL))
+                 for up, lo in ((5, 4), (3, 1.5))]
+        offset = BundleDef(
+            name="offset",
+            scores=lambda f, thetas: f.value_at_origin() - 2.0 + 0.0 * thetas,
+            levels=lambda f, xs: xs,
+            admissible=lambda f: ThetaRange(0.0, math.inf),
+        )
+        rep = check_impact_measure(offset, 1.0, pairs)["IM.1"]
+        assert rep.pairs_tested == 4
+        (v,) = rep.violations
+        assert (v.pair_index, v.theta, v.lhs) == (1, 1.0, -0.5)
+        assert v.note == "score not positive (lower)"
 
     def test_n_fails_monotonicity_on_fixture(self):
         rep = check_impact_measure(pseudo_bundle_n(), 1.0, [fixture_alt1().pair])["IM.2"]
@@ -700,7 +716,7 @@ class TestStrongImpactChecks:
 
 class TestGlobalImpactChecks:
     def test_fixture_reproduces_equality_violation(self):
-        rep = check_global_impact(E_BUNDLE, 1.0, [fixture_global().pair])
+        rep = check_global_impact(E_BUNDLE, 1.0, [fixture_global().pair])["GM"]
         assert not rep.passed
         assert len(rep.violations) == 1  # exactly one equality witness
         v = rep.violations[0]
@@ -711,16 +727,21 @@ class TestGlobalImpactChecks:
         # the totals at T are equal too: honest violation for the i score
         fx = fixture_global()
         T = fx.pair.upper.T
-        rep = check_global_impact(I_BUNDLE, T, [fx.pair])
+        rep = check_global_impact(I_BUNDLE, T, [fx.pair])["GM"]
         assert not rep.passed
         assert rep.violations[0].lhs == pytest.approx(rep.violations[0].rhs, abs=1e-12)
         # a rank level is admitted exactly: one ulp past T the pair is
         # skipped, not scored past the domain
-        past = check_global_impact(I_BUNDLE, math.nextafter(T, math.inf), [fx.pair])
+        past = check_global_impact(I_BUNDLE, math.nextafter(T, math.inf), [fx.pair])["GM"]
         assert (past.pairs_tested, past.skipped, past.passed) == (0, 1, True)
 
+    def test_reports_by_axiom_name(self):
+        reports = check_global_impact(E_BUNDLE, 1.0, [fixture_global().pair])
+        assert isinstance(reports, dict) and list(reports) == ["GM"]
+        assert reports["GM"].axiom == "GM"
+
     def test_generated_pairs_recorded_observationally(self, small_pairs):
-        rep = check_global_impact(E_BUNDLE, 1.0, small_pairs)
+        rep = check_global_impact(E_BUNDLE, 1.0, small_pairs)["GM"]
         assert isinstance(rep, AxiomReport)
         assert rep.pairs_tested == 15  # one per CUMULATIVE_PREC pair
 
@@ -893,7 +914,7 @@ class TestGenerator:
                 for suite in (check_impact_bundle(bundle, pairs),
                               check_impact_measure(bundle, level, pairs),
                               check_strong_impact(bundle, level, pairs),
-                              {"GM": check_global_impact(bundle, level, pairs)}):
+                              check_global_impact(bundle, level, pairs)):
                     reports.update({f"{name}:{k}": r.to_json_obj() for k, r in suite.items()})
             return pairs, reports
 

@@ -90,6 +90,18 @@ class TestEval:
         assert levels == [[1.0]]
         assert "e-index" in capsys.readouterr().out
 
+    def test_near_flat_h_core_keeps_its_e_index(self, tmp_path, capsys):
+        # R^2 - h^2 rounds to -1.5e-11 here; R^2 >= h^2 holds exactly, so
+        # the rounding reads as an e-index of 0, not as a missing h
+        spec = tmp_path / "flat.json"
+        spec.write_text(json.dumps({"type": "piecewise_linear", "knots": [
+            [0, 308.5430044597576], [574.7140021305945, 308.5430044597575],
+            [862.0710031958918, 0]]}))
+        assert main(["eval", "--input", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "classical h:   308.543004\n" in out
+        assert "e-index:       0.000000" in out
+
 
 class TestSweep:
     def test_csv_matches_closed_form(self, linear_spec, capsys):
@@ -248,6 +260,23 @@ class TestAxiomsCmd:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+    def test_violations_name_their_level_and_pair(self, tmp_path, capsys):
+        # h is about 1e-13 at level 1e13, under STRICT_SLACK: IM.1 and IM.3
+        # report violations, each at that level and on one of the 12 pairs
+        out = tmp_path / "axioms.json"
+        main(["axioms", "--bundle", "h", "--suite", "measure", "--pairs", "3",
+              "--measure-theta", "1e13", "--output", str(out)])
+        capsys.readouterr()
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+        obj = json.loads(out.read_text(), parse_constant=no_constant)
+        found = [v for rep in obj.values() for v in rep["violations"]]
+        assert found and all(v["theta"] == 1e13 for v in found)
+        assert all(0 <= v["pair"] < 12 for v in found)
+        assert {v["note"] for v in obj["IM.1"]["violations"]} <= {
+            "score not positive (upper)", "score not positive (lower)"}
 
     def test_vacuous_reports_flagged(self, tmp_path, capsys):
         # mu at the domain end T = 1: IM.3, SM.3 and SM.4 test no pair

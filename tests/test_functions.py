@@ -12,7 +12,6 @@ from ebundles.bundles import classical_h, mu_bundle
 from ebundles.functions import (
     CumulativeOrder,
     InputError,
-    Knot,
     LinearFamily,
     PiecewiseLinearFn,
     PowerComplement,
@@ -93,7 +92,14 @@ class TestConstruction:
         g = PiecewiseLinearFn.from_pairs([(0.0, 3.0), (1.0, 1.0), (2.0, 0.2)])
         assert f is not g and f == g and hash(f) == hash(g)
         assert f != PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.3)])
-        assert len(f.knots) == 3 and f.knots[1] == Knot(1.0, 1.0)
+        assert len(f.knots) == 3 and f.knots[1].tolist() == [1.0, 1.0]
+
+    def test_knots_are_the_pairs_read_back(self):
+        f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
+        assert f.knots.shape == (3, 2)
+        assert PiecewiseLinearFn.from_pairs(f.knots) == f
+        with pytest.raises(ValueError):
+            f.knots[0, 1] = 4.0
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -103,7 +109,7 @@ class TestConstruction:
 
     def test_rejects_negative_values(self):
         with pytest.raises(InputError):
-            Knot(0.0, -1.0)
+            PiecewiseLinearFn([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(InputError):
             ZipfFamily(beta=1.5, T=1)
         with pytest.raises(InputError):
@@ -302,12 +308,12 @@ class TestCumulativeDominates:
 class TestFromCitations:
     def test_direct_mapping(self):
         f = from_citations([5, 3, 1])
-        assert [(k.x, k.y) for k in f.knots] == [(0, 5), (1, 3), (2, 1), (3, 0)]
+        assert f.knots.tolist() == [[0, 5], [1, 3], [2, 1], [3, 0]]
         assert f.T == 3.0
 
     def test_tie_break(self):
         f = from_citations([4, 4])
-        ys = [k.y for k in f.knots]
+        ys = f.ys.tolist()
         assert ys[0] == 4.0
         assert ys[1] == pytest.approx(4.0 - 4e-9, abs=1e-15)
         assert ys[2] == 0.0
@@ -315,7 +321,7 @@ class TestFromCitations:
     def test_subnormal_tie_kept_once(self):
         # no float lies strictly between 5e-324 and 0, so the tie cannot split
         f = from_citations([5e-324, 5e-324])
-        assert [(k.x, k.y) for k in f.knots] == [(0.0, 5e-324), (2.0, 0.0)]
+        assert f.knots.tolist() == [[0.0, 5e-324], [2.0, 0.0]]
 
     def test_non_numeric_rejected(self):
         with pytest.raises(InputError):
@@ -331,7 +337,7 @@ class TestFromCitations:
     def test_trailing_zeros_dropped(self):
         f = from_citations([5, 3, 0, 0])
         assert f.T == 2.0
-        assert [(k.x, k.y) for k in f.knots] == [(0, 5), (1, 3), (2, 0)]
+        assert f.knots.tolist() == [[0, 5], [1, 3], [2, 0]]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -346,12 +352,12 @@ class TestFromCitations:
     )
     def test_invariants(self, counts):
         f = from_citations(counts)
-        ys = [k.y for k in f.knots]
+        ys = f.ys.tolist()
         assert all(b < a for a, b in zip(ys, ys[1:]))
         assert ys[-1] == 0.0
         # total citations survive continuization as the staircase trapezoid
         staircase = sum(
-            (a.y + b.y) * (b.x - a.x) * 0.5 for a, b in zip(f.knots, f.knots[1:])
+            (ya + yb) * (xb - xa) * 0.5 for (xa, ya), (xb, yb) in zip(f.knots, f.knots[1:])
         )
         assert f.cumulative(f.T) == pytest.approx(staircase, rel=1e-12)
 
