@@ -1,8 +1,8 @@
 """Numerical checks of the bundle and measure axiom systems.
 
-Four checker families, each consuming verified dominance pairs and returning
-its reports by axiom name (``dict[str, AxiomReport]``), with explicit
-violation witnesses:
+Four checker families, each verifying the dominance pairs it is given and
+returning its reports by axiom name (``dict[str, AxiomReport]``), with
+explicit violation witnesses:
 
 * ``check_impact_bundle``   the four bundle axioms: zero on the empty
   function (vacuous here, the function space excludes it), monotone under
@@ -20,13 +20,15 @@ violation witnesses:
 The pair set, not the pair, is the unit of work: an immutable tuple of
 verified pairs (``_Pairs``) that carries one stack of knot arrays, row i
 pair i's upper and row n + i its lower.  ``generate_pairs`` writes its
-pairs' knots into that stack and returns the set; any other sequence of
-pairs is stacked once (``_Pairs.of``).  Each ``check_impact_bundle`` axiom
-reads its kind's rows at once (``_PairSet``), at ``_LEVELS`` (24) sampled
-levels or ranks per pair: the members' level maps at the ranks in one
-stacked pass, then both members' scores at every sampled level of every
-pair in another, with the first flagged level per pair found by
-``argmax``.  The last three take the single score as a
+pairs' knots into that stack, verifies them and returns the set; any other
+sequence of pairs is stacked and verified once (``_Pairs.of``), and a pair
+whose relation fails raises ``VerificationError`` naming it: the checkers
+decide each premise as they decide each conclusion.  Each
+``check_impact_bundle`` axiom reads its kind's rows at once (``_PairSet``),
+at ``_LEVELS`` (24) sampled levels or ranks per pair: the members' level
+maps at the ranks in one stacked pass, then both members' scores at every
+sampled level of every pair in another, with the first flagged level per
+pair found by ``argmax``.  The last three take the single score as a
 ``BundleDef`` and a level theta; the bundle's ``positive_for`` and
 ``rank_of`` say where that score is provably positive and which rank it
 reads up to.  Each scores every row at theta in stacked passes
@@ -133,7 +135,11 @@ class GenerationError(RuntimeError):
 
 
 class VerificationError(InputError):
-    """A dominance pair failed re-verification of its declared relation."""
+    """A pair fails its declared relation; the message names its index in a set."""
+
+    def __init__(self, reason: str, index: int | None = None) -> None:
+        super().__init__(reason if index is None else f"pair {index}: {reason}")
+        self.reason = reason
 
 
 class RelationKind(Enum):
@@ -148,16 +154,15 @@ class DominancePair:
     """Two rank functions with a declared ordering relation.
 
     ``upper`` dominates ``lower`` in the sense of ``relation``; for the
-    prefix relations ``prefix_end`` is the endpoint a of [0, a].  All axiom
-    checkers demand ``verified=True``, which only ``verify_pair`` sets after
-    re-checking the relation numerically.
+    prefix relations ``prefix_end`` is the endpoint a of [0, a].  The pair
+    only declares the relation: ``verify_pair`` and every axiom checker
+    decide it exactly, and raise ``VerificationError`` where it fails.
     """
 
     upper: RankFunction
     lower: RankFunction
     relation: RelationKind
     prefix_end: float | None = None
-    verified: bool = False
 
 
 def _ends(kinds: list[RelationKind], prefix: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -182,7 +187,8 @@ class _Pairs(tuple):
     end (``prefix``, NaN for none), domain end ``T`` and the end of the
     range its relation covers (``ends``, checked when the set is built).
     ``generate_pairs`` builds one on its own knot arrays, and ``of`` stacks
-    any other sequence of pairs; a slice or a sum of sets is a plain tuple.
+    and verifies any other sequence of pairs; a slice or a sum of sets is a
+    plain tuple.
     """
 
     def __new__(cls, pairs: Iterable[DominancePair], fns: _PwlStack, T: np.ndarray) -> "_Pairs":
@@ -202,17 +208,21 @@ class _Pairs(tuple):
 
     @classmethod
     def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":
-        """The pairs as a set: a set as it is, any other sequence stacked
-        (raises ``InputError`` on a member that is not piecewise linear)."""
+        """The pairs as a set: a set as it is, any other sequence stacked and
+        verified in one pass (``_rejections``).  Raises ``InputError`` on a
+        member that is not piecewise linear, then ``VerificationError``
+        naming the first pair whose relation fails."""
         if isinstance(pairs, _Pairs):
             return pairs
         pairs = list(pairs)
-        if not all(p.verified for p in pairs):
-            raise InputError("axiom checks require verified pairs; run verify_pair first")
         fns = [p.upper for p in pairs] + [p.lower for p in pairs]
         _piecewise_linear(fns)
         T = np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float)
-        return cls(pairs, _PwlStack.of(fns), T)
+        ps = cls(pairs, _PwlStack.of(fns), T)
+        for i, reason in enumerate(_rejections(ps.fns, ps.kinds, ps.ends)):
+            if reason:
+                raise VerificationError(reason, i)
+        return ps
 
     def where(self, kind: RelationKind) -> np.ndarray:
         """The indices of the pairs of one relation kind."""
@@ -274,14 +284,12 @@ def _rejections(fns: _PwlStack, kinds: list[RelationKind], ends: np.ndarray) -> 
 
 
 def verify_pair(pair: DominancePair) -> DominancePair:
-    """Re-check the declared relation, exactly (``_rejections``), and return
-    a verified copy."""
-    verified = replace(pair, verified=True)
-    ps = _Pairs.of([verified])  # the rows of the copy, which only escapes if it holds
-    reason = _rejections(ps.fns, ps.kinds, ps.ends)[0]
-    if reason:
-        raise VerificationError(reason)
-    return verified
+    """Check the declared relation, exactly, as a set of one pair
+    (``_Pairs.of``), and return the pair."""
+    try:
+        return _Pairs.of([pair])[0]
+    except VerificationError as exc:
+        raise VerificationError(exc.reason) from None
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +732,7 @@ def fixture_global() -> Fixture:
     """
     upper = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
     lower = PiecewiseLinearFn.from_pairs([(0, 2.6), (0.5, 2.2), (1, 1), (2, 0.2)])
-    pair = verify_pair(
-        DominancePair(upper=upper, lower=lower, relation=RelationKind.CUMULATIVE_PREC)
-    )
-    return Fixture(pair, 1.0)
+    return Fixture(verify_pair(DominancePair(upper, lower, RelationKind.CUMULATIVE_PREC)), 1.0)
 
 
 def fixture_alt1() -> Fixture:
@@ -739,10 +744,7 @@ def fixture_alt1() -> Fixture:
     """
     lower = PiecewiseLinearFn.from_pairs([(0, 2), (1, 0)])
     upper = PiecewiseLinearFn.from_pairs([(0, 2.01), (0.5, 1.01), (0.9, 1.0), (1, 0.01)])
-    pair = verify_pair(
-        DominancePair(upper=upper, lower=lower, relation=RelationKind.GEQ_ALL)
-    )
-    return Fixture(pair, 1.0)
+    return Fixture(verify_pair(DominancePair(upper, lower, RelationKind.GEQ_ALL)), 1.0)
 
 
 def fixture_alt2() -> Fixture:
@@ -754,10 +756,7 @@ def fixture_alt2() -> Fixture:
     """
     upper = PiecewiseLinearFn.from_pairs([(0, 1), (1, 0)])
     lower = PiecewiseLinearFn.from_pairs([(0, 1), (0.5, 0.25), (1, 0)])
-    pair = verify_pair(
-        DominancePair(upper=upper, lower=lower, relation=RelationKind.GEQ_ALL)
-    )
-    return Fixture(pair, 0.5)
+    return Fixture(verify_pair(DominancePair(upper, lower, RelationKind.GEQ_ALL)), 0.5)
 
 
 def pseudo_bundle_n() -> BundleDef:
@@ -807,11 +806,9 @@ def _build_pair(rng: np.random.Generator, kind: RelationKind) -> tuple:
         return (*head, rng.random(), rng.random(), 0.0)  # shift, taper
     if kind is RelationKind.STRICT_ON_PREFIX:
         return (*head, rng.random(), rng.random(), rng.random())  # prefix end, wedge end, height
-    if kind is RelationKind.EQUAL_ON_PREFIX:
-        # bias toward deep prefixes so level-threshold checks get coverage
-        split = k - 2 if rng.random() < 0.5 else int(rng.integers(1, k - 1))
-        return (*head, split, rng.random(), 0.0)  # split knot, shrink
-    raise InputError(f"unknown relation {kind!r}")  # pragma: no cover
+    # EQUAL_ON_PREFIX, biased toward deep prefixes so level-threshold checks get coverage
+    split = k - 2 if rng.random() < 0.5 else int(rng.integers(1, k - 1))
+    return (*head, split, rng.random(), 0.0)  # split knot, shrink
 
 
 def _uniform(lo, hi, u: np.ndarray) -> np.ndarray:
@@ -870,9 +867,8 @@ def _pair_knots(kind: RelationKind, draws: list[tuple]) -> tuple:
     return (x_up, y_up, size_up), (x, y, size), prefix
 
 
-def generate_pairs(seed: int = 0, count: int = 20,
-                   relation: RelationKind | None = None) -> tuple[DominancePair, ...]:
-    """Generate ``count`` (>= 1) verified pairs per requested relation kind.
+def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
+    """Generate ``count`` (>= 1) verified pairs per relation kind, in enum order.
 
     The pairs are all of one shape: a lower member has 3 to 8 knots on
     [0, 1], a tail below 0.4 and drops that total 3 to 10; its upper adds
@@ -895,7 +891,7 @@ def generate_pairs(seed: int = 0, count: int = 20,
     if count < 1:
         raise InputError("count must be >= 1")
     rng, batches = np.random.default_rng(seed), []
-    for kind in [relation] if relation is not None else list(RelationKind):
+    for kind in RelationKind:
         todo, failed = count, 0  # failed: attempts dropped in a row
         while todo:
             up, lo, prefix = _pair_knots(kind, [_build_pair(rng, kind) for _ in range(todo)])
@@ -916,6 +912,6 @@ def generate_pairs(seed: int = 0, count: int = 20,
     xs.flags.writeable = ys.flags.writeable = False
     fns = [PiecewiseLinearFn._view(x[:k], y[:k]) for x, y, k in zip(xs, ys, size.tolist())]
     prefix, n = np.concatenate([prefix for *_, prefix in batches]).tolist(), len(kinds)
-    pairs = (DominancePair(up, lo, kind, None if math.isnan(a) else a, verified=True)
+    pairs = (DominancePair(up, lo, kind, None if math.isnan(a) else a)
              for up, lo, kind, a in zip(fns[:n], fns[n:], kinds, prefix))
     return _Pairs(pairs, _PwlStack(xs, ys, size), np.ones(n))

@@ -282,44 +282,26 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexamples(args: argparse.Namespace) -> int:
-    ok = True
-
-    fx = ax.fixture_global()
-    e_lo = bn.e_theta(fx.pair.lower, fx.theta)
-    e_up = bn.e_theta(fx.pair.upper, fx.theta)
-    reproduced = abs(e_lo - e_up) <= 1e-12
-    ok &= reproduced
-    # verify_pair accepted the pair as CUMULATIVE_PREC: lower precedes upper
-    print(
-        f"cumulative order, equal excess areas: e_1(lower)={e_lo:.6f}, "
-        f"e_1(upper)={e_up:.6f}, lower precedes upper: "
-        f"{fx.pair.relation is ax.RelationKind.CUMULATIVE_PREC} "
-        f"-> excess area not a global impact measure: "
-        f"{'REPRODUCED' if reproduced else 'FAILED'}"
-    )
-
-    fx = ax.fixture_alt1()
-    n_up = ax.n_theta(fx.pair.upper, fx.theta)
-    n_lo = ax.n_theta(fx.pair.lower, fx.theta)
-    reproduced = n_up < n_lo
-    ok &= reproduced
-    print(
-        f"per-rank excess score: n_1(upper)={n_up:.6f} < n_1(lower)={n_lo:.6f} "
-        f"despite upper > lower -> not monotone: "
-        f"{'REPRODUCED' if reproduced else 'FAILED'}"
-    )
-
-    fx = ax.fixture_alt2()
-    eta_up = ax.eta_theta(fx.pair.upper, fx.theta)
-    eta_lo = ax.eta_theta(fx.pair.lower, fx.theta)
-    reproduced = eta_lo > eta_up
-    ok &= reproduced
-    print(
-        f"own-level area score: eta(lower)={eta_lo:.6f} > eta(upper)={eta_up:.6f} "
-        f"despite lower <= upper -> not monotone: "
-        f"{'REPRODUCED' if reproduced else 'FAILED'}"
-    )
-    return 0 if ok else 1
+    # each fixture read through the axiom its score breaks, which a violation
+    # reproduces (GM tests only pairs that the checker verified as CUMULATIVE_PREC)
+    fg, f1, f2 = ax.fixture_global(), ax.fixture_alt1(), ax.fixture_alt2()
+    found = [
+        (ax.check_global_impact(bn.E_BUNDLE, fg.theta, [fg.pair])["GM"],
+         "cumulative order, equal excess areas",
+         "e_1(lower)={rhs:.6f}, e_1(upper)={lhs:.6f}, lower precedes upper: True",
+         "excess area not a global impact measure"),
+        (ax.check_impact_measure(ax.pseudo_bundle_n(), f1.theta, [f1.pair])["IM.2"],
+         "per-rank excess score",
+         "n_1(upper)={lhs:.6f} < n_1(lower)={rhs:.6f} despite upper > lower", "not monotone"),
+        (ax.check_impact_measure(ax.pseudo_bundle_eta(), f2.theta, [f2.pair])["IM.2"],
+         "own-level area score",
+         "eta(lower)={rhs:.6f} > eta(upper)={lhs:.6f} despite lower <= upper", "not monotone"),
+    ]
+    for r, claim, scores, conclusion in found:
+        # a violation prints its upper's (lhs) and lower's (rhs) scores
+        verdict = f"{r.axiom} held" if r.passed else scores.format(**vars(r.violations[0]))
+        print(f"{claim}: {verdict} -> {conclusion}: {'FAILED' if r.passed else 'REPRODUCED'}")
+    return 1 if any(r.passed for r, *_ in found) else 0
 
 
 def _spec_text(f: fn.PiecewiseLinearFn) -> str:
@@ -386,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-n", type=int, default=10_000)
     sp.add_argument("--theta-grid-n", type=int, default=1_000)
 
-    sp = sub.add_parser("counterexamples", help="reproduce the counterexample fixtures")
-    add_io(sp, need_input=False)
+    sub.add_parser("counterexamples", help="reproduce the counterexample fixtures")
 
     sp = sub.add_parser("ingest", help="citation file to function spec")
     add_io(sp)

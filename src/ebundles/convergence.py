@@ -179,8 +179,6 @@ class ConvergenceReport:
 
 def _column_verdict(values: Sequence[float], threshold: float) -> bool:
     """Final value below threshold and weakly decreasing over the last half."""
-    if not values:
-        return False
     half = values[len(values) // 2 :]
     decreasing = all(b <= a + 1e-15 for a, b in zip(half, half[1:]))
     return decreasing and values[-1] < threshold
@@ -202,10 +200,7 @@ def _discontinuity_flag(members: Sequence[RankFunction], grid_n: int) -> bool:
     if len(gaps) >= 2:
         return gaps[-1] > 0.5 * gaps[0] and gaps[-1] > 1e-6
     est = members[-1].values(_grid(members, 0.0, members[-1].T, n))
-    value_range = float(np.max(est) - np.min(est))
-    if value_range == 0.0:
-        return False
-    return float(np.max(np.abs(np.diff(est)))) > 0.1 * value_range
+    return float(np.max(np.abs(np.diff(est)))) > 0.1 * float(np.max(est) - np.min(est))
 
 
 def run_study(

@@ -124,8 +124,9 @@ def test_criterion_4_impact_bundle_property_suite():
 
 def test_criterion_5_strong_impact_property_suite():
     t0 = time.perf_counter()
-    pairs = generate_pairs(seed=2, count=200, relation=RelationKind.GEQ_ALL)
-    pairs += generate_pairs(seed=3, count=200, relation=RelationKind.EQUAL_ON_PREFIX)
+    pairs = generate_pairs(seed=2, count=200)[:200]  # the GEQ_ALL pairs
+    pairs += tuple(p for p in generate_pairs(seed=3, count=200)
+                   if p.relation is RelationKind.EQUAL_ON_PREFIX)
     reports = check_strong_impact(E_BUNDLE, 1.0, pairs)
 
     # the boundary level Z(T) = theta must be excluded and flagged

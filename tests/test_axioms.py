@@ -180,13 +180,6 @@ class TestVerifyPair:
         with pytest.raises(InputError):
             verify_pair(DominancePair(up, lo, RelationKind.STRICT_ON_PREFIX))
 
-    def test_unverified_pairs_rejected_by_checks(self):
-        up = PiecewiseLinearFn.from_pairs([(0, 2), (1, 1)])
-        lo = PiecewiseLinearFn.from_pairs([(0, 1), (1, 0)])
-        pair = DominancePair(up, lo, RelationKind.GEQ_ALL)
-        with pytest.raises(InputError):
-            check_impact_bundle(E_BUNDLE, [pair])
-
     def test_cumulative_relation_rejects_equal_functions(self):
         f = PiecewiseLinearFn.from_pairs([(0, 2), (1, 1)])
         with pytest.raises(VerificationError):
@@ -248,25 +241,29 @@ def _pwl(*knots):
     return PiecewiseLinearFn.from_pairs(knots)
 
 
-# Pairs with a parametric member, marked verified by hand (verify_pair
-# rejects them): every pass over a pair set takes piecewise linear functions.
+# Pairs with a parametric member, whose relations hold: every pass over a
+# pair set takes piecewise linear functions, and checks the members' types
+# before their relation.
 PARAMETRIC_PAIRS = [
-    DominancePair(LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.GEQ_ALL,
-                  verified=True),
-    DominancePair(ZipfFamily(beta=0.6, T=1), _pwl((0, 10), (1, 0.5)), RelationKind.GEQ_ALL,
-                  verified=True),
+    DominancePair(LinearFamily(S=12, T=1), LinearFamily(S=10, T=1), RelationKind.GEQ_ALL),
+    DominancePair(ZipfFamily(beta=0.6, T=1), _pwl((0, 10), (1, 0.5)), RelationKind.GEQ_ALL),
     DominancePair(_pwl((0, 10), (0.5, 5), (1, 0.5)), PowerComplement(n=2),
-                  RelationKind.EQUAL_ON_PREFIX, 0.5, verified=True),
+                  RelationKind.EQUAL_ON_PREFIX, 0.5),
 ]
 
 
+# The axiom checkers on a set of pairs, each at the level 1 where one applies.
+CHECKERS = {
+    "check_impact_bundle": lambda ps: check_impact_bundle(E_BUNDLE, ps),
+    "check_impact_measure": lambda ps: check_impact_measure(E_BUNDLE, 1.0, ps),
+    "check_strong_impact": lambda ps: check_strong_impact(E_BUNDLE, 1.0, ps),
+    "check_global_impact": lambda ps: check_global_impact(E_BUNDLE, 1.0, ps),
+}
+
 # Every entry point that reads a pair set or orders two functions.
 PAIR_READERS = {
-    "verify_pair": lambda p: verify_pair(dataclasses.replace(p, verified=False)),
-    "check_impact_bundle": lambda p: check_impact_bundle(E_BUNDLE, [p]),
-    "check_impact_measure": lambda p: check_impact_measure(E_BUNDLE, 1.0, [p]),
-    "check_strong_impact": lambda p: check_strong_impact(E_BUNDLE, 1.0, [p]),
-    "check_global_impact": lambda p: check_global_impact(E_BUNDLE, 1.0, [p]),
+    "verify_pair": verify_pair,
+    **{name: lambda p, check=check: check([p]) for name, check in CHECKERS.items()},
     "cumulative_dominates": lambda p: cumulative_dominates(p.upper, p.lower),
 }
 
@@ -291,6 +288,34 @@ class TestPiecewiseLinearOnly:
             reports = _all_reports(bundle, level, pairs)
             assert reports and all(r["vacuous"] and r["passed"] and r["skipped"] == 0
                                    for r in reports.values()), reports
+
+
+class TestCheckersVerify:
+    """Every checker decides each pair's declared relation itself: a false
+    relation is refused, naming its pair, and a true one needs no
+    ``verify_pair`` first."""
+
+    LINE = PiecewiseLinearFn.from_pairs([(0, 1), (1, 0)])  # 1 - x
+    DOUBLE = PiecewiseLinearFn.from_pairs([(0, 2), (1, 0)])  # 2(1 - x)
+
+    @pytest.mark.parametrize("check", sorted(CHECKERS))
+    def test_false_relation_raises_naming_the_pair(self, check):
+        # 1 - x declared over 2(1 - x): taken on trust, it would read as an
+        # IM.2 violation of the e score (0.125 against 0.5625 at level 0.5)
+        pairs = [DominancePair(self.DOUBLE, self.LINE, RelationKind.GEQ_ALL),
+                 DominancePair(self.LINE, self.DOUBLE, RelationKind.GEQ_ALL)]
+        with pytest.raises(VerificationError, match=r"^pair 1: upper < lower at x=0\.0$"):
+            CHECKERS[check](pairs)
+
+    @pytest.mark.parametrize("check", sorted(CHECKERS))
+    def test_true_pairs_need_no_verify_pair(self, check):
+        pairs = [DominancePair(self.DOUBLE, self.LINE, RelationKind.GEQ_ALL),
+                 DominancePair(self.DOUBLE, self.LINE, RelationKind.STRICT_ON_PREFIX, 0.5),
+                 DominancePair(self.DOUBLE, self.LINE, RelationKind.CUMULATIVE_PREC)]
+        reports = CHECKERS[check](pairs)
+        assert reports == CHECKERS[check]([verify_pair(p) for p in pairs])
+        assert all(r.passed for r in reports.values())
+        assert any(r.pairs_tested for r in reports.values())
 
 
 def _ax_json(reports):
@@ -332,8 +357,11 @@ def _knots(f):
 
 
 def _as_set(pairs):
-    """Any pairs, verified or not, as a ``_Pairs`` on their rows."""
-    return ax._Pairs.of([dataclasses.replace(p, verified=True) for p in pairs])
+    """Any pairs, whether their relations hold or not, as a ``_Pairs`` on
+    their rows, built directly: ``_Pairs.of`` would verify them."""
+    fns = [p.upper for p in pairs] + [p.lower for p in pairs]
+    T = np.array([fn._common_T(p.upper, p.lower) for p in pairs], dtype=float)
+    return ax._Pairs(pairs, _PwlStack.of(fns), T)
 
 
 def _rejections(pairs):
@@ -528,15 +556,15 @@ class TestExactVerification:
         upper = PiecewiseLinearFn(lower.xs, lower.ys + 0.5)
         tracemalloc.start()
         try:
-            assert verify_pair(DominancePair(upper, lower, RelationKind.GEQ_ALL)).verified
+            pair = DominancePair(upper, lower, RelationKind.GEQ_ALL)
+            assert verify_pair(pair) is pair
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(lower.xs) > 1_000 and peak < 4 * 2**20
 
     def test_batch_equals_one_pair_at_a_time(self):
-        pairs = [dataclasses.replace(p, verified=False)
-                 for p in generate_pairs(seed=8, count=5)]
+        pairs = list(generate_pairs(seed=8, count=5))
         pairs += [DominancePair(*self.DIP, RelationKind.GEQ_ALL),
                   DominancePair(*self.TOUCH, RelationKind.STRICT_ON_PREFIX, prefix_end=0.75)]
         assert _rejections(pairs) == [_rejections([p])[0] for p in pairs]
@@ -560,12 +588,14 @@ class TestExactAveragesPremise:
     UPPER = _pwl((0, 2.00002), (0.002, 1.998), (1, 1))
 
     def test_crossing_between_grid_points(self):
-        pair = DominancePair(self.UPPER, self.LOWER, RelationKind.GEQ_ALL, verified=True)
+        pair = DominancePair(self.UPPER, self.LOWER, RelationKind.GEQ_ALL)
         assert oracles.sampled_averages_ordered(pair.upper, pair.lower)  # the grid admits it
         assert not oracles.exact_averages_ordered(pair.upper, pair.lower)
-        assert ax._averages_ordered(ax._Pairs.of([pair]), np.array([0])).tolist() == [False]
-        rep = check_strong_impact(E_BUNDLE, 1.5, [pair])["SM.3"]
-        assert (rep.pairs_tested, rep.skipped) == (0, 1)
+        assert ax._averages_ordered(_as_set([pair]), np.array([0])).tolist() == [False]
+        # averages can only cross where lower rises above upper, so the pair
+        # is no GEQ_ALL pair, and the checker refuses it
+        with pytest.raises(VerificationError, match="^pair 0: upper < lower at x="):
+            check_strong_impact(E_BUNDLE, 1.5, [pair])
 
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(_pwl_pairs(), min_size=1, max_size=6))
@@ -577,8 +607,8 @@ class TestExactAveragesPremise:
                 assert ordered == oracles.exact_averages_ordered(pair.upper, pair.lower), pair
 
     def test_generated_pairs_all_ordered(self):
-        pairs = generate_pairs(seed=7, count=50, relation=RelationKind.GEQ_ALL)
-        assert ax._averages_ordered(pairs, np.arange(50)).all()
+        pairs = generate_pairs(seed=7, count=50)[:50]  # the GEQ_ALL pairs
+        assert ax._averages_ordered(ax._Pairs.of(pairs), np.arange(50)).all()
         assert all(oracles.exact_averages_ordered(p.upper, p.lower) for p in pairs[:10])
 
 
@@ -586,7 +616,7 @@ class TestPairSetEnds:
     def test_ax2_ignores_prefix_end_on_geq_pairs(self):
         # a GEQ_ALL pair covers [0, T] whatever its prefix end, so AX.2 reads
         # the level maps' images of (0, T] for an unbounded range
-        pairs = generate_pairs(seed=3, count=20, relation=RelationKind.GEQ_ALL)
+        pairs = generate_pairs(seed=3, count=20)[:20]  # the GEQ_ALL pairs
         halved = [dataclasses.replace(p, prefix_end=0.5 * p.upper.T) for p in pairs]
         negated = dataclasses.replace(H_BUNDLE, name="-h",
                                       scores=lambda f, t: -H_BUNDLE.scores(f, t))
@@ -601,7 +631,7 @@ class TestImpactMeasureChecks:
         # snaps it onto the range); a level that fixes a rank only exactly
         f = _pwl((0, 3), (1, 1), (2, 0.2))
         below = 0.2 - 5e-13
-        ps = ax._Pairs.of([DominancePair(f, f, RelationKind.GEQ_ALL, verified=True)])
+        ps = ax._Pairs.of([DominancePair(f, f, RelationKind.GEQ_ALL)])
         up = ps.up
         assert ax._level_table(E_BUNDLE, below, ps)[0][up].tolist() == [e_theta(f, 0.2)]
         for bundle, level in ((H_BUNDLE, 0.1 - 5e-13), (I_BUNDLE, math.nextafter(2.0, 3.0))):
@@ -671,7 +701,7 @@ class TestImpactMeasureChecks:
 
 class TestStrongImpactChecks:
     def test_shifted_pairs_pass(self):
-        pairs = generate_pairs(seed=29, count=40, relation=RelationKind.GEQ_ALL)
+        pairs = generate_pairs(seed=29, count=40)[:40]  # the GEQ_ALL pairs
         reports = check_strong_impact(E_BUNDLE, 1.0, pairs)
         assert all(r.passed for r in reports.values())
         # constant and tapered shifts keep the averages strictly ordered, so
@@ -699,10 +729,11 @@ class TestStrongImpactChecks:
         assert e_theta(up, 1.0) == e_theta(lo, 1.0)
 
     def test_hypothesis_filter_skips_unordered(self):
-        # crossing averages: neither strictly above the other
+        # upper >= lower, but equal at x = 0: the running averages are not
+        # strictly ordered as x -> 0
         a = PiecewiseLinearFn.from_pairs([(0, 4), (1, 0.1)])
-        b = PiecewiseLinearFn.from_pairs([(0, 3), (1, 2)])
-        pair = DominancePair(b, a, RelationKind.GEQ_ALL, verified=True)
+        b = PiecewiseLinearFn.from_pairs([(0, 4), (1, 0.5)])
+        pair = DominancePair(b, a, RelationKind.GEQ_ALL)
         rep = check_strong_impact(E_BUNDLE, 1.0, [pair])["SM.3"]
         assert rep.pairs_tested == 0 and rep.skipped == 1 and rep.passed
 
@@ -770,9 +801,10 @@ class TestGenerator:
         assert a != b
 
     def test_every_pair_verifies(self):
-        for p in generate_pairs(seed=3, count=5):
-            assert p.verified
-            assert verify_pair(dataclasses.replace(p, verified=False)).verified
+        pairs = generate_pairs(seed=3, count=5)
+        for p in pairs:
+            assert verify_pair(p) is p
+        assert ax._Pairs.of(list(pairs)) == pairs  # stacked and verified again
 
     def test_relation_counts(self):
         pairs = generate_pairs(seed=4, count=3)
@@ -800,8 +832,7 @@ class TestGenerator:
     def test_verification_reads_merged_knots(self, monkeypatch):
         # pairs are read at their merged knots in one stacked pass, never on
         # a grid
-        pairs = [dataclasses.replace(p, verified=False)
-                 for p in generate_pairs(seed=3, count=4)]
+        pairs = list(generate_pairs(seed=3, count=4))
         calls, stacked = [], []
 
         def spy(values, log):
@@ -814,7 +845,7 @@ class TestGenerator:
         monkeypatch.setattr(_PwlStack, "values", spy(_PwlStack.values, stacked))
         for p in pairs:
             calls.clear(), stacked.clear()
-            assert verify_pair(p).verified
+            assert verify_pair(p) is p
             assert calls == []
             merged = len(np.union1d(p.upper.xs, p.lower.xs))
             assert len(stacked) == 2 and stacked[0] == stacked[1] <= 2 * merged + 1
@@ -840,13 +871,10 @@ class TestGenerator:
         # both members of each pair at the 2 * width merged knots
         assert sum(sizes) == 2 * 2 * width * len(pairs) and built == []
 
-    @pytest.mark.parametrize("cfg, relation", [
-        ((0, 30), None),  # (seed, count)
-        ((9, 40), RelationKind.STRICT_ON_PREFIX),
-    ])
-    def test_pairs_equal_the_one_at_a_time_reference(self, cfg, relation):
-        got = generate_pairs(*cfg, relation)
-        want = oracles.pairs_one_at_a_time(*cfg, relation)
+    @pytest.mark.parametrize("cfg", [(0, 30), (9, 40)])  # (seed, count)
+    def test_pairs_equal_the_one_at_a_time_reference(self, cfg):
+        got = generate_pairs(*cfg)
+        want = oracles.pairs_one_at_a_time(*cfg)
         assert list(got) == want
         assert [p.prefix_end for p in got] == [p.prefix_end for p in want]
         for p in got:

@@ -341,6 +341,23 @@ class TestCounterexamplesCmd:
         assert out.count("REPRODUCED") == 3
         assert "FAILED" not in out
 
+    def test_axiom_that_holds_fails(self, capsys, monkeypatch):
+        # 2(1 - x) over 1 - x: the per-rank excess score is monotone on it
+        line, double = (fn.PiecewiseLinearFn.from_pairs([(0, y0), (1, 0)]) for y0 in (1, 2))
+        pair = ax.verify_pair(ax.DominancePair(double, line, ax.RelationKind.GEQ_ALL))
+        monkeypatch.setattr(ax, "fixture_alt1", lambda: ax.Fixture(pair, 0.5))
+        assert main(["counterexamples"]) == 1
+        first, second, third = capsys.readouterr().out.splitlines()
+        assert second == "per-rank excess score: IM.2 held -> not monotone: FAILED"
+        assert first.endswith(": REPRODUCED") and third.endswith(": REPRODUCED")
+
+    def test_output_is_no_option(self, capsys, tmp_path):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexamples", "--output", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "unrecognized arguments: --output" in capsys.readouterr().err
+
 
 class TestIngestCmd:
     def test_spec_written(self, citations_file, tmp_path):

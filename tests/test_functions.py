@@ -251,7 +251,8 @@ class TestCompare:
 
     def test_identical(self):
         for relation in (RelationKind.EQUAL_ON_PREFIX, RelationKind.GEQ_ALL):
-            assert verify_pair(DominancePair(LINE, LINE, relation, prefix_end=10.0)).verified
+            pair = DominancePair(LINE, LINE, relation, prefix_end=10.0)
+            assert verify_pair(pair) is pair
         assert self._gap_extremes(LINE, LINE, 10.0)[1] == 0.0
 
     def test_strict_dominance_unit_gap(self):
@@ -259,7 +260,8 @@ class TestCompare:
         f = PiecewiseLinearFn.from_pairs([(0, 10), (9, 1)])
         g = PiecewiseLinearFn.from_pairs([(0, 9), (9, 0)])
         for relation in (RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX):
-            assert verify_pair(DominancePair(f, g, relation, prefix_end=9.0)).verified
+            pair = DominancePair(f, g, relation, prefix_end=9.0)
+            assert verify_pair(pair) is pair
         assert self._gap_extremes(f, g, 9.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_witness_reported(self):
