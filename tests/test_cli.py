@@ -315,6 +315,14 @@ class TestConvergeCmd:
         err = capsys.readouterr().err
         assert "usage:" in err and "invalid choice: 'nope'" in err and "Traceback" not in err
 
+    def test_family_choices_are_the_registry_keys(self):
+        # the parser writes them out so as not to load convergence
+        from ebundles import convergence
+
+        (commands,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+        (family,) = (a for a in commands.choices["converge"]._actions if a.dest == "family")
+        assert family.choices == tuple(convergence.SEQUENCE_FAMILIES)
+
     def test_linear_family_csv(self, capsys):
         rc = main(["converge", "--family", "linear", "--n-list", "10,100",
                    "--grid-n", "1000", "--theta-grid-n", "200"])
