@@ -1,14 +1,19 @@
 """Desk-scale convergence studies for sequences of rank functions.
 
 Given a family rule n -> Z_n and an optional limit Z, a study tabulates three
-grid-sampled sup distances per n: the functions themselves, their inverses
-over the shared admissible levels, and their excess-area scores.  Each
-distance is one numpy expression per block of its grid, through the
-functions' vector forms (``values``, ``inverses`` and ``bundles.e_thetas``).
-Grid maxima are lower bounds of the true sup; the function grid defaults to
-10^4 points and the level grid to 10^3 (``run_study`` and the CLI), and a
-doubling check in the test suite confirms refinement changes results by
-less than 10 percent.
+sup distances per n: the functions themselves, their inverses over the
+shared admissible levels, and their excess-area scores, each read through
+the functions' vector forms (``values``, ``inverses`` and
+``bundles.e_thetas``).  For a piecewise linear pair (a line counts as one)
+each distance is exact: it is read at the few points where the gap can be
+extreme, the merged knots and, for the excess areas, the levels where the
+inverses cross, so no grid is built.  Other pairs (Zipf, power complement)
+are read on grids, one numpy expression per block: their maxima are lower
+bounds of the true sup.  The function grid defaults to 10^4 points and the
+level grid to 10^3 (``run_study`` and the CLI); members that share the
+limit's function grid are read in one pass over it, the limit once per
+block.  A doubling check in the test suite confirms refinement changes grid
+results by less than 10 percent.
 
 Verdict flags are heuristics over the supplied n values only (final value
 under threshold and weak decrease over the last half); no limit claim is
@@ -78,29 +83,70 @@ def _grid(fns: Sequence[RankFunction], lo: float, hi: float, n: int) -> np.ndarr
     return xs
 
 
-def _max_abs_gap(
-    f_vec: Callable[[np.ndarray], np.ndarray],
+def _merged_knots(f: RankFunction, g: RankFunction) -> tuple[np.ndarray, np.ndarray] | None:
+    """The knot ranks and the knot levels of f and g, each merged into one
+    array, a line read as its two knots (0, S) and (T, 0); None unless both
+    are piecewise linear."""
+    if not all(isinstance(h, (PiecewiseLinearFn, LinearFamily)) for h in (f, g)):
+        return None
+    knots = [(h.xs, h.ys) if isinstance(h, PiecewiseLinearFn) else ((0.0, h.T), (h.S, 0.0))
+             for h in (f, g)]
+    return tuple(np.concatenate(v) for v in zip(*knots))
+
+
+def _max_abs_gaps(
+    f_vecs: Sequence[Callable[[np.ndarray], np.ndarray]],
     g_vec: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
-) -> float:
-    """max |f_vec(grid) - g_vec(grid)|, one block of the grid at a time."""
-    return float(np.max([
-        np.max(np.abs(f_vec(block) - g_vec(block)))
-        for block in (grid[i : i + _BLOCK] for i in range(0, len(grid), _BLOCK))
-    ]))
+) -> np.ndarray:
+    """max |f_vec(grid) - g_vec(grid)| for each f_vec, one block of the grid
+    at a time, g_vec read once per block."""
+    per_block = []
+    for block in (grid[i : i + _BLOCK] for i in range(0, len(grid), _BLOCK)):
+        g = g_vec(block)
+        per_block.append([np.max(np.abs(f_vec(block) - g)) for f_vec in f_vecs])
+    return np.max(per_block, axis=0)
+
+
+def _sup_distances(fns: Sequence[RankFunction], g: RankFunction, grid_n: int) -> list[float]:
+    """``sup_distance(f, g, grid_n)`` for every f in fns: a piecewise linear
+    pair at its own merged knots, and the other functions grouped by the grid
+    they share with g, each group in one pass that reads g once per block."""
+    if grid_n < 2:
+        raise InputError(f"grid_n must be >= 2, got {grid_n}")
+    gaps = np.empty(len(fns))
+    shared: dict[tuple[float, bool], list[int]] = {}
+    for i, f in enumerate(fns):
+        T = _common_T(f, g)
+        knots = _merged_knots(f, g)
+        if knots is None:
+            shared.setdefault((T, f.unbounded_at_origin), []).append(i)
+        else:
+            # f - g is linear between merged knots; a knot past T moves onto it
+            gaps[i] = _max_abs_gaps([f.values], g.values, np.minimum(knots[0], T))[0]
+    for (T, _), rows in shared.items():
+        xs = _grid((fns[rows[0]], g), 0.0, T, grid_n)
+        gaps[rows] = _max_abs_gaps([fns[i].values for i in rows], g.values, xs)
+    return gaps.tolist()
 
 
 def sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
-    """max |f - g| over a uniform grid on the shared domain.
+    """max |f - g| over the shared domain.
 
-    For functions unbounded at the origin the grid starts half a step in,
-    so the reported value bounds the sup over that truncated domain.
+    Exact for a piecewise linear pair (a line counts as one): f - g is linear
+    between their merged knots, so it is read there.  Otherwise the max over
+    a uniform grid of grid_n points, a lower bound of the sup; for functions
+    unbounded at the origin the grid starts half a step in, so the reported
+    value bounds the sup over that truncated domain.
     """
-    xs = _grid((f, g), 0.0, _common_T(f, g), grid_n)
-    return _max_abs_gap(f.values, g.values, xs)
+    return _sup_distances([f], g, grid_n)[0]
 
 
-def _shared_theta_grid(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndarray:
+def _shared_levels(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndarray:
+    """The levels at which the inverse and excess distances read f and g, on
+    the shared admissible range: for a piecewise linear pair its merged knot
+    levels inside the range and the range's two ends, sorted (both inverses
+    are linear between them); otherwise grid_n uniform levels."""
     T = _common_T(f, g)
     if grid_n < 2:
         raise InputError(f"theta_grid_n must be >= 2, got {grid_n}")
@@ -114,19 +160,36 @@ def _shared_theta_grid(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndar
         hi = min(f.value(x_min), g.value(x_min))
     if not lo < hi:
         raise InputError(f"admissible ranges do not overlap: [{rf.lo},{rf.hi}] vs [{rg.lo},{rg.hi}]")
-    return np.linspace(lo, hi, grid_n)
+    knots = _merged_knots(f, g)
+    if knots is None:
+        return np.linspace(lo, hi, grid_n)
+    ys = knots[1]
+    return np.sort(np.concatenate(((lo, hi), ys[(lo < ys) & (ys < hi)])))
 
 
 def inverse_sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
-    """max |f^-1 - g^-1| over a level grid on the shared admissible range."""
-    thetas = _shared_theta_grid(f, g, grid_n)
-    return _max_abs_gap(f.inverses, g.inverses, thetas)
+    """max |f^-1 - g^-1| over the shared admissible range: exact for a
+    piecewise linear pair, read at ``_shared_levels``; otherwise the max over
+    a level grid, a lower bound of the sup."""
+    thetas = _shared_levels(f, g, grid_n)
+    return float(_max_abs_gaps([f.inverses], g.inverses, thetas)[0])
 
 
 def e_sup_distance(f: RankFunction, g: RankFunction, theta_grid_n: int = 10_000) -> float:
-    """max |e_theta(f) - e_theta(g)| over a shared level grid."""
-    thetas = _shared_theta_grid(f, g, theta_grid_n)
-    return _max_abs_gap(partial(e_thetas, f), partial(e_thetas, g), thetas)
+    """max |e_theta(f) - e_theta(g)| over the shared admissible range.
+
+    Exact for a piecewise linear pair: e_f - e_g has derivative
+    -(f^-1 - g^-1), linear between the ``_shared_levels``, so its extremes
+    lie at those levels or where that gap changes sign between two of them.
+    Otherwise the max over a level grid, a lower bound of the sup.
+    """
+    thetas = _shared_levels(f, g, theta_grid_n)
+    if _merged_knots(f, g) is not None:
+        d = f.inverses(thetas) - g.inverses(thetas)
+        flip = d[:-1] * d[1:] < 0.0
+        t0, t1, d0, d1 = thetas[:-1][flip], thetas[1:][flip], d[:-1][flip], d[1:][flip]
+        thetas = np.concatenate((thetas, t0 + d0 * (t1 - t0) / (d0 - d1)))
+    return float(_max_abs_gaps([partial(e_thetas, f)], partial(e_thetas, g), thetas)[0])
 
 
 @dataclass(frozen=True)
@@ -218,12 +281,12 @@ def run_study(
         raise InputError(f"theta_grid_n must be >= 2, got {theta_grid_n}")
     members = [seq.family(n) for n in seq.n_values]
     limit = seq.limit
+    sup_fn = [None] * len(members) if limit is None else _sup_distances(members, limit, grid_n)
     rows = tuple(
         ConvergenceRow(n, None, None, None) if limit is None
-        else ConvergenceRow(n, sup_distance(m, limit, grid_n),
-                            inverse_sup_distance(m, limit, theta_grid_n),
+        else ConvergenceRow(n, sup, inverse_sup_distance(m, limit, theta_grid_n),
                             e_sup_distance(m, limit, theta_grid_n))
-        for n, m in zip(seq.n_values, members))
+        for n, m, sup in zip(seq.n_values, members, sup_fn))
     # each distance column's verdict, none without a limit
     verdicts = [None if limit is None else _column_verdict(column, VERDICT_THRESHOLD)
                 for column in zip(*((r.sup_fn, r.sup_inv, r.sup_e) for r in rows))]

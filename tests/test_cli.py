@@ -300,8 +300,14 @@ class TestConvergeCmd:
             ["--family", "zipf", "--theta-grid-n", "0"],
             ["--family", "linear", "--theta-grid-n", "-3"],
             ["--family", "power", "--theta-grid-n", "-5"],
+            # the piecewise linear families read no grid, yet check both sizes
+            ["--family", "linear", "--grid-n", "1"],
+            ["--family", "shifted", "--grid-n", "1"],
+            ["--family", "linear", "--theta-grid-n", "0"],
+            ["--family", "shifted", "--theta-grid-n", "0"],
         ],
-        ids=["power-grid-0", "zipf-levels-0", "linear-levels-negative", "power-levels-negative"],
+        ids=["power-grid-0", "zipf-levels-0", "linear-levels-negative", "power-levels-negative",
+             "linear-grid-1", "shifted-grid-1", "linear-levels-0", "shifted-levels-0"],
     )
     def test_grid_below_two_points_exit_2(self, args, capsys):
         assert main(["converge", "--n-list", "3,5", *args]) == 2

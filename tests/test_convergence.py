@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import pwl_functions
 from ebundles import convergence
 from ebundles.bundles import e_thetas
 from ebundles.convergence import (
@@ -107,6 +110,104 @@ class TestESupDistance:
         assert smaller == pytest.approx(5e-5, rel=0.2)
 
 
+EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def pwl_pairs(draw):
+    """A piecewise linear f and, on its domain, a line, a second piecewise
+    linear function, or f scaled (its knot ranks shared), in either order."""
+    f = draw(pwl_functions())
+    kind = draw(st.sampled_from(["line", "pwl", "scaled"]))
+    if kind == "line":
+        g = LinearFamily(S=draw(st.floats(min_value=0.1, max_value=40.0)), T=f.T)
+    elif kind == "pwl":
+        h = draw(pwl_functions())
+        xs = h.xs * (f.T / h.T)
+        xs[-1] = f.T
+        g = PiecewiseLinearFn(xs, h.ys)
+    else:
+        g = PiecewiseLinearFn(f.xs, f.ys * draw(st.floats(min_value=0.2, max_value=5.0)))
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+def _knots(h):
+    if isinstance(h, LinearFamily):
+        return np.array([0.0, h.T]), np.array([h.S, 0.0])
+    return h.xs, h.ys
+
+
+class TestExactPiecewiseLinear:
+    """Piecewise linear pairs (a line counts as one) are read at their knots,
+    with no grid."""
+
+    def test_scaled_line_columns_are_the_closed_forms(self):
+        # 1/n, 1/(n+1) and 1/(2n) for n from 1 to 10^6, within a few ulps of
+        # the values' scale 1; the grid sizes change no float
+        ns = sorted({int(round(10.0**e)) for e in np.linspace(0.0, 6.0, 61)})
+        seq = scaled_linear_sequence(ns)
+        coarse = run_study(seq, grid_n=2, theta_grid_n=2).rows
+        assert run_study(seq, grid_n=100_000, theta_grid_n=100_000).rows == coarse
+        for r in coarse:
+            assert abs(r.sup_fn - 1.0 / r.n) <= 4 * EPS
+            assert abs(r.sup_inv - 1.0 / (r.n + 1)) <= 4 * EPS
+            assert abs(r.sup_e - 1.0 / (2 * r.n)) <= 4 * EPS
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=pwl_pairs())
+    def test_exact_is_a_candidate_and_bounds_a_dense_grid(self, pair):
+        f, g = pair
+        T = min(f.T, g.T)
+        (fx, fy), (gx, gy) = _knots(f), _knots(g)
+        peak = max(f.value_at_origin(), g.value_at_origin())
+        # a dense grid's max exceeds the exact sup by rounding at most
+        xs = np.linspace(0.0, T, 20_001)
+        got = sup_distance(f, g)
+        assert got >= float(np.max(np.abs(f.values(xs) - g.values(xs)))) - 8 * EPS * peak
+        ranks = np.minimum(np.concatenate((fx, gx)), T)
+        assert got in np.abs(f.values(ranks) - g.values(ranks)).tolist()
+
+        lo = max(f.admissible_range().lo, g.admissible_range().lo)
+        hi = min(f.value_at_origin(), g.value_at_origin())
+        assume(lo < hi)
+        thetas = np.linspace(lo, hi, 20_001)
+        levels = np.concatenate(((lo, hi), fy, gy))
+        levels = np.sort(levels[(lo <= levels) & (levels <= hi)])
+        got = inverse_sup_distance(f, g)
+        assert got >= float(np.max(np.abs(f.inverses(thetas) - g.inverses(thetas)))) - 8 * EPS * T
+        gaps = f.inverses(levels) - g.inverses(levels)
+        assert got in np.abs(gaps).tolist()
+
+        # e_f - e_g is extreme at a level above, or where the inverse gap,
+        # linear between two of them, crosses zero
+        flip = np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)
+        roots = levels[flip] - gaps[flip] / (gaps[flip + 1] - gaps[flip]) * (
+            levels[flip + 1] - levels[flip])
+        cands = np.abs(e_thetas(f, np.concatenate((levels, roots)))
+                       - e_thetas(g, np.concatenate((levels, roots))))
+        got = e_sup_distance(f, g)
+        tol = 64 * EPS * T * peak
+        assert got >= float(np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas)))) - tol
+        assert float(np.min(np.abs(cands - got))) <= tol
+
+    @pytest.mark.parametrize("family", [scaled_linear_sequence, shifted_linear_sequence],
+                             ids=["linear", "shifted"])
+    def test_studies_read_knots_not_grids(self, family, monkeypatch):
+        # O(K) per distance: no vector form sees the 10^5-point grids
+        sizes = []
+        for cls in (LinearFamily, PiecewiseLinearFn):
+            for name in ("values", "inverses", "_inverses", "cumulatives"):
+                method = getattr(cls, name)
+
+                def spy(self, xs, method=method):
+                    sizes.append(np.size(xs))
+                    return method(self, xs)
+
+                monkeypatch.setattr(cls, name, spy)
+        run_study(family([10, 56, 316, 1778, 10_000, 56_234]), grid_n=100_000, theta_grid_n=20_000)
+        assert sizes and max(sizes) <= 32
+
+
 class TestVectorDistances:
     def test_no_scalar_inverse_calls(self, monkeypatch):
         # a scalar inverse per level would cost a one-element vector call each
@@ -119,19 +220,41 @@ class TestVectorDistances:
         assert all(r.sup_inv > 0.0 and r.sup_e > 0.0 for r in report.rows)
 
     @pytest.mark.parametrize("fns", [
-        (ZipfFamily(beta=0.5 + 0.1 / 7, T=1.0), ZipfFamily(beta=0.5, T=1.0)),
-        (PiecewiseLinearFn.from_pairs([(0.0, 1.25), (1.0, 0.25)]), UNIT_LINE),
+        (ZipfFamily(beta=0.5 + 0.1 / 7, T=1.0), ZipfFamily(beta=0.5, T=1.0), None),
+        # a piecewise linear pair reads no grid: f - g and f^-1 - g^-1 are
+        # 0.25 throughout, and e_f - e_g peaks at the range's foot, 0.25
+        (PiecewiseLinearFn.from_pairs([(0.0, 1.25), (1.0, 0.25)]), UNIT_LINE,
+         (0.25, 0.25, 0.21875)),
     ])
     def test_blocks_match_one_pass(self, fns):
-        f, g = fns
+        f, g, exact = fns
         n = 3 * convergence._BLOCK + 5
+        got = (sup_distance(f, g, n), inverse_sup_distance(f, g, n), e_sup_distance(f, g, n))
+        if exact is not None:
+            assert got == exact
+            return
         xs = convergence._grid((f, g), 0.0, 1.0, n)
-        thetas = convergence._shared_theta_grid(f, g, n)
-        assert sup_distance(f, g, n) == float(np.max(np.abs(f.values(xs) - g.values(xs))))
-        assert inverse_sup_distance(f, g, n) == float(
-            np.max(np.abs(f.inverses(thetas) - g.inverses(thetas))))
-        assert e_sup_distance(f, g, n) == float(
-            np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas))))
+        thetas = convergence._shared_levels(f, g, n)
+        assert got == (
+            float(np.max(np.abs(f.values(xs) - g.values(xs)))),
+            float(np.max(np.abs(f.inverses(thetas) - g.inverses(thetas)))),
+            float(np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas)))))
+
+    def test_members_share_one_read_of_the_limit(self, monkeypatch):
+        # the members share the limit's function grid: one pass reads the
+        # limit once per block, so each grid point once in all
+        seq = zipf_sequence([3, 30, 300, 3000])
+        sizes = []
+        values = ZipfFamily.values
+
+        def spy(self, xs):
+            if self is seq.limit and np.size(xs) > 1:  # not the level cap's one point
+                sizes.append(np.size(xs))
+            return values(self, xs)
+
+        monkeypatch.setattr(ZipfFamily, "values", spy)
+        run_study(seq, grid_n=100_000, theta_grid_n=2)
+        assert sum(sizes) == 100_000
 
     def test_vector_forms_see_one_block_at_a_time(self, monkeypatch):
         # temporaries over a whole grid would be mapped and unmapped per call

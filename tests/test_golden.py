@@ -26,6 +26,12 @@ power-complement specs, and a three-knot piecewise linear spec), with
     ebundles ingest --input citations.txt --output ingest-citations.json \
         2> ingest-citations.stderr
 
+``converge-shifted.csv`` was written again with the same command when the
+distances of piecewise linear pairs became exact (read at the merged knots,
+not on the grid).  Its true sup_fn is a constant gap of 1/n; the grid had
+read it with rounding at interior points, so four sup_fn cells moved to the
+gap at the origin, f(0) - g(0), and nothing else changed.
+
 Every output must match byte for byte, except the Zipf converge CSV:
 numpy's vector power and the C library's pow can differ by an ulp or two,
 so its cells may move by at most 8 * eps * T on the inverse values in
