@@ -271,17 +271,14 @@ def cmd_converge(args: argparse.Namespace) -> int:
     _emit(report.to_csv(), args.output)
     peak = "inf" if math.isinf(report.member_peak) else f"{report.member_peak:g}"
     print(f"# member peak at origin: {peak}", file=sys.stderr)
-    if report.limit_discontinuous is not None:
-        print(
-            f"# no limit declared; pointwise limit looks "
-            f"{'discontinuous' if report.limit_discontinuous else 'continuous'}",
-            file=sys.stderr,
-        )
+    if seq.limit is not None:
+        verdict = f"converges (fn/inv/e): {report.fn_converges}/{report.inv_converges}/{report.e_converges}"
+    elif report.limit_discontinuous is None:
+        verdict = "no limit declared; pointwise limit: NA (needs three or more n values)"
     else:
-        print(
-            f"# converges (fn/inv/e): {report.fn_converges}/{report.inv_converges}/{report.e_converges}",
-            file=sys.stderr,
-        )
+        verdict = ("no limit declared; pointwise limit looks "
+                   f"{'discontinuous' if report.limit_discontinuous else 'continuous'}")
+    print(f"# {verdict}", file=sys.stderr)
     return 0
 
 

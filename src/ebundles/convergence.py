@@ -4,34 +4,32 @@ Given a family rule n -> Z_n and an optional limit Z, a study tabulates three
 sup distances per n: the functions themselves, their inverses over the
 shared admissible levels, and their excess-area scores, each read through
 the functions' vector forms (``values``, ``inverses`` and
-``bundles.e_thetas``).  For a piecewise linear pair (a line counts as one)
-each distance is exact: it is read at the few points where the gap can be
-extreme, the merged knots and, for the excess areas, the levels where the
-inverses cross, so no grid is built.  Other pairs (Zipf, power complement)
-are read on grids, one numpy expression per block: their maxima are lower
-bounds of the true sup.  The function grid defaults to 10^4 points and the
-level grid to 10^3 (``run_study`` and the CLI); members that share the
-limit's function grid are read in one pass over it, the limit once per
-block.  A doubling check in the test suite confirms refinement changes grid
-results by less than 10 percent.
+``bundles.e_thetas``).  Each distance is exact for a pair of one built-in
+family: it is read at the few points where the gap can be extreme, the
+merged knots of two piecewise linear functions (a line counts as one) and
+the ends and closed-form critical point for two Zipf members or two power
+complements, so no grid is built.  The one approximation is the Zipf pole:
+ranks start half a step of a ``grid_n``-point uniform grid in, and levels
+stop at the level reached at rank T/``theta_grid_n`` (``run_study`` and the
+CLI default to 10^4 and 10^3).  A pair that mixes families raises
+``InputError``.
 
 Verdict flags are heuristics over the supplied n values only (final value
 under threshold and weak decrease over the last half); no limit claim is
-made.  When no limit is supplied the study instead estimates the pointwise
-limit from the largest members and flags an apparent jump discontinuity,
-the signature of families whose pointwise limit leaves the space of
-continuous decreasing functions.  Either way ``run_study`` builds one
-``ConvergenceReport``: the rows, the members' largest value at the origin
-and the verdict flags.  The named families (``SEQUENCE_FAMILIES``) take
-only their n values; the Zipf one moves its exponent 0.5 + 0.1/n onto
-0.5.
+made.  When no limit is supplied the study instead reads the Cauchy gaps of
+consecutive members and flags an apparent jump discontinuity of the
+pointwise limit, the signature of families whose pointwise limit leaves the
+space of continuous decreasing functions; with fewer than three members it
+makes no claim.  Either way ``run_study`` builds one ``ConvergenceReport``:
+the rows, the members' largest value at the origin and the verdict flags.
+The named families (``SEQUENCE_FAMILIES``) take only their n values; the
+Zipf one moves its exponent 0.5 + 0.1/n onto 0.5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,132 +62,113 @@ __all__ = [
 
 VERDICT_THRESHOLD = 1e-3
 
-# Grid points per numpy pass in the sup distances.  A block's temporaries
-# (64 KiB each) stay below glibc's 128 KiB mmap threshold, so they are reused
-# from the heap.  Temporaries over a whole 10^5-point grid would be mapped,
-# faulted in page by page and unmapped on every call: about a third of a
-# converge job's time, and a cost that varies with the load on the host.
-_BLOCK = 8192
 
-
-def _grid(fns: Sequence[RankFunction], lo: float, hi: float, n: int) -> np.ndarray:
-    """n >= 2 uniform points on [lo, hi], pole-free for every function in fns."""
+def _check_points(name: str, n: int) -> None:
     if n < 2:
-        raise InputError(f"grid_n must be >= 2, got {n}")
-    xs = np.linspace(lo, hi, n)
-    if xs[0] == 0.0 and any(f.unbounded_at_origin for f in fns):
-        # cannot sample the pole itself; start half a step in
-        xs[0] = 0.5 * xs[1]
-    return xs
+        raise InputError(f"{name} must be >= 2, got {n}")
 
 
-def _merged_knots(f: RankFunction, g: RankFunction) -> tuple[np.ndarray, np.ndarray] | None:
-    """The knot ranks and the knot levels of f and g, each merged into one
-    array, a line read as its two knots (0, S) and (T, 0); None unless both
-    are piecewise linear."""
-    if not all(isinstance(h, (PiecewiseLinearFn, LinearFamily)) for h in (f, g)):
-        return None
-    knots = [(h.xs, h.ys) if isinstance(h, PiecewiseLinearFn) else ((0.0, h.T), (h.S, 0.0))
-             for h in (f, g)]
-    return tuple(np.concatenate(v) for v in zip(*knots))
+def _family(f: RankFunction, g: RankFunction) -> type:
+    """The pair's family: ``PiecewiseLinearFn`` for two piecewise linear
+    functions (a line counts as one), ``ZipfFamily`` or ``PowerComplement``;
+    raises ``InputError``, naming both types, for any other pair."""
+    kinds = [PiecewiseLinearFn if isinstance(h, LinearFamily) else type(h) for h in (f, g)]
+    if kinds[0] is not kinds[1] or kinds[0] not in (PiecewiseLinearFn, ZipfFamily, PowerComplement):
+        raise InputError(f"exact distances need two functions of one family, got "
+                         f"{type(f).__name__} and {type(g).__name__}")
+    return kinds[0]
 
 
-def _max_abs_gaps(
-    f_vecs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    g_vec: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-) -> np.ndarray:
-    """max |f_vec(grid) - g_vec(grid)| for each f_vec, one block of the grid
-    at a time, g_vec read once per block."""
-    per_block = []
-    for block in (grid[i : i + _BLOCK] for i in range(0, len(grid), _BLOCK)):
-        g = g_vec(block)
-        per_block.append([np.max(np.abs(f_vec(block) - g)) for f_vec in f_vecs])
-    return np.max(per_block, axis=0)
+def _knots(h: PiecewiseLinearFn | LinearFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The knot ranks and levels of h, a line read as (0, S) and (T, 0)."""
+    if isinstance(h, LinearFamily):
+        return np.array([0.0, h.T]), np.array([h.S, 0.0])
+    return h.xs, h.ys
 
 
-def _sup_distances(fns: Sequence[RankFunction], g: RankFunction, grid_n: int) -> list[float]:
-    """``sup_distance(f, g, grid_n)`` for every f in fns: a piecewise linear
-    pair at its own merged knots, and the other functions grouped by the grid
-    they share with g, each group in one pass that reads g once per block."""
-    if grid_n < 2:
-        raise InputError(f"grid_n must be >= 2, got {grid_n}")
-    gaps = np.empty(len(fns))
-    shared: dict[tuple[float, bool], list[int]] = {}
-    for i, f in enumerate(fns):
-        T = _common_T(f, g)
-        knots = _merged_knots(f, g)
-        if knots is None:
-            shared.setdefault((T, f.unbounded_at_origin), []).append(i)
-        else:
-            # f - g is linear between merged knots; a knot past T moves onto it
-            gaps[i] = _max_abs_gaps([f.values], g.values, np.minimum(knots[0], T))[0]
-    for (T, _), rows in shared.items():
-        xs = _grid((fns[rows[0]], g), 0.0, T, grid_n)
-        gaps[rows] = _max_abs_gaps([fns[i].values for i in rows], g.values, xs)
-    return gaps.tolist()
+def _rank_candidates(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndarray:
+    """The ranks in [0, T], T the shared domain end, at which |f - g| can peak.
+
+    Piecewise linear: f - g is linear between the merged knots (a knot past T
+    moves onto it).  Zipf: with u = T/x, |u^beta_f - u^beta_g| grows on
+    u >= 1, so it peaks at x0, half a step of a grid_n-point uniform grid in
+    from the pole, where the truncated domain starts.  Power complement:
+    x^m - x^n vanishes at both ends and peaks at x* = (m/n)^(1/(n-m)).
+    """
+    _check_points("grid_n", grid_n)
+    kind, T = _family(f, g), _common_T(f, g)
+    if kind is ZipfFamily:
+        return np.array([0.5 * (T / (grid_n - 1)), T])
+    if kind is PowerComplement:
+        m, n = f.n, g.n
+        # equal members have no critical point: 0.0 stands in for it
+        return np.array([0.0, (m / n) ** (1.0 / (n - m)) if m != n else 0.0, 1.0])
+    return np.minimum(np.concatenate((_knots(f)[0], _knots(g)[0])), T)
+
+
+def _level_candidates(f: RankFunction, g: RankFunction, theta_grid_n: int) -> np.ndarray:
+    """The levels, sorted, at which |f^-1 - g^-1| can peak on the shared
+    admissible range: the range's two ends and the critical points inside.
+
+    An unbounded range (the Zipf pole) stops at the lower of the two levels
+    reached at rank T/theta_grid_n.  Piecewise linear: both inverses are
+    linear between the merged knot levels.  Zipf: T(theta^-a - theta^-b),
+    with a = 1/beta_f and b = 1/beta_g, has one critical point,
+    theta* = (b/a)^(1/(b-a)).  Power complement: s^a - s^b, with s = 1 - theta,
+    a = 1/m and b = 1/n, has one, s* = (b/a)^(1/(a-b)); below 2^-53 it is
+    read at the largest level under 1, the closest one a float names.
+    """
+    _check_points("theta_grid_n", theta_grid_n)
+    kind, T = _family(f, g), _common_T(f, g)
+    rf, rg = f.admissible_range(), g.admissible_range()
+    lo, hi = max(rf.lo, rg.lo), min(rf.hi, rg.hi)
+    if math.isinf(hi):
+        hi = min(f.value(T / theta_grid_n), g.value(T / theta_grid_n))
+    if not lo < hi:
+        raise InputError(f"admissible ranges do not overlap: [{rf.lo},{rf.hi}] vs [{rg.lo},{rg.hi}]")
+    # equal members have no critical point: the range's foot stands in for it
+    if kind is PiecewiseLinearFn:
+        inner = np.concatenate((_knots(f)[1], _knots(g)[1]))
+    elif kind is ZipfFamily:
+        a, b = 1.0 / f.beta, 1.0 / g.beta
+        inner = np.array([(b / a) ** (1.0 / (b - a)) if a != b else 1.0])
+    else:
+        a, b = 1.0 / f.n, 1.0 / g.n
+        s = (b / a) ** (1.0 / (a - b)) if a != b else 1.0
+        inner = np.array([min(1.0 - s, np.nextafter(1.0, 0.0))])
+    return np.sort(np.concatenate(((lo, hi), inner[(lo < inner) & (inner < hi)])))
 
 
 def sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
-    """max |f - g| over the shared domain.
-
-    Exact for a piecewise linear pair (a line counts as one): f - g is linear
-    between their merged knots, so it is read there.  Otherwise the max over
-    a uniform grid of grid_n points, a lower bound of the sup; for functions
-    unbounded at the origin the grid starts half a step in, so the reported
-    value bounds the sup over that truncated domain.
-    """
-    return _sup_distances([f], g, grid_n)[0]
-
-
-def _shared_levels(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndarray:
-    """The levels at which the inverse and excess distances read f and g, on
-    the shared admissible range: for a piecewise linear pair its merged knot
-    levels inside the range and the range's two ends, sorted (both inverses
-    are linear between them); otherwise grid_n uniform levels."""
-    T = _common_T(f, g)
-    if grid_n < 2:
-        raise InputError(f"theta_grid_n must be >= 2, got {grid_n}")
-    rf, rg = f.admissible_range(), g.admissible_range()
-    lo = max(rf.lo, rg.lo)
-    hi = min(rf.hi, rg.hi)
-    if math.isinf(hi):
-        # cap an unbounded intersection at the level reached one grid step
-        # from the origin, the same truncation sup_distance applies
-        x_min = T / grid_n
-        hi = min(f.value(x_min), g.value(x_min))
-    if not lo < hi:
-        raise InputError(f"admissible ranges do not overlap: [{rf.lo},{rf.hi}] vs [{rg.lo},{rg.hi}]")
-    knots = _merged_knots(f, g)
-    if knots is None:
-        return np.linspace(lo, hi, grid_n)
-    ys = knots[1]
-    return np.sort(np.concatenate(((lo, hi), ys[(lo < ys) & (ys < hi)])))
+    """max |f - g| over the shared domain, read at ``_rank_candidates``: exact
+    for a pair of one family, and for a Zipf pair over the domain truncated
+    half a step of a grid_n-point uniform grid in from the pole."""
+    xs = _rank_candidates(f, g, grid_n)
+    return float(np.max(np.abs(f.values(xs) - g.values(xs))))
 
 
 def inverse_sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
-    """max |f^-1 - g^-1| over the shared admissible range: exact for a
-    piecewise linear pair, read at ``_shared_levels``; otherwise the max over
-    a level grid, a lower bound of the sup."""
-    thetas = _shared_levels(f, g, grid_n)
-    return float(_max_abs_gaps([f.inverses], g.inverses, thetas)[0])
+    """max |f^-1 - g^-1| over the shared admissible range, read at
+    ``_level_candidates``: exact for a pair of one family (a Zipf pair's range
+    stops at rank T/grid_n)."""
+    thetas = _level_candidates(f, g, grid_n)
+    return float(np.max(np.abs(f.inverses(thetas) - g.inverses(thetas))))
 
 
 def e_sup_distance(f: RankFunction, g: RankFunction, theta_grid_n: int = 10_000) -> float:
     """max |e_theta(f) - e_theta(g)| over the shared admissible range.
 
-    Exact for a piecewise linear pair: e_f - e_g has derivative
-    -(f^-1 - g^-1), linear between the ``_shared_levels``, so its extremes
-    lie at those levels or where that gap changes sign between two of them.
-    Otherwise the max over a level grid, a lower bound of the sup.
+    e_f - e_g has derivative -(f^-1 - g^-1), so its extremes lie at the
+    ``_level_candidates`` or where that gap changes sign: for a piecewise
+    linear pair, at the root of the gap, linear between two candidates; a
+    Zipf or power-complement gap keeps one sign inside the range.
     """
-    thetas = _shared_levels(f, g, theta_grid_n)
-    if _merged_knots(f, g) is not None:
-        d = f.inverses(thetas) - g.inverses(thetas)
-        flip = d[:-1] * d[1:] < 0.0
-        t0, t1, d0, d1 = thetas[:-1][flip], thetas[1:][flip], d[:-1][flip], d[1:][flip]
-        thetas = np.concatenate((thetas, t0 + d0 * (t1 - t0) / (d0 - d1)))
-    return float(_max_abs_gaps([partial(e_thetas, f)], partial(e_thetas, g), thetas)[0])
+    thetas = _level_candidates(f, g, theta_grid_n)
+    d = f.inverses(thetas) - g.inverses(thetas)
+    flip = d[:-1] * d[1:] < 0.0
+    t0, t1, d0, d1 = thetas[:-1][flip], thetas[1:][flip], d[:-1][flip], d[1:][flip]
+    thetas = np.concatenate((thetas, t0 + d0 * (t1 - t0) / (d0 - d1)))
+    return float(np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas))))
 
 
 @dataclass(frozen=True)
@@ -228,6 +207,7 @@ class ConvergenceReport:
     fn_converges: bool | None
     inv_converges: bool | None
     e_converges: bool | None
+    # None with a limit, or with fewer than three members
     limit_discontinuous: bool | None
 
     def to_csv(self) -> str:
@@ -247,23 +227,21 @@ def _column_verdict(values: Sequence[float], threshold: float) -> bool:
     return decreasing and values[-1] < threshold
 
 
-def _discontinuity_flag(members: Sequence[RankFunction], grid_n: int) -> bool:
+def _discontinuity_flag(members: Sequence[RankFunction], grid_n: int) -> bool | None:
     """Detect that the pointwise limit cannot be continuous (heuristic).
 
     Uniform convergence of continuous functions forces a continuous limit,
     so a uniform Cauchy gap sup|Z_next - Z_n| that refuses to shrink along
     the n list is the desk-scale signature of a discontinuous pointwise
-    limit.  With a single consecutive pair the fallback looks for a jump in
-    the largest member exceeding a tenth of its value range over one grid
-    step.  Needs a reasonably geometric spread of n values to be sharp.
-    The gaps are ``sup_distance``'s, so the members must share a domain.
+    limit.  Needs a reasonably geometric spread of n values to be sharp, and
+    two gaps at least: with fewer than three members it makes no claim
+    (None).  The gaps are ``sup_distance``'s, so the members must share a
+    domain and a family.
     """
-    n = min(grid_n, 2_000)
-    gaps = [sup_distance(a, b, n) for a, b in zip(members, members[1:])]
-    if len(gaps) >= 2:
-        return gaps[-1] > 0.5 * gaps[0] and gaps[-1] > 1e-6
-    est = members[-1].values(_grid(members, 0.0, members[-1].T, n))
-    return float(np.max(np.abs(np.diff(est)))) > 0.1 * float(np.max(est) - np.min(est))
+    gaps = [sup_distance(a, b, grid_n) for a, b in zip(members, members[1:])]
+    if len(gaps) < 2:
+        return None
+    return gaps[-1] > 0.5 * gaps[0] and gaps[-1] > 1e-6
 
 
 def run_study(
@@ -275,18 +253,19 @@ def run_study(
 
     Without a limit the distance columns stay empty and the report instead
     carries the discontinuity flag for the empirical pointwise limit.  Both
-    grids need at least 2 points, with or without a limit.
+    grid sizes need at least 2 points, with or without a limit, for every
+    family.
     """
-    if theta_grid_n < 2:
-        raise InputError(f"theta_grid_n must be >= 2, got {theta_grid_n}")
+    _check_points("grid_n", grid_n)
+    _check_points("theta_grid_n", theta_grid_n)
     members = [seq.family(n) for n in seq.n_values]
     limit = seq.limit
-    sup_fn = [None] * len(members) if limit is None else _sup_distances(members, limit, grid_n)
     rows = tuple(
         ConvergenceRow(n, None, None, None) if limit is None
-        else ConvergenceRow(n, sup, inverse_sup_distance(m, limit, theta_grid_n),
+        else ConvergenceRow(n, sup_distance(m, limit, grid_n),
+                            inverse_sup_distance(m, limit, theta_grid_n),
                             e_sup_distance(m, limit, theta_grid_n))
-        for n, m, sup in zip(seq.n_values, members, sup_fn))
+        for n, m in zip(seq.n_values, members))
     # each distance column's verdict, none without a limit
     verdicts = [None if limit is None else _column_verdict(column, VERDICT_THRESHOLD)
                 for column in zip(*((r.sup_fn, r.sup_inv, r.sup_e) for r in rows))]

@@ -314,6 +314,12 @@ class TestConvergeCmd:
         err = capsys.readouterr().err
         assert "must be >= 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("family", ["power", "zipf"])
+    def test_one_member_still_checks_the_grid(self, family, capsys):
+        # a single n reads no distance, yet both sizes are checked
+        assert main(["converge", "--family", family, "--n-list", "10", "--grid-n", "1"]) == 2
+        assert capsys.readouterr().err == "error: grid_n must be >= 2, got 1\n"
+
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--family", "nope"])
@@ -345,6 +351,21 @@ class TestConvergeCmd:
         captured = capsys.readouterr()
         assert "NA,NA,NA" in captured.out
         assert "discontinuous" in captured.err
+
+    @pytest.mark.parametrize("n_list", ["10,100,1000", "10,100,1000,10000,100000",
+                                        "3,17,250,4001,60000"])
+    def test_power_flag_sees_the_boundary_layer(self, n_list, capsys):
+        # the exact Cauchy gaps see the layer of width about 1/n at x = 1
+        assert main(["converge", "--family", "power", "--n-list", n_list]) == 0
+        assert capsys.readouterr().err.endswith(
+            "# no limit declared; pointwise limit looks discontinuous\n")
+
+    @pytest.mark.parametrize("n_list", ["10,100", "10"])
+    def test_fewer_than_three_members_make_no_claim(self, n_list, capsys):
+        assert main(["converge", "--family", "power", "--n-list", n_list]) == 0
+        assert capsys.readouterr().err == (
+            "# member peak at origin: 1\n"
+            "# no limit declared; pointwise limit: NA (needs three or more n values)\n")
 
 
 class TestCounterexamplesCmd:

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import pwl_functions
-from ebundles import convergence
 from ebundles.bundles import e_thetas
 from ebundles.convergence import (
     FunctionSequence,
@@ -52,9 +51,9 @@ class TestSupDistance:
         assert abs(d2 - d1) <= lipschitz * (1.0 / 999)
 
     def test_doubling_default_grid_changes_little(self):
-        # the default 1e4 grid is converged: doubling moves results < 10%
-        # (bounded pair for the function sup; near a pole the truncated-domain
-        # sup is a diverging lower bound by design)
+        # doubling the default sizes moves results < 10%: a piecewise linear
+        # pair not at all, a Zipf pair's level distances through the level cap
+        # (near the pole the truncated-domain function sup diverges by design)
         f = PiecewiseLinearFn.from_pairs([(0, 2), (0.3, 1), (1, 0.1)])
         base = sup_distance(f, UNIT_LINE, 10_000)
         assert abs(sup_distance(f, UNIT_LINE, 20_000) - base) <= 0.1 * base
@@ -137,6 +136,21 @@ def _knots(h):
     return h.xs, h.ys
 
 
+def _vector_sizes(monkeypatch, classes):
+    """A list that records the size of every vector-form call on classes."""
+    sizes = []
+    for cls in classes:
+        for name in ("values", "inverses", "_inverses", "cumulatives"):
+            method = getattr(cls, name)
+
+            def spy(self, xs, method=method):
+                sizes.append(np.size(xs))
+                return method(self, xs)
+
+            monkeypatch.setattr(cls, name, spy)
+    return sizes
+
+
 class TestExactPiecewiseLinear:
     """Piecewise linear pairs (a line counts as one) are read at their knots,
     with no grid."""
@@ -190,22 +204,86 @@ class TestExactPiecewiseLinear:
         assert got >= float(np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas)))) - tol
         assert float(np.min(np.abs(cands - got))) <= tol
 
+    @pytest.mark.parametrize("grid_n", [2, 24_581])
+    def test_constant_gap_pair(self, grid_n):
+        # f - g and f^-1 - g^-1 are 0.25 throughout, and e_f - e_g peaks at
+        # the range's foot, 0.25 - 0.25^2 / 2; the grid size changes no float
+        f = PiecewiseLinearFn.from_pairs([(0.0, 1.25), (1.0, 0.25)])
+        got = (sup_distance(f, UNIT_LINE, grid_n), inverse_sup_distance(f, UNIT_LINE, grid_n),
+               e_sup_distance(f, UNIT_LINE, grid_n))
+        assert got == (0.25, 0.25, 0.21875)
+
     @pytest.mark.parametrize("family", [scaled_linear_sequence, shifted_linear_sequence],
                              ids=["linear", "shifted"])
     def test_studies_read_knots_not_grids(self, family, monkeypatch):
         # O(K) per distance: no vector form sees the 10^5-point grids
-        sizes = []
-        for cls in (LinearFamily, PiecewiseLinearFn):
-            for name in ("values", "inverses", "_inverses", "cumulatives"):
-                method = getattr(cls, name)
-
-                def spy(self, xs, method=method):
-                    sizes.append(np.size(xs))
-                    return method(self, xs)
-
-                monkeypatch.setattr(cls, name, spy)
+        sizes = _vector_sizes(monkeypatch, (LinearFamily, PiecewiseLinearFn))
         run_study(family([10, 56, 316, 1778, 10_000, 56_234]), grid_n=100_000, theta_grid_n=20_000)
         assert sizes and max(sizes) <= 32
+
+
+@st.composite
+def family_pairs(draw):
+    """Two Zipf members on one domain or two power complements, in either
+    order."""
+    if draw(st.booleans()):
+        T = draw(st.floats(min_value=1e-3, max_value=1e3))
+        betas = st.floats(min_value=0.05, max_value=0.95)
+        return ZipfFamily(beta=draw(betas), T=T), ZipfFamily(beta=draw(betas), T=T)
+    m, n = draw(st.lists(st.integers(min_value=1, max_value=10**5), min_size=2, max_size=2,
+                         unique=True))
+    return PowerComplement(n=m), PowerComplement(n=n)
+
+
+class TestExactFamilies:
+    """Zipf and power-complement pairs are read at their ends and closed-form
+    critical points, with no grid; the Zipf pole truncation is the one
+    approximation left."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=family_pairs())
+    def test_exact_bounds_a_dense_grid(self, pair):
+        f, g = pair
+        T, grid_n, zipf = f.T, 10_000, isinstance(f, ZipfFamily)
+        # the truncated domain and level range that the distances read
+        x0 = 0.5 * (T / (grid_n - 1)) if zipf else 0.0
+        hi = min(f.value(T / grid_n), g.value(T / grid_n)) if zipf else 1.0
+        xs = np.linspace(x0, T, 10**6)
+        thetas = np.linspace(f.admissible_range().lo, hi, 10**6)
+        peak = max(f.value(x0), g.value(x0))
+        got = sup_distance(f, g, grid_n)
+        assert got >= float(np.max(np.abs(f.values(xs) - g.values(xs)))) - 8 * EPS * peak
+        got = inverse_sup_distance(f, g, grid_n)
+        assert got >= float(np.max(np.abs(f.inverses(thetas) - g.inverses(thetas)))) - 8 * EPS * T
+        got = e_sup_distance(f, g, grid_n)
+        gaps = np.abs(e_thetas(f, thetas) - e_thetas(g, thetas))
+        assert got >= float(np.max(gaps)) - 64 * EPS * T * peak
+        if not zipf:
+            # x^m - x^n peaks at x* = r^(1/(n-m)), r = m/n
+            m, n = sorted((f.n, g.n))
+            r = m / n
+            want = r ** (m / (n - m)) - r ** (n / (n - m))
+            assert abs(sup_distance(f, g) - want) <= 8 * EPS
+
+    @pytest.mark.parametrize("family", [zipf_sequence, power_complement_sequence],
+                             ids=["zipf", "power"])
+    def test_studies_read_few_points(self, family, monkeypatch):
+        # O(1) per distance: no vector form sees the 10^5-point grids
+        sizes = _vector_sizes(monkeypatch, (ZipfFamily, PowerComplement))
+        run_study(family([10, 56, 316, 1778, 10_000, 56_234]), grid_n=100_000, theta_grid_n=20_000)
+        assert sizes and max(sizes) <= 8
+
+    @pytest.mark.parametrize("pair", [
+        (PiecewiseLinearFn.from_pairs([(0.0, 2.0), (1.0, 1.0)]), ZipfFamily(beta=0.5, T=1.0)),
+        (UNIT_LINE, PowerComplement(n=3)),
+    ], ids=["pwl-zipf", "line-power"])
+    @pytest.mark.parametrize("dist", [sup_distance, inverse_sup_distance, e_sup_distance])
+    def test_mixed_families_are_rejected(self, pair, dist):
+        f, g = pair
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(InputError) as exc:
+                dist(a, b)
+            assert type(a).__name__ in str(exc.value) and type(b).__name__ in str(exc.value)
 
 
 class TestVectorDistances:
@@ -218,57 +296,6 @@ class TestVectorDistances:
         seq = zipf_sequence([10, 100])
         report = run_study(seq, grid_n=1_000, theta_grid_n=500)
         assert all(r.sup_inv > 0.0 and r.sup_e > 0.0 for r in report.rows)
-
-    @pytest.mark.parametrize("fns", [
-        (ZipfFamily(beta=0.5 + 0.1 / 7, T=1.0), ZipfFamily(beta=0.5, T=1.0), None),
-        # a piecewise linear pair reads no grid: f - g and f^-1 - g^-1 are
-        # 0.25 throughout, and e_f - e_g peaks at the range's foot, 0.25
-        (PiecewiseLinearFn.from_pairs([(0.0, 1.25), (1.0, 0.25)]), UNIT_LINE,
-         (0.25, 0.25, 0.21875)),
-    ])
-    def test_blocks_match_one_pass(self, fns):
-        f, g, exact = fns
-        n = 3 * convergence._BLOCK + 5
-        got = (sup_distance(f, g, n), inverse_sup_distance(f, g, n), e_sup_distance(f, g, n))
-        if exact is not None:
-            assert got == exact
-            return
-        xs = convergence._grid((f, g), 0.0, 1.0, n)
-        thetas = convergence._shared_levels(f, g, n)
-        assert got == (
-            float(np.max(np.abs(f.values(xs) - g.values(xs)))),
-            float(np.max(np.abs(f.inverses(thetas) - g.inverses(thetas)))),
-            float(np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas)))))
-
-    def test_members_share_one_read_of_the_limit(self, monkeypatch):
-        # the members share the limit's function grid: one pass reads the
-        # limit once per block, so each grid point once in all
-        seq = zipf_sequence([3, 30, 300, 3000])
-        sizes = []
-        values = ZipfFamily.values
-
-        def spy(self, xs):
-            if self is seq.limit and np.size(xs) > 1:  # not the level cap's one point
-                sizes.append(np.size(xs))
-            return values(self, xs)
-
-        monkeypatch.setattr(ZipfFamily, "values", spy)
-        run_study(seq, grid_n=100_000, theta_grid_n=2)
-        assert sum(sizes) == 100_000
-
-    def test_vector_forms_see_one_block_at_a_time(self, monkeypatch):
-        # temporaries over a whole grid would be mapped and unmapped per call
-        sizes = []
-        for name in ("values", "inverses", "cumulatives"):
-            method = getattr(ZipfFamily, name)
-
-            def spy(self, xs, method=method):
-                sizes.append(np.size(xs))
-                return method(self, xs)
-
-            monkeypatch.setattr(ZipfFamily, name, spy)
-        run_study(zipf_sequence([3, 30]), grid_n=100_000, theta_grid_n=20_000)
-        assert sizes and max(sizes) <= convergence._BLOCK
 
     @pytest.mark.parametrize("grid_n", [-3, 0, 1])
     def test_level_grid_needs_two_points(self, grid_n):

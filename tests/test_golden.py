@@ -32,6 +32,15 @@ not on the grid).  Its true sup_fn is a constant gap of 1/n; the grid had
 read it with rounding at interior points, so four sup_fn cells moved to the
 gap at the origin, f(0) - g(0), and nothing else changed.
 
+``converge-zipf.csv`` and ``converge-power.stderr`` were written again with
+the same command when Zipf and power-complement pairs came to be read at
+their closed-form critical points, not on grids.  Zipf sup_inv rose in every
+row to the true sup, which the level grid had missed between its points;
+sup_fn and sup_e were read at the grid's first rank and at the level 1
+already, and did not move.  The power-complement Cauchy gaps are now exact:
+the grid had missed the boundary layer of width about 1/n at x = 1, so the
+pointwise limit of 1 - x^n, which jumps there, reads discontinuous.
+
 Every output must match byte for byte, except the Zipf converge CSV:
 numpy's vector power and the C library's pow can differ by an ulp or two,
 so its cells may move by at most 8 * eps * T on the inverse values in
