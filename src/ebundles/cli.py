@@ -289,14 +289,14 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
     # reproduces (GM tests only pairs that the checker verified as CUMULATIVE_PREC)
     fg, f1, f2 = ax.fixture_global(), ax.fixture_alt1(), ax.fixture_alt2()
     found = [
-        (ax.check_global_impact(bn.E_BUNDLE, fg.theta, [fg.pair])["GM"],
+        (ax.check_global_impact(bn.E_BUNDLE, fg.theta, fg.pairs)["GM"],
          "cumulative order, equal excess areas",
          "e_1(lower)={rhs:.6f}, e_1(upper)={lhs:.6f}, lower precedes upper: True",
          "excess area not a global impact measure"),
-        (ax.check_impact_measure(ax.pseudo_bundle_n(), f1.theta, [f1.pair])["IM.2"],
+        (ax.check_impact_measure(ax.pseudo_bundle_n(), f1.theta, f1.pairs)["IM.2"],
          "per-rank excess score",
          "n_1(upper)={lhs:.6f} < n_1(lower)={rhs:.6f} despite upper > lower", "not monotone"),
-        (ax.check_impact_measure(ax.pseudo_bundle_eta(), f2.theta, [f2.pair])["IM.2"],
+        (ax.check_impact_measure(ax.pseudo_bundle_eta(), f2.theta, f2.pairs)["IM.2"],
          "own-level area score",
          "eta(lower)={rhs:.6f} > eta(upper)={lhs:.6f} despite lower <= upper", "not monotone"),
     ]

@@ -2,17 +2,17 @@
 
 Given a family rule n -> Z_n and an optional limit Z, a study tabulates three
 sup distances per n: the functions themselves, their inverses over the
-shared admissible levels, and their excess-area scores, each read through
-the functions' vector forms (``values``, ``inverses`` and
-``bundles.e_thetas``).  Each distance is exact for a pair of one built-in
-family: it is read at the few points where the gap can be extreme, the
-merged knots of two piecewise linear functions (a line counts as one) and
-the ends and closed-form critical point for two Zipf members or two power
-complements, so no grid is built.  The one approximation is the Zipf pole:
-ranks start half a step of a ``grid_n``-point uniform grid in, and levels
-stop at the level reached at rank T/``theta_grid_n`` (``run_study`` and the
-CLI default to 10^4 and 10^3).  A pair that mixes families raises
-``InputError``.
+shared admissible levels, and their excess-area scores, each column read for
+all members in one stacked pass, against the limit read once (the public
+distances are the one-member case).  Each distance is exact for a pair of
+one built-in family: it is read at the few points where the gap can be
+extreme, the merged knots of two piecewise linear functions (a line counts
+as one) and the ends and closed-form critical point for two Zipf members or
+two power complements, so no grid is built.  The one approximation is the
+Zipf pole: ranks start half a step of a ``grid_n``-point uniform grid in,
+and levels stop at the level reached at rank T/``theta_grid_n``
+(``run_study`` and the CLI default to 10^4 and 10^3).  A pair that mixes
+families raises ``InputError``.
 
 Verdict flags are heuristics over the supplied n values only (final value
 under threshold and weak decrease over the last half); no limit claim is
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import e_thetas
+from .bundles import _excess
 from .functions import (
     InputError,
     LinearFamily,
@@ -43,6 +43,7 @@ from .functions import (
     RankFunction,
     ZipfFamily,
     _common_T,
+    _PwlStack,
 )
 
 __all__ = [
@@ -79,96 +80,117 @@ def _family(f: RankFunction, g: RankFunction) -> type:
     return kinds[0]
 
 
-def _knots(h: PiecewiseLinearFn | LinearFamily) -> tuple[np.ndarray, np.ndarray]:
-    """The knot ranks and levels of h, a line read as (0, S) and (T, 0)."""
-    if isinstance(h, LinearFamily):
-        return np.array([0.0, h.T]), np.array([h.S, 0.0])
-    return h.xs, h.ys
+def _as_pwl(fns: Sequence[RankFunction]) -> list[PiecewiseLinearFn]:
+    """The piecewise linear functions, a line as its knots (0, S), (T, 0)."""
+    return [PiecewiseLinearFn._view(np.array([0.0, h.T]), np.array([h.S, 0.0]))
+            if isinstance(h, LinearFamily) else h for h in fns]
 
 
-def _rank_candidates(f: RankFunction, g: RankFunction, grid_n: int) -> np.ndarray:
-    """The ranks in [0, T], T the shared domain end, at which |f - g| can peak.
+def _rows(fns: Sequence[RankFunction]) -> RankFunction:
+    """The functions as one reader, row i of an (m, c) argument read by fns[i]:
+    one function itself, a family's members as one instance (``_columns``),
+    piecewise linear ones as a stack's rows, any lines among them at knots."""
+    if len(fns) == 1:
+        return fns[0]
+    if len(set(map(type, fns))) > 1 or isinstance(fns[0], PiecewiseLinearFn):
+        return _PwlStack.of(_as_pwl(fns))._select(np.arange(len(fns))[:, None])
+    return type(fns[0])._columns(fns)
 
-    Piecewise linear: f - g is linear between the merged knots (a knot past T
-    moves onto it).  Zipf: with u = T/x, |u^beta_f - u^beta_g| grows on
+
+def _pairs(fs: Sequence[RankFunction], gs: Sequence[RankFunction]) -> tuple:
+    """The pairs (fs[i], gs[i]) of one family, gs one per pair or a limit for
+    all: their family, domain ends T as an (m, 1) column, knot rows (piecewise
+    linear pairs), and f and g read a pair per row (``_rows``)."""
+    pairs = list(zip(fs, gs if len(gs) > 1 else gs * len(fs)))
+    # a limit, or the next member, shares its family with every pair
+    (kind,) = {_family(f, g) for f, g in pairs}
+    T = np.array([_common_T(f, g) for f, g in pairs])[:, None]
+    knots = [[v.reshape(len(pairs), -1) for v in (s.xs, s.ys)] for s in
+             map(_PwlStack.of, map(_as_pwl, zip(*pairs)))] if kind is PiecewiseLinearFn else None
+    return kind, T, knots, _rows(fs), _rows(gs)
+
+
+def _fn_gaps(pairs: tuple, grid_n: int) -> np.ndarray:
+    """Per pair of ``_pairs``, max |f - g| over the shared domain [0, T],
+    read at a row of ranks where it can peak.
+
+    Piecewise linear: f - g is linear between the merged knots (a knot past
+    T moves onto it).  Zipf: with u = T/x, |u^beta_f - u^beta_g| grows on
     u >= 1, so it peaks at x0, half a step of a grid_n-point uniform grid in
     from the pole, where the truncated domain starts.  Power complement:
     x^m - x^n vanishes at both ends and peaks at x* = (m/n)^(1/(n-m)).
     """
     _check_points("grid_n", grid_n)
-    kind, T = _family(f, g), _common_T(f, g)
+    kind, T, knots, f, g = pairs
     if kind is ZipfFamily:
-        return np.array([0.5 * (T / (grid_n - 1)), T])
-    if kind is PowerComplement:
-        m, n = f.n, g.n
-        # equal members have no critical point: 0.0 stands in for it
-        return np.array([0.0, (m / n) ** (1.0 / (n - m)) if m != n else 0.0, 1.0])
-    return np.minimum(np.concatenate((_knots(f)[0], _knots(g)[0])), T)
+        xs = np.hstack((0.5 * (T / (grid_n - 1)), T))
+    elif kind is PowerComplement:
+        xs = np.column_stack((0.0 * T, (f.n / g.n) ** (1 / np.where(f.n != g.n, g.n - f.n, 1)), T))
+    else:
+        xs = np.minimum(np.hstack([x for x, _ in knots]), T)
+    return np.abs(f.values(xs) - g.values(xs)).max(axis=1)
 
 
-def _level_candidates(f: RankFunction, g: RankFunction, theta_grid_n: int) -> np.ndarray:
-    """The levels, sorted, at which |f^-1 - g^-1| can peak on the shared
-    admissible range: the range's two ends and the critical points inside.
+def _level_gaps(pairs: tuple, theta_grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair of ``_pairs``, max |f^-1 - g^-1| and max |e_theta(f) -
+    e_theta(g)| over the shared admissible range, read at a sorted row of
+    levels: the range's two ends and the critical points inside (equal
+    members have none: a range end stands in).
 
     An unbounded range (the Zipf pole) stops at the lower of the two levels
     reached at rank T/theta_grid_n.  Piecewise linear: both inverses are
     linear between the merged knot levels.  Zipf: T(theta^-a - theta^-b),
-    with a = 1/beta_f and b = 1/beta_g, has one critical point,
-    theta* = (b/a)^(1/(b-a)).  Power complement: s^a - s^b, with s = 1 - theta,
-    a = 1/m and b = 1/n, has one, s* = (b/a)^(1/(a-b)); below 2^-53 it is
-    read at the largest level under 1, the closest one a float names.
+    a = 1/beta_f and b = 1/beta_g, peaks at theta* = (b/a)^(1/(b-a)).  Power
+    complement: s^a - s^b, s = 1 - theta, a = 1/m and b = 1/n, peaks at
+    log s* = log(b/a)/(a-b), read through log s: s* may be too close to 0 for
+    1 - theta.  e_f - e_g has derivative -(f^-1 - g^-1), so its extremes lie
+    at these levels or where the inverse gap changes sign: linear between two
+    levels for a PWL pair; a Zipf or power gap keeps one sign.
     """
     _check_points("theta_grid_n", theta_grid_n)
-    kind, T = _family(f, g), _common_T(f, g)
-    rf, rg = f.admissible_range(), g.admissible_range()
-    lo, hi = max(rf.lo, rg.lo), min(rf.hi, rg.hi)
-    if math.isinf(hi):
-        hi = min(f.value(T / theta_grid_n), g.value(T / theta_grid_n))
-    if not lo < hi:
-        raise InputError(f"admissible ranges do not overlap: [{rf.lo},{rf.hi}] vs [{rg.lo},{rg.hi}]")
-    # equal members have no critical point: the range's foot stands in for it
-    if kind is PiecewiseLinearFn:
-        inner = np.concatenate((_knots(f)[1], _knots(g)[1]))
-    elif kind is ZipfFamily:
-        a, b = 1.0 / f.beta, 1.0 / g.beta
-        inner = np.array([(b / a) ** (1.0 / (b - a)) if a != b else 1.0])
-    else:
+    kind, T, knots, f, g = pairs
+    if kind is PowerComplement:
         a, b = 1.0 / f.n, 1.0 / g.n
-        s = (b / a) ** (1.0 / (a - b)) if a != b else 1.0
-        inner = np.array([min(1.0 - s, np.nextafter(1.0, 0.0))])
-    return np.sort(np.concatenate(((lo, hi), inner[(lo < inner) & (inner < hi)])))
+        log_s = np.column_stack((0.0 * T, np.log(b / a) / np.where(a != b, a - b, 1.0), T - np.inf))
+        thetas, d = 1.0 - np.exp(log_s), f._log_inverses(log_s) - g._log_inverses(log_s)
+    else:
+        if kind is PiecewiseLinearFn:
+            (_, fy), (_, gy) = knots
+            lo, hi = np.maximum(fy[:, -1:], gy[:, -1:]), np.minimum(fy[:, :1], gy[:, :1])
+            inner = np.hstack((fy, gy))
+            if not (lo < hi).all():
+                i = int(np.argmin(lo < hi))
+                raise InputError(f"admissible ranges do not overlap: [{fy[i, -1]},{fy[i, 0]}] "
+                                 f"vs [{gy[i, -1]},{gy[i, 0]}]")
+        else:
+            a, b = 1.0 / f.beta, 1.0 / g.beta
+            lo, hi = 1.0 + 0.0 * T, np.minimum(*(h.values(T / theta_grid_n) for h in (f, g)))
+            inner = (b / a) ** (1.0 / np.where(a != b, b - a, 1.0))
+        # a critical point outside the range stands as its foot
+        thetas = np.sort(np.hstack((lo, hi, np.where((lo < inner) & (inner < hi), inner, lo))),
+                         axis=1)
+        d = f._inverses(thetas) - g._inverses(thetas)
+    t0, t1, d0, d1 = thetas[:, :-1], thetas[:, 1:], d[:, :-1], d[:, 1:]
+    flip = d0 * d1 < 0.0
+    # a root rounds at most onto the level above it
+    roots = np.minimum(t0 + d0 * (t1 - t0) / np.where(flip, d0 - d1, 1.0), t1)
+    levels = np.hstack((thetas, np.where(flip, roots, t0)))
+    return np.abs(d).max(axis=1), np.abs(_excess(f, levels) - _excess(g, levels)).max(axis=1)
 
 
 def sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
-    """max |f - g| over the shared domain, read at ``_rank_candidates``: exact
-    for a pair of one family, and for a Zipf pair over the domain truncated
-    half a step of a grid_n-point uniform grid in from the pole."""
-    xs = _rank_candidates(f, g, grid_n)
-    return float(np.max(np.abs(f.values(xs) - g.values(xs))))
+    """max |f - g| over the shared domain: ``_fn_gaps`` of the pair."""
+    return float(_fn_gaps(_pairs([f], [g]), grid_n)[0])
 
 
 def inverse_sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
-    """max |f^-1 - g^-1| over the shared admissible range, read at
-    ``_level_candidates``: exact for a pair of one family (a Zipf pair's range
-    stops at rank T/grid_n)."""
-    thetas = _level_candidates(f, g, grid_n)
-    return float(np.max(np.abs(f.inverses(thetas) - g.inverses(thetas))))
+    """max |f^-1 - g^-1| over the shared admissible range: ``_level_gaps`` of the pair."""
+    return float(_level_gaps(_pairs([f], [g]), grid_n)[0][0])
 
 
 def e_sup_distance(f: RankFunction, g: RankFunction, theta_grid_n: int = 10_000) -> float:
-    """max |e_theta(f) - e_theta(g)| over the shared admissible range.
-
-    e_f - e_g has derivative -(f^-1 - g^-1), so its extremes lie at the
-    ``_level_candidates`` or where that gap changes sign: for a piecewise
-    linear pair, at the root of the gap, linear between two candidates; a
-    Zipf or power-complement gap keeps one sign inside the range.
-    """
-    thetas = _level_candidates(f, g, theta_grid_n)
-    d = f.inverses(thetas) - g.inverses(thetas)
-    flip = d[:-1] * d[1:] < 0.0
-    t0, t1, d0, d1 = thetas[:-1][flip], thetas[1:][flip], d[:-1][flip], d[1:][flip]
-    thetas = np.concatenate((thetas, t0 + d0 * (t1 - t0) / (d0 - d1)))
-    return float(np.max(np.abs(e_thetas(f, thetas) - e_thetas(g, thetas))))
+    """max |e_theta(f) - e_theta(g)| over the shared range: ``_level_gaps`` of the pair."""
+    return float(_level_gaps(_pairs([f], [g]), theta_grid_n)[1][0])
 
 
 @dataclass(frozen=True)
@@ -238,10 +260,8 @@ def _discontinuity_flag(members: Sequence[RankFunction], grid_n: int) -> bool | 
     (None).  The gaps are ``sup_distance``'s, so the members must share a
     domain and a family.
     """
-    gaps = [sup_distance(a, b, grid_n) for a, b in zip(members, members[1:])]
-    if len(gaps) < 2:
-        return None
-    return gaps[-1] > 0.5 * gaps[0] and gaps[-1] > 1e-6
+    gaps = _fn_gaps(_pairs(members[:-1], members[1:]), grid_n) if len(members) > 1 else ()
+    return None if len(gaps) < 2 else bool(gaps[-1] > 0.5 * gaps[0] and gaps[-1] > 1e-6)
 
 
 def run_study(
@@ -251,27 +271,28 @@ def run_study(
 ) -> ConvergenceReport:
     """Tabulate sup distances per n against the sequence's limit.
 
-    Without a limit the distance columns stay empty and the report instead
-    carries the discontinuity flag for the empirical pointwise limit.  Both
-    grid sizes need at least 2 points, with or without a limit, for every
-    family.
+    Each column reads all members in one pass (``_pairs``).  Without a limit
+    the distance columns stay empty and the report instead carries the
+    discontinuity flag for the empirical pointwise limit.  Both grid sizes
+    need at least 2 points, with or without a limit, for every family.
     """
     _check_points("grid_n", grid_n)
     _check_points("theta_grid_n", theta_grid_n)
     members = [seq.family(n) for n in seq.n_values]
     limit = seq.limit
-    rows = tuple(
-        ConvergenceRow(n, None, None, None) if limit is None
-        else ConvergenceRow(n, sup_distance(m, limit, grid_n),
-                            inverse_sup_distance(m, limit, theta_grid_n),
-                            e_sup_distance(m, limit, theta_grid_n))
-        for n, m in zip(seq.n_values, members))
+    if limit is None:  # the flag reads, and so checks, the pairs first
+        flag = _discontinuity_flag(members, grid_n)
+        columns, rows = [[None] * len(members)] * 3, _rows(members)
+    else:
+        pairs = _pairs(members, [limit])
+        columns = [c.tolist() for c in (_fn_gaps(pairs, grid_n), *_level_gaps(pairs, theta_grid_n))]
+        flag, rows = None, pairs[3]
     # each distance column's verdict, none without a limit
-    verdicts = [None if limit is None else _column_verdict(column, VERDICT_THRESHOLD)
-                for column in zip(*((r.sup_fn, r.sup_inv, r.sup_e) for r in rows))]
-    return ConvergenceReport(
-        rows, max(m.value_at_origin() for m in members), *verdicts,
-        limit_discontinuous=_discontinuity_flag(members, grid_n) if limit is None else None)
+    verdicts = [None if limit is None else _column_verdict(c, VERDICT_THRESHOLD) for c in columns]
+    peak = math.inf if any(m.unbounded_at_origin for m in members) else float(
+        rows.values(np.zeros((len(members), 1))).max())
+    return ConvergenceReport(tuple(map(ConvergenceRow, seq.n_values, *columns)), peak, *verdicts,
+                             limit_discontinuous=flag)
 
 
 def scaled_linear_sequence(n_values: Sequence[int]) -> FunctionSequence:

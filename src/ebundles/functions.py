@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -142,6 +142,15 @@ class RankFunction:
         """What a vector call reads at the kept arguments: this function.
         (A ``_PwlStack``, one function per argument, keeps the kept rows.)"""
         return self
+
+    @classmethod
+    def _columns(cls, fns: Sequence["RankFunction"]) -> "RankFunction":
+        """Members fns of this family as one unchecked instance, each field an
+        (m, 1) column, so that fns[i] reads row i of an (m, c) argument."""
+        f = cls.__new__(cls)
+        vars(f).update({v.name: np.array([getattr(g, v.name) for g in fns])[:, None]
+                        for v in fields(cls)})
+        return f
 
     def value(self, x: float) -> float:
         self._check_domain(x)
@@ -586,6 +595,11 @@ class PowerComplement(RankFunction):
 
     def _inverses(self, thetas: np.ndarray) -> np.ndarray:
         return (1.0 - thetas) ** (1.0 / self.n)
+
+    def _log_inverses(self, log_s: np.ndarray) -> np.ndarray:
+        """The inverse at the levels 1 - exp(log_s), which can be closer to 1
+        than any float theta below it."""
+        return np.exp(log_s / self.n)
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -386,6 +386,21 @@ class TestCounterexamplesCmd:
         assert second == "per-rank excess score: IM.2 held -> not monotone: FAILED"
         assert first.endswith(": REPRODUCED") and third.endswith(": REPRODUCED")
 
+    def test_each_fixture_verified_once(self, capsys, monkeypatch):
+        # one stacked verification per fixture; its checker takes the
+        # verified one-pair set as it is
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return rejections(*args)
+
+        rejections = ax._rejections
+        monkeypatch.setattr(ax, "_rejections", spy)
+        assert main(["counterexamples"]) == 0
+        assert capsys.readouterr().out.count("REPRODUCED") == 3
+        assert calls == [1, 1, 1]
+
     def test_output_is_no_option(self, capsys, tmp_path):
         out = tmp_path / "x"
         with pytest.raises(SystemExit) as exc:

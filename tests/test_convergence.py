@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import pwl_functions
 from ebundles.bundles import e_thetas
 from ebundles.convergence import (
+    SEQUENCE_FAMILIES,
     FunctionSequence,
     e_sup_distance,
     inverse_sup_distance,
@@ -23,6 +26,7 @@ from ebundles.functions import (
     PiecewiseLinearFn,
     PowerComplement,
     ZipfFamily,
+    _PwlStack,
     cumulative_dominates,
 )
 
@@ -140,8 +144,10 @@ def _vector_sizes(monkeypatch, classes):
     """A list that records the size of every vector-form call on classes."""
     sizes = []
     for cls in classes:
-        for name in ("values", "inverses", "_inverses", "cumulatives"):
-            method = getattr(cls, name)
+        for name in ("values", "inverses", "_inverses", "_log_inverses", "cumulatives"):
+            method = getattr(cls, name, None)
+            if method is None:
+                continue
 
             def spy(self, xs, method=method):
                 sizes.append(np.size(xs))
@@ -149,6 +155,24 @@ def _vector_sizes(monkeypatch, classes):
 
             monkeypatch.setattr(cls, name, spy)
     return sizes
+
+
+def _reads_per_study(monkeypatch, family, classes, per_member):
+    """A study makes the same vector-form calls for 2 and 20 members, each
+    call reading at most per_member points per member, and the same calls
+    at grid sizes 2 and 10^5."""
+    sizes = _vector_sizes(monkeypatch, classes)
+    calls = {}
+    for count in (2, 20):
+        ns = sorted({int(round(10.0**e)) for e in np.linspace(1.0, 5.0, count)})
+        for grids in ((2, 2), (100_000, 20_000)):
+            sizes.clear()
+            run_study(family(ns), *grids)
+            assert sizes and max(sizes) <= per_member * count
+            calls[count, grids] = list(sizes)
+    assert len(calls[2, (2, 2)]) == len(calls[20, (2, 2)])
+    for count in (2, 20):
+        assert calls[count, (2, 2)] == calls[count, (100_000, 20_000)]
 
 
 class TestExactPiecewiseLinear:
@@ -216,10 +240,9 @@ class TestExactPiecewiseLinear:
     @pytest.mark.parametrize("family", [scaled_linear_sequence, shifted_linear_sequence],
                              ids=["linear", "shifted"])
     def test_studies_read_knots_not_grids(self, family, monkeypatch):
-        # O(K) per distance: no vector form sees the 10^5-point grids
-        sizes = _vector_sizes(monkeypatch, (LinearFamily, PiecewiseLinearFn))
-        run_study(family([10, 56, 316, 1778, 10_000, 56_234]), grid_n=100_000, theta_grid_n=20_000)
-        assert sizes and max(sizes) <= 32
+        # O(K) points per member and a fixed number of stacked reads per
+        # study: no vector form sees the 10^5-point grids
+        _reads_per_study(monkeypatch, family, (LinearFamily, PiecewiseLinearFn, _PwlStack), 32)
 
 
 @st.composite
@@ -268,10 +291,9 @@ class TestExactFamilies:
     @pytest.mark.parametrize("family", [zipf_sequence, power_complement_sequence],
                              ids=["zipf", "power"])
     def test_studies_read_few_points(self, family, monkeypatch):
-        # O(1) per distance: no vector form sees the 10^5-point grids
-        sizes = _vector_sizes(monkeypatch, (ZipfFamily, PowerComplement))
-        run_study(family([10, 56, 316, 1778, 10_000, 56_234]), grid_n=100_000, theta_grid_n=20_000)
-        assert sizes and max(sizes) <= 8
+        # O(1) points per member and a fixed number of stacked reads per
+        # study: no vector form sees the 10^5-point grids
+        _reads_per_study(monkeypatch, family, (ZipfFamily, PowerComplement), 8)
 
     @pytest.mark.parametrize("pair", [
         (PiecewiseLinearFn.from_pairs([(0.0, 2.0), (1.0, 1.0)]), ZipfFamily(beta=0.5, T=1.0)),
@@ -284,6 +306,111 @@ class TestExactFamilies:
             with pytest.raises(InputError) as exc:
                 dist(a, b)
             assert type(a).__name__ in str(exc.value) and type(b).__name__ in str(exc.value)
+
+
+@st.composite
+def studies(draw):
+    """A study of one family, 1 to 8 increasing n, random grid sizes, and a
+    limit (a power-complement study takes one too, or none)."""
+    family = draw(st.sampled_from(["linear", "shifted", "zipf", "power"]))
+    # a shifted member at n = 1 leaves the limit's level range
+    ns = sorted(draw(st.sets(st.integers(min_value=2 if family == "shifted" else 1,
+                                         max_value=10**5), min_size=1, max_size=8)))
+    grids = draw(st.tuples(*[st.integers(min_value=2, max_value=10**5)] * 2))
+    seq = SEQUENCE_FAMILIES[family](ns)
+    if family == "power":
+        limit = draw(st.none() | st.builds(PowerComplement, st.integers(1, 10**5)))
+        seq = FunctionSequence(seq.family, seq.n_values, limit)
+    return family, seq, grids
+
+
+class TestStackedStudies:
+    """A study reads all its members in one stacked pass per column; each row
+    is the one-member public distance."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(study=studies())
+    def test_rows_equal_the_one_member_distances(self, study):
+        family, seq, (grid_n, theta_grid_n) = study
+        report = run_study(seq, grid_n, theta_grid_n)
+        members = [seq.family(n) for n in seq.n_values]
+        assert report.member_peak == max(m.value_at_origin() for m in members)
+        if seq.limit is None:
+            gaps = [sup_distance(a, b, grid_n) for a, b in zip(members, members[1:])]
+            want = None if len(gaps) < 2 else gaps[-1] > 0.5 * gaps[0] and gaps[-1] > 1e-6
+            assert report.limit_discontinuous is want
+            return
+        limit, T = seq.limit, seq.limit.T
+        # numpy's vector power may move an ulp with the array's shape: the
+        # families read through it agree to a few ulps of the values read
+        x0 = 0.5 * (T / (grid_n - 1)) if family == "zipf" else 0.0
+        scales = [max(read(h) for h in (*members, limit))
+                  for read in (lambda h: h.value(x0), lambda h: h.T, lambda h: h.cumulative(h.T))]
+        exact = family in ("linear", "shifted")
+        for r, m in zip(report.rows, members):
+            want = (sup_distance(m, limit, grid_n), inverse_sup_distance(m, limit, theta_grid_n),
+                    e_sup_distance(m, limit, theta_grid_n))
+            got = (r.sup_fn, r.sup_inv, r.sup_e)
+            if exact:
+                assert got == want
+            else:
+                assert all(abs(a - b) <= 8 * EPS * c for a, b, c in zip(got, want, scales))
+
+    def test_lines_among_piecewise_linear_members(self):
+        # members of two classes are read as one stack, the lines at their
+        # knots: exact up to rounding
+        def member(n):
+            if n % 2:
+                return LinearFamily(S=1.0 + 1.0 / n, T=1.0)
+            return PiecewiseLinearFn.from_pairs([(0.0, 1.0 + 1.0 / n), (0.5, 0.5), (1.0, 0.0)])
+
+        seq = FunctionSequence(member, (2, 3, 8, 9, 40), UNIT_LINE)
+        report = run_study(seq, grid_n=100, theta_grid_n=100)
+        for r in report.rows:
+            m = member(r.n)
+            want = (sup_distance(m, UNIT_LINE), inverse_sup_distance(m, UNIT_LINE),
+                    e_sup_distance(m, UNIT_LINE))
+            assert (r.sup_fn, r.sup_inv, r.sup_e) == pytest.approx(want, abs=8 * EPS)
+        assert report.member_peak == 1.5
+
+
+class TestPowerInverseGap:
+    """s^(1/m) - s^(1/n), s = 1 - theta, peaks at a level s* that can lie
+    below 2^-53: the gap is read through log s, not at a float theta."""
+
+    @staticmethod
+    def want(m, n):
+        # the gap at s*, in logs: r^(m/(n-m)) - r^(n/(n-m)), r = m/n
+        m, n = sorted((m, n))
+        log_r = math.log(m / n)
+        return math.exp(m / (n - m) * log_r) - math.exp(n / (n - m) * log_r)
+
+    @pytest.mark.parametrize("m, n", [(100, 1000), (1000, 10_000), (99_999, 100_000),
+                                      (30, 10_000)])
+    def test_critical_level_below_float_resolution(self, m, n):
+        # log s* = log(m/n) mn/(n-m): 1e-111 for (100, 1000), and below the
+        # smallest float for the others
+        assert math.log(m / n) * m * n / (n - m) < math.log(2.0**-53)
+        for f, g in ((PowerComplement(m), PowerComplement(n)),
+                     (PowerComplement(n), PowerComplement(m))):
+            assert abs(inverse_sup_distance(f, g) - self.want(m, n)) <= 8 * EPS
+
+    @pytest.mark.parametrize("m, n, before", [
+        (1, 2, 0.25), (2, 3, 0.14814814814814814), (3, 10, 0.4178372448574655),
+        (10, 30, 0.38490017945975047), (1, 100_000, 0.9998748773725349)])
+    def test_values_read_before_stay(self, m, n, before):
+        # s* well above 2^-53: the value read at the float theta* = 1 - s*
+        got = inverse_sup_distance(PowerComplement(m), PowerComplement(n))
+        assert abs(got - before) <= 4 * EPS
+        assert abs(got - self.want(m, n)) <= 8 * EPS
+
+    @settings(max_examples=100, deadline=None)
+    @given(mn=st.lists(st.integers(min_value=1, max_value=10**5), min_size=2, max_size=2,
+                       unique=True))
+    def test_equals_the_gap_in_logs(self, mn):
+        m, n = mn
+        got = inverse_sup_distance(PowerComplement(m), PowerComplement(n))
+        assert abs(got - self.want(m, n)) <= 8 * EPS
 
 
 class TestVectorDistances:
@@ -421,6 +548,13 @@ class TestFunctionSequenceValidation:
     def test_needs_some_n(self):
         with pytest.raises(InputError):
             FunctionSequence(family=scaled, n_values=())
+
+    def test_no_limit_members_need_one_family(self):
+        # the Cauchy gaps check every consecutive pair before anything is read
+        seq = FunctionSequence(lambda n: ZipfFamily(beta=0.5, T=1.0) if n == 1 else
+                               PowerComplement(n), (1, 2, 3), None)
+        with pytest.raises(InputError, match="one family"):
+            run_study(seq)
 
     def test_no_limit_members_need_one_domain(self):
         # the discontinuity flag compares consecutive members on a shared
