@@ -23,16 +23,18 @@ pair i's upper and row n + i its lower.  ``generate_pairs`` writes its
 pairs' knots into that stack, verifies them and returns the set; any other
 sequence of pairs is stacked and verified once (``_Pairs.of``), and a pair
 whose relation fails raises ``VerificationError`` naming it: the checkers
-decide each premise as they decide each conclusion.  Each
-``check_impact_bundle`` axiom reads its kind's rows at once (``_PairSet``),
-at ``_LEVELS`` (24) sampled levels or ranks per pair: the members' level
-maps at the ranks in one stacked pass, then both members' scores at every
-sampled level of every pair in another, with the first flagged level per
-pair found by ``argmax``.  The last three take the single score as a
-``BundleDef`` and a level theta; the bundle's ``positive_for`` and
-``rank_of`` say where that score is provably positive and which rank it
-reads up to.  Each scores every row at theta in stacked passes
-(``_level_table``) and reads every pair's verdict from that table by row;
+decide each premise as they decide each conclusion.
+``check_impact_bundle`` reads the rows of its three relation kinds
+together, at ``_LEVELS`` (24) sampled levels or ranks per pair: the
+members' level maps at the ranks in one stacked pass, then both members'
+scores at every sampled level of every pair in another, with the first
+flagged level per pair found by ``argmax`` and each kind judged by its own
+verdict.  The last three take the single score as a ``BundleDef`` and a
+level theta; the bundle's ``positive_for`` and ``rank_of`` say where that
+score is provably positive and which rank it reads up to.  Each reads
+every pair's verdict by row from one table of every row's score at theta
+(``_level_table``), which a set builds once per bundle and level, as it
+does IM.1's positivity outcomes, which SM.1 repeats (``_Pairs.at_level``);
 SM.3's premise on the running averages is exact, in one pass over the
 pairs' merged knots (``_averages_ordered``).  Every pass reads rows of the
 stack through the bundle's vector rules, built-in or custom alike, in
@@ -50,8 +52,9 @@ three exactly constructed counterexample fixtures that demonstrate which
 axioms each score breaks, and a seeded pair generator of one fixed shape
 (``generate_pairs`` takes only the seed and the count).  Its verification
 (``verify_pair``, ``_rejections``) is exact, at the pairs' merged knots,
-and verifies a whole batch in one stacked pass; a rejected attempt is
-dropped, and the generator draws on.
+and verifies a whole batch, every open slot of all four kinds, in one
+stacked pass; a rejected attempt is dropped, and the generator goes back
+to where its stream stood after that kind's draws and draws on.
 
 Violations are only recorded when the gap clears the reporting slack, so
 float ties never masquerade as axiom failures.  Every slack and tolerance
@@ -165,17 +168,22 @@ class DominancePair:
     prefix_end: float | None = None
 
 
-def _ends(kinds: list[RelationKind], prefix: np.ndarray, T: np.ndarray) -> np.ndarray:
+# The relation kinds in enum order: a set holds each pair's as its index here.
+_KINDS = tuple(RelationKind)
+# Whether each kind covers [0, T] whatever the pair's prefix end.
+_WHOLE = np.array([k in (RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC) for k in _KINDS])
+
+
+def _ends(kinds: np.ndarray, prefix: np.ndarray, T: np.ndarray) -> np.ndarray:
     """The end a of the range [0, a] that each pair's relation covers: T for
     GEQ_ALL and CUMULATIVE_PREC, whatever their prefix end, else the prefix
-    end, which must lie in (0, T]."""
-    whole = np.array([k in (RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC)
-                      for k in kinds], dtype=bool)
+    end, which must lie in (0, T].  kinds holds indices into ``_KINDS``."""
+    whole = _WHOLE[kinds]
     ok = whole | ((prefix > 0.0) & (prefix <= T))
     if not ok.all():
         i = int(np.argmin(ok))
         a = None if math.isnan(prefix[i]) else float(prefix[i])
-        raise InputError(f"{kinds[i].value} pair needs prefix_end in (0, T], got {a!r}")
+        raise InputError(f"{_KINDS[kinds[i]].value} pair needs prefix_end in (0, T], got {a!r}")
     return np.where(whole, T, prefix)
 
 
@@ -183,20 +191,21 @@ class _Pairs(tuple):
     """Verified pairs, an immutable tuple, with their rows as one stack.
 
     Row i of the ``_PwlStack`` ``fns`` is pair i's upper and row n + i its
-    lower.  The set also holds each pair's relation (``kinds``), prefix
-    end (``prefix``, NaN for none), domain end ``T`` and the end of the
-    range its relation covers (``ends``, checked when the set is built).
-    ``generate_pairs`` builds one on its own knot arrays, and ``of`` stacks
-    and verifies any other sequence of pairs; a slice or a sum of sets is a
-    plain tuple.
+    lower.  The set also holds each pair's relation (``kinds``, its index in
+    ``_KINDS``), prefix end (``prefix``, NaN for none), domain end ``T`` and
+    the end of the range its relation covers (``ends``, checked when the set
+    is built).  ``generate_pairs`` builds one on its own knot arrays, and
+    ``of`` stacks and verifies any other sequence of pairs; a slice or a sum
+    of sets is a plain tuple.  What the checkers read of the set at a
+    bundle and level is built once per set (``at_level``).
     """
 
     def __new__(cls, pairs: Iterable[DominancePair], fns: _PwlStack, T: np.ndarray) -> "_Pairs":
         ps = super().__new__(cls, pairs)
-        kinds, n = [p.relation for p in ps], len(ps)
+        kinds, n = np.array([_KINDS.index(p.relation) for p in ps], dtype=int), len(ps)
         prefix = np.array([p.prefix_end for p in ps], dtype=float)
         vars(ps).update(fns=fns, kinds=kinds, prefix=prefix, T=T, ends=_ends(kinds, prefix, T),
-                        up=np.arange(n), lo=np.arange(n, 2 * n))
+                        up=np.arange(n), lo=np.arange(n, 2 * n), _memo={})
         return ps
 
     def __setattr__(self, name: str, value) -> None:
@@ -226,7 +235,18 @@ class _Pairs(tuple):
 
     def where(self, kind: RelationKind) -> np.ndarray:
         """The indices of the pairs of one relation kind."""
-        return np.flatnonzero(np.array([k is kind for k in self.kinds], dtype=bool))
+        return np.flatnonzero(self.kinds == _KINDS.index(kind))
+
+    def at_level(self, build: Callable, bundle: BundleDef, theta: float) -> object:
+        """build(bundle, theta, self), built on the first call with the
+        bundle and the level (keyed by its bits, so -0.0 is not 0.0) and
+        kept with the set: copies, pickles and sets stacked again build
+        their own."""
+        key = build, id(bundle), float(theta).hex()
+        if key not in self._memo:
+            # the entry holds the bundle, so no other bundle can take its id
+            self._memo[key] = bundle, build(bundle, theta, self)
+        return self._memo[key][1]
 
     def per_row(self, rule: Callable[[_PwlStack], object]) -> np.ndarray:
         """rule(stack) for every row, as an array, in one call."""
@@ -265,22 +285,25 @@ def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, mi
             else "functions coincide; relation requires lower != upper")
 
 
-def _rejections(fns: _PwlStack, kinds: list[RelationKind], ends: np.ndarray) -> list[str | None]:
+def _rejections(fns: _PwlStack, kinds: np.ndarray, ends: np.ndarray) -> list[str | None]:
     """``_reason`` for every pair of the rows fns (pair i's upper in row i,
-    its lower in row n + i), each of relation kinds[i] on [0, ends[i]].
+    its lower in row n + i), each of relation ``_KINDS[kinds[i]]`` on
+    [0, ends[i]].
 
     The rows are decided exactly, in one stacked pass: the gap upper - lower
     is linear between the merged knots of the two, so >=, > and = hold on
     [0, a] exactly when they hold at the merged knots inside [0, a] and at a
-    (``_merged_gaps``), and vertex analysis gives the cumulative order.
+    (``_merged_gaps``), and vertex analysis gives the cumulative order of
+    the CUMULATIVE_PREC pairs.
     """
     n = len(kinds)
     xs, gaps = _merged_gaps(fns, np.arange(n), np.arange(n, 2 * n), ends)
-    extrema = (v.tolist() for v in _cumulative_extrema(xs, -gaps)[:2])
-    orders = [_cumulative_order(dmin, dmax) if kind is RelationKind.CUMULATIVE_PREC else None
-              for kind, dmin, dmax in zip(kinds, *extrema)]
+    cum = kinds == _KINDS.index(RelationKind.CUMULATIVE_PREC)
+    orders = iter([_cumulative_order(dmin, dmax) for dmin, dmax in
+                   zip(*(v.tolist() for v in _cumulative_extrema(xs[cum], -gaps[cum])[:2]))])
     facts = zip(*(v.tolist() for v in _extremes(xs, gaps)))
-    return [_reason(kind, order, *fact) for kind, order, fact in zip(kinds, orders, facts)]
+    return [_reason(_KINDS[k], next(orders) if c else None, *fact)
+            for k, c, fact in zip(kinds.tolist(), cum.tolist(), facts)]
 
 
 def verify_pair(pair: DominancePair) -> DominancePair:
@@ -424,94 +447,102 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-class _PairSet:
-    """One relation kind's pairs of a ``_Pairs``, read together for a
-    bundle: their rows ``up`` and ``lo`` in the stack, the admissible ranges
-    of all its rows, and n ranks per pair on (0, a], a the end of the range
-    its relation covers (``_Pairs.ends``)."""
+def _candidates(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
+                geq: np.ndarray, strict: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, list]:
+    """The candidate levels of AX.2, AX.3 and AX.4, a row for each pair of
+    geq, strict and local in turn, padded with NaN to one width, and AX.4's
+    verdicts on the level maps, all from one stacked pass of level maps."""
+    n = _LEVELS
+    # AX.2: upper >= lower pointwise implies scores ordered the same way, at
+    # n levels across the pair's joint admissible range or, where it is
+    # unbounded (h, Zipf), at the images of (0, T] under both level maps.
+    lo_t = np.maximum(*(ranges[0][rows] for rows in (ps.up[geq], ps.lo[geq])))
+    hi_t = np.minimum(*(ranges[1][rows] for rows in (ps.up[geq], ps.lo[geq])))
+    bounded = np.isfinite(hi_t)
+    # the level maps at n ranks on (0, a], a the end of the range the pair's
+    # relation covers, a row per pair (its upper's, then its lower's): of
+    # the unbounded AX.2 pairs, then every AX.3 and AX.4 pair
+    mapped = np.concatenate((geq[~bounded], strict, local))
+    ranks = _linspaces(np.zeros(len(mapped)), ps.ends[mapped], n + 1)[:, 1:]
+    rows = np.repeat(np.concatenate((ps.up[mapped], ps.lo[mapped])), n)
+    maps = np.hstack(ps.fns._read(bundle.levels, rows, np.tile(ranks.ravel(), 2))
+                     .reshape(2, *ranks.shape))
+    cut = len(mapped) - len(local)
+    levels = np.full((len(geq), 2 * n), math.nan)
+    levels[bounded, :n] = _linspaces(lo_t[bounded], hi_t[bounded], n)
+    levels[~bounded] = maps[: cut - len(strict)]
+    levels[lo_t > hi_t] = math.nan
 
-    def __init__(self, bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
-                 kind: RelationKind, n: int) -> None:
-        idx = ps.where(kind)
-        self.bundle, self.ps, self.ranges = bundle, ps, ranges
-        self.idx, self.up, self.lo = idx.tolist(), ps.up[idx], ps.lo[idx]
-        self.ranks = _linspaces(np.zeros(len(idx)), ps.ends[idx], n + 1)[:, 1:]
+    # AX.4: equal prefixes force equal level maps (an undefined or infinite
+    # level is not compared), then equal scores at the lower's levels.
+    lu, ll = np.hsplit(maps[cut:], 2)
+    finite = np.isfinite(lu) & np.isfinite(ll)
+    same = _first_violations(local.tolist(), ranks[cut:], np.where(finite, lu, math.nan),
+                             np.where(finite, ll, math.nan), _unequal, EQUALITY_ASSERT_TOL,
+                             "level maps differ")
+    return np.vstack((levels, maps[cut - len(strict) : cut],
+                      np.hstack((ll, np.full(ll.shape, math.nan))))), same
 
-    def levels(self, pick=slice(None)) -> np.ndarray:
-        """The picked pairs' level maps at their ranks (uppers', then
-        lowers'), in one stacked pass."""
-        ranks = self.ranks[pick]
-        rows = np.repeat(np.concatenate((self.up[pick], self.lo[pick])), ranks.shape[1])
-        flat = self.ps.fns._read(self.bundle.levels, rows, np.tile(ranks.ravel(), 2))
-        return np.hstack(flat.reshape(2, *ranks.shape))
 
-    def violations(self, levels: np.ndarray, verdict, tol: float, note: str) -> list:
-        """Per pair, the verdict on its members' scores at the lowest of its
-        distinct candidate levels that are finite and admissible for both
-        (``_SKIP`` if none is), all scored in one stacked pass."""
-        levels = np.sort(levels, axis=1)
-        keep = np.ones(levels.shape, dtype=bool)
-        keep[:, 1:] = levels[:, 1:] != levels[:, :-1]
-        for rows in (self.up, self.lo):
-            keep &= ThetaRange(*(end[rows, None] for end in self.ranges)).contains_each(levels)
-        rows, cols = np.nonzero(keep)
-        m = np.full((2, *levels.shape), math.nan)
-        m[:, rows, cols] = self.ps.fns._read(self.bundle.scores,
-                                             np.concatenate((self.up[rows], self.lo[rows])),
-                                             np.tile(levels[rows, cols], 2)).reshape(2, -1)
-        found = _first_violations(self.idx, levels, m[0], m[1], verdict, tol, note)
-        return [v if kept else _SKIP for v, kept in zip(found, keep.any(axis=1).tolist())]
+def _candidate_scores(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
+                      idx: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per pair of idx and row of candidate levels (NaN for none), which it
+    sorts in place: its distinct candidates, sorted, its members' scores at
+    those finite and admissible for both (NaN at the others), and whether
+    any is, all scored in one stacked pass."""
+    levels.sort(axis=1)
+    keep = np.ones(levels.shape, dtype=bool)
+    keep[:, 1:] = levels[:, 1:] != levels[:, :-1]
+    for rows in (ps.up[idx], ps.lo[idx]):
+        keep &= ThetaRange(*(end[rows, None] for end in ranges)).contains_each(levels)
+    # the kept cells' pairs, then their members' rows: one name, so that
+    # the read holds one index array
+    rows = idx[np.flatnonzero(keep) // levels.shape[1]]
+    rows = np.concatenate((ps.up[rows], ps.lo[rows]))
+    scores = ps.fns._read(bundle.scores, rows, np.tile(levels[keep], 2))
+    m = np.full((2, *levels.shape), math.nan)
+    m[:, keep] = scores.reshape(2, -1)
+    return levels, m[0], m[1], keep.any(axis=1)
 
 
 def check_impact_bundle(bundle: BundleDef,
                         pairs: Sequence[DominancePair]) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
-    Each axiom reads all its pairs at once (``_PairSet``).  Only the first
-    violation per pair and axiom, at the lowest flagged level, is reported;
-    pairs whose members fall outside the bundle's domain are skipped and
-    counted.  The rank x = 0 is never sampled: the h-bundle level map
-    diverges there and the cumulative bundle is identically zero at level
-    0, where strictness is meaningless.
+    The three kinds read their members' level maps in one stacked pass
+    (``_candidates``) and their scores at the candidate levels in one more,
+    each kind then judged by its own verdict.  Only the first violation per
+    pair and axiom, at the lowest flagged level, is reported; a pair with no
+    candidate level admissible for both members is skipped and counted.  The
+    rank x = 0 is never sampled: the h-bundle level map diverges there and
+    the cumulative bundle is identically zero at level 0, where strictness
+    is meaningless.
     """
     ps = _Pairs.of(pairs)
-    n, ranges = _LEVELS, ps.ranges(bundle.admissible)
-    geq, strict, local = (_PairSet(bundle, ps, ranges, kind, n) for kind in (
+    ranges = ps.ranges(bundle.admissible)
+    geq, strict, local = (ps.where(kind) for kind in (
         RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX))
+    levels, same = _candidates(bundle, ps, ranges, geq, strict, local)
+    scored = _candidate_scores(bundle, ps, ranges, np.concatenate((geq, strict, local)), levels)
+    at = np.cumsum([0, len(geq), len(strict), len(local)]).tolist()
 
-    # AX.2: upper >= lower pointwise implies scores ordered the same way, at
-    # n levels across the pair's joint admissible range or, where it is
-    # unbounded (h, Zipf), at the images of (0, T] under both level maps.
-    lo_t = np.maximum(*(geq.ranges[0][rows] for rows in (geq.up, geq.lo)))
-    hi_t = np.minimum(*(geq.ranges[1][rows] for rows in (geq.up, geq.lo)))
-    bounded = np.isfinite(hi_t)
-    levels = np.full((len(geq.idx), 2 * n), math.nan)
-    levels[bounded, :n] = _linspaces(lo_t[bounded], hi_t[bounded], n)
-    if not bounded.all():
-        levels[~bounded] = geq.levels(~bounded)
-    levels[lo_t > hi_t] = math.nan
-
-    # AX.4: equal prefixes force equal level maps (an undefined or infinite
-    # level is not compared), then equal scores at the lower's levels.
-    lu, ll = np.hsplit(local.levels(), 2)
-    finite = np.isfinite(lu) & np.isfinite(ll)
-    maps = _first_violations(local.idx, local.ranks, np.where(finite, lu, math.nan),
-                             np.where(finite, ll, math.nan), _unequal, EQUALITY_ASSERT_TOL,
-                             "level maps differ")
-    scores = local.violations(ll, _unequal, EQUALITY_ASSERT_TOL, "scores differ")
+    def outcomes(part: int, idx: np.ndarray, verdict, tol: float, note: str) -> list:
+        ts, m_up, m_lo, kept = (v[at[part] : at[part + 1]] for v in scored)
+        found = _first_violations(idx.tolist(), ts, m_up, m_lo, verdict, tol, note)
+        return [v if k else _SKIP for v, k in zip(found, kept.tolist())]
 
     return {
         "AX.1": AxiomReport(
             "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"
         ),
-        "AX.2": _run_axiom("AX.2", geq.violations(levels, _below, MONOTONE_SLACK, "")),
+        "AX.2": _run_axiom("AX.2", outcomes(0, geq, _below, MONOTONE_SLACK, "")),
         # AX.3: strict dominance on [0, a] forces strictly larger scores on
         # the level image of the prefix.
-        "AX.3": _run_axiom("AX.3", strict.violations(strict.levels(), _not_above, STRICT_SLACK,
-                                                     "not strictly larger")),
+        "AX.3": _run_axiom("AX.3", outcomes(1, strict, _not_above, STRICT_SLACK,
+                                            "not strictly larger")),
         # AX.4 tests a pair even when no level is left to score
-        "AX.4": _run_axiom("AX.4", [m or (None if v is _SKIP else v)
-                                    for m, v in zip(maps, scores)]),
+        "AX.4": _run_axiom("AX.4", [m or (None if v is _SKIP else v) for m, v in zip(
+            same, outcomes(2, local, _unequal, EQUALITY_ASSERT_TOL, "scores differ"))]),
     }
 
 
@@ -555,7 +586,8 @@ def _level_table(bundle: BundleDef, theta: float,
     rank up to which the score reads it, each in one stacked pass over the
     rows of the set.  A row gets NaN unless it admits theta (a density
     level within the range's slack, as the density scores snap it onto the
-    range, one that fixes a rank exactly) and its score is defined there."""
+    range, one that fixes a rank exactly) and its score is defined there.
+    The tables are read-only: a set keeps them for every checker."""
     lo, hi = ps.ranges(bundle.admissible)
     slack = EQUALITY_TOL if bundle.rank_of is None else 0.0
     rows = np.flatnonzero(math.isfinite(theta) & (theta >= lo - slack) & (theta <= hi + slack))
@@ -564,6 +596,7 @@ def _level_table(bundle: BundleDef, theta: float,
     def table(rule) -> np.ndarray:
         out = np.full(len(lo), math.nan)
         out[rows] = ps.fns._read(rule, rows, thetas)
+        out.flags.writeable = False
         return out
     scores = table(bundle.scores)
     if bundle.rank_of is None:
@@ -595,19 +628,24 @@ def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np
     return ranks[rows] > a + EQUALITY_ASSERT_TOL
 
 
-def _positivity_report(
-    axiom: str, bundle: BundleDef, theta: float, ps: _Pairs, scores: np.ndarray
-) -> AxiomReport:
-    """IM.1 or SM.1 on the distinct members; a violation names the first
-    pair that holds the member: row r is pair r's upper, row n + r its lower."""
+def _positivity_outcomes(bundle: BundleDef, theta: float, ps: _Pairs) -> tuple:
+    """IM.1's (and SM.1's) outcomes on the distinct members; a violation
+    names the first pair that holds the member: row r is pair r's upper, row
+    n + r its lower."""
     rows, n = ps.members, len(ps)
+    scores = ps.at_level(_level_table, bundle, theta)[0]
     positive = ps.per_row(lambda f: bundle.positive_for(f, theta))[rows].tolist()
-    outcomes = [_SKIP if math.isnan(v) or not pos
-                else Violation(r % n, float(theta), v, 0.0, -v,
-                               note=f"score not positive ({'upper' if r < n else 'lower'})")
-                if v <= STRICT_SLACK else None
-                for r, v, pos in zip(rows.tolist(), scores[rows].tolist(), positive)]
-    return _run_axiom(axiom, outcomes,
+    return tuple(_SKIP if math.isnan(v) or not pos
+                 else Violation(r % n, float(theta), v, 0.0, -v,
+                                note=f"score not positive ({'upper' if r < n else 'lower'})")
+                 if v <= STRICT_SLACK else None
+                 for r, v, pos in zip(rows.tolist(), scores[rows].tolist(), positive))
+
+
+def _positivity_report(axiom: str, bundle: BundleDef, theta: float, ps: _Pairs) -> AxiomReport:
+    """IM.1 or SM.1, from the outcomes that the set builds once per bundle
+    and level."""
+    return _run_axiom(axiom, ps.at_level(_positivity_outcomes, bundle, theta),
                       note="zero-function clause vacuous: rank functions are strictly decreasing")
 
 
@@ -622,13 +660,13 @@ def check_impact_measure(bundle: BundleDef, theta: float,
     per-function threshold.
     """
     ps = _Pairs.of(pairs)
-    scores, ranks = _level_table(bundle, theta, ps)
+    scores, ranks = ps.at_level(_level_table, bundle, theta)
     geq, strict = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.STRICT_ON_PREFIX)
     # a score that reads up to a rank (mu, i, h) is only constrained when the
     # strict prefix covers everything it reads
     past = [_SKIP if p else None for p in _reads_past(ranks, ps.lo[strict], ps.prefix[strict])]
     return {
-        "IM.1": _positivity_report("IM.1", bundle, theta, ps, scores),
+        "IM.1": _positivity_report("IM.1", bundle, theta, ps),
         "IM.2": _pair_report("IM.2", ps, geq, theta, scores, _below, MONOTONE_SLACK),
         "IM.3": _pair_report("IM.3", ps, strict, theta, scores, _not_above, STRICT_SLACK,
                              _NOT_STRICT, past),
@@ -666,7 +704,7 @@ def check_strong_impact(bundle: BundleDef, theta: float,
     pairs whose prefix reaches that rank.
     """
     ps = _Pairs.of(pairs)
-    scores, ranks = _level_table(bundle, theta, ps)
+    scores, ranks = ps.at_level(_level_table, bundle, theta)
     geq, local = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.EQUAL_ON_PREFIX)
 
     lower = ps.lo[geq]
@@ -689,7 +727,7 @@ def check_strong_impact(bundle: BundleDef, theta: float,
     uncovered = [None if c else _SKIP for c in covered.tolist()]
 
     return {
-        "SM.1": _positivity_report("SM.1", bundle, theta, ps, scores),
+        "SM.1": _positivity_report("SM.1", bundle, theta, ps),
         "SM.2": _pair_report("SM.2", ps, geq, theta, scores, _below, MONOTONE_SLACK),
         "SM.3": _pair_report("SM.3", ps, geq, theta, scores, _not_above, STRICT_SLACK,
                              _NOT_STRICT, unclaimed),
@@ -707,7 +745,7 @@ def check_global_impact(bundle: BundleDef, theta: float,
     report records that equality witness honestly.
     """
     ps = _Pairs.of(pairs)
-    scores, _ = _level_table(bundle, theta, ps)
+    scores, _ = ps.at_level(_level_table, bundle, theta)
     return {"GM": _pair_report("GM", ps, ps.where(RelationKind.CUMULATIVE_PREC), theta, scores,
                                _not_above, STRICT_SLACK, _NOT_STRICT)}
 
@@ -793,25 +831,33 @@ def _build_pair(rng: np.random.Generator, kind: RelationKind) -> tuple:
     knot count and ranks, then uniforms u in [0, 1) for its tail, its drops
     from knot to knot and their total, then the kind's three draws.  A u is
     the draw behind ``rng.uniform(lo, hi)``, which is lo + (hi - lo) * u, and
-    ``_pair_knots`` scales it so.  Ranks and drops are padded to the width
-    of the batch."""
+    ``_pair_knots`` scales it so.  The uniforms after the knot count, up to
+    the kind's first integer draw, come from one ``rng.random`` call: the
+    stream of the same draws one at a time.  Ranks and drops are padded to
+    the width of the batch."""
     width = _KNOT_RANGE[1] + 1
     k = int(rng.integers(_KNOT_RANGE[0], width))
+    # the k - 2 ranks, the tail, the k - 1 drops and their total (2k - 1 in
+    # all), then the kind's uniforms up to its first integer draw: an
+    # EQUAL_ON_PREFIX pair's coin, three for STRICT_ON_PREFIX, else two
+    u = rng.random(2 * k + (0 if kind is RelationKind.EQUAL_ON_PREFIX else
+                            2 if kind is RelationKind.STRICT_ON_PREFIX else 1)).tolist()
     for _ in range(100):
-        # rng.uniform(0, 1) draws u
-        xs = [0.0, *sorted(rng.random(k - 2).tolist()), 1.0]
+        xs = [0.0, *sorted(u[: k - 2]), 1.0]
         if min(map(operator.sub, xs[1:], xs)) > 1e-6:
             break
+        # ranks drawn again: the uniforms drawn after them move up
+        u = u[k - 2 :] + rng.random(k - 2).tolist()
     else:
         raise GenerationError("could not draw well-separated knot ranks")
     pad = width - k
-    head = (k, xs + [1.0] * pad, rng.random(), rng.random(k - 1).tolist() + [0.0] * pad, rng.random())
+    head = (k, xs + [1.0] * pad, u[k - 2], u[k - 1 : 2 * k - 2] + [0.0] * pad, u[2 * k - 2])
     if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
-        return (*head, rng.random(), rng.random(), 0.0)  # shift, taper
+        return (*head, *u[2 * k - 1 :], 0.0)  # shift, taper
     if kind is RelationKind.STRICT_ON_PREFIX:
-        return (*head, rng.random(), rng.random(), rng.random())  # prefix end, wedge end, height
+        return (*head, *u[2 * k - 1 :])  # prefix end, wedge end, height
     # EQUAL_ON_PREFIX, biased toward deep prefixes so level-threshold checks get coverage
-    split = k - 2 if rng.random() < 0.5 else int(rng.integers(1, k - 1))
+    split = k - 2 if u[2 * k - 1] < 0.5 else int(rng.integers(1, k - 1))
     return (*head, split, rng.random(), 0.0)  # split knot, shrink
 
 
@@ -824,8 +870,8 @@ def _uniform(lo, hi, u: np.ndarray) -> np.ndarray:
 
 def _pair_knots(kind: RelationKind, draws: list[tuple]) -> tuple:
     """A batch of attempts' pairs, from their draws (``_build_pair``), in one
-    vector pass: the uppers' and the lowers' padded knot arrays and knot
-    counts, and the prefix ends (NaN for none).
+    vector pass: the uppers' padded knot arrays (xs, ys) and knot counts,
+    the lowers' the same, and the prefix ends (NaN for none).
 
     A lower z has the knots (x_i, tail + the drops right of x_i).  Its upper
     is z plus a shift c, constant or decaying linearly to c/2 at 1
@@ -868,7 +914,27 @@ def _pair_knots(kind: RelationKind, draws: list[tuple]) -> tuple:
         za = np.take_along_axis(y, split, 1)
         y_up = np.where(cols > split, za + lam * (y - za), y)
         prefix = np.take_along_axis(x, split, 1)[:, 0]
-    return (x_up, y_up, size_up), (x, y, size), prefix
+    return x_up, y_up, size_up, x, y, size, prefix
+
+
+def _round(rng: np.random.Generator, first: int, todo: list[int]) -> tuple[list, list, np.ndarray]:
+    """One round of attempts, todo[k] of each kind k from ``_KINDS[first]``
+    on, kind by kind: each kind's knot arrays (``_pair_knots``), the
+    stream's state after each kind's attempts, and whether each attempt
+    builds valid members (``_valid_knots``) and holds its relation
+    (``_rejections``), every attempt in one pass of each."""
+    drawn, states = [], []
+    for kind, n in zip(_KINDS[first:], todo[first:]):
+        drawn.append(_pair_knots(kind, [_build_pair(rng, kind) for _ in range(n)]))
+        states.append(rng.bit_generator.state)
+    *knots, prefix = (np.concatenate(v) for v in zip(*drawn))
+    up, lo = knots[:3], knots[3:]
+    ok = _valid_knots(*up) & _valid_knots(*lo)
+    kinds = np.repeat(np.arange(first, len(_KINDS)), todo[first:])[ok]
+    stack = _PwlStack(*(np.concatenate((u[ok], v[ok])) for u, v in zip(up, lo)))
+    ends = _ends(kinds, prefix[ok], np.ones(len(kinds)))
+    ok[ok] = [r is None for r in _rejections(stack, kinds, ends)]
+    return drawn, states, ok
 
 
 def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
@@ -881,41 +947,44 @@ def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
     rely on; a setting for them could quietly break that.
 
     Deterministic for a fixed seed and count: the same seed reproduces the
-    same pairs.  Each attempt draws its numbers (``_build_pair``) in one stream,
-    in order; a batch of attempts, one per open slot, becomes knot arrays in
-    one vector pass (``_pair_knots``), and the batch is validated and
-    verified together, exactly, in one stacked pass (``_rejections``).  A
-    rejected attempt is dropped and the next batch fills the slots left, up
-    to 100 attempts per slot.  So the pairs are those that building and
-    verifying one pair at a time would give.  The pairs come back as an
-    immutable tuple (a ``_Pairs``) that holds their one stack of knot
-    arrays, which the checkers read as it is; each member is a read-only
-    view of its row.
+    same pairs.  Each attempt draws its numbers (``_build_pair``) in one
+    stream, in order.  A round draws one attempt per open slot of every
+    kind, kind by kind in enum order, and turns each kind's attempts into
+    knot arrays in one vector pass (``_pair_knots``); then every attempt of
+    the round is validated in one pass (``_valid_knots``) and verified,
+    exactly, in one stacked pass (``_rejections``).  A rejected attempt is
+    dropped, the kinds before it and its kind's accepted attempts are kept,
+    and the stream goes back to where it stood after that kind's attempts,
+    so the next round fills the slots left, up to 100 attempts per slot.
+    So the pairs are those that building and verifying one pair at a time
+    would give.  The pairs come back as an immutable tuple (a ``_Pairs``)
+    that holds their one stack of knot arrays, which the checkers read as
+    it is; each member is a read-only view of its row.
     """
     if count < 1:
         raise InputError("count must be >= 1")
     rng, batches = np.random.default_rng(seed), []
-    for kind in RelationKind:
-        todo, failed = count, 0  # failed: attempts dropped in a row
-        while todo:
-            up, lo, prefix = _pair_knots(kind, [_build_pair(rng, kind) for _ in range(todo)])
-            ok = _valid_knots(*up) & _valid_knots(*lo)
-            kinds = [kind] * int(ok.sum())
-            stack = _PwlStack(*(np.concatenate((u[ok], v[ok])) for u, v in zip(up, lo)))
-            ends = _ends(kinds, prefix[ok], np.ones(len(kinds)))
-            ok[ok] = [r is None for r in _rejections(stack, kinds, ends)]
-            for good in ok.tolist():
-                failed = 0 if good else failed + 1
+    todo, first, failed = [count] * len(_KINDS), 0, 0  # failed: attempts dropped in a row
+    while first < len(_KINDS):  # the kinds before first are done
+        drawn, states, ok = _round(rng, first, todo)
+        for knots, state, n in zip(drawn, states, todo[first:]):
+            good, ok = ok[:n], ok[n:]
+            for kept in good.tolist():
+                failed = 0 if kept else failed + 1
                 if failed == 100:
-                    raise GenerationError(f"gave up generating a {kind.value} pair")
-            batches.append((kind, [v[ok] for v in (*up, *lo)], prefix[ok]))
-            todo -= int(ok.sum())
-    kinds = [kind for kind, _, prefix in batches for _ in prefix]
-    knots = [np.concatenate(v) for v in zip(*(k for _, k, _ in batches))]
+                    raise GenerationError(f"gave up generating a {_KINDS[first].value} pair")
+            batches.append(knots if good.all() else [v[good] for v in knots])
+            todo[first] -= int(good.sum())
+            if todo[first]:
+                # the kinds after it drew from the wrong place in the stream
+                rng.bit_generator.state = state
+                break
+            first += 1
+    *knots, prefix = (np.concatenate(v) for v in zip(*batches))
     xs, ys, size = (np.concatenate((knots[i], knots[i + 3])) for i in range(3))
     xs.flags.writeable = ys.flags.writeable = False
     fns = [PiecewiseLinearFn._view(x[:k], y[:k]) for x, y, k in zip(xs, ys, size.tolist())]
-    prefix, n = np.concatenate([prefix for *_, prefix in batches]).tolist(), len(kinds)
-    pairs = (DominancePair(up, lo, kind, None if math.isnan(a) else a)
-             for up, lo, kind, a in zip(fns[:n], fns[n:], kinds, prefix))
+    n = count * len(_KINDS)
+    pairs = (DominancePair(up, lo, kind, None if math.isnan(a) else a) for up, lo, kind, a in
+             zip(fns[:n], fns[n:], [k for k in _KINDS for _ in range(count)], prefix.tolist()))
     return _Pairs(pairs, _PwlStack(xs, ys, size), np.ones(n))

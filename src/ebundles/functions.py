@@ -358,19 +358,21 @@ def _valid_knots(xs: np.ndarray, ys: np.ndarray, size: np.ndarray) -> np.ndarray
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per argument, the last knot index in [lo, hi) at which ``holds`` does,
-    lo counting as holding: a binary search, one numpy pass per halving.
-    ``holds`` maps knot indices (one per argument) to flags and must hold on
-    a leading run of each range, as the segment predicates do on
-    increasing xs and decreasing ys; scalar bounds broadcast."""
-    while True:
-        open_ = hi - lo > 1
-        if not open_.any():
-            return lo
-        mid = (lo + hi) // 2
-        pos = holds(mid)
-        lo = np.where(open_ & pos, mid, lo)
-        hi = np.where(open_ & ~pos, mid, hi)
+    """Per argument, the last knot index in [lo, hi) (hi > lo) at which
+    ``holds`` does, lo counting as holding: a binary search by lifting, one
+    numpy pass per step.  Step s tries lo + s, clamped to hi - 1, and moves
+    lo there where ``holds`` does; s runs over the powers of two from the
+    largest not above the widest hi - 1 - lo down to 1.  ``holds`` maps knot
+    indices (one per argument) to flags and must hold on a leading run of
+    each range, as the segment predicates do on increasing xs and
+    decreasing ys; scalar bounds broadcast."""
+    last = hi - 1
+    step = 1 << int(np.max(last - lo, initial=0)).bit_length() >> 1
+    while step:
+        mid = np.minimum(lo + step, last)
+        lo = np.where(holds(mid), mid, lo)
+        step >>= 1
+    return lo
 
 
 # Rows per stacked pass: a bound on the memory of every pass.

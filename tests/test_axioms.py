@@ -777,6 +777,66 @@ class TestGlobalImpactChecks:
         assert rep.pairs_tested == 15  # one per CUMULATIVE_PREC pair
 
 
+class TestBuiltOncePerSet:
+    def test_level_table_and_positivity_built_once(self, monkeypatch):
+        # the three single-level suites on one set build one level table and
+        # one positivity result per (bundle, level); a set stacked again
+        # builds its own
+        built = []
+        for name in ("_level_table", "_positivity_outcomes"):
+            def spy(bundle, theta, ps, real=getattr(ax, name), name=name):
+                built.append((name, bundle.name, theta, id(ps)))
+                return real(bundle, theta, ps)
+            monkeypatch.setattr(ax, name, spy)
+        pairs = generate_pairs(seed=5, count=6)
+        levels = (("e", 2.5), ("h", 8.0), ("e", 1.0))
+
+        def run(ps):
+            for name, level in levels:
+                for check in (check_impact_measure, check_strong_impact, check_global_impact):
+                    check(BUNDLES[name], level, ps)
+        run(pairs)
+        want = [(builder, name, level, id(pairs)) for name, level in levels
+                for builder in ("_level_table", "_positivity_outcomes")]
+        assert sorted(built) == sorted(want)
+        again = ax._Pairs.of(tuple(pairs))
+        run(again)
+        assert sorted(built[len(want):]) == sorted(
+            (builder, name, level, id(again)) for builder, name, level, _ in want)
+
+    def test_kinds_are_one_array(self):
+        pairs = generate_pairs(seed=5, count=3)
+        assert pairs.kinds.tolist() == [0] * 3 + [1] * 3 + [2] * 3 + [3] * 3
+        for i, kind in enumerate(RelationKind):
+            assert pairs.where(kind).tolist() == list(range(3 * i, 3 * i + 3))
+
+
+class _Scripted:
+    """A stand-in for ``numpy.random.Generator`` that serves scripted
+    uniforms and integers in order and logs every value it serves: "u" for
+    a uniform, ("int", lo, hi) for an integer."""
+
+    def __init__(self, uniforms, integers):
+        self.uniforms, self.integers_left, self.log = list(uniforms), list(integers), []
+
+    def _take(self, size):
+        n = 1 if size is None else size
+        u, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        assert len(u) == n, "script ran out of uniforms"
+        self.log += ["u"] * n
+        return u[0] if size is None else np.array(u)
+
+    def random(self, size=None):
+        return self._take(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self._take(size)
+
+    def integers(self, low, high):
+        self.log.append(("int", low, high))
+        return self.integers_left.pop(0)
+
+
 def _digest(configs):
     """SHA-256 over the generated pairs of every (seed, count): relation,
     prefix end and both members' knots."""
@@ -883,10 +943,11 @@ class TestGenerator:
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_rejected_pair_rewinds_the_generator(self, k, monkeypatch):
-        # the pass rejects the k-th pair of the first batch once; the pairs
+        # the pass rejects the k-th pair of the first round once; the pairs
         # must be those of building and verifying one pair at a time.  The
-        # generator keeps drawing where it stopped: a rejected attempt is
-        # dropped, and the next batch fills the one slot left
+        # generator goes back to where the stream stood after the GEQ_ALL
+        # attempts: a rejected attempt is dropped, and the next round fills
+        # the one slot left, then draws the other kinds again
         real, calls = ax._rejections, []
 
         def reject_once(fns, kinds, *args):
@@ -898,11 +959,59 @@ class TestGenerator:
 
         monkeypatch.setattr(ax, "_rejections", reject_once)
         got = generate_pairs(seed=13, count=6)
-        assert calls[:2] == [6, 1]
+        assert calls[:2] == [24, 19]
         want = oracles.pairs_one_at_a_time(
             13, 6, drop=lambda kind, slot, attempt: (kind, slot, attempt) == (
                 RelationKind.GEQ_ALL, k, 0))
         assert list(got) == want
+
+    @pytest.mark.parametrize("rejected, sizes, dropped", [
+        # a later kind: the kinds before it are kept, and the next round
+        # starts at its open slot
+        ({(0, 6 + 2)}, [24, 13], {(RelationKind.STRICT_ON_PREFIX, 2, 0)}),
+        ({(0, 18 + 4)}, [24, 1], {(RelationKind.CUMULATIVE_PREC, 4, 0)}),
+        # a retry round: its first attempt refills GEQ_ALL's last slot, and a
+        # later one CUMULATIVE_PREC's slot 2
+        ({(0, 3), (1, 0)}, [24, 19, 19], {(RelationKind.GEQ_ALL, 3, 0),
+                                          (RelationKind.GEQ_ALL, 5, 0)}),
+        ({(0, 3), (1, 1 + 12 + 2)}, [24, 19, 1], {(RelationKind.GEQ_ALL, 3, 0),
+                                                  (RelationKind.CUMULATIVE_PREC, 2, 0)}),
+    ], ids=["strict", "cumulative", "retry-geq", "retry-cumulative"])
+    def test_later_rejections_rewind_the_generator(self, rejected, sizes, dropped, monkeypatch):
+        # (round, attempt) pairs rejected once each; each round's size, and
+        # the (kind, slot, attempt) that the one-at-a-time reference drops
+        real, calls = ax._rejections, []
+
+        def reject(fns, kinds, *args):
+            reasons = real(fns, kinds, *args)
+            for i in range(len(reasons)):
+                if (len(calls), i) in rejected:
+                    reasons[i] = "rejected once"
+            calls.append(len(kinds))
+            return reasons
+
+        monkeypatch.setattr(ax, "_rejections", reject)
+        got = generate_pairs(seed=13, count=6)
+        assert calls == sizes
+        want = oracles.pairs_one_at_a_time(
+            13, 6, drop=lambda kind, slot, attempt: (kind, slot, attempt) in dropped)
+        assert list(got) == want
+
+    @pytest.mark.parametrize("kind", list(RelationKind))
+    def test_rank_redraw_draws_as_one_at_a_time(self, kind):
+        # a first rank draw that is not 1e-6-separated is drawn again; the
+        # batched draws read the stream as the per-pair builder does
+        uniforms = [0.5, 0.5 + 1e-7, 0.2, 0.7, 0.1, 0.3, 0.9, 0.6, 0.5, 0.6, 0.4, 0.8, 0.25]
+        got_rng, want_rng = _Scripted(uniforms, [4, 1]), _Scripted(uniforms, [4, 1])
+        *knots, prefix = ax._pair_knots(kind, [ax._build_pair(got_rng, kind)])
+        up, lo = knots[:3], knots[3:]
+        want = oracles.build_pair(want_rng, kind)
+        assert want.lower.xs.tolist() == [0.0, 0.2, 0.7, 1.0]  # the second ranks
+        assert got_rng.log == want_rng.log and got_rng.uniforms == want_rng.uniforms
+        for (x, y, size), f in ((up, want.upper), (lo, want.lower)):
+            assert x[0, : size[0]].tolist() == f.xs.tolist()
+            assert y[0, : size[0]].tolist() == f.ys.tolist()
+        assert (None if math.isnan(prefix[0]) else prefix[0]) == want.prefix_end
 
     def test_hundred_rejections_give_up(self, monkeypatch):
         monkeypatch.setattr(ax, "_rejections", lambda fns, kinds, *args: ["rejected"] * len(kinds))

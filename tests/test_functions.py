@@ -18,6 +18,7 @@ from ebundles.functions import (
     SingularityError,
     ThetaRangeError,
     ZipfFamily,
+    _bisect,
     _extremes,
     _merged_gaps,
     _PwlStack,
@@ -528,7 +529,51 @@ class TestOneRowStack:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, arg)
 
 
-_MALFORMED = ("ragged", "triple", "scalar", "deeper_one", "deeper_all", "dict", "set",
+def _last_holding(lo, hi, holds):
+    """The linear-scan reference for ``_bisect`` at one argument: from lo,
+    step right while the next index in [lo, hi) holds."""
+    i = lo
+    while i + 1 < hi and holds(i + 1):
+        i += 1
+    return i
+
+
+class TestBisect:
+    """``_bisect`` gives every argument the index a linear scan gives: the
+    last of the leading run of [lo, hi) on which the predicate holds, lo
+    counting as holding whatever the predicate says there."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), scalar=st.sampled_from(["none", "lo", "both"]))
+    def test_agrees_with_a_linear_scan(self, data, scalar):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        ints = lambda lo, hi: st.lists(st.integers(min_value=lo, max_value=hi),  # noqa: E731
+                                       min_size=n, max_size=n)
+        lo, span = np.array(data.draw(ints(0, 40))), np.array(data.draw(ints(1, 70)))
+        if scalar != "none":
+            lo = np.full(n, lo[0])
+        if scalar == "both":
+            span = np.full(n, span[0])
+        hi = lo + span
+        # per argument, the predicate holds up to lo + run and beyond it never;
+        # at lo it may hold or not
+        run = np.array([data.draw(st.integers(min_value=0, max_value=int(h - l - 1)))
+                        for l, h in zip(lo, hi)])
+        at_lo = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        holds = lambda k: (k <= lo + run) & ((k != lo) | at_lo)  # noqa: E731
+        want = [_last_holding(int(l), int(h), lambda k, i=i: bool(holds(np.full(n, k))[i]))
+                for i, (l, h) in enumerate(zip(lo, hi))]
+        bounds = {"none": (lo, hi), "lo": (int(lo[0]), hi), "both": (int(lo[0]), int(hi[0]))}
+        got = _bisect(*bounds[scalar], holds)
+        assert np.broadcast_to(got, (n,)).tolist() == want
+
+    def test_one_wide_ranges_read_nothing(self):
+        calls = []
+        got = _bisect(np.arange(3), np.arange(1, 4), lambda k: calls.append(k) or k >= 0)
+        assert got.tolist() == [0, 1, 2] and calls == []
+
+
+_MALFORMED =("ragged", "triple", "scalar", "deeper_one", "deeper_all", "dict", "set",
               "digit_strings", "text", "no_pairs", "empty_pair", "null_pair")
 
 
