@@ -50,11 +50,12 @@ The module also ships the two rejected alternative scores (``n_theta``,
 whose vector rules the stacked passes read as they read the built-in ones),
 three exactly constructed counterexample fixtures that demonstrate which
 axioms each score breaks, and a seeded pair generator of one fixed shape
-(``generate_pairs`` takes only the seed and the count).  Its verification
-(``verify_pair``, ``_rejections``) is exact, at the pairs' merged knots,
-and verifies a whole batch, every open slot of all four kinds, in one
-stacked pass; a rejected attempt is dropped, and the generator goes back
-to where its stream stood after that kind's draws and draws on.
+(``generate_pairs`` takes only the seed and the count).  A round of it
+works on arrays: it draws every open slot of all four kinds in three
+``rng`` calls (``_draws``), builds their knots in one pass
+(``_pair_knots``) and verifies them, exactly, at the pairs' merged knots,
+in one stacked pass (``_rejections``, as ``verify_pair`` does); a
+rejected slot is drawn again in the next round.
 
 Violations are only recorded when the gap clears the reporting slack, so
 float ties never masquerade as axiom failures.  Every slack and tolerance
@@ -66,11 +67,11 @@ implications and an unmet premise proves nothing.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -167,6 +168,10 @@ class DominancePair:
     relation: RelationKind
     prefix_end: float | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.relation, RelationKind):
+            raise InputError(f"relation must be a RelationKind, got {self.relation!r}")
+
 
 # The relation kinds in enum order: a set holds each pair's as its index here.
 _KINDS = tuple(RelationKind)
@@ -200,10 +205,10 @@ class _Pairs(tuple):
     bundle and level is built once per set (``at_level``).
     """
 
-    def __new__(cls, pairs: Iterable[DominancePair], fns: _PwlStack, T: np.ndarray) -> "_Pairs":
+    def __new__(cls, pairs: Iterable[DominancePair], fns: _PwlStack, T: np.ndarray,
+                kinds: np.ndarray, prefix: np.ndarray) -> "_Pairs":
         ps = super().__new__(cls, pairs)
-        kinds, n = np.array([_KINDS.index(p.relation) for p in ps], dtype=int), len(ps)
-        prefix = np.array([p.prefix_end for p in ps], dtype=float)
+        n = len(ps)
         vars(ps).update(fns=fns, kinds=kinds, prefix=prefix, T=T, ends=_ends(kinds, prefix, T),
                         up=np.arange(n), lo=np.arange(n, 2 * n), _memo={})
         return ps
@@ -213,7 +218,7 @@ class _Pairs(tuple):
 
     def __reduce__(self):
         # copies and pickles rebuild the set on its stack
-        return _Pairs, (tuple(self), self.fns, self.T)
+        return _Pairs, (tuple(self), self.fns, self.T, self.kinds, self.prefix)
 
     @classmethod
     def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":
@@ -227,7 +232,9 @@ class _Pairs(tuple):
         fns = [p.upper for p in pairs] + [p.lower for p in pairs]
         _piecewise_linear(fns)
         T = np.array([_common_T(p.upper, p.lower) for p in pairs], dtype=float)
-        ps = cls(pairs, _PwlStack.of(fns), T)
+        kinds = np.array([_KINDS.index(p.relation) for p in pairs], dtype=int)
+        ps = cls(pairs, _PwlStack.of(fns), T, kinds,
+                 np.array([p.prefix_end for p in pairs], dtype=float))
         for i, reason in enumerate(_rejections(ps.fns, ps.kinds, ps.ends)):
             if reason:
                 raise VerificationError(reason, i)
@@ -824,117 +831,128 @@ def pseudo_bundle_eta() -> BundleDef:
 # The generator's fixed shape (``generate_pairs``): knots and shift bound.
 _KNOT_RANGE = (3, 8)
 _SHIFT_SCALE = 0.4
-
-
-def _build_pair(rng: np.random.Generator, kind: RelationKind) -> tuple:
-    """One attempt's draws, in the generator's order: the lower member's
-    knot count and ranks, then uniforms u in [0, 1) for its tail, its drops
-    from knot to knot and their total, then the kind's three draws.  A u is
-    the draw behind ``rng.uniform(lo, hi)``, which is lo + (hi - lo) * u, and
-    ``_pair_knots`` scales it so.  The uniforms after the knot count, up to
-    the kind's first integer draw, come from one ``rng.random`` call: the
-    stream of the same draws one at a time.  Ranks and drops are padded to
-    the width of the batch."""
-    width = _KNOT_RANGE[1] + 1
-    k = int(rng.integers(_KNOT_RANGE[0], width))
-    # the k - 2 ranks, the tail, the k - 1 drops and their total (2k - 1 in
-    # all), then the kind's uniforms up to its first integer draw: an
-    # EQUAL_ON_PREFIX pair's coin, three for STRICT_ON_PREFIX, else two
-    u = rng.random(2 * k + (0 if kind is RelationKind.EQUAL_ON_PREFIX else
-                            2 if kind is RelationKind.STRICT_ON_PREFIX else 1)).tolist()
-    for _ in range(100):
-        xs = [0.0, *sorted(u[: k - 2]), 1.0]
-        if min(map(operator.sub, xs[1:], xs)) > 1e-6:
-            break
-        # ranks drawn again: the uniforms drawn after them move up
-        u = u[k - 2 :] + rng.random(k - 2).tolist()
-    else:
-        raise GenerationError("could not draw well-separated knot ranks")
-    pad = width - k
-    head = (k, xs + [1.0] * pad, u[k - 2], u[k - 1 : 2 * k - 2] + [0.0] * pad, u[2 * k - 2])
-    if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
-        return (*head, *u[2 * k - 1 :], 0.0)  # shift, taper
-    if kind is RelationKind.STRICT_ON_PREFIX:
-        return (*head, *u[2 * k - 1 :])  # prefix end, wedge end, height
-    # EQUAL_ON_PREFIX, biased toward deep prefixes so level-threshold checks get coverage
-    split = k - 2 if u[2 * k - 1] < 0.5 else int(rng.integers(1, k - 1))
-    return (*head, split, rng.random(), 0.0)  # split knot, shrink
+# The columns of a round's uniforms, a row per attempt: the lower member's
+# ranks, tail, drops and drop total, then its kind's three draws.  A row of
+# k knots reads the first k - 2 rank and k - 1 drop columns.
+_RANKS = slice(0, _KNOT_RANGE[1] - 2)
+_TAIL = _RANKS.stop
+_DROPS = slice(_TAIL + 1, _TAIL + _KNOT_RANGE[1])
+_TOTAL = _DROPS.stop
+_DRAWS = slice(_TOTAL + 1, _TOTAL + 4)
 
 
 def _uniform(lo, hi, u: np.ndarray) -> np.ndarray:
     """What ``rng.uniform(lo, hi)`` returns for the draw u of ``rng.random``:
-    numpy rounds (hi - lo) * u before adding lo, as here (the pinned
-    digests in the tests check every draw)."""
+    numpy rounds (hi - lo) * u before adding lo, as here."""
     return lo + (hi - lo) * u
 
 
-def _pair_knots(kind: RelationKind, draws: list[tuple]) -> tuple:
-    """A batch of attempts' pairs, from their draws (``_build_pair``), in one
-    vector pass: the uppers' padded knot arrays (xs, ys) and knot counts,
-    the lowers' the same, and the prefix ends (NaN for none).
+def _draws(rng: np.random.Generator, kinds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A round's draws, a row per attempt of ``_KINDS[kinds[i]]``, in three
+    calls whatever their number: the knot counts k, the uniforms and the
+    EQUAL_ON_PREFIX rows' split knots in [1, k - 2].  Then, row by row,
+    ranks less than 1e-6 apart are drawn again, up to 100 times.  Returns
+    k, the lower members' padded knot ranks (0, the sorted ranks, then 1),
+    the uniforms and the split knots (0 in the other rows)."""
+    n, equal = len(kinds), kinds == _KINDS.index(RelationKind.EQUAL_ON_PREFIX)
+    size = rng.integers(_KNOT_RANGE[0], _KNOT_RANGE[1] + 1, size=n)
+    u = rng.random((n, _DRAWS.stop))
+    split = np.zeros(n, dtype=int)
+    split[equal] = rng.integers(1, size[equal] - 1)
+    ranks = np.where(np.arange(_RANKS.stop) < (size - 2)[:, None], u[:, _RANKS], 1.0)
+    x = np.hstack((np.zeros((n, 1)), np.sort(ranks, axis=1), np.ones((n, 2))))
+    cols = np.arange(x.shape[1] - 1)
 
-    A lower z has the knots (x_i, tail + the drops right of x_i).  Its upper
-    is z plus a shift c, constant or decaying linearly to c/2 at 1
-    (``GEQ_ALL``, ``CUMULATIVE_PREC``); z plus the wedge g max(0, 1 - x/b),
-    with a knot added at b, strictly above z on [0, a] (``STRICT_ON_PREFIX``);
-    or z with its drop right of the split knot shrunk by lam, equal to z up
-    to that knot (``EQUAL_ON_PREFIX``).
+    def apart(r):  # whether the rows' first k knots lie more than 1e-6 apart
+        return np.where(cols < size[r, None] - 1, np.diff(x[r]), math.inf).min(axis=-1) > 1e-6
+
+    for i in np.flatnonzero(~apart(slice(None))).tolist():
+        for _ in range(100):
+            x[i, 1 : size[i] - 1] = np.sort(rng.random(size[i] - 2))
+            if apart(i):
+                break
+        else:
+            raise GenerationError("could not draw well-separated knot ranks")
+    return size, x, u, split
+
+
+def _pair_knots(kinds: np.ndarray, size: np.ndarray, x: np.ndarray, u: np.ndarray,
+                split: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A round's pairs from its draws (``_draws``), in one vector pass: the
+    uppers' padded knot arrays (xs, ys) and knot counts, the lowers' the
+    same, and the prefix ends (NaN for none).
+
+    A lower z has the knots (x_i, tail + the drops right of x_i).  Its upper,
+    built on the rows of its kind, is z plus a shift c, constant or decaying
+    linearly to c/2 at 1 (``GEQ_ALL``, ``CUMULATIVE_PREC``); z plus the wedge
+    g max(0, 1 - x/b), with a knot added at b, strictly above z on [0, a]
+    (``STRICT_ON_PREFIX``); or z with its drop right of the split knot
+    shrunk by lam, equal to z up to that knot (``EQUAL_ON_PREFIX``), the
+    split knot k - 2 for a first draw below 0.5, so biased toward deep
+    prefixes for the level-threshold checks.
     """
-    size, x, tail, drops, total, p, q, r = (np.array(v) for v in zip(*draws))
-    tail, total, p, q, r = (v[:, None] for v in (tail, total, p, q, r))
-    cols = np.arange(x.shape[1])
-    drops = np.where(cols[:-1] < size[:, None] - 1, _uniform(0.3, 1.0, drops), 0.0)
-    # each row's drops scaled to its total: numpy sums a row of one length as
-    # it sums that row alone
-    sums = np.empty_like(total)
-    for k in np.unique(size).tolist():
-        sums[size == k] = drops[size == k, : k - 1].sum(axis=1, keepdims=True)
-    drops *= _uniform(3.0, 10.0, total) / sums
+    n, cols = len(size), np.arange(x.shape[1])
+    drops = _uniform(0.3, 1.0, u[:, _DROPS])
+    drops[np.arange(drops.shape[1]) >= (size - 1)[:, None]] = 0.0
+    drops *= _uniform(3.0, 10.0, u[:, _TOTAL, None]) / drops.sum(axis=1, keepdims=True)
     # the drops right of each knot, summed from 1 leftwards; the padding adds 0
     right = np.cumsum(drops[:, ::-1], axis=1)[:, ::-1]
-    y = _uniform(0.0, 0.4, tail) + np.hstack((right, np.zeros_like(tail)))
-    prefix, x_up, size_up = np.full(len(size), math.nan), x, size
-    if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
-        c = _uniform(0.05, _SHIFT_SCALE, p)
-        y_up = y + np.where(q < 0.5, c * (1.0 - 0.5 * x), c)
-    elif kind is RelationKind.STRICT_ON_PREFIX:
-        a = _uniform(0.25, 0.75, p)
-        b, g = _uniform(a + 0.05, 1.0, q), _uniform(0.05, _SHIFT_SCALE, r)
-        m = (x < b).sum(axis=1, keepdims=True)  # knots left of b; z(b) interpolates m-1 to m
-        new = np.take_along_axis(x, m, 1) != b
-        x0, x1, y0, y1 = (np.take_along_axis(v, m + s, 1) for v in (x, y) for s in (-1, 0))
-        x_up, y_up = (np.take_along_axis(v, cols - ((cols > m) & new), 1) for v in (x, y))
-        at_b = (cols == m) & new
-        x_up = np.where(at_b, b, x_up)
-        y_up = np.where(at_b, y0 + (b - x0) / (x1 - x0) * (y1 - y0), y_up)
-        y_up = y_up + g * np.maximum(0.0, 1.0 - x_up / b)
-        prefix, size_up = a[:, 0], size + new[:, 0]
-    else:
-        split, lam = p.astype(int), _uniform(0.2, 0.8, q)
-        za = np.take_along_axis(y, split, 1)
-        y_up = np.where(cols > split, za + lam * (y - za), y)
-        prefix = np.take_along_axis(x, split, 1)[:, 0]
+    y = _uniform(0.0, 0.4, u[:, _TAIL, None]) + np.hstack((right, np.zeros((n, 2))))
+    x_up, y_up, size_up, prefix = x.copy(), y.copy(), size.copy(), np.full(n, math.nan)
+
+    def rows(*which: RelationKind) -> tuple:
+        r = np.flatnonzero(np.logical_or.reduce([kinds == _KINDS.index(kind) for kind in which]))
+        return (r, x[r], y[r], *(u[r, j, None] for j in range(_DRAWS.start, _DRAWS.stop)))
+
+    r, xs, ys, p, q, _ = rows(RelationKind.GEQ_ALL, RelationKind.CUMULATIVE_PREC)
+    c = _uniform(0.05, _SHIFT_SCALE, p)
+    y_up[r] = ys + np.where(q < 0.5, c * (1.0 - 0.5 * xs), c)
+
+    r, xs, ys, p, q, g = rows(RelationKind.STRICT_ON_PREFIX)
+    a = _uniform(0.25, 0.75, p)
+    b, g = _uniform(a + 0.05, 1.0, q), _uniform(0.05, _SHIFT_SCALE, g)
+    m = (xs < b).sum(axis=1, keepdims=True)  # knots left of b; z(b) interpolates m-1 to m
+    new = np.take_along_axis(xs, m, 1) != b
+    x0, x1, y0, y1 = (np.take_along_axis(v, m + s, 1) for v in (xs, ys) for s in (-1, 0))
+    xb, yb = (np.take_along_axis(v, cols - ((cols > m) & new), 1) for v in (xs, ys))
+    at_b = (cols == m) & new
+    x_up[r] = xb = np.where(at_b, b, xb)
+    yb = np.where(at_b, y0 + (b - x0) / (x1 - x0) * (y1 - y0), yb)
+    y_up[r] = yb + g * np.maximum(0.0, 1.0 - xb / b)
+    prefix[r], size_up[r] = a[:, 0], size[r] + new[:, 0]
+
+    r, xs, ys, p, lam, _ = rows(RelationKind.EQUAL_ON_PREFIX)
+    at = np.where(p < 0.5, size[r, None] - 2, split[r, None])
+    za = np.take_along_axis(ys, at, 1)
+    y_up[r] = np.where(cols > at, za + _uniform(0.2, 0.8, lam) * (ys - za), ys)
+    prefix[r] = np.take_along_axis(xs, at, 1)[:, 0]
     return x_up, y_up, size_up, x, y, size, prefix
 
 
-def _round(rng: np.random.Generator, first: int, todo: list[int]) -> tuple[list, list, np.ndarray]:
-    """One round of attempts, todo[k] of each kind k from ``_KINDS[first]``
-    on, kind by kind: each kind's knot arrays (``_pair_knots``), the
-    stream's state after each kind's attempts, and whether each attempt
-    builds valid members (``_valid_knots``) and holds its relation
-    (``_rejections``), every attempt in one pass of each."""
-    drawn, states = [], []
-    for kind, n in zip(_KINDS[first:], todo[first:]):
-        drawn.append(_pair_knots(kind, [_build_pair(rng, kind) for _ in range(n)]))
-        states.append(rng.bit_generator.state)
-    *knots, prefix = (np.concatenate(v) for v in zip(*drawn))
-    up, lo = knots[:3], knots[3:]
-    ok = _valid_knots(*up) & _valid_knots(*lo)
-    kinds = np.repeat(np.arange(first, len(_KINDS)), todo[first:])[ok]
-    stack = _PwlStack(*(np.concatenate((u[ok], v[ok])) for u, v in zip(up, lo)))
-    ends = _ends(kinds, prefix[ok], np.ones(len(kinds)))
-    ok[ok] = [r is None for r in _rejections(stack, kinds, ends)]
-    return drawn, states, ok
+def _build_pair(upper: PiecewiseLinearFn, lower: PiecewiseLinearFn, kind: int,
+                prefix: float) -> DominancePair:
+    """One attempt's pair, its knots not yet checked; called once per attempt
+    (perfbench/tracer.py counts the calls for the accept ratio)."""
+    return DominancePair(upper, lower, _KINDS[kind], None if math.isnan(prefix) else prefix)
+
+
+def _round(rng: np.random.Generator, kinds: np.ndarray) -> tuple:
+    """One round, an attempt per entry of kinds (indices into ``_KINDS``),
+    drawn and built in one pass each: the attempts' pairs, their knot arrays
+    and counts (row i attempt i's upper, row n + i its lower), their prefix
+    ends, and whether each has valid members (``_valid_knots``) and holds its
+    relation (``_rejections``), decided in one pass of each."""
+    x_up, y_up, size_up, x, y, size, prefix = _pair_knots(kinds, *_draws(rng, kinds))
+    knots = xs, ys, sizes = np.vstack((x_up, x)), np.vstack((y_up, y)), np.append(size_up, size)
+    xs.flags.writeable = ys.flags.writeable = False
+    n = len(kinds)
+    fns = [PiecewiseLinearFn._view(fx[:k], fy[:k]) for fx, fy, k in zip(xs, ys, sizes.tolist())]
+    pairs = list(map(_build_pair, fns[:n], fns[n:], kinds.tolist(), prefix.tolist()))
+    ok = _valid_knots(*knots).reshape(2, n).all(axis=0)
+    both, kept = np.append(ok, ok), kinds[ok]
+    ends = _ends(kept, prefix[ok], np.ones(len(kept)))
+    ok[ok] = [r is None for r in _rejections(_PwlStack(*(v[both] for v in knots)), kept, ends)]
+    return pairs, knots, prefix, ok
 
 
 def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
@@ -946,45 +964,32 @@ def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
     level 1 stays admissible for both members, which the measure suites
     rely on; a setting for them could quietly break that.
 
-    Deterministic for a fixed seed and count: the same seed reproduces the
-    same pairs.  Each attempt draws its numbers (``_build_pair``) in one
-    stream, in order.  A round draws one attempt per open slot of every
-    kind, kind by kind in enum order, and turns each kind's attempts into
-    knot arrays in one vector pass (``_pair_knots``); then every attempt of
-    the round is validated in one pass (``_valid_knots``) and verified,
-    exactly, in one stacked pass (``_rejections``).  A rejected attempt is
-    dropped, the kinds before it and its kind's accepted attempts are kept,
-    and the stream goes back to where it stood after that kind's attempts,
-    so the next round fills the slots left, up to 100 attempts per slot.
-    So the pairs are those that building and verifying one pair at a time
-    would give.  The pairs come back as an immutable tuple (a ``_Pairs``)
-    that holds their one stack of knot arrays, which the checkers read as
-    it is; each member is a read-only view of its row.
+    Deterministic for a fixed seed and count.  Each round (``_round``) draws
+    an attempt for every open slot of all four kinds, in enum order; a
+    rejected attempt leaves its slot open for the next round, up to 100
+    rounds, and each kind keeps its pairs in the order drawn.  The pairs
+    come back as an immutable tuple (a ``_Pairs``) that holds their one
+    stack of knot arrays, which the checkers read as it is; each member is
+    a read-only view of its round's knot arrays.
     """
     if count < 1:
         raise InputError("count must be >= 1")
-    rng, batches = np.random.default_rng(seed), []
-    todo, first, failed = [count] * len(_KINDS), 0, 0  # failed: attempts dropped in a row
-    while first < len(_KINDS):  # the kinds before first are done
-        drawn, states, ok = _round(rng, first, todo)
-        for knots, state, n in zip(drawn, states, todo[first:]):
-            good, ok = ok[:n], ok[n:]
-            for kept in good.tolist():
-                failed = 0 if kept else failed + 1
-                if failed == 100:
-                    raise GenerationError(f"gave up generating a {_KINDS[first].value} pair")
-            batches.append(knots if good.all() else [v[good] for v in knots])
-            todo[first] -= int(good.sum())
-            if todo[first]:
-                # the kinds after it drew from the wrong place in the stream
-                rng.bit_generator.state = state
-                break
-            first += 1
-    *knots, prefix = (np.concatenate(v) for v in zip(*batches))
-    xs, ys, size = (np.concatenate((knots[i], knots[i + 3])) for i in range(3))
+    rng, todo = np.random.default_rng(seed), np.full(len(_KINDS), count)
+    kinds, pairs, knots, prefix = [], [], [], []  # the accepted attempts, round by round
+    for _ in range(100):
+        drawn = np.repeat(np.arange(len(_KINDS)), todo)
+        got, arrays, a, ok = _round(rng, drawn)
+        kinds.append(drawn[ok])
+        prefix.append(a[ok])
+        pairs += compress(got, ok.tolist())
+        knots.append([v.reshape(2, len(drawn), *v.shape[1:])[:, ok] for v in arrays])
+        todo -= np.bincount(drawn[ok], minlength=len(_KINDS))
+        if not todo.any():
+            break
+    else:
+        raise GenerationError(f"gave up generating a {_KINDS[np.argmax(todo > 0)].value} pair")
+    order = np.argsort(np.concatenate(kinds), kind="stable")
+    xs, ys, size = (np.concatenate(np.concatenate(v, axis=1)[:, order]) for v in zip(*knots))
     xs.flags.writeable = ys.flags.writeable = False
-    fns = [PiecewiseLinearFn._view(x[:k], y[:k]) for x, y, k in zip(xs, ys, size.tolist())]
-    n = count * len(_KINDS)
-    pairs = (DominancePair(up, lo, kind, None if math.isnan(a) else a) for up, lo, kind, a in
-             zip(fns[:n], fns[n:], [k for k in _KINDS for _ in range(count)], prefix.tolist()))
-    return _Pairs(pairs, _PwlStack(xs, ys, size), np.ones(n))
+    return _Pairs([pairs[i] for i in order.tolist()], _PwlStack(xs, ys, size), np.ones(len(order)),
+                  np.concatenate(kinds)[order], np.concatenate(prefix)[order])

@@ -28,9 +28,12 @@ the arithmetic the function ran on its own before it read through a
 one-row ``_PwlStack``, with ``np.searchsorted`` segment finders and a 1-d
 trapezoid prefix.
 
-``pairs_one_at_a_time`` is the reference for ``generate_pairs``: the
-per-pair builders that draw, build and verify one pair at a time, which the
-array generator must match pair for pair, at the generator's fixed shape.
+``pairs_one_at_a_time`` is the reference for ``generate_pairs``: it makes
+the generator's rng calls, in its order, round by round (``draw_round``),
+then builds each pair from its row with the scalar builders and verifies it
+with ``verify_pair``, one pair at a time; a failed pair's slot is drawn
+again in the next round.  The array generator must match it pair for pair,
+at its fixed shape.
 """
 
 from __future__ import annotations
@@ -370,20 +373,43 @@ class SearchsortedPwl:
 # The pair generator, one pair at a time
 
 
-def _random_pwl(rng: np.random.Generator) -> PiecewiseLinearFn:
-    k = int(rng.integers(_KNOT_RANGE[0], _KNOT_RANGE[1] + 1))
-    for _ in range(100):
-        interior = np.sort(rng.uniform(0.0, 1.0, size=k - 2))
-        xs = np.concatenate(([0.0], interior, [1.0]))
-        if (xs[1:] - xs[:-1]).min() > 1e-6:
-            break
-    else:
-        raise GenerationError("could not draw well-separated knot ranks")
-    tail = float(rng.uniform(0.0, 0.4))
-    drops = rng.uniform(0.3, 1.0, size=k - 1)
-    total = float(rng.uniform(3.0, 10.0))
-    drops *= total / drops.sum()
-    ys = tail + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
+def draw_round(rng: np.random.Generator, kinds: list[RelationKind]) -> list[tuple]:
+    """A generator round's draws, in its order: every knot count, every
+    row's uniforms, the EQUAL_ON_PREFIX rows' alternative split knots, then,
+    row by row, ranks drawn again until they lie 1e-6 apart.  One (k, ranks,
+    tail, drops, total, draws, split) per row, the drops and draws still
+    uniforms on [0, 1)."""
+    top = _KNOT_RANGE[1]
+    sizes = rng.integers(_KNOT_RANGE[0], top + 1, size=len(kinds)).tolist()
+    u = rng.random((len(kinds), 2 * top + 2)).tolist()
+    equal = [i for i, kind in enumerate(kinds) if kind is RelationKind.EQUAL_ON_PREFIX]
+    alts = dict(zip(equal, rng.integers(1, np.array([sizes[i] - 1 for i in equal], dtype=int))
+                    .tolist()))
+    rows = []
+    for i, (k, row) in enumerate(zip(sizes, u)):
+        ranks = sorted(row[: k - 2])
+        for _ in range(100):
+            xs = [0.0, *ranks, 1.0]
+            if min(b - a for a, b in zip(xs, xs[1:])) > 1e-6:
+                break
+            ranks = sorted(rng.random(k - 2).tolist())
+        else:
+            raise GenerationError("could not draw well-separated knot ranks")
+        rows.append((k, ranks, row[top - 2], row[top - 1 : top - 1 + k - 1], row[2 * top - 2],
+                     row[2 * top - 1 :], alts.get(i)))
+    return rows
+
+
+def _scaled(lo: float, hi: float, u: float) -> float:
+    """``rng.uniform(lo, hi)`` of the draw u of ``rng.random``."""
+    return lo + (hi - lo) * u
+
+
+def _random_pwl(k, ranks, tail, drops, total) -> PiecewiseLinearFn:
+    xs = np.array([0.0, *ranks, 1.0])
+    drops = np.array([_scaled(0.3, 1.0, d) for d in drops])
+    drops *= _scaled(3.0, 10.0, total) / drops.sum()
+    ys = _scaled(0.0, 0.4, tail) + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
     return PiecewiseLinearFn(xs, ys)
 
 
@@ -407,45 +433,43 @@ def _equal_prefix_variant(z: PiecewiseLinearFn, split: int, lam: float) -> Piece
     return PiecewiseLinearFn(z.xs, ys)
 
 
-def build_pair(rng: np.random.Generator, kind: RelationKind) -> DominancePair:
-    """One pair of the given kind, drawn and built on [0, 1]; raises
+def build_pair(kind: RelationKind, row: tuple) -> DominancePair:
+    """The pair of one row of ``draw_round``, built on [0, 1]; raises
     ``InputError`` when a member fails its checks."""
-    z = _random_pwl(rng)
+    k, ranks, tail, drops, total, (p, q, r), alt = row
+    z = _random_pwl(k, ranks, tail, drops, total)
     if kind is RelationKind.GEQ_ALL or kind is RelationKind.CUMULATIVE_PREC:
-        c = float(rng.uniform(0.05, _SHIFT_SCALE))
-        y = _shifted(z, c, taper=bool(rng.random() < 0.5))
+        y = _shifted(z, _scaled(0.05, _SHIFT_SCALE, p), taper=q < 0.5)
         return DominancePair(upper=y, lower=z, relation=kind)
     if kind is RelationKind.STRICT_ON_PREFIX:
-        a = float(rng.uniform(0.25, 0.75))
-        b = float(rng.uniform(a + 0.05, 1.0))
-        g = float(rng.uniform(0.05, _SHIFT_SCALE))
+        a = _scaled(0.25, 0.75, p)
+        b = _scaled(a + 0.05, 1.0, q)
+        g = _scaled(0.05, _SHIFT_SCALE, r)
         return DominancePair(upper=_prefix_gap(z, g, b), lower=z, relation=kind, prefix_end=a)
     # bias toward deep prefixes so level-threshold checks get coverage
-    if rng.random() < 0.5:
-        split = len(z.xs) - 2
-    else:
-        split = int(rng.integers(1, len(z.xs) - 1))
-    lam = float(rng.uniform(0.2, 0.8))
-    y = _equal_prefix_variant(z, split, lam)
+    split = k - 2 if p < 0.5 else alt
+    y = _equal_prefix_variant(z, split, _scaled(0.2, 0.8, q))
     return DominancePair(upper=y, lower=z, relation=kind, prefix_end=float(z.xs[split]))
 
 
-def pairs_one_at_a_time(seed, count, drop=lambda kind, slot, attempt: False):
-    """``generate_pairs``'s pairs, built and verified one at a time: each
-    slot retries until a pair builds and verifies (``verify_pair``), up to
-    100 attempts.  ``drop(kind, slot, attempt)`` rejects an attempt that
-    would otherwise pass."""
-    rng, out = np.random.default_rng(seed), []
-    for kind in RelationKind:
-        for slot in range(count):
-            for attempt in range(100):
-                try:
-                    pair = build_pair(rng, kind)
-                    if not drop(kind, slot, attempt):
-                        out.append(verify_pair(pair))
-                        break
-                except (InputError, VerificationError):
-                    pass
-            else:
-                raise GenerationError(f"gave up generating a {kind.value} pair")
-    return out
+def pairs_one_at_a_time(seed, count, drop=lambda round, row: False):
+    """``generate_pairs``'s pairs, each built and verified on its own: a
+    round draws a row for every open slot of every kind, in enum order
+    (``draw_round``), and builds and verifies (``verify_pair``) one pair a
+    row; a slot whose pair fails stays open for the next round, up to 100
+    rounds.  ``drop(round, row)`` rejects a row's pair that would otherwise
+    pass."""
+    rng, done = np.random.default_rng(seed), {kind: [] for kind in RelationKind}
+    for round in range(100):
+        kinds = [kind for kind in RelationKind for _ in range(count - len(done[kind]))]
+        for row, (kind, drawn) in enumerate(zip(kinds, draw_round(rng, kinds))):
+            try:
+                pair = build_pair(kind, drawn)
+                if not drop(round, row):
+                    done[kind].append(verify_pair(pair))
+            except (InputError, VerificationError):
+                pass
+        if all(len(v) == count for v in done.values()):
+            return [p for kind in RelationKind for p in done[kind]]
+    kind = next(kind for kind in RelationKind if len(done[kind]) < count)
+    raise GenerationError(f"gave up generating a {kind.value} pair")

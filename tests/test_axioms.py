@@ -185,6 +185,25 @@ class TestVerifyPair:
         with pytest.raises(VerificationError):
             verify_pair(DominancePair(f, f, RelationKind.CUMULATIVE_PREC))
 
+    def test_cumulative_relation_rejects_functions_within_tolerance(self):
+        # a gap of 5e-13 on [0, 10]: lower strictly precedes upper in
+        # cumulative order (I_up - I_lo reaches 5e-12), yet the two agree
+        # to EQUALITY_TOL everywhere, so they count as one function
+        up = PiecewiseLinearFn.from_pairs([(0, 2 + 5e-13), (10, 1 + 5e-13)])
+        lo = PiecewiseLinearFn.from_pairs([(0, 2), (10, 1)])
+        with pytest.raises(VerificationError, match="functions coincide"):
+            verify_pair(DominancePair(up, lo, RelationKind.CUMULATIVE_PREC))
+
+    @pytest.mark.parametrize("read", [verify_pair, lambda pair: ax._Pairs.of([pair])])
+    @pytest.mark.parametrize("relation", ["geq_all", None, 0])
+    def test_relation_must_be_a_kind(self, read, relation):
+        # a relation that is not a RelationKind is an input error naming the
+        # value, raised where the pair is made, before either read sees it
+        up = PiecewiseLinearFn.from_pairs([(0, 2), (1, 1)])
+        lo = PiecewiseLinearFn.from_pairs([(0, 1), (1, 0)])
+        with pytest.raises(InputError, match=f"got {relation!r}"):
+            read(DominancePair(up, lo, relation))
+
 
 class TestImpactBundleChecks:
     @pytest.mark.parametrize("bundle", [E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE],
@@ -361,7 +380,9 @@ def _as_set(pairs):
     their rows, built directly: ``_Pairs.of`` would verify them."""
     fns = [p.upper for p in pairs] + [p.lower for p in pairs]
     T = np.array([fn._common_T(p.upper, p.lower) for p in pairs], dtype=float)
-    return ax._Pairs(pairs, _PwlStack.of(fns), T)
+    kinds = np.array([ax._KINDS.index(p.relation) for p in pairs], dtype=int)
+    prefix = np.array([p.prefix_end for p in pairs], dtype=float)
+    return ax._Pairs(pairs, _PwlStack.of(fns), T, kinds, prefix)
 
 
 def _rejections(pairs):
@@ -813,28 +834,53 @@ class TestBuiltOncePerSet:
 
 class _Scripted:
     """A stand-in for ``numpy.random.Generator`` that serves scripted
-    uniforms and integers in order and logs every value it serves: "u" for
-    a uniform, ("int", lo, hi) for an integer."""
+    uniforms and integers in order and logs every call: ("u", n) for n
+    uniforms, ("int", low, high, n) for n integers (high as a list where it
+    is an array, one integer per entry)."""
 
     def __init__(self, uniforms, integers):
         self.uniforms, self.integers_left, self.log = list(uniforms), list(integers), []
 
-    def _take(self, size):
-        n = 1 if size is None else size
-        u, self.uniforms = self.uniforms[:n], self.uniforms[n:]
-        assert len(u) == n, "script ran out of uniforms"
-        self.log += ["u"] * n
-        return u[0] if size is None else np.array(u)
+    @staticmethod
+    def _take(script, shape):
+        n = int(np.prod(shape))
+        assert len(script) >= n, "script ran out"
+        return np.array(script[:n]).reshape(shape), script[n:]
 
     def random(self, size=None):
-        return self._take(size)
+        out, self.uniforms = self._take(self.uniforms, () if size is None else size)
+        self.log.append(("u", out.size))
+        return out[()] if size is None else out
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return low + (high - low) * self._take(size)
+    def integers(self, low, high, size=None):
+        shape = np.shape(high) if size is None else (size,)
+        out, self.integers_left = self._take(self.integers_left, shape)
+        self.log.append(("int", low, np.asarray(high).tolist(), out.size))
+        return out.astype(int)
 
-    def integers(self, low, high):
-        self.log.append(("int", low, high))
-        return self.integers_left.pop(0)
+
+def _refill(monkeypatch, rejected, sizes):
+    """Reject each (round, attempt) of rejected once: every rejected slot
+    must be drawn anew in the next round, each round's size must be its
+    open slots (sizes), and the pairs must be those of the
+    one-pair-at-a-time reference that drops the same rows."""
+    real, calls = ax._rejections, []
+
+    def reject(fns, kinds, *args):
+        reasons = real(fns, kinds, *args)
+        for i in range(len(reasons)):
+            if (len(calls), i) in rejected:
+                reasons[i] = "rejected once"
+        calls.append(len(kinds))
+        return reasons
+
+    monkeypatch.setattr(ax, "_rejections", reject)
+    got = generate_pairs(seed=13, count=6)
+    assert calls == sizes
+    want = oracles.pairs_one_at_a_time(13, 6, drop=lambda round, row: (round, row) in rejected)
+    assert list(got) == want
+    assert [p.prefix_end for p in got] == [p.prefix_end for p in want]
+    assert got.kinds.tolist() == [k for k in range(4) for _ in range(6)]
 
 
 def _digest(configs):
@@ -873,21 +919,24 @@ class TestGenerator:
             by_kind[p.relation] += 1
         assert all(v == 3 for v in by_kind.values())
 
-    @pytest.mark.parametrize("seed, digest", [
-        (0, "bc5d3de5c287751a22cc5a6ed0f7b2877653bee8c0c33aaedc5a07d1208be9db"),
-        (1, "f6255046ea3abc6f87caa2ef69c9a1fafe361df6b986ac0b22515f53749a88b9"),
-        (2, "c6eeaa336296d226b357a6f8c51f94875648d53bb159587c995ce5e2e23bcd13"),
-    ])
-    def test_pairs_pinned(self, seed, digest):
-        # SHA-256 of the pairs written by the generator that verified every
-        # pair on a 10,000-point grid; the exact verification must accept the same
-        assert _digest([(seed, 10)]) == digest
+    # The generator's stream changed once, when a round came to draw all its
+    # attempts in three rng calls (knot counts, a matrix of uniforms, split
+    # knots) and to redraw a rejected attempt in the next round with no
+    # rewind; these digests were pinned then, by that generator and by
+    # ``oracles.pairs_one_at_a_time``, which agreed on every pair.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pairs_pinned(self, seed):
+        # SHA-256 of the pairs, relation, prefix end and knots, at 10 per kind
+        assert _digest([(seed, 10)]) == {
+            0: "5ba1799648a38b89332fe21df4ad88131900c53bed7e326c95032d57dcc7a30c",
+            1: "ae26173031ea67b6bad12ce402e44a2a6e70d6c8c5ff02587ad9ea06fa80f1b0",
+            2: "e753cd0307d770f811d8f27aa742a0151468a4435e465c6ad759a6eeff459df8",
+        }[seed]
 
     def test_hundred_seeds_pinned(self):
-        # one SHA-256 over seeds 0-99 at 50 pairs per kind, written by the
-        # generator that built and verified one pair at a time
+        # one SHA-256 over seeds 0-99 at 50 pairs per kind
         digest = _digest((s, 50) for s in range(100))
-        assert digest == "a3e92cf2431fa2d2668b40238e3711013635a1685f34dad818e44dbeb761cbb7"
+        assert digest == "0dd8f146a5288f3c6d15b8f0db574f32ad26489b65227dca61ea60bd81746b1a"
 
     def test_verification_reads_merged_knots(self, monkeypatch):
         # pairs are read at their merged knots in one stacked pass, never on
@@ -942,76 +991,94 @@ class TestGenerator:
                 assert not f.xs.flags.writeable and not f.ys.flags.writeable
 
     @pytest.mark.parametrize("k", [0, 3, 5])
-    def test_rejected_pair_rewinds_the_generator(self, k, monkeypatch):
-        # the pass rejects the k-th pair of the first round once; the pairs
-        # must be those of building and verifying one pair at a time.  The
-        # generator goes back to where the stream stood after the GEQ_ALL
-        # attempts: a rejected attempt is dropped, and the next round fills
-        # the one slot left, then draws the other kinds again
-        real, calls = ax._rejections, []
+    def test_rejected_pair_is_drawn_again(self, k, monkeypatch):
+        # the first round's GEQ_ALL attempt k is rejected: the next round
+        # draws one GEQ_ALL attempt
+        _refill(monkeypatch, {(0, k)}, [24, 1])
 
-        def reject_once(fns, kinds, *args):
-            reasons = real(fns, kinds, *args)
-            if not calls:
-                reasons[k] = "rejected once"
-            calls.append(len(kinds))
-            return reasons
-
-        monkeypatch.setattr(ax, "_rejections", reject_once)
-        got = generate_pairs(seed=13, count=6)
-        assert calls[:2] == [24, 19]
-        want = oracles.pairs_one_at_a_time(
-            13, 6, drop=lambda kind, slot, attempt: (kind, slot, attempt) == (
-                RelationKind.GEQ_ALL, k, 0))
-        assert list(got) == want
-
-    @pytest.mark.parametrize("rejected, sizes, dropped", [
-        # a later kind: the kinds before it are kept, and the next round
-        # starts at its open slot
-        ({(0, 6 + 2)}, [24, 13], {(RelationKind.STRICT_ON_PREFIX, 2, 0)}),
-        ({(0, 18 + 4)}, [24, 1], {(RelationKind.CUMULATIVE_PREC, 4, 0)}),
-        # a retry round: its first attempt refills GEQ_ALL's last slot, and a
-        # later one CUMULATIVE_PREC's slot 2
-        ({(0, 3), (1, 0)}, [24, 19, 19], {(RelationKind.GEQ_ALL, 3, 0),
-                                          (RelationKind.GEQ_ALL, 5, 0)}),
-        ({(0, 3), (1, 1 + 12 + 2)}, [24, 19, 1], {(RelationKind.GEQ_ALL, 3, 0),
-                                                  (RelationKind.CUMULATIVE_PREC, 2, 0)}),
+    @pytest.mark.parametrize("rejected, sizes", [
+        # a later kind, alone or after another: only the open slots are drawn
+        ({(0, 6 + 2)}, [24, 1]),
+        ({(0, 3), (0, 18 + 4)}, [24, 2]),
+        # a rejection in the refill round itself
+        ({(0, 3), (1, 0)}, [24, 1, 1]),
+        ({(0, 3), (0, 18 + 2), (1, 1)}, [24, 2, 1]),
     ], ids=["strict", "cumulative", "retry-geq", "retry-cumulative"])
-    def test_later_rejections_rewind_the_generator(self, rejected, sizes, dropped, monkeypatch):
-        # (round, attempt) pairs rejected once each; each round's size, and
-        # the (kind, slot, attempt) that the one-at-a-time reference drops
-        real, calls = ax._rejections, []
-
-        def reject(fns, kinds, *args):
-            reasons = real(fns, kinds, *args)
-            for i in range(len(reasons)):
-                if (len(calls), i) in rejected:
-                    reasons[i] = "rejected once"
-            calls.append(len(kinds))
-            return reasons
-
-        monkeypatch.setattr(ax, "_rejections", reject)
-        got = generate_pairs(seed=13, count=6)
-        assert calls == sizes
-        want = oracles.pairs_one_at_a_time(
-            13, 6, drop=lambda kind, slot, attempt: (kind, slot, attempt) in dropped)
-        assert list(got) == want
+    def test_later_rejections_are_drawn_again(self, rejected, sizes, monkeypatch):
+        _refill(monkeypatch, rejected, sizes)
 
     @pytest.mark.parametrize("kind", list(RelationKind))
-    def test_rank_redraw_draws_as_one_at_a_time(self, kind):
-        # a first rank draw that is not 1e-6-separated is drawn again; the
-        # batched draws read the stream as the per-pair builder does
-        uniforms = [0.5, 0.5 + 1e-7, 0.2, 0.7, 0.1, 0.3, 0.9, 0.6, 0.5, 0.6, 0.4, 0.8, 0.25]
-        got_rng, want_rng = _Scripted(uniforms, [4, 1]), _Scripted(uniforms, [4, 1])
-        *knots, prefix = ax._pair_knots(kind, [ax._build_pair(got_rng, kind)])
-        up, lo = knots[:3], knots[3:]
-        want = oracles.build_pair(want_rng, kind)
-        assert want.lower.xs.tolist() == [0.0, 0.2, 0.7, 1.0]  # the second ranks
-        assert got_rng.log == want_rng.log and got_rng.uniforms == want_rng.uniforms
-        for (x, y, size), f in ((up, want.upper), (lo, want.lower)):
-            assert x[0, : size[0]].tolist() == f.xs.tolist()
-            assert y[0, : size[0]].tolist() == f.ys.tolist()
-        assert (None if math.isnan(prefix[0]) else prefix[0]) == want.prefix_end
+    def test_rank_redraw_draws_as_one_at_a_time(self, kind, monkeypatch):
+        # one attempt per kind, four knots each; the ranks of the kind's row
+        # lie 1e-7 apart and are drawn again, after the round's three
+        # calls.  Generator and reference make the same calls and build the
+        # same pairs
+        width, row = 2 * ax._KNOT_RANGE[1] + 2, ax._KINDS.index(kind)
+        rows = np.full((4, width), 0.5)
+        rows[:, :2] = [[0.3, 0.6], [0.45, 0.8], [0.2, 0.9], [0.4, 0.7]]
+        rows[row, :2] = [0.5, 0.5 + 1e-7]
+        rows[:, ax._DRAWS] = [[0.1, 0.2, 0.3], [0.5, 0.3, 0.6], [0.7, 0.4, 0.2], [0.3, 0.8, 0.9]]
+        uniforms = [*rows.ravel().tolist(), 0.25, 0.65]
+        stubs = []
+
+        def scripted(seed):
+            stubs.append(_Scripted(uniforms, [4, 4, 4, 4, 1]))
+            return stubs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", scripted)
+        got = generate_pairs(seed=0, count=1)
+        want = oracles.pairs_one_at_a_time(0, 1)
+        assert list(got) == want
+        assert [p.prefix_end for p in got] == [p.prefix_end for p in want]
+        assert got[row].lower.xs.tolist() == [0.0, 0.25, 0.65, 1.0]  # the second ranks
+        assert stubs[0].log == stubs[1].log == [
+            ("int", 3, 9, 4), ("u", 4 * width), ("int", 1, [3], 1), ("u", 2)]
+        assert stubs[0].uniforms == stubs[1].uniforms == []
+
+    def test_a_round_draws_in_three_calls(self, monkeypatch):
+        # no draw per attempt: a round calls the generator three times
+        # whatever the count
+        real, log = np.random.default_rng, []
+
+        class Logged:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                log.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Logged(real(seed)))
+        for count in (1, 10, 200):
+            log.clear()
+            generate_pairs(seed=3, count=count)
+            assert log == ["integers", "random", "integers"]
+
+    def test_shape(self):
+        # seeds 0-19 at 50 per kind: the ranges that generate_pairs documents
+        pairs = [p for seed in range(20) for p in generate_pairs(seed=seed, count=50)]
+        assert {len(p.lower.xs) for p in pairs} == set(range(3, 9))
+        tails = np.array([p.lower.ys[-1] for p in pairs])
+        totals = np.array([p.lower.ys[0] - p.lower.ys[-1] for p in pairs])
+        assert tails.min() >= 0.0 and tails.max() < 0.4
+        assert totals.min() >= 3.0 - 1e-12 and totals.max() < 10.0 + 1e-12
+        for p in pairs:
+            # the shift or wedge height is the gap at 0
+            if p.relation is not RelationKind.EQUAL_ON_PREFIX:
+                assert 0.05 - 1e-12 <= p.upper.ys[0] - p.lower.ys[0] < 0.4 + 1e-12, p
+            if p.relation is RelationKind.STRICT_ON_PREFIX:
+                assert 0.25 <= p.prefix_end < 0.75
+            elif p.relation is RelationKind.EQUAL_ON_PREFIX:
+                assert p.prefix_end in p.lower.xs[1:-1].tolist()
+            else:
+                assert p.prefix_end is None
+
+    def test_pairs_hold_exactly(self):
+        # every generated pair's relation holds in rational arithmetic
+        for seed in range(5):
+            for p in generate_pairs(seed=seed, count=20):
+                facts = oracles.exact_order_facts(p.upper, p.lower, p.prefix_end)
+                assert oracles.exact_relation_holds(p.relation, facts), (seed, p)
 
     def test_hundred_rejections_give_up(self, monkeypatch):
         monkeypatch.setattr(ax, "_rejections", lambda fns, kinds, *args: ["rejected"] * len(kinds))
