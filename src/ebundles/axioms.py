@@ -17,13 +17,15 @@ explicit violation witnesses:
 * ``check_global_impact``   strict growth under the cumulative-integral
   partial order (GM).
 
-The pair set, not the pair, is the unit of work: an immutable tuple of
+The pair set, not the pair, is the unit of work: an immutable sequence of
 verified pairs (``_Pairs``) that carries one stack of knot arrays, row i
 pair i's upper and row n + i its lower.  ``generate_pairs`` writes its
-pairs' knots into that stack, verifies them and returns the set; any other
-sequence of pairs is stacked and verified once (``_Pairs.of``), and a pair
-whose relation fails raises ``VerificationError`` naming it: the checkers
-decide each premise as they decide each conclusion.
+pairs' knots into that stack, verifies them and returns the set, with no
+pair object in it: a pair, its members read-only views of its rows, is
+built the first time something reads it.  Any other sequence of pairs is
+stacked and verified once (``_Pairs.of``), and a pair whose relation fails
+raises ``VerificationError`` naming it: the checkers decide each premise as
+they decide each conclusion.
 ``check_impact_bundle`` reads the rows of its three relation kinds
 together, at ``_LEVELS`` (24) sampled levels or ranks per pair: the
 members' level maps at the ranks in one stacked pass, then both members'
@@ -38,8 +40,10 @@ does IM.1's positivity outcomes, which SM.1 repeats (``_Pairs.at_level``);
 SM.3's premise on the running averages is exact, in one pass over the
 pairs' merged knots (``_averages_ordered``).  Every pass reads rows of the
 stack through the bundle's vector rules, built-in or custom alike, in
-blocks of ``functions._BLOCK`` rows.  Every report is built by
-``_run_axiom``.
+blocks of ``functions._BLOCK`` rows.  Every report is built by one
+driver, ``_run_axiom``, from its checker's outcomes as arrays (why each
+item goes untested, its levels and its members' scores there): it counts
+them with numpy and builds a ``Violation`` only for a flagged item.
 
 Pairs are of piecewise linear functions only, the functions that the
 generator and the fixtures build: a pair with any other member raises
@@ -67,12 +71,10 @@ implications and an unmet premise proves nothing.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import compress
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -192,33 +194,60 @@ def _ends(kinds: np.ndarray, prefix: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.where(whole, T, prefix)
 
 
-class _Pairs(tuple):
-    """Verified pairs, an immutable tuple, with their rows as one stack.
+class _Pairs(Sequence):
+    """Verified pairs, an immutable sequence, with their rows as one stack.
 
     Row i of the ``_PwlStack`` ``fns`` is pair i's upper and row n + i its
     lower.  The set also holds each pair's relation (``kinds``, its index in
     ``_KINDS``), prefix end (``prefix``, NaN for none), domain end ``T`` and
     the end of the range its relation covers (``ends``, checked when the set
-    is built).  ``generate_pairs`` builds one on its own knot arrays, and
-    ``of`` stacks and verifies any other sequence of pairs; a slice or a sum
-    of sets is a plain tuple.  What the checkers read of the set at a
-    bundle and level is built once per set (``at_level``).
+    is built).  ``of`` stacks and verifies any other sequence of pairs and
+    keeps them; ``generate_pairs`` builds a set on its own knot arrays with
+    no pair in it (pairs None), and a pair of such a set is built from its
+    rows (``_build_pair``) the first time it is read, then kept.  A slice or
+    a sum of sets is a plain tuple, and a set equals the tuple of its pairs.
+    What the checkers read of the set at a bundle and level is built once
+    per set (``at_level``).
     """
 
-    def __new__(cls, pairs: Iterable[DominancePair], fns: _PwlStack, T: np.ndarray,
-                kinds: np.ndarray, prefix: np.ndarray) -> "_Pairs":
-        ps = super().__new__(cls, pairs)
-        n = len(ps)
-        vars(ps).update(fns=fns, kinds=kinds, prefix=prefix, T=T, ends=_ends(kinds, prefix, T),
-                        up=np.arange(n), lo=np.arange(n, 2 * n), _memo={})
-        return ps
+    def __init__(self, pairs: Iterable[DominancePair | None] | None, fns: _PwlStack,
+                 T: np.ndarray, kinds: np.ndarray, prefix: np.ndarray) -> None:
+        n = len(kinds)
+        vars(self).update(_pairs=[None] * n if pairs is None else list(pairs), fns=fns,
+                          kinds=kinds, prefix=prefix, T=T, ends=_ends(kinds, prefix, T),
+                          up=np.arange(n), lo=np.arange(n, 2 * n), _memo={})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("_Pairs is immutable")
 
     def __reduce__(self):
-        # copies and pickles rebuild the set on its stack
-        return _Pairs, (tuple(self), self.fns, self.T, self.kinds, self.prefix)
+        # copies and pickles rebuild the set on its stack, with the pairs built so far
+        return _Pairs, (self._pairs, self.fns, self.T, self.kinds, self.prefix)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        pair = self._pairs[i]
+        if pair is None:
+            pair = self._pairs[i] = _build_pair(self, i % len(self))
+        return pair
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _Pairs)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other) -> tuple:
+        return tuple(self) + (tuple(other) if isinstance(other, _Pairs) else other)
+
+    def __radd__(self, other) -> tuple:
+        return other + tuple(self)
 
     @classmethod
     def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":
@@ -266,12 +295,19 @@ class _Pairs(tuple):
     @cached_property
     def members(self) -> np.ndarray:
         """The rows of the pairs' distinct functions, in order of first
-        appearance (each pair's upper, then its lower)."""
-        order = np.column_stack((self.up, self.lo)).ravel().tolist()
-        keys, first = self.fns._keys(), {}
-        for row in order:
-            first.setdefault(keys[row], row)
-        return np.array(list(first.values()), dtype=int)
+        appearance (each pair's upper, then its lower), in one sort of the
+        rows' knots."""
+        order = np.column_stack((self.up, self.lo)).ravel()
+        return order[np.sort(np.unique(self.fns._keys()[order], return_index=True)[1])]
+
+
+def _build_pair(ps: _Pairs, i: int) -> DominancePair:
+    """Pair i of a set, built on its rows: its members are read-only views of
+    the stack's knot arrays, which the generator has already checked.
+    ``perfbench/tracer.py`` looks this name up and counts its calls."""
+    upper, lower = (ps.fns._row(r) for r in (i, len(ps) + i))
+    a = float(ps.prefix[i])
+    return DominancePair(upper, lower, _KINDS[ps.kinds[i]], None if math.isnan(a) else a)
 
 
 def _reason(rel: RelationKind, order: CumulativeOrder | None, min_gap: float, min_at: float,
@@ -306,8 +342,9 @@ def _rejections(fns: _PwlStack, kinds: np.ndarray, ends: np.ndarray) -> list[str
     n = len(kinds)
     xs, gaps = _merged_gaps(fns, np.arange(n), np.arange(n, 2 * n), ends)
     cum = kinds == _KINDS.index(RelationKind.CUMULATIVE_PREC)
-    orders = iter([_cumulative_order(dmin, dmax) for dmin, dmax in
-                   zip(*(v.tolist() for v in _cumulative_extrema(xs[cum], -gaps[cum])[:2]))])
+    # the vertex pass reads the CUMULATIVE_PREC rows only, and runs only if there is one
+    orders = iter([_cumulative_order(dmin, dmax) for dmin, dmax in zip(*(
+        v.tolist() for v in _cumulative_extrema(xs[cum], -gaps[cum])[:2]))] if cum.any() else ())
     facts = zip(*(v.tolist() for v in _extremes(xs, gaps)))
     return [_reason(_KINDS[k], next(orders) if c else None, *fact)
             for k, c, fact in zip(kinds.tolist(), cum.tolist(), facts)]
@@ -370,38 +407,45 @@ class AxiomReport:
         }
 
 
-# What a check returns for an item it does not test: the axiom's premise
-# fails there, or the score is not defined.
-_SKIP = "skipped"
-# A skip that the report's note counts: strong impact claims no strictness
-# at the level where the score reads up to the end of the domain.
-_BOUNDARY = "boundary-level pairs excluded"
+# Why an item goes untested, a code into ``_UNTESTED`` (0: it is tested).
+# ``_SKIP``: the axiom's premise fails there, or the score is not defined.
+# ``_BOUNDARY``: strong impact claims no strictness at the level where the
+# score reads up to the end of the domain; a report's note counts these.
+_SKIP, _BOUNDARY = 1, 2
+_UNTESTED = (None, None, "boundary-level pairs excluded")
 
 
-def _run_axiom(axiom: str, outcomes: Iterable[Violation | str | None],
-               note: str = "") -> AxiomReport:
-    """The report on one axiom's outcomes, one per pair or function: None
-    when the item satisfies the axiom, a ``Violation`` when it breaks it, or
-    a skip reason when the axiom does not apply.  The report's note counts
-    every skip reason other than ``_SKIP``.
-    """
-    tested = 0
-    violations: list[Violation] = []
-    skips: Counter[str] = Counter()
-    for outcome in outcomes:
-        if isinstance(outcome, str):
-            skips[outcome] += 1
-            continue
-        tested += 1
-        if outcome is not None:
-            violations.append(outcome)
-    counted = [f"{reason}: {n}" for reason, n in skips.items() if reason != _SKIP]
-    note = "; ".join(filter(None, [note, *counted]))
-    return AxiomReport(axiom, tested, tuple(violations), sum(skips.values()), note)
+def _run_axiom(axiom: str, idx: np.ndarray, untested: np.ndarray, ts, m_up, m_lo, verdict,
+               tol: float, note="", remark: str = "") -> AxiomReport:
+    """The report on one axiom's outcomes, arrays with a row per item (a
+    pair or a function) that broadcast to two axes: the pair each names, why
+    it goes untested (0: it is tested), and its levels (or ranks) ts, its
+    members' scores there and the violation notes, a column per level.  A
+    ``Violation`` is built only for a tested item whose verdict flags a
+    level (a NaN score never does), at its first, in item order.  The note
+    is the remark, then the count of each reason that ``_UNTESTED`` names,
+    in order of first appearance."""
+    flagged, gap = verdict(m_up, m_lo, tol)
+    first, cells = flagged.argmax(axis=1), (ts, m_up, m_lo, gap, note)
+    violations = tuple(Violation(int(idx[r]), *(_at(v, r, first[r]) for v in cells))
+                       for r in (flagged.any(axis=1) & (untested == 0)).nonzero()[0].tolist())
+    counts = np.bincount(untested, minlength=len(_UNTESTED)).tolist()
+    named = sorted((c for c, reason in enumerate(_UNTESTED) if reason and counts[c]),
+                   key=lambda c: np.argmax(untested == c))
+    remark = "; ".join(filter(None, [remark, *(f"{_UNTESTED[c]}: {counts[c]}" for c in named)]))
+    return AxiomReport(axiom, counts[0], violations, len(untested) - counts[0], remark)
+
+
+def _at(v, r: int, c: int):
+    """v, a scalar or an array that broadcasts to two axes, at (r, c)."""
+    if not isinstance(v, np.ndarray):
+        return v
+    v = v.reshape(-1, v.shape[-1])
+    return v[min(r, len(v) - 1), min(c, v.shape[1] - 1)].item()
 
 
 # Verdicts on the scores (m_up, m_lo) of a pair's dominating and dominated
-# member, floats or arrays over levels: whether they break the axiom, and
+# member, arrays over items and levels: whether they break the axiom, and
 # the gap a violation reports.
 
 
@@ -419,22 +463,15 @@ def _unequal(m_up, m_lo, tol):
     return gap > tol, gap
 
 
+def _not_positive(m, zero, slack):
+    """The verdict on a single score m, read against zero."""
+    return m <= slack, -m
+
+
 # The note of a single-level strictness violation.
 _NOT_STRICT = "not strict"
-
-
-def _first_violations(
-    idx: Sequence[int], ts: np.ndarray, m_up: np.ndarray, m_lo: np.ndarray, verdict, tol: float,
-    note: str
-) -> list[Violation | None]:
-    """Per row of the levels (or ranks) ts and the scores there, the verdict
-    at the first column that it flags, or None.  A NaN score (undefined, or
-    no level there) never flags: every comparison with NaN is false."""
-    flagged, gap = verdict(m_up, m_lo, tol)
-    first = np.argmax(flagged, axis=1).tolist()
-    return [Violation(i, float(ts[r, j]), float(m_up[r, j]), float(m_lo[r, j]), float(gap[r, j]),
-                      note=note) if flagged[r, j] else None
-            for r, (i, j) in enumerate(zip(idx, first))]
+# The notes of a positivity violation, on an upper and on a lower member.
+_NOT_POSITIVE = np.array(["score not positive (upper)", "score not positive (lower)"])
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +492,12 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _candidates(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
-                geq: np.ndarray, strict: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, list]:
+                geq: np.ndarray, strict: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
     """The candidate levels of AX.2, AX.3 and AX.4, a row for each pair of
-    geq, strict and local in turn, padded with NaN to one width, and AX.4's
-    verdicts on the level maps, all from one stacked pass of level maps."""
+    geq, strict and local in turn, padded with NaN to one width, then the
+    ranks of the local pairs and their members' level maps there (NaN where
+    either is undefined or infinite), all from one stacked pass of level
+    maps."""
     n = _LEVELS
     # AX.2: upper >= lower pointwise implies scores ordered the same way, at
     # n levels across the pair's joint admissible range or, where it is
@@ -484,11 +523,9 @@ def _candidates(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndar
     # level is not compared), then equal scores at the lower's levels.
     lu, ll = np.hsplit(maps[cut:], 2)
     finite = np.isfinite(lu) & np.isfinite(ll)
-    same = _first_violations(local.tolist(), ranks[cut:], np.where(finite, lu, math.nan),
-                             np.where(finite, ll, math.nan), _unequal, EQUALITY_ASSERT_TOL,
-                             "level maps differ")
-    return np.vstack((levels, maps[cut - len(strict) : cut],
-                      np.hstack((ll, np.full(ll.shape, math.nan))))), same
+    return (np.vstack((levels, maps[cut - len(strict) : cut],
+                       np.hstack((ll, np.full(ll.shape, math.nan))))),
+            ranks[cut:], np.where(finite, lu, math.nan), np.where(finite, ll, math.nan))
 
 
 def _candidate_scores(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
@@ -529,27 +566,33 @@ def check_impact_bundle(bundle: BundleDef,
     ranges = ps.ranges(bundle.admissible)
     geq, strict, local = (ps.where(kind) for kind in (
         RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX))
-    levels, same = _candidates(bundle, ps, ranges, geq, strict, local)
-    scored = _candidate_scores(bundle, ps, ranges, np.concatenate((geq, strict, local)), levels)
+    levels, ranks, lu, ll = _candidates(bundle, ps, ranges, geq, strict, local)
+    ts, m_up, m_lo, kept = _candidate_scores(bundle, ps, ranges,
+                                             np.concatenate((geq, strict, local)), levels)
     at = np.cumsum([0, len(geq), len(strict), len(local)]).tolist()
+    part = [slice(a, b) for a, b in zip(at, at[1:])]
 
-    def outcomes(part: int, idx: np.ndarray, verdict, tol: float, note: str) -> list:
-        ts, m_up, m_lo, kept = (v[at[part] : at[part + 1]] for v in scored)
-        found = _first_violations(idx.tolist(), ts, m_up, m_lo, verdict, tol, note)
-        return [v if k else _SKIP for v, k in zip(found, kept.tolist())]
+    def report(axiom: str, k: int, idx: np.ndarray, verdict, tol: float, note: str) -> AxiomReport:
+        s = part[k]
+        return _run_axiom(axiom, idx, np.where(kept[s], 0, _SKIP), ts[s], m_up[s], m_lo[s],
+                          verdict, tol, note)
 
+    s = part[2]
     return {
         "AX.1": AxiomReport(
             "AX.1", 0, note="vacuous: the zero function is not a strictly decreasing rank function"
         ),
-        "AX.2": _run_axiom("AX.2", outcomes(0, geq, _below, MONOTONE_SLACK, "")),
+        "AX.2": report("AX.2", 0, geq, _below, MONOTONE_SLACK, ""),
         # AX.3: strict dominance on [0, a] forces strictly larger scores on
         # the level image of the prefix.
-        "AX.3": _run_axiom("AX.3", outcomes(1, strict, _not_above, STRICT_SLACK,
-                                            "not strictly larger")),
-        # AX.4 tests a pair even when no level is left to score
-        "AX.4": _run_axiom("AX.4", [m or (None if v is _SKIP else v) for m, v in zip(
-            same, outcomes(2, local, _unequal, EQUALITY_ASSERT_TOL, "scores differ"))]),
+        "AX.3": report("AX.3", 1, strict, _not_above, STRICT_SLACK, "not strictly larger"),
+        # AX.4 tests every pair, even one with no level left to score: its
+        # level maps at the ranks come first, then its scores at the levels
+        "AX.4": _run_axiom("AX.4", local, np.zeros(len(local), dtype=int),
+                           np.hstack((ranks, ts[s])), np.hstack((lu, m_up[s])),
+                           np.hstack((ll, m_lo[s])), _unequal, EQUALITY_ASSERT_TOL,
+                           np.repeat(["level maps differ", "scores differ"],
+                                     [ranks.shape[1], ts.shape[1]])),
     }
 
 
@@ -614,17 +657,15 @@ def _level_table(bundle: BundleDef, theta: float,
 
 
 def _pair_report(axiom: str, ps: _Pairs, idx: np.ndarray, theta: float, scores: np.ndarray,
-                 verdict, tol: float, note: str = "", skips: list | None = None) -> AxiomReport:
-    """A single-level axiom's report on the pairs of idx.  A pair's outcome
-    is ``_SKIP`` when a member has no score at theta, else its skip reason
-    in skips, if any, else the verdict on its members' scores in the table."""
+                 verdict, tol: float, note: str = "", untested=0) -> AxiomReport:
+    """A single-level axiom's report on the pairs of idx.  A pair goes
+    untested (``_SKIP``) when a member has no score at theta, else for its
+    code in untested, if any; else the verdict on its members' scores in the
+    table decides it."""
     m_up, m_lo = scores[ps.up[idx], None], scores[ps.lo[idx], None]
-    found = _first_violations(idx.tolist(), np.full(m_up.shape, float(theta)), m_up, m_lo,
-                              verdict, tol, note)
-    missing = (np.isnan(m_up) | np.isnan(m_lo))[:, 0].tolist()
-    skips = [None] * len(idx) if skips is None else skips
-    return _run_axiom(axiom, [_SKIP if miss else skip or v
-                              for miss, skip, v in zip(missing, skips, found)])
+    missing = (np.isnan(m_up) | np.isnan(m_lo))[:, 0]
+    return _run_axiom(axiom, idx, np.where(missing, _SKIP, untested), float(theta), m_up, m_lo,
+                      verdict, tol, note)
 
 
 def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -636,24 +677,21 @@ def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np
 
 
 def _positivity_outcomes(bundle: BundleDef, theta: float, ps: _Pairs) -> tuple:
-    """IM.1's (and SM.1's) outcomes on the distinct members; a violation
-    names the first pair that holds the member: row r is pair r's upper, row
-    n + r its lower."""
+    """IM.1's (and SM.1's) outcomes on the distinct members, as the driver's
+    arguments after the axiom; a violation names the first pair that holds
+    the member: row r is pair r's upper, row n + r its lower."""
     rows, n = ps.members, len(ps)
-    scores = ps.at_level(_level_table, bundle, theta)[0]
-    positive = ps.per_row(lambda f: bundle.positive_for(f, theta))[rows].tolist()
-    return tuple(_SKIP if math.isnan(v) or not pos
-                 else Violation(r % n, float(theta), v, 0.0, -v,
-                                note=f"score not positive ({'upper' if r < n else 'lower'})")
-                 if v <= STRICT_SLACK else None
-                 for r, v, pos in zip(rows.tolist(), scores[rows].tolist(), positive))
+    scores = ps.at_level(_level_table, bundle, theta)[0][rows, None]
+    positive = ps.per_row(lambda f: bundle.positive_for(f, theta))[rows].astype(bool)
+    return (rows % n, np.where(np.isnan(scores[:, 0]) | ~positive, _SKIP, 0), float(theta),
+            scores, 0.0, _not_positive, STRICT_SLACK, _NOT_POSITIVE[rows // n, None])
 
 
 def _positivity_report(axiom: str, bundle: BundleDef, theta: float, ps: _Pairs) -> AxiomReport:
     """IM.1 or SM.1, from the outcomes that the set builds once per bundle
     and level."""
-    return _run_axiom(axiom, ps.at_level(_positivity_outcomes, bundle, theta),
-                      note="zero-function clause vacuous: rank functions are strictly decreasing")
+    return _run_axiom(axiom, *ps.at_level(_positivity_outcomes, bundle, theta),
+                      remark="zero-function clause vacuous: rank functions are strictly decreasing")
 
 
 def check_impact_measure(bundle: BundleDef, theta: float,
@@ -671,7 +709,7 @@ def check_impact_measure(bundle: BundleDef, theta: float,
     geq, strict = ps.where(RelationKind.GEQ_ALL), ps.where(RelationKind.STRICT_ON_PREFIX)
     # a score that reads up to a rank (mu, i, h) is only constrained when the
     # strict prefix covers everything it reads
-    past = [_SKIP if p else None for p in _reads_past(ranks, ps.lo[strict], ps.prefix[strict])]
+    past = np.where(_reads_past(ranks, ps.lo[strict], ps.prefix[strict]), _SKIP, 0)
     return {
         "IM.1": _positivity_report("IM.1", bundle, theta, ps),
         "IM.2": _pair_report("IM.2", ps, geq, theta, scores, _below, MONOTONE_SLACK),
@@ -721,8 +759,7 @@ def check_strong_impact(bundle: BundleDef, theta: float,
     else:
         T = ps.per_row(lambda f: f.T)[lower]
         at_boundary = ranks[lower] >= T - _BOUNDARY_TOL * np.maximum(1.0, T)
-    unclaimed = [_BOUNDARY if edge else None if ordered else _SKIP for edge, ordered in
-                 zip(at_boundary.tolist(), _averages_ordered(ps, geq).tolist())]
+    unclaimed = np.where(at_boundary, _BOUNDARY, np.where(_averages_ordered(ps, geq), 0, _SKIP))
 
     # the equal prefix must cover everything the score reads
     lower, a = ps.lo[local], ps.prefix[local]
@@ -731,7 +768,7 @@ def check_strong_impact(bundle: BundleDef, theta: float,
         covered = theta >= at_a - EQUALITY_ASSERT_TOL
     else:
         covered = ~_reads_past(ranks, lower, a)
-    uncovered = [None if c else _SKIP for c in covered.tolist()]
+    uncovered = np.where(covered, 0, _SKIP)
 
     return {
         "SM.1": _positivity_report("SM.1", bundle, theta, ps),
@@ -739,7 +776,7 @@ def check_strong_impact(bundle: BundleDef, theta: float,
         "SM.3": _pair_report("SM.3", ps, geq, theta, scores, _not_above, STRICT_SLACK,
                              _NOT_STRICT, unclaimed),
         "SM.4": _pair_report("SM.4", ps, local, theta, scores, _unequal, EQUALITY_ASSERT_TOL,
-                             skips=uncovered),
+                             untested=uncovered),
     }
 
 
@@ -929,34 +966,24 @@ def _pair_knots(kinds: np.ndarray, size: np.ndarray, x: np.ndarray, u: np.ndarra
     return x_up, y_up, size_up, x, y, size, prefix
 
 
-def _build_pair(upper: PiecewiseLinearFn, lower: PiecewiseLinearFn, kind: int,
-                prefix: float) -> DominancePair:
-    """One attempt's pair, its knots not yet checked; called once per attempt
-    (perfbench/tracer.py counts the calls for the accept ratio)."""
-    return DominancePair(upper, lower, _KINDS[kind], None if math.isnan(prefix) else prefix)
-
-
 def _round(rng: np.random.Generator, kinds: np.ndarray) -> tuple:
     """One round, an attempt per entry of kinds (indices into ``_KINDS``),
-    drawn and built in one pass each: the attempts' pairs, their knot arrays
-    and counts (row i attempt i's upper, row n + i its lower), their prefix
-    ends, and whether each has valid members (``_valid_knots``) and holds its
-    relation (``_rejections``), decided in one pass of each."""
+    drawn and built in one pass each: the attempts' knot arrays and counts
+    (row i attempt i's upper, row n + i its lower), their prefix ends, and
+    whether each has valid members (``_valid_knots``) and holds its relation
+    (``_rejections``), decided in one pass of each."""
     x_up, y_up, size_up, x, y, size, prefix = _pair_knots(kinds, *_draws(rng, kinds))
-    knots = xs, ys, sizes = np.vstack((x_up, x)), np.vstack((y_up, y)), np.append(size_up, size)
-    xs.flags.writeable = ys.flags.writeable = False
-    n = len(kinds)
-    fns = [PiecewiseLinearFn._view(fx[:k], fy[:k]) for fx, fy, k in zip(xs, ys, sizes.tolist())]
-    pairs = list(map(_build_pair, fns[:n], fns[n:], kinds.tolist(), prefix.tolist()))
-    ok = _valid_knots(*knots).reshape(2, n).all(axis=0)
+    knots = np.vstack((x_up, x)), np.vstack((y_up, y)), np.append(size_up, size)
+    ok = _valid_knots(*knots).reshape(2, len(kinds)).all(axis=0)
     both, kept = np.append(ok, ok), kinds[ok]
     ends = _ends(kept, prefix[ok], np.ones(len(kept)))
     ok[ok] = [r is None for r in _rejections(_PwlStack(*(v[both] for v in knots)), kept, ends)]
-    return pairs, knots, prefix, ok
+    return knots, prefix, ok
 
 
-def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
-    """Generate ``count`` (>= 1) verified pairs per relation kind, in enum order.
+def generate_pairs(seed: int = 0, count: int = 20) -> _Pairs:
+    """Generate ``count`` (>= 1) verified pairs per relation kind, in enum
+    order, from the seed, an integer >= 0.
 
     The pairs are all of one shape: a lower member has 3 to 8 knots on
     [0, 1], a tail below 0.4 and drops that total 3 to 10; its upper adds
@@ -968,20 +995,21 @@ def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
     an attempt for every open slot of all four kinds, in enum order; a
     rejected attempt leaves its slot open for the next round, up to 100
     rounds, and each kind keeps its pairs in the order drawn.  The pairs
-    come back as an immutable tuple (a ``_Pairs``) that holds their one
-    stack of knot arrays, which the checkers read as it is; each member is
-    a read-only view of its round's knot arrays.
+    come back as an immutable sequence (a ``_Pairs``) on one read-only
+    stack of knot arrays, which the checkers read as it is; a pair object,
+    its members read-only views of its rows, is built only when it is read.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
     if count < 1:
         raise InputError("count must be >= 1")
     rng, todo = np.random.default_rng(seed), np.full(len(_KINDS), count)
-    kinds, pairs, knots, prefix = [], [], [], []  # the accepted attempts, round by round
+    kinds, knots, prefix = [], [], []  # the accepted attempts, round by round
     for _ in range(100):
         drawn = np.repeat(np.arange(len(_KINDS)), todo)
-        got, arrays, a, ok = _round(rng, drawn)
+        arrays, a, ok = _round(rng, drawn)
         kinds.append(drawn[ok])
         prefix.append(a[ok])
-        pairs += compress(got, ok.tolist())
         knots.append([v.reshape(2, len(drawn), *v.shape[1:])[:, ok] for v in arrays])
         todo -= np.bincount(drawn[ok], minlength=len(_KINDS))
         if not todo.any():
@@ -991,5 +1019,5 @@ def generate_pairs(seed: int = 0, count: int = 20) -> tuple[DominancePair, ...]:
     order = np.argsort(np.concatenate(kinds), kind="stable")
     xs, ys, size = (np.concatenate(np.concatenate(v, axis=1)[:, order]) for v in zip(*knots))
     xs.flags.writeable = ys.flags.writeable = False
-    return _Pairs([pairs[i] for i in order.tolist()], _PwlStack(xs, ys, size), np.ones(len(order)),
+    return _Pairs(None, _PwlStack(xs, ys, size), np.ones(len(order)),
                   np.concatenate(kinds)[order], np.concatenate(prefix)[order])

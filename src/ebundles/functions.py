@@ -436,12 +436,19 @@ class _PwlStack:
             self._pool["area"] = area.ravel()
         return self._pool["area"]
 
-    def _keys(self) -> list[bytes]:
-        """Per picked row, bytes that equal another row's exactly when the two
-        functions' knots are equal."""
+    def _keys(self) -> np.ndarray:
+        """Per picked row, its knots' bytes as one value, equal to another
+        row's exactly when the two functions' knots are equal."""
         width = self._pool["width"]
         knots = np.hstack([v.reshape(-1, width)[self._rows] for v in (self.xs, self.ys)]) + 0.0
-        return knots.view(np.dtype((np.void, knots.itemsize * 2 * width))).ravel().tolist()
+        return knots.view(np.dtype((np.void, knots.itemsize * 2 * width))).ravel()
+
+    def _row(self, row: int) -> PiecewiseLinearFn:
+        """The function of one row of the pool, on views of the stack's knot
+        arrays (read-only where they are) that a batch check has already
+        found valid."""
+        at = slice(self._pool["first"][row], self._pool["last"][row] + 1)
+        return PiecewiseLinearFn._view(self.xs[at], self.ys[at])
 
     def _select(self, keep: np.ndarray) -> "_PwlStack":
         """The rows that a mask or an index array picks."""
@@ -645,13 +652,12 @@ def _merged_gaps(stack: _PwlStack, up: np.ndarray, lo: np.ndarray,
 
 
 def _extremes(xs: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Over the last axis of the points xs and the gaps diff there: the least
-    gap and the first point where it falls, the largest |gap| and the first
-    point where it falls."""
-    i = np.argmin(diff, axis=-1)[..., None]
-    j = np.argmax(np.abs(diff), axis=-1)[..., None]
-    pick = lambda a, k: np.take_along_axis(a, k, -1)[..., 0]  # noqa: E731
-    return pick(diff, i), pick(xs, i), np.abs(pick(diff, j)), pick(xs, j)
+    """Per row of the points xs and the gaps diff there: the least gap and
+    the first point where it falls, the largest |gap| and the first point
+    where it falls."""
+    rows = np.arange(len(diff))
+    i, j = np.argmin(diff, axis=1), np.argmax(np.abs(diff), axis=1)
+    return diff[rows, i], xs[rows, i], np.abs(diff[rows, j]), xs[rows, j]
 
 
 class CumulativeOrder(Enum):

@@ -28,6 +28,10 @@ the arithmetic the function ran on its own before it read through a
 one-row ``_PwlStack``, with ``np.searchsorted`` segment finders and a 1-d
 trapezoid prefix.
 
+``run_axiom_per_item`` is the reference for ``axioms._run_axiom``: the
+loop over one outcome object per item (None, a ``Violation`` or a skip
+reason) that the array driver replaced.
+
 ``pairs_one_at_a_time`` is the reference for ``generate_pairs``: it makes
 the generator's rng calls, in its order, round by round (``draw_round``),
 then builds each pair from its row with the scalar builders and verifies it
@@ -39,6 +43,7 @@ at its fixed shape.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -473,3 +478,23 @@ def pairs_one_at_a_time(seed, count, drop=lambda round, row: False):
             return [p for kind in RelationKind for p in done[kind]]
     kind = next(kind for kind in RelationKind if len(done[kind]) < count)
     raise GenerationError(f"gave up generating a {kind.value} pair")
+
+
+def run_axiom_per_item(axiom: str, outcomes, note: str = "", uncounted: str = "skipped"):
+    """The report on one axiom's outcomes, one per item: None when the item
+    satisfies the axiom, a ``Violation`` when it breaks it, or a skip reason
+    when the axiom does not apply.  The report's note counts every skip
+    reason other than ``uncounted``, in order of first appearance."""
+    tested = 0
+    violations = []
+    skips = Counter()
+    for outcome in outcomes:
+        if isinstance(outcome, str):
+            skips[outcome] += 1
+            continue
+        tested += 1
+        if outcome is not None:
+            violations.append(outcome)
+    counted = [f"{reason}: {n}" for reason, n in skips.items() if reason != uncounted]
+    note = "; ".join(filter(None, [note, *counted]))
+    return AxiomReport(axiom, tested, tuple(violations), sum(skips.values()), note)

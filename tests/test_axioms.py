@@ -798,6 +798,97 @@ class TestGlobalImpactChecks:
         assert rep.pairs_tested == 15  # one per CUMULATIVE_PREC pair
 
 
+def _first_rows(ps):
+    """The rows of a set's distinct members found one row at a time: a dict
+    keyed by each row's knots, in order of first appearance."""
+    first = {}
+    for row in np.column_stack((ps.up, ps.lo)).ravel().tolist():
+        fx = ps.fns._row(row)
+        first.setdefault(((fx.xs + 0.0).tobytes(), (fx.ys + 0.0).tobytes()), row)
+    return list(first.values())
+
+
+class TestMembers:
+    def test_first_appearance(self):
+        # equal functions, -0.0 and 0.0 included, are one member, at the row
+        # of their first appearance (each pair's upper, then its lower)
+        f = [_pwl((0, 3 + i), (1, 1), (2, 0.0)) for i in range(3)]
+        g = _pwl((0, 3), (1, 1), (2, -0.0))
+        pairs = [DominancePair(up, lo, RelationKind.GEQ_ALL) for up, lo in
+                 ((f[2], f[1]), (f[1], g), (f[2], f[0]), (f[0], f[0]), (f[1], f[1]))]
+        ps = ax._Pairs.of(pairs)
+        assert ps.members.tolist() == _first_rows(ps) == [0, 5, 6]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generated(self, seed):
+        ps = generate_pairs(seed=seed, count=30)
+        in_order = np.column_stack((ps.up, ps.lo)).ravel().tolist()
+        assert ps.members.tolist() == _first_rows(ps) == in_order
+        twice = ax._Pairs.of(list(ps) + list(ps))
+        assert twice.members.tolist() == _first_rows(twice)
+
+
+class TestDriverEqualsOutcomeLoop:
+    """``_run_axiom`` takes each checker's outcomes as arrays; the loop that
+    it replaced, one outcome object per item (``oracles.run_axiom_per_item``),
+    must give the same report from the same outcomes: counts, note text and
+    order, violations and their order and fields."""
+
+    # more named reasons than the checkers have, so that their order shows
+    REASONS = (None, None, "boundary-level pairs excluded", "reason b", "reason c")
+    VERDICTS = [(ax._below, ax.MONOTONE_SLACK), (ax._not_above, ax.STRICT_SLACK),
+                (ax._unequal, ax.EQUALITY_ASSERT_TOL), (ax._not_positive, ax.STRICT_SLACK)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reports_equal(self, data):
+        m, c = data.draw(st.integers(0, 9)), data.draw(st.integers(1, 4))
+
+        def grid(values, shape):
+            flat = data.draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+            return np.array(flat, dtype=float).reshape(shape)
+        scores = st.sampled_from([0.0, -0.0, 1e-13, 1.0, 1.0 + 1e-9, 1.5, -2.0, math.nan])
+        verdict, tol = data.draw(st.sampled_from(self.VERDICTS))
+        m_up = grid(scores, (m, c))
+        m_lo = data.draw(st.sampled_from([0.0, None]))
+        m_lo = grid(scores, (m, c)) if m_lo is None else m_lo
+        ts = data.draw(st.sampled_from([2.5, None]))
+        ts = grid(st.floats(-10, 10), (m, c)) if ts is None else ts
+        note = data.draw(st.sampled_from(["per pair", "per item", "per column", "none"]))
+        note = {"per pair": "not strict", "none": "",
+                "per item": np.array([f"item {r}" for r in range(m)]).reshape(m, 1),
+                "per column": np.array([f"column {j}" for j in range(c)])}[note]
+        untested = np.array(data.draw(st.lists(st.integers(0, len(self.REASONS) - 1),
+                                               min_size=m, max_size=m)), dtype=int)
+        idx = np.array(data.draw(st.lists(st.integers(0, 99), min_size=m, max_size=m)), dtype=int)
+        remark = data.draw(st.sampled_from(["", "a remark"]))
+
+        original = ax._UNTESTED
+        ax._UNTESTED = self.REASONS
+        try:
+            got = ax._run_axiom("AX", idx, untested, ts, m_up, m_lo, verdict, tol, note, remark)
+        finally:
+            ax._UNTESTED = original
+
+        # one outcome per item: its skip reason, its violation at the first
+        # flagged column, or None
+        flagged, gap = verdict(m_up, m_lo, tol)
+        cells = [np.broadcast_to(v, flagged.shape) for v in (ts, m_up, m_lo, gap, note)]
+        outcomes = []
+        for r in range(m):
+            if untested[r]:
+                outcomes.append(self.REASONS[untested[r]] or "skipped")
+            elif flagged[r].any():
+                j = int(np.argmax(flagged[r]))
+                outcomes.append(ax.Violation(int(idx[r]), *(v[r, j].item() for v in cells)))
+            else:
+                outcomes.append(None)
+        want = oracles.run_axiom_per_item("AX", outcomes, remark, uncounted="skipped")
+        # repr, not ==: it tells -0.0 from 0.0 and a float from a numpy
+        # scalar, and a NaN score equals itself
+        assert repr(got) == repr(want)
+
+
 class TestBuiltOncePerSet:
     def test_level_table_and_positivity_built_once(self, monkeypatch):
         # the three single-level suites on one set build one level table and
@@ -1129,3 +1220,32 @@ class TestGenerator:
     def test_config_validation(self):
         with pytest.raises(InputError):
             generate_pairs(count=0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), True, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy would raise its own ValueError on a negative seed (or take
+        # None as "fresh entropy"); the generator names the seed instead
+        with pytest.raises(InputError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            generate_pairs(seed=seed, count=1)
+
+    def test_numpy_integer_seed(self):
+        assert generate_pairs(seed=np.int64(3), count=2) == generate_pairs(seed=3, count=2)
+
+    def test_a_pair_is_built_once_when_read(self):
+        # the set holds knot arrays; a pair is built on the first read, by
+        # index or by iteration, and the same object is read after that
+        pairs = generate_pairs(seed=4, count=5)
+        assert all(p is None for p in pairs._pairs)
+        first = pairs[3]
+        assert pairs[3] is first and pairs[3 - len(pairs)] is first
+        assert [p is not None for p in pairs._pairs].count(True) == 1
+        assert all(a is b for a, b in zip(pairs, list(pairs)))
+        assert pairs[-1] is pairs[len(pairs) - 1] and pairs[2:4] == (pairs[2], pairs[3])
+        with pytest.raises(IndexError):
+            pairs[len(pairs)]
+        # its members are read-only views of the set's stack
+        upper = first.upper
+        assert not upper.xs.flags.writeable and not upper.ys.flags.writeable
+        assert np.shares_memory(upper.xs, pairs.fns.xs)
+        assert first.relation is RelationKind.GEQ_ALL and first.prefix_end is None
+        assert pairs[12].prefix_end == pairs.prefix[12]

@@ -178,6 +178,30 @@ class TestAxiomsCmd:
         obj = json.loads(out.read_text())
         assert obj["SM.1"] == {**obj["IM.1"], "axiom": "SM.1"}
 
+    def test_run_builds_no_pair_or_function(self, monkeypatch, capsys):
+        # the generator's set holds knot arrays and the checkers read them as
+        # they are: no pair, and no function on its rows, is built unless
+        # something reads it
+        made = []
+        for cls, name in ((fn.PiecewiseLinearFn, "__init__"), (fn.PiecewiseLinearFn, "_view"),
+                          (ax.DominancePair, "__post_init__")):
+            def spy(*args, real=getattr(cls, name), name=name):
+                made.append(name)
+                return real(*args)
+            monkeypatch.setattr(cls, name, spy)
+        assert main(["axioms", "--suite", "all", "--pairs", "5", "--seed", "3"]) == 0
+        assert made == []
+        ax.generate_pairs(seed=3, count=5)[0]  # the spies see a read
+        assert made == ["_view", "_view", "__post_init__"]
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # exit 1 means "axiom violated": a bad seed is a usage error
+        out = tmp_path / "axioms.json"
+        assert main(["axioms", "--seed", "-1", "--pairs", "3", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an integer >= 0, got -1")
+        assert "Traceback" not in err and not out.exists()
+
     def test_members_deduped_once_per_run(self, monkeypatch, capsys):
         # IM.1 and SM.1 read the distinct members of one pair set, which
         # the set finds once
