@@ -101,25 +101,33 @@ def _level_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
-def _read_input(args: argparse.Namespace) -> tuple[object, str]:
-    """The ``--input`` file's JSON value and its text.  The value is None
-    where the text is not JSON, or is a single number: a citation file of
-    one count.  JSON null holds nothing, so it reads as ``{}``."""
+def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
+    """The ``--input`` file's JSON value, and its UTF-8 text where the line
+    format reads it.  The value is None, with the text, where the text is
+    not JSON or is a single number: a citation file of one count.  Other
+    text is dropped once decoded (None in its place), so that it is not held
+    while the value is read.  JSON null holds nothing, so it reads as
+    ``{}``."""
     if not args.input:
         raise fn.InputError(f"{args.command} requires --input")
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise fn.InputError(f"cannot read {args.input}: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
         return None, text
-    return (None if type(obj) in (int, float) else {} if obj is None else obj), text
+    except ValueError:  # an integer with more digits than int() reads
+        raise fn.InputError(f"{args.input}: a number is too long to read "
+                            f"({sys.get_int_max_str_digits()} digits at most)") from None
+    if type(obj) in (int, float):
+        return None, text
+    return ({} if obj is None else obj), None
 
 
-def _counts(obj, text: str, args: argparse.Namespace) -> np.ndarray:
+def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
     """The citation counts of an input: a ``{"citations": [...]}`` object's,
     else one count per line of its text.  Other JSON holds no counts."""
     if obj is None:
@@ -310,11 +318,15 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
 def _spec_text(f: fn.PiecewiseLinearFn) -> str:
     """``json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
     byte for byte, without the pure-Python encoder that ``indent`` selects:
-    json writes a finite float as its ``repr``."""
-    pairs = map(",\n      ".join, zip(map(repr, f.xs.tolist()), map(repr, f.ys.tolist())))
-    knots = "\n    ],\n    [\n      ".join(pairs)
-    return (f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      {knots}\n    ]\n  ],\n'
-            '  "type": "piecewise_linear"\n}\n')
+    json writes a finite float as its ``repr``.  The values' reprs, x0, y0,
+    x1, y1, ..., alternate with the separators inside and between knots in
+    one list, which is joined once: the spec's opening text is put before
+    the first value, and its closing text in place of the last separator."""
+    parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * len(f.xs)
+    parts[0::2] = map(repr, f.knots.ravel().tolist())
+    parts[0] = f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      {parts[0]}'
+    parts[-1] = '\n    ]\n  ],\n  "type": "piecewise_linear"\n}\n'
+    return "".join(parts)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

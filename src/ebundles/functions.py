@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -267,14 +268,9 @@ class PiecewiseLinearFn(RankFunction):
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "PiecewiseLinearFn":
         """The function on knots given as (x, y) pairs: the pairs and their
-        container each a list, tuple or numpy array, read in one flat pass."""
-        try:
-            if not (len(pairs) > 0 and set(map(len, pairs)) == {2} and all(
-                    issubclass(t, (list, tuple, np.ndarray)) for t in {type(pairs), *map(type, pairs)})):
-                raise TypeError
-            flat = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs))
-        except (TypeError, ValueError, OverflowError):
-            raise InputError("knots must be a list of (x, y) pairs") from None
+        container each a list, tuple or numpy array.  ``_pair_values`` reads
+        them in one flat pass, into one list of values and one float array."""
+        flat = _pair_values(pairs)[1]
         return cls(flat[0::2], flat[1::2])
 
     @classmethod
@@ -586,13 +582,16 @@ class ZipfFamily(RankFunction):
 
 @dataclass(frozen=True)
 class PowerComplement(RankFunction):
-    """Z(x) = 1 - x**n on [0, 1] for a positive integer n."""
+    """Z(x) = 1 - x**n on [0, 1] for a positive integer n that a float can
+    hold: the routines read n as a float."""
 
     n: int
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise InputError(f"n must be an integer >= 1, got {self.n!r}")
+        if self.n > sys.float_info.max:
+            raise InputError(f"n must be at most {sys.float_info.max!r}, the largest float")
 
     @property
     def T(self) -> float:
@@ -817,6 +816,29 @@ def parse_citations(text: str) -> np.ndarray:
 # Function spec (JSON-structured) round trip
 
 
+# the types of a knot list and of its pairs, subclasses included; the set
+# test settles the usual exact types without a per-type issubclass
+_PAIR_TYPES = frozenset((list, tuple, np.ndarray))
+
+
+def _pair_values(pairs: Sequence[tuple[float, float]]) -> tuple[list, np.ndarray]:
+    """The values of knots given as (x, y) pairs, x0, y0, x1, y1, ..., as
+    one flat list and as the float array read from it.  Raises
+    ``InputError`` unless there is a pair, the pairs and their container are
+    each a list, tuple or numpy array, every pair holds two values, and
+    every value reads as a float."""
+    try:
+        if not (len(pairs) > 0 and set(map(len, pairs)) == {2}):
+            raise TypeError
+        types = {type(pairs), *map(type, pairs)}
+        if not (types <= _PAIR_TYPES or all(issubclass(t, tuple(_PAIR_TYPES)) for t in types)):
+            raise TypeError
+        values = [*chain.from_iterable(pairs)]
+        return values, np.fromiter(values, float, len(values))
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("knots must be a list of (x, y) pairs") from None
+
+
 def _numbers(what: str, values: Callable[[], Iterable]) -> None:
     """Raise ``InputError``, naming what and the first bad value, unless
     every value that ``values()`` yields is a JSON number: an int or a
@@ -828,17 +850,22 @@ def _numbers(what: str, values: Callable[[], Iterable]) -> None:
 
 
 def function_from_spec(spec: dict) -> RankFunction:
-    """Build a rank function from its JSON-style mapping."""
+    """Build a rank function from its JSON-style mapping.  A piecewise
+    linear spec's knots are read as ``from_pairs`` reads them, by
+    ``_pair_values``, and its one flat list of values is type-checked after:
+    the knots' shape, their floats and the function are checked first, then
+    that ``T`` and every value is a JSON number, then ``T`` against the last
+    knot."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("function spec must be a mapping with a 'type' key")
     kind = spec["type"]
     try:
         if kind == "piecewise_linear":
-            knots = spec["knots"]
-            fn = PiecewiseLinearFn.from_pairs(knots)
+            values, flat = _pair_values(spec["knots"])
+            fn = PiecewiseLinearFn(flat[0::2], flat[1::2])
             T = spec.get("T", fn.T)
-            # from_pairs also reads bools and numeric strings
-            _numbers("knot coordinates and T", lambda: chain((T,), chain.from_iterable(knots)))
+            # the float conversion also reads bools and numeric strings
+            _numbers("knot coordinates and T", lambda: chain((T,), values))
             if not math.isclose(float(T), fn.T, rel_tol=1e-12):
                 raise InputError(f"spec T={T} disagrees with last knot x={fn.T}")
             return fn

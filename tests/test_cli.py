@@ -556,10 +556,34 @@ def _count_vectors(draw):
     return base + [base[i] for i in ties]
 
 
+@pytest.mark.parametrize("text, holds_text", [("5\n3\n", True), ("5", True),
+                                              ('{"citations": [5, 3]}', False),
+                                              ('{"type": "linear", "S": 10, "T": 20}', False)],
+                         ids=["lines", "one_count", "citations", "spec"])
+def test_text_is_kept_only_for_the_line_format(text, holds_text, tmp_path):
+    # a decoded file's text is dropped before its value is read
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    obj, kept = cli._read_input(cli.build_parser().parse_args(["eval", "--input", str(p)]))
+    assert (obj is None, kept) == ((True, text) if holds_text else (False, None))
+
+
+_MAGNITUDE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def _knot_functions(draw):
+    """General piecewise linear knots: non-integral xs, as few as two knots,
+    and values from 1e-300 to 1e300, the last y zero or not."""
+    xs = draw(st.lists(_MAGNITUDE, min_size=1, max_size=20, unique=True))
+    ys = draw(st.lists(_MAGNITUDE | st.just(0.0), min_size=len(xs) + 1, max_size=len(xs) + 1,
+                       unique=True))
+    return fn.PiecewiseLinearFn([0.0, *sorted(xs)], sorted(ys, reverse=True))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_count_vectors())
-def test_spec_text_is_the_json_encoding(counts):
-    f = from_citations(counts)
+@given(_count_vectors().map(from_citations) | _knot_functions())
+def test_spec_text_is_the_json_encoding(f):
     text = cli._spec_text(f)
     assert text == json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n"
     assert fn.function_from_spec(json.loads(text)) == f
@@ -600,6 +624,24 @@ class TestBadInputExit2:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe", b"9" * 5000 + b"\n", b'{"citations": [' + b"9" * 5000 + b"]}"],
+        ids=["not_utf8", "long_count", "long_citation"],
+    )
+    def test_unreadable_text(self, command, data, tmp_path, capsys):
+        # JSON text is UTF-8, and int() reads at most 4,300 digits by default
+        p = tmp_path / "c.txt"
+        p.write_bytes(data)
+        out = tmp_path / "out"
+        assert main([command, "--input", str(p), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {p}: " if data == b"\xff\xfe"
+                                       else f"error: {p}: a number is too long to read")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, arg, said",
         [
@@ -633,6 +675,16 @@ class TestBadInputExit2:
         assert captured.err == f"error: n must be an integer >= 1, got {n!r}\n"
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_power_complement_n_beyond_float(self, command, tmp_path, capsys):
+        p = tmp_path / "power.json"
+        p.write_text('{"type": "power_complement", "n": 1' + "0" * 400 + "}")
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n must be at most 1.7976931348623157e+308, the largest float\n")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize("n", [3, 3.0])
     def test_power_complement_n_integral_loads(self, command, n, tmp_path, capsys):
         p = tmp_path / "power.json"
@@ -647,8 +699,9 @@ class TestBadInputExit2:
             ([["0", "3"], ["1", "0"]], 1, "'0'"),
             ([[0, 3], [1, 0]], True, "True"),
             ([[0, 3], [1, 0]], "1", "'1'"),
+            ([[False, 3], [True, 0]], "1", "'1'"),
         ],
-        ids=["bool_knots", "string_knots", "bool_T", "string_T"],
+        ids=["bool_knots", "string_knots", "bool_T", "string_T", "T_named_first"],
     )
     def test_knot_coordinates_must_be_numbers(self, command, knots, T, said, tmp_path, capsys):
         p = tmp_path / "pwl.json"
@@ -696,15 +749,27 @@ class TestBadInputExit2:
         assert captured.out == ""
         assert captured.err == f"error: {said}\n"
 
+    # a pair of the right shape whose value does not read as a float fails
+    # the float conversion, which comes before the type check
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize("knots", [[[0, 3], [1]],[[0, 3, 1], [1, 0, 1]], [[0, 3], None], [],
-                                       {"0": 3}, [[[0], [3]], [[1], [0]]]],
-                             ids=["ragged", "triples", "null", "empty", "dict", "deeper"])
+                                       {"0": 3}, [[[0], [3]], [[1], [0]]], [["a", 3], [1, 0]]],
+                             ids=["ragged", "triples", "null", "empty", "dict", "deeper",
+                                  "text_value"])
     def test_knots_must_be_pairs(self, command, knots, tmp_path, capsys):
         p = tmp_path / "pwl.json"
         p.write_text(json.dumps({"type": "piecewise_linear", "knots": knots}))
         assert main([command, "--input", str(p)]) == 2
         assert capsys.readouterr().err == "error: knots must be a list of (x, y) pairs\n"
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_null_value_reads_as_nan(self, command, tmp_path, capsys):
+        # the float conversion reads null as NaN, which the constructor
+        # rejects before the type check would name None
+        p = tmp_path / "pwl.json"
+        p.write_text(json.dumps({"type": "piecewise_linear", "knots": [[0, None], [1, 0]]}))
+        assert main([command, "--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: knot y must be finite and >= 0, got nan\n"
 
     def test_n_below_one(self, capsys):
         assert main(["converge", "--n-list", "0,1"]) == 2

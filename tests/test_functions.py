@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -95,6 +96,12 @@ class TestConstruction:
         assert f != PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.3)])
         assert len(f.knots) == 3 and f.knots[1].tolist() == [1.0, 1.0]
 
+    def test_pairs_of_subclasses(self):
+        Knot = collections.namedtuple("Knot", "x y")
+        f = PiecewiseLinearFn.from_pairs([Knot(0, 3), Knot(1, 1), Knot(2, 0.2)])
+        assert f == PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
+        assert PiecewiseLinearFn.from_pairs(np.ma.masked_array(f.knots)) == f
+
     def test_knots_are_the_pairs_read_back(self):
         f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
         assert f.knots.shape == (3, 2)
@@ -117,6 +124,13 @@ class TestConstruction:
             LinearFamily(S=0, T=1)
         with pytest.raises(InputError):
             PowerComplement(n=0)
+
+    def test_power_complement_n_is_float_sized(self):
+        # the routines read n as a float: one beyond the largest float
+        # would raise OverflowError there
+        assert PowerComplement(n=10**300).value(0.5) == 1.0
+        with pytest.raises(InputError, match="largest float"):
+            PowerComplement(n=10**400)
 
 
 class TestInverse:
