@@ -101,13 +101,70 @@ def _level_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
+# what a JSON number is written with, and JSON whitespace: deleting them
+# from a knot array's text leaves its brackets and commas
+_NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _flat_spec(text: str) -> dict | None:
+    """The JSON object that text holds, its ``"knots"`` array read as one
+    flat list of numbers (``fn._KnotValues``) and not as a list per knot;
+    None, and the caller decodes the whole text, unless that read gives
+    what ``json.loads`` gives.  Never raises.
+
+    It takes the text only where ``"knots"`` occurs once; the text around
+    the knot array, with ``[]`` in its place, holds no backslash and decodes
+    to an object whose ``"knots"`` is that ``[]``; the array is exactly
+    ``[[,],...,[,]]`` once its numbers and whitespace are deleted; and, its
+    inner brackets read as spaces, it decodes as JSON to two numbers a pair.
+    The array then holds no quote, so no ``"knots"`` or backslash hides in
+    it.  The file's text stays with the caller: it is what the general path
+    reads where the values fail to decode."""
+    # the array runs from the first "[" after the key to the last "]" before
+    # the next quote or "}"; the checks below hold only if it really does
+    key = text.find('"knots"')
+    start = text.find("[", key)
+    close = text.find("}", start)
+    if min(key, start, close) < 0:
+        return None
+    quote = text.find('"', start, close)
+    end = text.rfind("]", start, close if quote < 0 else quote)
+    if end < 0:
+        return None
+    outside = text[:start] + "[]" + text[end + 1:]
+    if outside.count('"knots"') != 1 or "\\" in outside:
+        return None
+    try:
+        obj = json.loads(outside)
+        if type(obj) is not dict or obj.get("knots") != []:
+            return None
+        span = bytearray(text[start:end + 1].encode("ascii"))
+        skeleton = span.translate(None, _NUMBER_BYTES)
+        n = (len(skeleton) - 1) // 4
+        if n < 1 or skeleton != b"[" + b"[,]," * (n - 1) + b"[,]]":
+            return None
+        # only the outer brackets stay: the pairs' values read as one list;
+        # the bytes go before the decode, which holds the values
+        span = span.translate(_BRACKETS_TO_SPACES)
+        span[0], span[-1] = ord("["), ord("]")
+        flat = span.decode("ascii")
+        del span
+        # the skeleton's 2n - 1 commas make 2n values
+        obj["knots"] = fn._KnotValues(json.loads(flat))
+    except (ValueError, RecursionError):
+        return None
+    return obj
+
+
 def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
     """The ``--input`` file's JSON value, and its UTF-8 text where the line
     format reads it.  The value is None, with the text, where the text is
     not JSON or is a single number: a citation file of one count.  Other
     text is dropped once decoded (None in its place), so that it is not held
     while the value is read.  JSON null holds nothing, so it reads as
-    ``{}``."""
+    ``{}``.  A spec's knot array is read flat where ``_flat_spec`` takes it,
+    and by ``json.loads`` with the rest of the text where it does not."""
     if not args.input:
         raise fn.InputError(f"{args.command} requires --input")
     try:
@@ -115,10 +172,15 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise fn.InputError(f"cannot read {args.input}: {exc}") from None
+    obj = _flat_spec(text)
+    if obj is not None:
+        return obj, None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
         return None, text
+    except RecursionError:
+        raise fn.InputError(f"{args.input}: JSON nests too deeply to read") from None
     except ValueError:  # an integer with more digits than int() reads
         raise fn.InputError(f"{args.input}: a number is too long to read "
                             f"({sys.get_int_max_str_digits()} digits at most)") from None

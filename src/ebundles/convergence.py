@@ -327,7 +327,12 @@ def zipf_sequence(n_values: Sequence[int]) -> FunctionSequence:
 def power_complement_sequence(n_values: Sequence[int]) -> FunctionSequence:
     """The 1 - x**n family on [0, 1]: strictly decreasing for every n, but its
     pointwise limit jumps from 1 to 0 at x = 1, so no continuous strictly
-    decreasing limit exists."""
+    decreasing limit exists.  Each n is at most 2**53: the members read n as
+    a float, which holds every integer up to there, and the gaps take n in
+    64-bit integers."""
+    for n in n_values:
+        if n > 2**53:
+            raise InputError(f"power family n must be at most 2**53 = {2**53}, got {n}")
     return FunctionSequence(
         family=PowerComplement,
         n_values=tuple(n_values),

@@ -821,22 +821,41 @@ def parse_citations(text: str) -> np.ndarray:
 _PAIR_TYPES = frozenset((list, tuple, np.ndarray))
 
 
-def _pair_values(pairs: Sequence[tuple[float, float]]) -> tuple[list, np.ndarray]:
+class _KnotValues:
+    """Knot values x0, y0, x1, y1, ... that a reader decoded flat from a
+    JSON knot array it found to hold two numbers a pair
+    (``cli._flat_spec``): ``_pair_values`` takes them as they are."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list) -> None:
+        self.values = values
+
+
+def _pair_values(pairs: Sequence[tuple[float, float]] | _KnotValues) -> tuple[list, np.ndarray]:
     """The values of knots given as (x, y) pairs, x0, y0, x1, y1, ..., as
     one flat list and as the float array read from it.  Raises
     ``InputError`` unless there is a pair, the pairs and their container are
     each a list, tuple or numpy array, every pair holds two values, and
-    every value reads as a float."""
+    every value reads as a float.  Values already read flat
+    (``_KnotValues``) skip the shape checks."""
     try:
-        if not (len(pairs) > 0 and set(map(len, pairs)) == {2}):
-            raise TypeError
-        types = {type(pairs), *map(type, pairs)}
-        if not (types <= _PAIR_TYPES or all(issubclass(t, tuple(_PAIR_TYPES)) for t in types)):
-            raise TypeError
-        values = [*chain.from_iterable(pairs)]
+        values = pairs.values if type(pairs) is _KnotValues else _flatten(pairs)
         return values, np.fromiter(values, float, len(values))
     except (TypeError, ValueError, OverflowError):
         raise InputError("knots must be a list of (x, y) pairs") from None
+
+
+def _flatten(pairs: Sequence[tuple[float, float]]) -> list:
+    """The pairs' values in one list, or TypeError unless there is a pair,
+    every pair holds two values, and the pairs and their container are each
+    a list, tuple or numpy array."""
+    if not (len(pairs) > 0 and set(map(len, pairs)) == {2}):
+        raise TypeError
+    types = {type(pairs), *map(type, pairs)}
+    if not (types <= _PAIR_TYPES or all(issubclass(t, tuple(_PAIR_TYPES)) for t in types)):
+        raise TypeError
+    return [*chain.from_iterable(pairs)]
 
 
 def _numbers(what: str, values: Callable[[], Iterable]) -> None:
@@ -855,14 +874,21 @@ def function_from_spec(spec: dict) -> RankFunction:
     ``_pair_values``, and its one flat list of values is type-checked after:
     the knots' shape, their floats and the function are checked first, then
     that ``T`` and every value is a JSON number, then ``T`` against the last
-    knot."""
+    knot.  A null, which the float conversion reads as NaN, is named where
+    the function fails on that NaN."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("function spec must be a mapping with a 'type' key")
     kind = spec["type"]
     try:
         if kind == "piecewise_linear":
             values, flat = _pair_values(spec["knots"])
-            fn = PiecewiseLinearFn(flat[0::2], flat[1::2])
+            try:
+                fn = PiecewiseLinearFn(flat[0::2], flat[1::2])
+            except InputError:
+                # the float conversion reads null as NaN: name the null
+                if np.isnan(flat).any():
+                    _numbers("knot coordinates and T", lambda: values)
+                raise
             T = spec.get("T", fn.T)
             # the float conversion also reads bools and numeric strings
             _numbers("knot coordinates and T", lambda: chain((T,), values))

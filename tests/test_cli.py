@@ -147,6 +147,159 @@ class TestSweep:
         assert thetas[0] == 1.0 and thetas[-1] == 10.0
 
 
+class _Raw(str):
+    """A number token written as it is."""
+
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", " \r\n\t"])
+
+
+def _number_token(draw, v: float) -> _Raw:
+    """v as one of the JSON forms that read back as v: an int where v is
+    integral, its repr, or an exponent form; -0 and -0.0 for zero."""
+    forms = [repr(v), f"{v:.17e}", f"{v:.17E}".replace("E+", "E")]
+    if v.is_integer():
+        forms.append(str(int(v)))
+    if v == 0.0:
+        forms += ["-0", "-0.0", "0e0", "-0E-0"]
+    return _Raw(draw(st.sampled_from(forms)))
+
+
+def _dump(draw, value) -> str:
+    """value as JSON text, JSON whitespace of any kind around every token."""
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, dict):
+        items = [f'{draw(_WS)}{json.dumps(k)}{draw(_WS)}:{draw(_WS)}{_dump(draw, v)}{draw(_WS)}'
+                 for k, v in value.items()]
+        return "{" + ",".join(items) + draw(_WS) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(draw(_WS) + _dump(draw, v) + draw(_WS) for v in value) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def _pwl_texts(draw):
+    """A valid piecewise linear spec's text in one of several layouts."""
+    k = draw(st.integers(2, 12))
+    step = st.one_of(st.integers(1, 1000).map(float),
+                     st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    xs = np.cumsum([0.0] + [draw(step) for _ in range(k - 1)]).tolist()
+    ys = np.cumsum([draw(st.sampled_from([0.0, 0.5, 7.0]))]
+                   + [draw(step) for _ in range(k - 1)])[::-1].tolist()
+    if len(set(xs)) < k or len(set(ys)) < k:  # float sums that tied
+        xs, ys = list(range(k)), list(range(k, 0, -1))
+    items = {"type": "piecewise_linear", "knots": [[x, y] for x, y in zip(xs, ys)]}
+    if draw(st.booleans()):
+        items["T"] = xs[-1]
+    extras = {"name": "curve 1", "meta": {"source": [1, 2], "ok": True}, "citations": [5, 3],
+              "empty": [], "none": None}
+    for key in draw(st.lists(st.sampled_from(sorted(extras)), unique=True, max_size=3)):
+        items[key] = extras[key]
+    order = draw(st.permutations(sorted(items)))
+    spec = {key: items[key] for key in order}
+    layout = draw(st.sampled_from(["compact", "indent", "random"]))
+    if layout == "compact":
+        return json.dumps(spec)
+    if layout == "indent":
+        return json.dumps(spec, indent=2, sort_keys=True) + "\n"
+    spec["knots"] = [[_number_token(draw, float(x)), _number_token(draw, float(y))]
+                     for x, y in spec["knots"]]
+    return draw(_WS) + _dump(draw, spec) + draw(_WS)
+
+
+def _run_both(argv, monkeypatch, capsys) -> list:
+    """(exit code, stdout, stderr) of argv with the flat knot read, then with
+    the general path alone."""
+    runs = []
+    for flat in (True, False):
+        if not flat:
+            monkeypatch.setattr(cli, "_flat_spec", lambda text: None)
+        runs.append((main(argv), *capsys.readouterr()))
+    return runs
+
+
+class TestFlatKnotRead:
+    """``cli._flat_spec`` reads a spec's knot array as one flat list of
+    numbers where that gives what ``json.loads`` gives, and declines (the
+    general path runs) everywhere else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pwl_texts())
+    def test_builds_the_nested_read(self, text):
+        spec, ref = cli._flat_spec(text), json.loads(text)
+        assert spec is not None
+        # the same ints and floats, -0.0 included, in the same order
+        assert list(map(repr, spec["knots"].values)) == [repr(v) for p in ref["knots"] for v in p]
+        assert {k: v for k, v in spec.items() if k != "knots"} == {
+            k: v for k, v in ref.items() if k != "knots"}
+        assert fn.function_from_spec(spec) == fn.function_from_spec(ref)
+
+    _KNOTS = '[[0, 3], [1, 0]]'
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "ingest"])
+    @pytest.mark.parametrize("text", [
+        # knot values
+        '{"type": "piecewise_linear", "knots": [[0, 3], [1]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 3, 1], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 3, 1], [0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 3], []]}',
+        '{"type": "piecewise_linear", "knots": [[0, 3], [1, 0],]}',
+        '{"type": "piecewise_linear", "knots": []}',
+        '{"type": "piecewise_linear", "knots": [[0 1, 3], [2, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, +1], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, .5], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 1.], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 01], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 1e], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, NaN], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, Infinity], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 1e999], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[true, 3], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, null], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [["0", 3], [1, 0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 3], [1, 0]], "T": 2}',
+        '{"type": "piecewise_linear", "knots": [[0, 3], [1, ' + "9" * 5000 + "]]}",
+        # spec layouts
+        '{"type": "piecewise_linear", "knots": [[0, 9], [1, 0]], "knots": ' + _KNOTS + "}",
+        '{"type": "piecewise_linear", "meta": {"knots": ' + _KNOTS + "}}",
+        '{"type": "piecewise_linear", "meta": {"knots": ' + _KNOTS + '}, "knots": []}',
+        '{"type": "piecewise_linear", "note": "knots", "knots": ' + _KNOTS + "}",
+        '{"type": "piecewise_linear", "note": "\\"knots\\": [[0, 9]]", "knots": ' + _KNOTS + "}",
+        '{"type": "piecewise_linear", "kn\\u006fts": ' + _KNOTS + "}",
+        '{"type": "piecewise_linear", "knots": ' + _KNOTS + ",}",
+        '\ufeff{"type": "piecewise_linear", "knots": ' + _KNOTS + "}",
+        '{"type": "piecewise_linear", "knots": ' + _KNOTS + ', "citations": [5, 3, 1]}',
+        '{"knots": ' + _KNOTS + ', "meta": {"a": [[1, 2]]}, "type": "piecewise_linear"}',
+        '{"type": "piecewise_linear", "knots": ' + _KNOTS + ', "x": ' + "[" * 100_000 + "}",
+        '[{"type": "piecewise_linear", "knots": ' + _KNOTS + "}]",
+        '{"type": "piecewise_linear", "knots": ' + _KNOTS,
+        '{"type": "linear", "S": 3, "T": 1, "knots": ' + _KNOTS + "}",
+    ], ids=lambda text: text[:60])
+    def test_near_miss_reads_as_the_general_path(self, command, text, tmp_path, monkeypatch,
+                                                 capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(text, encoding="utf-8")
+        flat, general = _run_both([command, "--input", str(p)], monkeypatch, capsys)
+        assert flat == general
+        assert "Traceback" not in flat[2]
+
+    def test_benchmark_shaped_spec_builds_no_pair_list(self, tmp_path, monkeypatch, capsys):
+        xs = np.arange(200.0)
+        ys = np.r_[np.sort(np.random.default_rng(3).pareto(1.2, 199) * 5.0 + 1.0)[::-1], 0.0]
+        spec = {"type": "piecewise_linear", "T": float(xs[-1]),
+                "knots": [[x, y] for x, y in zip(xs.tolist(), ys.tolist())]}
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps(spec) + "\n")
+        argv = ["sweep", "--input", str(p), "--theta", "0:50:101"]
+        calls, flatten = [], fn._flatten
+        monkeypatch.setattr(fn, "_flatten", lambda pairs: calls.append(1) or flatten(pairs))
+        flat, general = _run_both(argv, monkeypatch, capsys)
+        assert flat == general and flat[0] == 0
+        # only the general path's run built the pairs' list
+        assert calls == [1]
+
+
 class TestAxiomsCmd:
     def test_asserted_suites_pass(self, tmp_path, capsys):
         out = tmp_path / "axioms.json"
@@ -763,13 +916,39 @@ class TestBadInputExit2:
         assert capsys.readouterr().err == "error: knots must be a list of (x, y) pairs\n"
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    def test_null_value_reads_as_nan(self, command, tmp_path, capsys):
-        # the float conversion reads null as NaN, which the constructor
-        # rejects before the type check would name None
+    def test_null_value_is_named(self, command, tmp_path, capsys):
+        # the float conversion reads null as NaN; the NaN the constructor
+        # rejects is named as the null it was read from
         p = tmp_path / "pwl.json"
         p.write_text(json.dumps({"type": "piecewise_linear", "knots": [[0, None], [1, 0]]}))
         assert main([command, "--input", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: knot coordinates and T must be numbers, got None\n")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_nan_value_keeps_the_constructor_message(self, command, tmp_path, capsys):
+        # a NaN read from NaN, not from null, is the constructor's to name
+        p = tmp_path / "pwl.json"
+        p.write_text('{"type": "piecewise_linear", "knots": [[0, NaN], [1, 0]]}')
+        assert main([command, "--input", str(p)]) == 2
         assert capsys.readouterr().err == "error: knot y must be finite and >= 0, got nan\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
+    def test_deep_nesting(self, command, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        assert main([command, "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: JSON nests too deeply to read\n"
+
+    def test_power_n_beyond_exact_floats(self, capsys):
+        assert main(["converge", "--family", "power",
+                     "--n-list", "10,100000000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: power family n must be at most 2**53 = "
+                                "9007199254740992, got 100000000000000000000\n")
 
     def test_n_below_one(self, capsys):
         assert main(["converge", "--n-list", "0,1"]) == 2
