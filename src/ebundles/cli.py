@@ -101,9 +101,10 @@ def _level_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
-# what a JSON number is written with, and JSON whitespace: deleting them
+# JSON whitespace, and what a JSON number is written with: deleting both
 # from a knot array's text leaves its brackets and commas
-_NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
+_WHITESPACE = b" \t\n\r"
+_NUMBER_BYTES = b"0123456789.eE+-"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
@@ -116,8 +117,9 @@ def _flat_spec(text: str) -> dict | None:
     It takes the text only where ``"knots"`` occurs once; the text around
     the knot array, with ``[]`` in its place, holds no backslash and decodes
     to an object whose ``"knots"`` is that ``[]``; the array is exactly
-    ``[[,],...,[,]]`` once its numbers and whitespace are deleted; and, its
-    inner brackets read as spaces, it decodes as JSON to two numbers a pair.
+    ``[[,],...,[,]]`` once its numbers and whitespace are deleted, with no
+    number outside a pair; and, its inner brackets read as spaces, it
+    decodes as JSON to two numbers a pair.
     The array then holds no quote, so no ``"knots"`` or backslash hides in
     it.  The file's text stays with the caller: it is what the general path
     reads where the values fail to decode."""
@@ -140,10 +142,15 @@ def _flat_spec(text: str) -> dict | None:
         if type(obj) is not dict or obj.get("knots") != []:
             return None
         span = bytearray(text[start:end + 1].encode("ascii"))
-        skeleton = span.translate(None, _NUMBER_BYTES)
+        shape = span.translate(None, _WHITESPACE)
+        skeleton = shape.translate(None, _NUMBER_BYTES)
         n = (len(skeleton) - 1) // 4
         if n < 1 or skeleton != b"[" + b"[,]," * (n - 1) + b"[,]]":
             return None
+        # and no number sits outside a pair: each "],[" and the ends stay whole
+        if shape.count(b"],[") != n - 1 or shape[:2] != b"[[" or shape[-2:] != b"]]":
+            return None
+        del shape
         # only the outer brackets stay: the pairs' values read as one list;
         # the bytes go before the decode, which holds the values
         span = span.translate(_BRACKETS_TO_SPACES)

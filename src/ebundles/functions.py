@@ -886,8 +886,8 @@ def function_from_spec(spec: dict) -> RankFunction:
                 fn = PiecewiseLinearFn(flat[0::2], flat[1::2])
             except InputError:
                 # the float conversion reads null as NaN: name the null
-                if np.isnan(flat).any():
-                    _numbers("knot coordinates and T", lambda: values)
+                if np.isnan(flat).any() and any(v is None for v in values):
+                    raise InputError("knot coordinates and T must be numbers, got None") from None
                 raise
             T = spec.get("T", fn.T)
             # the float conversion also reads bools and numeric strings

@@ -235,6 +235,24 @@ class TestFlatKnotRead:
             k: v for k, v in ref.items() if k != "knots"}
         assert fn.function_from_spec(spec) == fn.function_from_spec(ref)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([[0, 3], [1, 0], [12, 5]]), min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 40), st.sampled_from(list("[],  0.e-\n") + [""]),
+                              st.booleans()), min_size=1, max_size=3))
+    def test_takes_only_what_json_reads_as_pairs(self, pairs, edits):
+        # knot text with bytes inserted, or replaced ("": deleted): where the
+        # flat read takes it, json.loads reads it as the same pairs
+        knots = list(json.dumps(pairs))
+        for at, byte, replace in edits:
+            at = min(at, len(knots) - 1)
+            knots[at:at + replace] = [byte]
+        text = '{"type": "piecewise_linear", "knots": ' + "".join(knots) + "}"
+        spec = cli._flat_spec(text)
+        if spec is not None:
+            ref = json.loads(text)["knots"]
+            assert all(type(p) is list and len(p) == 2 for p in ref)
+            assert spec["knots"].values == [v for p in ref for v in p]
+
     _KNOTS = '[[0, 3], [1, 0]]'
 
     @pytest.mark.parametrize("command", ["eval", "sweep", "ingest"])
@@ -247,6 +265,11 @@ class TestFlatKnotRead:
         '{"type": "piecewise_linear", "knots": [[0, 3], [1, 0],]}',
         '{"type": "piecewise_linear", "knots": []}',
         '{"type": "piecewise_linear", "knots": [[0 1, 3], [2, 0]]}',
+        # a number moved across a bracket leaves the same brackets and commas
+        '{"type": "piecewise_linear", "knots": [[0,3],[1,]0]}',
+        '{"type": "piecewise_linear", "knots": [0[,3],[1,0]]}',
+        '{"type": "piecewise_linear", "knots": [[0,3],1[,0]]}',
+        '{"type": "piecewise_linear", "knots": [[0, 3] 5, [1, 0]]}',
         '{"type": "piecewise_linear", "knots": [[0, +1], [1, 0]]}',
         '{"type": "piecewise_linear", "knots": [[0, .5], [1, 0]]}',
         '{"type": "piecewise_linear", "knots": [[0, 1.], [1, 0]]}',
@@ -930,6 +953,10 @@ class TestBadInputExit2:
         # a NaN read from NaN, not from null, is the constructor's to name
         p = tmp_path / "pwl.json"
         p.write_text('{"type": "piecewise_linear", "knots": [[0, NaN], [1, 0]]}')
+        assert main([command, "--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: knot y must be finite and >= 0, got nan\n"
+        # and so is it beside a value of the wrong type but no null
+        p.write_text('{"type": "piecewise_linear", "knots": [[0, NaN], [false, 0]]}')
         assert main([command, "--input", str(p)]) == 2
         assert capsys.readouterr().err == "error: knot y must be finite and >= 0, got nan\n"
 
