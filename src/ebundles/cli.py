@@ -214,7 +214,7 @@ def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
     try:
         return np.fromiter(counts, float, len(counts))
     except OverflowError:
-        raise fn.InputError('"citations" must be a list of numbers') from None
+        raise fn._beyond_float("citation counts") from None
 
 
 def _load_input(args: argparse.Namespace) -> fn.RankFunction:

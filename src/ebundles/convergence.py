@@ -118,14 +118,17 @@ def _fn_gaps(pairs: tuple, grid_n: int) -> np.ndarray:
     T moves onto it).  Zipf: with u = T/x, |u^beta_f - u^beta_g| grows on
     u >= 1, so it peaks at x0, half a step of a grid_n-point uniform grid in
     from the pole, where the truncated domain starts.  Power complement:
-    x^m - x^n vanishes at both ends and peaks at x* = (m/n)^(1/(n-m)).
+    x^m - x^n vanishes at both ends and peaks at log x* = log(m/n)/(n-m),
+    read through log x as ``_level_gaps`` reads levels: for large n, x* lies
+    within a few ulps of 1.
     """
     _check_points("grid_n", grid_n)
     kind, T, knots, f, g = pairs
     if kind is ZipfFamily:
         xs = np.hstack((0.5 * (T / (grid_n - 1)), T))
     elif kind is PowerComplement:
-        xs = np.column_stack((0.0 * T, (f.n / g.n) ** (1 / np.where(f.n != g.n, g.n - f.n, 1)), T))
+        log_x = 0.0 * T + np.log(f.n / g.n) / np.where(f.n != g.n, g.n - f.n, 1)
+        return np.abs(np.exp(f.n * log_x) - np.exp(g.n * log_x)).max(axis=1)
     else:
         xs = np.minimum(np.hstack([x for x, _ in knots]), T)
     return np.abs(f.values(xs) - g.values(xs)).max(axis=1)

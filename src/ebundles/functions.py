@@ -270,8 +270,19 @@ class PiecewiseLinearFn(RankFunction):
         """The function on knots given as (x, y) pairs: the pairs and their
         container each a list, tuple or numpy array.  ``_pair_values`` reads
         them in one flat pass, into one list of values and one float array."""
-        flat = _pair_values(pairs)[1]
-        return cls(flat[0::2], flat[1::2])
+        return cls._from_values(*_pair_values(pairs), "knot coordinates")
+
+    @classmethod
+    def _from_values(cls, values: list, flat: np.ndarray, what: str) -> "PiecewiseLinearFn":
+        """The function on the knot values and float array of ``_pair_values``.
+        A null, which the float conversion reads as NaN, is named where the
+        function fails on that NaN: ``{what} must be numbers, got None``."""
+        try:
+            return cls(flat[0::2], flat[1::2])
+        except InputError:
+            if np.isnan(flat).any() and any(v is None for v in values):
+                raise InputError(f"{what} must be numbers, got None") from None
+            raise
 
     @classmethod
     def _view(cls, xs: np.ndarray, ys: np.ndarray) -> "PiecewiseLinearFn":
@@ -824,7 +835,10 @@ _PAIR_TYPES = frozenset((list, tuple, np.ndarray))
 class _KnotValues:
     """Knot values x0, y0, x1, y1, ... that a reader decoded flat from a
     JSON knot array it found to hold two numbers a pair
-    (``cli._flat_spec``): ``_pair_values`` takes them as they are."""
+    (``cli._flat_spec``): ``_pair_values`` takes them as they are.  Each is
+    an int or a float by construction, as the reader decodes only digits,
+    ``.eE+-``, commas, brackets and whitespace: no bool, string, null, NaN
+    or infinity; ``function_from_spec`` type-checks only ``T`` beside them."""
 
     __slots__ = ("values",)
 
@@ -837,12 +851,14 @@ def _pair_values(pairs: Sequence[tuple[float, float]] | _KnotValues) -> tuple[li
     one flat list and as the float array read from it.  Raises
     ``InputError`` unless there is a pair, the pairs and their container are
     each a list, tuple or numpy array, every pair holds two values, and
-    every value reads as a float.  Values already read flat
-    (``_KnotValues``) skip the shape checks."""
+    every value reads as a float, an int beyond the float range named as
+    such.  Values already read flat (``_KnotValues``) skip the shape checks."""
     try:
         values = pairs.values if type(pairs) is _KnotValues else _flatten(pairs)
         return values, np.fromiter(values, float, len(values))
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
+        raise _beyond_float("knot coordinates") from None
+    except (TypeError, ValueError):
         raise InputError("knots must be a list of (x, y) pairs") from None
 
 
@@ -868,12 +884,20 @@ def _numbers(what: str, values: Callable[[], Iterable]) -> None:
         raise InputError(f"{what} must be numbers, got {bad!r}")
 
 
+def _beyond_float(what: str) -> InputError:
+    """The error for an int too large for a float: it names the bound, not
+    the int's digits."""
+    return InputError(f"{what} must be at most {sys.float_info.max!r} in magnitude, "
+                      "the largest float")
+
+
 def function_from_spec(spec: dict) -> RankFunction:
     """Build a rank function from its JSON-style mapping.  A piecewise
     linear spec's knots are read as ``from_pairs`` reads them, by
     ``_pair_values``, and its one flat list of values is type-checked after:
     the knots' shape, their floats and the function are checked first, then
-    that ``T`` and every value is a JSON number, then ``T`` against the last
+    that ``T`` and every value is a JSON number (``T`` alone where the
+    values were read flat, ``_KnotValues``), then ``T`` against the last
     knot.  A null, which the float conversion reads as NaN, is named where
     the function fails on that NaN."""
     if not isinstance(spec, dict) or "type" not in spec:
@@ -881,17 +905,14 @@ def function_from_spec(spec: dict) -> RankFunction:
     kind = spec["type"]
     try:
         if kind == "piecewise_linear":
-            values, flat = _pair_values(spec["knots"])
-            try:
-                fn = PiecewiseLinearFn(flat[0::2], flat[1::2])
-            except InputError:
-                # the float conversion reads null as NaN: name the null
-                if np.isnan(flat).any() and any(v is None for v in values):
-                    raise InputError("knot coordinates and T must be numbers, got None") from None
-                raise
+            knots = spec["knots"]
+            values, flat = _pair_values(knots)
+            fn = PiecewiseLinearFn._from_values(values, flat, "knot coordinates and T")
             T = spec.get("T", fn.T)
-            # the float conversion also reads bools and numeric strings
-            _numbers("knot coordinates and T", lambda: chain((T,), values))
+            # the float conversion also reads bools and numeric strings; the
+            # values of a flat read are JSON numbers already (``_KnotValues``)
+            to_check = () if type(knots) is _KnotValues else values
+            _numbers("knot coordinates and T", lambda: chain((T,), to_check))
             if not math.isclose(float(T), fn.T, rel_tol=1e-12):
                 raise InputError(f"spec T={T} disagrees with last knot x={fn.T}")
             return fn

@@ -253,6 +253,40 @@ class TestFlatKnotRead:
             assert all(type(p) is list and len(p) == 2 for p in ref)
             assert spec["knots"].values == [v for p in ref for v in p]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-10**20, 10**20)
+                                | st.floats(allow_nan=False, allow_infinity=False)] * 2),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 7), st.sampled_from(
+               ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity"])), max_size=2))
+    def test_takes_only_json_numbers(self, pairs, swaps):
+        # every value the flat read takes is an int or a float, which is
+        # why function_from_spec type-checks only T beside them; a knot
+        # array holding any other token is declined
+        tokens = [json.dumps(v) for pair in pairs for v in pair]
+        for at, token in swaps:
+            tokens[at % len(tokens)] = token
+        knots = ", ".join(f"[{x}, {y}]" for x, y in zip(tokens[::2], tokens[1::2]))
+        spec = cli._flat_spec('{"type": "piecewise_linear", "knots": [' + knots + "]}")
+        if swaps:
+            assert spec is None
+        else:
+            assert {type(v) for v in spec["knots"].values} <= {int, float}
+
+    def test_only_T_is_type_checked_after_a_flat_read(self, monkeypatch):
+        text = '{"type": "piecewise_linear", "T": 2, "knots": [[0, 3], [1, 1.5], [2, 0]]}'
+        checked, numbers = [], fn._numbers
+
+        def spy(what, values):
+            checked.append((what, [*values()]))
+            numbers(what, values)
+
+        monkeypatch.setattr(fn, "_numbers", spy)
+        fn.function_from_spec(cli._flat_spec(text))
+        fn.function_from_spec(json.loads(text))
+        assert checked == [("knot coordinates and T", [2]),
+                           ("knot coordinates and T", [2, 0, 3, 1, 1.5, 2, 0])]
+
     _KNOTS = '[[0, 3], [1, 0]]'
 
     @pytest.mark.parametrize("command", ["eval", "sweep", "ingest"])
@@ -782,22 +816,32 @@ class TestBadInputExit2:
         assert capsys.readouterr().err == (
             f"error: {p}: JSON must hold a function spec or a citations object\n")
 
+    _BEYOND_FLOAT = " must be at most 1.7976931348623157e+308 in magnitude, the largest float"
+
     @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
     @pytest.mark.parametrize(
-        "obj",
+        "obj, said",
         [
-            {"citations": [5, "x"]},
-            {"citations": [5, 10**400]},
-            {"type": "piecewise_linear", "knots": [[0, 10**400], [1, 0]]},
+            ({"citations": [5, "x"]}, "citation counts must be numbers, got 'x'"),
+            ({"citations": [5, 10**400]}, "citation counts" + _BEYOND_FLOAT),
+            ({"citations": [5, -10**400]}, "citation counts" + _BEYOND_FLOAT),
+            ({"type": "piecewise_linear", "knots": [[0, 10**400], [1, 0]]},
+             "knot coordinates" + _BEYOND_FLOAT),
+            ({"type": "piecewise_linear", "knots": [[0, 3], [1, 10**400]]},
+             "knot coordinates" + _BEYOND_FLOAT),
         ],
-        ids=["non_numeric", "huge_int", "huge_int_knot"],
+        ids=["non_numeric", "huge_int", "huge_negative_int", "huge_int_knot", "huge_int_y"],
     )
-    def test_bad_numbers(self, command, obj, tmp_path, capsys):
+    def test_bad_numbers(self, command, obj, said, tmp_path, monkeypatch, capsys):
+        # an int beyond the float range is named by the bound, not by its
+        # 401 digits, on the flat knot read and on the general path alike
         p = tmp_path / "c.json"
         p.write_text(json.dumps(obj))
         out = tmp_path / "out"
-        assert main([command, "--input", str(p), "--output", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        if command == "ingest" and "knots" in obj:  # ingest reads counts, not specs
+            said = f'{p}: ingest needs citation counts, one per line or {{"citations": [...]}}'
+        runs = _run_both([command, "--input", str(p), "--output", str(out)], monkeypatch, capsys)
+        assert runs == [(2, "", f"error: {said}\n")] * 2
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
@@ -879,13 +923,15 @@ class TestBadInputExit2:
         ],
         ids=["bool_knots", "string_knots", "bool_T", "string_T", "T_named_first"],
     )
-    def test_knot_coordinates_must_be_numbers(self, command, knots, T, said, tmp_path, capsys):
+    def test_knot_coordinates_must_be_numbers(self, command, knots, T, said, tmp_path,
+                                              monkeypatch, capsys):
         p = tmp_path / "pwl.json"
         p.write_text(json.dumps({"type": "piecewise_linear", "T": T, "knots": knots}))
-        assert main([command, "--input", str(p)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: knot coordinates and T must be numbers, got {said}\n"
+        # a bad T beside number knots is the flat read's to name: it checks T alone
+        if type(knots[0][0]) is int:
+            assert type(cli._flat_spec(p.read_text())["knots"]) is fn._KnotValues
+        runs = _run_both([command, "--input", str(p)], monkeypatch, capsys)
+        assert runs == [(2, "", f"error: knot coordinates and T must be numbers, got {said}\n")] * 2
 
     @pytest.mark.parametrize("command", ["ingest", "eval", "sweep"])
     @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pwl_functions
@@ -10,6 +11,8 @@ from ebundles.bundles import e_thetas
 from ebundles.convergence import (
     SEQUENCE_FAMILIES,
     FunctionSequence,
+    _fn_gaps,
+    _pairs,
     e_sup_distance,
     inverse_sup_distance,
     power_complement_sequence,
@@ -287,6 +290,38 @@ class TestExactFamilies:
             r = m / n
             want = r ** (m / (n - m)) - r ** (n / (n - m))
             assert abs(sup_distance(f, g) - want) <= 8 * EPS
+
+    @staticmethod
+    def _power_gap(m: int, n: int) -> float:
+        """max (x^m - x^n) on [0, 1] for m < n, r^(-1/(r-1)) - r^(-r/(r-1))
+        with r = n/m, to 60 digits."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            r = decimal.Decimal(n) / m
+            log_r = r.ln()
+            return float((-log_r / (r - 1)).exp() - (-r * log_r / (r - 1)).exp())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=2**53), min_size=2, max_size=2,
+                    unique=True))
+    @example([10**15, 2**53]).via("discontinuity flag of the study 10, 10^15, 2^53")
+    @example([2**53 - 1, 2**53]).via("the closest pair")
+    def test_power_gap_is_the_closed_form_up_to_2_53(self, ns):
+        # x* = (m/n)^(1/(n-m)) lies within a few ulps of 1 for large n; read
+        # through log x* the gap keeps 12 digits wherever n/m >= 1.001, and
+        # an absolute ulp below that, where the gap itself is tiny
+        m, n = sorted(ns)
+        got, want = sup_distance(PowerComplement(n=m), PowerComplement(n=n)), self._power_gap(m, n)
+        assert abs(got - want) <= (1e-12 * want if n >= 1.001 * m else EPS)
+
+    def test_power_study_gaps_near_2_53(self):
+        # the study reads its Cauchy gaps as columns, not pair by pair
+        ns = [10, 10**15, 2**53]
+        members = [PowerComplement(n=n) for n in ns]
+        got = _fn_gaps(_pairs(members[:-1], members[1:]), 2)
+        want = [self._power_gap(m, n) for m, n in zip(ns, ns[1:])]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert want[-1] == pytest.approx(0.67558, abs=1e-5)
 
     @pytest.mark.parametrize("family", [zipf_sequence, power_complement_sequence],
                              ids=["zipf", "power"])

@@ -654,3 +654,17 @@ class TestKnotConversion:
         got = outcome(PiecewiseLinearFn.from_pairs)
         assert got == outcome(_by_nested_array)
         assert (got == "knots must be a list of (x, y) pairs") == (bad is not None)
+
+    def test_null_value_is_named(self):
+        # the float conversion reads None as NaN, which the constructor
+        # rejects; the failure names the None it was read from
+        with pytest.raises(InputError) as info:
+            PiecewiseLinearFn.from_pairs([(0, None), (1, 0)])
+        assert str(info.value) == "knot coordinates must be numbers, got None"
+
+    @pytest.mark.parametrize("big", [10**400, -10**400], ids=["positive", "negative"])
+    def test_int_beyond_float_is_named_by_the_bound(self, big):
+        with pytest.raises(InputError) as info:
+            PiecewiseLinearFn.from_pairs([(0, 3), (1, big)])
+        assert str(info.value) == ("knot coordinates must be at most 1.7976931348623157e+308 "
+                                   "in magnitude, the largest float")
