@@ -204,8 +204,9 @@ class _Pairs(Sequence):
     is built).  ``of`` stacks and verifies any other sequence of pairs and
     keeps them; ``generate_pairs`` builds a set on its own knot arrays with
     no pair in it (pairs None), and a pair of such a set is built from its
-    rows (``_build_pair``) the first time it is read, then kept.  A slice or
-    a sum of sets is a plain tuple, and a set equals the tuple of its pairs.
+    rows (``_build_pair``) the first time it is read, then kept.  A slice
+    is a plain tuple (so is ``tuple(a) + tuple(b)``, which joins two sets),
+    and a set equals the tuple of its pairs.
     What the checkers read of the set at a bundle and level is built once
     per set (``at_level``).
     """
@@ -242,12 +243,6 @@ class _Pairs(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    def __add__(self, other) -> tuple:
-        return tuple(self) + (tuple(other) if isinstance(other, _Pairs) else other)
-
-    def __radd__(self, other) -> tuple:
-        return other + tuple(self)
 
     @classmethod
     def of(cls, pairs: Sequence[DominancePair]) -> "_Pairs":

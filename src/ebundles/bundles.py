@@ -371,8 +371,8 @@ def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
     Inadmissibility is data rather than failure here, so out-of-range thetas
     produce missing markers instead of raising.  The theta list must be
     finite, strictly increasing and nonnegative.  Each bundle scores every
-    level in one vector call (``BundleDef.scores``); a cell is None unless
-    its level is admissible and the score defined there.
+    level in one vector call (``BundleDef.scores``), whose rules give NaN
+    wherever the score is undefined; such a cell is None.
     """
     ts = np.array([float(t) for t in thetas], dtype=float)
     if not np.isfinite(ts).all():
@@ -382,10 +382,7 @@ def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
     if ts.size and ts[0] < 0.0:
         raise InputError("theta values must be >= 0")
 
-    columns = [
-        np.where(b.admissible(f).contains_each(ts), b.scores(f, ts), math.nan)
-        for b in (E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE)
-    ]
+    columns = [b.scores(f, ts) for b in (E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE)]
     return SweepTable(tuple(map(SweepRow, ts.tolist(), *map(_column, columns))))
 
 

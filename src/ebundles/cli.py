@@ -110,9 +110,10 @@ _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 def _flat_spec(text: str) -> dict | None:
     """The JSON object that text holds, its ``"knots"`` array read as one
-    flat list of numbers (``fn._KnotValues``) and not as a list per knot;
-    None, and the caller decodes the whole text, unless that read gives
-    what ``json.loads`` gives.  Never raises.
+    flat list of numbers, not as a list per knot, and handed over as a
+    float (n, 2) array; None, and the caller decodes the whole text, unless
+    that read gives what ``json.loads`` gives and every value fits a float.
+    Never raises.
 
     It takes the text only where ``"knots"`` occurs once; the text around
     the knot array, with ``[]`` in its place, holds no backslash and decodes
@@ -121,8 +122,10 @@ def _flat_spec(text: str) -> dict | None:
     number outside a pair; and, its inner brackets read as spaces, it
     decodes as JSON to two numbers a pair.
     The array then holds no quote, so no ``"knots"`` or backslash hides in
-    it.  The file's text stays with the caller: it is what the general path
-    reads where the values fail to decode."""
+    it, and each value is an int or a float: no bool, string, null, NaN or
+    infinity, which the array would hide once read as floats.  The file's
+    text stays with the caller: it is what the general path reads where
+    the values fail to decode."""
     # the array runs from the first "[" after the key to the last "]" before
     # the next quote or "}"; the checks below hold only if it really does
     key = text.find('"knots"')
@@ -157,9 +160,10 @@ def _flat_spec(text: str) -> dict | None:
         span[0], span[-1] = ord("["), ord("]")
         flat = span.decode("ascii")
         del span
-        # the skeleton's 2n - 1 commas make 2n values
-        obj["knots"] = fn._KnotValues(json.loads(flat))
-    except (ValueError, RecursionError):
+        # the skeleton's 2n - 1 commas make 2n values; an int beyond the
+        # float range is the general path's to name
+        obj["knots"] = np.fromiter(json.loads(flat), float, 2 * n).reshape(-1, 2)
+    except (ValueError, RecursionError, OverflowError):
         return None
     return obj
 
@@ -210,11 +214,7 @@ def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
     counts = obj["citations"]
     if type(counts) is not list:
         raise fn.InputError(f'"citations" must be a list of numbers, got {counts!r}')
-    fn._numbers("citation counts", lambda: counts)
-    try:
-        return np.fromiter(counts, float, len(counts))
-    except OverflowError:
-        raise fn._beyond_float("citation counts") from None
+    return fn._numbers("citation counts", counts)
 
 
 def _load_input(args: argparse.Namespace) -> fn.RankFunction:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -121,8 +121,8 @@ class RankFunction:
     ``values``, ``cumulatives`` and ``_inverses`` (the inverse at levels
     already admitted).  Every operation has one code path: ``inverses``
     admits its levels before ``_inverses``, and each scalar form (``value``,
-    ``inverse``, ``cumulative``, ``ray_crossing``) reads its vector form at
-    one argument, so a scalar and a vector call give the same floats.
+    ``inverse``, ``cumulative``) reads its vector form at one argument, so
+    a scalar and a vector call give the same floats.
     ``ray_crossings`` defaults to a bisection per level, to a bracket of
     1e-13 * max(1, T), which only ``PowerComplement`` uses.
     """
@@ -156,9 +156,6 @@ class RankFunction:
     def value(self, x: float) -> float:
         self._check_domain(x)
         return _at(self.values, x)
-
-    def __call__(self, x: float) -> float:
-        return self.value(x)
 
     def _check_domain(self, x: float) -> None:
         if math.isnan(x) or not (0.0 <= x <= self.T):
@@ -196,9 +193,6 @@ class RankFunction:
     def cumulative(self, x: float) -> float:
         self._check_domain(x)
         return _at(self.cumulatives, x)
-
-    def ray_crossing(self, theta: float) -> float:
-        return _at(self.ray_crossings, theta)
 
     def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
         """The x in [0, T] with Z(x) = theta * x at every level theta > Z(T)/T."""
@@ -269,7 +263,8 @@ class PiecewiseLinearFn(RankFunction):
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "PiecewiseLinearFn":
         """The function on knots given as (x, y) pairs: the pairs and their
         container each a list, tuple or numpy array.  ``_pair_values`` reads
-        them in one flat pass, into one list of values and one float array."""
+        them in one flat pass, into one list of values and one float array
+        (a float (n, 2) array as it is)."""
         return cls._from_values(*_pair_values(pairs), "knot coordinates")
 
     @classmethod
@@ -602,7 +597,7 @@ class PowerComplement(RankFunction):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise InputError(f"n must be an integer >= 1, got {self.n!r}")
         if self.n > sys.float_info.max:
-            raise InputError(f"n must be at most {sys.float_info.max!r}, the largest float")
+            raise _beyond_float("n")
 
     @property
     def T(self) -> float:
@@ -832,29 +827,18 @@ def parse_citations(text: str) -> np.ndarray:
 _PAIR_TYPES = frozenset((list, tuple, np.ndarray))
 
 
-class _KnotValues:
-    """Knot values x0, y0, x1, y1, ... that a reader decoded flat from a
-    JSON knot array it found to hold two numbers a pair
-    (``cli._flat_spec``): ``_pair_values`` takes them as they are.  Each is
-    an int or a float by construction, as the reader decodes only digits,
-    ``.eE+-``, commas, brackets and whitespace: no bool, string, null, NaN
-    or infinity; ``function_from_spec`` type-checks only ``T`` beside them."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: list) -> None:
-        self.values = values
-
-
-def _pair_values(pairs: Sequence[tuple[float, float]] | _KnotValues) -> tuple[list, np.ndarray]:
+def _pair_values(pairs: Sequence[tuple[float, float]] | np.ndarray) -> tuple[list, np.ndarray]:
     """The values of knots given as (x, y) pairs, x0, y0, x1, y1, ..., as
-    one flat list and as the float array read from it.  Raises
+    one flat list and as the float array read from it; a float (n, 2)
+    array of n >= 1 pairs is read as it is, beside an empty list.  Raises
     ``InputError`` unless there is a pair, the pairs and their container are
     each a list, tuple or numpy array, every pair holds two values, and
     every value reads as a float, an int beyond the float range named as
-    such.  Values already read flat (``_KnotValues``) skip the shape checks."""
+    such."""
+    if type(pairs) is np.ndarray and pairs.dtype == float and pairs.shape[1:] == (2,) and len(pairs):
+        return [], pairs.ravel()
     try:
-        values = pairs.values if type(pairs) is _KnotValues else _flatten(pairs)
+        values = _flatten(pairs)
         return values, np.fromiter(values, float, len(values))
     except OverflowError:
         raise _beyond_float("knot coordinates") from None
@@ -874,13 +858,24 @@ def _flatten(pairs: Sequence[tuple[float, float]]) -> list:
     return [*chain.from_iterable(pairs)]
 
 
-def _numbers(what: str, values: Callable[[], Iterable]) -> None:
+def _numbers(what: str, values: list) -> np.ndarray:
+    """The values of a field of an input file as a float array.  Raises
+    ``InputError``, naming what, unless every value is a JSON number
+    (``_json_numbers``) that a float holds: an int beyond the float range
+    is named by the bound."""
+    _json_numbers(what, values)
+    try:
+        return np.fromiter(values, float, len(values))
+    except OverflowError:
+        raise _beyond_float(what) from None
+
+
+def _json_numbers(what: str, values: list) -> None:
     """Raise ``InputError``, naming what and the first bad value, unless
-    every value that ``values()`` yields is a JSON number: an int or a
-    float, not a bool or a string, which ``float`` would read too.  The bad
-    value is found by a second call, so no input is copied."""
-    if not set(map(type, values())) <= {int, float}:
-        bad = next(v for v in values() if type(v) not in (int, float))
+    every value is a JSON number: an int or a float, not a bool or a
+    string, which ``float`` would read too."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
         raise InputError(f"{what} must be numbers, got {bad!r}")
 
 
@@ -892,48 +887,44 @@ def _beyond_float(what: str) -> InputError:
 
 
 def function_from_spec(spec: dict) -> RankFunction:
-    """Build a rank function from its JSON-style mapping.  A piecewise
-    linear spec's knots are read as ``from_pairs`` reads them, by
-    ``_pair_values``, and its one flat list of values is type-checked after:
-    the knots' shape, their floats and the function are checked first, then
-    that ``T`` and every value is a JSON number (``T`` alone where the
-    values were read flat, ``_KnotValues``), then ``T`` against the last
-    knot.  A null, which the float conversion reads as NaN, is named where
-    the function fails on that NaN."""
+    """Build a rank function from its JSON-style mapping, each field's
+    numbers read by ``_numbers``.  A piecewise linear spec's knots are read
+    as ``from_pairs`` reads them, by ``_pair_values``, which takes a float
+    array (``cli._flat_spec``'s) as it is: their shape, their floats and the
+    function are checked first, then ``T``, then that each value of a
+    nested list is a JSON number, then ``T`` against the last knot.  A
+    null, which the float conversion reads as NaN, is named where the
+    function fails on that NaN."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("function spec must be a mapping with a 'type' key")
     kind = spec["type"]
     try:
         if kind == "piecewise_linear":
-            knots = spec["knots"]
-            values, flat = _pair_values(knots)
-            fn = PiecewiseLinearFn._from_values(values, flat, "knot coordinates and T")
+            what = "knot coordinates and T"
+            values, flat = _pair_values(spec["knots"])
+            fn = PiecewiseLinearFn._from_values(values, flat, what)
             T = spec.get("T", fn.T)
-            # the float conversion also reads bools and numeric strings; the
-            # values of a flat read are JSON numbers already (``_KnotValues``)
-            to_check = () if type(knots) is _KnotValues else values
-            _numbers("knot coordinates and T", lambda: chain((T,), to_check))
-            if not math.isclose(float(T), fn.T, rel_tol=1e-12):
+            # T's type is named first; the float conversion of the values
+            # also read bools and numeric strings
+            (t,) = _numbers(what, [T])
+            _json_numbers(what, values)
+            if not math.isclose(t, fn.T, rel_tol=1e-12):
                 raise InputError(f"spec T={T} disagrees with last knot x={fn.T}")
             return fn
         if kind == "linear":
-            _numbers("S and T", lambda: (spec["S"], spec["T"]))
-            return LinearFamily(S=float(spec["S"]), T=float(spec["T"]))
+            S, T = _numbers("S and T", [spec["S"], spec["T"]]).tolist()
+            return LinearFamily(S=S, T=T)
         if kind == "zipf":
-            _numbers("beta and T", lambda: (spec["beta"], spec["T"]))
-            return ZipfFamily(beta=float(spec["beta"]), T=float(spec["T"]))
+            beta, T = _numbers("beta and T", [spec["beta"], spec["T"]]).tolist()
+            return ZipfFamily(beta=beta, T=T)
         if kind == "power_complement":
             n = spec["n"]
             if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
                 raise InputError(f"n must be an integer >= 1, got {n!r}")
-            _numbers("n", lambda: (n,))
+            _numbers("n", [n])
             return PowerComplement(n=int(n))
     except KeyError as exc:
         raise InputError(f"function spec missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed function spec: {exc}") from None
     raise InputError(f"unknown function type {kind!r}")
 
 

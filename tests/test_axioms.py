@@ -666,6 +666,12 @@ class TestImpactMeasureChecks:
         assert reports["IM.3"].pairs_tested == 15
         assert reports["IM.1"].pairs_tested > 0
 
+    def test_cumulative_total_at_rank_0_tests_no_member(self):
+        # i at rank 0 is 0 for every member, so positivity is claimed for
+        # none of the 40 (two a pair) and none is tested
+        rep = check_impact_measure(I_BUNDLE, 0.0, generate_pairs(seed=0, count=5))["IM.1"]
+        assert (rep.pairs_tested, rep.skipped, rep.violations) == (0, 40, ())
+
     def test_zero_measure_fails_positivity(self, small_pairs):
         zero = BundleDef(
             name="zero",
@@ -1177,13 +1183,14 @@ class TestGenerator:
             generate_pairs(seed=1, count=3)
 
     def test_slices_and_sums_are_stacked_again(self):
-        # the generator's set is immutable and read as it is; a slice or a
-        # sum of sets is a plain tuple, which the checkers stack once
+        # the generator's set is immutable and read as it is; a slice, or a
+        # sum of two sets' tuples, is a plain tuple, which the checkers
+        # stack once
         pairs = generate_pairs(seed=4, count=5)
         assert isinstance(pairs, ax._Pairs) and ax._Pairs.of(pairs) is pairs
         with pytest.raises(AttributeError):
             pairs.fns = None
-        for part in (pairs[:-1], pairs + generate_pairs(seed=5, count=5)):
+        for part in (pairs[:-1], tuple(pairs) + tuple(generate_pairs(seed=5, count=5))):
             assert type(part) is tuple
             rebuilt = ax._Pairs.of(part)
             assert rebuilt is not part and rebuilt.fns is not pairs.fns and rebuilt == part

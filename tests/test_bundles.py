@@ -154,6 +154,19 @@ class TestHTheta:
         f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
         assert h_theta(f, 0.1) == 2.0
 
+    @pytest.mark.parametrize("theta, said", [
+        (-1.0, "theta=-1.0 must be finite and >= 0"),
+        (math.nan, "theta=nan must be finite and >= 0"),
+        (0.05, "theta=0.05 below Z(T)/T = 0.1"),
+        (0.0, "theta=0.0 below Z(T)/T = 0.1"),
+    ], ids=["negative", "nan", "below", "zero"])
+    def test_undefined_level_is_named(self, theta, said):
+        # the first undefined level is the one named
+        f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
+        with pytest.raises(ThetaRangeError) as info:
+            h_thetas(f, [1.0, theta, 0.01])
+        assert str(info.value) == said
+
 
 class TestClassicalIndices:
     def test_classical_h_pwl(self):
@@ -247,6 +260,15 @@ class TestSweep:
         obj = json.loads(table.to_json())
         assert obj["rows"][0]["e"] is None
 
+    def test_h_cell_wherever_h_theta_is_defined(self):
+        # 5 - 3e-12 is below Z(T)/T = 5 by more than an absolute 1e-12 but
+        # within h's tolerance, 1e-12 * max(1, Z(T)/T): h_theta gives T there,
+        # and so does the sweep's cell
+        f = PiecewiseLinearFn.from_pairs([(0, 10), (1, 5)])
+        theta = 5 - 3e-12
+        assert h_theta(f, theta) == 1.0
+        assert sweep(f, [theta]).rows[0].h == 1.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_levels(self, bad):
         with pytest.raises(InputError):
@@ -254,12 +276,9 @@ class TestSweep:
 
 
 def _scalar_sweep_cells(f, t):
-    """The per-cell sweep rule: NA unless admitted and the score returns."""
+    """The per-cell sweep rule: NA unless the score returns."""
     cells = {}
     for b in BUNDLES.values():
-        if not b.admissible(f).contains(t):
-            cells[b.name] = None
-            continue
         try:
             cells[b.name] = b.measure(f, t)
         except InputError:

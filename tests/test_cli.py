@@ -229,8 +229,11 @@ class TestFlatKnotRead:
     def test_builds_the_nested_read(self, text):
         spec, ref = cli._flat_spec(text), json.loads(text)
         assert spec is not None
-        # the same ints and floats, -0.0 included, in the same order
-        assert list(map(repr, spec["knots"].values)) == [repr(v) for p in ref["knots"] for v in p]
+        # the floats of the same ints and floats, -0.0 included, in the
+        # same order, one row a pair
+        want = np.fromiter((v for p in ref["knots"] for v in p), float)
+        assert spec["knots"].dtype == float and spec["knots"].shape == (len(ref["knots"]), 2)
+        assert spec["knots"].tobytes() == want.tobytes()
         assert {k: v for k, v in spec.items() if k != "knots"} == {
             k: v for k, v in ref.items() if k != "knots"}
         assert fn.function_from_spec(spec) == fn.function_from_spec(ref)
@@ -251,7 +254,7 @@ class TestFlatKnotRead:
         if spec is not None:
             ref = json.loads(text)["knots"]
             assert all(type(p) is list and len(p) == 2 for p in ref)
-            assert spec["knots"].values == [v for p in ref for v in p]
+            assert spec["knots"].ravel().tolist() == [float(v) for p in ref for v in p]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(-10**20, 10**20)
@@ -260,9 +263,10 @@ class TestFlatKnotRead:
            st.lists(st.tuples(st.integers(0, 7), st.sampled_from(
                ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity"])), max_size=2))
     def test_takes_only_json_numbers(self, pairs, swaps):
-        # every value the flat read takes is an int or a float, which is
-        # why function_from_spec type-checks only T beside them; a knot
-        # array holding any other token is declined
+        # the flat read hands over floats, which would hide a bool, a null
+        # or a non-finite token, so a knot array holding any token but a
+        # JSON number is declined: function_from_spec type-checks only T
+        # beside an array
         tokens = [json.dumps(v) for pair in pairs for v in pair]
         for at, token in swaps:
             tokens[at % len(tokens)] = token
@@ -271,21 +275,22 @@ class TestFlatKnotRead:
         if swaps:
             assert spec is None
         else:
-            assert {type(v) for v in spec["knots"].values} <= {int, float}
+            want = np.array([float(v) for pair in pairs for v in pair]).reshape(-1, 2)
+            assert spec["knots"].tobytes() == want.tobytes()
 
     def test_only_T_is_type_checked_after_a_flat_read(self, monkeypatch):
         text = '{"type": "piecewise_linear", "T": 2, "knots": [[0, 3], [1, 1.5], [2, 0]]}'
-        checked, numbers = [], fn._numbers
+        checked, json_numbers = [], fn._json_numbers
 
         def spy(what, values):
-            checked.append((what, [*values()]))
-            numbers(what, values)
+            checked.append((what, [*values]))
+            json_numbers(what, values)
 
-        monkeypatch.setattr(fn, "_numbers", spy)
+        monkeypatch.setattr(fn, "_json_numbers", spy)
         fn.function_from_spec(cli._flat_spec(text))
         fn.function_from_spec(json.loads(text))
-        assert checked == [("knot coordinates and T", [2]),
-                           ("knot coordinates and T", [2, 0, 3, 1, 1.5, 2, 0])]
+        what = "knot coordinates and T"
+        assert checked == [(what, [2]), (what, []), (what, [2]), (what, [0, 3, 1, 1.5, 2, 0])]
 
     _KNOTS = '[[0, 3], [1, 0]]'
 
@@ -829,16 +834,22 @@ class TestBadInputExit2:
              "knot coordinates" + _BEYOND_FLOAT),
             ({"type": "piecewise_linear", "knots": [[0, 3], [1, 10**400]]},
              "knot coordinates" + _BEYOND_FLOAT),
+            ({"type": "piecewise_linear", "T": 10**400, "knots": [[0, 3], [1, 0]]},
+             "knot coordinates and T" + _BEYOND_FLOAT),
+            ({"type": "linear", "S": 10**400, "T": 1}, "S and T" + _BEYOND_FLOAT),
+            ({"type": "zipf", "beta": 0.5, "T": -10**400}, "beta and T" + _BEYOND_FLOAT),
         ],
-        ids=["non_numeric", "huge_int", "huge_negative_int", "huge_int_knot", "huge_int_y"],
+        ids=["non_numeric", "huge_int", "huge_negative_int", "huge_int_knot", "huge_int_y",
+             "huge_int_T", "linear_huge_S", "zipf_huge_negative_T"],
     )
     def test_bad_numbers(self, command, obj, said, tmp_path, monkeypatch, capsys):
         # an int beyond the float range is named by the bound, not by its
-        # 401 digits, on the flat knot read and on the general path alike
+        # 401 digits, in every field, on the flat knot read and on the
+        # general path alike
         p = tmp_path / "c.json"
         p.write_text(json.dumps(obj))
         out = tmp_path / "out"
-        if command == "ingest" and "knots" in obj:  # ingest reads counts, not specs
+        if command == "ingest" and "type" in obj:  # ingest reads counts, not specs
             said = f'{p}: ingest needs citation counts, one per line or {{"citations": [...]}}'
         runs = _run_both([command, "--input", str(p), "--output", str(out)], monkeypatch, capsys)
         assert runs == [(2, "", f"error: {said}\n")] * 2
@@ -902,7 +913,7 @@ class TestBadInputExit2:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: n must be at most 1.7976931348623157e+308, the largest float\n")
+            "error: n" + self._BEYOND_FLOAT + "\n")
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize("n", [3, 3.0])
@@ -929,7 +940,7 @@ class TestBadInputExit2:
         p.write_text(json.dumps({"type": "piecewise_linear", "T": T, "knots": knots}))
         # a bad T beside number knots is the flat read's to name: it checks T alone
         if type(knots[0][0]) is int:
-            assert type(cli._flat_spec(p.read_text())["knots"]) is fn._KnotValues
+            assert type(cli._flat_spec(p.read_text())["knots"]) is np.ndarray
         runs = _run_both([command, "--input", str(p)], monkeypatch, capsys)
         assert runs == [(2, "", f"error: knot coordinates and T must be numbers, got {said}\n")] * 2
 

@@ -129,8 +129,10 @@ class TestConstruction:
         # the routines read n as a float: one beyond the largest float
         # would raise OverflowError there
         assert PowerComplement(n=10**300).value(0.5) == 1.0
-        with pytest.raises(InputError, match="largest float"):
+        with pytest.raises(InputError) as info:
             PowerComplement(n=10**400)
+        assert str(info.value) == ("n must be at most 1.7976931348623157e+308 in magnitude, "
+                                   "the largest float")
 
 
 class TestInverse:
@@ -595,7 +597,9 @@ _MALFORMED =("ragged", "triple", "scalar", "deeper_one", "deeper_all", "dict", "
 def _pair_lists(draw):
     """A ``_knot_sets`` function's knots as a caller writes them (integral
     values at times as ints, a first x or last y of -0.0 at times, each pair
-    a list, tuple or numpy row), then at times one malformation."""
+    a list, tuple or numpy row, and the pairs a list, a tuple or, where no
+    pair is malformed, a float (n, 2) array), then at times one
+    malformation."""
     f = draw(_knot_sets())
     xs, ys = f.xs.tolist(), f.ys.tolist()
     if draw(st.booleans()):
@@ -622,7 +626,10 @@ def _pair_lists(draw):
     elif bad == "no_pairs":
         pairs = []
     if bad not in ("dict", "set", "text"):
-        pairs = draw(st.sampled_from([list, tuple]))(pairs)
+        outer = [list, tuple]
+        if bad is None:  # a float (n, 2) array, read as it is
+            outer.append(lambda p: np.array(p, dtype=float).reshape(-1, 2))
+        pairs = draw(st.sampled_from(outer))(pairs)
     return pairs, bad
 
 
@@ -654,6 +661,11 @@ class TestKnotConversion:
         got = outcome(PiecewiseLinearFn.from_pairs)
         assert got == outcome(_by_nested_array)
         assert (got == "knots must be a list of (x, y) pairs") == (bad is not None)
+
+    def test_empty_float_array_holds_no_pair(self):
+        with pytest.raises(InputError) as info:
+            PiecewiseLinearFn.from_pairs(np.empty((0, 2)))
+        assert str(info.value) == "knots must be a list of (x, y) pairs"
 
     def test_null_value_is_named(self):
         # the float conversion reads None as NaN, which the constructor
