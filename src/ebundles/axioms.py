@@ -40,7 +40,10 @@ does IM.1's positivity outcomes, which SM.1 repeats (``_Pairs.at_level``);
 SM.3's premise on the running averages is exact, in one pass over the
 pairs' merged knots (``_averages_ordered``).  Every pass reads rows of the
 stack through the bundle's vector rules, built-in or custom alike, in
-blocks of ``functions._BLOCK`` rows.  Every report is built by one
+blocks of ``functions._BLOCK`` rows.  A score is defined where its rule
+gives a number, as in ``bundles.sweep``: no checker filters rows or levels
+by the bundle's ``admissible`` range, which only places the levels that
+AX.2 samples.  Every report is built by one
 driver, ``_run_axiom``, from its checker's outcomes as arrays (why each
 item goes untested, its levels and its members' scores there): it counts
 them with numpy and builds a ``Violation`` only for a flagged item.
@@ -486,8 +489,8 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def _candidates(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
-                geq: np.ndarray, strict: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
+def _candidates(bundle: BundleDef, ps: _Pairs, geq: np.ndarray, strict: np.ndarray,
+                local: np.ndarray) -> tuple[np.ndarray, ...]:
     """The candidate levels of AX.2, AX.3 and AX.4, a row for each pair of
     geq, strict and local in turn, padded with NaN to one width, then the
     ranks of the local pairs and their members' level maps there (NaN where
@@ -497,6 +500,7 @@ def _candidates(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndar
     # AX.2: upper >= lower pointwise implies scores ordered the same way, at
     # n levels across the pair's joint admissible range or, where it is
     # unbounded (h, Zipf), at the images of (0, T] under both level maps.
+    ranges = ps.ranges(bundle.admissible)
     lo_t = np.maximum(*(ranges[0][rows] for rows in (ps.up[geq], ps.lo[geq])))
     hi_t = np.minimum(*(ranges[1][rows] for rows in (ps.up[geq], ps.lo[geq])))
     bounded = np.isfinite(hi_t)
@@ -523,17 +527,15 @@ def _candidates(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndar
             ranks[cut:], np.where(finite, lu, math.nan), np.where(finite, ll, math.nan))
 
 
-def _candidate_scores(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, np.ndarray],
-                      idx: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, ...]:
+def _candidate_scores(bundle: BundleDef, ps: _Pairs, idx: np.ndarray,
+                      levels: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per pair of idx and row of candidate levels (NaN for none), which it
     sorts in place: its distinct candidates, sorted, its members' scores at
-    those finite and admissible for both (NaN at the others), and whether
-    any is, all scored in one stacked pass."""
+    the finite ones (NaN at the others), and whether both members score at
+    any, all scored in one stacked pass."""
     levels.sort(axis=1)
-    keep = np.ones(levels.shape, dtype=bool)
-    keep[:, 1:] = levels[:, 1:] != levels[:, :-1]
-    for rows in (ps.up[idx], ps.lo[idx]):
-        keep &= ThetaRange(*(end[rows, None] for end in ranges)).contains_each(levels)
+    keep = np.isfinite(levels)
+    keep[:, 1:] &= levels[:, 1:] != levels[:, :-1]
     # the kept cells' pairs, then their members' rows: one name, so that
     # the read holds one index array
     rows = idx[np.flatnonzero(keep) // levels.shape[1]]
@@ -541,7 +543,7 @@ def _candidate_scores(bundle: BundleDef, ps: _Pairs, ranges: tuple[np.ndarray, n
     scores = ps.fns._read(bundle.scores, rows, np.tile(levels[keep], 2))
     m = np.full((2, *levels.shape), math.nan)
     m[:, keep] = scores.reshape(2, -1)
-    return levels, m[0], m[1], keep.any(axis=1)
+    return levels, m[0], m[1], (~np.isnan(m)).all(axis=0).any(axis=1)
 
 
 def check_impact_bundle(bundle: BundleDef,
@@ -552,18 +554,17 @@ def check_impact_bundle(bundle: BundleDef,
     (``_candidates``) and their scores at the candidate levels in one more,
     each kind then judged by its own verdict.  Only the first violation per
     pair and axiom, at the lowest flagged level, is reported; a pair with no
-    candidate level admissible for both members is skipped and counted.  The
+    candidate level at which both members score is skipped and counted.  The
     rank x = 0 is never sampled: the h-bundle level map diverges there and
     the cumulative bundle is identically zero at level 0, where strictness
     is meaningless.
     """
     ps = _Pairs.of(pairs)
-    ranges = ps.ranges(bundle.admissible)
     geq, strict, local = (ps.where(kind) for kind in (
         RelationKind.GEQ_ALL, RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX))
-    levels, ranks, lu, ll = _candidates(bundle, ps, ranges, geq, strict, local)
-    ts, m_up, m_lo, kept = _candidate_scores(bundle, ps, ranges,
-                                             np.concatenate((geq, strict, local)), levels)
+    levels, ranks, lu, ll = _candidates(bundle, ps, geq, strict, local)
+    ts, m_up, m_lo, kept = _candidate_scores(bundle, ps, np.concatenate((geq, strict, local)),
+                                             levels)
     at = np.cumsum([0, len(geq), len(strict), len(local)]).tolist()
     part = [slice(a, b) for a, b in zip(at, at[1:])]
 
@@ -629,18 +630,14 @@ def _level_table(bundle: BundleDef, theta: float,
                  ps: _Pairs) -> tuple[np.ndarray, np.ndarray | None]:
     """Every row's score at theta and, for a bundle with ``rank_of``, the
     rank up to which the score reads it, each in one stacked pass over the
-    rows of the set.  A row gets NaN unless it admits theta (a density
-    level within the range's slack, as the density scores snap it onto the
-    range, one that fixes a rank exactly) and its score is defined there.
-    The tables are read-only: a set keeps them for every checker."""
-    lo, hi = ps.ranges(bundle.admissible)
-    slack = EQUALITY_TOL if bundle.rank_of is None else 0.0
-    rows = np.flatnonzero(math.isfinite(theta) & (theta >= lo - slack) & (theta <= hi + slack))
+    rows of the set.  A row gets NaN where the rule does: a score is
+    defined where its rule gives a number.  The tables are read-only: a
+    set keeps them for every checker."""
+    rows = np.arange(len(ps.fns.T))
     thetas = np.full(len(rows), float(theta))
 
     def table(rule) -> np.ndarray:
-        out = np.full(len(lo), math.nan)
-        out[rows] = ps.fns._read(rule, rows, thetas)
+        out = ps.fns._read(rule, rows, thetas)
         out.flags.writeable = False
         return out
     scores = table(bundle.scores)

@@ -117,10 +117,8 @@ def _h_range(f: RankFunction) -> ThetaRange:
 def _h_defined(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     """Levels at which ``h_thetas`` returns rather than raises: finite, >= 0
     and not below Z(T)/T by more than a tolerance of 1e-12 * max(1, Z(T)/T)."""
-    z_T = f.admissible_range().lo
-    lo_theta = z_T / f.T
-    below = (z_T - thetas * f.T > 0.0) & (thetas < lo_theta - 1e-12 * np.maximum(1.0, lo_theta))
-    return np.isfinite(thetas) & (thetas >= 0.0) & ~below
+    lo = _h_range(f).lo
+    return np.isfinite(thetas) & (thetas >= 0.0) & (thetas >= lo - 1e-12 * np.maximum(1.0, lo))
 
 
 def _h_roots(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
@@ -136,8 +134,9 @@ def h_theta(f: RankFunction, theta: float) -> float:
     The map h -> Z(h) - theta*h is strictly decreasing, so the root is unique
     and exists for theta >= Z(T)/T.  Inside the range it is the function's
     ray crossing: exact inside its segment for piecewise linear functions,
-    closed form for the linear and Zipf families, and bisection to below
-    1e-13 * max(1, T) otherwise.
+    closed form for the linear and Zipf families, and otherwise the last
+    float at which Z(h) - theta*h is positive, found by a binary search over
+    the floats of [0, T] (within 2 ulps of the root for ``PowerComplement``).
     """
     return float(h_thetas(f, [theta])[0])
 
@@ -150,7 +149,7 @@ def h_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
         theta = float(thetas[~ok][0])
         if not (math.isfinite(theta) and theta >= 0.0):
             raise ThetaRangeError(f"theta={theta!r} must be finite and >= 0")
-        raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {f.admissible_range().lo / f.T}")
+        raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {_h_range(f).lo}")
     return _h_roots(f, thetas)
 
 
@@ -206,12 +205,14 @@ class BundleDef:
 
     Each rule takes a rank function, or a ``_PwlStack`` of piecewise linear
     functions with one argument per row, and an array of arguments, and
-    returns NaN where it is undefined.  ``scores``(f, thetas) is the score
-    at every level, and ``levels``(f, xs) sends every rank x to the level
-    the bundle associates with it (the identity for mu/i, Z(x) for e,
-    Z(x)/x for h).  ``measure`` and ``level_of`` read them at one argument
-    and raise ``InputError`` where they give NaN.  ``admissible``(f) is the
-    range of levels, a ``ThetaRange`` with per-row ends on a stack.
+    returns NaN where it is undefined: a score is defined where its rule
+    gives a number, in ``sweep`` and the axiom checkers alike.
+    ``scores``(f, thetas) is the score at every level, and ``levels``(f, xs)
+    sends every rank x to the level the bundle associates with it (the
+    identity for mu/i, Z(x) for e, Z(x)/x for h).  ``measure`` and
+    ``level_of`` read them at one argument and raise ``InputError`` where
+    they give NaN.  ``admissible``(f), a ``ThetaRange`` with per-row ends on
+    a stack, only places the levels that AX.2 samples.
 
     Fixed at one level theta, a bundle is a single score, which the measure
     axiom checkers take with two more facts: ``positive_for``(f, theta)

@@ -123,8 +123,8 @@ class RankFunction:
     admits its levels before ``_inverses``, and each scalar form (``value``,
     ``inverse``, ``cumulative``) reads its vector form at one argument, so
     a scalar and a vector call give the same floats.
-    ``ray_crossings`` defaults to a bisection per level, to a bracket of
-    1e-13 * max(1, T), which only ``PowerComplement`` uses.
+    ``ray_crossings`` defaults to one binary search over the floats of
+    [0, T], which ``PowerComplement`` and custom subclasses use.
     """
 
     T: float
@@ -195,26 +195,16 @@ class RankFunction:
         return _at(self.cumulatives, x)
 
     def ray_crossings(self, thetas: np.ndarray) -> np.ndarray:
-        """The x in [0, T] with Z(x) = theta * x at every level theta > Z(T)/T."""
-        return np.array([self._bisect_crossing(t) for t in np.asarray(thetas, dtype=float).tolist()],
-                        dtype=float)
+        """The x in [0, T] with Z(x) = theta * x at every level theta > Z(T)/T,
+        as the last float at which Z(x) - theta * x > 0: it falls from
+        Z(0) > 0 to below 0 at T, and nonnegative floats sort as their bits
+        do, which one ``_bisect`` searches for all levels."""
+        thetas = np.asarray(thetas, dtype=float)
 
-    def _bisect_crossing(self, theta: float) -> float:
-        """Z(x) - theta * x strictly decreases from Z(0) > 0 and is negative at
-        T, so bisection of [0, T] keeps the root bracketed."""
-        lo, hi = 0.0, self.T
-        xtol = 1e-13 * max(1.0, self.T)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if self.value(mid) - theta * mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= xtol:
-                break
-        return 0.5 * (lo + hi)
+        def positive(bits: np.ndarray) -> np.ndarray:
+            return self.values(bits.view(float)) - thetas * bits.view(float) > 0.0
+        return _bisect(np.zeros(thetas.shape, np.int64), np.float64(self.T).view(np.int64),
+                       positive).view(float)
 
 
 class PiecewiseLinearFn(RankFunction):
@@ -360,14 +350,15 @@ def _valid_knots(xs: np.ndarray, ys: np.ndarray, size: np.ndarray) -> np.ndarray
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, holds: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per argument, the last knot index in [lo, hi) (hi > lo) at which
-    ``holds`` does, lo counting as holding: a binary search by lifting, one
-    numpy pass per step.  Step s tries lo + s, clamped to hi - 1, and moves
-    lo there where ``holds`` does; s runs over the powers of two from the
-    largest not above the widest hi - 1 - lo down to 1.  ``holds`` maps knot
+    """Per argument, the last index in [lo, hi) (hi > lo) at which ``holds``
+    does, lo counting as holding: a binary search by lifting, one numpy
+    pass per step.  Step s tries lo + s, clamped to hi - 1, and moves lo
+    there where ``holds`` does; s runs over the powers of two from the
+    largest not above the widest hi - 1 - lo down to 1.  ``holds`` maps
     indices (one per argument) to flags and must hold on a leading run of
-    each range, as the segment predicates do on increasing xs and
-    decreasing ys; scalar bounds broadcast."""
+    each range: knot indices, as the segment predicates do on increasing xs
+    and decreasing ys, or the bits of nonnegative floats, which sort as the
+    floats do; scalar bounds broadcast."""
     last = hi - 1
     step = 1 << int(np.max(last - lo, initial=0)).bit_length() >> 1
     while step:
@@ -935,10 +926,11 @@ def function_to_spec(f: RankFunction) -> dict:
             "T": f.T,
             "knots": f.knots.tolist(),
         }
+    # Python numbers, which json writes, whatever numpy scalars built f
     if isinstance(f, LinearFamily):
-        return {"type": "linear", "S": f.S, "T": f.T}
+        return {"type": "linear", "S": float(f.S), "T": float(f.T)}
     if isinstance(f, ZipfFamily):
-        return {"type": "zipf", "beta": f.beta, "T": f.T}
+        return {"type": "zipf", "beta": float(f.beta), "T": float(f.T)}
     if isinstance(f, PowerComplement):
-        return {"type": "power_complement", "n": f.n}
+        return {"type": "power_complement", "n": int(f.n)}
     raise InputError(f"no spec form for {type(f).__name__}")

@@ -42,6 +42,7 @@ from ebundles.bundles import (
     BundleDef,
     e_theta,
     i_bundle,
+    sweep,
 )
 from ebundles.functions import (
     CumulativeOrder,
@@ -648,16 +649,36 @@ class TestPairSetEnds:
 
 class TestImpactMeasureChecks:
     def test_admission_slack(self):
-        # a density level is admitted within the range's slack (the e score
-        # snaps it onto the range); a level that fixes a rank only exactly
+        # the table takes "defined" from each bundle's rule: the e score
+        # snaps a density level within the range's slack onto the range, h
+        # admits a level down to its tolerance 1e-12 below Z(T)/T = 0.1 (and
+        # reads T there) but not one below it, and i has no score past T
         f = _pwl((0, 3), (1, 1), (2, 0.2))
-        below = 0.2 - 5e-13
         ps = ax._Pairs.of([DominancePair(f, f, RelationKind.GEQ_ALL)])
-        up = ps.up
-        assert ax._level_table(E_BUNDLE, below, ps)[0][up].tolist() == [e_theta(f, 0.2)]
-        for bundle, level in ((H_BUNDLE, 0.1 - 5e-13), (I_BUNDLE, math.nextafter(2.0, 3.0))):
-            assert [np.isnan(v[up]).tolist() for v in ax._level_table(bundle, level, ps)] == [
-                [True], [True]]
+        for bundle, level, want in ((E_BUNDLE, 0.2 - 5e-13, e_theta(f, 0.2)),
+                                    (H_BUNDLE, 0.1 - 5e-13, 2.0),
+                                    (H_BUNDLE, 0.1 - 1e-12, 2.0),
+                                    (H_BUNDLE, 0.1 - 5e-12, math.nan),
+                                    (I_BUNDLE, math.nextafter(2.0, 3.0), math.nan)):
+            got = ax._level_table(bundle, level, ps)[0][ps.up]
+            rule = bundle.scores(f, np.array([level]))
+            assert np.array_equal(got, [want], equal_nan=True), (bundle.name, level)
+            assert np.array_equal(got, rule, equal_nan=True), (bundle.name, level)
+
+    @pytest.mark.parametrize("theta, h, im1, im2", [
+        (4 - 1e-12, [None, 1.0], (1, 1), (0, 1)),  # only the lower's h is defined
+        (5 - 3e-12, [1.0, 0.90000000000027], (2, 0), (1, 0)),  # the upper's at its tolerance
+    ])
+    def test_h_members_scored_wherever_h_theta_is_defined(self, theta, h, im1, im2):
+        # (tested, skipped) of IM.1 over the two members and of IM.2 over the
+        # pair follow h's own rule, as the sweep's h cells do
+        upper, lower = _pwl((0, 10), (1, 5)), _pwl((0, 9), (1, 4))
+        assert [sweep(f, [theta]).rows[0].h for f in (upper, lower)] == h
+        reports = check_impact_measure(H_BUNDLE, theta,
+                                       [DominancePair(upper, lower, RelationKind.GEQ_ALL)])
+        assert (reports["IM.1"].pairs_tested, reports["IM.1"].skipped) == im1
+        assert (reports["IM.2"].pairs_tested, reports["IM.2"].skipped) == im2
+        assert all(r.passed for r in reports.values())
 
     def test_e_measure_passes(self, small_pairs):
         reports = check_impact_measure(E_BUNDLE, 1.0, small_pairs)

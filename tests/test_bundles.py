@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ebundles.functions import (
     LinearFamily,
     PiecewiseLinearFn,
     PowerComplement,
+    RankFunction,
     ThetaRangeError,
     ZipfFamily,
     _PwlStack,
@@ -41,6 +43,28 @@ from ebundles.functions import (
 )
 
 LINE = PiecewiseLinearFn.from_pairs([(0, 10), (10, 0)])
+
+
+class _Cubic(RankFunction):
+    """s * (1 - (x / s)^3) on [0, s]: a custom subclass, whose h is the
+    default ray crossing."""
+
+    def __init__(self, s):
+        self.T = s
+
+    def values(self, xs):
+        return self.T * (1.0 - (np.asarray(xs, dtype=float) / self.T) ** 3)
+
+
+def _decimal_root(z, theta):
+    """The root of z(x) = theta * x on [0, 1], to 60 digits, by bisection."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi, theta = Decimal(0), Decimal(1), Decimal(theta)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if z(mid) - theta * mid > 0 else (lo, mid)
+        return lo
 
 
 def linear_e_closed_form(S, T, theta):
@@ -153,6 +177,44 @@ class TestHTheta:
     def test_boundary_hits_T(self):
         f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
         assert h_theta(f, 0.1) == 2.0
+
+    @pytest.mark.parametrize("scale", [0.1, 5.0])
+    def test_tolerance_edge(self, scale):
+        # exactly 1e-12 * max(1, Z(T)/T) below Z(T)/T, h is T; five times as
+        # far below, the level raises
+        f = PiecewiseLinearFn.from_pairs([(0, 2 * scale), (1, scale)])
+        assert h_thetas(f, [scale - 1e-12 * max(1.0, scale)]).tolist() == [1.0]
+        with pytest.raises(ThetaRangeError):
+            h_thetas(f, [scale - 5e-12 * max(1.0, scale)])
+
+    def test_subnormal_domain_below_the_tolerance(self):
+        # at a subnormal T, theta * T rounds onto Z(T) a whole 1e-6 below
+        # Z(T)/T; the level is still below h's range, and raises
+        f = PiecewiseLinearFn.from_pairs([(0, 1e-300), (1e-320, 1e-321)])
+        with pytest.raises(ThetaRangeError):
+            h_theta(f, f.value(f.T) / f.T - 1e-6)
+
+    def test_power_complement_within_two_ulps(self):
+        # the default ray crossing returns the last float at which
+        # Z(h) - theta * h is positive: within 2 ulps of the 60-digit root
+        rng = np.random.default_rng(11)
+        for n, theta in zip(rng.integers(1, 61, 400).tolist(),
+                            (10.0 ** rng.uniform(-3, 3, 400)).tolist()):
+            root = _decimal_root(lambda x: 1 - x**n, theta)
+            h = h_theta(PowerComplement(n), theta)
+            assert abs(Decimal(h) - root) <= 2 * Decimal(math.ulp(float(root))), (n, theta)
+
+    def test_custom_subclass_at_any_scale(self):
+        # s * (1 - (x / s)^3) at level 1 has the root h = 0.6823278038280193...
+        # times s: over the floats, h / s is the same at every power of two
+        # and within 2 ulps of the root at s = 1e-20
+        root = _decimal_root(lambda u: 1 - u**3, 1.0)
+        unit = h_theta(_Cubic(1.0), 1.0)
+        assert abs(Decimal(unit) - root) <= 2 * Decimal(math.ulp(unit))
+        for k in range(-70, 71):
+            assert h_theta(_Cubic(2.0**k), 1.0) / 2.0**k == unit, k
+        tiny = h_theta(_Cubic(1e-20), 1.0) / 1e-20
+        assert abs(Decimal(tiny) - root) <= 2 * Decimal(math.ulp(unit))
 
     @pytest.mark.parametrize("theta, said", [
         (-1.0, "theta=-1.0 must be finite and >= 0"),

@@ -76,7 +76,7 @@ class TestEval:
 
     def test_classical_h_computed_once(self, monkeypatch, capsys):
         # h, R^2 and the e-index of one eval read one root, so a
-        # power-complement eval runs one bisection
+        # power-complement eval runs one root search
         levels = []
         h_thetas = bn.h_thetas
 

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 
 import numpy as np
@@ -425,11 +426,18 @@ class TestSpecRoundTrip:
             LinearFamily(S=10, T=20),
             ZipfFamily(beta=0.5, T=1),
             PowerComplement(n=3),
+            LinearFamily(S=np.float64(2.0), T=1.0),
+            ZipfFamily(beta=np.float64(0.5), T=np.float32(2.0)),
+            PowerComplement(n=np.int64(3)),
         ],
-        ids=["pwl", "linear", "zipf", "power"],
+        ids=["pwl", "linear", "zipf", "power", "linear-numpy", "zipf-numpy", "power-numpy"],
     )
     def test_round_trip(self, f):
-        assert function_from_spec(function_to_spec(f)) == f
+        # as it is and through the JSON text of a spec file: a family built
+        # from numpy scalars writes Python numbers
+        spec = function_to_spec(f)
+        assert function_from_spec(spec) == f
+        assert function_from_spec(json.loads(json.dumps(spec))) == f
 
     def test_unknown_type(self):
         with pytest.raises(InputError):
