@@ -28,12 +28,13 @@ raises ``VerificationError`` naming it: the checkers decide each premise as
 they decide each conclusion.
 ``check_impact_bundle`` reads the rows of its three relation kinds
 together, at ``_LEVELS`` (24) sampled levels or ranks per pair: the
-members' level maps at the ranks in one stacked pass, then both members'
-scores at every sampled level of every pair in another, with the first
-flagged level per pair found by ``argmax`` and each kind judged by its own
-verdict.  The last three take the single score as a ``BundleDef`` and a
-level theta; the bundle's ``positive_for`` and ``rank_of`` say where that
-score is provably positive and which rank it reads up to.  Each reads
+members' level maps at the ends of their domains and at the ranks in two
+stacked passes, then both members' scores at every sampled level of every
+pair in another, with the first flagged level per pair found by ``argmax``
+and each kind judged by its own verdict.  The last three take the single
+score as a ``BundleDef`` and a level theta; the bundle's ``positive_for``
+and ``rank_of`` say where that score is provably positive and which rank
+it reads up to.  Each reads
 every pair's verdict by row from one table of every row's score at theta
 (``_level_table``), which a set builds once per bundle and level, as it
 does IM.1's positivity outcomes, which SM.1 repeats (``_Pairs.at_level``);
@@ -42,11 +43,11 @@ pairs' merged knots (``_averages_ordered``).  Every pass reads rows of the
 stack through the bundle's vector rules, built-in or custom alike, in
 blocks of ``functions._BLOCK`` rows.  A score is defined where its rule
 gives a number, as in ``bundles.sweep``: no checker filters rows or levels
-by the bundle's ``admissible`` range, which only places the levels that
-AX.2 samples.  Every report is built by one
-driver, ``_run_axiom``, from its checker's outcomes as arrays (why each
-item goes untested, its levels and its members' scores there): it counts
-them with numpy and builds a ``Violation`` only for a flagged item.
+by a range, and AX.2 samples the span of the members' level maps, their
+levels at the ranks 0 and T.  Every report is built by one driver,
+``_run_axiom``, from its checker's outcomes as arrays (why each item goes
+untested, its levels and its members' scores there): it counts them with
+numpy and builds a ``Violation`` only for a flagged item.
 
 Pairs are of piecewise linear functions only, the functions that the
 generator and the fixtures build: a pair with any other member raises
@@ -88,7 +89,6 @@ from .functions import (
     InputError,
     PiecewiseLinearFn,
     RankFunction,
-    ThetaRange,
     _common_T,
     _cumulative_candidates,
     _cumulative_extrema,
@@ -281,14 +281,6 @@ class _Pairs(Sequence):
             # the entry holds the bundle, so no other bundle can take its id
             self._memo[key] = bundle, build(bundle, theta, self)
         return self._memo[key][1]
-
-    def per_row(self, rule: Callable[[_PwlStack], object]) -> np.ndarray:
-        """rule(stack) for every row, as an array, in one call."""
-        return np.broadcast_to(rule(self.fns), self.fns.T.shape)
-
-    def ranges(self, admissible: Callable[[_PwlStack], ThetaRange]) -> tuple[np.ndarray, ...]:
-        """Each row's admissible range, as arrays of its ends."""
-        return tuple(self.per_row(lambda f: getattr(admissible(f), end)) for end in ("lo", "hi"))
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -494,16 +486,21 @@ def _candidates(bundle: BundleDef, ps: _Pairs, geq: np.ndarray, strict: np.ndarr
     """The candidate levels of AX.2, AX.3 and AX.4, a row for each pair of
     geq, strict and local in turn, padded with NaN to one width, then the
     ranks of the local pairs and their members' level maps there (NaN where
-    either is undefined or infinite), all from one stacked pass of level
-    maps."""
+    either is undefined or infinite), all from two stacked passes of level
+    maps, at the ends of the AX.2 pairs' domains and at the sampled ranks."""
     n = _LEVELS
     # AX.2: upper >= lower pointwise implies scores ordered the same way, at
-    # n levels across the pair's joint admissible range or, where it is
-    # unbounded (h, Zipf), at the images of (0, T] under both level maps.
-    ranges = ps.ranges(bundle.admissible)
-    lo_t = np.maximum(*(ranges[0][rows] for rows in (ps.up[geq], ps.lo[geq])))
-    hi_t = np.minimum(*(ranges[1][rows] for rows in (ps.up[geq], ps.lo[geq])))
-    bounded = np.isfinite(hi_t)
+    # n levels across the joint span of the pair's level maps or, where an
+    # end of it is infinite or undefined (h at rank 0), at the images of
+    # (0, T] under both maps.  A level map is monotone, so its levels at the
+    # ranks 0 and T bound its span: one read of both members at both ends.
+    members = np.concatenate((ps.up[geq], ps.lo[geq]))
+    ends = ps.fns._read(bundle.levels, np.tile(members, 2),
+                        np.concatenate((np.zeros(len(members)), ps.fns.T[members])))
+    ends = ends.reshape(2, 2, len(geq))
+    # the spans' ends, then the pair's joint ones (NaN where either is undefined)
+    lo_t, hi_t = ends.min(axis=0).max(axis=0), ends.max(axis=0).min(axis=0)
+    bounded = np.isfinite(lo_t) & np.isfinite(hi_t)
     # the level maps at n ranks on (0, a], a the end of the range the pair's
     # relation covers, a row per pair (its upper's, then its lower's): of
     # the unbounded AX.2 pairs, then every AX.3 and AX.4 pair
@@ -550,7 +547,7 @@ def check_impact_bundle(bundle: BundleDef,
                         pairs: Sequence[DominancePair]) -> dict[str, AxiomReport]:
     """Run the four bundle axioms, routing pairs by their relation kind.
 
-    The three kinds read their members' level maps in one stacked pass
+    The three kinds read their members' level maps in two stacked passes
     (``_candidates``) and their scores at the candidate levels in one more,
     each kind then judged by its own verdict.  Only the first violation per
     pair and axiom, at the lowest flagged level, is reported; a pair with no
@@ -674,9 +671,9 @@ def _positivity_outcomes(bundle: BundleDef, theta: float, ps: _Pairs) -> tuple:
     the member: row r is pair r's upper, row n + r its lower."""
     rows, n = ps.members, len(ps)
     scores = ps.at_level(_level_table, bundle, theta)[0][rows, None]
-    positive = ps.per_row(lambda f: bundle.positive_for(f, theta))[rows].astype(bool)
-    return (rows % n, np.where(np.isnan(scores[:, 0]) | ~positive, _SKIP, 0), float(theta),
-            scores, 0.0, _not_positive, STRICT_SLACK, _NOT_POSITIVE[rows // n, None])
+    positive = np.broadcast_to(bundle.positive_for(ps.fns, theta), len(ps.fns.T))
+    return (rows % n, np.where(np.isnan(scores[:, 0]) | ~positive[rows].astype(bool), _SKIP, 0),
+            float(theta), scores, 0.0, _not_positive, STRICT_SLACK, _NOT_POSITIVE[rows // n, None])
 
 
 def _positivity_report(axiom: str, bundle: BundleDef, theta: float, ps: _Pairs) -> AxiomReport:
@@ -746,10 +743,10 @@ def check_strong_impact(bundle: BundleDef, theta: float,
 
     lower = ps.lo[geq]
     if ranks is None:
-        z_T = ps.per_row(lambda f: f.admissible_range().lo)[lower]
+        z_T = ps.fns.admissible_range().lo[lower]
         at_boundary = np.abs(theta - z_T) <= _BOUNDARY_TOL
     else:
-        T = ps.per_row(lambda f: f.T)[lower]
+        T = ps.fns.T[lower]
         at_boundary = ranks[lower] >= T - _BOUNDARY_TOL * np.maximum(1.0, T)
     unclaimed = np.where(at_boundary, _BOUNDARY, np.where(_averages_ordered(ps, geq), 0, _SKIP))
 

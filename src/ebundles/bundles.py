@@ -40,13 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import (
-    InputError,
-    RankFunction,
-    ThetaRange,
-    ThetaRangeError,
-    _at,
-)
+from .functions import InputError, RankFunction, ThetaRangeError, _at
 
 __all__ = [
     "e_theta",
@@ -110,14 +104,15 @@ def e_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     return _excess(f, f.admit_levels(thetas))
 
 
-def _h_range(f: RankFunction) -> ThetaRange:
-    return ThetaRange(f.admissible_range().lo / f.T, math.inf)
+def _h_lo(f: RankFunction) -> float:
+    """Z(T)/T, the least level at which h is defined."""
+    return f.admissible_range().lo / f.T
 
 
 def _h_defined(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
     """Levels at which ``h_thetas`` returns rather than raises: finite, >= 0
     and not below Z(T)/T by more than a tolerance of 1e-12 * max(1, Z(T)/T)."""
-    lo = _h_range(f).lo
+    lo = _h_lo(f)
     return np.isfinite(thetas) & (thetas >= 0.0) & (thetas >= lo - 1e-12 * np.maximum(1.0, lo))
 
 
@@ -149,7 +144,7 @@ def h_thetas(f: RankFunction, thetas: np.ndarray) -> np.ndarray:
         theta = float(thetas[~ok][0])
         if not (math.isfinite(theta) and theta >= 0.0):
             raise ThetaRangeError(f"theta={theta!r} must be finite and >= 0")
-        raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {_h_range(f).lo}")
+        raise ThetaRangeError(f"theta={theta!r} below Z(T)/T = {_h_lo(f)}")
     return _h_roots(f, thetas)
 
 
@@ -201,7 +196,7 @@ def _h_core(f: RankFunction) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class BundleDef:
-    """A bundle as data: its vector rules and admissibility.
+    """A bundle as data: its vector rules.
 
     Each rule takes a rank function, or a ``_PwlStack`` of piecewise linear
     functions with one argument per row, and an array of arguments, and
@@ -211,8 +206,8 @@ class BundleDef:
     sends every rank x to the level the bundle associates with it (the
     identity for mu/i, Z(x) for e, Z(x)/x for h).  ``measure`` and
     ``level_of`` read them at one argument and raise ``InputError`` where
-    they give NaN.  ``admissible``(f), a ``ThetaRange`` with per-row ends on
-    a stack, only places the levels that AX.2 samples.
+    they give NaN.  A level map is monotone, so its levels at the ranks 0
+    and T span every level of f; AX.2 samples that span.
 
     Fixed at one level theta, a bundle is a single score, which the measure
     axiom checkers take with two more facts: ``positive_for``(f, theta)
@@ -229,7 +224,6 @@ class BundleDef:
     name: str
     scores: VectorRule
     levels: VectorRule
-    admissible: Callable[[RankFunction], ThetaRange]
     positive_for: Callable[[RankFunction, float], bool] = lambda f, theta: True
     rank_of: VectorRule | None = None
 
@@ -293,7 +287,6 @@ E_BUNDLE = BundleDef(
     name="e",
     scores=_e_scores,
     levels=_levels_value,
-    admissible=lambda f: f.admissible_range(),
     positive_for=lambda f, theta: theta < f.value_at_origin(),
 )
 
@@ -301,7 +294,6 @@ H_BUNDLE = BundleDef(
     name="h",
     scores=_h_scores,
     levels=_levels_value_over_rank,
-    admissible=_h_range,
     rank_of=_h_scores,
 )
 
@@ -309,7 +301,6 @@ MU_BUNDLE = BundleDef(
     name="mu",
     scores=_averages,
     levels=_levels_identity,
-    admissible=lambda f: ThetaRange(0.0, f.T),
     rank_of=_levels_identity,
 )
 
@@ -317,7 +308,6 @@ I_BUNDLE = BundleDef(
     name="i",
     scores=_cumulatives,
     levels=_levels_identity,
-    admissible=lambda f: ThetaRange(0.0, f.T),
     positive_for=lambda f, x: x > 0.0,
     rank_of=_levels_identity,
 )

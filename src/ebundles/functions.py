@@ -510,9 +510,9 @@ class LinearFamily(RankFunction):
     T: float
 
     def __post_init__(self) -> None:
-        if not (self.S > 0 and math.isfinite(self.S)):
+        if isinstance(self.S, (bool, np.bool_)) or not (self.S > 0 and math.isfinite(self.S)):
             raise InputError(f"S must be positive and finite, got {self.S!r}")
-        if not (self.T > 0 and math.isfinite(self.T)):
+        if isinstance(self.T, (bool, np.bool_)) or not (self.T > 0 and math.isfinite(self.T)):
             raise InputError(f"T must be positive and finite, got {self.T!r}")
 
     def values(self, xs: np.ndarray) -> np.ndarray:
@@ -552,7 +552,7 @@ class ZipfFamily(RankFunction):
     def __post_init__(self) -> None:
         if not (0.0 < self.beta < 1.0):
             raise InputError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not (self.T > 0 and math.isfinite(self.T)):
+        if isinstance(self.T, (bool, np.bool_)) or not (self.T > 0 and math.isfinite(self.T)):
             raise InputError(f"T must be positive and finite, got {self.T!r}")
 
     def values(self, xs: np.ndarray) -> np.ndarray:
@@ -585,7 +585,7 @@ class PowerComplement(RankFunction):
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise InputError(f"n must be an integer >= 1, got {self.n!r}")
         if self.n > sys.float_info.max:
             raise _beyond_float("n")

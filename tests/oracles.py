@@ -112,19 +112,28 @@ def oracle_excess_area(f: RankFunction, theta: float, panels: int = RIEMANN_PANE
     return riemann_integral(lambda s: fn(s) - theta, x, panels, grade)
 
 
+def _level_span(bundle, f):
+    """The span of f's level map, which is monotone: its levels at the ranks
+    0 and T, in order.  The map must be defined at both."""
+    ends = bundle.level_of(f, 0.0), bundle.level_of(f, f.T)
+    return min(ends), max(ends)
+
+
 def _scalar_levels(bundle, p, n, fns=None):
-    ru, rl = bundle.admissible(p.upper), bundle.admissible(p.lower)
+    """A pair's candidate levels, sorted: n levels across the joint span of
+    its members' level maps where both ends are finite, else the finite
+    levels of fns (both members by default) at n ranks on (0, a]."""
     a = p.prefix_end
     if fns is None:
-        lo_t, hi_t = max(ru.lo, rl.lo), min(ru.hi, rl.hi)
+        (lo_u, hi_u), (lo_l, hi_l) = (_level_span(bundle, g) for g in (p.upper, p.lower))
+        lo_t, hi_t = max(lo_u, lo_l), min(hi_u, hi_l)
         if lo_t > hi_t:
             return []
-        if not math.isinf(hi_t):
+        if math.isfinite(lo_t) and math.isfinite(hi_t):
             return [float(t) for t in np.linspace(lo_t, hi_t, n)]
         fns, a = (p.upper, p.lower), p.upper.T
     xs = np.linspace(0.0, a, n + 1)[1:].tolist()
-    levels = {t for g in fns for x in xs if math.isfinite(t := bundle.level_of(g, x))}
-    return sorted(t for t in levels if ru.contains(t) and rl.contains(t))
+    return sorted({t for g in fns for x in xs if math.isfinite(t := bundle.level_of(g, x))})
 
 
 def scalar_impact_bundle(bundle, pairs, theta_grid=24, slack=1e-9, strict_slack=1e-12,
@@ -144,6 +153,11 @@ def scalar_impact_bundle(bundle, pairs, theta_grid=24, slack=1e-9, strict_slack=
                 return Violation(idx, t, m_up, m_lo, gap(m_up, m_lo), note=note)
         return None
 
+    def scored(p, thetas):
+        """The levels at which both members score."""
+        return [t for t in thetas
+                if score(p.upper, t) is not None and score(p.lower, t) is not None]
+
     def below(m_up, m_lo, tol):
         return m_lo - m_up > tol
 
@@ -160,13 +174,13 @@ def scalar_impact_bundle(bundle, pairs, theta_grid=24, slack=1e-9, strict_slack=
         return abs(m_up - m_lo)
 
     def monotone(idx, p):
-        thetas = _scalar_levels(bundle, p, theta_grid)
+        thetas = scored(p, _scalar_levels(bundle, p, theta_grid))
         if not thetas:
             return None, True
         return first_violation(idx, p, thetas, below, drop, slack, ""), False
 
     def strict(idx, p):
-        thetas = _scalar_levels(bundle, p, theta_grid, (p.upper, p.lower))
+        thetas = scored(p, _scalar_levels(bundle, p, theta_grid, (p.upper, p.lower)))
         if not thetas:
             return None, True
         return first_violation(idx, p, thetas, not_above, drop, strict_slack,

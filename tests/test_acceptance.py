@@ -9,7 +9,6 @@ hand and from the dense Riemann oracles in ``oracles.py``.
 import time
 
 import numpy as np
-import pytest
 
 import oracles
 from conftest import seeded_pwl

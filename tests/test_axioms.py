@@ -50,7 +50,6 @@ from ebundles.functions import (
     LinearFamily,
     PiecewiseLinearFn,
     PowerComplement,
-    ThetaRange,
     ZipfFamily,
     _PwlStack,
     cumulative_dominates,
@@ -217,6 +216,14 @@ class TestImpactBundleChecks:
         assert reports["AX.3"].pairs_tested == 15
         assert reports["AX.4"].pairs_tested == 15
 
+    def test_three_field_bundle_runs_every_checker(self):
+        # a candidate bundle is its name, score and level map: AX.2 reads its
+        # levels from the map, and e's positive_for holds at level 1 for
+        # every generated member, so the defaults change no report
+        bundle = BundleDef(name="e-rules", scores=E_BUNDLE.scores, levels=E_BUNDLE.levels)
+        pairs = generate_pairs(seed=0, count=5)
+        assert _all_reports(bundle, 1.0, pairs) == _all_reports(E_BUNDLE, 1.0, pairs)
+
     def test_identical_pair_has_zero_gap(self):
         f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
         twin = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
@@ -248,13 +255,16 @@ E_SCALAR_ONLY = BundleDef(
     name="e-scalar",
     scores=lambda f, thetas: E_BUNDLE.scores(f, thetas),
     levels=_values_on_domain,
-    admissible=lambda f: f.admissible_range(),
 )
 
 AX_BUNDLES = {
     "e": E_BUNDLE, "h": H_BUNDLE, "mu": MU_BUNDLE, "i": I_BUNDLE,
     "n": pseudo_bundle_n(), "eta": pseudo_bundle_eta(), "e-scalar": E_SCALAR_ONLY,
 }
+
+# e's score on mu's level map: AX.2 samples the span of the ranks, [0, T],
+# not e's levels [Z(T), Z(0)].
+E_ON_RANKS = dataclasses.replace(E_BUNDLE, name="e-on-ranks", levels=MU_BUNDLE.levels)
 
 
 def _pwl(*knots):
@@ -408,10 +418,10 @@ class TestImpactBundleAgainstScalarLoop:
     the scalar loop in ``oracles.scalar_impact_bundle``."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("name", sorted(AX_BUNDLES))
+    @pytest.mark.parametrize("name", sorted(AX_BUNDLES) + [E_ON_RANKS.name])
     def test_generated_pairs(self, name, seed):
         pairs = generate_pairs(seed=seed, count=6)
-        bundle = AX_BUNDLES[name]
+        bundle = AX_BUNDLES.get(name, E_ON_RANKS)
         want = oracles.scalar_impact_bundle(bundle, pairs)
         assert _ax_json(check_impact_bundle(bundle, pairs)) == _ax_json(want)
 
@@ -454,6 +464,17 @@ class TestImpactBundleAgainstScalarLoop:
         got = check_impact_bundle(E_BUNDLE, [pair])
         assert (got["AX.2"].pairs_tested, got["AX.2"].skipped) == (0, 1)
         assert _ax_json(got) == _ax_json(oracles.scalar_impact_bundle(E_BUNDLE, [pair]))
+
+    def test_level_map_places_ax2_levels(self):
+        # e's score on ranks: AX.2 samples the ranks' span [0, 1], below
+        # both members' e levels, so no sampled level scores and the pair
+        # is skipped; e's own levels [3, 4] would have tested it
+        pair = verify_pair(DominancePair(_pwl((0, 5), (1, 3)), _pwl((0, 4), (1, 2)),
+                                         RelationKind.GEQ_ALL))
+        got = check_impact_bundle(E_ON_RANKS, [pair])
+        assert (got["AX.2"].pairs_tested, got["AX.2"].skipped) == (0, 1)
+        assert check_impact_bundle(E_BUNDLE, [pair])["AX.2"].pairs_tested == 1
+        assert _ax_json(got) == _ax_json(oracles.scalar_impact_bundle(E_ON_RANKS, [pair]))
 
     def test_replaced_measure_is_scored(self, monkeypatch):
         # a bundle that swaps e's score for n must be scored with n, not e
@@ -509,6 +530,26 @@ def _pwl_pairs(draw):
     a = T * draw(st.floats(0.05, 1.0)) if relation in (
         RelationKind.STRICT_ON_PREFIX, RelationKind.EQUAL_ON_PREFIX) else None
     return DominancePair(upper, lower, relation, prefix_end=a)
+
+
+class TestLevelMapSpans:
+    """A level map is monotone, so its levels at the ranks 0 and T span its
+    levels, which AX.2 samples: for each built-in bundle that span is, bit
+    for bit, the range of levels its score is defined on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=st.sampled_from([1.0, 2.5, 40.0]).flatmap(_pwl_on))
+    def test_built_in_spans(self, f):
+        def span(bundle):
+            return bits(*sorted(bundle.levels(f, np.array([0.0, f.T])).tolist()))
+
+        def bits(*vs):
+            return [v.hex() for v in vs]
+
+        z0, zT, T = f.value_at_origin(), float(f.ys[-1]), f.T
+        assert span(E_BUNDLE) == bits(zT, z0)
+        assert span(H_BUNDLE) == bits(zT / T, math.inf)
+        assert span(MU_BUNDLE) == span(I_BUNDLE) == bits(0.0, T)
 
 
 def _decided(pair, facts, margin=1e-10):
@@ -698,7 +739,6 @@ class TestImpactMeasureChecks:
             name="zero",
             scores=lambda f, thetas: np.zeros(len(thetas)),
             levels=lambda f, xs: xs,
-            admissible=lambda f: ThetaRange(0.0, math.inf),
         )
         rep = check_impact_measure(zero, 1.0, small_pairs)["IM.1"]
         assert not rep.passed
@@ -713,7 +753,6 @@ class TestImpactMeasureChecks:
             name="offset",
             scores=lambda f, thetas: f.value_at_origin() - 2.0 + 0.0 * thetas,
             levels=lambda f, xs: xs,
-            admissible=lambda f: ThetaRange(0.0, math.inf),
         )
         rep = check_impact_measure(offset, 1.0, pairs)["IM.1"]
         assert rep.pairs_tested == 4

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import pwl_functions, seeded_pwl
+from conftest import seeded_pwl
 from ebundles.axioms import (
     DominancePair,
     RelationKind,

@@ -962,6 +962,17 @@ class TestBadInputExit2:
         assert captured.out == ""
         assert captured.err == f"error: {said}\n"
 
+    def test_spec_T_matches_last_knot_to_1e_12_relative(self, tmp_path, capsys):
+        # a T within 1e-12 relative of the last knot reads as that knot; one
+        # 1e-11 off disagrees
+        p = tmp_path / "T.json"
+        for T, code in ((1.0000000000001, 0), (1.00000000001, 2)):
+            p.write_text(json.dumps({"type": "piecewise_linear", "T": T,
+                                     "knots": [[0, 3], [1, 0]]}))
+            assert main(["eval", "--input", str(p)]) == code
+        assert capsys.readouterr().err == (
+            "error: spec T=1.00000000001 disagrees with last knot x=1.0\n")
+
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize(
         "spec, said",

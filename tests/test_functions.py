@@ -24,6 +24,7 @@ from ebundles.functions import (
     _extremes,
     _merged_gaps,
     _PwlStack,
+    _valid_knots,
     cumulative_dominates,
     from_citations,
     function_from_spec,
@@ -50,6 +51,12 @@ class TestEvaluate:
             LINE.value(-0.5)
         with pytest.raises(InputError):
             LINE.value(10.5)
+        # the vector forms check their points themselves
+        f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 0)])
+        with pytest.raises(InputError, match="^grid points outside domain$"):
+            f.values([1.5])
+        with pytest.raises(InputError, match="^grid points outside domain$"):
+            f.cumulatives([-0.5])
 
     def test_zipf_pole(self):
         with pytest.raises(SingularityError):
@@ -89,6 +96,36 @@ class TestConstruction:
     def test_rejects_invalid_knots(self, pairs):
         with pytest.raises(InputError):
             PiecewiseLinearFn.from_pairs(pairs)
+
+    def test_padded_batch_mask(self):
+        # one row per fault, then a valid row whose padding repeats its last knot
+        rows = [
+            ([0.5, 1, 2], [3, 1, 0]),  # first x is not 0
+            ([0, 1, 2], [3, math.nan, 0]),  # a value is not finite
+            ([0, 1, 2], [3, 1, -1]),  # a value is negative
+            ([0], [3]),  # fewer than two knots
+            ([0, 1, 1], [3, 1, 0]),  # x does not increase
+            ([0, 1, 2], [3, 3, 0]),  # y does not decrease
+            ([0, 1, 2], [3, 1, 0]),
+        ]
+        size = np.array([len(x) for x, _ in rows])
+        xs, ys = (np.array([v + v[-1:] * (4 - len(v)) for v in col], dtype=float)
+                  for col in zip(*rows))
+        assert _valid_knots(xs, ys, size).tolist() == [False] * 6 + [True]
+
+    @pytest.mark.parametrize("bool_", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize(
+        "family, fields, name",
+        [(PowerComplement, {}, "n"), (LinearFamily, {"S": np.float64(2.0)}, "T"),
+         (LinearFamily, {"T": 1.0}, "S"), (ZipfFamily, {"beta": 0.5}, "T")],
+        ids=["power-n", "linear-T", "linear-S", "zipf-T"],
+    )
+    def test_family_fields_reject_bools(self, family, fields, name, bool_):
+        # a bool is not a number, as in a spec file
+        with pytest.raises(InputError) as info:
+            family(**fields, **{name: bool_})
+        want = "an integer >= 1" if name == "n" else "positive and finite"
+        assert str(info.value) == f"{name} must be {want}, got {bool_!r}"
 
     def test_value_equality_and_hash(self):
         f = PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0.2)])
