@@ -26,6 +26,7 @@ import os
 import stat
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -35,13 +36,18 @@ from . import functions as fn
 __all__ = ["build_parser", "main"]
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temporary file and a rename.  The file
-    gets the mode ``open(path, "w")`` would give it: a replaced file keeps
-    its own, a new one gets 0o666 less the umask (``mkstemp`` makes 0o600)."""
+def _atomic_write(path: str, blocks: Iterable[str]) -> None:
+    """Write the text blocks to path through a temporary file and a rename,
+    as ``open(path, "w")`` would leave it: a symlink stays, its target
+    replaced; a replaced file keeps its mode, a new one gets 0o666 less the
+    umask (``mkstemp`` makes 0o600)."""
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except OSError:  # a new file, or a path mkstemp reports on
+        st = os.lstat(path)
+        if stat.S_ISLNK(st.st_mode):
+            path = os.path.realpath(path)
+            st = os.stat(path)
+        mode = stat.S_IMODE(st.st_mode)
+    except OSError:  # a new file or link target, or a path mkstemp reports on
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
@@ -50,7 +56,7 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), mode)
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -58,11 +64,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, output_path: str | None) -> None:
+def _emit(blocks: Iterable[str], output_path: str | None) -> None:
     if output_path:
-        _atomic_write(output_path, text)
+        _atomic_write(output_path, blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _parse_theta_spec(args: argparse.Namespace) -> tuple[float, ...] | None:
@@ -106,63 +112,72 @@ def _level_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
 _WHITESPACE = b" \t\n\r"
 _NUMBER_BYTES = b"0123456789.eE+-"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# bytes of a knot array read at a time, run on to the next "[": whole pairs
+_SPAN_BLOCK = 1 << 16
 
 
-def _flat_spec(text: str) -> dict | None:
-    """The JSON object that text holds, its ``"knots"`` array read as one
-    flat list of numbers, not as a list per knot, and handed over as a
-    float (n, 2) array; None, and the caller decodes the whole text, unless
-    that read gives what ``json.loads`` gives and every value fits a float.
-    Never raises.
+def _flat_spec(data: bytes) -> dict | None:
+    """The JSON object that the bytes of a file hold, its ``"knots"`` array
+    read as one flat list of numbers, not as a list per knot, and handed
+    over as a float (n, 2) array; None, and the caller decodes the whole
+    file, unless that read gives what ``json.loads`` gives of the file's
+    UTF-8 text and every value fits a float.  Never raises.
 
-    It takes the text only where ``"knots"`` occurs once; the text around
-    the knot array, with ``[]`` in its place, holds no backslash and decodes
-    to an object whose ``"knots"`` is that ``[]``; the array is exactly
-    ``[[,],...,[,]]`` once its numbers and whitespace are deleted, with no
-    number outside a pair; and, its inner brackets read as spaces, it
-    decodes as JSON to two numbers a pair.
-    The array then holds no quote, so no ``"knots"`` or backslash hides in
-    it, and each value is an int or a float: no bool, string, null, NaN or
-    infinity, which the array would hide once read as floats.  The file's
-    text stays with the caller: it is what the general path reads where
-    the values fail to decode."""
+    It takes the bytes only where ``"knots"`` occurs once; the text around
+    the knot array, with ``[]`` in its place, is UTF-8, holds no backslash
+    and decodes to an object whose ``"knots"`` is that ``[]``; the array is
+    exactly ``[[,],...,[,]]`` once its numbers and whitespace are deleted,
+    with no number outside a pair; and, its inner brackets read as spaces,
+    it decodes as JSON to two numbers a pair.  The array then holds no
+    quote, so no ``"knots"`` or backslash hides in it, and each value is an
+    int or a float: no bool, string, null, NaN or infinity, which the array
+    would hide once read as floats.  The array is read in blocks of whole
+    pairs into one float array, so that neither a copy of it nor a list of
+    its values is made.  The bytes stay with the caller: their text is what
+    the general path reads where the values fail to decode."""
     # the array runs from the first "[" after the key to the last "]" before
     # the next quote or "}"; the checks below hold only if it really does
-    key = text.find('"knots"')
-    start = text.find("[", key)
-    close = text.find("}", start)
+    key = data.find(b'"knots"')
+    start = data.find(b"[", key)
+    close = data.find(b"}", start)
     if min(key, start, close) < 0:
         return None
-    quote = text.find('"', start, close)
-    end = text.rfind("]", start, close if quote < 0 else quote)
+    quote = data.find(b'"', start, close)
+    end = data.rfind(b"]", start, close if quote < 0 else quote)
     if end < 0:
         return None
-    outside = text[:start] + "[]" + text[end + 1:]
-    if outside.count('"knots"') != 1 or "\\" in outside:
-        return None
     try:
+        outside = (data[:start] + b"[]" + data[end + 1:]).decode("utf-8")
+        if outside.count('"knots"') != 1 or "\\" in outside:
+            return None
         obj = json.loads(outside)
         if type(obj) is not dict or obj.get("knots") != []:
             return None
-        span = bytearray(text[start:end + 1].encode("ascii"))
-        shape = span.translate(None, _WHITESPACE)
-        skeleton = shape.translate(None, _NUMBER_BYTES)
-        n = (len(skeleton) - 1) // 4
-        if n < 1 or skeleton != b"[" + b"[,]," * (n - 1) + b"[,]]":
-            return None
-        # and no number sits outside a pair: each "],[" and the ends stay whole
-        if shape.count(b"],[") != n - 1 or shape[:2] != b"[[" or shape[-2:] != b"]]":
-            return None
-        del shape
-        # only the outer brackets stay: the pairs' values read as one list;
-        # the bytes go before the decode, which holds the values
-        span = span.translate(_BRACKETS_TO_SPACES)
-        span[0], span[-1] = ord("["), ord("]")
-        flat = span.decode("ascii")
-        del span
-        # the skeleton's 2n - 1 commas make 2n values; an int beyond the
-        # float range is the general path's to name
-        obj["knots"] = np.fromiter(json.loads(flat), float, 2 * n).reshape(-1, 2)
+        # the array's pairs, each followed by a comma but the last, read a
+        # block at a time; every block but the first starts at a "["
+        flat = np.empty(data.count(b",", start, end) + 1)
+        at, i, last = start + 1, 0, False
+        while not last:
+            cut = data.find(b"[", at + _SPAN_BLOCK, end)
+            last = cut < 0
+            block = data[at:end if last else cut]
+            # with the closing bracket's comma, m pairs read "[,],"*m once
+            # their numbers and whitespace are deleted, and no number sits
+            # outside a pair: each "],[" and both ends stay whole (a first
+            # block of whitespace alone holds none)
+            shape = block.translate(None, _WHITESPACE) + b"," * last
+            skeleton = shape.translate(None, _NUMBER_BYTES)
+            m = len(skeleton) // 4
+            if shape and (skeleton != b"[,]," * m or shape.count(b"],[") != m - 1
+                          or shape[:1] != b"[" or shape[-2:] != b"],"):
+                return None
+            # only the outer brackets stay: the pairs' values read as one
+            # list; an int beyond the float range is the general path's to name
+            body = block if last else block[:block.rfind(b",")]
+            values = json.loads(b"[" + body.translate(_BRACKETS_TO_SPACES) + b"]")
+            flat[i:i + len(values)] = np.fromiter(values, float, len(values))
+            at, i = cut, i + len(values)
+        obj["knots"] = flat.reshape(-1, 2)
     except (ValueError, RecursionError, OverflowError):
         return None
     return obj
@@ -170,22 +185,24 @@ def _flat_spec(text: str) -> dict | None:
 
 def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
     """The ``--input`` file's JSON value, and its UTF-8 text where the line
-    format reads it.  The value is None, with the text, where the text is
-    not JSON or is a single number: a citation file of one count.  Other
-    text is dropped once decoded (None in its place), so that it is not held
-    while the value is read.  JSON null holds nothing, so it reads as
-    ``{}``.  A spec's knot array is read flat where ``_flat_spec`` takes it,
-    and by ``json.loads`` with the rest of the text where it does not."""
+    format reads it.  The file is read once, as bytes, which ``_flat_spec``
+    reads where it takes them and ``json.loads`` decoded elsewhere.  The
+    value is None, with the text, where the text is not JSON or is a single
+    number: a citation file of one count.  Other text is dropped once
+    decoded (None in its place), so that it is not held while the value is
+    read.  JSON null holds nothing, so it reads as ``{}``."""
     if not args.input:
         raise fn.InputError(f"{args.command} requires --input")
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+        obj = _flat_spec(data)
+        if obj is not None:
+            return obj, None
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise fn.InputError(f"cannot read {args.input}: {exc}") from None
-    obj = _flat_spec(text)
-    if obj is not None:
-        return obj, None
+    del data
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
@@ -277,7 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     print("\n".join(lines))
     if args.output:
-        _atomic_write(args.output, json.dumps(result, indent=2, sort_keys=True) + "\n")
+        _atomic_write(args.output, [json.dumps(result, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -286,7 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     f = _load_input(args)
     table = bn.sweep(f, sorted(set(thetas or _default_thetas(f))))
     text = table.to_json() + "\n" if args.format == "json" else table.to_csv()
-    _emit(text, args.output)
+    _emit([text], args.output)
     return 0
 
 
@@ -332,7 +349,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
     obj = {k: reports[k].to_json_obj() for k in sorted(reports)}
     if args.output:
-        _atomic_write(args.output, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        _atomic_write(args.output, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
     return 1 if any(not r.passed for key, r in reports.items() if key != "GM") else 0
 
 
@@ -345,7 +362,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         raise fn.InputError(f"bad --n-list {args.n_list!r}") from None
     seq = cv.SEQUENCE_FAMILIES[args.family](n_list)
     report = cv.run_study(seq, grid_n=args.grid_n, theta_grid_n=args.theta_grid_n)
-    _emit(report.to_csv(), args.output)
+    _emit([report.to_csv()], args.output)
     peak = "inf" if math.isinf(report.member_peak) else f"{report.member_peak:g}"
     print(f"# member peak at origin: {peak}", file=sys.stderr)
     if seq.limit is not None:
@@ -384,18 +401,25 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
     return 1 if any(r.passed for r, *_ in found) else 0
 
 
-def _spec_text(f: fn.PiecewiseLinearFn) -> str:
+_SPEC_BLOCK = 4096  # knots written in one block of text
+
+
+def _spec_text(f: fn.PiecewiseLinearFn) -> Iterator[str]:
     """``json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
-    byte for byte, without the pure-Python encoder that ``indent`` selects:
-    json writes a finite float as its ``repr``.  The values' reprs, x0, y0,
-    x1, y1, ..., alternate with the separators inside and between knots in
-    one list, which is joined once: the spec's opening text is put before
-    the first value, and its closing text in place of the last separator."""
-    parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * len(f.xs)
-    parts[0::2] = map(repr, f.knots.ravel().tolist())
-    parts[0] = f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      {parts[0]}'
-    parts[-1] = '\n    ]\n  ],\n  "type": "piecewise_linear"\n}\n'
-    return "".join(parts)
+    byte for byte, in blocks of ``_SPEC_BLOCK`` knots, without the
+    pure-Python encoder that ``indent`` selects: json writes a finite float
+    as its ``repr``.  In a block, the values' reprs, x0, y0, x1, y1, ...,
+    alternate with the separators inside and between knots in one list,
+    which is joined once; the spec's opening text is the first block, and
+    its closing text takes the place of the last knot's separator."""
+    yield f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      '
+    for at in range(0, len(f.xs), _SPEC_BLOCK):
+        knots = np.column_stack((f.xs[at:at + _SPEC_BLOCK], f.ys[at:at + _SPEC_BLOCK]))
+        parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * len(knots)
+        parts[0::2] = map(repr, knots.ravel().tolist())
+        if at + _SPEC_BLOCK >= len(f.xs):
+            parts[-1] = '\n    ]\n  ],\n  "type": "piecewise_linear"\n}\n'
+        yield "".join(parts)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

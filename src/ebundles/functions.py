@@ -784,29 +784,39 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(xs, np.r_[adjusted[keep], 0.0])
 
 
+_LINE_BLOCK = 1 << 16  # characters parsed at a time, run on to a "\n"
+
+
 def parse_citations(text: str) -> np.ndarray:
     """Parse one nonnegative count per line, blank lines skipped, into a
-    float array."""
-    lines = text.splitlines()
-    try:
-        vals = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
-    except ValueError:
-        vals = None
-    if vals is None or not (vals >= 0).all():  # NaN fails >= 0 too
-        # the vector pass failed: name the first bad line
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                v = float(stripped)
-            except ValueError:
-                raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
-            if not v >= 0:
-                raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
-    if not vals.size:
+    float array, in blocks cut after a ``"\\n"`` (which no line straddles),
+    so that no list of every line is built; a bad line's number is its
+    number in the whole text."""
+    blocks, lines_before, start = [], 0, 0
+    while start < len(text):
+        cut = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
+        lines = text[start:cut].splitlines()
+        try:
+            vals = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
+        except ValueError:
+            vals = None
+        if vals is None or not (vals >= 0).all():  # NaN fails >= 0 too
+            # the vector pass failed: name the first bad line
+            for lineno, line in enumerate(lines, start=lines_before + 1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                try:
+                    v = float(stripped)
+                except ValueError:
+                    raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
+                if not v >= 0:
+                    raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
+        blocks.append(vals)
+        lines_before, start = lines_before + len(lines), cut
+    if not sum(map(len, blocks)):
         raise InputError("no citation values found")
-    return vals
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -214,20 +214,33 @@ def _run_both(argv, monkeypatch, capsys) -> list:
     runs = []
     for flat in (True, False):
         if not flat:
-            monkeypatch.setattr(cli, "_flat_spec", lambda text: None)
+            monkeypatch.setattr(cli, "_flat_spec", lambda data: None)
         runs.append((main(argv), *capsys.readouterr()))
     return runs
+
+
+def _flat_read(data: bytes, block: int) -> dict | None:
+    """``cli._flat_spec`` of data, its knot array checked and decoded
+    block bytes at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SPAN_BLOCK", block)
+        return cli._flat_spec(data)
+
+
+# block sizes of a few bytes: every knot array is cut at each of its pairs
+_SMALL_BLOCKS = st.integers(1, 8)
 
 
 class TestFlatKnotRead:
     """``cli._flat_spec`` reads a spec's knot array as one flat list of
     numbers where that gives what ``json.loads`` gives, and declines (the
-    general path runs) everywhere else."""
+    general path runs) everywhere else.  The properties read in blocks of
+    a few bytes."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_pwl_texts())
-    def test_builds_the_nested_read(self, text):
-        spec, ref = cli._flat_spec(text), json.loads(text)
+    @given(_pwl_texts(), _SMALL_BLOCKS)
+    def test_builds_the_nested_read(self, text, block):
+        spec, ref = _flat_read(text.encode(), block), json.loads(text)
         assert spec is not None
         # the floats of the same ints and floats, -0.0 included, in the
         # same order, one row a pair
@@ -241,8 +254,9 @@ class TestFlatKnotRead:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from([[0, 3], [1, 0], [12, 5]]), min_size=1, max_size=3),
            st.lists(st.tuples(st.integers(0, 40), st.sampled_from(list("[],  0.e-\n") + [""]),
-                              st.booleans()), min_size=1, max_size=3))
-    def test_takes_only_what_json_reads_as_pairs(self, pairs, edits):
+                              st.booleans()), min_size=1, max_size=3),
+           _SMALL_BLOCKS)
+    def test_takes_only_what_json_reads_as_pairs(self, pairs, edits, block):
         # knot text with bytes inserted, or replaced ("": deleted): where the
         # flat read takes it, json.loads reads it as the same pairs
         knots = list(json.dumps(pairs))
@@ -250,7 +264,7 @@ class TestFlatKnotRead:
             at = min(at, len(knots) - 1)
             knots[at:at + replace] = [byte]
         text = '{"type": "piecewise_linear", "knots": ' + "".join(knots) + "}"
-        spec = cli._flat_spec(text)
+        spec = _flat_read(text.encode(), block)
         if spec is not None:
             ref = json.loads(text)["knots"]
             assert all(type(p) is list and len(p) == 2 for p in ref)
@@ -261,8 +275,9 @@ class TestFlatKnotRead:
                                 | st.floats(allow_nan=False, allow_infinity=False)] * 2),
                     min_size=1, max_size=4),
            st.lists(st.tuples(st.integers(0, 7), st.sampled_from(
-               ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity"])), max_size=2))
-    def test_takes_only_json_numbers(self, pairs, swaps):
+               ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity"])), max_size=2),
+           _SMALL_BLOCKS)
+    def test_takes_only_json_numbers(self, pairs, swaps, block):
         # the flat read hands over floats, which would hide a bool, a null
         # or a non-finite token, so a knot array holding any token but a
         # JSON number is declined: function_from_spec type-checks only T
@@ -271,7 +286,7 @@ class TestFlatKnotRead:
         for at, token in swaps:
             tokens[at % len(tokens)] = token
         knots = ", ".join(f"[{x}, {y}]" for x, y in zip(tokens[::2], tokens[1::2]))
-        spec = cli._flat_spec('{"type": "piecewise_linear", "knots": [' + knots + "]}")
+        spec = _flat_read(('{"type": "piecewise_linear", "knots": [' + knots + "]}").encode(), block)
         if swaps:
             assert spec is None
         else:
@@ -287,15 +302,14 @@ class TestFlatKnotRead:
             json_numbers(what, values)
 
         monkeypatch.setattr(fn, "_json_numbers", spy)
-        fn.function_from_spec(cli._flat_spec(text))
+        fn.function_from_spec(cli._flat_spec(text.encode()))
         fn.function_from_spec(json.loads(text))
         what = "knot coordinates and T"
         assert checked == [(what, [2]), (what, []), (what, [2]), (what, [0, 3, 1, 1.5, 2, 0])]
 
     _KNOTS = '[[0, 3], [1, 0]]'
 
-    @pytest.mark.parametrize("command", ["eval", "sweep", "ingest"])
-    @pytest.mark.parametrize("text", [
+    _NEAR_MISSES = [
         # knot values
         '{"type": "piecewise_linear", "knots": [[0, 3], [1]]}',
         '{"type": "piecewise_linear", "knots": [[0, 3, 1], [1, 0]]}',
@@ -337,7 +351,10 @@ class TestFlatKnotRead:
         '[{"type": "piecewise_linear", "knots": ' + _KNOTS + "}]",
         '{"type": "piecewise_linear", "knots": ' + _KNOTS,
         '{"type": "linear", "S": 3, "T": 1, "knots": ' + _KNOTS + "}",
-    ], ids=lambda text: text[:60])
+    ]
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "ingest"])
+    @pytest.mark.parametrize("text", _NEAR_MISSES, ids=lambda text: text[:60])
     def test_near_miss_reads_as_the_general_path(self, command, text, tmp_path, monkeypatch,
                                                  capsys):
         p = tmp_path / "spec.json"
@@ -345,6 +362,16 @@ class TestFlatKnotRead:
         flat, general = _run_both([command, "--input", str(p)], monkeypatch, capsys)
         assert flat == general
         assert "Traceback" not in flat[2]
+
+    @pytest.mark.parametrize("text", _NEAR_MISSES, ids=lambda text: text[:60])
+    def test_near_miss_in_small_blocks(self, text):
+        # cut at each pair, or at each byte, the flat read takes and
+        # declines what it does in one block
+        def read(block):
+            spec = _flat_read(text.encode(), block)
+            return spec if spec is None else (spec.pop("knots").tobytes(), spec)
+
+        assert read(1) == read(3) == read(cli._SPAN_BLOCK)
 
     def test_benchmark_shaped_spec_builds_no_pair_list(self, tmp_path, monkeypatch, capsys):
         xs = np.arange(200.0)
@@ -360,6 +387,16 @@ class TestFlatKnotRead:
         assert flat == general and flat[0] == 0
         # only the general path's run built the pairs' list
         assert calls == [1]
+
+
+@pytest.mark.parametrize("block", range(1, 24))
+def test_flat_read_cut_at_every_byte(block, monkeypatch):
+    # a block's nominal end falls on every byte of the first two pairs,
+    # inside 123456789 and 2.5e-3 too; the block runs on to the next "["
+    monkeypatch.setattr(cli, "_SPAN_BLOCK", block)
+    text = '{"knots": [[0, 123456789], [2.5e-3, 7],\n [4, -0.0]], "type": "piecewise_linear"}'
+    want = np.array([v for pair in json.loads(text)["knots"] for v in pair], float)
+    assert cli._flat_spec(text.encode())["knots"].tobytes() == want.tobytes()
 
 
 class TestAxiomsCmd:
@@ -728,6 +765,48 @@ class TestIngestCmd:
             assert outs[0].read_text() == outs[1].read_text()
 
 
+def _traced_peak(argv: list[str]) -> int:
+    """The tracemalloc peak, in bytes, of ``main(argv)``, which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def counts_2e5(tmp_path_factory):
+    """A line file of 2e5 unsorted Pareto counts with ties (160,698 knots
+    once continuized), and the spec that ingest writes of it."""
+    d = tmp_path_factory.mktemp("counts_2e5")
+    counts = np.floor(np.random.default_rng(13).pareto(1.2, 2 * 10**5) * 5.0).astype(int)
+    src, spec = d / "c.txt", d / "spec.json"
+    src.write_text("".join(f"{c}\n" for c in counts.tolist()))
+    assert main(["ingest", "--input", str(src), "--output", str(spec)]) == 0
+    return src, spec
+
+
+class TestMemoryAt2e5Counts:
+    """Ingest and eval hold the file, the float arrays and one block: the
+    knot spec is written and its array read in blocks, and the line format
+    parsed in blocks.  Written and read whole, the peaks were 41.9 MB and
+    30.0 MB; in blocks they are 13.0 MB and 11.2 MB (Python 3.11, numpy
+    2.4)."""
+
+    def test_ingest(self, counts_2e5, tmp_path, capsys):
+        src, spec = counts_2e5
+        out = tmp_path / "spec.json"
+        assert _traced_peak(["ingest", "--input", str(src), "--output", str(out)]) < 16e6
+        assert out.read_bytes() == spec.read_bytes()
+
+    def test_eval(self, counts_2e5, tmp_path, capsys):
+        src, spec = counts_2e5
+        out = tmp_path / "eval.json"
+        assert _traced_peak(["eval", "--input", str(spec), "--output", str(out)]) < 13.5e6
+        assert json.loads(out.read_text())["T"] == json.loads(spec.read_text())["T"]
+
+
 class TestOutputMode:
     """An output file gets the mode ``open(path, "w")`` would give it: a new
     one 0o666 less the umask, a replaced one its own."""
@@ -752,6 +831,30 @@ class TestOutputMode:
         out.chmod(0o640)
         assert self._ingest(citations_file, out, umask) == 0o640
         assert json.loads(out.read_text())["T"] == 3.0
+
+    @pytest.mark.parametrize("command", ["ingest", "converge"])
+    def test_symlink_keeps_its_link_and_its_target_mode(self, command, citations_file,
+                                                        tmp_path):
+        # as open(path, "w") would: the link stays, and its target is
+        # replaced, keeping its mode; the link is relative to its directory
+        target = tmp_path / "target" / "out"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link"
+        link.symlink_to(Path("target", "out"))
+        argv = {"ingest": ["ingest", "--input", citations_file],
+                "converge": ["converge", "--family", "linear", "--n-list", "10,100"]}[command]
+        assert main([*argv, "--output", str(link)]) == 0
+        assert link.is_symlink() and link.readlink() == Path("target", "out")
+        assert target.read_text() != "old\n" and stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cites.txt", "link", "out", "target"]
+
+    def test_dangling_symlink_gets_its_target_made(self, citations_file, tmp_path):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "new.json")
+        assert self._ingest(citations_file, link, 0o022) == 0o644
+        assert link.is_symlink() and json.loads((tmp_path / "new.json").read_text())["T"] == 3.0
 
 
 # counts whose reprs have exponents, span 1e-300..1e300, or lie next to
@@ -797,11 +900,30 @@ def _knot_functions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_count_vectors().map(from_citations) | _knot_functions())
-def test_spec_text_is_the_json_encoding(f):
-    text = cli._spec_text(f)
+@given(_count_vectors().map(from_citations) | _knot_functions(), st.integers(1, 4))
+def test_spec_text_is_the_json_encoding(f, block):
+    # blocks of 1 to 4 knots: every spec is cut many times
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SPEC_BLOCK", block)
+        text = "".join(cli._spec_text(f))
     assert text == json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n"
     assert fn.function_from_spec(json.loads(text)) == f
+
+
+_BLOCK = cli._SPEC_BLOCK
+
+
+@pytest.mark.parametrize("K", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK],
+                         ids=["2", "block-1", "block", "block+1", "2block"])
+def test_spec_text_at_block_edges(K):
+    rng = np.random.default_rng(K)
+    xs = np.r_[0.0, np.cumsum(rng.random(K - 1) + 0.5)]
+    ys = np.r_[np.cumsum(rng.random(K - 1) + 0.5)[::-1], 0.0]
+    f = fn.PiecewiseLinearFn(xs, ys)
+    blocks = list(cli._spec_text(f))
+    # the opening text, then one block per _SPEC_BLOCK knots begun
+    assert len(blocks) == 1 + -(-K // _BLOCK)
+    assert "".join(blocks) == json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n"
 
 
 class TestBadInputExit2:
@@ -940,7 +1062,7 @@ class TestBadInputExit2:
         p.write_text(json.dumps({"type": "piecewise_linear", "T": T, "knots": knots}))
         # a bad T beside number knots is the flat read's to name: it checks T alone
         if type(knots[0][0]) is int:
-            assert type(cli._flat_spec(p.read_text())["knots"]) is np.ndarray
+            assert type(cli._flat_spec(p.read_bytes())["knots"]) is np.ndarray
         runs = _run_both([command, "--input", str(p)], monkeypatch, capsys)
         assert runs == [(2, "", f"error: knot coordinates and T must be numbers, got {said}\n")] * 2
 

@@ -115,6 +115,16 @@ class TestESupDistance:
         assert smaller < got
         assert smaller == pytest.approx(5e-5, rel=0.2)
 
+    def test_sign_change_root_rounds_onto_the_level_above(self):
+        # the inverse gap changes sign between the two highest levels, and
+        # the interpolated root rounds above the upper one, g's Z(0) 2 ulps
+        # over f's: read there, g's excess would ask for a rank below 0.
+        # The value is the one a 200,001-level grid reads.
+        f = PiecewiseLinearFn([0.0, 1.0], [7.540464480421653, 0.0])
+        g = PiecewiseLinearFn([0.0, 0.13281046114354178, 1.0],
+                              [7.5404644804216545, 1.3137049092128295, 0.0])
+        assert e_sup_distance(f, g) == pytest.approx(2.612653503163763, rel=1e-12)
+
 
 EPS = float(np.finfo(float).eps)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import pwl_functions, seeded_pwl
+from ebundles import functions
 from ebundles.axioms import DominancePair, RelationKind, VerificationError, verify_pair
 from ebundles.bundles import classical_h, mu_bundle
 from ebundles.functions import (
@@ -516,8 +517,10 @@ class TestParseCitations:
         ),
         st.sampled_from(["", " ", "\t", "  "]),
         st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\n\n", " \n"]),
-    ), max_size=12))
-    def test_matches_the_line_loop(self, lines):
+    ), max_size=12), st.integers(1, 64))
+    def test_matches_the_line_loop(self, lines, block):
+        # blocks of a few characters: a file is cut at nearly every "\n",
+        # and a bad line is still named by its number in the whole file
         text = "".join(pad + token + pad + end for token, pad, end in lines)
 
         def outcome(parse):
@@ -526,8 +529,19 @@ class TestParseCitations:
             except InputError as exc:
                 return f"InputError: {exc}"
 
-        assert (outcome(lambda t: parse_citations(t).tolist())
-                == outcome(oracles.parse_citations_by_line))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functions, "_LINE_BLOCK", block)
+            got = outcome(lambda t: parse_citations(t).tolist())
+        assert got == outcome(oracles.parse_citations_by_line)
+
+    @pytest.mark.parametrize("block", range(1, 16))
+    def test_cut_at_every_character(self, block, monkeypatch):
+        # a block's nominal end falls on every character of the first
+        # lines, inside 123456789 and the CRLF too; it runs on to a "\n"
+        monkeypatch.setattr(functions, "_LINE_BLOCK", block)
+        assert parse_citations("5\n123456789\r\n\n 7\r3\n").tolist() == [5, 123456789, 7, 3]
+        with pytest.raises(InputError, match="^line 6: not a number: 'x'$"):
+            parse_citations("5\n123456789\r\n\n 7\r3\nx\n")
 
 
 # knot magnitudes from 1e-300 to 1e300, ranks and values scaled apart
