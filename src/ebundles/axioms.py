@@ -37,7 +37,7 @@ and ``rank_of`` say where that score is provably positive and which rank
 it reads up to.  Each reads
 every pair's verdict by row from one table of every row's score at theta
 (``_level_table``), which a set builds once per bundle and level, as it
-does IM.1's positivity outcomes, which SM.1 repeats (``_Pairs.at_level``);
+does IM.1's report, which SM.1 renames (``_Pairs.at_level``);
 SM.3's premise on the running averages is exact, in one pass over the
 pairs' merged knots (``_averages_ordered``).  Every pass reads rows of the
 stack through the bundle's vector rules, built-in or custom alike, in
@@ -416,22 +416,15 @@ def _run_axiom(axiom: str, idx: np.ndarray, untested: np.ndarray, ts, m_up, m_lo
     is the remark, then the count of each reason that ``_UNTESTED`` names,
     in order of first appearance."""
     flagged, gap = verdict(m_up, m_lo, tol)
-    first, cells = flagged.argmax(axis=1), (ts, m_up, m_lo, gap, note)
-    violations = tuple(Violation(int(idx[r]), *(_at(v, r, first[r]) for v in cells))
-                       for r in (flagged.any(axis=1) & (untested == 0)).nonzero()[0].tolist())
+    first, cells, shape = flagged.argmax(axis=1), (ts, m_up, m_lo, gap, note), flagged.shape
+    violations = tuple(
+        Violation(int(idx[r]), *(np.broadcast_to(v, shape)[r, first[r]].item() for v in cells))
+        for r in (flagged.any(axis=1) & (untested == 0)).nonzero()[0].tolist())
     counts = np.bincount(untested, minlength=len(_UNTESTED)).tolist()
     named = sorted((c for c, reason in enumerate(_UNTESTED) if reason and counts[c]),
                    key=lambda c: np.argmax(untested == c))
     remark = "; ".join(filter(None, [remark, *(f"{_UNTESTED[c]}: {counts[c]}" for c in named)]))
     return AxiomReport(axiom, counts[0], violations, len(untested) - counts[0], remark)
-
-
-def _at(v, r: int, c: int):
-    """v, a scalar or an array that broadcasts to two axes, at (r, c)."""
-    if not isinstance(v, np.ndarray):
-        return v
-    v = v.reshape(-1, v.shape[-1])
-    return v[min(r, len(v) - 1), min(c, v.shape[1] - 1)].item()
 
 
 # Verdicts on the scores (m_up, m_lo) of a pair's dominating and dominated
@@ -665,22 +658,23 @@ def _reads_past(ranks: np.ndarray | None, rows: np.ndarray, a: np.ndarray) -> np
     return ranks[rows] > a + EQUALITY_ASSERT_TOL
 
 
-def _positivity_outcomes(bundle: BundleDef, theta: float, ps: _Pairs) -> tuple:
-    """IM.1's (and SM.1's) outcomes on the distinct members, as the driver's
-    arguments after the axiom; a violation names the first pair that holds
-    the member: row r is pair r's upper, row n + r its lower."""
+def _positivity(bundle: BundleDef, theta: float, ps: _Pairs) -> AxiomReport:
+    """IM.1's report on the distinct members; a violation names the first
+    pair that holds the member: row r is pair r's upper, row n + r its
+    lower."""
     rows, n = ps.members, len(ps)
     scores = ps.at_level(_level_table, bundle, theta)[0][rows, None]
     positive = np.broadcast_to(bundle.positive_for(ps.fns, theta), len(ps.fns.T))
-    return (rows % n, np.where(np.isnan(scores[:, 0]) | ~positive[rows].astype(bool), _SKIP, 0),
-            float(theta), scores, 0.0, _not_positive, STRICT_SLACK, _NOT_POSITIVE[rows // n, None])
+    untested = np.where(np.isnan(scores[:, 0]) | ~positive[rows].astype(bool), _SKIP, 0)
+    return _run_axiom("IM.1", rows % n, untested, float(theta), scores, 0.0, _not_positive,
+                      STRICT_SLACK, _NOT_POSITIVE[rows // n, None],
+                      remark="zero-function clause vacuous: rank functions are strictly decreasing")
 
 
 def _positivity_report(axiom: str, bundle: BundleDef, theta: float, ps: _Pairs) -> AxiomReport:
-    """IM.1 or SM.1, from the outcomes that the set builds once per bundle
-    and level."""
-    return _run_axiom(axiom, *ps.at_level(_positivity_outcomes, bundle, theta),
-                      remark="zero-function clause vacuous: rank functions are strictly decreasing")
+    """IM.1's report, which the set builds once per bundle and level, under
+    the name axiom: SM.1 is the same check."""
+    return replace(ps.at_level(_positivity, bundle, theta), axiom=axiom)
 
 
 def check_impact_measure(bundle: BundleDef, theta: float,

@@ -764,23 +764,19 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
     bad = ~np.isfinite(vals) | (vals < 0)
     if bad.any():
         raise InputError(f"citation counts must be finite and >= 0, got {float(vals[bad][0])!r}")
-    positive = np.sort(vals)[::-1]
-    positive = positive[positive > 0.0]
-    if not positive.size:
+    # the distinct positive counts, descending, and the length of each run
+    v, run_len = (a[::-1] for a in np.unique(vals[vals > 0.0], return_counts=True))
+    if not v.size:
         raise InputError("all-zero citation vector has no rank function")
 
-    eps = 1e-9 * positive[0]
-    starts = np.flatnonzero(np.r_[True, positive[1:] != positive[:-1]])
-    run_len = np.diff(np.r_[starts, len(positive)])
-    v = positive[starts]
-    nxt = np.r_[v[1:], 0.0]
-    run_eps = np.minimum(eps, (v - nxt) / (2.0 * run_len))
-    k = np.arange(len(positive)) - np.repeat(starts, run_len)
-    adjusted = positive - k * np.repeat(run_eps, run_len)
+    run_eps = np.minimum(1e-9 * v[0], (v - np.r_[v[1:], 0.0]) / (2.0 * run_len))
+    adjusted = np.repeat(v, run_len)
+    k = np.arange(len(adjusted)) - np.repeat(run_len.cumsum() - run_len, run_len)
+    adjusted -= k * np.repeat(run_eps, run_len)
     # a tie closer than float resolution (subnormal counts) cannot be split:
     # of the members left equal, only the first stays a knot
     keep = np.r_[True, adjusted[1:] < adjusted[:-1]]
-    xs = np.r_[np.flatnonzero(keep), len(positive)].astype(float)
+    xs = np.r_[np.flatnonzero(keep), len(adjusted)].astype(float)
     return PiecewiseLinearFn(xs, np.r_[adjusted[keep], 0.0])
 
 

@@ -14,6 +14,11 @@ the vector level path replaced.
 relations of a piecewise linear pair in rational arithmetic
 (``fractions.Fraction``), at the merged knots.
 
+``continuize_by_run_split`` is the reference for ``from_citations``' knots:
+the run split by hand (sort, the starts of the tied runs, their lengths by
+``np.diff``) that ``np.unique``'s runs replaced, with the same tie-break
+arithmetic.
+
 ``parse_citations_by_line`` is the reference for ``parse_citations``: the
 per-line loop that the vector parse replaced, which reads each line with
 ``float`` and stops at the first bad one.
@@ -310,6 +315,25 @@ def continuized_integral(counts) -> Fraction:
     (k, 0) of the positive counts sorted decreasing, summed exactly."""
     ys = [Fraction(c) for c in sorted(counts, reverse=True) if c > 0] + [Fraction(0)]
     return sum((a + b) / 2 for a, b in zip(ys, ys[1:]))
+
+
+def continuize_by_run_split(counts) -> tuple[np.ndarray, np.ndarray]:
+    """The knot xs and ys of a valid citation vector with a positive count,
+    its tied runs split by hand."""
+    positive = np.sort(np.asarray(counts, dtype=float))[::-1]
+    positive = positive[positive > 0.0]
+
+    eps = 1e-9 * positive[0]
+    starts = np.flatnonzero(np.r_[True, positive[1:] != positive[:-1]])
+    run_len = np.diff(np.r_[starts, len(positive)])
+    v = positive[starts]
+    nxt = np.r_[v[1:], 0.0]
+    run_eps = np.minimum(eps, (v - nxt) / (2.0 * run_len))
+    k = np.arange(len(positive)) - np.repeat(starts, run_len)
+    adjusted = positive - k * np.repeat(run_eps, run_len)
+    keep = np.r_[True, adjusted[1:] < adjusted[:-1]]
+    xs = np.r_[np.flatnonzero(keep), len(positive)].astype(float)
+    return xs, np.r_[adjusted[keep], 0.0]
 
 
 def parse_citations_by_line(text: str) -> list[float]:

@@ -831,6 +831,15 @@ class TestStrongImpactChecks:
         assert im1.pairs_tested > 0
         assert sm1 == dataclasses.replace(im1, axiom="SM.1")
 
+    def test_positivity_violations_built_once(self):
+        # h at 1e13 flags members that the generator draws (ROADMAP item 3):
+        # SM.1 holds IM.1's tuple of violations itself, not a rebuilt copy
+        pairs = generate_pairs(seed=0, count=3)
+        im1 = check_impact_measure(H_BUNDLE, 1e13, pairs)["IM.1"]
+        sm1 = check_strong_impact(H_BUNDLE, 1e13, pairs)["SM.1"]
+        assert len(im1.violations) == 24
+        assert sm1.violations is im1.violations and sm1.axiom == "SM.1"
+
 
 class TestGlobalImpactChecks:
     def test_fixture_reproduces_equality_violation(self):
@@ -961,7 +970,7 @@ class TestBuiltOncePerSet:
         # one positivity result per (bundle, level); a set stacked again
         # builds its own
         built = []
-        for name in ("_level_table", "_positivity_outcomes"):
+        for name in ("_level_table", "_positivity"):
             def spy(bundle, theta, ps, real=getattr(ax, name), name=name):
                 built.append((name, bundle.name, theta, id(ps)))
                 return real(bundle, theta, ps)
@@ -975,12 +984,18 @@ class TestBuiltOncePerSet:
                     check(BUNDLES[name], level, ps)
         run(pairs)
         want = [(builder, name, level, id(pairs)) for name, level in levels
-                for builder in ("_level_table", "_positivity_outcomes")]
+                for builder in ("_level_table", "_positivity")]
         assert sorted(built) == sorted(want)
         again = ax._Pairs.of(tuple(pairs))
         run(again)
         assert sorted(built[len(want):]) == sorted(
             (builder, name, level, id(again)) for builder, name, level, _ in want)
+
+    def test_set_hashes_and_compares_as_its_tuple(self):
+        pairs = generate_pairs(seed=1, count=2)
+        assert hash(pairs) == hash(tuple(pairs)) and pairs == tuple(pairs)
+        # a list is not a tuple of pairs: __eq__ declines it
+        assert pairs.__eq__(list(pairs)) is NotImplemented and not pairs == list(pairs)
 
     def test_kinds_are_one_array(self):
         pairs = generate_pairs(seed=5, count=3)

@@ -1172,6 +1172,45 @@ class TestBadInputExit2:
         assert "n values must be >= 1" in capsys.readouterr().err
 
 
+class TestExitPaths:
+    """Usage errors that exit 2 with one line on stderr and no traceback."""
+
+    @pytest.mark.parametrize("args, err", [
+        (["eval", "--theta", "0:1:3", "--theta-list", "1"],
+         "use either --theta or --theta-list, not both"),
+        (["eval", "--theta", "a:1:3"], "bad --theta 'a:1:3'"),
+        (["eval", "--theta", "1:0:3"], "--theta needs hi >= lo and count >= 1"),
+        (["eval", "--theta", "0:1:0"], "--theta needs hi >= lo and count >= 1"),
+        # "=", or argparse reads "-1,2" as an option
+        (["sweep", "--theta-list=-1,2"], "theta values must be >= 0"),
+    ])
+    def test_bad_levels(self, args, err, linear_spec, capsys):
+        assert main([*args, "--input", linear_spec]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("args, err", [
+        (["eval"], "eval requires --input"),
+        (["converge", "--n-list", "10,x"], "bad --n-list '10,x'"),
+    ])
+    def test_bad_arguments(self, args, err, capsys):
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_output_that_is_a_directory(self, linear_spec, tmp_path, capsys):
+        # the temporary file is written, the rename fails, and it is removed
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert main(["eval", "--input", linear_spec, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno 21] Is a directory") and "Traceback" not in err
+        assert not list(tmp_path.glob(".tmp-ebundles-*"))
+
+    def test_one_level_sweep(self, linear_spec, capsys):
+        assert main(["sweep", "--input", linear_spec, "--theta", "0:5:1"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["theta,e,h,mu,i", "0.0,100.0,20.0,10.0,0.0"]
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process and only reads it."""
 

@@ -18,7 +18,9 @@ from ebundles.functions import (
     LinearFamily,
     PiecewiseLinearFn,
     PowerComplement,
+    RankFunction,
     SingularityError,
+    ThetaRange,
     ThetaRangeError,
     ZipfFamily,
     _bisect,
@@ -363,6 +365,21 @@ class TestCumulativeDominates:
         assert v.max_diff >= d.max() - 1e-9
 
 
+# citation vectors, unsorted, with zeros and heavy ties: counts among few
+# small integers, subnormals, counts near the largest float, or one
+# repeated value
+_TIED_COUNTS = st.one_of(
+    st.lists(st.one_of(st.integers(min_value=0, max_value=6).map(float),
+                       st.floats(min_value=0.0, max_value=1e3),
+                       st.sampled_from([0.0, 5e-324, 1e-323, 1.5e-323, 2.5e-323]),
+                       st.floats(min_value=1.7e308, max_value=1.7976931348623157e308)),
+             min_size=1, max_size=80),
+    st.builds(lambda c, n, zeros: [c] * n + [0.0] * zeros,
+              st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+              st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=3)),
+).filter(lambda cs: any(c > 0 for c in cs))
+
+
 class TestFromCitations:
     def test_direct_mapping(self):
         f = from_citations([5, 3, 1])
@@ -419,6 +436,26 @@ class TestFromCitations:
         )
         assert f.cumulative(f.T) == pytest.approx(staircase, rel=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(counts=_TIED_COUNTS)
+    def test_runs_match_the_split_by_hand(self, counts):
+        # np.unique's runs give the knots of the run split by hand, bit for bit
+        xs, ys = oracles.continuize_by_run_split(counts)
+        f = from_citations(counts)
+        assert (f.xs.tobytes(), f.ys.tobytes()) == (xs.tobytes(), ys.tobytes())
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[1, 2]], "citation counts must be a flat list"),
+        ([], "empty citation list"),
+        ([3, -1], "citation counts must be finite and >= 0, got -1.0"),
+        ([3, math.nan], "citation counts must be finite and >= 0, got nan"),
+    ])
+    def test_bad_counts(self, counts, message):
+        # the CLI's readers reject these before they get here
+        with pytest.raises(InputError) as exc:
+            from_citations(counts)
+        assert str(exc.value) == message
+
 
 _COUNTS = st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60).filter(any)
 
@@ -454,6 +491,34 @@ class TestContinuizationContract:
         shuffled = list(counts)
         order.shuffle(shuffled)
         assert from_citations(shuffled + [0] * zeros) == from_citations(counts)
+
+
+class TestLibraryChecks:
+    """Checks of the library's own entry points, which the CLI's readers
+    never reach: they reject such input first."""
+
+    def test_spec_that_is_not_a_mapping(self):
+        with pytest.raises(InputError, match="^function spec must be a mapping with a 'type' key$"):
+            function_from_spec([1])
+
+    def test_custom_function_has_no_spec(self):
+        class C(RankFunction):
+            pass
+        with pytest.raises(InputError, match="^no spec form for C$"):
+            function_to_spec(C())
+
+    def test_knots_of_unequal_length(self):
+        with pytest.raises(InputError, match="^knot xs and ys must be 1-d and of equal length$"):
+            PiecewiseLinearFn([0, 1], [3, 2, 1])
+
+    def test_inverted_theta_range(self):
+        with pytest.raises(InputError, match=r"^invalid theta range \[2\.0, 1\.0\]$"):
+            ThetaRange(2.0, 1.0)
+
+    def test_pwl_equality_and_repr(self):
+        f = PiecewiseLinearFn.from_pairs([(0, 3), (1.5, 1), (4, 0)])
+        assert f != "x" and not f == "x"
+        assert eval(repr(f)) == f  # repr names from_pairs, as the namespace reads it
 
 
 class TestSpecRoundTrip:
