@@ -133,8 +133,11 @@ def _flat_spec(data: bytes) -> dict | None:
     int or a float: no bool, string, null, NaN or infinity, which the array
     would hide once read as floats.  The array is read in blocks of whole
     pairs into one float array, so that neither a copy of it nor a list of
-    its values is made.  The bytes stay with the caller: their text is what
-    the general path reads where the values fail to decode."""
+    its values is made.  orjson decodes the values, to the doubles that
+    ``json.loads`` gives; what it rejects (NaN, an infinity, a value beyond
+    the float range) is read by the general path, which names it.  The
+    bytes stay with the caller: their text is what the general path reads
+    where the values fail to decode."""
     # the array runs from the first "[" after the key to the last "]" before
     # the next quote or "}"; the checks below hold only if it really does
     key = data.find(b'"knots"')
@@ -153,6 +156,8 @@ def _flat_spec(data: bytes) -> dict | None:
         obj = json.loads(outside)
         if type(obj) is not dict or obj.get("knots") != []:
             return None
+        import orjson
+
         # the array's pairs, each followed by a comma but the last, read a
         # block at a time; every block but the first starts at a "["
         flat = np.empty(data.count(b",", start, end) + 1)
@@ -172,9 +177,10 @@ def _flat_spec(data: bytes) -> dict | None:
                           or shape[:1] != b"[" or shape[-2:] != b"],"):
                 return None
             # only the outer brackets stay: the pairs' values read as one
-            # list; an int beyond the float range is the general path's to name
+            # list, to json.loads's doubles; orjson rejects NaN, Infinity and
+            # a value beyond the float range, which the general path names
             body = block if last else block[:block.rfind(b",")]
-            values = json.loads(b"[" + body.translate(_BRACKETS_TO_SPACES) + b"]")
+            values = orjson.loads(b"[" + body.translate(_BRACKETS_TO_SPACES) + b"]")
             flat[i:i + len(values)] = np.fromiter(values, float, len(values))
             at, i = cut, i + len(values)
         obj["knots"] = flat.reshape(-1, 2)
@@ -292,9 +298,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         result["per_theta"] = table.to_json_obj()["rows"]
 
-    print("\n".join(lines))
+    # written before the report is printed: a failed write prints nothing
     if args.output:
         _atomic_write(args.output, [json.dumps(result, indent=2, sort_keys=True) + "\n"])
+    print("\n".join(lines))
     return 0
 
 
@@ -331,25 +338,28 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     for suite in _SUITES if args.suite == "all" else [args.suite]:
         reports.update(_SUITES[suite](ax, bundle, theta, pairs))
 
+    # AX.1 is vacuous by construction; a run in which every other report is
+    # vacuous too has compared nothing and must not read as a pass: its
+    # table is printed, and nothing is written
+    vacuous = not any(r.pairs_tested for key, r in reports.items() if key != "AX.1")
+    # written before the table is printed: a failed write prints nothing
+    if args.output and not vacuous:
+        obj = {k: reports[k].to_json_obj() for k in sorted(reports)}
+        _atomic_write(args.output, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
+
     print(f"bundle={args.bundle} seed={args.seed} pairs={args.pairs} per relation kind")
     print(f"{'axiom':<8} {'tested':>6} {'skipped':>7} {'violations':>10}  passed")
     for key in sorted(reports):
         r = reports[key]
-        vacuous = "  (vacuous: no pair tested)" if not r.pairs_tested else ""
-        print(f"{r.axiom:<8} {r.pairs_tested:>6} {r.skipped:>7} {len(r.violations):>10}  {r.passed}{vacuous}")
+        note = "  (vacuous: no pair tested)" if not r.pairs_tested else ""
+        print(f"{r.axiom:<8} {r.pairs_tested:>6} {r.skipped:>7} {len(r.violations):>10}  {r.passed}{note}")
         if not r.passed and key == "GM":
             print("  note: strict growth under cumulative order is not expected to hold")
-    # AX.1 is vacuous by construction; a run in which every other report is
-    # vacuous too has compared nothing and must not read as a pass
-    if not any(r.pairs_tested for key, r in reports.items() if key != "AX.1"):
+    if vacuous:
         raise fn.InputError(
             f"no axiom report tested a pair (measure level {theta:g}); "
             "nothing was checked"
         )
-
-    obj = {k: reports[k].to_json_obj() for k in sorted(reports)}
-    if args.output:
-        _atomic_write(args.output, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
     return 1 if any(not r.passed for key, r in reports.items() if key != "GM") else 0
 
 
@@ -408,15 +418,24 @@ def _spec_text(f: fn.PiecewiseLinearFn) -> Iterator[str]:
     """``json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
     byte for byte, in blocks of ``_SPEC_BLOCK`` knots, without the
     pure-Python encoder that ``indent`` selects: json writes a finite float
-    as its ``repr``.  In a block, the values' reprs, x0, y0, x1, y1, ...,
-    alternate with the separators inside and between knots in one list,
-    which is joined once; the spec's opening text is the first block, and
-    its closing text takes the place of the last knot's separator."""
+    as its ``repr``.  orjson writes a block's values, x0, y0, x1, y1, ...,
+    in one call, the same shortest digits as ``repr`` but in another
+    exponent notation (``1e16``, ``2.5e-8``) outside [1e-4, 1e16), where
+    ``repr`` writes them instead.  The values alternate with the separators
+    inside and between knots in one list, which is joined once; the spec's
+    opening text is the first block, and its closing text takes the place
+    of the last knot's separator."""
+    import orjson
+
     yield f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      '
     for at in range(0, len(f.xs), _SPEC_BLOCK):
-        knots = np.column_stack((f.xs[at:at + _SPEC_BLOCK], f.ys[at:at + _SPEC_BLOCK]))
-        parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * len(knots)
-        parts[0::2] = map(repr, knots.ravel().tolist())
+        values = np.column_stack((f.xs[at:at + _SPEC_BLOCK], f.ys[at:at + _SPEC_BLOCK])).ravel()
+        parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * (len(values) // 2)
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+        parts[0::2] = text[1:-1].decode().split(",")
+        # knot values are >= 0
+        for k in np.flatnonzero((values >= 1e16) | (values < 1e-4) & (values != 0.0)):
+            parts[2 * k] = repr(float(values[k]))
         if at + _SPEC_BLOCK >= len(f.xs):
             parts[-1] = '\n    ]\n  ],\n  "type": "piecewise_linear"\n}\n'
         yield "".join(parts)

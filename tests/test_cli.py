@@ -156,8 +156,11 @@ _WS = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", " \r\n\t"])
 
 def _number_token(draw, v: float) -> _Raw:
     """v as one of the JSON forms that read back as v: an int where v is
-    integral, its repr, or an exponent form; -0 and -0.0 for zero."""
-    forms = [repr(v), f"{v:.17e}", f"{v:.17E}".replace("E+", "E")]
+    integral, its repr, or an exponent form (1E5 and 1e+5 among them); -0
+    and -0.0 for zero."""
+    mantissa, exponent = f"{v:.17e}".split("e")
+    forms = [repr(v), f"{v:.17e}", f"{v:.17E}".replace("E+", "E"),
+             f"{mantissa}E{int(exponent)}", f"{mantissa}e{int(exponent):+d}"]
     if v.is_integer():
         forms.append(str(int(v)))
     if v == 0.0:
@@ -230,6 +233,16 @@ def _flat_read(data: bytes, block: int) -> dict | None:
 # block sizes of a few bytes: every knot array is cut at each of its pairs
 _SMALL_BLOCKS = st.integers(1, 8)
 
+# JSON number tokens: ints up to 10^300, which json reads as ints; floats'
+# reprs; and decimals of 18-40 significant digits, more than a double
+# holds, with exponents from -330 to 308, so subnormals, zeros and values
+# beyond the float range among them
+_NUMBER_TOKENS = (
+    st.integers(-10**300, 10**300).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-"]), st.integers(1, 9),
+                st.text("0123456789", min_size=17, max_size=39), st.integers(-330, 308)))
+
 
 class TestFlatKnotRead:
     """``cli._flat_spec`` reads a spec's knot array as one flat list of
@@ -271,27 +284,30 @@ class TestFlatKnotRead:
             assert spec["knots"].ravel().tolist() == [float(v) for p in ref for v in p]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(*[st.integers(-10**20, 10**20)
-                                | st.floats(allow_nan=False, allow_infinity=False)] * 2),
-                    min_size=1, max_size=4),
+    @given(st.lists(st.tuples(*[_NUMBER_TOKENS] * 2), min_size=1, max_size=4),
            st.lists(st.tuples(st.integers(0, 7), st.sampled_from(
                ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity"])), max_size=2),
            _SMALL_BLOCKS)
     def test_takes_only_json_numbers(self, pairs, swaps, block):
         # the flat read hands over floats, which would hide a bool, a null
         # or a non-finite token, so a knot array holding any token but a
-        # JSON number is declined: function_from_spec type-checks only T
-        # beside an array
-        tokens = [json.dumps(v) for pair in pairs for v in pair]
+        # JSON number, or one beyond the float range, is declined:
+        # function_from_spec type-checks only T beside an array
+        tokens = [v for pair in pairs for v in pair]
         for at, token in swaps:
             tokens[at % len(tokens)] = token
         knots = ", ".join(f"[{x}, {y}]" for x, y in zip(tokens[::2], tokens[1::2]))
-        spec = _flat_read(('{"type": "piecewise_linear", "knots": [' + knots + "]}").encode(), block)
+        text = '{"type": "piecewise_linear", "knots": [' + knots + "]}"
+        spec = _flat_read(text.encode(), block)
         if swaps:
             assert spec is None
+            return
+        # json.loads's ints (of any size) and floats, as doubles, bit for bit
+        want = np.array([float(v) for pair in json.loads(text)["knots"] for v in pair])
+        if np.isfinite(want).all():
+            assert spec["knots"].tobytes() == want.reshape(-1, 2).tobytes()
         else:
-            want = np.array([float(v) for pair in pairs for v in pair]).reshape(-1, 2)
-            assert spec["knots"].tobytes() == want.tobytes()
+            assert spec is None
 
     def test_only_T_is_type_checked_after_a_flat_read(self, monkeypatch):
         text = '{"type": "piecewise_linear", "T": 2, "knots": [[0, 3], [1, 1.5], [2, 0]]}'
@@ -336,6 +352,7 @@ class TestFlatKnotRead:
         '{"type": "piecewise_linear", "knots": [["0", 3], [1, 0]]}',
         '{"type": "piecewise_linear", "knots": [[0, 3], [1, 0]], "T": 2}',
         '{"type": "piecewise_linear", "knots": [[0, 3], [1, ' + "9" * 5000 + "]]}",
+        '{"type": "piecewise_linear", "knots": [[0, 3], [1, 1' + "0" * 400 + "]]}",
         # spec layouts
         '{"type": "piecewise_linear", "knots": [[0, 9], [1, 0]], "knots": ' + _KNOTS + "}",
         '{"type": "piecewise_linear", "meta": {"knots": ' + _KNOTS + "}}",
@@ -1197,13 +1214,16 @@ class TestExitPaths:
         assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_output_that_is_a_directory(self, linear_spec, tmp_path, capsys):
-        # the temporary file is written, the rename fails, and it is removed
+        # the temporary file is written, the rename fails, and it is removed;
+        # the write comes before the report, so a failed one prints nothing
         out = tmp_path / "outdir"
         out.mkdir()
-        assert main(["eval", "--input", linear_spec, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error: [Errno 21] Is a directory") and "Traceback" not in err
-        assert not list(tmp_path.glob(".tmp-ebundles-*"))
+        for argv in (["eval", "--input", linear_spec], ["axioms", "--pairs", "5"]):
+            assert main([*argv, "--output", str(out)]) == 2
+            printed, err = capsys.readouterr()
+            assert err.startswith("i/o error: [Errno 21] Is a directory") and "Traceback" not in err
+            assert printed == ""
+            assert not list(tmp_path.glob(".tmp-ebundles-*"))
 
     def test_one_level_sweep(self, linear_spec, capsys):
         assert main(["sweep", "--input", linear_spec, "--theta", "0:5:1"]) == 0
