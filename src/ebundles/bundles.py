@@ -32,10 +32,9 @@ one argument.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -337,23 +336,21 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("theta,e,h,mu,i\n")
-        for r in self.rows:
-            cells = [repr(r.theta)] + ["NA" if v is None else repr(v) for v in (r.e, r.h, r.mu, r.i)]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        return _csv(SweepRow, self.rows)
 
     def to_json_obj(self) -> dict:
-        return {
-            "rows": [
-                {"theta": r.theta, "e": r.e, "h": r.h, "mu": r.mu, "i": r.i}
-                for r in self.rows
-            ]
-        }
+        return {"rows": [dict(vars(r)) for r in self.rows]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+
+
+def _csv(row_type: type, rows: Sequence) -> str:
+    """A header of row_type's fields, then a line per row: each value's
+    ``repr``, ``NA`` for None."""
+    lines = [",".join(f.name for f in fields(row_type))]
+    lines += [",".join("NA" if v is None else repr(v) for v in vars(r).values()) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:

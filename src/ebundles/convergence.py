@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import _excess
+from .bundles import _csv, _excess
 from .functions import (
     InputError,
     LinearFamily,
@@ -187,7 +187,9 @@ def sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> floa
 
 
 def inverse_sup_distance(f: RankFunction, g: RankFunction, grid_n: int = 10_000) -> float:
-    """max |f^-1 - g^-1| over the shared admissible range: ``_level_gaps`` of the pair."""
+    """max |f^-1 - g^-1| over the shared admissible range: ``_level_gaps`` of
+    the pair.  grid_n sets the level-side Zipf truncation, as
+    ``e_sup_distance``'s theta_grid_n does: levels stop at rank T/grid_n."""
     return float(_level_gaps(_pairs([f], [g]), grid_n)[0][0])
 
 
@@ -236,13 +238,7 @@ class ConvergenceReport:
     limit_discontinuous: bool | None
 
     def to_csv(self) -> str:
-        lines = ["n,sup_fn,sup_inv,sup_e"]
-        for r in self.rows:
-            cells = [str(r.n)] + [
-                "NA" if v is None else repr(v) for v in (r.sup_fn, r.sup_inv, r.sup_e)
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return _csv(ConvergenceRow, self.rows)
 
 
 def _column_verdict(values: Sequence[float], threshold: float) -> bool:

@@ -253,21 +253,11 @@ class PiecewiseLinearFn(RankFunction):
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "PiecewiseLinearFn":
         """The function on knots given as (x, y) pairs: the pairs and their
         container each a list, tuple or numpy array.  ``_pair_values`` reads
-        them in one flat pass, into one list of values and one float array
-        (a float (n, 2) array as it is)."""
-        return cls._from_values(*_pair_values(pairs), "knot coordinates")
-
-    @classmethod
-    def _from_values(cls, values: list, flat: np.ndarray, what: str) -> "PiecewiseLinearFn":
-        """The function on the knot values and float array of ``_pair_values``.
-        A null, which the float conversion reads as NaN, is named where the
-        function fails on that NaN: ``{what} must be numbers, got None``."""
-        try:
-            return cls(flat[0::2], flat[1::2])
-        except InputError:
-            if np.isnan(flat).any() and any(v is None for v in values):
-                raise InputError(f"{what} must be numbers, got None") from None
-            raise
+        them in one flat pass, into one float array (a float (n, 2) array as
+        it is), and names a None among them:
+        ``knot coordinates must be numbers, got None``."""
+        flat = _pair_values(pairs, "knot coordinates")[1]
+        return cls(flat[0::2], flat[1::2])
 
     @classmethod
     def _view(cls, xs: np.ndarray, ys: np.ndarray) -> "PiecewiseLinearFn":
@@ -824,23 +814,28 @@ def parse_citations(text: str) -> np.ndarray:
 _PAIR_TYPES = frozenset((list, tuple, np.ndarray))
 
 
-def _pair_values(pairs: Sequence[tuple[float, float]] | np.ndarray) -> tuple[list, np.ndarray]:
+def _pair_values(pairs: Sequence[tuple[float, float]] | np.ndarray,
+                 what: str) -> tuple[list, np.ndarray]:
     """The values of knots given as (x, y) pairs, x0, y0, x1, y1, ..., as
     one flat list and as the float array read from it; a float (n, 2)
     array of n >= 1 pairs is read as it is, beside an empty list.  Raises
     ``InputError`` unless there is a pair, the pairs and their container are
     each a list, tuple or numpy array, every pair holds two values, and
     every value reads as a float, an int beyond the float range named as
-    such."""
+    such; a None, which the float conversion reads as NaN, is named as
+    ``{what} must be numbers, got None``."""
     if type(pairs) is np.ndarray and pairs.dtype == float and pairs.shape[1:] == (2,) and len(pairs):
         return [], pairs.ravel()
     try:
         values = _flatten(pairs)
-        return values, np.fromiter(values, float, len(values))
+        flat = np.fromiter(values, float, len(values))
     except OverflowError:
         raise _beyond_float("knot coordinates") from None
     except (TypeError, ValueError):
         raise InputError("knots must be a list of (x, y) pairs") from None
+    if np.isnan(flat).any() and any(v is None for v in values):
+        raise InputError(f"{what} must be numbers, got None")
+    return values, flat
 
 
 def _flatten(pairs: Sequence[tuple[float, float]]) -> list:
@@ -887,19 +882,18 @@ def function_from_spec(spec: dict) -> RankFunction:
     """Build a rank function from its JSON-style mapping, each field's
     numbers read by ``_numbers``.  A piecewise linear spec's knots are read
     as ``from_pairs`` reads them, by ``_pair_values``, which takes a float
-    array (``cli._flat_spec``'s) as it is: their shape, their floats and the
-    function are checked first, then ``T``, then that each value of a
-    nested list is a JSON number, then ``T`` against the last knot.  A
-    null, which the float conversion reads as NaN, is named where the
-    function fails on that NaN."""
+    array (``cli._flat_spec``'s) as it is: their shape, their floats (a
+    null named there) and the function are checked first, then ``T``, then
+    that each value of a nested list is a JSON number, then ``T`` against
+    the last knot."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("function spec must be a mapping with a 'type' key")
     kind = spec["type"]
     try:
         if kind == "piecewise_linear":
             what = "knot coordinates and T"
-            values, flat = _pair_values(spec["knots"])
-            fn = PiecewiseLinearFn._from_values(values, flat, what)
+            values, flat = _pair_values(spec["knots"], what)
+            fn = PiecewiseLinearFn(flat[0::2], flat[1::2])
             T = spec.get("T", fn.T)
             # T's type is named first; the float conversion of the values
             # also read bools and numeric strings

@@ -1207,6 +1207,25 @@ class TestGenerator:
             ("int", 3, 9, 4), ("u", 4 * width), ("int", 1, [3], 1), ("u", 2)]
         assert stubs[0].uniforms == stubs[1].uniforms == []
 
+    def test_rank_redraw_gives_up_after_100_draws(self):
+        # every uniform is 0.5, so a four-knot row's two ranks coincide on
+        # the first draw and on each of its 100 redraws
+        class Stuck:
+            draws = 0
+
+            def integers(self, low, high, size=None):
+                return np.full(np.shape(high) if size is None else size, 4)
+
+            def random(self, size=None):
+                self.draws += 1
+                return np.full(size, 0.5)
+
+        rng = Stuck()
+        with pytest.raises(ax.GenerationError,
+                           match="^could not draw well-separated knot ranks$"):
+            ax._draws(rng, np.array([ax._KINDS.index(RelationKind.GEQ_ALL)]))
+        assert rng.draws == 1 + 100
+
     def test_a_round_draws_in_three_calls(self, monkeypatch):
         # no draw per attempt: a round calls the generator three times
         # whatever the count

@@ -296,7 +296,11 @@ class TestSweep:
         assert [r.e for r in table.rows] == pytest.approx([100.0, 36.0, 0.0], abs=1e-12)
 
     def test_empty(self):
-        assert sweep(LINE, []).rows == ()
+        # no rows: the CSV is its header alone
+        table = sweep(LINE, [])
+        assert table.rows == ()
+        assert table.to_csv() == "theta,e,h,mu,i\n"
+        assert table.to_json_obj() == {"rows": []}
 
     def test_missing_markers(self):
         # theta = 12 exceeds Z(0) = 5: no e score, but h / mu / i still fill

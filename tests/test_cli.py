@@ -571,6 +571,15 @@ class TestAxiomsCmd:
         assert {v["note"] for v in obj["IM.1"]["violations"]} <= {
             "score not positive (upper)", "score not positive (lower)"}
 
+    def test_gm_violation_is_noted_and_does_not_set_the_exit_code(self, monkeypatch, capsys):
+        # the global fixture's pair violates GM, which is not expected to hold
+        monkeypatch.setattr(ax, "generate_pairs", lambda seed, count: ax.fixture_global().pairs)
+        rc = main(["axioms", "--bundle", "e", "--suite", "global", "--measure-theta", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "GM            1       0          1  False",
+            "  note: strict growth under cumulative order is not expected to hold"]
+
     def test_vacuous_reports_flagged(self, tmp_path, capsys):
         # mu at the domain end T = 1: IM.3, SM.3 and SM.4 test no pair
         out = tmp_path / "axioms.json"
@@ -1145,12 +1154,16 @@ class TestBadInputExit2:
         assert main([command, "--input", str(p)]) == 2
         assert capsys.readouterr().err == "error: knots must be a list of (x, y) pairs\n"
 
+    @pytest.mark.parametrize("knots", [[[0, None], [1, 0]], [[0, None], [0, 1]],
+                                       [[0, None], [1, -1]]],
+                             ids=["alone", "x_not_increasing", "negative_y"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    def test_null_value_is_named(self, command, tmp_path, capsys):
-        # the float conversion reads null as NaN; the NaN the constructor
-        # rejects is named as the null it was read from
+    def test_null_value_is_named(self, command, knots, tmp_path, capsys):
+        # the float conversion reads null as NaN; the null is named where the
+        # values are read, before the knot check sees that NaN or a second
+        # fault
         p = tmp_path / "pwl.json"
-        p.write_text(json.dumps({"type": "piecewise_linear", "knots": [[0, None], [1, 0]]}))
+        p.write_text(json.dumps({"type": "piecewise_linear", "knots": knots}))
         assert main([command, "--input", str(p)]) == 2
         assert capsys.readouterr().err == (
             "error: knot coordinates and T must be numbers, got None\n")

@@ -10,6 +10,7 @@ from conftest import pwl_functions
 from ebundles.bundles import e_thetas
 from ebundles.convergence import (
     SEQUENCE_FAMILIES,
+    ConvergenceReport,
     FunctionSequence,
     _fn_gaps,
     _pairs,
@@ -534,6 +535,10 @@ class TestRunStudy:
         # repr writes each float so that it reads back exactly
         cells = np.loadtxt(report.to_csv().splitlines(), delimiter=",", skiprows=1, ndmin=2)
         assert cells.tolist() == [[r.n, r.sup_fn, r.sup_inv, r.sup_e] for r in report.rows]
+
+    def test_csv_of_no_rows_is_its_header_alone(self):
+        report = ConvergenceReport((), 1.0, None, None, None, None)
+        assert report.to_csv() == "n,sup_fn,sup_inv,sup_e\n"
 
 
 class TestInverseConvergenceAcrossFamilies:

@@ -791,11 +791,15 @@ class TestKnotConversion:
             PiecewiseLinearFn.from_pairs(np.empty((0, 2)))
         assert str(info.value) == "knots must be a list of (x, y) pairs"
 
-    def test_null_value_is_named(self):
-        # the float conversion reads None as NaN, which the constructor
-        # rejects; the failure names the None it was read from
+    @pytest.mark.parametrize("pairs", [[(0, None), (1, 0)], [(0, None), (0, 1)],
+                                       [(0, None), (1, -1)]],
+                             ids=["alone", "x_not_increasing", "negative_y"])
+    def test_null_value_is_named(self, pairs):
+        # the float conversion reads None as NaN; the None is named where the
+        # values are read, before the knot check sees that NaN or a second
+        # fault
         with pytest.raises(InputError) as info:
-            PiecewiseLinearFn.from_pairs([(0, None), (1, 0)])
+            PiecewiseLinearFn.from_pairs(pairs)
         assert str(info.value) == "knot coordinates must be numbers, got None"
 
     @pytest.mark.parametrize("big", [10**400, -10**400], ids=["positive", "negative"])

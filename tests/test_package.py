@@ -1,8 +1,9 @@
 """The package's public names, and what ``import ebundles.cli`` loads.
 
-``ebundles`` binds the functions and bundles names at import and loads
-``axioms`` and ``convergence`` on first use (PEP 562), so the eval, sweep
-and ingest commands never load either module.
+``ebundles`` binds every name in ``functions.__all__`` and
+``bundles.__all__`` at import and loads ``axioms`` and ``convergence`` on
+first use (PEP 562), so the eval, sweep and ingest commands never load
+either module.
 """
 
 import json
@@ -20,7 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 SUBMODULES = ("functions", "bundles", "axioms", "convergence")
 
 # Every name that ``from ebundles import *`` gave before axioms and
-# convergence became lazy.
+# convergence became lazy, and ``e_thetas`` and ``h_thetas``, which the
+# README documents and which came with binding ``bundles.__all__`` whole.
 PUBLIC = [
     "AxiomReport", "BUNDLES", "BundleDef", "ConvergenceReport", "ConvergenceRow",
     "CumulativeOrder", "CumulativeVerdict", "DominancePair", "E_BUNDLE", "Fixture",
@@ -30,9 +32,9 @@ PUBLIC = [
     "Violation", "ZipfFamily", "axioms", "bundles", "check_global_impact",
     "check_impact_bundle", "check_impact_measure", "check_strong_impact", "classical_h",
     "convergence", "cumulative_dominates", "e_index", "e_sup_distance", "e_theta",
-    "eta_theta", "fixture_alt1", "fixture_alt2", "fixture_global", "from_citations",
+    "e_thetas", "eta_theta", "fixture_alt1", "fixture_alt2", "fixture_global", "from_citations",
     "function_from_spec", "function_to_spec", "functions", "generate_pairs", "h_theta",
-    "i_bundle", "inverse_sup_distance", "mu_bundle", "n_theta", "parse_citations",
+    "h_thetas", "i_bundle", "inverse_sup_distance", "mu_bundle", "n_theta", "parse_citations",
     "power_complement_sequence", "pseudo_bundle_eta", "pseudo_bundle_n", "r_index_squared",
     "run_study", "scaled_linear_sequence", "shifted_linear_sequence", "sup_distance", "sweep",
     "verify_pair", "zipf_sequence",
