@@ -416,10 +416,15 @@ def _run_axiom(axiom: str, idx: np.ndarray, untested: np.ndarray, ts, m_up, m_lo
     is the remark, then the count of each reason that ``_UNTESTED`` names,
     in order of first appearance."""
     flagged, gap = verdict(m_up, m_lo, tol)
-    first, cells, shape = flagged.argmax(axis=1), (ts, m_up, m_lo, gap, note), flagged.shape
-    violations = tuple(
-        Violation(int(idx[r]), *(np.broadcast_to(v, shape)[r, first[r]].item() for v in cells))
-        for r in (flagged.any(axis=1) & (untested == 0)).nonzero()[0].tolist())
+    rows = (flagged.any(axis=1) & (untested == 0)).nonzero()[0]
+    # the flagged rows' cells at their first flagged levels, one read per
+    # cell: a scalar repeated, an array broadcast to the rows' shape unless
+    # it has that shape already
+    at, shape = (rows, flagged[rows].argmax(axis=1)), flagged.shape
+    cells = ([v] * len(rows) if type(v) is not np.ndarray
+             else (v if v.shape == shape else np.broadcast_to(v, shape))[at].tolist()
+             for v in (ts, m_up, m_lo, gap, note))
+    violations = tuple(map(Violation, idx[rows].tolist(), *cells)) if len(rows) else ()
     counts = np.bincount(untested, minlength=len(_UNTESTED)).tolist()
     named = sorted((c for c, reason in enumerate(_UNTESTED) if reason and counts[c]),
                    key=lambda c: np.argmax(untested == c))

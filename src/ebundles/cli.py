@@ -108,42 +108,59 @@ def _level_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
 
 
 # JSON whitespace, and what a JSON number is written with: deleting both
-# from a knot array's text leaves its brackets and commas
+# from a number array's text leaves its brackets and commas
 _WHITESPACE = b" \t\n\r"
 _NUMBER_BYTES = b"0123456789.eE+-"
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
-# bytes of a knot array read at a time, run on to the next "[": whole pairs
+# The number arrays read flat from an input file's bytes: the key, the
+# byte that blocks are cut at, the array's skeleton per unit (its numbers
+# and whitespace deleted, and a comma after the last unit too), the table
+# that blanks a unit's brackets, and the shape of a unit's values.  A
+# spec's knot pairs are cut before a pair's "[", a citations object's
+# counts after a count's comma.
+_FLAT_ARRAYS = (
+    ("knots", b"[", b"[,],", bytes.maketrans(b"[]", b"  "), (2,)),
+    ("citations", b",", b",", None, ()),
+)
+# bytes of an array read at a time, run on to the next cut: whole units
 _SPAN_BLOCK = 1 << 16
 
 
-def _flat_spec(data: bytes) -> dict | None:
+def _flat_read(data: bytes) -> dict | None:
     """The JSON object that the bytes of a file hold, its ``"knots"`` array
-    read as one flat list of numbers, not as a list per knot, and handed
-    over as a float (n, 2) array; None, and the caller decodes the whole
-    file, unless that read gives what ``json.loads`` gives of the file's
-    UTF-8 text and every value fits a float.  Never raises.
+    (in a file without that key, its ``"citations"`` array) read as one
+    flat list of numbers into a float array, (n, 2) for knots; None, and
+    the caller decodes the whole file, unless that read gives what
+    ``json.loads`` gives of the file's UTF-8 text and every value fits a
+    float.  Never raises.
 
-    It takes the bytes only where ``"knots"`` occurs once; the text around
-    the knot array, with ``[]`` in its place, is UTF-8, holds no backslash
-    and decodes to an object whose ``"knots"`` is that ``[]``; the array is
-    exactly ``[[,],...,[,]]`` once its numbers and whitespace are deleted,
-    with no number outside a pair; and, its inner brackets read as spaces,
-    it decodes as JSON to two numbers a pair.  The array then holds no
-    quote, so no ``"knots"`` or backslash hides in it, and each value is an
-    int or a float: no bool, string, null, NaN or infinity, which the array
-    would hide once read as floats.  The array is read in blocks of whole
-    pairs into one float array, so that neither a copy of it nor a list of
-    its values is made.  orjson decodes the values, to the doubles that
-    ``json.loads`` gives; what it rejects (NaN, an infinity, a value beyond
-    the float range) is read by the general path, which names it.  The
-    bytes stay with the caller: their text is what the general path reads
-    where the values fail to decode."""
+    It takes the bytes only where the key occurs once; the text around the
+    array, with ``[]`` in its place, is UTF-8, holds no backslash and
+    decodes to an object whose key holds that ``[]``; the array is exactly
+    ``[[,],...,[,]]`` or ``[,...,]`` once its numbers and whitespace are
+    deleted, with no number outside a pair; and, pairs' brackets read as
+    spaces, it decodes as JSON to one number a slot.  The array then holds
+    no quote, so no key or backslash hides in it, and each value is an int
+    or a float: no bool, string, null, NaN or infinity, which the array
+    would hide once read as floats.  It is read a block of whole units at
+    a time, each block copied once (and a knot block translated once, its
+    pairs' brackets blanked), so that neither a copy of the array nor a
+    list of all its values is made.  orjson decodes the values, to the
+    doubles that ``json.loads`` gives; what it rejects (NaN, an infinity, a
+    value beyond the float range) is read by the general path, which names
+    it.  The bytes stay with the caller: their text is what the general
+    path reads where the values fail to decode."""
+    for name, cut_byte, unit, flatten, tail in _FLAT_ARRAYS:
+        key = f'"{name}"'
+        at = data.find(key.encode())
+        if at >= 0:
+            break
+    else:
+        return None
     # the array runs from the first "[" after the key to the last "]" before
     # the next quote or "}"; the checks below hold only if it really does
-    key = data.find(b'"knots"')
-    start = data.find(b"[", key)
+    start = data.find(b"[", at)
     close = data.find(b"}", start)
-    if min(key, start, close) < 0:
+    if min(start, close) < 0:
         return None
     quote = data.find(b'"', start, close)
     end = data.rfind(b"]", start, close if quote < 0 else quote)
@@ -151,39 +168,50 @@ def _flat_spec(data: bytes) -> dict | None:
         return None
     try:
         outside = (data[:start] + b"[]" + data[end + 1:]).decode("utf-8")
-        if outside.count('"knots"') != 1 or "\\" in outside:
+        if outside.count(key) != 1 or "\\" in outside:
             return None
         obj = json.loads(outside)
-        if type(obj) is not dict or obj.get("knots") != []:
+        if type(obj) is not dict or obj.get(name) != []:
             return None
         import orjson
 
-        # the array's pairs, each followed by a comma but the last, read a
-        # block at a time; every block but the first starts at a "["
-        flat = np.empty(data.count(b",", start, end) + 1)
+        # a unit per cut byte: a pair opens with "[", and a count closes
+        # with a comma, which the last count lacks
+        closes = cut_byte == b","
+        array = np.empty((data.count(cut_byte, start + 1, end) + closes, *tail))
+        flat, width, view = array.reshape(-1), math.prod(tail), memoryview(data)
         at, i, last = start + 1, 0, False
         while not last:
-            cut = data.find(b"[", at + _SPAN_BLOCK, end)
+            # every block but the last holds a comma before its cut
+            cut = data.find(cut_byte, max(at + _SPAN_BLOCK, data.find(b",", at, end) + 1), end)
             last = cut < 0
-            block = data[at:end if last else cut]
-            # with the closing bracket's comma, m pairs read "[,],"*m once
-            # their numbers and whitespace are deleted, and no number sits
-            # outside a pair: each "],[" and both ends stay whole (a first
-            # block of whitespace alone holds none)
-            shape = block.translate(None, _WHITESPACE) + b"," * last
+            # the block, from the byte before it to its last comma (the
+            # array's "]" in the last block), reads as a JSON list with
+            # those two bytes made its brackets
+            block = bytearray(view[at - 1:end + 1 if last else cut + closes])
+            edges = 0, len(block) - 1 if last else block.rfind(b",")
+            block[edges[0]], block[edges[1]] = b"[]"
+            # m units read "[" + the unit m times, less its last comma, + "]"
+            # once their numbers and whitespace are deleted, and no number
+            # sits outside a pair: each "],[" and both ends stay whole
+            shape = block.translate(None, _WHITESPACE)
             skeleton = shape.translate(None, _NUMBER_BYTES)
-            m = len(skeleton) // 4
-            if shape and (skeleton != b"[,]," * m or shape.count(b"],[") != m - 1
-                          or shape[:1] != b"[" or shape[-2:] != b"],"):
+            m = (len(skeleton) - 1) // len(unit)
+            if skeleton != b"[" + (unit * m)[:-1] + b"]" or flatten and (
+                    shape.count(b"],[") != m - 1 or shape[:2] != b"[[" or shape[-2:] != b"]]"):
                 return None
-            # only the outer brackets stay: the pairs' values read as one
-            # list, to json.loads's doubles; orjson rejects NaN, Infinity and
-            # a value beyond the float range, which the general path names
-            body = block if last else block[:block.rfind(b",")]
-            values = orjson.loads(b"[" + body.translate(_BRACKETS_TO_SPACES) + b"]")
+            if flatten:  # only the list's brackets stay
+                block = block.translate(flatten)
+                block[edges[0]], block[edges[1]] = b"[]"
+            # json.loads's doubles: orjson rejects NaN, Infinity and a value
+            # beyond the float range, which the general path names; an empty
+            # last slot (a trailing comma, or no count at all) reads short
+            values = orjson.loads(block)
+            if len(values) != m * width:
+                return None
             flat[i:i + len(values)] = np.fromiter(values, float, len(values))
-            at, i = cut, i + len(values)
-        obj["knots"] = flat.reshape(-1, 2)
+            at, i = cut + closes, i + len(values)
+        obj[name] = array
     except (ValueError, RecursionError, OverflowError):
         return None
     return obj
@@ -191,7 +219,7 @@ def _flat_spec(data: bytes) -> dict | None:
 
 def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
     """The ``--input`` file's JSON value, and its UTF-8 text where the line
-    format reads it.  The file is read once, as bytes, which ``_flat_spec``
+    format reads it.  The file is read once, as bytes, which ``_flat_read``
     reads where it takes them and ``json.loads`` decoded elsewhere.  The
     value is None, with the text, where the text is not JSON or is a single
     number: a citation file of one count.  Other text is dropped once
@@ -202,7 +230,7 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
     try:
         with open(args.input, "rb") as fh:
             data = fh.read()
-        obj = _flat_spec(data)
+        obj = _flat_read(data)
         if obj is not None:
             return obj, None
         text = data.decode("utf-8")
@@ -225,7 +253,8 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
 
 def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
     """The citation counts of an input: a ``{"citations": [...]}`` object's,
-    else one count per line of its text.  Other JSON holds no counts."""
+    a float array as it is (``_flat_read``'s), else one count per line of
+    its text.  Other JSON holds no counts."""
     if obj is None:
         return fn.parse_citations(text)
     if isinstance(obj, list):
@@ -235,6 +264,8 @@ def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
         raise fn.InputError(
             f'{args.input}: {args.command} needs citation counts, one per line or {{"citations": [...]}}')
     counts = obj["citations"]
+    if type(counts) is np.ndarray:
+        return counts
     if type(counts) is not list:
         raise fn.InputError(f'"citations" must be a list of numbers, got {counts!r}')
     return fn._numbers("citation counts", counts)

@@ -882,7 +882,7 @@ def function_from_spec(spec: dict) -> RankFunction:
     """Build a rank function from its JSON-style mapping, each field's
     numbers read by ``_numbers``.  A piecewise linear spec's knots are read
     as ``from_pairs`` reads them, by ``_pair_values``, which takes a float
-    array (``cli._flat_spec``'s) as it is: their shape, their floats (a
+    array (``cli._flat_read``'s) as it is: their shape, their floats (a
     null named there) and the function are checked first, then ``T``, then
     that each value of a nested list is a JSON number, then ``T`` against
     the last knot."""

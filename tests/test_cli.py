@@ -217,20 +217,21 @@ def _run_both(argv, monkeypatch, capsys) -> list:
     runs = []
     for flat in (True, False):
         if not flat:
-            monkeypatch.setattr(cli, "_flat_spec", lambda data: None)
+            monkeypatch.setattr(cli, "_flat_read", lambda data: None)
         runs.append((main(argv), *capsys.readouterr()))
     return runs
 
 
-def _flat_read(data: bytes, block: int) -> dict | None:
-    """``cli._flat_spec`` of data, its knot array checked and decoded
+def _read_in_blocks(data: bytes, block: int) -> dict | None:
+    """``cli._flat_read`` of data, its number array checked and decoded
     block bytes at a time."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_SPAN_BLOCK", block)
-        return cli._flat_spec(data)
+        return cli._flat_read(data)
 
 
-# block sizes of a few bytes: every knot array is cut at each of its pairs
+# block sizes of a few bytes: every number array is cut at each pair, or
+# at every other count
 _SMALL_BLOCKS = st.integers(1, 8)
 
 # JSON number tokens: ints up to 10^300, which json reads as ints; floats'
@@ -245,7 +246,7 @@ _NUMBER_TOKENS = (
 
 
 class TestFlatKnotRead:
-    """``cli._flat_spec`` reads a spec's knot array as one flat list of
+    """``cli._flat_read`` reads a spec's knot array as one flat list of
     numbers where that gives what ``json.loads`` gives, and declines (the
     general path runs) everywhere else.  The properties read in blocks of
     a few bytes."""
@@ -253,7 +254,7 @@ class TestFlatKnotRead:
     @settings(max_examples=300, deadline=None)
     @given(_pwl_texts(), _SMALL_BLOCKS)
     def test_builds_the_nested_read(self, text, block):
-        spec, ref = _flat_read(text.encode(), block), json.loads(text)
+        spec, ref = _read_in_blocks(text.encode(), block), json.loads(text)
         assert spec is not None
         # the floats of the same ints and floats, -0.0 included, in the
         # same order, one row a pair
@@ -277,7 +278,7 @@ class TestFlatKnotRead:
             at = min(at, len(knots) - 1)
             knots[at:at + replace] = [byte]
         text = '{"type": "piecewise_linear", "knots": ' + "".join(knots) + "}"
-        spec = _flat_read(text.encode(), block)
+        spec = _read_in_blocks(text.encode(), block)
         if spec is not None:
             ref = json.loads(text)["knots"]
             assert all(type(p) is list and len(p) == 2 for p in ref)
@@ -298,7 +299,7 @@ class TestFlatKnotRead:
             tokens[at % len(tokens)] = token
         knots = ", ".join(f"[{x}, {y}]" for x, y in zip(tokens[::2], tokens[1::2]))
         text = '{"type": "piecewise_linear", "knots": [' + knots + "]}"
-        spec = _flat_read(text.encode(), block)
+        spec = _read_in_blocks(text.encode(), block)
         if swaps:
             assert spec is None
             return
@@ -318,7 +319,7 @@ class TestFlatKnotRead:
             json_numbers(what, values)
 
         monkeypatch.setattr(fn, "_json_numbers", spy)
-        fn.function_from_spec(cli._flat_spec(text.encode()))
+        fn.function_from_spec(cli._flat_read(text.encode()))
         fn.function_from_spec(json.loads(text))
         what = "knot coordinates and T"
         assert checked == [(what, [2]), (what, []), (what, [2]), (what, [0, 3, 1, 1.5, 2, 0])]
@@ -385,7 +386,7 @@ class TestFlatKnotRead:
         # cut at each pair, or at each byte, the flat read takes and
         # declines what it does in one block
         def read(block):
-            spec = _flat_read(text.encode(), block)
+            spec = _read_in_blocks(text.encode(), block)
             return spec if spec is None else (spec.pop("knots").tobytes(), spec)
 
         assert read(1) == read(3) == read(cli._SPAN_BLOCK)
@@ -413,7 +414,197 @@ def test_flat_read_cut_at_every_byte(block, monkeypatch):
     monkeypatch.setattr(cli, "_SPAN_BLOCK", block)
     text = '{"knots": [[0, 123456789], [2.5e-3, 7],\n [4, -0.0]], "type": "piecewise_linear"}'
     want = np.array([v for pair in json.loads(text)["knots"] for v in pair], float)
-    assert cli._flat_spec(text.encode())["knots"].tobytes() == want.tobytes()
+    assert cli._flat_read(text.encode())["knots"].tobytes() == want.tobytes()
+
+
+@st.composite
+def _citation_texts(draw):
+    """A citations object's text: JSON number tokens of every form as its
+    counts, JSON whitespace of any kind around every token, and other keys
+    in any order around it."""
+    tokens = draw(st.lists(_NUMBER_TOKENS | st.integers(0, 1000).map(str), min_size=1,
+                           max_size=12))
+    items = {"citations": [_Raw(t) for t in tokens]}
+    extras = {"name": "record 1", "meta": {"source": [1, 2], "ok": True}, "empty": [],
+              "none": None}
+    for key in draw(st.lists(st.sampled_from(sorted(extras)), unique=True, max_size=3)):
+        items[key] = extras[key]
+    order = draw(st.permutations(sorted(items)))
+    return draw(_WS) + _dump(draw, {key: items[key] for key in order}) + draw(_WS)
+
+
+def _json_counts(text: str) -> np.ndarray | None:
+    """The general path's counts of a citations object's text: json.loads,
+    then ``_numbers``; None where a count is beyond the float range."""
+    try:
+        counts = fn._numbers("citation counts", json.loads(text)["citations"])
+    except fn.InputError:  # an int beyond the float range
+        return None
+    return counts if np.isfinite(counts).all() else None
+
+
+class TestFlatCitationsRead:
+    """``cli._flat_read`` reads a ``{"citations": [...]}`` array as it reads
+    a knot array: a float array where that gives, bit for bit, what
+    ``json.loads`` and ``_numbers`` give, and a decline (the general path
+    runs) everywhere else.  The properties read in blocks of a few bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_citation_texts(), _SMALL_BLOCKS)
+    def test_builds_the_json_read(self, text, block):
+        obj, want = _read_in_blocks(text.encode(), block), _json_counts(text)
+        if want is None:
+            # orjson rejects what json reads as an infinity or as an int
+            # beyond the float range; the general path names it
+            assert obj is None
+            return
+        assert obj["citations"].dtype == float and obj["citations"].shape == want.shape
+        assert obj["citations"].tobytes() == want.tobytes()
+        ref = json.loads(text)
+        assert {k: v for k, v in obj.items() if k != "citations"} == {
+            k: v for k, v in ref.items() if k != "citations"}
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([0, 3, 12, 250]), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 30), st.sampled_from(list("[],  0.e-\n{}\"") + [""]),
+                              st.booleans()), min_size=1, max_size=3),
+           _SMALL_BLOCKS)
+    def test_takes_only_what_json_reads_as_counts(self, counts, edits, block):
+        # count text with bytes inserted, or replaced ("": deleted): where
+        # the flat read takes it, json.loads reads it as the same numbers
+        chars = list(json.dumps(counts))
+        for at, byte, replace in edits:
+            at = min(at, len(chars) - 1)
+            chars[at:at + replace] = [byte]
+        text = '{"citations": ' + "".join(chars) + "}"
+        obj = _read_in_blocks(text.encode(), block)
+        if obj is not None:
+            ref = json.loads(text)["citations"]
+            assert type(ref) is list and {type(v) for v in ref} <= {int, float}
+            assert obj["citations"].tobytes() == np.array([float(v) for v in ref]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_NUMBER_TOKENS, min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 7), st.sampled_from(
+               ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity", "[1]", "[]"])),
+               max_size=2),
+           _SMALL_BLOCKS)
+    def test_takes_only_json_numbers(self, tokens, swaps, block):
+        # a bool, a null, a string, a non-finite token or a nested list
+        # among the counts is declined, as is a count beyond the float range
+        for at, token in swaps:
+            tokens[at % len(tokens)] = token
+        text = '{"citations": [' + ", ".join(tokens) + "]}"
+        obj = _read_in_blocks(text.encode(), block)
+        want = None if swaps else _json_counts(text)
+        if want is None:
+            assert obj is None
+        else:
+            assert obj["citations"].tobytes() == want.tobytes()
+
+    _NEAR_MISSES = [
+        # counts that are not JSON numbers
+        '{"citations": [5, true, 1]}',
+        '{"citations": [5, "3", 1]}',
+        '{"citations": [5, null, 1]}',
+        '{"citations": [5, NaN, 1]}',
+        '{"citations": [5, Infinity, 1]}',
+        '{"citations": [5, -Infinity]}',
+        # the list's shape
+        '{"citations": [5, [3], 1]}',
+        '{"citations": [[5, 3], [1, 0]]}',
+        '{"citations": [5,, 1]}',
+        '{"citations": [, 5]}',
+        '{"citations": [5, 3, 1,]}',
+        '{"citations": [5, 3, 1, ]}',
+        '{"citations": []}',
+        '{"citations": [ \n ]}',
+        '{"citations": [5 3]}',
+        '{"citations": [5, 01]}',
+        '{"citations": [5, +1]}',
+        '{"citations": [5, .5]}',
+        '{"citations": [5, 1.]}',
+        '{"citations": [5, 1e]}',
+        '{"citations": [5, -3]}',
+        '{"citations": [0, 0, 0]}',
+        '{"citations": 5}',
+        # the key
+        '{"citations": [5, 3], "citations": [7]}',
+        '{"citations": [7], "meta": {"citations": [5, 3]}}',
+        '{"meta": {"citations": [5, 3]}}',
+        '{"cit\\u0061tions": [5, 3]}',
+        '{"note": "\\"citations\\": [9]", "citations": [5, 3]}',
+        '{"note": "citations", "citations": [5, 3]}',
+        # ints no float holds, and ints beyond 2^64 that one does
+        '{"citations": [5, 1' + "0" * 400 + "]}",
+        '{"citations": [5, ' + "9" * 5000 + "]}",
+        '{"citations": [5, 1e999]}',
+        '{"citations": [5, 18446744073709551616]}',
+        '{"citations": [5, 18446744073709551615, 18446744073709551617]}',
+        '{"citations": [5, ' + str(2**1000 + 1) + "]}",
+        '{"citations": [5, ' + str(2**1024 - 2**970) + "]}",
+        # the text around the list
+        '\ufeff{"citations": [5, 3]}',
+        '{"citations": [5, 3]',
+        '{"citations": [5, 3]},',
+        '[{"citations": [5, 3]}]',
+        '{"citations": [5, 3], "type": "linear", "S": 3, "T": 1}',
+        '{"citations": [5, 3], "x": ' + "[" * 100_000 + "}",
+    ]
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "ingest"])
+    @pytest.mark.parametrize("text", _NEAR_MISSES, ids=lambda text: text[:60])
+    def test_near_miss_reads_as_the_general_path(self, command, text, tmp_path, monkeypatch,
+                                                 capsys):
+        p = tmp_path / "c.json"
+        p.write_text(text, encoding="utf-8")
+        flat, general = _run_both([command, "--input", str(p)], monkeypatch, capsys)
+        assert flat == general
+        assert "Traceback" not in flat[2]
+
+    @pytest.mark.parametrize("command", ["eval", "ingest"])
+    def test_the_largest_float_as_an_int(self, command, tmp_path, monkeypatch, capsys):
+        # 2^1024 - 2^971 is the largest float, which orjson reads as json
+        # does; 2^1024 - 2^970 (a near miss) rounds beyond it
+        p = tmp_path / "c.json"
+        p.write_text('{"citations": [5, ' + str(2**1024 - 2**971) + "]}")
+        flat, general = _run_both([command, "--input", str(p)], monkeypatch, capsys)
+        assert flat == general and flat[0] == 0
+
+    @pytest.mark.parametrize("text", _NEAR_MISSES, ids=lambda text: text[:60])
+    def test_near_miss_in_small_blocks(self, text):
+        def read(block):
+            obj = _read_in_blocks(text.encode(), block)
+            return obj if obj is None else (obj.pop("citations").tobytes(), obj)
+
+        assert read(1) == read(3) == read(cli._SPAN_BLOCK)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, cli._SPAN_BLOCK])
+    def test_line_and_json_forms_ingest_alike(self, block, tmp_path, monkeypatch, capsys):
+        # the same unsorted, tied counts in both forms give the same spec,
+        # byte for byte, read in blocks of a few counts or whole; the flat
+        # read never builds the list of counts that _numbers reads
+        counts = np.floor(np.random.default_rng(5).pareto(1.2, 3000) * 5.0).astype(int).tolist()
+        lines, obj = tmp_path / "c.txt", tmp_path / "c.json"
+        lines.write_text("".join(f"{c}\n" for c in counts))
+        obj.write_text(json.dumps({"citations": counts}, indent=1))
+        assert main(["ingest", "--input", str(lines), "--output", str(tmp_path / "a")]) == 0
+        calls, numbers = [], fn._numbers
+        monkeypatch.setattr(cli, "_SPAN_BLOCK", block)
+        monkeypatch.setattr(fn, "_numbers", lambda *a: calls.append(1) or numbers(*a))
+        assert main(["ingest", "--input", str(obj), "--output", str(tmp_path / "b")]) == 0
+        assert calls == []
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("block", range(1, 16))
+def test_flat_citations_cut_at_every_byte(block, monkeypatch):
+    # a block's nominal end falls on every byte of the first counts, inside
+    # 123456789 and 2.5e-3 too; the block runs on to the next comma
+    monkeypatch.setattr(cli, "_SPAN_BLOCK", block)
+    text = '{"citations": [0, 123456789 ,2.5e-3,\n 7, -0.0 ], "id": "x"}'
+    want = np.array(json.loads(text)["citations"], float)
+    assert cli._flat_read(text.encode())["citations"].tobytes() == want.tobytes()
 
 
 class TestAxiomsCmd:
@@ -803,31 +994,40 @@ def _traced_peak(argv: list[str]) -> int:
 
 @pytest.fixture(scope="module")
 def counts_2e5(tmp_path_factory):
-    """A line file of 2e5 unsorted Pareto counts with ties (160,698 knots
-    once continuized), and the spec that ingest writes of it."""
+    """2e5 unsorted Pareto counts with ties (160,698 knots once
+    continuized) as a line file and as ``{"citations": [...]}``, and the
+    spec that ingest writes of the line file."""
     d = tmp_path_factory.mktemp("counts_2e5")
     counts = np.floor(np.random.default_rng(13).pareto(1.2, 2 * 10**5) * 5.0).astype(int)
-    src, spec = d / "c.txt", d / "spec.json"
+    src, obj, spec = d / "c.txt", d / "c.json", d / "spec.json"
     src.write_text("".join(f"{c}\n" for c in counts.tolist()))
+    obj.write_text(json.dumps({"citations": counts.tolist()}))
     assert main(["ingest", "--input", str(src), "--output", str(spec)]) == 0
-    return src, spec
+    return src, obj, spec
 
 
 class TestMemoryAt2e5Counts:
     """Ingest and eval hold the file, the float arrays and one block: the
     knot spec is written and its array read in blocks, and the line format
-    parsed in blocks.  Written and read whole, the peaks were 41.9 MB and
-    30.0 MB; in blocks they are 13.0 MB and 11.2 MB (Python 3.11, numpy
-    2.4)."""
+    parsed and a citations array read in blocks.  Written and read whole,
+    the peaks were 41.9 MB and 30.0 MB; in blocks they are 11.5 MB, set by
+    ``from_citations``, for the line file and ``{"citations": [...]}``
+    alike, and 11.1 MB (Python 3.11, numpy 2.4)."""
 
     def test_ingest(self, counts_2e5, tmp_path, capsys):
-        src, spec = counts_2e5
+        src, _, spec = counts_2e5
         out = tmp_path / "spec.json"
         assert _traced_peak(["ingest", "--input", str(src), "--output", str(out)]) < 16e6
         assert out.read_bytes() == spec.read_bytes()
 
+    def test_ingest_json(self, counts_2e5, tmp_path, capsys):
+        _, src, spec = counts_2e5
+        out = tmp_path / "spec.json"
+        assert _traced_peak(["ingest", "--input", str(src), "--output", str(out)]) < 13.5e6
+        assert out.read_bytes() == spec.read_bytes()
+
     def test_eval(self, counts_2e5, tmp_path, capsys):
-        src, spec = counts_2e5
+        src, _, spec = counts_2e5
         out = tmp_path / "eval.json"
         assert _traced_peak(["eval", "--input", str(spec), "--output", str(out)]) < 13.5e6
         assert json.loads(out.read_text())["T"] == json.loads(spec.read_text())["T"]
@@ -1088,7 +1288,7 @@ class TestBadInputExit2:
         p.write_text(json.dumps({"type": "piecewise_linear", "T": T, "knots": knots}))
         # a bad T beside number knots is the flat read's to name: it checks T alone
         if type(knots[0][0]) is int:
-            assert type(cli._flat_spec(p.read_bytes())["knots"]) is np.ndarray
+            assert type(cli._flat_read(p.read_bytes())["knots"]) is np.ndarray
         runs = _run_both([command, "--input", str(p)], monkeypatch, capsys)
         assert runs == [(2, "", f"error: knot coordinates and T must be numbers, got {said}\n")] * 2
 

@@ -88,8 +88,9 @@ class TestPublicNames:
 def test_cli_import_and_one_shot_commands_load_neither_lazy_module(tmp_path):
     """eval, sweep and ingest on the golden inputs, in one fresh interpreter
     that starts from ``import ebundles.cli``, give the golden outputs and
-    leave axioms and convergence unloaded; and orjson is loaded by a knot
-    spec's read alone."""
+    leave axioms and convergence unloaded; and orjson is loaded by the
+    read of a knot or citations array, or the write of a knot array,
+    alone."""
     inputs = GOLDEN / "inputs"
     runs = {
         "eval-pwl.json": ["eval", "--input", str(inputs / "pwl.json"),
@@ -106,15 +107,21 @@ def test_cli_import_and_one_shot_commands_load_neither_lazy_module(tmp_path):
     assert json.loads(out.splitlines()[-1]) == [[0, 0, 0], []]
     for name in runs:
         assert (tmp_path / name).read_text() == (GOLDEN / name).read_text()
-    # orjson loads where a knot array is read or written, and nowhere else:
-    # not at import, nor for the commands and inputs that hold no knot array
-    argvs = [["counterexamples"], ["axioms", "--pairs", "5"],
-             ["converge", "--n-list", "2,5", "--grid-n", "50", "--theta-grid-n", "20"],
-             ["eval", "--input", str(inputs / "citations.txt")],
-             ["eval", "--input", str(inputs / "pwl.json")]]
-    out = _fresh(
-        "import json, sys\nimport ebundles.cli\nloaded = ['orjson' in sys.modules]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    ebundles.cli.main(argv)\n    loaded.append('orjson' in sys.modules)\n"
-        "print(json.dumps(loaded))\n", json.dumps(argvs))
-    assert json.loads(out.splitlines()[-1]) == [False] * 5 + [True]
+    # orjson loads where a knot or citations array is read, or a knot array
+    # written, and nowhere else: not at import, nor for the commands and
+    # inputs that hold neither array, a citation file of lines among them;
+    # each array's read loads it in an interpreter of its own
+    counts = tmp_path / "citations.json"
+    counts.write_text(json.dumps({"citations": [
+        int(line) for line in (inputs / "citations.txt").read_text().split()]}))
+    for array in (counts, inputs / "pwl.json"):
+        argvs = [["counterexamples"], ["axioms", "--pairs", "5"],
+                 ["converge", "--n-list", "2,5", "--grid-n", "50", "--theta-grid-n", "20"],
+                 ["eval", "--input", str(inputs / "citations.txt")],
+                 ["eval", "--input", str(array)]]
+        out = _fresh(
+            "import json, sys\nimport ebundles.cli\nloaded = ['orjson' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    ebundles.cli.main(argv)\n    loaded.append('orjson' in sys.modules)\n"
+            "print(json.dumps(loaded))\n", json.dumps(argvs))
+        assert json.loads(out.splitlines()[-1]) == [False] * 5 + [True]
