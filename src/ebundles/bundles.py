@@ -32,7 +32,6 @@ one argument.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -329,38 +328,94 @@ class SweepRow:
     i: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Per-theta values of all four bundles; None marks inadmissible cells."""
+    """Per-theta values of all four bundles: ``columns`` holds the levels
+    and the e, h, mu and i scores, a row each, as one read-only (5, L)
+    float array, NaN where a score is undefined.  ``rows`` reads them as
+    ``SweepRow``s, None for NaN, each time it is read."""
 
-    rows: tuple[SweepRow, ...]
+    columns: np.ndarray
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        return tuple(SweepRow(*[None if math.isnan(v) else v for v in row])
+                     for row in self.columns.T.tolist())
 
     def to_csv(self) -> str:
-        return _csv(SweepRow, self.rows)
+        return _csv(SweepRow, _number_texts(self.columns, _CSV_CELLS))
 
     def to_json_obj(self) -> dict:
         return {"rows": [dict(vars(r)) for r in self.rows]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_json_obj(), indent=2, sort_keys=True)`` byte
+        for byte: that layout, its keys sorted, filled with the cells'
+        ``_number_texts``."""
+        names = [f.name for f in fields(SweepRow)]
+        if not self.columns.shape[1]:
+            return '{\n  "rows": []\n}'
+        keys = sorted(names)
+        first = f'\n      "{keys[0]}": '
+        row = [s for key in keys for s in (f',\n      "{key}": ', "")]
+        row[0] = "\n    },\n    {" + first
+        parts = _layout(_number_texts(self.columns), row, [2 * keys.index(n) + 1 for n in names])
+        parts[0] = '{\n  "rows": [\n    {' + first
+        return "".join([*parts, "\n    }\n  ]\n}"])
 
 
-def _csv(row_type: type, rows: Sequence) -> str:
-    """A header of row_type's fields, then a line per row: each value's
-    ``repr``, ``NA`` for None."""
-    lines = [",".join(f.name for f in fields(row_type))]
-    lines += [",".join("NA" if v is None else repr(v) for v in vars(r).values()) for r in rows]
-    return "\n".join(lines) + "\n"
+# The text that a cell whose ``repr`` is a key has in each output: json
+# writes NaN (None) as null and the infinities in JavaScript's words
+_CSV_CELLS = {"nan": "NA"}
+_JSON_CELLS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_texts(values: np.ndarray, cells: dict[str, str] = _JSON_CELLS) -> list[str]:
+    """Each float of values, in C order, as its ``repr`` or the text that
+    cells give that ``repr``.  orjson writes them in one call, as ``repr``
+    does in [1e-4, 1e16) and at zero; outside, where its exponent notation
+    differs (``1e16``, ``2.5e-8``), at infinities, which it writes as null,
+    and at negative floats (none in a table or spec), ``repr`` does."""
+    import orjson
+
+    flat = values.ravel()
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if cells["nan"] != "null":  # orjson writes NaN as null
+        for k in np.flatnonzero(np.isnan(flat)).tolist():
+            texts[k] = cells["nan"]
+    for k in np.flatnonzero((flat < 1e-4) & (flat != 0.0) | (flat >= 1e16)).tolist():
+        t = repr(flat[k].item())
+        texts[k] = cells.get(t, t)
+    return texts if flat.size else []
+
+
+def _layout(texts: list[str], row: list[str], slots: Sequence[int]) -> list[str]:
+    """row's parts once per row of a table, the cells' texts in its slots:
+    texts holds the columns one after another, and column j fills slot
+    ``slots[j]`` of every row."""
+    n = len(texts) // len(slots)
+    parts = row * n
+    for j, slot in enumerate(slots):
+        parts[slot::len(row)] = texts[j * n:(j + 1) * n]
+    return parts
+
+
+def _csv(row_type: type, texts: list[str]) -> str:
+    """A header of row_type's fields, then a line per row of the cells'
+    texts, which hold the fields' columns one after another."""
+    names = [f.name for f in fields(row_type)]
+    parts = _layout(texts, ["", ","] * (len(names) - 1) + ["", "\n"], range(0, 2 * len(names), 2))
+    return "".join([",".join(names) + "\n", *parts])
 
 
 def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
-    """Evaluate every bundle at each theta; inadmissible cells become None.
+    """Evaluate every bundle at each theta; inadmissible cells are NaN.
 
     Inadmissibility is data rather than failure here, so out-of-range thetas
     produce missing markers instead of raising.  The theta list must be
     finite, strictly increasing and nonnegative.  Each bundle scores every
     level in one vector call (``BundleDef.scores``), whose rules give NaN
-    wherever the score is undefined; such a cell is None.
+    wherever the score is undefined.
     """
     ts = np.array([float(t) for t in thetas], dtype=float)
     if not np.isfinite(ts).all():
@@ -370,10 +425,6 @@ def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
     if ts.size and ts[0] < 0.0:
         raise InputError("theta values must be >= 0")
 
-    columns = [b.scores(f, ts) for b in (E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE)]
-    return SweepTable(tuple(map(SweepRow, ts.tolist(), *map(_column, columns))))
-
-
-def _column(scores: np.ndarray) -> list[float | None]:
-    """Python floats, None for NaN."""
-    return [None if math.isnan(v) else v for v in scores.tolist()]
+    columns = np.array([ts, *(b.scores(f, ts) for b in (E_BUNDLE, H_BUNDLE, MU_BUNDLE, I_BUNDLE))])
+    columns.flags.writeable = False
+    return SweepTable(columns)

@@ -175,10 +175,13 @@ def _flat_read(data: bytes) -> dict | None:
             return None
         import orjson
 
-        # a unit per cut byte: a pair opens with "[", and a count closes
-        # with a comma, which the last count lacks
+        # a unit per cut byte: a pair opens with "[", and a count closes with
+        # a comma, which the last count lacks (counted a block at a time)
         closes = cut_byte == b","
-        array = np.empty((data.count(cut_byte, start + 1, end) + closes, *tail))
+        octets = np.frombuffer(data, np.uint8, end - start - 1, start + 1)
+        units = sum(int(np.count_nonzero(octets[a:a + _SPAN_BLOCK] == cut_byte[0]))
+                    for a in range(0, len(octets), _SPAN_BLOCK))
+        array = np.empty((units + closes, *tail))
         flat, width, view = array.reshape(-1), math.prod(tail), memoryview(data)
         at, i, last = start + 1, 0, False
         while not last:
@@ -320,14 +323,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result.update({"h": None, "r_squared": None, "e_index": None})
 
     if thetas:
-        table = bn.sweep(f, sorted(set(thetas)))
+        result["per_theta"] = bn.sweep(f, sorted(set(thetas))).to_json_obj()["rows"]
         lines.append("theta        e            h            mu           i")
-        for r in table.rows:
+        for r in result["per_theta"]:
             lines.append(
-                f"{r.theta:<12.6g} {_fmt_val(r.e):<12} {_fmt_val(r.h):<12} "
-                f"{_fmt_val(r.mu):<12} {_fmt_val(r.i):<12}"
+                f"{r['theta']:<12.6g} {_fmt_val(r['e']):<12} {_fmt_val(r['h']):<12} "
+                f"{_fmt_val(r['mu']):<12} {_fmt_val(r['i']):<12}"
             )
-        result["per_theta"] = table.to_json_obj()["rows"]
 
     # written before the report is printed: a failed write prints nothing
     if args.output:
@@ -449,24 +451,16 @@ def _spec_text(f: fn.PiecewiseLinearFn) -> Iterator[str]:
     """``json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
     byte for byte, in blocks of ``_SPEC_BLOCK`` knots, without the
     pure-Python encoder that ``indent`` selects: json writes a finite float
-    as its ``repr``.  orjson writes a block's values, x0, y0, x1, y1, ...,
-    in one call, the same shortest digits as ``repr`` but in another
-    exponent notation (``1e16``, ``2.5e-8``) outside [1e-4, 1e16), where
-    ``repr`` writes them instead.  The values alternate with the separators
-    inside and between knots in one list, which is joined once; the spec's
-    opening text is the first block, and its closing text takes the place
-    of the last knot's separator."""
-    import orjson
-
+    as its ``repr``, and so does ``bundles._number_texts``, which writes a
+    block's values, x0, y0, x1, y1, ..., in one orjson call.  The values
+    alternate with the separators inside and between knots in one list,
+    which is joined once; the spec's opening text is the first block, and
+    its closing text takes the place of the last knot's separator."""
     yield f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      '
     for at in range(0, len(f.xs), _SPEC_BLOCK):
-        values = np.column_stack((f.xs[at:at + _SPEC_BLOCK], f.ys[at:at + _SPEC_BLOCK])).ravel()
-        parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * (len(values) // 2)
-        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-        parts[0::2] = text[1:-1].decode().split(",")
-        # knot values are >= 0
-        for k in np.flatnonzero((values >= 1e16) | (values < 1e-4) & (values != 0.0)):
-            parts[2 * k] = repr(float(values[k]))
+        values = np.column_stack((f.xs[at:at + _SPEC_BLOCK], f.ys[at:at + _SPEC_BLOCK]))
+        parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * len(values)
+        parts[0::2] = bn._number_texts(values)
         if at + _SPEC_BLOCK >= len(f.xs):
             parts[-1] = '\n    ]\n  ],\n  "type": "piecewise_linear"\n}\n'
         yield "".join(parts)

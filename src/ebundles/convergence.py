@@ -29,12 +29,12 @@ Zipf one moves its exponent 0.5 + 0.1/n onto 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import _csv, _excess
+from .bundles import _CSV_CELLS, _csv, _excess, _number_texts
 from .functions import (
     InputError,
     LinearFamily,
@@ -238,7 +238,10 @@ class ConvergenceReport:
     limit_discontinuous: bool | None
 
     def to_csv(self) -> str:
-        return _csv(ConvergenceRow, self.rows)
+        ns, *sups = ([getattr(r, f.name) for r in self.rows] for f in fields(ConvergenceRow))
+        # orjson writes no int beyond 64 bits, which an n may be
+        texts = [*map(repr, ns), *_number_texts(np.array(sups, dtype=float), _CSV_CELLS)]
+        return _csv(ConvergenceRow, texts)
 
 
 def _column_verdict(values: Sequence[float], threshold: float) -> bool:

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -7,6 +8,16 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ebundles.functions import PiecewiseLinearFn
+
+# Cells of an output table: magnitudes from the least subnormal to the
+# largest float, many of them near 1e-4 and 1e16, where orjson's exponent
+# notation parts from repr's, of either sign; both zeros and the infinities.
+_MAGNITUDES = (st.floats(min_value=5e-324, max_value=sys.float_info.max)
+               | st.floats(min_value=1e-5, max_value=1e-3)
+               | st.floats(min_value=1e15, max_value=1e17)
+               | st.sampled_from([math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16]))
+table_cells = (_MAGNITUDES.flatmap(lambda m: st.sampled_from([m, -m]))
+               | st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
 
 
 @st.composite

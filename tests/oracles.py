@@ -37,6 +37,12 @@ trapezoid prefix.
 loop over one outcome object per item (None, a ``Violation`` or a skip
 reason) that the array driver replaced.
 
+``csv_by_rows`` and ``json_by_dumps`` are the references for the table
+writers (``SweepTable.to_csv``/``to_json``, ``ConvergenceReport.to_csv``):
+a line per row of each value's ``repr`` (``NA`` for None), and
+``json.dumps``'s indented, key-sorted encoding of the rows, which the
+column writers through orjson replaced.
+
 ``pairs_one_at_a_time`` is the reference for ``generate_pairs``: it makes
 the generator's rng calls, in its order, round by round (``draw_round``),
 then builds each pair from its row with the scalar builders and verifies it
@@ -47,8 +53,10 @@ at its fixed shape.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -536,3 +544,16 @@ def run_axiom_per_item(axiom: str, outcomes, note: str = "", uncounted: str = "s
     counted = [f"{reason}: {n}" for reason, n in skips.items() if reason != uncounted]
     note = "; ".join(filter(None, [note, *counted]))
     return AxiomReport(axiom, tested, tuple(violations), sum(skips.values()), note)
+
+
+def csv_by_rows(row_type: type, rows) -> str:
+    """A header of row_type's fields, then a line per row: each value's
+    ``repr``, ``NA`` for None."""
+    lines = [",".join(f.name for f in fields(row_type))]
+    lines += [",".join("NA" if v is None else repr(v) for v in vars(r).values()) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_by_dumps(table) -> str:
+    """A sweep table's rows as json writes them, indented and key-sorted."""
+    return json.dumps(table.to_json_obj(), indent=2, sort_keys=True)

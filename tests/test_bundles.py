@@ -4,11 +4,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
-from conftest import seeded_pwl
+from conftest import seeded_pwl, table_cells
 from ebundles.axioms import (
     DominancePair,
     RelationKind,
@@ -19,6 +20,8 @@ from ebundles.axioms import (
 )
 from ebundles.bundles import (
     BUNDLES,
+    SweepRow,
+    SweepTable,
     classical_h,
     e_index,
     e_theta,
@@ -318,6 +321,18 @@ class TestSweep:
         text = table.to_csv()
         assert text.splitlines()[0] == "theta,e,h,mu,i"
         assert "NA" in text
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.just(5), st.integers(0, 8)),
+                  elements=table_cells | st.just(math.nan)))
+    @example(np.empty((5, 0)))
+    @example(np.array([[0.0], [math.inf], [math.nan], [-0.0], [5e-324]]))
+    def test_writers_are_the_row_encodings_byte_for_byte(self, columns):
+        # the column writers against a line of reprs per row and json.dumps
+        # of the rows, on every kind of cell, an empty and a one-row table
+        table = SweepTable(columns)
+        assert table.to_csv() == oracles.csv_by_rows(SweepRow, table.rows)
+        assert table.to_json() == oracles.json_by_dumps(table)
 
     def test_json_mirror_uses_null(self):
         import json

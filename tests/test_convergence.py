@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pwl_functions
+import oracles
+from conftest import pwl_functions, table_cells
 from ebundles.bundles import e_thetas
 from ebundles.convergence import (
     SEQUENCE_FAMILIES,
     ConvergenceReport,
+    ConvergenceRow,
     FunctionSequence,
     _fn_gaps,
     _pairs,
@@ -535,6 +537,17 @@ class TestRunStudy:
         # repr writes each float so that it reads back exactly
         cells = np.loadtxt(report.to_csv().splitlines(), delimiter=",", skiprows=1, ndmin=2)
         assert cells.tolist() == [[r.n, r.sup_fn, r.sup_inv, r.sup_e] for r in report.rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 2**63 - 1) | st.integers(2**63, 10**30),
+                              *[table_cells | st.none()] * 3), max_size=8))
+    def test_csv_is_the_row_encoding_byte_for_byte(self, rows):
+        # int n columns, those beyond 64 bits among them, and distances of
+        # every magnitude or None, against a line of reprs per row (a study
+        # gives no NaN distance; one would read NA, as None does)
+        report = ConvergenceReport(tuple(ConvergenceRow(*r) for r in rows), 1.0,
+                                   None, None, None, None)
+        assert report.to_csv() == oracles.csv_by_rows(ConvergenceRow, report.rows)
 
     def test_csv_of_no_rows_is_its_header_alone(self):
         report = ConvergenceReport((), 1.0, None, None, None, None)

@@ -89,8 +89,8 @@ def test_cli_import_and_one_shot_commands_load_neither_lazy_module(tmp_path):
     """eval, sweep and ingest on the golden inputs, in one fresh interpreter
     that starts from ``import ebundles.cli``, give the golden outputs and
     leave axioms and convergence unloaded; and orjson is loaded by the
-    read of a knot or citations array, or the write of a knot array,
-    alone."""
+    read of a knot or citations array, or the write of a knot array or a
+    table (sweep, converge), alone."""
     inputs = GOLDEN / "inputs"
     runs = {
         "eval-pwl.json": ["eval", "--input", str(inputs / "pwl.json"),
@@ -108,20 +108,21 @@ def test_cli_import_and_one_shot_commands_load_neither_lazy_module(tmp_path):
     for name in runs:
         assert (tmp_path / name).read_text() == (GOLDEN / name).read_text()
     # orjson loads where a knot or citations array is read, or a knot array
-    # written, and nowhere else: not at import, nor for the commands and
-    # inputs that hold neither array, a citation file of lines among them;
-    # each array's read loads it in an interpreter of its own
+    # or a table written, and nowhere else: not at import, nor for the
+    # commands that do neither, eval of a citation file of lines among
+    # them; each loader runs in an interpreter of its own, after those
     counts = tmp_path / "citations.json"
     counts.write_text(json.dumps({"citations": [
         int(line) for line in (inputs / "citations.txt").read_text().split()]}))
-    for array in (counts, inputs / "pwl.json"):
+    loaders = [["eval", "--input", str(counts)], ["eval", "--input", str(inputs / "pwl.json")],
+               ["sweep", "--input", str(inputs / "citations.txt")],
+               ["converge", "--n-list", "2,5", "--grid-n", "50", "--theta-grid-n", "20"]]
+    for loader in loaders:
         argvs = [["counterexamples"], ["axioms", "--pairs", "5"],
-                 ["converge", "--n-list", "2,5", "--grid-n", "50", "--theta-grid-n", "20"],
-                 ["eval", "--input", str(inputs / "citations.txt")],
-                 ["eval", "--input", str(array)]]
+                 ["eval", "--input", str(inputs / "citations.txt")], loader]
         out = _fresh(
             "import json, sys\nimport ebundles.cli\nloaded = ['orjson' in sys.modules]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    ebundles.cli.main(argv)\n    loaded.append('orjson' in sys.modules)\n"
             "print(json.dumps(loaded))\n", json.dumps(argvs))
-        assert json.loads(out.splitlines()[-1]) == [False] * 5 + [True]
+        assert json.loads(out.splitlines()[-1]) == [False] * 4 + [True], loader
