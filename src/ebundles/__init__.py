@@ -23,7 +23,7 @@ _LAZY = {
         "generate_pairs", "n_theta", "pseudo_bundle_eta", "pseudo_bundle_n", "verify_pair",
     ), "axioms"),
     **dict.fromkeys((
-        "convergence", "ConvergenceReport", "ConvergenceRow", "FunctionSequence",
+        "convergence", "ConvergenceReport", "FunctionSequence",
         "e_sup_distance", "inverse_sup_distance", "power_complement_sequence", "run_study",
         "scaled_linear_sequence", "shifted_linear_sequence", "sup_distance", "zipf_sequence",
     ), "convergence"),

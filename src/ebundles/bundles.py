@@ -333,7 +333,8 @@ class SweepTable:
     """Per-theta values of all four bundles: ``columns`` holds the levels
     and the e, h, mu and i scores, a row each, as one read-only (5, L)
     float array, NaN where a score is undefined.  ``rows`` reads them as
-    ``SweepRow``s, None for NaN, each time it is read."""
+    ``SweepRow``s, None for NaN, each time it is read; no writer does, but
+    it stays as documented API, which the benchmark's tracer reads."""
 
     columns: np.ndarray
 
@@ -343,15 +344,12 @@ class SweepTable:
                      for row in self.columns.T.tolist())
 
     def to_csv(self) -> str:
-        return _csv(SweepRow, _number_texts(self.columns, _CSV_CELLS))
-
-    def to_json_obj(self) -> dict:
-        return {"rows": [dict(vars(r)) for r in self.rows]}
+        return _csv([f.name for f in fields(SweepRow)], _number_texts(self.columns, _CSV_CELLS))
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_obj(), indent=2, sort_keys=True)`` byte
-        for byte: that layout, its keys sorted, filled with the cells'
-        ``_number_texts``."""
+        """``json.dumps({"rows": [...]}, indent=2, sort_keys=True)`` of a
+        dict per row, None for NaN, byte for byte: that layout, its keys
+        sorted, filled with the cells' ``_number_texts``."""
         names = [f.name for f in fields(SweepRow)]
         if not self.columns.shape[1]:
             return '{\n  "rows": []\n}'
@@ -400,10 +398,9 @@ def _layout(texts: list[str], row: list[str], slots: Sequence[int]) -> list[str]
     return parts
 
 
-def _csv(row_type: type, texts: list[str]) -> str:
-    """A header of row_type's fields, then a line per row of the cells'
-    texts, which hold the fields' columns one after another."""
-    names = [f.name for f in fields(row_type)]
+def _csv(names: Sequence[str], texts: list[str]) -> str:
+    """A header of the column names, then a line per row of the cells'
+    texts, which hold the columns one after another."""
     parts = _layout(texts, ["", ","] * (len(names) - 1) + ["", "\n"], range(0, 2 * len(names), 2))
     return "".join([",".join(names) + "\n", *parts])
 
@@ -413,11 +410,11 @@ def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:
 
     Inadmissibility is data rather than failure here, so out-of-range thetas
     produce missing markers instead of raising.  The theta list must be
-    finite, strictly increasing and nonnegative.  Each bundle scores every
-    level in one vector call (``BundleDef.scores``), whose rules give NaN
-    wherever the score is undefined.
+    finite, strictly increasing and nonnegative; -0.0 reads as 0.0.  Each
+    bundle scores every level in one vector call (``BundleDef.scores``),
+    whose rules give NaN wherever the score is undefined.
     """
-    ts = np.array([float(t) for t in thetas], dtype=float)
+    ts = np.array([float(t) for t in thetas], dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
     if not np.isfinite(ts).all():
         raise InputError("theta values must be finite")
     if (np.diff(ts) <= 0.0).any():

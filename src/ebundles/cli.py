@@ -71,16 +71,16 @@ def _emit(blocks: Iterable[str], output_path: str | None) -> None:
         sys.stdout.writelines(blocks)
 
 
-def _parse_theta_spec(args: argparse.Namespace) -> tuple[float, ...] | None:
+def _parse_theta_spec(args: argparse.Namespace) -> np.ndarray | None:
     theta, theta_list = args.theta, args.theta_list
     if theta is not None and theta_list is not None:
         raise fn.InputError("use either --theta or --theta-list, not both")
     if theta_list is not None:
         try:
-            vals = tuple(float(v) for v in theta_list.split(","))
+            vals = np.fromiter(map(float, theta_list.split(",")), float)
         except ValueError:
             raise fn.InputError(f"bad --theta-list {theta_list!r}") from None
-        if not all(math.isfinite(v) for v in vals):
+        if not np.isfinite(vals).all():
             raise fn.InputError(f"--theta-list levels must be finite, got {theta_list!r}")
         return vals
     if theta is not None:
@@ -99,12 +99,12 @@ def _parse_theta_spec(args: argparse.Namespace) -> tuple[float, ...] | None:
     return None
 
 
-def _level_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    """count >= 1 levels lo + i * step, evenly from lo to hi; (lo,) for one."""
+def _level_grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """count >= 1 levels lo + i * step, evenly from lo to hi; [lo] for one."""
     if count == 1:
-        return (lo,)
-    step = (hi - lo) / (count - 1)
-    return tuple(lo + i * step for i in range(count))
+        return np.array([lo])
+    with np.errstate(all="ignore"):  # a step that overflows: sweep names the levels
+        return lo + np.arange(count) * ((hi - lo) / (count - 1))
 
 
 # JSON whitespace, and what a JSON number is written with: deleting both
@@ -193,6 +193,9 @@ def _flat_read(data: bytes) -> dict | None:
             # those two bytes made its brackets
             block = bytearray(view[at - 1:end + 1 if last else cut + closes])
             edges = 0, len(block) - 1 if last else block.rfind(b",")
+            # only whitespace follows a unit's last comma ("[0, 3,] [1, 0]" holds a pair's)
+            if block[edges[1] + 1:].strip(_WHITESPACE):
+                return None
             block[edges[0]], block[edges[1]] = b"[]"
             # m units read "[" + the unit m times, less its last comma, + "]"
             # once their numbers and whitespace are deleted, and no number
@@ -284,17 +287,13 @@ def _load_input(args: argparse.Namespace) -> fn.RankFunction:
     raise fn.InputError(f"{args.input}: JSON must hold a function spec or a citations object")
 
 
-def _default_thetas(f: fn.RankFunction) -> tuple[float, ...]:
-    """101 evenly spaced levels over the admissible range, or over
-    [lo, lo + 9 max(1, lo)] where the range is unbounded above."""
-    rng = f.admissible_range()
-    lo = rng.lo
-    hi = rng.hi if not rng.unbounded_above else lo + 9.0 * max(1.0, lo)
-    return _level_grid(lo, hi, 101)
-
-
-def _fmt_val(v: float | None) -> str:
-    return "NA" if v is None else f"{v:.6f}"
+def _level_lines(columns: np.ndarray) -> str:
+    """eval's line per level of a sweep's (5, L) columns: each cell's format
+    (theta's %g, a score's %.6f) or NA, padded to 12, filled in one ``%``."""
+    na = np.isnan(columns.T)
+    cells = np.where(na, [f"{'NA':<12}{end}" for end in "    \n"],
+                     ["%-12.6g ", *["%-12.6f "] * 3, "%-12.6f\n"])
+    return ("".join(cells.ravel().tolist()) % tuple(columns.T[~na].tolist()))[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,34 +305,34 @@ def cmd_eval(args: argparse.Namespace) -> int:
     f = _load_input(args)
     rng = f.admissible_range()
 
-    lines = []
-    lines.append(f"domain: [0, {f.T:g}]")
     hi_txt = "inf" if rng.unbounded_above else f"{rng.hi:g}"
-    lines.append(f"admissible levels: [{rng.lo:g}, {hi_txt}]")
+    lines = [f"domain: [0, {f.T:g}]", f"admissible levels: [{rng.lo:g}, {hi_txt}]"]
 
     result: dict = {"T": f.T, "theta_lo": rng.lo, "theta_hi": None if rng.unbounded_above else rng.hi}
     try:
         h, r2, e = bn._h_core(f)
-        lines.append(f"classical h:   {h:.6f}")
-        lines.append(f"R^2 (h-core):  {r2:.6f}")
-        lines.append(f"e-index:       {e:.6f}  (excess area at h: {e * e:.6f})")
+        lines += [f"classical h:   {h:.6f}", f"R^2 (h-core):  {r2:.6f}",
+                  f"e-index:       {e:.6f}  (excess area at h: {e * e:.6f})"]
         result.update({"h": h, "r_squared": r2, "e_index": e})
     except fn.InputError as exc:
         lines.append(f"classical h:   NA ({exc})")
         result.update({"h": None, "r_squared": None, "e_index": None})
 
-    if thetas:
-        result["per_theta"] = bn.sweep(f, sorted(set(thetas))).to_json_obj()["rows"]
-        lines.append("theta        e            h            mu           i")
-        for r in result["per_theta"]:
-            lines.append(
-                f"{r['theta']:<12.6g} {_fmt_val(r['e']):<12} {_fmt_val(r['h']):<12} "
-                f"{_fmt_val(r['mu']):<12} {_fmt_val(r['i']):<12}"
-            )
+    if thetas is not None:
+        table = bn.sweep(f, np.unique(thetas))
+        # a key of the top object, as "rows" is of a sweep's JSON: the list
+        # reads alike in both, so the sweep's text of it takes this place
+        result["per_theta"] = []
+        lines += ["theta        e            h            mu           i",
+                  _level_lines(table.columns)]
 
     # written before the report is printed: a failed write prints nothing
     if args.output:
-        _atomic_write(args.output, [json.dumps(result, indent=2, sort_keys=True) + "\n"])
+        text = json.dumps(result, indent=2, sort_keys=True)
+        if thetas is not None:
+            rows = table.to_json()
+            text = text.replace('"per_theta": []', '"per_theta": ' + rows[rows.index("["):-2], 1)
+        _atomic_write(args.output, [text + "\n"])
     print("\n".join(lines))
     return 0
 
@@ -341,7 +340,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     thetas = _parse_theta_spec(args)
     f = _load_input(args)
-    table = bn.sweep(f, sorted(set(thetas or _default_thetas(f))))
+    if thetas is None:  # 101 levels over the admissible range, or [lo, lo + 9 max(1, lo)] if open
+        rng = f.admissible_range()
+        hi = rng.lo + 9.0 * max(1.0, rng.lo) if rng.unbounded_above else rng.hi
+        thetas = _level_grid(rng.lo, hi, 101)
+    table = bn.sweep(f, np.unique(thetas))
     text = table.to_json() + "\n" if args.format == "json" else table.to_csv()
     _emit([text], args.output)
     return 0

@@ -21,7 +21,8 @@ consecutive members and flags an apparent jump discontinuity of the
 pointwise limit, the signature of families whose pointwise limit leaves the
 space of continuous decreasing functions; with fewer than three members it
 makes no claim.  Either way ``run_study`` builds one ``ConvergenceReport``:
-the rows, the members' largest value at the origin and the verdict flags.
+the n values, the three distance columns as one array (NaN without a
+limit), the members' largest value at the origin and the verdict flags.
 The named families (``SEQUENCE_FAMILIES``) take only their n values; the
 Zipf one moves its exponent 0.5 + 0.1/n onto 0.5.
 """
@@ -29,7 +30,8 @@ Zipf one moves its exponent 0.5 + 0.1/n onto 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +44,7 @@ from .functions import (
     PowerComplement,
     RankFunction,
     ZipfFamily,
+    _beyond_float,
     _common_T,
     _PwlStack,
 )
@@ -51,7 +54,6 @@ __all__ = [
     "inverse_sup_distance",
     "e_sup_distance",
     "FunctionSequence",
-    "ConvergenceRow",
     "ConvergenceReport",
     "run_study",
     "scaled_linear_sequence",
@@ -213,22 +215,21 @@ class FunctionSequence:
             raise InputError("need at least one n value")
         if min(ns) < 1:
             raise InputError(f"n values must be >= 1, got {min(ns)}")
+        if max(ns) > sys.float_info.max:  # the families read 1/n
+            raise _beyond_float("n values")
         for a, b in zip(ns, ns[1:]):
             if b <= a:
                 raise InputError("n_values must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    sup_fn: float | None
-    sup_inv: float | None
-    sup_e: float | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
+    """A study's columns and verdicts: the sup_fn, sup_inv and sup_e
+    ``distances`` at each of the ``n_values`` (ints, which may exceed
+    2**53), a row each of one read-only (3, m) array, NaN without a limit."""
+
+    n_values: tuple[int, ...]
+    distances: np.ndarray
     # largest member value at the origin over the studied n (inf if unbounded)
     member_peak: float
     fn_converges: bool | None
@@ -238,17 +239,15 @@ class ConvergenceReport:
     limit_discontinuous: bool | None
 
     def to_csv(self) -> str:
-        ns, *sups = ([getattr(r, f.name) for r in self.rows] for f in fields(ConvergenceRow))
         # orjson writes no int beyond 64 bits, which an n may be
-        texts = [*map(repr, ns), *_number_texts(np.array(sups, dtype=float), _CSV_CELLS)]
-        return _csv(ConvergenceRow, texts)
+        texts = [*map(repr, self.n_values), *_number_texts(self.distances, _CSV_CELLS)]
+        return _csv(("n", "sup_fn", "sup_inv", "sup_e"), texts)
 
 
-def _column_verdict(values: Sequence[float], threshold: float) -> bool:
+def _column_verdict(values: np.ndarray, threshold: float) -> bool:
     """Final value below threshold and weakly decreasing over the last half."""
     half = values[len(values) // 2 :]
-    decreasing = all(b <= a + 1e-15 for a, b in zip(half, half[1:]))
-    return decreasing and values[-1] < threshold
+    return bool((half[1:] <= half[:-1] + 1e-15).all() and values[-1] < threshold)
 
 
 def _discontinuity_flag(members: Sequence[RankFunction], grid_n: int) -> bool | None:
@@ -284,17 +283,17 @@ def run_study(
     limit = seq.limit
     if limit is None:  # the flag reads, and so checks, the pairs first
         flag = _discontinuity_flag(members, grid_n)
-        columns, rows = [[None] * len(members)] * 3, _rows(members)
+        distances, rows = np.full((3, len(members)), math.nan), _rows(members)
     else:
         pairs = _pairs(members, [limit])
-        columns = [c.tolist() for c in (_fn_gaps(pairs, grid_n), *_level_gaps(pairs, theta_grid_n))]
+        distances = np.array([_fn_gaps(pairs, grid_n), *_level_gaps(pairs, theta_grid_n)])
         flag, rows = None, pairs[3]
+    distances.flags.writeable = False
     # each distance column's verdict, none without a limit
-    verdicts = [None if limit is None else _column_verdict(c, VERDICT_THRESHOLD) for c in columns]
+    verdicts = [None if limit is None else _column_verdict(c, VERDICT_THRESHOLD) for c in distances]
     peak = math.inf if any(m.unbounded_at_origin for m in members) else float(
         rows.values(np.zeros((len(members), 1))).max())
-    return ConvergenceReport(tuple(map(ConvergenceRow, seq.n_values, *columns)), peak, *verdicts,
-                             limit_discontinuous=flag)
+    return ConvergenceReport(seq.n_values, distances, peak, *verdicts, limit_discontinuous=flag)
 
 
 def scaled_linear_sequence(n_values: Sequence[int]) -> FunctionSequence:

@@ -41,7 +41,10 @@ reason) that the array driver replaced.
 writers (``SweepTable.to_csv``/``to_json``, ``ConvergenceReport.to_csv``):
 a line per row of each value's ``repr`` (``NA`` for None), and
 ``json.dumps``'s indented, key-sorted encoding of the rows, which the
-column writers through orjson replaced.
+column writers through orjson replaced.  ``eval_by_rows`` is the reference
+for ``eval``'s report and JSON: the same row dicts, a line of f-strings
+per level and ``json.dumps`` of the whole report, which the level lines
+laid out in one ``%`` and the sweep's JSON rows replaced.
 
 ``pairs_one_at_a_time`` is the reference for ``generate_pairs``: it makes
 the generator's rng calls, in its order, round by round (``draw_round``),
@@ -56,7 +59,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +67,7 @@ from scipy.optimize import brentq
 from ebundles.axioms import (_KNOT_RANGE, _SHIFT_SCALE, AxiomReport, DominancePair,
                              GenerationError, RelationKind, VerificationError, Violation,
                              verify_pair)
+from ebundles.bundles import _h_core
 from ebundles.functions import (
     InputError,
     LinearFamily,
@@ -546,14 +549,53 @@ def run_axiom_per_item(axiom: str, outcomes, note: str = "", uncounted: str = "s
     return AxiomReport(axiom, tested, tuple(violations), sum(skips.values()), note)
 
 
-def csv_by_rows(row_type: type, rows) -> str:
-    """A header of row_type's fields, then a line per row: each value's
+def csv_by_rows(names, rows) -> str:
+    """A header of the column names, then a line per row: each value's
     ``repr``, ``NA`` for None."""
-    lines = [",".join(f.name for f in fields(row_type))]
-    lines += [",".join("NA" if v is None else repr(v) for v in vars(r).values()) for r in rows]
+    lines = [",".join(names)]
+    lines += [",".join("NA" if v is None else repr(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def sweep_row_dicts(table) -> list[dict]:
+    """A sweep table's rows as the JSON writers took them: a dict per
+    ``SweepRow``, None for NaN."""
+    return [dict(vars(r)) for r in table.rows]
 
 
 def json_by_dumps(table) -> str:
     """A sweep table's rows as json writes them, indented and key-sorted."""
-    return json.dumps(table.to_json_obj(), indent=2, sort_keys=True)
+    return json.dumps({"rows": sweep_row_dicts(table)}, indent=2, sort_keys=True)
+
+
+def _fmt_val(v: float | None) -> str:
+    return "NA" if v is None else f"{v:.6f}"
+
+
+def eval_by_rows(f, table) -> tuple[str, str]:
+    """``eval``'s report and ``--output`` JSON on f, with the levels of a
+    sweep table (None for none), a row at a time: each level's line one
+    f-string over its ``sweep_row_dicts`` dict, and ``per_theta`` those
+    dicts, which json encodes with the rest of the report."""
+    rng = f.admissible_range()
+    hi_txt = "inf" if rng.unbounded_above else f"{rng.hi:g}"
+    lines = [f"domain: [0, {f.T:g}]", f"admissible levels: [{rng.lo:g}, {hi_txt}]"]
+    result = {"T": f.T, "theta_lo": rng.lo, "theta_hi": None if rng.unbounded_above else rng.hi}
+    try:
+        h, r2, e = _h_core(f)
+        lines.append(f"classical h:   {h:.6f}")
+        lines.append(f"R^2 (h-core):  {r2:.6f}")
+        lines.append(f"e-index:       {e:.6f}  (excess area at h: {e * e:.6f})")
+        result.update({"h": h, "r_squared": r2, "e_index": e})
+    except InputError as exc:
+        lines.append(f"classical h:   NA ({exc})")
+        result.update({"h": None, "r_squared": None, "e_index": None})
+    if table is not None:
+        result["per_theta"] = sweep_row_dicts(table)
+        lines.append("theta        e            h            mu           i")
+        for r in result["per_theta"]:
+            lines.append(
+                f"{r['theta']:<12.6g} {_fmt_val(r['e']):<12} {_fmt_val(r['h']):<12} "
+                f"{_fmt_val(r['mu']):<12} {_fmt_val(r['i']):<12}"
+            )
+    return "\n".join(lines) + "\n", json.dumps(result, indent=2, sort_keys=True) + "\n"

@@ -209,11 +209,11 @@ def test_criterion_9_convergence_study():
     t0 = time.perf_counter()
     seq = scaled_linear_sequence([10, 100, 1000, 10_000])
     report = run_study(seq, grid_n=10_000, theta_grid_n=1_000)
-    by_n = {r.n: r for r in report.rows}
-    e_1k = by_n[1000].sup_e
-    e_10k = by_n[10_000].sup_e
+    _, sup_inv, sup_e = (dict(zip(report.n_values, c)) for c in report.distances.tolist())
+    e_1k = sup_e[1000]
+    e_10k = sup_e[10_000]
     inv_ok = all(
-        by_n[n].sup_inv <= 1.0 / (n + 1) + 1e-9 for n in (10, 100, 1000, 10_000)
+        sup_inv[n] <= 1.0 / (n + 1) + 1e-9 for n in (10, 100, 1000, 10_000)
     )
     elapsed = time.perf_counter() - t0
     ok = (

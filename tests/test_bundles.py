@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -303,7 +304,7 @@ class TestSweep:
         table = sweep(LINE, [])
         assert table.rows == ()
         assert table.to_csv() == "theta,e,h,mu,i\n"
-        assert table.to_json_obj() == {"rows": []}
+        assert table.to_json() == '{\n  "rows": []\n}'
 
     def test_missing_markers(self):
         # theta = 12 exceeds Z(0) = 5: no e score, but h / mu / i still fill
@@ -315,6 +316,14 @@ class TestSweep:
     def test_rejects_unsorted(self):
         with pytest.raises(InputError):
             sweep(LINE, [3.0, 1.0])
+
+    def test_negative_zero_level_reads_as_zero(self):
+        # the two zeros give one table, whichever the caller holds
+        table = sweep(LINE, [-0.0, 2.0])
+        assert math.copysign(1.0, table.columns[0, 0]) == 1.0
+        assert table.to_csv() == sweep(LINE, [0.0, 2.0]).to_csv()
+        with pytest.raises(InputError, match="strictly increasing"):
+            sweep(LINE, [-0.0, 0.0])
 
     def test_csv_round_trip(self):
         table = sweep(LINE, [0.0, 2.0, 12.0])
@@ -331,7 +340,8 @@ class TestSweep:
         # the column writers against a line of reprs per row and json.dumps
         # of the rows, on every kind of cell, an empty and a one-row table
         table = SweepTable(columns)
-        assert table.to_csv() == oracles.csv_by_rows(SweepRow, table.rows)
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        assert table.to_csv() == oracles.csv_by_rows(names, (vars(r).values() for r in table.rows))
         assert table.to_json() == oracles.json_by_dumps(table)
 
     def test_json_mirror_uses_null(self):

@@ -1,14 +1,22 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import stat
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import oracles
+from conftest import pwl_functions, table_cells
 
 from ebundles import axioms as ax
 from ebundles import bundles as bn
@@ -101,6 +109,82 @@ class TestEval:
         out = capsys.readouterr().out
         assert "classical h:   308.543004\n" in out
         assert "e-index:       0.000000" in out
+
+
+def _eval_report(argv: list[str]) -> tuple[str, str]:
+    """``main(["eval", *argv, "--output", ...])``'s printed report and JSON
+    file, the run in-process with no pytest fixture (Hypothesis runs a test
+    many times per fixture)."""
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "eval.json")
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(["eval", *argv, "--output", out]) == 0
+        with open(out) as fh:
+            return printed.getvalue(), fh.read()
+
+
+# a function spec, and the function that eval reads from it
+_LINE_SPEC = Path(__file__).parent / "golden" / "inputs" / "linear.json"
+_LINE = fn.function_from_spec(json.loads(_LINE_SPEC.read_text()))
+
+
+class TestEvalLevels:
+    """eval's level lines and ``per_theta`` are written from the sweep's
+    columns; ``oracles.eval_by_rows`` writes them a row at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=table_cells),
+        arrays(np.float64, (4, n), elements=table_cells | st.just(math.nan)))))
+    @example((np.array([0.0]), np.array([[math.nan], [5e-324], [1e16], [9.999999999999999e-05]])))
+    def test_cells_of_every_kind(self, columns):
+        # any cells, levels of every magnitude and sign among them, the
+        # scores NaN or not: the writers are the row formulation byte for
+        # byte, on one level or many
+        table = bn.SweepTable(np.vstack(columns))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bn, "sweep", lambda f, thetas: table)
+            got = _eval_report(["--input", str(_LINE_SPEC), "--theta-list", "1"])
+        assert got == oracles.eval_by_rows(_LINE, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pwl_functions(), st.integers(-12, 18),
+           st.lists(st.tuples(st.floats(0.0, 1.5) | st.sampled_from([5e-324, 1e-300]),
+                              st.booleans()), min_size=1, max_size=12))
+    def test_scores_of_every_magnitude(self, f, scale, levels):
+        # a function's values scaled by 10^scale, so that its scores fall on
+        # both sides of 1e-4 and 1e16, at levels from 0 to past Z(0) and T,
+        # so that cells read NA
+        spec = json.dumps({"type": "piecewise_linear",
+                           "knots": np.column_stack((f.xs, f.ys * 10.0**scale)).tolist()})
+        g = fn.function_from_spec(json.loads(spec))
+        thetas = [u * (g.value_at_origin() if by_value else g.T) for u, by_value in levels]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "spec.json")
+            with open(path, "w") as fh:
+                fh.write(spec)
+            got = _eval_report(["--input", path, "--theta-list", ",".join(map(repr, thetas))])
+        assert got == oracles.eval_by_rows(g, bn.sweep(g, sorted(set(thetas))))
+
+    def test_no_levels_no_per_theta(self):
+        got = _eval_report(["--input", str(_LINE_SPEC)])
+        assert got == oracles.eval_by_rows(_LINE, None)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", ["--format", "csv"]), ("sweep", ["--format", "json"]), ("eval", [])])
+    def test_negative_zero_level_in_either_order(self, command, extra, linear_spec, tmp_path,
+                                                 capsys):
+        # -0 and 0 are one level, read as 0 whichever comes first
+        runs = []
+        for k, levels in enumerate(["0,-0,4", "-0,0,4", "-0,4"]):
+            out = tmp_path / f"{k}.out"
+            argv = [command, "--input", linear_spec, f"--theta-list={levels}", *extra]
+            assert main([*argv, "--output", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+        assert b"-0" not in runs[0][1]
+        assert "\n-0 " not in runs[0][0]
 
 
 class TestSweep:
@@ -264,6 +348,12 @@ class TestFlatKnotRead:
         assert {k: v for k, v in spec.items() if k != "knots"} == {
             k: v for k, v in ref.items() if k != "knots"}
         assert fn.function_from_spec(spec) == fn.function_from_spec(ref)
+
+    @pytest.mark.parametrize("block", range(1, 9))
+    def test_declines_a_pair_comma_in_place_of_the_pairs_comma(self, block):
+        # the comma that ends a block must be the one between two pairs
+        text = b'{"type": "piecewise_linear", "knots": [[0, 3,]  [1, 0]]}'
+        assert _read_in_blocks(text, block) is None
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from([[0, 3], [1, 0], [12, 5]]), min_size=1, max_size=3),
@@ -1243,6 +1333,14 @@ class TestBadInputExit2:
         assert main(["sweep", "--input", linear_spec, "--theta", "0:inf:3"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_theta_grid_whose_step_overflows(self, command, linear_spec, capsys):
+        # finite bounds, but hi - lo is inf: the levels are named, and no
+        # warning is printed
+        assert main([command, "--input", linear_spec, "--theta=-1e308:1e308:3"]) == 2
+        assert capsys.readouterr() == ("", "error: theta values must be finite\n")
+
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize("n", [2.5, True], ids=["fraction", "bool"])
     def test_power_complement_n_not_integral(self, command, n, tmp_path, capsys):
@@ -1400,6 +1498,14 @@ class TestBadInputExit2:
     def test_n_below_one(self, capsys):
         assert main(["converge", "--n-list", "0,1"]) == 2
         assert "n values must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["linear", "shifted", "zipf"])
+    def test_n_beyond_the_largest_float(self, family, capsys):
+        # the members read 1/n, which a float does not hold
+        assert main(["converge", "--family", family, "--n-list", "10,1" + "0" * 400]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n values" + self._BEYOND_FLOAT + "\n"
 
 
 class TestExitPaths:

@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from ebundles.bundles import e_thetas
 from ebundles.convergence import (
     SEQUENCE_FAMILIES,
     ConvergenceReport,
-    ConvergenceRow,
     FunctionSequence,
     _fn_gaps,
     _pairs,
@@ -200,12 +200,13 @@ class TestExactPiecewiseLinear:
         # the values' scale 1; the grid sizes change no float
         ns = sorted({int(round(10.0**e)) for e in np.linspace(0.0, 6.0, 61)})
         seq = scaled_linear_sequence(ns)
-        coarse = run_study(seq, grid_n=2, theta_grid_n=2).rows
-        assert run_study(seq, grid_n=100_000, theta_grid_n=100_000).rows == coarse
-        for r in coarse:
-            assert abs(r.sup_fn - 1.0 / r.n) <= 4 * EPS
-            assert abs(r.sup_inv - 1.0 / (r.n + 1)) <= 4 * EPS
-            assert abs(r.sup_e - 1.0 / (2 * r.n)) <= 4 * EPS
+        coarse = run_study(seq, grid_n=2, theta_grid_n=2).distances
+        fine = run_study(seq, grid_n=100_000, theta_grid_n=100_000).distances
+        assert fine.tolist() == coarse.tolist()
+        for n, (sup_fn, sup_inv, sup_e) in zip(ns, coarse.T.tolist()):
+            assert abs(sup_fn - 1.0 / n) <= 4 * EPS
+            assert abs(sup_inv - 1.0 / (n + 1)) <= 4 * EPS
+            assert abs(sup_e - 1.0 / (2 * n)) <= 4 * EPS
 
     @settings(max_examples=150, deadline=None)
     @given(pair=pwl_pairs())
@@ -395,10 +396,9 @@ class TestStackedStudies:
         scales = [max(read(h) for h in (*members, limit))
                   for read in (lambda h: h.value(x0), lambda h: h.T, lambda h: h.cumulative(h.T))]
         exact = family in ("linear", "shifted")
-        for r, m in zip(report.rows, members):
-            want = (sup_distance(m, limit, grid_n), inverse_sup_distance(m, limit, theta_grid_n),
-                    e_sup_distance(m, limit, theta_grid_n))
-            got = (r.sup_fn, r.sup_inv, r.sup_e)
+        for got, m in zip(report.distances.T.tolist(), members):
+            want = [sup_distance(m, limit, grid_n), inverse_sup_distance(m, limit, theta_grid_n),
+                    e_sup_distance(m, limit, theta_grid_n)]
             if exact:
                 assert got == want
             else:
@@ -414,11 +414,11 @@ class TestStackedStudies:
 
         seq = FunctionSequence(member, (2, 3, 8, 9, 40), UNIT_LINE)
         report = run_study(seq, grid_n=100, theta_grid_n=100)
-        for r in report.rows:
-            m = member(r.n)
+        for n, got in zip(report.n_values, report.distances.T.tolist()):
+            m = member(n)
             want = (sup_distance(m, UNIT_LINE), inverse_sup_distance(m, UNIT_LINE),
                     e_sup_distance(m, UNIT_LINE))
-            assert (r.sup_fn, r.sup_inv, r.sup_e) == pytest.approx(want, abs=8 * EPS)
+            assert got == pytest.approx(want, abs=8 * EPS)
         assert report.member_peak == 1.5
 
 
@@ -470,7 +470,7 @@ class TestVectorDistances:
         monkeypatch.setattr(ZipfFamily, "inverse", scalar)
         seq = zipf_sequence([10, 100])
         report = run_study(seq, grid_n=1_000, theta_grid_n=500)
-        assert all(r.sup_inv > 0.0 and r.sup_e > 0.0 for r in report.rows)
+        assert (report.distances[1:] > 0.0).all()
 
     @pytest.mark.parametrize("grid_n", [-3, 0, 1])
     def test_level_grid_needs_two_points(self, grid_n):
@@ -494,8 +494,9 @@ class TestRunStudy:
 
     def test_scaled_linear_study(self):
         report = run_study(scaled_linear_sequence([10, 100, 1000]), grid_n=4_000, theta_grid_n=800)
-        sup_fn = [r.sup_fn for r in report.rows]
+        sup_fn = report.distances[0].tolist()
         assert sup_fn == pytest.approx([0.1, 0.01, 0.001], rel=1e-6)
+        assert report.n_values == (10, 100, 1000) and not report.distances.flags.writeable
         assert report.fn_converges and report.inv_converges and report.e_converges
         assert report.member_peak == pytest.approx(1.1, abs=1e-12)
 
@@ -504,13 +505,12 @@ class TestRunStudy:
             family=lambda n: UNIT_LINE, n_values=(1, 2, 4), limit=UNIT_LINE
         )
         report = run_study(seq, grid_n=500, theta_grid_n=100)
-        for row in report.rows:
-            assert row.sup_fn == 0.0 and row.sup_inv == 0.0 and row.sup_e == 0.0
+        assert report.distances.tolist() == [[0.0] * 3] * 3
 
     def test_power_family_flags_discontinuous_limit(self):
         report = run_study(power_complement_sequence([1, 2, 4, 8, 16, 32]), grid_n=2_000)
         assert report.limit_discontinuous is True
-        assert all(r.sup_fn is None for r in report.rows)
+        assert report.distances.shape == (3, 6) and np.isnan(report.distances).all()
         assert report.fn_converges is None
 
     def test_uniformly_convergent_family_not_flagged(self):
@@ -529,14 +529,14 @@ class TestRunStudy:
             shifted_linear_sequence([8, 64, 512]),
         ):
             report = run_study(seq, grid_n=2_000, theta_grid_n=500)
-            last = report.rows[-1]
-            assert last.sup_e <= max(last.sup_fn * seq.limit.T, 1e-12) + 1e-9
+            sup_fn, _, sup_e = report.distances[:, -1]
+            assert sup_e <= max(sup_fn * seq.limit.T, 1e-12) + 1e-9
 
     def test_csv_round_trip(self):
         report = run_study(scaled_linear_sequence([2, 4]), grid_n=200, theta_grid_n=50)
         # repr writes each float so that it reads back exactly
         cells = np.loadtxt(report.to_csv().splitlines(), delimiter=",", skiprows=1, ndmin=2)
-        assert cells.tolist() == [[r.n, r.sup_fn, r.sup_inv, r.sup_e] for r in report.rows]
+        assert cells.tolist() == np.vstack((report.n_values, report.distances)).T.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 2**63 - 1) | st.integers(2**63, 10**30),
@@ -545,12 +545,13 @@ class TestRunStudy:
         # int n columns, those beyond 64 bits among them, and distances of
         # every magnitude or None, against a line of reprs per row (a study
         # gives no NaN distance; one would read NA, as None does)
-        report = ConvergenceReport(tuple(ConvergenceRow(*r) for r in rows), 1.0,
+        distances = np.array([[math.nan if v is None else v for v in r[1:]] for r in rows])
+        report = ConvergenceReport(tuple(r[0] for r in rows), distances.reshape(-1, 3).T, 1.0,
                                    None, None, None, None)
-        assert report.to_csv() == oracles.csv_by_rows(ConvergenceRow, report.rows)
+        assert report.to_csv() == oracles.csv_by_rows(("n", "sup_fn", "sup_inv", "sup_e"), rows)
 
     def test_csv_of_no_rows_is_its_header_alone(self):
-        report = ConvergenceReport((), 1.0, None, None, None, None)
+        report = ConvergenceReport((), np.empty((3, 0)), 1.0, None, None, None, None)
         assert report.to_csv() == "n,sup_fn,sup_inv,sup_e\n"
 
 
@@ -568,8 +569,7 @@ class TestInverseConvergenceAcrossFamilies:
     )
     def test_inverse_column_decreases_to_small(self, seq):
         report = run_study(seq, grid_n=2_000, theta_grid_n=400)
-        inv = [r.sup_inv for r in report.rows]
-        fn = [r.sup_fn for r in report.rows]
+        fn, inv, _ = report.distances.tolist()
         assert all(b < a for a, b in zip(inv, inv[1:]))
         assert all(b < a for a, b in zip(fn, fn[1:]))
         assert inv[-1] < 0.01
@@ -611,6 +611,14 @@ class TestFunctionSequenceValidation:
     def test_needs_some_n(self):
         with pytest.raises(InputError):
             FunctionSequence(family=scaled, n_values=())
+
+    @pytest.mark.parametrize("family", ["linear", "shifted", "zipf"])
+    def test_n_beyond_the_largest_float(self, family):
+        # the members read 1/n, which would overflow: the bound is named
+        # before any member is built, and the largest float itself is an n
+        with pytest.raises(InputError, match="the largest float"):
+            SEQUENCE_FAMILIES[family]([10, 10**400])
+        assert FunctionSequence(scaled, (10, int(sys.float_info.max))).n_values[-1] > 2**1000
 
     def test_no_limit_members_need_one_family(self):
         # the Cauchy gaps check every consecutive pair before anything is read

@@ -9,11 +9,15 @@ avoid.  The operation runs once before it is counted, so lazy imports and
 caches do not count.
 """
 
+import contextlib
+import io
+import json
 import sys
 
 import numpy as np
 
-from ebundles import from_citations, sweep
+from ebundles import from_citations, function_to_spec, sweep
+from ebundles.cli import main
 
 
 def _python_calls(run) -> int:
@@ -46,3 +50,26 @@ def test_sweep_and_its_tables_make_as_many_calls_at_any_level_count():
     calls = {levels: _python_calls(lambda: run(levels)) for levels in (200, 800)}
     # 600 more levels; one call per level more would raise the count by 600
     assert calls[800] / calls[200] <= 1.01, calls
+
+
+def test_eval_makes_as_many_calls_at_any_level_count(tmp_path):
+    # eval of a 2x10^4-knot spec, at levels from 0 to past Z(0) given as a
+    # list and as a grid, its report printed and its JSON written
+    f = from_citations(np.floor(np.random.default_rng(5).pareto(1.2, 20_000) * 5.0) + 1.0)
+    spec, out = tmp_path / "spec.json", tmp_path / "eval.json"
+    spec.write_text(json.dumps(function_to_spec(f)))
+    hi = 1.5 * float(f.ys[0])
+
+    def run(levels, form):
+        if form == "list":
+            arg = ["--theta-list", ",".join(map(repr, np.linspace(0.0, hi, levels).tolist()))]
+        else:
+            arg = ["--theta", f"0:{hi!r}:{levels}"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--input", str(spec), *arg, "--output", str(out)]) == 0
+
+    for form in ("list", "grid"):
+        run(10, form)
+        calls = {levels: _python_calls(lambda: run(levels, form)) for levels in (200, 800)}
+        # one call per level more would raise the count by 600
+        assert calls[800] / calls[200] <= 1.01, (form, calls)

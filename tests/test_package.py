@@ -22,9 +22,11 @@ SUBMODULES = ("functions", "bundles", "axioms", "convergence")
 
 # Every name that ``from ebundles import *`` gave before axioms and
 # convergence became lazy, and ``e_thetas`` and ``h_thetas``, which the
-# README documents and which came with binding ``bundles.__all__`` whole.
+# README documents and which came with binding ``bundles.__all__`` whole,
+# less ``ConvergenceRow``, which went when a study's report came to hold
+# its distances as columns.
 PUBLIC = [
-    "AxiomReport", "BUNDLES", "BundleDef", "ConvergenceReport", "ConvergenceRow",
+    "AxiomReport", "BUNDLES", "BundleDef", "ConvergenceReport",
     "CumulativeOrder", "CumulativeVerdict", "DominancePair", "E_BUNDLE", "Fixture",
     "FunctionSequence", "H_BUNDLE", "I_BUNDLE", "InputError", "LinearFamily", "MU_BUNDLE",
     "PiecewiseLinearFn", "PowerComplement", "RankFunction", "RelationKind",
