@@ -76,13 +76,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, _defined, _excess, _on_domain, _read
+from .bundles import E_BUNDLE, I_BUNDLE, BundleDef, _defined, _excess, _read
 from .functions import (
     EQUALITY_TOL,
     CumulativeOrder,
@@ -95,6 +95,7 @@ from .functions import (
     _cumulative_order,
     _extremes,
     _merged_gaps,
+    _on_domain,
     _piecewise_linear,
     _PwlStack,
     _valid_knots,
@@ -363,14 +364,8 @@ class Violation:
     note: str = ""
 
     def to_json_obj(self) -> dict:
-        return {
-            "pair": self.pair_index,
-            "theta": self.theta,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "note": self.note,
-        }
+        return {"pair" if f.name == "pair_index" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import InputError, RankFunction, ThetaRangeError, _at
+from .functions import InputError, RankFunction, ThetaRangeError, _at, _on_domain
 
 __all__ = [
     "e_theta",
@@ -240,11 +240,6 @@ def _read(rule: VectorRule, f: RankFunction, arg: float, what: str) -> float:
     if math.isnan(value):
         raise InputError(f"{what} undefined at {arg!r}")
     return value
-
-
-def _on_domain(f: RankFunction, xs: np.ndarray) -> np.ndarray:
-    """Ranks inside [0, T]."""
-    return (xs >= 0.0) & (xs <= f.T)
 
 
 def _off_pole(f: RankFunction, xs: np.ndarray) -> np.ndarray:

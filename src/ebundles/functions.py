@@ -114,15 +114,28 @@ def _at(vector: Callable[[np.ndarray], np.ndarray], arg: float) -> float:
     return float(vector(np.array([arg], dtype=float))[0])
 
 
+def _on_domain(f: "RankFunction", xs: np.ndarray) -> np.ndarray:
+    """Ranks inside [0, T], NaN not among them: the one domain rule, for a
+    function or a stack of them (``_PwlStack``, ``_columns``), T per row."""
+    return (xs >= 0.0) & (xs <= f.T)
+
+
+def _positive_finite(name: str, v: float) -> None:
+    """Raise ``InputError`` unless v is a number, not a bool, > 0 and finite."""
+    if isinstance(v, (bool, np.bool_)) or not (v > 0 and math.isfinite(v)):
+        raise InputError(f"{name} must be positive and finite, got {v!r}")
+
+
 class RankFunction:
     """Base class: continuous, strictly decreasing, nonnegative on [0, T].
 
     Subclasses provide ``T`` and exact or closed-form vector routines:
-    ``values``, ``cumulatives`` and ``_inverses`` (the inverse at levels
-    already admitted).  Every operation has one code path: ``inverses``
-    admits its levels before ``_inverses``, and each scalar form (``value``,
-    ``inverse``, ``cumulative``) reads its vector form at one argument, so
-    a scalar and a vector call give the same floats.
+    ``values`` and ``cumulatives``, which read their ranks through
+    ``_in_domain`` (it raises on a rank off [0, T]), and ``_inverses`` (the
+    inverse at levels already admitted).  Every operation has one code
+    path: ``inverses`` admits its levels before ``_inverses``, and each
+    scalar form (``value``, ``inverse``, ``cumulative``) checks its argument
+    and reads its vector form there, so the two give the same floats.
     ``ray_crossings`` defaults to one binary search over the floats of
     [0, T], which ``PowerComplement`` and custom subclasses use.
     """
@@ -158,8 +171,15 @@ class RankFunction:
         return _at(self.values, x)
 
     def _check_domain(self, x: float) -> None:
-        if math.isnan(x) or not (0.0 <= x <= self.T):
+        if not _on_domain(self, x):
             raise InputError(f"x={x!r} outside domain [0, {self.T}]")
+
+    def _in_domain(self, xs: np.ndarray) -> np.ndarray:
+        """The ranks as floats, after checking they lie in [0, T]."""
+        xs = np.asarray(xs, dtype=float)
+        if not _on_domain(self, xs).all():
+            raise InputError("grid points outside domain")
+        return xs
 
     def value_at_origin(self) -> float:
         """Z(0), or ``math.inf`` for functions unbounded at the origin."""
@@ -308,13 +328,6 @@ class PiecewiseLinearFn(RankFunction):
     def _stack(self) -> "_PwlStack":
         """The knots as a one-row stack, picked by a 0-d row that broadcasts."""
         return _PwlStack(self.xs[None], self.ys[None], np.array([len(self.xs)]))._select(0)
-
-    def _in_domain(self, xs: np.ndarray) -> np.ndarray:
-        """The points as floats, after checking they lie in [0, T]."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < 0.0 or xs.max() > self.T):
-            raise InputError("grid points outside domain")
-        return xs
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         return self._stack.values(self._in_domain(xs))
@@ -500,13 +513,11 @@ class LinearFamily(RankFunction):
     T: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.S, (bool, np.bool_)) or not (self.S > 0 and math.isfinite(self.S)):
-            raise InputError(f"S must be positive and finite, got {self.S!r}")
-        if isinstance(self.T, (bool, np.bool_)) or not (self.T > 0 and math.isfinite(self.T)):
-            raise InputError(f"T must be positive and finite, got {self.T!r}")
+        _positive_finite("S", self.S)
+        _positive_finite("T", self.T)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._in_domain(xs)
         return self.S * (1.0 - xs / self.T)
 
     def _inverses(self, thetas: np.ndarray) -> np.ndarray:
@@ -516,7 +527,7 @@ class LinearFamily(RankFunction):
         return self.S * self.T / (np.asarray(thetas, dtype=float) * self.T + self.S)
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._in_domain(xs)
         return self.S * (xs - xs * xs / (2.0 * self.T))
 
 
@@ -542,14 +553,13 @@ class ZipfFamily(RankFunction):
     def __post_init__(self) -> None:
         if not (0.0 < self.beta < 1.0):
             raise InputError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if isinstance(self.T, (bool, np.bool_)) or not (self.T > 0 and math.isfinite(self.T)):
-            raise InputError(f"T must be positive and finite, got {self.T!r}")
+        _positive_finite("T", self.T)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.size and xs.min() <= 0.0:
             raise SingularityError("Zipf function has a pole at x=0; points must be > 0")
-        return (self.T / xs) ** self.beta
+        return (self.T / self._in_domain(xs)) ** self.beta
 
     def admissible_range(self) -> ThetaRange:
         return ThetaRange(1.0, math.inf)
@@ -563,7 +573,7 @@ class ZipfFamily(RankFunction):
                         dtype=float)
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._in_domain(xs)
         return self.T**self.beta * xs ** (1.0 - self.beta) / (1.0 - self.beta)
 
 
@@ -585,7 +595,7 @@ class PowerComplement(RankFunction):
         return 1.0
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._in_domain(xs)
         return 1.0 - xs**self.n
 
     def _inverses(self, thetas: np.ndarray) -> np.ndarray:
@@ -597,7 +607,7 @@ class PowerComplement(RankFunction):
         return np.exp(log_s / self.n)
 
     def cumulatives(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._in_domain(xs)
         return xs - xs ** (self.n + 1) / (self.n + 1)
 
 

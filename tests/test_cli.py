@@ -943,6 +943,16 @@ class TestConvergeCmd:
         assert capsys.readouterr().err.endswith(
             "# no limit declared; pointwise limit looks discontinuous\n")
 
+    @pytest.mark.parametrize("family", ["linear", "shifted", "zipf", "power"])
+    def test_benchmark_sizes_write_a_row_per_member(self, family, capsys):
+        # the benchmark's grids: each study reads its six members in one
+        # stacked pass per column and writes six rows
+        assert main(["converge", "--family", family, "--grid-n", "100000", "--theta-grid-n",
+                     "20000", "--n-list", "10,63,398,2512,15849,100000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and [line.split(",")[0] for line in lines[1:]] == [
+            "10", "63", "398", "2512", "15849", "100000"]
+
     @pytest.mark.parametrize("n_list", ["10,100", "10"])
     def test_fewer_than_three_members_make_no_claim(self, n_list, capsys):
         assert main(["converge", "--family", "power", "--n-list", n_list]) == 0
@@ -1070,6 +1080,59 @@ class TestIngestCmd:
             for src, out in zip((one, spec), outs):
                 assert main([command, "--input", str(src), *extra, "--output", str(out)]) == 0
             assert outs[0].read_text() == outs[1].read_text()
+
+
+def _dumps_layout(raw: bytes) -> bool:
+    """Whether a JSON file's bytes are ``json.dumps``' indent=2, sort_keys
+    layout of what they hold."""
+    return raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def spec_1e4(tmp_path_factory):
+    """The spec that ingest writes of 10^4 Pareto counts with ties."""
+    d = tmp_path_factory.mktemp("spec_1e4")
+    counts = np.floor(np.random.default_rng(7).pareto(1.2, 10**4) * 5.0).astype(int)
+    src, spec = d / "counts.txt", d / "spec.json"
+    src.write_text("".join(f"{c}\n" for c in counts.tolist()))
+    assert main(["ingest", "--input", str(src), "--output", str(spec)]) == 0
+    return spec
+
+
+class TestWrittenLayouts:
+    """The files that ingest, sweep and eval write themselves, read back:
+    each JSON file is ``json.dumps``' indent=2, sort_keys layout."""
+
+    def test_ingest_spec(self, spec_1e4, tmp_path):
+        # and counts, with ties, on both sides of [1e-4, 1e16), outside which
+        # orjson's exponent notation is not repr's (1e16, 2.5e-8)
+        src, out = tmp_path / "window.txt", tmp_path / "window.json"
+        src.write_text("2e16\n2e16\n7\n7\n0.0002\n3e-05\n3e-05\n")
+        assert main(["ingest", "--input", str(src), "--output", str(out)]) == 0
+        assert _dumps_layout(spec_1e4.read_bytes()) and _dumps_layout(out.read_bytes())
+
+    def test_sweep_and_eval_at_2001_levels(self, spec_1e4, tmp_path, capsys):
+        # from 0 to past Z(0), so that e, mu and i cells read NA: every CSV
+        # cell is a float's repr or NA, and eval's per_theta is the sweep's
+        # rows, its report a line per level
+        hi = 1.5 * json.loads(spec_1e4.read_text())["knots"][0][1]
+        levels = ["--input", str(spec_1e4), "--theta", f"0:{hi!r}:2001"]
+        out = {name: tmp_path / name for name in ("sweep.json", "sweep.csv", "eval.json")}
+        for form in ("json", "csv"):
+            path = out[f"sweep.{form}"]
+            assert main(["sweep", *levels, "--format", form, "--output", str(path)]) == 0
+        assert main(["eval", *levels, "--output", str(out["eval.json"])]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert _dumps_layout(out["sweep.json"].read_bytes())
+        assert _dumps_layout(out["eval.json"].read_bytes())
+        lines = out["sweep.csv"].read_text().splitlines()
+        assert lines[0] == "theta,e,h,mu,i" and len(lines) == 2002
+        cells = [cell for line in lines[1:] for cell in line.split(",")]
+        assert "NA" in cells and all(c == "NA" or c == repr(float(c)) for c in cells)
+        assert (json.loads(out["eval.json"].read_text())["per_theta"]
+                == json.loads(out["sweep.json"].read_text())["rows"])
+        header = report.index("theta        e            h            mu           i")
+        assert len(report[header + 1:]) == 2001
 
 
 def _traced_peak(argv: list[str]) -> int:

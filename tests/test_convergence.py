@@ -208,6 +208,15 @@ class TestExactPiecewiseLinear:
             assert abs(sup_inv - 1.0 / (n + 1)) <= 4 * EPS
             assert abs(sup_e - 1.0 / (2 * n)) <= 4 * EPS
 
+    def test_shifted_line_columns_are_the_closed_forms(self):
+        # 1/n, 1/n and 1/n - 1/(2n^2): differences of numbers near 1, so
+        # the check is absolute, to 4 ulps of 1
+        ns = [10, 63, 398, 2512, 15849, 100000]
+        report = run_study(shifted_linear_sequence(ns), grid_n=100_000, theta_grid_n=20_000)
+        n = np.array(ns, dtype=float)
+        want = np.vstack((1 / n, 1 / n, 1 / n - 1 / (2 * n * n)))
+        assert (np.abs(report.distances - want) <= 4 * EPS).all(), report.distances
+
     @settings(max_examples=150, deadline=None)
     @given(pair=pwl_pairs())
     def test_exact_is_a_candidate_and_bounds_a_dense_grid(self, pair):

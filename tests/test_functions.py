@@ -72,6 +72,67 @@ class TestEvaluate:
         assert f.values(np.array([0.0, 1.0, 2.0])).tolist() == [3.0, 1.0, 0.2]
 
 
+# a function of each kind: piecewise linear, linear, Zipf, power complement
+_KINDS = [PiecewiseLinearFn.from_pairs([(0, 3), (1, 1), (2, 0)]), LinearFamily(S=2, T=1),
+          ZipfFamily(beta=0.5, T=1), PowerComplement(n=3)]
+_KIND_IDS = ["pwl", "linear", "zipf", "power"]
+
+
+class TestDomainRule:
+    """``functions._on_domain`` is the one [0, T] rule: the scalar forms
+    raise from it naming x, and every kind's vector forms read their ranks
+    through ``RankFunction._in_domain``, which raises from it."""
+
+    @pytest.mark.parametrize("where", ["below", "above", "nan"])
+    @pytest.mark.parametrize("form", ["values", "cumulatives"])
+    @pytest.mark.parametrize("f", _KINDS, ids=_KIND_IDS)
+    def test_off_domain_raises(self, f, form, where):
+        x = {"below": -1.0, "above": f.T + 1.0, "nan": math.nan}[where]
+        if (isinstance(f, ZipfFamily), form, where) == (True, "values", "below"):
+            # a rank at or below the pole keeps the pole's message
+            error, said = SingularityError, "^Zipf function has a pole at x=0; points must be > 0$"
+        else:
+            error, said = InputError, "^grid points outside domain$"
+        with pytest.raises(error, match=said):
+            getattr(f, form)(np.array([0.5 * f.T, x]))
+        scalar = {"values": f.value, "cumulatives": f.cumulative}[form]
+        with pytest.raises(InputError, match=rf"^x={x!r} outside domain \[0, {f.T}\]$"):
+            scalar(x)
+
+    @pytest.mark.parametrize("f", _KINDS, ids=_KIND_IDS)
+    def test_in_domain_reads_are_the_formulas(self, f):
+        # ranks across [0, T], both ends among them (but the Zipf pole):
+        # the check passes the floats on, and every read is the kind's own
+        # expression bit for bit
+        xs = np.r_[0.0, np.random.default_rng(3).uniform(0.0, f.T, 200), f.T]
+        if isinstance(f, PiecewiseLinearFn):
+            stack = _PwlStack.of([f])
+            want = stack.values(xs[None])[0], stack.cumulatives(xs[None])[0]
+        elif isinstance(f, LinearFamily):
+            want = f.S * (1.0 - xs / f.T), f.S * (xs - xs * xs / (2.0 * f.T))
+        elif isinstance(f, ZipfFamily):
+            xs = xs[1:]
+            want = ((f.T / xs) ** f.beta,
+                    f.T**f.beta * xs ** (1.0 - f.beta) / (1.0 - f.beta))
+        else:
+            want = 1.0 - xs**f.n, xs - xs ** (f.n + 1) / (f.n + 1)
+        got = f.values(xs), f.cumulatives(xs)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_one_rule(self):
+        from ebundles import axioms, bundles
+        assert bundles._on_domain is axioms._on_domain is functions._on_domain
+        assert "_in_domain" not in vars(PiecewiseLinearFn)
+
+    @pytest.mark.parametrize("form", ["values", "cumulatives", "_inverses"])
+    def test_a_subclass_without_a_form_gets_not_implemented(self, form):
+        class Bare(RankFunction):
+            T = 1.0
+
+        with pytest.raises(NotImplementedError):
+            getattr(Bare(), form)(np.array([0.5]))
+
+
 class TestConstruction:
     def test_rejects_non_decreasing(self):
         with pytest.raises(InputError):

@@ -15,8 +15,9 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
-from ebundles import from_citations, function_to_spec, sweep
+from ebundles import cli, from_citations, function_to_spec, functions, parse_citations, sweep
 from ebundles.cli import main
 
 
@@ -73,3 +74,55 @@ def test_eval_makes_as_many_calls_at_any_level_count(tmp_path):
         calls = {levels: _python_calls(lambda: run(levels, form)) for levels in (200, 800)}
         # one call per level more would raise the count by 600
         assert calls[800] / calls[200] <= 1.01, (form, calls)
+
+
+def test_from_citations_makes_as_many_calls_at_any_count():
+    # 2x10^4 and 8x10^4 Pareto counts with ties, unsorted
+    counts = {n: np.floor(np.random.default_rng(5).pareto(1.2, n) * 5.0) for n in (20_000, 80_000)}
+    from_citations(counts[20_000])
+    calls = {n: _python_calls(lambda: from_citations(c)) for n, c in counts.items()}
+    # 6x10^4 more counts; one call per count more would raise the count by 60,000
+    assert calls[80_000] / calls[20_000] <= 1.01, calls
+
+
+def _calls_by_blocks(read, text, constant, size):
+    """The calls that read(text(n)) makes on n = blocks * per_block counts,
+    the module constant set to size(per_block), which cuts the text into
+    that many blocks: at 1, 2 and 3 blocks, of 1,000 and of 4,000 counts."""
+    calls = {}
+    for per_block in (1_000, 4_000):
+        for blocks in (1, 2, 3):
+            data = text(blocks * per_block)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(*constant, size(per_block))
+                calls[blocks, per_block] = _python_calls(lambda: read(data))
+    return calls
+
+
+def _fixed_per_block(calls):
+    """Whether the calls are the same whatever a block holds, and grow by
+    the same number from each block to the next."""
+    for per_block in (1_000, 4_000):
+        one, two, three = (calls[blocks, per_block] for blocks in (1, 2, 3))
+        if three - two != two - one:
+            return False
+    return all(calls[blocks, 1_000] == calls[blocks, 4_000] for blocks in (1, 2, 3))
+
+
+def test_parse_citations_makes_a_fixed_number_of_calls_per_block():
+    # lines "5\n": a block of _LINE_BLOCK = 2m - 1 characters runs on to the
+    # m-th line's "\n", so blocks * m lines cut into that many blocks
+    calls = _calls_by_blocks(parse_citations, lambda n: "5\n" * n,
+                             (functions, "_LINE_BLOCK"), lambda m: 2 * m - 1)
+    assert _fixed_per_block(calls), calls
+
+
+def test_flat_citations_read_makes_a_fixed_number_of_calls_per_block():
+    # counts "5,": a block of _SPAN_BLOCK = 2m bytes runs on to the next
+    # comma, m + 1 counts, so blocks * m counts cut into that many blocks
+    # (the last one shorter), and so does the count of commas
+    cli._flat_read(b'{"citations": [5, 3]}')  # its first call imports orjson
+    calls = _calls_by_blocks(cli._flat_read,
+                             lambda n: ('{"citations": [' + "5," * (n - 1) + "5]}").encode(),
+                             (cli, "_SPAN_BLOCK"), lambda m: 2 * m)
+    assert _fixed_per_block(calls), calls
