@@ -137,7 +137,9 @@ def _flat_read(data: bytes) -> dict | None:
     array, with ``[]`` in its place, is UTF-8, holds no backslash and
     decodes to an object whose key holds that ``[]``; the array is exactly
     ``[[,],...,[,]]`` or ``[,...,]`` once its numbers and whitespace are
-    deleted, with no number outside a pair; and, pairs' brackets read as
+    deleted, with no number outside a pair (the whitespace alone deleted,
+    it starts ``[[`` and ends ``]]``, and a numpy test finds a ``[`` two
+    bytes after each ``]`` but the last two); and, pairs' brackets read as
     spaces, it decodes as JSON to one number a slot.  The array then holds
     no quote, so no key or backslash hides in it, and each value is an int
     or a float: no bool, string, null, NaN or infinity, which the array
@@ -198,15 +200,22 @@ def _flat_read(data: bytes) -> dict | None:
                 return None
             block[edges[0]], block[edges[1]] = b"[]"
             # m units read "[" + the unit m times, less its last comma, + "]"
-            # once their numbers and whitespace are deleted, and no number
-            # sits outside a pair: each "],[" and both ends stay whole
+            # once their numbers and whitespace are deleted
             shape = block.translate(None, _WHITESPACE)
             skeleton = shape.translate(None, _NUMBER_BYTES)
             m = (len(skeleton) - 1) // len(unit)
-            if skeleton != b"[" + (unit * m)[:-1] + b"]" or flatten and (
-                    shape.count(b"],[") != m - 1 or shape[:2] != b"[[" or shape[-2:] != b"]]"):
+            if skeleton != b"[" + (unit * m)[:-1] + b"]":
                 return None
-            if flatten:  # only the list's brackets stay
+            if flatten:
+                # no number sits outside a pair: once the whitespace alone
+                # is deleted, the shape starts "[[" and ends "]]", and each
+                # "]" but the last two has a "[" two bytes on, so that the
+                # one byte between is the comma
+                shape_octets = np.frombuffer(shape, np.uint8)
+                if shape[:2] != b"[[" or shape[-2:] != b"]]" or not (
+                        (shape_octets[:-2] == 93) <= (shape_octets[2:] == 91)).all():
+                    return None
+                # only the list's brackets stay
                 block = block.translate(flatten)
                 block[edges[0]], block[edges[1]] = b"[]"
             # json.loads's doubles: orjson rejects NaN, Infinity and a value

@@ -781,38 +781,80 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
 
 
 _LINE_BLOCK = 1 << 16  # characters parsed at a time, run on to a "\n"
+# the bytes of a block of plain lines: JSON numbers without a sign (so
+# "-0" is never read as the int 0), spaces and tabs, "\n" and "\r\n"
+_PLAIN_BYTES = b"0123456789.eE+ \t\r\n"
+_COMMA_LINE_ENDS = bytes.maketrans(b"\n", b",")
 
 
 def parse_citations(text: str) -> np.ndarray:
     """Parse one nonnegative count per line, blank lines skipped, into a
     float array, in blocks cut after a ``"\\n"`` (which no line straddles),
     so that no list of every line is built; a bad line's number is its
-    number in the whole text."""
+    number in the whole text.  In a text longer than one ``_LINE_BLOCK``
+    (a shorter one never imports orjson), a block of plain lines
+    (``_plain_lines``) is decoded by one orjson call; any other block is
+    split into lines and each line read by ``float`` (``_split_lines``)."""
+    loads = None
+    if len(text) > _LINE_BLOCK:
+        from orjson import loads
     blocks, lines_before, start = [], 0, 0
     while start < len(text):
         cut = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
-        lines = text[start:cut].splitlines()
-        try:
-            vals = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
-        except ValueError:
-            vals = None
-        if vals is None or not (vals >= 0).all():  # NaN fails >= 0 too
-            # the vector pass failed: name the first bad line
-            for lineno, line in enumerate(lines, start=lines_before + 1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    v = float(stripped)
-                except ValueError:
-                    raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
-                if not v >= 0:
-                    raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
+        block = text[start:cut]
+        vals, count = loads and _plain_lines(block, loads) or _split_lines(block, lines_before)
         blocks.append(vals)
-        lines_before, start = lines_before + len(lines), cut
+        lines_before, start = lines_before + count, cut
     if not sum(map(len, blocks)):
         raise InputError("no citation values found")
     return np.concatenate(blocks)
+
+
+def _split_lines(block: str, lines_before: int) -> tuple[np.ndarray, int]:
+    """The counts of a block of lines, each line read by ``float``, and its
+    number of lines; a bad line is named by its number, lines_before more
+    than its number in the block."""
+    lines = block.splitlines()
+    try:
+        vals = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
+    except ValueError:
+        vals = None
+    if vals is None or not (vals >= 0).all():  # NaN fails >= 0 too
+        # the vector pass failed: name the first bad line
+        for lineno, line in enumerate(lines, start=lines_before + 1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                v = float(stripped)
+            except ValueError:
+                raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
+            if not v >= 0:
+                raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
+    return vals, len(lines)
+
+
+def _plain_lines(block: str, loads: Callable[[bytes], list]) -> tuple[np.ndarray, int] | None:
+    """The counts of a block of lines and its number of lines, as
+    ``splitlines`` counts them, or None unless the block holds only
+    ``_PLAIN_BYTES``, a "\\r" only before a "\\n", and one JSON number on
+    each line up to its last count.  The lines, their ends made commas,
+    are then one JSON list, which loads decodes to the doubles that
+    ``float`` reads of each line."""
+    if not block.isascii():
+        return None
+    raw = block.encode()
+    octets = np.frombuffer(raw, np.uint8)
+    # only _PLAIN_BYTES, and a "\n" after each "\r"
+    if raw.translate(None, _PLAIN_BYTES) or b"\r" in raw and (
+            raw.endswith(b"\r") or not ((octets[:-1] == 13) <= (octets[1:] == 10)).all()):
+        return None
+    try:  # a blank line before the last count leaves an empty slot
+        values = loads(b"".join((b"[", raw.rstrip().translate(_COMMA_LINE_ENDS), b"]")))
+    except ValueError:
+        return None
+    return (np.fromiter(values, float, len(values)),
+            np.count_nonzero(octets == 10) + (not raw.endswith(b"\n")))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -668,6 +669,60 @@ class TestParseCitations:
         assert parse_citations("5\n123456789\r\n\n 7\r3\n").tolist() == [5, 123456789, 7, 3]
         with pytest.raises(InputError, match="^line 6: not a number: 'x'$"):
             parse_citations("5\n123456789\r\n\n 7\r3\nx\n")
+
+    @staticmethod
+    def _spy_orjson(monkeypatch) -> list:
+        """The texts that orjson decodes from here on, in order."""
+        decoded, loads = [], orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda data: decoded.append(data) or loads(data))
+        return decoded
+
+    def test_orjson_decodes_every_block_of_plain_lines(self, monkeypatch):
+        # LF and CRLF ends, spaces and tabs, exponents and trailing blank
+        # lines, cut into blocks of 40 characters run on to a "\n": each
+        # block is one orjson call and none is split into lines
+        decoded = self._spy_orjson(monkeypatch)
+        monkeypatch.setattr(functions, "_split_lines", lambda *args: pytest.fail(repr(args)))
+        monkeypatch.setattr(functions, "_LINE_BLOCK", 40)
+        text = "5\n12\r\n 7\t\n1e3\n2.5E+1 \n0\n0.0\n123456789\r\n" * 30 + "\n \n"
+        blocks, start = 0, 0
+        while start < len(text):
+            start, blocks = text.find("\n", start + 40) + 1 or len(text), blocks + 1
+        assert blocks > 20
+        got = parse_citations(text)
+        assert len(decoded) == blocks
+        assert repr(got.tolist()) == repr(oracles.parse_citations_by_line(text))
+
+    @pytest.mark.parametrize("tail", ["", "x\n"])
+    @pytest.mark.parametrize("line", ["", "-0", "+5", "1_000", "1,2", "true", "4\x0c5", "4\r5"])
+    def test_declined_blocks_match_the_line_loop(self, line, tail, monkeypatch):
+        # a line that orjson must not read between plain ones, and a bad
+        # line after it, whose number counts the lines that "\x0c" and a
+        # lone "\r" end: at every block size, what the line loop gives
+        def outcome(parse):
+            try:
+                return repr(parse(text))  # repr tells -0.0 from 0.0
+            except InputError as exc:
+                return f"InputError: {exc}"
+
+        text = "3\n12\r\n 7\t\n" * 4 + line + "\n" + "5\n2.5\n" * 8 + tail
+        split, split_lines = [], functions._split_lines
+        monkeypatch.setattr(functions, "_split_lines",
+                            lambda *args: split.append(args) or split_lines(*args))
+        want = outcome(oracles.parse_citations_by_line)
+        for block in range(1, 65):
+            monkeypatch.setattr(functions, "_LINE_BLOCK", block)
+            assert outcome(lambda t: parse_citations(t).tolist()) == want, block
+        assert split
+
+    def test_a_bad_line_after_plain_blocks_is_named_by_its_line_in_the_file(self, monkeypatch):
+        # two blocks of 64 Ki characters, CRLF and LF lines, go through
+        # orjson; the third, which holds the bad line, is split into lines
+        decoded = self._spy_orjson(monkeypatch)
+        text = "5\r\n" * 30_000 + "12\n" * 30_000 + "x\n" + "7\n" * 10
+        with pytest.raises(InputError, match="^line 60001: not a number: 'x'$"):
+            parse_citations(text)
+        assert len(decoded) == 2
 
 
 # knot magnitudes from 1e-300 to 1e300, ranks and values scaled apart

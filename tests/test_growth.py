@@ -12,12 +12,14 @@ caches do not count.
 import contextlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from ebundles import cli, from_citations, function_to_spec, functions, parse_citations, sweep
+from ebundles import (cli, e_thetas, from_citations, function_to_spec, functions, h_thetas,
+                      parse_citations, sweep)
 from ebundles.cli import main
 
 
@@ -76,6 +78,50 @@ def test_eval_makes_as_many_calls_at_any_level_count(tmp_path):
         assert calls[800] / calls[200] <= 1.01, (form, calls)
 
 
+def _calls_in_and_out_of_bisection(run) -> tuple[int, int]:
+    """The Python-level calls that run makes from inside ``functions._bisect``
+    (its steps, at any depth), and the others."""
+    inside = outside = 0
+
+    def profile(frame, event, arg):
+        nonlocal inside, outside
+        if event == "call":
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not functions._bisect.__code__:
+                caller = caller.f_back
+            inside += caller is not None
+            outside += caller is None
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return inside, outside
+
+
+@pytest.mark.parametrize("scores", [e_thetas, h_thetas])
+def test_e_and_h_make_as_many_calls_at_any_level_count_and_log_more_at_more_knots(scores):
+    # functions of 2x10^4 + 1 and 8x10^4 + 1 knots, scored at 200 and 800
+    # levels from 0 to Z(0)
+    fs = {n: from_citations(np.floor(np.random.default_rng(5).pareto(1.2, n) * 5.0) + 1.0)
+          for n in (20_000, 80_000)}
+    calls = {}
+    for n, f in fs.items():
+        for levels in (200, 800):
+            thetas = np.linspace(0.0, float(f.ys[0]), levels)
+            scores(f, thetas)
+            calls[n, levels] = _calls_in_and_out_of_bisection(lambda: scores(f, thetas))
+    # 600 more levels; one call per level more would raise the count by 600
+    for n in fs:
+        assert sum(calls[n, 800]) / sum(calls[n, 200]) <= 1.01, calls
+    # 4x the knots: as many calls outside the searches, whose steps grow
+    # with log2 of the knot count; one call per knot more would add 60,000
+    (inside, outside), (inside_4k, outside_4k) = calls[20_000, 200], calls[80_000, 200]
+    assert outside_4k / outside <= 1.01, calls
+    assert inside_4k / inside <= math.log2(80_001) / math.log2(20_001), calls
+
+
 def test_from_citations_makes_as_many_calls_at_any_count():
     # 2x10^4 and 8x10^4 Pareto counts with ties, unsorted
     counts = {n: np.floor(np.random.default_rng(5).pareto(1.2, n) * 5.0) for n in (20_000, 80_000)}
@@ -111,7 +157,9 @@ def _fixed_per_block(calls):
 
 def test_parse_citations_makes_a_fixed_number_of_calls_per_block():
     # lines "5\n": a block of _LINE_BLOCK = 2m - 1 characters runs on to the
-    # m-th line's "\n", so blocks * m lines cut into that many blocks
+    # m-th line's "\n", so blocks * m lines cut into that many blocks, each
+    # decoded by orjson, which a text of more than one block imports
+    parse_citations("5\n" * (functions._LINE_BLOCK + 1))
     calls = _calls_by_blocks(parse_citations, lambda n: "5\n" * n,
                              (functions, "_LINE_BLOCK"), lambda m: 2 * m - 1)
     assert _fixed_per_block(calls), calls
@@ -125,4 +173,16 @@ def test_flat_citations_read_makes_a_fixed_number_of_calls_per_block():
     calls = _calls_by_blocks(cli._flat_read,
                              lambda n: ('{"citations": [' + "5," * (n - 1) + "5]}").encode(),
                              (cli, "_SPAN_BLOCK"), lambda m: 2 * m)
+    assert _fixed_per_block(calls), calls
+
+
+def test_flat_knot_read_makes_a_fixed_number_of_calls_per_block():
+    # knots "[5,5],": a block of _SPAN_BLOCK = 6m bytes runs on to the next
+    # "[", m knots, so blocks * m knots cut into that many blocks, and so
+    # does the count of "["s
+    cli._flat_read(b'{"knots": [[0, 1], [1, 0]]}')  # its first call imports orjson
+    calls = _calls_by_blocks(cli._flat_read,
+                             lambda n: ('{"type": "piecewise_linear", "T": 1, "knots": ['
+                                        + "[5,5]," * (n - 1) + "[5,5]]}").encode(),
+                             (cli, "_SPAN_BLOCK"), lambda m: 6 * m)
     assert _fixed_per_block(calls), calls

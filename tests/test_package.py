@@ -91,8 +91,9 @@ def test_cli_import_and_one_shot_commands_load_neither_lazy_module(tmp_path):
     """eval, sweep and ingest on the golden inputs, in one fresh interpreter
     that starts from ``import ebundles.cli``, give the golden outputs and
     leave axioms and convergence unloaded; and orjson is loaded by the
-    read of a knot or citations array, or the write of a knot array or a
-    table (sweep, converge), alone."""
+    read of a knot or citations array, the parse of a line file of more
+    than one block, or the write of a knot array or a table (sweep,
+    converge), alone."""
     inputs = GOLDEN / "inputs"
     runs = {
         "eval-pwl.json": ["eval", "--input", str(inputs / "pwl.json"),
@@ -109,14 +110,18 @@ def test_cli_import_and_one_shot_commands_load_neither_lazy_module(tmp_path):
     assert json.loads(out.splitlines()[-1]) == [[0, 0, 0], []]
     for name in runs:
         assert (tmp_path / name).read_text() == (GOLDEN / name).read_text()
-    # orjson loads where a knot or citations array is read, or a knot array
-    # or a table written, and nowhere else: not at import, nor for the
-    # commands that do neither, eval of a citation file of lines among
+    # orjson loads where a knot or citations array is read, a line file
+    # longer than 64 Ki characters parsed, or a knot array or a table
+    # written, and nowhere else: not at import, nor for the commands that
+    # do none of these, eval of the golden citation file of lines among
     # them; each loader runs in an interpreter of its own, after those
     counts = tmp_path / "citations.json"
     counts.write_text(json.dumps({"citations": [
         int(line) for line in (inputs / "citations.txt").read_text().split()]}))
-    loaders = [["eval", "--input", str(counts)], ["eval", "--input", str(inputs / "pwl.json")],
+    lines = tmp_path / "citations.txt"
+    lines.write_text("5\n3\n" * (1 << 14) + "1\n")
+    loaders = [["eval", "--input", str(counts)], ["eval", "--input", str(lines)],
+               ["eval", "--input", str(inputs / "pwl.json")],
                ["sweep", "--input", str(inputs / "citations.txt")],
                ["converge", "--n-list", "2,5", "--grid-n", "50", "--theta-grid-n", "20"]]
     for loader in loaders:
