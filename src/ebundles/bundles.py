@@ -27,7 +27,9 @@ boundary tolerance) is written once here, and runs on a single function at
 many levels (``sweep``) or on a stack of piecewise linear functions at one
 level per row (the axiom suites read whole pair sets so, through
 ``axioms._Pairs``); ``BundleDef.measure`` and ``level_of`` read a rule at
-one argument.
+one argument.  A ``SweepTable`` writes its CSV and JSON through the
+number-text writers of ``functions`` (``_number_texts``, ``_layout``,
+``_csv``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import InputError, RankFunction, ThetaRangeError, _at, _on_domain
+from .functions import (_CSV_CELLS, InputError, RankFunction, ThetaRangeError, _at, _csv, _layout,
+                        _number_texts, _on_domain)
 
 __all__ = [
     "e_theta",
@@ -355,49 +358,6 @@ class SweepTable:
         parts = _layout(_number_texts(self.columns), row, [2 * keys.index(n) + 1 for n in names])
         parts[0] = '{\n  "rows": [\n    {' + first
         return "".join([*parts, "\n    }\n  ]\n}"])
-
-
-# The text that a cell whose ``repr`` is a key has in each output: json
-# writes NaN (None) as null and the infinities in JavaScript's words
-_CSV_CELLS = {"nan": "NA"}
-_JSON_CELLS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _number_texts(values: np.ndarray, cells: dict[str, str] = _JSON_CELLS) -> list[str]:
-    """Each float of values, in C order, as its ``repr`` or the text that
-    cells give that ``repr``.  orjson writes them in one call, as ``repr``
-    does in [1e-4, 1e16) and at zero; outside, where its exponent notation
-    differs (``1e16``, ``2.5e-8``), at infinities, which it writes as null,
-    and at negative floats (none in a table or spec), ``repr`` does."""
-    import orjson
-
-    flat = values.ravel()
-    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    if cells["nan"] != "null":  # orjson writes NaN as null
-        for k in np.flatnonzero(np.isnan(flat)).tolist():
-            texts[k] = cells["nan"]
-    for k in np.flatnonzero((flat < 1e-4) & (flat != 0.0) | (flat >= 1e16)).tolist():
-        t = repr(flat[k].item())
-        texts[k] = cells.get(t, t)
-    return texts if flat.size else []
-
-
-def _layout(texts: list[str], row: list[str], slots: Sequence[int]) -> list[str]:
-    """row's parts once per row of a table, the cells' texts in its slots:
-    texts holds the columns one after another, and column j fills slot
-    ``slots[j]`` of every row."""
-    n = len(texts) // len(slots)
-    parts = row * n
-    for j, slot in enumerate(slots):
-        parts[slot::len(row)] = texts[j * n:(j + 1) * n]
-    return parts
-
-
-def _csv(names: Sequence[str], texts: list[str]) -> str:
-    """A header of the column names, then a line per row of the cells'
-    texts, which hold the columns one after another."""
-    parts = _layout(texts, ["", ","] * (len(names) - 1) + ["", "\n"], range(0, 2 * len(names), 2))
-    return "".join([",".join(names) + "\n", *parts])
 
 
 def sweep(f: RankFunction, thetas: Sequence[float]) -> SweepTable:

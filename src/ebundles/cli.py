@@ -10,10 +10,12 @@ Subcommands:
   ingest           continuize a citation file into a function spec
 
 Each command reads the parsed argparse namespace directly; the parser holds
-every default.  Exit codes: 0 success (including an expected counterexample
-reproducing), 1 an axiom violation for a score that should satisfy it (or a
-fixture that fails to reproduce), 2 input or I/O failure, including an axiom
-run that tested no pair.
+every default.  Input files are read, and specs written, by the number-text
+readers and writers of ``functions`` (``_flat_read``, ``parse_citations``,
+``_spec_text``), and tables by their own types.  Exit codes: 0 success
+(including an expected counterexample reproducing), 1 an axiom violation
+for a score that should satisfy it (or a fixture that fails to reproduce),
+2 input or I/O failure, including an axiom run that tested no pair.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import stat
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -107,134 +109,9 @@ def _level_grid(lo: float, hi: float, count: int) -> np.ndarray:
         return lo + np.arange(count) * ((hi - lo) / (count - 1))
 
 
-# JSON whitespace, and what a JSON number is written with: deleting both
-# from a number array's text leaves its brackets and commas
-_WHITESPACE = b" \t\n\r"
-_NUMBER_BYTES = b"0123456789.eE+-"
-# The number arrays read flat from an input file's bytes: the key, the
-# byte that blocks are cut at, the array's skeleton per unit (its numbers
-# and whitespace deleted, and a comma after the last unit too), the table
-# that blanks a unit's brackets, and the shape of a unit's values.  A
-# spec's knot pairs are cut before a pair's "[", a citations object's
-# counts after a count's comma.
-_FLAT_ARRAYS = (
-    ("knots", b"[", b"[,],", bytes.maketrans(b"[]", b"  "), (2,)),
-    ("citations", b",", b",", None, ()),
-)
-# bytes of an array read at a time, run on to the next cut: whole units
-_SPAN_BLOCK = 1 << 16
-
-
-def _flat_read(data: bytes) -> dict | None:
-    """The JSON object that the bytes of a file hold, its ``"knots"`` array
-    (in a file without that key, its ``"citations"`` array) read as one
-    flat list of numbers into a float array, (n, 2) for knots; None, and
-    the caller decodes the whole file, unless that read gives what
-    ``json.loads`` gives of the file's UTF-8 text and every value fits a
-    float.  Never raises.
-
-    It takes the bytes only where the key occurs once; the text around the
-    array, with ``[]`` in its place, is UTF-8, holds no backslash and
-    decodes to an object whose key holds that ``[]``; the array is exactly
-    ``[[,],...,[,]]`` or ``[,...,]`` once its numbers and whitespace are
-    deleted, with no number outside a pair (the whitespace alone deleted,
-    it starts ``[[`` and ends ``]]``, and a numpy test finds a ``[`` two
-    bytes after each ``]`` but the last two); and, pairs' brackets read as
-    spaces, it decodes as JSON to one number a slot.  The array then holds
-    no quote, so no key or backslash hides in it, and each value is an int
-    or a float: no bool, string, null, NaN or infinity, which the array
-    would hide once read as floats.  It is read a block of whole units at
-    a time, each block copied once (and a knot block translated once, its
-    pairs' brackets blanked), so that neither a copy of the array nor a
-    list of all its values is made.  orjson decodes the values, to the
-    doubles that ``json.loads`` gives; what it rejects (NaN, an infinity, a
-    value beyond the float range) is read by the general path, which names
-    it.  The bytes stay with the caller: their text is what the general
-    path reads where the values fail to decode."""
-    for name, cut_byte, unit, flatten, tail in _FLAT_ARRAYS:
-        key = f'"{name}"'
-        at = data.find(key.encode())
-        if at >= 0:
-            break
-    else:
-        return None
-    # the array runs from the first "[" after the key to the last "]" before
-    # the next quote or "}"; the checks below hold only if it really does
-    start = data.find(b"[", at)
-    close = data.find(b"}", start)
-    if min(start, close) < 0:
-        return None
-    quote = data.find(b'"', start, close)
-    end = data.rfind(b"]", start, close if quote < 0 else quote)
-    if end < 0:
-        return None
-    try:
-        outside = (data[:start] + b"[]" + data[end + 1:]).decode("utf-8")
-        if outside.count(key) != 1 or "\\" in outside:
-            return None
-        obj = json.loads(outside)
-        if type(obj) is not dict or obj.get(name) != []:
-            return None
-        import orjson
-
-        # a unit per cut byte: a pair opens with "[", and a count closes with
-        # a comma, which the last count lacks (counted a block at a time)
-        closes = cut_byte == b","
-        octets = np.frombuffer(data, np.uint8, end - start - 1, start + 1)
-        units = sum(int(np.count_nonzero(octets[a:a + _SPAN_BLOCK] == cut_byte[0]))
-                    for a in range(0, len(octets), _SPAN_BLOCK))
-        array = np.empty((units + closes, *tail))
-        flat, width, view = array.reshape(-1), math.prod(tail), memoryview(data)
-        at, i, last = start + 1, 0, False
-        while not last:
-            # every block but the last holds a comma before its cut
-            cut = data.find(cut_byte, max(at + _SPAN_BLOCK, data.find(b",", at, end) + 1), end)
-            last = cut < 0
-            # the block, from the byte before it to its last comma (the
-            # array's "]" in the last block), reads as a JSON list with
-            # those two bytes made its brackets
-            block = bytearray(view[at - 1:end + 1 if last else cut + closes])
-            edges = 0, len(block) - 1 if last else block.rfind(b",")
-            # only whitespace follows a unit's last comma ("[0, 3,] [1, 0]" holds a pair's)
-            if block[edges[1] + 1:].strip(_WHITESPACE):
-                return None
-            block[edges[0]], block[edges[1]] = b"[]"
-            # m units read "[" + the unit m times, less its last comma, + "]"
-            # once their numbers and whitespace are deleted
-            shape = block.translate(None, _WHITESPACE)
-            skeleton = shape.translate(None, _NUMBER_BYTES)
-            m = (len(skeleton) - 1) // len(unit)
-            if skeleton != b"[" + (unit * m)[:-1] + b"]":
-                return None
-            if flatten:
-                # no number sits outside a pair: once the whitespace alone
-                # is deleted, the shape starts "[[" and ends "]]", and each
-                # "]" but the last two has a "[" two bytes on, so that the
-                # one byte between is the comma
-                shape_octets = np.frombuffer(shape, np.uint8)
-                if shape[:2] != b"[[" or shape[-2:] != b"]]" or not (
-                        (shape_octets[:-2] == 93) <= (shape_octets[2:] == 91)).all():
-                    return None
-                # only the list's brackets stay
-                block = block.translate(flatten)
-                block[edges[0]], block[edges[1]] = b"[]"
-            # json.loads's doubles: orjson rejects NaN, Infinity and a value
-            # beyond the float range, which the general path names; an empty
-            # last slot (a trailing comma, or no count at all) reads short
-            values = orjson.loads(block)
-            if len(values) != m * width:
-                return None
-            flat[i:i + len(values)] = np.fromiter(values, float, len(values))
-            at, i = cut + closes, i + len(values)
-        obj[name] = array
-    except (ValueError, RecursionError, OverflowError):
-        return None
-    return obj
-
-
 def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
     """The ``--input`` file's JSON value, and its UTF-8 text where the line
-    format reads it.  The file is read once, as bytes, which ``_flat_read``
+    format reads it.  The file is read once, as bytes, which ``fn._flat_read``
     reads where it takes them and ``json.loads`` decoded elsewhere.  The
     value is None, with the text, where the text is not JSON or is a single
     number: a citation file of one count.  Other text is dropped once
@@ -245,7 +122,7 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
     try:
         with open(args.input, "rb") as fh:
             data = fh.read()
-        obj = _flat_read(data)
+        obj = fn._flat_read(data)
         if obj is not None:
             return obj, None
         text = data.decode("utf-8")
@@ -268,7 +145,7 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
 
 def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
     """The citation counts of an input: a ``{"citations": [...]}`` object's,
-    a float array as it is (``_flat_read``'s), else one count per line of
+    a float array as it is (``fn._flat_read``'s), else one count per line of
     its text.  Other JSON holds no counts."""
     if obj is None:
         return fn.parse_citations(text)
@@ -456,35 +333,13 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
     return 1 if any(r.passed for r, *_ in found) else 0
 
 
-_SPEC_BLOCK = 4096  # knots written in one block of text
-
-
-def _spec_text(f: fn.PiecewiseLinearFn) -> Iterator[str]:
-    """``json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
-    byte for byte, in blocks of ``_SPEC_BLOCK`` knots, without the
-    pure-Python encoder that ``indent`` selects: json writes a finite float
-    as its ``repr``, and so does ``bundles._number_texts``, which writes a
-    block's values, x0, y0, x1, y1, ..., in one orjson call.  The values
-    alternate with the separators inside and between knots in one list,
-    which is joined once; the spec's opening text is the first block, and
-    its closing text takes the place of the last knot's separator."""
-    yield f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      '
-    for at in range(0, len(f.xs), _SPEC_BLOCK):
-        values = np.column_stack((f.xs[at:at + _SPEC_BLOCK], f.ys[at:at + _SPEC_BLOCK]))
-        parts = ["", ",\n      ", "", "\n    ],\n    [\n      "] * len(values)
-        parts[0::2] = bn._number_texts(values)
-        if at + _SPEC_BLOCK >= len(f.xs):
-            parts[-1] = '\n    ]\n  ],\n  "type": "piecewise_linear"\n}\n'
-        yield "".join(parts)
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     counts = _counts(*_read_input(args), args)
-    # compared, not differenced: inf - inf would warn on stderr
+    f = fn.from_citations(counts)
+    # once the counts are accepted: a run that fails says only why
     if (counts[1:] > counts[:-1]).any():
         print("notice: input not sorted; sorting descending", file=sys.stderr)
-    f = fn.from_citations(counts)
-    _emit(_spec_text(f), args.output)
+    _emit(fn._spec_text(f), args.output)
     return 0
 
 

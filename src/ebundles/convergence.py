@@ -24,7 +24,9 @@ makes no claim.  Either way ``run_study`` builds one ``ConvergenceReport``:
 the n values, the three distance columns as one array (NaN without a
 limit), the members' largest value at the origin and the verdict flags.
 The named families (``SEQUENCE_FAMILIES``) take only their n values; the
-Zipf one moves its exponent 0.5 + 0.1/n onto 0.5.
+Zipf one moves its exponent 0.5 + 0.1/n onto 0.5.  A report's CSV is
+written by the number-text writers of ``functions`` (``_csv``,
+``_number_texts``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import _CSV_CELLS, _csv, _excess, _number_texts
+from .bundles import _excess
 from .functions import (
     InputError,
     LinearFamily,
@@ -45,7 +47,10 @@ from .functions import (
     RankFunction,
     ZipfFamily,
     _beyond_float,
+    _CSV_CELLS,
+    _csv,
     _common_T,
+    _number_texts,
     _PwlStack,
 )
 

@@ -21,14 +21,22 @@ stack.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
+
+Number text is read and written here alone, and only here is orjson
+imported, inside the functions that call it: ``parse_citations`` and
+``_flat_read`` read a citation file's lines and an input file's knot or
+count array into float arrays, a ``_TEXT_BLOCK`` at a time, and
+``_number_texts`` and ``_layout`` write floats as a spec's
+(``_spec_text``) or a table's text (``_csv``, ``bundles``' JSON).
 """
 
 from __future__ import annotations
 
 import copy
+import json
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -780,29 +788,54 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(xs, np.r_[adjusted[keep], 0.0])
 
 
-_LINE_BLOCK = 1 << 16  # characters parsed at a time, run on to a "\n"
+# ---------------------------------------------------------------------------
+# Number text: float arrays read from an input file's text and written as text
+
+
+# characters or bytes of an input text read at a time, run on to a cut
+_TEXT_BLOCK = 1 << 16
+# JSON whitespace, and what a JSON number is written with
+_WHITESPACE = b" \t\n\r"
+_NUMBER_BYTES = b"0123456789.eE+-"
 # the bytes of a block of plain lines: JSON numbers without a sign (so
 # "-0" is never read as the int 0), spaces and tabs, "\n" and "\r\n"
-_PLAIN_BYTES = b"0123456789.eE+ \t\r\n"
+_PLAIN_BYTES = _NUMBER_BYTES.replace(b"-", b"") + _WHITESPACE
 _COMMA_LINE_ENDS = bytes.maketrans(b"\n", b",")
+# what a block of a count array holds besides its two brackets
+_COUNT_BYTES = _NUMBER_BYTES + _WHITESPACE + b","
+# the number arrays read flat from an input file's bytes: the key, the byte
+# that blocks are cut at, and the shape of a unit's values.  A spec's knot
+# pairs are cut before a pair's "[", a citations object's counts after a
+# count's comma
+_FLAT_ARRAYS = (("knots", b"[", (2,)), ("citations", b",", ()))
+_PAIR_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _floats(block: bytes | bytearray) -> np.ndarray:
+    """The values of a JSON list of numbers as a float array: orjson
+    decodes them to the doubles that ``json.loads`` gives, and raises
+    ``ValueError`` on what it rejects (NaN, an infinity, an int beyond 64
+    bits, a value beyond the float range, an empty slot)."""
+    import orjson
+
+    values = orjson.loads(block)
+    return np.fromiter(values, float, len(values))
 
 
 def parse_citations(text: str) -> np.ndarray:
     """Parse one nonnegative count per line, blank lines skipped, into a
     float array, in blocks cut after a ``"\\n"`` (which no line straddles),
     so that no list of every line is built; a bad line's number is its
-    number in the whole text.  In a text longer than one ``_LINE_BLOCK``
+    number in the whole text.  In a text longer than one ``_TEXT_BLOCK``
     (a shorter one never imports orjson), a block of plain lines
     (``_plain_lines``) is decoded by one orjson call; any other block is
     split into lines and each line read by ``float`` (``_split_lines``)."""
-    loads = None
-    if len(text) > _LINE_BLOCK:
-        from orjson import loads
+    plain = len(text) > _TEXT_BLOCK
     blocks, lines_before, start = [], 0, 0
     while start < len(text):
-        cut = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
+        cut = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
         block = text[start:cut]
-        vals, count = loads and _plain_lines(block, loads) or _split_lines(block, lines_before)
+        vals, count = plain and _plain_lines(block) or _split_lines(block, lines_before)
         blocks.append(vals)
         lines_before, start = lines_before + count, cut
     if not sum(map(len, blocks)):
@@ -834,12 +867,12 @@ def _split_lines(block: str, lines_before: int) -> tuple[np.ndarray, int]:
     return vals, len(lines)
 
 
-def _plain_lines(block: str, loads: Callable[[bytes], list]) -> tuple[np.ndarray, int] | None:
+def _plain_lines(block: str) -> tuple[np.ndarray, int] | None:
     """The counts of a block of lines and its number of lines, as
     ``splitlines`` counts them, or None unless the block holds only
     ``_PLAIN_BYTES``, a "\\r" only before a "\\n", and one JSON number on
     each line up to its last count.  The lines, their ends made commas,
-    are then one JSON list, which loads decodes to the doubles that
+    are then one JSON list, which ``_floats`` decodes to the doubles that
     ``float`` reads of each line."""
     if not block.isascii():
         return None
@@ -850,11 +883,179 @@ def _plain_lines(block: str, loads: Callable[[bytes], list]) -> tuple[np.ndarray
             raw.endswith(b"\r") or not ((octets[:-1] == 13) <= (octets[1:] == 10)).all()):
         return None
     try:  # a blank line before the last count leaves an empty slot
-        values = loads(b"".join((b"[", raw.rstrip().translate(_COMMA_LINE_ENDS), b"]")))
+        values = _floats(b"".join((b"[", raw.rstrip().translate(_COMMA_LINE_ENDS), b"]")))
     except ValueError:
         return None
-    return (np.fromiter(values, float, len(values)),
-            np.count_nonzero(octets == 10) + (not raw.endswith(b"\n")))
+    return values, np.count_nonzero(octets == 10) + (not raw.endswith(b"\n"))
+
+
+def _flat_read(data: bytes) -> dict | None:
+    """The JSON object that the bytes of a file hold, its ``"knots"`` array
+    (in a file without that key, its ``"citations"`` array) read as one
+    flat list of numbers into a float array, (n, 2) for knots; None, and
+    the caller decodes the whole file, unless that read gives what
+    ``json.loads`` gives of the file's UTF-8 text and every value fits a
+    float.  Never raises.
+
+    It takes the bytes only where the key occurs once; the text around the
+    array, with ``[]`` in its place, is UTF-8, holds no backslash and
+    decodes to an object whose key holds that ``[]``; and the array is read
+    a block of whole units at a time, each block copied once (and a knot
+    block translated once, its pairs' brackets blanked), so that neither a
+    copy of the array nor a list of all its values is made.  A block, its
+    bytes either side made a list's brackets, reads as one JSON list of
+    numbers: a count block holds only number bytes, whitespace and commas
+    between its brackets, which orjson's list grammar reads as one number a
+    slot or rejects; a knot block is exactly ``[[,],...,[,]]`` once its
+    numbers and whitespace are deleted, with no number outside a pair (the
+    whitespace alone deleted, it starts ``[[`` and ends ``]]``, and a numpy
+    test finds a ``[`` two bytes after each ``]`` but the last two).  The
+    array then holds no quote, so no key or backslash hides in it, and each
+    value is an int or a float: no bool, string, null, NaN or infinity,
+    which the array would hide once read as floats.  ``_floats`` decodes
+    each block; what orjson rejects (NaN, an infinity, a value beyond the
+    float range, an empty slot) is read by the general path, which names
+    it, and so is an array whose blocks fill fewer slots than it has units
+    (a trailing comma, or no count at all).  The bytes stay with the
+    caller: their text is what the general path reads where the values fail
+    to decode."""
+    for name, cut_byte, tail in _FLAT_ARRAYS:
+        key = f'"{name}"'
+        at = data.find(key.encode())
+        if at >= 0:
+            break
+    else:
+        return None
+    # the array runs from the first "[" after the key to the last "]" before
+    # the next quote or "}"; the checks below hold only if it really does
+    start = data.find(b"[", at)
+    close = data.find(b"}", start)
+    if min(start, close) < 0:
+        return None
+    quote = data.find(b'"', start, close)
+    end = data.rfind(b"]", start, close if quote < 0 else quote)
+    if end < 0:
+        return None
+    try:
+        outside = (data[:start] + b"[]" + data[end + 1:]).decode("utf-8")
+        if outside.count(key) != 1 or "\\" in outside:
+            return None
+        obj = json.loads(outside)
+        if type(obj) is not dict or obj.get(name) != []:
+            return None
+        # a unit per cut byte: a pair opens with "[", and a count closes with
+        # a comma, which the last count lacks (counted a block at a time)
+        closes = cut_byte == b","
+        octets = np.frombuffer(data, np.uint8, end - start - 1, start + 1)
+        units = sum(int(np.count_nonzero(octets[a:a + _TEXT_BLOCK] == cut_byte[0]))
+                    for a in range(0, len(octets), _TEXT_BLOCK))
+        array = np.empty((units + closes, *tail))
+        flat, view = array.reshape(-1), memoryview(data)
+        at, i, last = start + 1, 0, False
+        while not last:
+            # every block but the last holds a comma before its cut
+            cut = data.find(cut_byte, max(at + _TEXT_BLOCK, data.find(b",", at, end) + 1), end)
+            last = cut < 0
+            # the block, from the byte before it to its last comma (the
+            # array's "]" in the last block), reads as a JSON list with
+            # those two bytes made its brackets
+            block = bytearray(view[at - 1:end + 1 if last else cut + closes])
+            edges = 0, len(block) - 1 if last else block.rfind(b",")
+            # only whitespace follows a unit's last comma ("[0, 3,] [1, 0]" holds a pair's)
+            if block[edges[1] + 1:].strip(_WHITESPACE):
+                return None
+            block[edges[0]], block[edges[1]] = b"[]"
+            if tail:
+                # m pairs read "[" + "[,]," m times, less its last comma, + "]"
+                # once their numbers and whitespace are deleted
+                shape = block.translate(None, _WHITESPACE)
+                skeleton = shape.translate(None, _NUMBER_BYTES)
+                if skeleton != b"[" + (b"[,]," * ((len(skeleton) - 1) // 4))[:-1] + b"]":
+                    return None
+                # no number sits outside a pair: the shape starts "[[" and
+                # ends "]]", and each "]" but the last two has a "[" two
+                # bytes on, so that the one byte between is the comma
+                shape_octets = np.frombuffer(shape, np.uint8)
+                if shape[:2] != b"[[" or shape[-2:] != b"]]" or not (
+                        (shape_octets[:-2] == 93) <= (shape_octets[2:] == 91)).all():
+                    return None
+                # only the list's brackets stay
+                block = block.translate(_PAIR_BRACKETS)
+                block[edges[0]], block[edges[1]] = b"[]"
+            elif block.translate(None, _COUNT_BYTES) != b"[]":
+                return None
+            values = _floats(block)
+            flat[i:i + len(values)] = values
+            at, i = cut + closes, i + len(values)
+        obj[name] = array
+    except (ValueError, RecursionError, OverflowError):
+        return None
+    # an empty last slot (a trailing comma, or no count at all) leaves a unit unread
+    return obj if i == len(flat) else None
+
+
+# The text that a cell whose ``repr`` is a key has in each output: json
+# writes NaN (None) as null and the infinities in JavaScript's words
+_CSV_CELLS = {"nan": "NA"}
+_JSON_CELLS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_texts(values: np.ndarray, cells: dict[str, str] = _JSON_CELLS) -> list[str]:
+    """Each float of values, in C order, as its ``repr`` or the text that
+    cells give that ``repr``.  orjson writes them in one call, as ``repr``
+    does in [1e-4, 1e16) and at zero; outside, where its exponent notation
+    differs (``1e16``, ``2.5e-8``), at NaN and the infinities, which it
+    writes as null, and at negative floats (none in a table or spec),
+    ``repr`` does."""
+    import orjson
+
+    flat = values.ravel()
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    for k in np.flatnonzero(~((flat >= 1e-4) & (flat < 1e16) | (flat == 0.0))).tolist():
+        t = repr(flat[k].item())
+        texts[k] = cells.get(t, t)
+    return texts if flat.size else []
+
+
+def _layout(texts: list[str], row: list[str], slots: Sequence[int]) -> list[str]:
+    """row's parts once per row of a table, the cells' texts in its slots:
+    texts holds the columns one after another, and column j fills slot
+    ``slots[j]`` of every row."""
+    n = len(texts) // len(slots)
+    parts = row * n
+    for j, slot in enumerate(slots):
+        parts[slot::len(row)] = texts[j * n:(j + 1) * n]
+    return parts
+
+
+def _csv(names: Sequence[str], texts: list[str]) -> str:
+    """A header of the column names, then a line per row of the cells'
+    texts, which hold the columns one after another."""
+    parts = _layout(texts, ["", ","] * (len(names) - 1) + ["", "\n"], range(0, 2 * len(names), 2))
+    return "".join([",".join(names) + "\n", *parts])
+
+
+_SPEC_BLOCK = 4096  # knots written in one block of text
+# a knot's text in a spec: its x and y slots, then the separator to the next
+_SPEC_KNOT = ["", ",\n      ", "", "\n    ],\n    [\n      "]
+
+
+def _spec_text(f: PiecewiseLinearFn) -> Iterator[str]:
+    """``json.dumps(function_to_spec(f), indent=2, sort_keys=True) + "\\n"``
+    byte for byte, in blocks of ``_SPEC_BLOCK`` knots, without the
+    pure-Python encoder that ``indent`` selects: json writes a finite float
+    as its ``repr``, and so does ``_number_texts``, which writes a block's
+    xs, then its ys, in one orjson call, and ``_layout`` sets them in the
+    slots of each knot's text, as it sets a table's cells.  The spec's
+    opening text is the first block, and its closing text takes the place
+    of the last knot's separator."""
+    yield f'{{\n  "T": {f.T!r},\n  "knots": [\n    [\n      '
+    for at in range(0, len(f.xs), _SPEC_BLOCK):
+        columns = np.stack((f.xs[at:at + _SPEC_BLOCK], f.ys[at:at + _SPEC_BLOCK]))
+        parts = _layout(_number_texts(columns), _SPEC_KNOT, (0, 2))
+        if at + _SPEC_BLOCK >= len(f.xs):
+            parts[-1] = '\n    ]\n  ],\n  "type": "piecewise_linear"\n}\n'
+        yield "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +1135,7 @@ def function_from_spec(spec: dict) -> RankFunction:
     """Build a rank function from its JSON-style mapping, each field's
     numbers read by ``_numbers``.  A piecewise linear spec's knots are read
     as ``from_pairs`` reads them, by ``_pair_values``, which takes a float
-    array (``cli._flat_read``'s) as it is: their shape, their floats (a
+    array (``_flat_read``'s) as it is: their shape, their floats (a
     null named there) and the function are checked first, then ``T``, then
     that each value of a nested list is a JSON number, then ``T`` against
     the last knot."""

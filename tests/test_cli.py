@@ -301,17 +301,17 @@ def _run_both(argv, monkeypatch, capsys) -> list:
     runs = []
     for flat in (True, False):
         if not flat:
-            monkeypatch.setattr(cli, "_flat_read", lambda data: None)
+            monkeypatch.setattr(fn, "_flat_read", lambda data: None)
         runs.append((main(argv), *capsys.readouterr()))
     return runs
 
 
 def _read_in_blocks(data: bytes, block: int) -> dict | None:
-    """``cli._flat_read`` of data, its number array checked and decoded
+    """``fn._flat_read`` of data, its number array checked and decoded
     block bytes at a time."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_SPAN_BLOCK", block)
-        return cli._flat_read(data)
+        mp.setattr(fn, "_TEXT_BLOCK", block)
+        return fn._flat_read(data)
 
 
 # block sizes of a few bytes: every number array is cut at each pair, or
@@ -330,7 +330,7 @@ _NUMBER_TOKENS = (
 
 
 class TestFlatKnotRead:
-    """``cli._flat_read`` reads a spec's knot array as one flat list of
+    """``fn._flat_read`` reads a spec's knot array as one flat list of
     numbers where that gives what ``json.loads`` gives, and declines (the
     general path runs) everywhere else.  The properties read in blocks of
     a few bytes."""
@@ -409,7 +409,7 @@ class TestFlatKnotRead:
             json_numbers(what, values)
 
         monkeypatch.setattr(fn, "_json_numbers", spy)
-        fn.function_from_spec(cli._flat_read(text.encode()))
+        fn.function_from_spec(fn._flat_read(text.encode()))
         fn.function_from_spec(json.loads(text))
         what = "knot coordinates and T"
         assert checked == [(what, [2]), (what, []), (what, [2]), (what, [0, 3, 1, 1.5, 2, 0])]
@@ -479,7 +479,7 @@ class TestFlatKnotRead:
             spec = _read_in_blocks(text.encode(), block)
             return spec if spec is None else (spec.pop("knots").tobytes(), spec)
 
-        assert read(1) == read(3) == read(cli._SPAN_BLOCK)
+        assert read(1) == read(3) == read(fn._TEXT_BLOCK)
 
     def test_benchmark_shaped_spec_builds_no_pair_list(self, tmp_path, monkeypatch, capsys):
         xs = np.arange(200.0)
@@ -501,10 +501,10 @@ class TestFlatKnotRead:
 def test_flat_read_cut_at_every_byte(block, monkeypatch):
     # a block's nominal end falls on every byte of the first two pairs,
     # inside 123456789 and 2.5e-3 too; the block runs on to the next "["
-    monkeypatch.setattr(cli, "_SPAN_BLOCK", block)
+    monkeypatch.setattr(fn, "_TEXT_BLOCK", block)
     text = '{"knots": [[0, 123456789], [2.5e-3, 7],\n [4, -0.0]], "type": "piecewise_linear"}'
     want = np.array([v for pair in json.loads(text)["knots"] for v in pair], float)
-    assert cli._flat_read(text.encode())["knots"].tobytes() == want.tobytes()
+    assert fn._flat_read(text.encode())["knots"].tobytes() == want.tobytes()
 
 
 @st.composite
@@ -534,7 +534,7 @@ def _json_counts(text: str) -> np.ndarray | None:
 
 
 class TestFlatCitationsRead:
-    """``cli._flat_read`` reads a ``{"citations": [...]}`` array as it reads
+    """``fn._flat_read`` reads a ``{"citations": [...]}`` array as it reads
     a knot array: a float array where that gives, bit for bit, what
     ``json.loads`` and ``_numbers`` give, and a decline (the general path
     runs) everywhere else.  The properties read in blocks of a few bytes."""
@@ -652,6 +652,29 @@ class TestFlatCitationsRead:
         assert flat == general
         assert "Traceback" not in flat[2]
 
+    @pytest.mark.parametrize("array, taken", [
+        ("[5, true, 1]", False), ("[5, null, 1]", False), ('[5, "3", 1]', False),
+        ("[5, [3], 1]", False), ("[5,, 1]", False), ("[5, 3, 1,]", False),
+        ("[5, NaN, 1]", False), ("[5, 1e400, 1]", False), ("[-0, 5, -0.0, 1]", True),
+        ("[\r\n5,\r\n3 ,\t1\r\n]", True),
+    ])
+    def test_count_array_cases(self, array, taken, tmp_path, monkeypatch, capsys):
+        # in blocks of a few bytes or whole, the flat read takes a count
+        # array of JSON numbers, bit for bit as json.loads reads it, and
+        # declines any other; ingest and eval then give what the general
+        # path gives
+        text = '{"citations": ' + array + "}"
+        for block in [*range(1, 9), fn._TEXT_BLOCK]:
+            obj = _read_in_blocks(text.encode(), block)
+            assert (obj is not None) == taken, block
+            if taken:
+                assert obj["citations"].tobytes() == _json_counts(text).tobytes()
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        for command in ("ingest", "eval"):
+            flat, general = _run_both([command, "--input", str(p)], monkeypatch, capsys)
+            assert flat == general and (flat[0] == 0) == taken
+
     @pytest.mark.parametrize("command", ["eval", "ingest"])
     def test_the_largest_float_as_an_int(self, command, tmp_path, monkeypatch, capsys):
         # 2^1024 - 2^971 is the largest float, which orjson reads as json
@@ -667,9 +690,9 @@ class TestFlatCitationsRead:
             obj = _read_in_blocks(text.encode(), block)
             return obj if obj is None else (obj.pop("citations").tobytes(), obj)
 
-        assert read(1) == read(3) == read(cli._SPAN_BLOCK)
+        assert read(1) == read(3) == read(fn._TEXT_BLOCK)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, cli._SPAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 64, fn._TEXT_BLOCK])
     def test_line_and_json_forms_ingest_alike(self, block, tmp_path, monkeypatch, capsys):
         # the same unsorted, tied counts in both forms give the same spec,
         # byte for byte, read in blocks of a few counts or whole; the flat
@@ -680,7 +703,7 @@ class TestFlatCitationsRead:
         obj.write_text(json.dumps({"citations": counts}, indent=1))
         assert main(["ingest", "--input", str(lines), "--output", str(tmp_path / "a")]) == 0
         calls, numbers = [], fn._numbers
-        monkeypatch.setattr(cli, "_SPAN_BLOCK", block)
+        monkeypatch.setattr(fn, "_TEXT_BLOCK", block)
         monkeypatch.setattr(fn, "_numbers", lambda *a: calls.append(1) or numbers(*a))
         assert main(["ingest", "--input", str(obj), "--output", str(tmp_path / "b")]) == 0
         assert calls == []
@@ -691,10 +714,10 @@ class TestFlatCitationsRead:
 def test_flat_citations_cut_at_every_byte(block, monkeypatch):
     # a block's nominal end falls on every byte of the first counts, inside
     # 123456789 and 2.5e-3 too; the block runs on to the next comma
-    monkeypatch.setattr(cli, "_SPAN_BLOCK", block)
+    monkeypatch.setattr(fn, "_TEXT_BLOCK", block)
     text = '{"citations": [0, 123456789 ,2.5e-3,\n 7, -0.0 ], "id": "x"}'
     want = np.array(json.loads(text)["citations"], float)
-    assert cli._flat_read(text.encode())["citations"].tobytes() == want.tobytes()
+    assert fn._flat_read(text.encode())["citations"].tobytes() == want.tobytes()
 
 
 class TestAxiomsCmd:
@@ -1031,6 +1054,16 @@ class TestIngestCmd:
         assert captured.err == ""
         assert json.loads(captured.out)["knots"][0] == [0.0, 5.0]
 
+    @pytest.mark.parametrize("text, said", [('{"citations": [3, 5, -1]}', "-1.0"),
+                                            ("3\n5\ninf\n", "inf")], ids=["json", "lines"])
+    def test_rejected_unsorted_counts_have_no_notice(self, text, said, tmp_path, capsys):
+        # the notice follows the counts' acceptance: a failed run prints the error alone
+        p = tmp_path / "c.txt"
+        p.write_text(text)
+        assert main(["ingest", "--input", str(p)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: citation counts must be finite and >= 0, got {said}\n")
+
     def test_memory_peak_at_1e5_counts(self, tmp_path, capsys):
         # json.dumps(indent=2) over the knot lists peaks at about 36 MB in this
         # test, the one-join writer at about 17 MB
@@ -1283,13 +1316,13 @@ def _knot_functions(draw):
 def test_spec_text_is_the_json_encoding(f, block):
     # blocks of 1 to 4 knots: every spec is cut many times
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_SPEC_BLOCK", block)
-        text = "".join(cli._spec_text(f))
+        mp.setattr(fn, "_SPEC_BLOCK", block)
+        text = "".join(fn._spec_text(f))
     assert text == json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n"
     assert fn.function_from_spec(json.loads(text)) == f
 
 
-_BLOCK = cli._SPEC_BLOCK
+_BLOCK = fn._SPEC_BLOCK
 
 
 @pytest.mark.parametrize("K", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK],
@@ -1299,7 +1332,7 @@ def test_spec_text_at_block_edges(K):
     xs = np.r_[0.0, np.cumsum(rng.random(K - 1) + 0.5)]
     ys = np.r_[np.cumsum(rng.random(K - 1) + 0.5)[::-1], 0.0]
     f = fn.PiecewiseLinearFn(xs, ys)
-    blocks = list(cli._spec_text(f))
+    blocks = list(fn._spec_text(f))
     # the opening text, then one block per _SPEC_BLOCK knots begun
     assert len(blocks) == 1 + -(-K // _BLOCK)
     assert "".join(blocks) == json.dumps(fn.function_to_spec(f), indent=2, sort_keys=True) + "\n"
@@ -1449,7 +1482,7 @@ class TestBadInputExit2:
         p.write_text(json.dumps({"type": "piecewise_linear", "T": T, "knots": knots}))
         # a bad T beside number knots is the flat read's to name: it checks T alone
         if type(knots[0][0]) is int:
-            assert type(cli._flat_read(p.read_bytes())["knots"]) is np.ndarray
+            assert type(fn._flat_read(p.read_bytes())["knots"]) is np.ndarray
         runs = _run_both([command, "--input", str(p)], monkeypatch, capsys)
         assert runs == [(2, "", f"error: knot coordinates and T must be numbers, got {said}\n")] * 2
 

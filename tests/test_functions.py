@@ -657,7 +657,7 @@ class TestParseCitations:
                 return f"InputError: {exc}"
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(functions, "_LINE_BLOCK", block)
+            mp.setattr(functions, "_TEXT_BLOCK", block)
             got = outcome(lambda t: parse_citations(t).tolist())
         assert got == outcome(oracles.parse_citations_by_line)
 
@@ -665,7 +665,7 @@ class TestParseCitations:
     def test_cut_at_every_character(self, block, monkeypatch):
         # a block's nominal end falls on every character of the first
         # lines, inside 123456789 and the CRLF too; it runs on to a "\n"
-        monkeypatch.setattr(functions, "_LINE_BLOCK", block)
+        monkeypatch.setattr(functions, "_TEXT_BLOCK", block)
         assert parse_citations("5\n123456789\r\n\n 7\r3\n").tolist() == [5, 123456789, 7, 3]
         with pytest.raises(InputError, match="^line 6: not a number: 'x'$"):
             parse_citations("5\n123456789\r\n\n 7\r3\nx\n")
@@ -683,7 +683,7 @@ class TestParseCitations:
         # block is one orjson call and none is split into lines
         decoded = self._spy_orjson(monkeypatch)
         monkeypatch.setattr(functions, "_split_lines", lambda *args: pytest.fail(repr(args)))
-        monkeypatch.setattr(functions, "_LINE_BLOCK", 40)
+        monkeypatch.setattr(functions, "_TEXT_BLOCK", 40)
         text = "5\n12\r\n 7\t\n1e3\n2.5E+1 \n0\n0.0\n123456789\r\n" * 30 + "\n \n"
         blocks, start = 0, 0
         while start < len(text):
@@ -694,11 +694,14 @@ class TestParseCitations:
         assert repr(got.tolist()) == repr(oracles.parse_citations_by_line(text))
 
     @pytest.mark.parametrize("tail", ["", "x\n"])
-    @pytest.mark.parametrize("line", ["", "-0", "+5", "1_000", "1,2", "true", "4\x0c5", "4\r5"])
+    @pytest.mark.parametrize("line", ["", "-0", "+5", "1_000", "1,2", "true", "4\x0c5", "4\r5",
+                                      "\u0663", "\xa05\xa0", "\u0663x"])
     def test_declined_blocks_match_the_line_loop(self, line, tail, monkeypatch):
-        # a line that orjson must not read between plain ones, and a bad
-        # line after it, whose number counts the lines that "\x0c" and a
-        # lone "\r" end: at every block size, what the line loop gives
+        # a line that orjson must not read between plain ones (a non-ASCII
+        # one, such as the Arabic-Indic digit three, which float reads as
+        # 3.0, among them), and a bad line after it, whose number counts the
+        # lines that "\x0c" and a lone "\r" end: at every block size, what
+        # the line loop gives
         def outcome(parse):
             try:
                 return repr(parse(text))  # repr tells -0.0 from 0.0
@@ -711,7 +714,7 @@ class TestParseCitations:
                             lambda *args: split.append(args) or split_lines(*args))
         want = outcome(oracles.parse_citations_by_line)
         for block in range(1, 65):
-            monkeypatch.setattr(functions, "_LINE_BLOCK", block)
+            monkeypatch.setattr(functions, "_TEXT_BLOCK", block)
             assert outcome(lambda t: parse_citations(t).tolist()) == want, block
         assert split
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from ebundles import (cli, e_thetas, from_citations, function_to_spec, functions, h_thetas,
+from ebundles import (e_thetas, from_citations, function_to_spec, functions, h_thetas,
                       parse_citations, sweep)
 from ebundles.cli import main
 
@@ -132,9 +132,10 @@ def test_from_citations_makes_as_many_calls_at_any_count():
 
 
 def _calls_by_blocks(read, text, constant, size):
-    """The calls that read(text(n)) makes on n = blocks * per_block counts,
-    the module constant set to size(per_block), which cuts the text into
-    that many blocks: at 1, 2 and 3 blocks, of 1,000 and of 4,000 counts."""
+    """The calls that read(text(n)) makes on n = blocks * per_block counts
+    (or knots), the module constant set to size(per_block), which cuts the
+    text into that many blocks: at 1, 2 and 3 blocks, of 1,000 and of 4,000
+    counts."""
     calls = {}
     for per_block in (1_000, 4_000):
         for blocks in (1, 2, 3):
@@ -156,33 +157,47 @@ def _fixed_per_block(calls):
 
 
 def test_parse_citations_makes_a_fixed_number_of_calls_per_block():
-    # lines "5\n": a block of _LINE_BLOCK = 2m - 1 characters runs on to the
+    # lines "5\n": a block of _TEXT_BLOCK = 2m - 1 characters runs on to the
     # m-th line's "\n", so blocks * m lines cut into that many blocks, each
     # decoded by orjson, which a text of more than one block imports
-    parse_citations("5\n" * (functions._LINE_BLOCK + 1))
+    parse_citations("5\n" * (functions._TEXT_BLOCK + 1))
     calls = _calls_by_blocks(parse_citations, lambda n: "5\n" * n,
-                             (functions, "_LINE_BLOCK"), lambda m: 2 * m - 1)
+                             (functions, "_TEXT_BLOCK"), lambda m: 2 * m - 1)
     assert _fixed_per_block(calls), calls
 
 
 def test_flat_citations_read_makes_a_fixed_number_of_calls_per_block():
-    # counts "5,": a block of _SPAN_BLOCK = 2m bytes runs on to the next
+    # counts "5,": a block of _TEXT_BLOCK = 2m bytes runs on to the next
     # comma, m + 1 counts, so blocks * m counts cut into that many blocks
     # (the last one shorter), and so does the count of commas
-    cli._flat_read(b'{"citations": [5, 3]}')  # its first call imports orjson
-    calls = _calls_by_blocks(cli._flat_read,
+    functions._flat_read(b'{"citations": [5, 3]}')  # its first call imports orjson
+    calls = _calls_by_blocks(functions._flat_read,
                              lambda n: ('{"citations": [' + "5," * (n - 1) + "5]}").encode(),
-                             (cli, "_SPAN_BLOCK"), lambda m: 2 * m)
+                             (functions, "_TEXT_BLOCK"), lambda m: 2 * m)
     assert _fixed_per_block(calls), calls
 
 
 def test_flat_knot_read_makes_a_fixed_number_of_calls_per_block():
-    # knots "[5,5],": a block of _SPAN_BLOCK = 6m bytes runs on to the next
+    # knots "[5,5],": a block of _TEXT_BLOCK = 6m bytes runs on to the next
     # "[", m knots, so blocks * m knots cut into that many blocks, and so
     # does the count of "["s
-    cli._flat_read(b'{"knots": [[0, 1], [1, 0]]}')  # its first call imports orjson
-    calls = _calls_by_blocks(cli._flat_read,
+    functions._flat_read(b'{"knots": [[0, 1], [1, 0]]}')  # its first call imports orjson
+    calls = _calls_by_blocks(functions._flat_read,
                              lambda n: ('{"type": "piecewise_linear", "T": 1, "knots": ['
                                         + "[5,5]," * (n - 1) + "[5,5]]}").encode(),
-                             (cli, "_SPAN_BLOCK"), lambda m: 6 * m)
+                             (functions, "_TEXT_BLOCK"), lambda m: 6 * m)
+    assert _fixed_per_block(calls), calls
+
+
+def test_spec_text_makes_a_fixed_number_of_calls_per_block():
+    # knots (i, n - 1 - i), whole numbers, which orjson writes as repr
+    # does: blocks * m knots cut into that many blocks of _SPEC_BLOCK = m
+    def knots(n):
+        return functions.PiecewiseLinearFn(np.arange(n), np.arange(n)[::-1])
+
+    def write(f):
+        return "".join(functions._spec_text(f))
+
+    write(knots(2))  # its first call imports orjson
+    calls = _calls_by_blocks(write, knots, (functions, "_SPEC_BLOCK"), lambda m: m)
     assert _fixed_per_block(calls), calls
