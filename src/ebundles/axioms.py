@@ -75,6 +75,7 @@ implications and an unmet premise proves nothing.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -966,7 +967,8 @@ def _round(rng: np.random.Generator, kinds: np.ndarray) -> tuple:
 
 def generate_pairs(seed: int = 0, count: int = 20) -> _Pairs:
     """Generate ``count`` (>= 1) verified pairs per relation kind, in enum
-    order, from the seed, an integer >= 0.
+    order, from the seed, an integer >= 0.  A count whose arrays would
+    pass ``sys.maxsize`` bytes is rejected before anything is drawn.
 
     The pairs are all of one shape: a lower member has 3 to 8 knots on
     [0, 1], a tail below 0.4 and drops that total 3 to 10; its upper adds
@@ -984,8 +986,10 @@ def generate_pairs(seed: int = 0, count: int = 20) -> _Pairs:
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputError(f"seed must be an integer >= 0, got {seed!r}")
-    if count < 1:
-        raise InputError("count must be >= 1")
+    # a round's uniforms, the widest of its arrays, must fit an array's bytes
+    most = sys.maxsize // (len(_KINDS) * _DRAWS.stop * np.dtype(float).itemsize)
+    if not 1 <= count <= most:
+        raise InputError(f"count must be >= 1 and at most {most}, got {count}")
     rng, todo = np.random.default_rng(seed), np.full(len(_KINDS), count)
     kinds, knots, prefix = [], [], []  # the accepted attempts, round by round
     for _ in range(100):

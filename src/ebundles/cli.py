@@ -10,12 +10,15 @@ Subcommands:
   ingest           continuize a citation file into a function spec
 
 Each command reads the parsed argparse namespace directly; the parser holds
-every default.  Input files are read, and specs written, by the number-text
+every default.  An input file reads as one value (``_read_input``): a
+function spec, or a citations object, which a citation file of lines
+becomes.  Its numbers are read, and specs written, by the number-text
 readers and writers of ``functions`` (``_flat_read``, ``parse_citations``,
 ``_spec_text``), and tables by their own types.  Exit codes: 0 success
 (including an expected counterexample reproducing), 1 an axiom violation
 for a score that should satisfy it (or a fixture that fails to reproduce),
-2 input or I/O failure, including an axiom run that tested no pair.
+2 input or I/O failure, including an axiom run that tested no pair, a
+count whose arrays no array holds, and a run out of memory.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ def _parse_theta_spec(args: argparse.Namespace) -> np.ndarray | None:
             raise fn.InputError(f"--theta bounds must be finite, got {theta!r}")
         if count < 1 or hi < lo:
             raise fn.InputError("--theta needs hi >= lo and count >= 1")
+        if count > sys.maxsize // 8:  # more float levels than an array holds
+            raise fn.InputError(f"--theta count must be at most {sys.maxsize // 8}, got {count}")
         return _level_grid(lo, hi, count)
     return None
 
@@ -109,14 +114,13 @@ def _level_grid(lo: float, hi: float, count: int) -> np.ndarray:
         return lo + np.arange(count) * ((hi - lo) / (count - 1))
 
 
-def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
-    """The ``--input`` file's JSON value, and its UTF-8 text where the line
-    format reads it.  The file is read once, as bytes, which ``fn._flat_read``
-    reads where it takes them and ``json.loads`` decoded elsewhere.  The
-    value is None, with the text, where the text is not JSON or is a single
-    number: a citation file of one count.  Other text is dropped once
-    decoded (None in its place), so that it is not held while the value is
-    read.  JSON null holds nothing, so it reads as ``{}``."""
+def _read_input(args: argparse.Namespace) -> object:
+    """The ``--input`` file's value.  The file is read once, as bytes, which
+    ``fn._flat_read`` reads where it takes them and ``json.loads`` decodes
+    as UTF-8 text elsewhere.  A text that is not JSON, or is a single
+    number, is a citation file, ``{"citations": counts}`` of its lines
+    (``fn.parse_citations``).  JSON null holds nothing, so it reads as
+    ``{}``."""
     if not args.input:
         raise fn.InputError(f"{args.command} requires --input")
     try:
@@ -124,7 +128,7 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
             data = fh.read()
         obj = fn._flat_read(data)
         if obj is not None:
-            return obj, None
+            return obj
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise fn.InputError(f"cannot read {args.input}: {exc}") from None
@@ -132,23 +136,21 @@ def _read_input(args: argparse.Namespace) -> tuple[object, str | None]:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
-        return None, text
+        return {"citations": fn.parse_citations(text)}
     except RecursionError:
         raise fn.InputError(f"{args.input}: JSON nests too deeply to read") from None
     except ValueError:  # an integer with more digits than int() reads
         raise fn.InputError(f"{args.input}: a number is too long to read "
                             f"({sys.get_int_max_str_digits()} digits at most)") from None
-    if type(obj) in (int, float):
-        return None, text
-    return ({} if obj is None else obj), None
+    if type(obj) in (int, float):  # a citation file of one count
+        return {"citations": fn.parse_citations(text)}
+    return {} if obj is None else obj
 
 
-def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
-    """The citation counts of an input: a ``{"citations": [...]}`` object's,
-    a float array as it is (``fn._flat_read``'s), else one count per line of
-    its text.  Other JSON holds no counts."""
-    if obj is None:
-        return fn.parse_citations(text)
+def _counts(obj, args: argparse.Namespace) -> np.ndarray:
+    """The citation counts of an input's ``{"citations": [...]}`` object, a
+    float array as it is (``fn._flat_read``'s or a line file's).  Other
+    JSON holds no counts."""
     if isinstance(obj, list):
         raise fn.InputError(
             f'{args.input}: a JSON list is not citation input; write {{"citations": [...]}}')
@@ -165,11 +167,11 @@ def _counts(obj, text: str | None, args: argparse.Namespace) -> np.ndarray:
 
 def _load_input(args: argparse.Namespace) -> fn.RankFunction:
     """Read a function spec (JSON) or a citation file (JSON or line format)."""
-    obj, text = _read_input(args)
+    obj = _read_input(args)
     if isinstance(obj, dict) and "type" in obj:
         return fn.function_from_spec(obj)
-    if obj is None or isinstance(obj, list) or isinstance(obj, dict) and "citations" in obj:
-        return fn.from_citations(_counts(obj, text, args))
+    if isinstance(obj, list) or isinstance(obj, dict) and "citations" in obj:
+        return fn.from_citations(_counts(obj, args))
     raise fn.InputError(f"{args.input}: JSON must hold a function spec or a citations object")
 
 
@@ -334,7 +336,7 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    counts = _counts(*_read_input(args), args)
+    counts = _counts(_read_input(args), args)
     f = fn.from_citations(counts)
     # once the counts are accepted: a run that fails says only why
     if (counts[1:] > counts[:-1]).any():
@@ -417,8 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except fn.InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # a MemoryError: arrays within a count's bound that this machine cannot hold
+    except (fn.InputError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -23,9 +23,10 @@ All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
 
 Number text is read and written here alone, and only here is orjson
-imported, inside the functions that call it: ``parse_citations`` and
-``_flat_read`` read a citation file's lines and an input file's knot or
-count array into float arrays, a ``_TEXT_BLOCK`` at a time, and
+imported, inside the functions that call it.  One block loop,
+``_read_blocks``, reads every number list into a float array, a
+``_TEXT_BLOCK`` at a time: a citation file's lines (``parse_citations``)
+and an input file's knot or count array (``_flat_read``).
 ``_number_texts`` and ``_layout`` write floats as a spec's
 (``_spec_text``) or a table's text (``_csv``, ``bundles``' JSON).
 """
@@ -792,23 +793,46 @@ def from_citations(counts: Sequence[float]) -> PiecewiseLinearFn:
 # Number text: float arrays read from an input file's text and written as text
 
 
-# characters or bytes of an input text read at a time, run on to a cut
+# bytes of an input text read at a time, run on to a cut
 _TEXT_BLOCK = 1 << 16
 # JSON whitespace, and what a JSON number is written with
 _WHITESPACE = b" \t\n\r"
 _NUMBER_BYTES = b"0123456789.eE+-"
-# the bytes of a block of plain lines: JSON numbers without a sign (so
-# "-0" is never read as the int 0), spaces and tabs, "\n" and "\r\n"
-_PLAIN_BYTES = _NUMBER_BYTES.replace(b"-", b"") + _WHITESPACE
-_COMMA_LINE_ENDS = bytes.maketrans(b"\n", b",")
-# what a block of a count array holds besides its two brackets
-_COUNT_BYTES = _NUMBER_BYTES + _WHITESPACE + b","
-# the number arrays read flat from an input file's bytes: the key, the byte
-# that blocks are cut at, and the shape of a unit's values.  A spec's knot
-# pairs are cut before a pair's "[", a citations object's counts after a
-# count's comma
-_FLAT_ARRAYS = (("knots", b"[", (2,)), ("citations", b",", ()))
-_PAIR_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _only(allowed: bytes) -> Callable[[bytearray], bool]:
+    """The test that a block holds only the allowed bytes in its brackets."""
+    return lambda block: block.translate(None, allowed) == b"[]"
+
+
+def _pairs_only(block: bytearray) -> bool:
+    """Whether a block of knot pairs reads ``[[,],[,]...[,]]`` once its
+    numbers and whitespace are deleted, and no number sits outside a pair:
+    the whitespace alone deleted, it starts with ``[[`` and ends with
+    ``]]``, and each ``]`` but the last two has a ``[`` two bytes on, so
+    that the one byte between is the comma."""
+    shape = block.translate(None, _WHITESPACE)
+    skeleton = shape.translate(None, _NUMBER_BYTES)
+    octets = np.frombuffer(shape, np.uint8)
+    return (skeleton == b"[" + (b"[,]," * ((len(skeleton) - 1) // 4))[:-1] + b"]"
+            and shape[:2] == b"[[" and shape[-2:] == b"]]"
+            and bool(((octets[:-2] == 93) <= (octets[2:] == 91)).all()))
+
+
+# The rows of number lists read a block at a time: the byte that blocks are
+# cut at, the byte that ends a unit in a block, the shape of a unit's
+# values, the test of a block's bytes and the table that makes a block's
+# units one list of numbers.  A spec's knot pairs are cut before a pair's
+# "[", their brackets blanked; a citations object's counts after a count's
+# comma; and the lines of a line file after a "\n", the line ends made
+# commas.  Line bytes are JSON numbers without a sign (so "-0" is never read
+# as the int 0), spaces and tabs, "\n" and "\r"
+_KNOTS = (b"[", b",", (2,), _pairs_only, bytes.maketrans(b"[]", b"  "))
+_COUNTS = (b",", b",", (), _only(_NUMBER_BYTES + _WHITESPACE + b","), None)
+_LINES = (b"\n", b"\n", (), _only(_NUMBER_BYTES.replace(b"-", b"") + _WHITESPACE),
+          bytes.maketrans(b"\n", b","))
+# the number arrays read from an input file's bytes, by key
+_FLAT_ARRAYS = (("knots", _KNOTS), ("citations", _COUNTS))
 
 
 def _floats(block: bytes | bytearray) -> np.ndarray:
@@ -822,39 +846,84 @@ def _floats(block: bytes | bytearray) -> np.ndarray:
     return np.fromiter(values, float, len(values))
 
 
+def _read_blocks(data: bytes, start: int, end: int, row: tuple) -> np.ndarray | None:
+    """The values of the units of one row's kind in data[start:end], which
+    the bytes data[start - 1] and data[end] enclose, as one float array, a
+    unit's values a row of it; or None where a block declines.  The units
+    are counted first, a unit per cut byte (and one more where the cut
+    byte ends a unit, which the last unit lacks).  Then a block of whole
+    units at least ``_TEXT_BLOCK`` long is cut at a time, up to its last
+    separator, which only whitespace may follow (``[0, 3,] [1, 0]`` holds
+    a pair's).  It is copied once with the byte before it and that
+    separator, which are made a list's brackets; it must pass the row's
+    check, and translated by the row's table, it is one JSON list that
+    ``_floats`` decodes.  A block that fails either declines, and so does
+    a read whose blocks fill fewer slots than there are units (an empty
+    slot at a block's edge)."""
+    cut_byte, sep, tail, check, table = row
+    closes = cut_byte == sep
+    # counted a block at a time by numpy, which bytes.count is slower than
+    octets = np.frombuffer(data, np.uint8, end - start, start)
+    units = sum(int(np.count_nonzero(octets[a:a + _TEXT_BLOCK] == cut_byte[0]))
+                for a in range(0, len(octets), _TEXT_BLOCK))
+    array = np.empty((units + closes, *tail))
+    flat, view, at, i, last = array.reshape(-1), memoryview(data), start, 0, False
+    while not last:
+        # past the block's first separator, so that it holds one; none
+        # left, and the block runs to the end
+        cut = data.find(cut_byte, max(at + _TEXT_BLOCK, data.find(sep, at, end) + 1 or end), end)
+        last = cut < 0
+        stop = end if last else data.rfind(sep, at, cut + closes)
+        if not last and data[stop + 1:cut].strip(_WHITESPACE):
+            return None
+        block = bytearray(view[at - 1:stop + 1])
+        block[0], block[-1] = b"[]"
+        if not check(block):
+            return None
+        if table:  # which blanks a knot block's brackets too
+            block = block.translate(table)
+            block[0], block[-1] = b"[]"
+        try:
+            values = _floats(block)
+        except ValueError:
+            return None
+        flat[i:i + len(values)] = values
+        at, i = cut + closes, i + len(values)
+    return array if i == len(flat) else None
+
+
 def parse_citations(text: str) -> np.ndarray:
     """Parse one nonnegative count per line, blank lines skipped, into a
-    float array, in blocks cut after a ``"\\n"`` (which no line straddles),
-    so that no list of every line is built; a bad line's number is its
-    number in the whole text.  In a text longer than one ``_TEXT_BLOCK``
-    (a shorter one never imports orjson), a block of plain lines
-    (``_plain_lines``) is decoded by one orjson call; any other block is
-    split into lines and each line read by ``float`` (``_split_lines``)."""
-    plain = len(text) > _TEXT_BLOCK
-    blocks, lines_before, start = [], 0, 0
-    while start < len(text):
-        cut = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
-        block = text[start:cut]
-        vals, count = plain and _plain_lines(block) or _split_lines(block, lines_before)
-        blocks.append(vals)
-        lines_before, start = lines_before + count, cut
-    if not sum(map(len, blocks)):
+    float array.  A text longer than one ``_TEXT_BLOCK`` (a shorter one
+    never imports orjson) is read as ``_read_blocks``' ``_LINES`` row.
+    Where a block declines (a sign, a blank line between counts,
+    ``1_000``, two numbers on a line that a lone ``"\\r"`` splits, a byte
+    beyond ASCII), the whole text is read again, and a short text at once,
+    each line by ``float`` (``_split_lines``), which names a bad line."""
+    values = None
+    if len(text) > _TEXT_BLOCK and text.isascii():
+        # in brackets, as a JSON array is; trailing blank lines would end
+        # the last block in an empty slot
+        data = b"[%b]" % text.rstrip().encode()
+        values = _read_blocks(data, 1, len(data) - 1, _LINES)
+    if values is None:
+        values = _split_lines(text)
+    if not len(values):
         raise InputError("no citation values found")
-    return np.concatenate(blocks)
+    return values
 
 
-def _split_lines(block: str, lines_before: int) -> tuple[np.ndarray, int]:
-    """The counts of a block of lines, each line read by ``float``, and its
-    number of lines; a bad line is named by its number, lines_before more
-    than its number in the block."""
-    lines = block.splitlines()
+def _split_lines(text: str) -> np.ndarray:
+    """The counts of a text, each line read by ``float``; a bad line is
+    named by its number."""
+    lines = text.splitlines()
     try:
         vals = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
     except ValueError:
         vals = None
     if vals is None or not (vals >= 0).all():  # NaN fails >= 0 too
         # the vector pass failed: name the first bad line
-        for lineno, line in enumerate(lines, start=lines_before + 1):
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped:
                 continue
@@ -864,62 +933,28 @@ def _split_lines(block: str, lines_before: int) -> tuple[np.ndarray, int]:
                 raise InputError(f"line {lineno}: not a number: {stripped!r}") from None
             if not v >= 0:
                 raise InputError(f"line {lineno}: citation count must be >= 0, got {v}")
-    return vals, len(lines)
-
-
-def _plain_lines(block: str) -> tuple[np.ndarray, int] | None:
-    """The counts of a block of lines and its number of lines, as
-    ``splitlines`` counts them, or None unless the block holds only
-    ``_PLAIN_BYTES``, a "\\r" only before a "\\n", and one JSON number on
-    each line up to its last count.  The lines, their ends made commas,
-    are then one JSON list, which ``_floats`` decodes to the doubles that
-    ``float`` reads of each line."""
-    if not block.isascii():
-        return None
-    raw = block.encode()
-    octets = np.frombuffer(raw, np.uint8)
-    # only _PLAIN_BYTES, and a "\n" after each "\r"
-    if raw.translate(None, _PLAIN_BYTES) or b"\r" in raw and (
-            raw.endswith(b"\r") or not ((octets[:-1] == 13) <= (octets[1:] == 10)).all()):
-        return None
-    try:  # a blank line before the last count leaves an empty slot
-        values = _floats(b"".join((b"[", raw.rstrip().translate(_COMMA_LINE_ENDS), b"]")))
-    except ValueError:
-        return None
-    return values, np.count_nonzero(octets == 10) + (not raw.endswith(b"\n"))
+    return vals
 
 
 def _flat_read(data: bytes) -> dict | None:
     """The JSON object that the bytes of a file hold, its ``"knots"`` array
-    (in a file without that key, its ``"citations"`` array) read as one
-    flat list of numbers into a float array, (n, 2) for knots; None, and
-    the caller decodes the whole file, unless that read gives what
+    (in a file without that key, its ``"citations"`` array) read by
+    ``_read_blocks`` into a float array, (n, 2) for knots; None, and the
+    caller decodes the whole file, unless that read gives what
     ``json.loads`` gives of the file's UTF-8 text and every value fits a
     float.  Never raises.
 
-    It takes the bytes only where the key occurs once; the text around the
-    array, with ``[]`` in its place, is UTF-8, holds no backslash and
-    decodes to an object whose key holds that ``[]``; and the array is read
-    a block of whole units at a time, each block copied once (and a knot
-    block translated once, its pairs' brackets blanked), so that neither a
-    copy of the array nor a list of all its values is made.  A block, its
-    bytes either side made a list's brackets, reads as one JSON list of
-    numbers: a count block holds only number bytes, whitespace and commas
-    between its brackets, which orjson's list grammar reads as one number a
-    slot or rejects; a knot block is exactly ``[[,],...,[,]]`` once its
-    numbers and whitespace are deleted, with no number outside a pair (the
-    whitespace alone deleted, it starts ``[[`` and ends ``]]``, and a numpy
-    test finds a ``[`` two bytes after each ``]`` but the last two).  The
-    array then holds no quote, so no key or backslash hides in it, and each
-    value is an int or a float: no bool, string, null, NaN or infinity,
-    which the array would hide once read as floats.  ``_floats`` decodes
-    each block; what orjson rejects (NaN, an infinity, a value beyond the
-    float range, an empty slot) is read by the general path, which names
-    it, and so is an array whose blocks fill fewer slots than it has units
-    (a trailing comma, or no count at all).  The bytes stay with the
-    caller: their text is what the general path reads where the values fail
-    to decode."""
-    for name, cut_byte, tail in _FLAT_ARRAYS:
+    It takes the bytes only where the key occurs once, and the text around
+    the array, with ``[]`` in its place, is UTF-8, holds no backslash and
+    decodes to an object whose key holds that ``[]``.  The rows' checks
+    (number bytes, whitespace and commas in a count block, which orjson's
+    list grammar reads as one number a slot or rejects; only pairs of
+    numbers in a knot block) leave the array no quote, so no key or
+    backslash hides in it, and only ints and floats: no bool, string,
+    null, NaN or infinity, which the array would hide once read as floats.
+    What orjson rejects (NaN, an infinity, a value beyond the float range,
+    an empty slot) is read by the general path, which names it."""
+    for name, row in _FLAT_ARRAYS:
         key = f'"{name}"'
         at = data.find(key.encode())
         if at >= 0:
@@ -941,57 +976,12 @@ def _flat_read(data: bytes) -> dict | None:
         if outside.count(key) != 1 or "\\" in outside:
             return None
         obj = json.loads(outside)
-        if type(obj) is not dict or obj.get(name) != []:
-            return None
-        # a unit per cut byte: a pair opens with "[", and a count closes with
-        # a comma, which the last count lacks (counted a block at a time)
-        closes = cut_byte == b","
-        octets = np.frombuffer(data, np.uint8, end - start - 1, start + 1)
-        units = sum(int(np.count_nonzero(octets[a:a + _TEXT_BLOCK] == cut_byte[0]))
-                    for a in range(0, len(octets), _TEXT_BLOCK))
-        array = np.empty((units + closes, *tail))
-        flat, view = array.reshape(-1), memoryview(data)
-        at, i, last = start + 1, 0, False
-        while not last:
-            # every block but the last holds a comma before its cut
-            cut = data.find(cut_byte, max(at + _TEXT_BLOCK, data.find(b",", at, end) + 1), end)
-            last = cut < 0
-            # the block, from the byte before it to its last comma (the
-            # array's "]" in the last block), reads as a JSON list with
-            # those two bytes made its brackets
-            block = bytearray(view[at - 1:end + 1 if last else cut + closes])
-            edges = 0, len(block) - 1 if last else block.rfind(b",")
-            # only whitespace follows a unit's last comma ("[0, 3,] [1, 0]" holds a pair's)
-            if block[edges[1] + 1:].strip(_WHITESPACE):
-                return None
-            block[edges[0]], block[edges[1]] = b"[]"
-            if tail:
-                # m pairs read "[" + "[,]," m times, less its last comma, + "]"
-                # once their numbers and whitespace are deleted
-                shape = block.translate(None, _WHITESPACE)
-                skeleton = shape.translate(None, _NUMBER_BYTES)
-                if skeleton != b"[" + (b"[,]," * ((len(skeleton) - 1) // 4))[:-1] + b"]":
-                    return None
-                # no number sits outside a pair: the shape starts "[[" and
-                # ends "]]", and each "]" but the last two has a "[" two
-                # bytes on, so that the one byte between is the comma
-                shape_octets = np.frombuffer(shape, np.uint8)
-                if shape[:2] != b"[[" or shape[-2:] != b"]]" or not (
-                        (shape_octets[:-2] == 93) <= (shape_octets[2:] == 91)).all():
-                    return None
-                # only the list's brackets stay
-                block = block.translate(_PAIR_BRACKETS)
-                block[edges[0]], block[edges[1]] = b"[]"
-            elif block.translate(None, _COUNT_BYTES) != b"[]":
-                return None
-            values = _floats(block)
-            flat[i:i + len(values)] = values
-            at, i = cut + closes, i + len(values)
-        obj[name] = array
-    except (ValueError, RecursionError, OverflowError):
+    except (ValueError, RecursionError):
         return None
-    # an empty last slot (a trailing comma, or no count at all) leaves a unit unread
-    return obj if i == len(flat) else None
+    if type(obj) is not dict or obj.get(name) != []:
+        return None
+    obj[name] = _read_blocks(data, start + 1, end, row)
+    return None if obj[name] is None else obj
 
 
 # The text that a cell whose ``repr`` is a key has in each output: json

@@ -720,6 +720,26 @@ def test_flat_citations_cut_at_every_byte(block, monkeypatch):
     assert fn._flat_read(text.encode())["citations"].tobytes() == want.tobytes()
 
 
+def test_each_block_of_a_file_is_decoded_at_most_once(tmp_path, monkeypatch):
+    # 4x10^4 distinct counts as lines, as CRLF lines and as a citations
+    # object through ingest, then its spec's knots through eval: each file
+    # is cut into several blocks, and orjson decodes none of them twice
+    counts = list(range(40_000, 0, -1))
+    decoded, floats = [], fn._floats
+    monkeypatch.setattr(fn, "_floats", lambda block: decoded.append(bytes(block)) or floats(block))
+    src, spec = tmp_path / "in.txt", tmp_path / "spec.json"
+    for text in ("".join(f"{c}\n" for c in counts), "".join(f"{c}\r\n" for c in counts),
+                 json.dumps({"citations": counts}), None):
+        if text is None:  # the spec that the last ingest wrote
+            argv = ["eval", "--input", str(spec)]
+        else:
+            src.write_bytes(text.encode())
+            argv = ["ingest", "--input", str(src), "--output", str(spec)]
+        assert main(argv) == 0
+        assert len(decoded) == len(set(decoded)) >= 3, argv
+        decoded.clear()
+
+
 class TestAxiomsCmd:
     def test_asserted_suites_pass(self, tmp_path, capsys):
         out = tmp_path / "axioms.json"
@@ -1079,6 +1099,25 @@ class TestIngestCmd:
         assert peak < 25e6
         assert fn.function_from_spec(json.loads(out.read_text())) == from_citations(counts)
 
+    def test_line_ends_and_a_blank_line_write_one_spec(self, tmp_path, monkeypatch):
+        # 10^5 counts with LF ends, CRLF ends, and LF ends with a blank line
+        # in the middle, which the block read declines: the line loop then
+        # reads that file whole, and only that file
+        counts = np.floor(np.random.default_rng(13).pareto(1.2, 10**5) * 5.0).astype(int).tolist()
+        lines = [f"{c}\n" for c in counts]
+        texts = {"lf": "".join(lines), "crlf": "".join(f"{c}\r\n" for c in counts),
+                 "blank": "".join(lines[:50_000]) + "\n" + "".join(lines[50_000:])}
+        split, split_lines = [], fn._split_lines
+        monkeypatch.setattr(fn, "_split_lines", lambda text: split.append(text) or split_lines(text))
+        specs = {}
+        for name, text in texts.items():
+            src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+            src.write_bytes(text.encode())
+            assert main(["ingest", "--input", str(src), "--output", str(out)]) == 0
+            specs[name] = out.read_bytes()
+        assert specs["lf"] == specs["crlf"] == specs["blank"]
+        assert split == [texts["blank"]]
+
     @pytest.mark.parametrize("text", ['{"type": "linear", "S": 10, "T": 20}', "{}", "null",
                                       "true", '"5"'])
     def test_json_without_counts(self, text, tmp_path, capsys):
@@ -1286,16 +1325,21 @@ def _count_vectors(draw):
     return base + [base[i] for i in ties]
 
 
-@pytest.mark.parametrize("text, holds_text", [("5\n3\n", True), ("5", True),
-                                              ('{"citations": [5, 3]}', False),
-                                              ('{"type": "linear", "S": 10, "T": 20}', False)],
+@pytest.mark.parametrize("text, want", [("5\n3\n", [5.0, 3.0]), ("5", [5.0]),
+                                        ('{"citations": [5, 3]}', [5.0, 3.0]),
+                                        ('{"type": "linear", "S": 10, "T": 20}', None)],
                          ids=["lines", "one_count", "citations", "spec"])
-def test_text_is_kept_only_for_the_line_format(text, holds_text, tmp_path):
-    # a decoded file's text is dropped before its value is read
+def test_input_reads_as_one_value(text, want, tmp_path):
+    # a line file, a file of one count and a citations object read alike,
+    # as a citations object of a float array; a spec as its JSON object
     p = tmp_path / "in.txt"
     p.write_text(text)
-    obj, kept = cli._read_input(cli.build_parser().parse_args(["eval", "--input", str(p)]))
-    assert (obj is None, kept) == ((True, text) if holds_text else (False, None))
+    obj = cli._read_input(cli.build_parser().parse_args(["eval", "--input", str(p)]))
+    if want is None:
+        assert obj == json.loads(text)
+    else:
+        assert list(obj) == ["citations"] and type(obj["citations"]) is np.ndarray
+        assert obj["citations"].tolist() == want
 
 
 _MAGNITUDE = st.floats(min_value=1e-300, max_value=1e300)
@@ -1627,6 +1671,33 @@ class TestExitPaths:
     def test_bad_arguments(self, args, err, capsys):
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("args, err", [
+        *((["axioms", "--pairs", str(count)],
+           f"count must be >= 1 and at most 16012798675095096, got {count}")
+          for count in (0, 2**62, 2**63)),
+        *((["sweep" if count % 2 else "eval", "--input", None, "--theta", f"0:1:{count}"],
+           f"--theta count must be at most 1152921504606846975, got {count}")
+          for count in (2**63 - 1, 2**63, 2**64 + 1)),
+    ])
+    def test_counts_that_no_array_holds(self, args, err, linear_spec, monkeypatch, capsys):
+        # rejected before a generator or a level grid is built
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("built a generator"))
+        monkeypatch.setattr(cli, "_level_grid", lambda *a: pytest.fail("built a level grid"))
+        assert main([linear_spec if a is None else a for a in args]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("detail, err", [
+        ("Unable to allocate 8.00 TiB for an array", "Unable to allocate 8.00 TiB for an array"),
+        ("", "out of memory")])
+    def test_memory_error_exits_2(self, detail, err, linear_spec, monkeypatch, capsys):
+        # a count within its bound may still not fit this machine's memory
+        def fail(*args):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(cli, "_level_grid", fail)
+        assert main(["sweep", "--input", linear_spec, "--theta", "0:1:5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_output_that_is_a_directory(self, linear_spec, tmp_path, capsys):
         # the temporary file is written, the rename fails, and it is removed;

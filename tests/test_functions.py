@@ -718,6 +718,22 @@ class TestParseCitations:
             assert outcome(lambda t: parse_citations(t).tolist()) == want, block
         assert split
 
+    def test_a_file_declined_at_its_last_block_is_split_once(self, monkeypatch):
+        # distinct lines, in several blocks of 64 KiB, the last line bad:
+        # each block before it is decoded once, then the whole file is
+        # split into lines once, which names the line by its number
+        decoded, floats = [], functions._floats
+        monkeypatch.setattr(functions, "_floats",
+                            lambda block: decoded.append(bytes(block)) or floats(block))
+        split, split_lines = [], functions._split_lines
+        monkeypatch.setattr(functions, "_split_lines",
+                            lambda text: split.append(text) or split_lines(text))
+        text = "".join(f"{i}\n" for i in range(40_000)) + "x\n"
+        with pytest.raises(InputError, match="^line 40001: not a number: 'x'$"):
+            parse_citations(text)
+        assert len(decoded) == len(set(decoded)) >= 3
+        assert split == [text]
+
     def test_a_bad_line_after_plain_blocks_is_named_by_its_line_in_the_file(self, monkeypatch):
         # two blocks of 64 Ki characters, CRLF and LF lines, go through
         # orjson; the third, which holds the bad line, is split into lines

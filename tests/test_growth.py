@@ -156,37 +156,47 @@ def _fixed_per_block(calls):
     return all(calls[blocks, 1_000] == calls[blocks, 4_000] for blocks in (1, 2, 3))
 
 
-def test_parse_citations_makes_a_fixed_number_of_calls_per_block():
-    # lines "5\n": a block of _TEXT_BLOCK = 2m - 1 characters runs on to the
-    # m-th line's "\n", so blocks * m lines cut into that many blocks, each
-    # decoded by orjson, which a text of more than one block imports
-    parse_citations("5\n" * (functions._TEXT_BLOCK + 1))
-    calls = _calls_by_blocks(parse_citations, lambda n: "5\n" * n,
-                             (functions, "_TEXT_BLOCK"), lambda m: 2 * m - 1)
+# The rows of ``functions._read_blocks``, each read through its caller: the
+# reader, a text of n units, and the _TEXT_BLOCK that cuts blocks * m units
+# into that many blocks, and so does the count of cut bytes.  Lines "5\n"
+# and counts "5,": a block of 2m bytes runs on to the next "\n" or comma,
+# m + 1 units (the last block shorter); a blank last line, which the line
+# read strips, makes a text of one block longer than _TEXT_BLOCK, as the
+# line read needs.  Knots "[5,5],": a block of 6m bytes runs on to the next
+# "[", m knots.
+_BLOCK_ROWS = {
+    "lines": (parse_citations, lambda n: "5\n" * n + "\n", lambda m: 2 * m),
+    "counts": (functions._flat_read,
+               lambda n: ('{"citations": [' + "5," * (n - 1) + "5]}").encode(), lambda m: 2 * m),
+    "knots": (functions._flat_read,
+              lambda n: ('{"type": "piecewise_linear", "T": 1, "knots": ['
+                         + "[5,5]," * (n - 1) + "[5,5]]}").encode(), lambda m: 6 * m),
+}
+
+
+def _block_row_calls(row):
+    read, text, size = _BLOCK_ROWS[row]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "_TEXT_BLOCK", size(1))
+        read(text(3))  # its first read in blocks imports orjson
+    return _calls_by_blocks(read, text, (functions, "_TEXT_BLOCK"), size)
+
+
+@pytest.mark.parametrize("row", _BLOCK_ROWS)
+def test_block_reader_makes_a_fixed_number_of_calls_per_block(row):
+    # one loop reads every row, an orjson call a block
+    calls = _block_row_calls(row)
     assert _fixed_per_block(calls), calls
 
 
-def test_flat_citations_read_makes_a_fixed_number_of_calls_per_block():
-    # counts "5,": a block of _TEXT_BLOCK = 2m bytes runs on to the next
-    # comma, m + 1 counts, so blocks * m counts cut into that many blocks
-    # (the last one shorter), and so does the count of commas
-    functions._flat_read(b'{"citations": [5, 3]}')  # its first call imports orjson
-    calls = _calls_by_blocks(functions._flat_read,
-                             lambda n: ('{"citations": [' + "5," * (n - 1) + "5]}").encode(),
-                             (functions, "_TEXT_BLOCK"), lambda m: 2 * m)
-    assert _fixed_per_block(calls), calls
-
-
-def test_flat_knot_read_makes_a_fixed_number_of_calls_per_block():
-    # knots "[5,5],": a block of _TEXT_BLOCK = 6m bytes runs on to the next
-    # "[", m knots, so blocks * m knots cut into that many blocks, and so
-    # does the count of "["s
-    functions._flat_read(b'{"knots": [[0, 1], [1, 0]]}')  # its first call imports orjson
-    calls = _calls_by_blocks(functions._flat_read,
-                             lambda n: ('{"type": "piecewise_linear", "T": 1, "knots": ['
-                                        + "[5,5]," * (n - 1) + "[5,5]]}").encode(),
-                             (functions, "_TEXT_BLOCK"), lambda m: 6 * m)
-    assert _fixed_per_block(calls), calls
+@pytest.mark.parametrize("row", _BLOCK_ROWS)
+def test_a_generator_over_a_blocks_values_fails_the_row(row, monkeypatch):
+    # the row sees a Python-level loop over a block's values
+    floats = functions._floats
+    monkeypatch.setattr(functions, "_floats",
+                        lambda block: np.fromiter((v for v in floats(block)), float))
+    calls = _block_row_calls(row)
+    assert not _fixed_per_block(calls), calls
 
 
 def test_spec_text_makes_a_fixed_number_of_calls_per_block():
