@@ -10,27 +10,29 @@ Subcommands:
   ingest           continuize a citation file into a function spec
 
 Each command reads the parsed argparse namespace directly; the parser holds
-every default.  An input file reads as one value (``_read_input``): a
-function spec, or a citations object, which a citation file of lines
-becomes.  Its numbers are read, and specs written, by the number-text
-readers and writers of ``functions`` (``_flat_read``, ``parse_citations``,
-``_spec_text``), and tables by their own types.  Exit codes: 0 success
-(including an expected counterexample reproducing), 1 an axiom violation
-for a score that should satisfy it (or a fixture that fails to reproduce),
-2 input or I/O failure, including an axiom run that tested no pair, a
-count whose arrays no array holds, and a run out of memory.
+every default and each command's function (``run``), which ``main`` calls,
+and ``_emit`` writes every output.  An input file reads as one value
+(``_read_input``): a function spec, or a citations object, which a citation
+file of lines becomes.  Its numbers are read, and specs written, by the
+number-text readers and writers of ``functions`` (``_flat_read``,
+``parse_citations``, ``_spec_text``), and tables by their own types.
+Exit codes: 0 success (including an expected counterexample reproducing),
+1 an axiom violation for a score that should satisfy it (or a fixture
+that fails to reproduce), 2 input or I/O failure, including an axiom run
+that tested no pair, a count whose arrays no array holds, and a run out
+of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import stat
 import sys
-import tempfile
 from collections.abc import Iterable
 
 import numpy as np
@@ -41,39 +43,26 @@ from . import functions as fn
 __all__ = ["build_parser", "main"]
 
 
-def _atomic_write(path: str, blocks: Iterable[str]) -> None:
-    """Write the text blocks to path through a temporary file and a rename,
-    as ``open(path, "w")`` would leave it: a symlink stays, its target
-    replaced; a replaced file keeps its mode, a new one gets 0o666 less the
-    umask (``mkstemp`` makes 0o600)."""
+def _emit(blocks: Iterable[str], output_path: str | None) -> None:
+    """Write the text blocks to stdout, or as ``open(output_path, "w")`` would
+    but through a temporary file in its directory and a rename: a symlink
+    stays, its target replaced; a replaced file keeps its mode, and a new one
+    gets 0o666 less the file mode creation mask, which the kernel applies."""
+    if not output_path:
+        sys.stdout.writelines(blocks)
+        return
+    path = os.path.realpath(output_path) if os.path.islink(output_path) else output_path
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-ebundles-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        st = os.lstat(path)
-        if stat.S_ISLNK(st.st_mode):
-            path = os.path.realpath(path)
-            st = os.stat(path)
-        mode = stat.S_IMODE(st.st_mode)
-    except OSError:  # a new file or link target, or a path mkstemp reports on
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-ebundles-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), mode)
+        with open(fd, "w") as fh:
+            with contextlib.suppress(FileNotFoundError):  # a new file or link target
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
-
-
-def _emit(blocks: Iterable[str], output_path: str | None) -> None:
-    if output_path:
-        _atomic_write(output_path, blocks)
-    else:
-        sys.stdout.writelines(blocks)
 
 
 def _parse_theta_spec(args: argparse.Namespace) -> np.ndarray | None:
@@ -220,7 +209,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if thetas is not None:
             rows = table.to_json()
             text = text.replace('"per_theta": []', '"per_theta": ' + rows[rows.index("["):-2], 1)
-        _atomic_write(args.output, [text + "\n"])
+        _emit([text + "\n"], args.output)
     print("\n".join(lines))
     return 0
 
@@ -238,15 +227,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each --suite's checker on (axioms module, bundle, measure level, pairs):
-# reports by axiom name.  The module is an argument so that only the axioms
-# command loads it.
-_SUITES = {
-    "bundle": lambda ax, bundle, theta, pairs: ax.check_impact_bundle(bundle, pairs),
-    "measure": lambda ax, bundle, theta, pairs: ax.check_impact_measure(bundle, theta, pairs),
-    "strong": lambda ax, bundle, theta, pairs: ax.check_strong_impact(bundle, theta, pairs),
-    "global": lambda ax, bundle, theta, pairs: ax.check_global_impact(bundle, theta, pairs),
-}
+# Each --suite's checker in the axioms module, by name, so that only the
+# axioms command loads it; each but the bundle suite's reads a measure level
+_SUITES = {"bundle": "check_impact_bundle", "measure": "check_impact_measure",
+           "strong": "check_strong_impact", "global": "check_global_impact"}
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
@@ -260,7 +244,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
     reports: dict[str, ax.AxiomReport] = {}
     for suite in _SUITES if args.suite == "all" else [args.suite]:
-        reports.update(_SUITES[suite](ax, bundle, theta, pairs))
+        level = () if suite == "bundle" else (theta,)
+        reports.update(getattr(ax, _SUITES[suite])(bundle, *level, pairs))
 
     # AX.1 is vacuous by construction; a run in which every other report is
     # vacuous too has compared nothing and must not read as a pass: its
@@ -269,7 +254,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     # written before the table is printed: a failed write prints nothing
     if args.output and not vacuous:
         obj = {k: reports[k].to_json_obj() for k in sorted(reports)}
-        _atomic_write(args.output, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
+        _emit([json.dumps(obj, indent=2, sort_keys=True) + "\n"], args.output)
 
     print(f"bundle={args.bundle} seed={args.seed} pairs={args.pairs} per relation kind")
     print(f"{'axiom':<8} {'tested':>6} {'skipped':>7} {'violations':>10}  passed")
@@ -366,15 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--theta-list", help="explicit levels v1,v2,...")
 
     sp = sub.add_parser("eval", help="score a single function")
+    sp.set_defaults(run=cmd_eval)
     add_io(sp)
     add_thetas(sp)
 
     sp = sub.add_parser("sweep", help="tabulate all bundles over a level grid")
+    sp.set_defaults(run=cmd_sweep)
     add_io(sp)
     add_thetas(sp)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("axioms", help="axiom suites over seeded pairs")
+    sp.set_defaults(run=cmd_axioms)
     add_io(sp, need_input=False)
     sp.add_argument("--bundle", choices=tuple(bn.BUNDLES), default="e")
     sp.add_argument("--suite", choices=(*_SUITES, "all"), default="bundle")
@@ -383,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measure-theta", type=float, default=1.0)
 
     sp = sub.add_parser("converge", help="convergence study for a sequence family")
+    sp.set_defaults(run=cmd_converge)
     add_io(sp, need_input=False)
     # convergence.SEQUENCE_FAMILIES's keys in order, written out so that the
     # parser does not load that module (a test holds the two equal)
@@ -391,34 +380,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-n", type=int, default=10_000)
     sp.add_argument("--theta-grid-n", type=int, default=1_000)
 
-    sub.add_parser("counterexamples", help="reproduce the counterexample fixtures")
+    sub.add_parser("counterexamples", help="reproduce the counterexample fixtures").set_defaults(
+        run=cmd_counterexamples)
 
     sp = sub.add_parser("ingest", help="citation file to function spec")
+    sp.set_defaults(run=cmd_ingest)
     add_io(sp)
     return p
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """``build_parser``'s parser, built on the first ``main`` call and kept:
-    parsing reads it and never changes it."""
+    """``build_parser``'s parser, built on the first ``main`` call: parsing only reads it."""
     return build_parser()
-
-
-_COMMANDS = {
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "axioms": cmd_axioms,
-    "converge": cmd_converge,
-    "counterexamples": cmd_counterexamples,
-    "ingest": cmd_ingest,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     # a MemoryError: arrays within a count's bound that this machine cannot hold
     except (fn.InputError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

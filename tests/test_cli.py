@@ -1101,12 +1101,13 @@ class TestIngestCmd:
 
     def test_line_ends_and_a_blank_line_write_one_spec(self, tmp_path, monkeypatch):
         # 10^5 counts with LF ends, CRLF ends, and LF ends with a blank line
-        # in the middle, which the block read declines: the line loop then
-        # reads that file whole, and only that file
+        # or a whitespace-only one in the middle, which the block read
+        # drops as the line loop skips them: no file reaches the line loop
         counts = np.floor(np.random.default_rng(13).pareto(1.2, 10**5) * 5.0).astype(int).tolist()
         lines = [f"{c}\n" for c in counts]
         texts = {"lf": "".join(lines), "crlf": "".join(f"{c}\r\n" for c in counts),
-                 "blank": "".join(lines[:50_000]) + "\n" + "".join(lines[50_000:])}
+                 "blank": "".join(lines[:50_000]) + "\n" + "".join(lines[50_000:]),
+                 "spaces": "".join(lines[:50_000]) + "  \t\n" + "".join(lines[50_000:])}
         split, split_lines = [], fn._split_lines
         monkeypatch.setattr(fn, "_split_lines", lambda text: split.append(text) or split_lines(text))
         specs = {}
@@ -1115,8 +1116,8 @@ class TestIngestCmd:
             src.write_bytes(text.encode())
             assert main(["ingest", "--input", str(src), "--output", str(out)]) == 0
             specs[name] = out.read_bytes()
-        assert specs["lf"] == specs["crlf"] == specs["blank"]
-        assert split == [texts["blank"]]
+        assert specs["lf"] == specs["crlf"] == specs["blank"] == specs["spaces"]
+        assert split == []
 
     @pytest.mark.parametrize("text", ['{"type": "linear", "S": 10, "T": 20}', "{}", "null",
                                       "true", '"5"'])
@@ -1300,6 +1301,29 @@ class TestOutputMode:
         assert link.is_symlink() and link.readlink() == Path("target", "out")
         assert target.read_text() != "old\n" and stat.S_IMODE(target.stat().st_mode) == 0o640
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cites.txt", "link", "out", "target"]
+
+    @pytest.mark.parametrize("argv", [["eval", "--theta-list", "1,2"], ["sweep"],
+                                      ["axioms", "--pairs", "5"], ["converge", "--n-list", "10,100"],
+                                      ["ingest"]], ids=lambda argv: argv[0])
+    def test_no_command_reads_or_sets_the_umask(self, argv, citations_file, tmp_path,
+                                                monkeypatch):
+        # the kernel applies the umask as it creates the temporary file, so
+        # no command flips the process's umask, which every thread shares
+        out = tmp_path / "out"
+        old = os.umask(0o027)
+
+        def umask(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        try:
+            monkeypatch.setattr(os, "umask", umask)
+            inputs = ["--input", citations_file] if argv[0] in ("eval", "sweep", "ingest") else []
+            assert main([*argv, *inputs, "--output", str(out)]) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert out.stat().st_size > 0 and stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cites.txt", "out"]
 
     def test_dangling_symlink_gets_its_target_made(self, citations_file, tmp_path):
         link = tmp_path / "link"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import orjson
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -643,8 +643,13 @@ class TestParseCitations:
             st.floats(allow_nan=False).map(repr),
         ),
         st.sampled_from(["", " ", "\t", "  "]),
-        st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\n\n", " \n"]),
+        st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\n\n", " \n", "\n  \t\n",
+                         "\r\n\r\n", "\n\r\n \n"]),
     ), max_size=12), st.integers(1, 64))
+    # blank and whitespace-only lines first, last, and at a block's edge
+    @example([("", "", "\n"), ("5", "", "\n  \t\n"), ("3", " ", "\n")], 1)
+    @example([("5", "", "\n"), ("", "\t", "\n"), ("", "", "\r\n"), ("12", "", "\n\n")], 2)
+    @example([("7", "", "\n\r\n \n"), ("8", "", "\n"), ("9", "", "\n\n")], 3)
     def test_matches_the_line_loop(self, lines, block):
         # blocks of a few characters: a file is cut at nearly every "\n",
         # and a bad line is still named by its number in the whole file
@@ -701,7 +706,8 @@ class TestParseCitations:
         # one, such as the Arabic-Indic digit three, which float reads as
         # 3.0, among them), and a bad line after it, whose number counts the
         # lines that "\x0c" and a lone "\r" end: at every block size, what
-        # the line loop gives
+        # the line loop gives.  A blank line, which the blocks read, reaches
+        # the line loop only with the bad line after it
         def outcome(parse):
             try:
                 return repr(parse(text))  # repr tells -0.0 from 0.0
@@ -716,7 +722,20 @@ class TestParseCitations:
         for block in range(1, 65):
             monkeypatch.setattr(functions, "_TEXT_BLOCK", block)
             assert outcome(lambda t: parse_citations(t).tolist()) == want, block
-        assert split
+        assert bool(split) == bool(line or tail)
+
+    @pytest.mark.parametrize("blank", ["", " ", "  \t", "\r", " \r "])
+    def test_blank_lines_stay_on_the_block_path(self, blank, monkeypatch):
+        # blank and whitespace-only lines first, between counts (one or
+        # two in a row) and last, each at a block's edge at some block
+        # size: what the line loop gives, and never the line loop itself
+        monkeypatch.setattr(functions, "_split_lines", lambda *args: pytest.fail(repr(args)))
+        text = (f"{blank}\n" + "3\n12\r\n 7\t\n" * 4 + f"{blank}\n" + "5\n"
+                + f"{blank}\n{blank}\r\n" + "2.5\n" * 8 + f"{blank}\n")
+        want = repr(oracles.parse_citations_by_line(text))
+        for block in range(1, 65):
+            monkeypatch.setattr(functions, "_TEXT_BLOCK", block)
+            assert repr(parse_citations(text).tolist()) == want, block
 
     def test_a_file_declined_at_its_last_block_is_split_once(self, monkeypatch):
         # distinct lines, in several blocks of 64 KiB, the last line bad:

@@ -10,6 +10,7 @@ caches do not count.
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -23,6 +24,20 @@ from ebundles import (e_thetas, from_citations, function_to_spec, functions, h_t
 from ebundles.cli import main
 
 
+@contextlib.contextmanager
+def _profiled(profile):
+    """profile on every event, with the garbage collector off: a collection
+    would run the finalizers of other tests' garbage, and count their calls."""
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        yield
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+
+
 def _python_calls(run) -> int:
     calls = 0
 
@@ -30,11 +45,8 @@ def _python_calls(run) -> int:
         nonlocal calls
         calls += event == "call"
 
-    sys.setprofile(profile)
-    try:
+    with _profiled(profile):
         run()
-    finally:
-        sys.setprofile(None)
     return calls
 
 
@@ -92,11 +104,8 @@ def _calls_in_and_out_of_bisection(run) -> tuple[int, int]:
             inside += caller is not None
             outside += caller is None
 
-    sys.setprofile(profile)
-    try:
+    with _profiled(profile):
         run()
-    finally:
-        sys.setprofile(None)
     return inside, outside
 
 
@@ -211,3 +220,97 @@ def test_spec_text_makes_a_fixed_number_of_calls_per_block():
     write(knots(2))  # its first call imports orjson
     calls = _calls_by_blocks(write, knots, (functions, "_SPEC_BLOCK"), lambda m: m)
     assert _fixed_per_block(calls), calls
+
+
+def _calls_by_name(run, names) -> tuple[int, dict[str, int]]:
+    """All the Python-level calls that run makes, and those of the named
+    functions (by code name)."""
+    calls, named = 0, dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+            if frame.f_code.co_name in named:
+                named[frame.f_code.co_name] += 1
+
+    with _profiled(profile):
+        run()
+    return calls, named
+
+
+def test_generate_pairs_makes_as_many_calls_per_round_at_any_pair_count(monkeypatch):
+    # 50 and 200 pairs of each kind, each in one round of attempts (_round),
+    # with one block for every row (functions._BLOCK): as many calls, but
+    # for one _reason a pair and one _cumulative_order a CUMULATIVE_PREC
+    # pair, the per-pair loop of axioms._rejections
+    from ebundles import axioms
+
+    monkeypatch.setattr(functions, "_BLOCK", 10**9)
+    axioms.generate_pairs(0, 50)
+    names = ("_round", "_reason", "_cumulative_order")
+    calls = {n: _calls_by_name(lambda: axioms.generate_pairs(0, n), names) for n in (50, 200)}
+    (small, named), (large, named_4x) = calls[50], calls[200]
+    assert named["_round"] == named_4x["_round"] == 1, calls
+    assert (named["_reason"], named_4x["_reason"]) == (4 * 50, 4 * 200), calls
+    assert (named["_cumulative_order"], named_4x["_cumulative_order"]) == (50, 200), calls
+    assert large - named_4x["_reason"] - named_4x["_cumulative_order"] == (
+        small - named["_reason"] - named["_cumulative_order"]), calls
+
+
+@pytest.mark.parametrize("checker", ["check_impact_bundle", "check_impact_measure",
+                                     "check_strong_impact", "check_global_impact"])
+@pytest.mark.parametrize("bundle", ["e", "h"])
+def test_checkers_make_as_many_calls_at_any_pair_count_in_one_block(checker, bundle, monkeypatch):
+    # 50 and 200 generated pairs of each kind; the stacked reads run a
+    # 4,096-row block at a time (functions._BLOCK), and with one block for
+    # every row the calls are as many: they grow by blocks, never by pairs
+    from ebundles import BUNDLES, axioms
+
+    monkeypatch.setattr(functions, "_BLOCK", 10**9)
+    check = getattr(axioms, checker)
+    level = () if checker == "check_impact_bundle" else (1.0,)
+
+    def calls(n):
+        check(BUNDLES[bundle], *level, axioms.generate_pairs(0, n))
+        pairs = axioms.generate_pairs(0, n)  # a new set: a set keeps what a checker read
+        return _python_calls(lambda: check(BUNDLES[bundle], *level, pairs))
+
+    assert calls(50) == calls(200)
+
+
+def test_cumulative_dominates_makes_as_many_calls_at_more_knots_in_one_block(monkeypatch):
+    # f and g of K = 2,000 and 4K knots on [0, 1]; with one block for every
+    # row (functions._BLOCK) the calls outside the searches are as many,
+    # and _bisect's steps grow with log2 of the knot count
+    from ebundles import PiecewiseLinearFn, cumulative_dominates
+
+    monkeypatch.setattr(functions, "_BLOCK", 10**9)
+
+    def pair(k):
+        wobble = 1e-4 * np.sin(np.arange(k)) / k
+        return (PiecewiseLinearFn(np.linspace(0.0, 1.0, k), np.linspace(2.0, 0.5, k) + wobble),
+                PiecewiseLinearFn(np.linspace(0.0, 1.0, k + 3), np.linspace(2.1, 0.4, k + 3)))
+
+    cumulative_dominates(*pair(10))
+    calls = {k: _calls_in_and_out_of_bisection(lambda: cumulative_dominates(*pair(k)))
+             for k in (2_000, 8_000)}
+    (inside, outside), (inside_4k, outside_4k) = calls[2_000], calls[8_000]
+    assert outside_4k == outside, calls
+    assert inside_4k / inside <= math.log2(8_003) / math.log2(2_003), calls
+
+
+@pytest.mark.parametrize("family", ["linear", "shifted", "zipf", "power"])
+def test_run_study_makes_a_fixed_number_of_calls_per_member_at_any_grid(family):
+    # 3, 6 and 12 members, n = 10, 20, 40, ...: each member adds as many
+    # calls (its construction), and 4x the grid points add none
+    from ebundles.convergence import SEQUENCE_FAMILIES, run_study
+
+    def calls(members, grid_n):
+        seq = SEQUENCE_FAMILIES[family](tuple(10 * 2**i for i in range(members)))
+        return _python_calls(lambda: run_study(seq, grid_n=grid_n, theta_grid_n=grid_n // 10))
+
+    calls(3, 1_000)
+    by_members = [calls(m, 1_000) for m in (3, 6, 12)]
+    assert by_members[2] - by_members[1] == 2 * (by_members[1] - by_members[0]), by_members
+    assert calls(3, 4_000) == by_members[0]
