@@ -26,7 +26,6 @@ of memory.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -52,12 +51,19 @@ def _emit(blocks: Iterable[str], output_path: str | None) -> None:
         sys.stdout.writelines(blocks)
         return
     path = os.path.realpath(output_path) if os.path.islink(output_path) else output_path
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:  # a new file or link target
+        mode = None
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-ebundles-{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    # a replaced file's temporary is made with its mode, which the kernel
+    # masks, so that it is never open to more users than the file is, and
+    # is then given all of it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else mode)
     try:
         with open(fd, "w") as fh:
-            with contextlib.suppress(FileNotFoundError):  # a new file or link target
-                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            if mode is not None:
+                os.fchmod(fd, mode)
             fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
@@ -227,10 +233,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each --suite's checker in the axioms module, by name, so that only the
-# axioms command loads it; each but the bundle suite's reads a measure level
-_SUITES = {"bundle": "check_impact_bundle", "measure": "check_impact_measure",
-           "strong": "check_strong_impact", "global": "check_global_impact"}
+# Each --suite's checker on (axioms module, bundle, measure level, pairs):
+# reports by axiom name.  The module is an argument so that only the axioms
+# command loads it.
+_SUITES = {
+    "bundle": lambda ax, bundle, theta, pairs: ax.check_impact_bundle(bundle, pairs),
+    "measure": lambda ax, bundle, theta, pairs: ax.check_impact_measure(bundle, theta, pairs),
+    "strong": lambda ax, bundle, theta, pairs: ax.check_strong_impact(bundle, theta, pairs),
+    "global": lambda ax, bundle, theta, pairs: ax.check_global_impact(bundle, theta, pairs),
+}
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
@@ -244,8 +255,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
     reports: dict[str, ax.AxiomReport] = {}
     for suite in _SUITES if args.suite == "all" else [args.suite]:
-        level = () if suite == "bundle" else (theta,)
-        reports.update(getattr(ax, _SUITES[suite])(bundle, *level, pairs))
+        reports.update(_SUITES[suite](ax, bundle, theta, pairs))
 
     # AX.1 is vacuous by construction; a run in which every other report is
     # vacuous too has compared nothing and must not read as a pass: its

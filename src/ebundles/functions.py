@@ -36,7 +36,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields
@@ -799,9 +798,6 @@ _TEXT_BLOCK = 1 << 16
 # JSON whitespace, and what a JSON number is written with
 _WHITESPACE = b" \t\n\r"
 _NUMBER_BYTES = b"0123456789.eE+-"
-# a line file's blank lines in a block whose line ends are commas: those at
-# its start with the commas after them, any other with the comma before it
-_BLANK_LINES = re.compile(rb"(?<=\[)(?:[ \t\r]*,)+|,[ \t\r]*(?=[,\]])")
 
 
 def _only(allowed: bytes) -> Callable[[bytearray], bool]:
@@ -823,6 +819,22 @@ def _pairs_only(block: bytearray) -> bool:
             and bool(((octets[:-2] == 93) <= (octets[2:] == 91)).all()))
 
 
+# The rows of number lists read a block at a time: the byte that blocks are
+# cut at, the byte that ends a unit in a block, the shape of a unit's
+# values, the test of a block's bytes and the table that makes a block's
+# units one list of numbers.  A spec's knot pairs are cut before a pair's
+# "[", their brackets blanked; a citations object's counts after a count's
+# comma; and the lines of a line file after a "\n", the line ends made
+# commas.  Line bytes are JSON numbers without a sign (so "-0" is never read
+# as the int 0), spaces and tabs, "\n" and "\r"
+_KNOTS = (b"[", b",", (2,), _pairs_only, bytes.maketrans(b"[]", b"  "))
+_COUNTS = (b",", b",", (), _only(_NUMBER_BYTES + _WHITESPACE + b","), None)
+_LINES = (b"\n", b"\n", (), _only(_NUMBER_BYTES.replace(b"-", b"") + _WHITESPACE),
+          bytes.maketrans(b"\n", b","))
+# the number arrays read from an input file's bytes, by key
+_FLAT_ARRAYS = (("knots", _KNOTS), ("citations", _COUNTS))
+
+
 def _floats(block: bytes | bytearray) -> np.ndarray:
     """The values of a JSON list of numbers as a float array: orjson
     decodes them to the doubles that ``json.loads`` gives, and raises
@@ -832,39 +844,6 @@ def _floats(block: bytes | bytearray) -> np.ndarray:
 
     values = orjson.loads(block)
     return np.fromiter(values, float, len(values))
-
-
-def _knot_floats(block: bytearray) -> np.ndarray:
-    """The values of a block of knot pairs, the pairs' brackets blanked."""
-    block = block.translate(bytes.maketrans(b"[]", b"  "))
-    block[0], block[-1] = b"[]"
-    return _floats(block)
-
-
-def _line_floats(block: bytearray) -> np.ndarray:
-    """The counts of a block of lines, their ends made commas.  A blank
-    line, which the line loop skips, is an empty slot that orjson rejects;
-    a block that holds one is read again without them."""
-    block = block.translate(bytes.maketrans(b"\n", b","))
-    try:
-        return _floats(block)
-    except ValueError:  # a block that declines fails again
-        return _floats(_BLANK_LINES.sub(b"", block))
-
-
-# The rows of number lists read a block at a time: the byte that blocks are
-# cut at, the byte that ends a unit in a block, the shape of a unit's
-# values, the test of a block's bytes and the reader of a block's values
-# (each looking ``_floats`` up as it reads).  A spec's knot pairs are cut
-# before a pair's "["; a citations object's counts after a count's comma;
-# and the lines of a line file after a "\n".  Line bytes are JSON numbers
-# without a sign (so "-0" is never read as the int 0), spaces and tabs,
-# "\n" and "\r"
-_KNOTS = (b"[", b",", (2,), _pairs_only, _knot_floats)
-_COUNTS = (b",", b",", (), _only(_NUMBER_BYTES + _WHITESPACE + b","), lambda b: _floats(b))
-_LINES = (b"\n", b"\n", (), _only(_NUMBER_BYTES.replace(b"-", b"") + _WHITESPACE), _line_floats)
-# the number arrays read from an input file's bytes, by key
-_FLAT_ARRAYS = (("knots", _KNOTS), ("citations", _COUNTS))
 
 
 def _read_blocks(data: bytes, start: int, end: int, row: tuple) -> np.ndarray | None:
@@ -877,12 +856,11 @@ def _read_blocks(data: bytes, start: int, end: int, row: tuple) -> np.ndarray | 
     separator, which only whitespace may follow (``[0, 3,] [1, 0]`` holds
     a pair's).  It is copied once with the byte before it and that
     separator, which are made a list's brackets; it must pass the row's
-    check, and the row's reader must read its values (``ValueError``
-    where it does not).  A block that fails either declines, and so does
+    check, and translated by the row's table, it is one JSON list that
+    ``_floats`` decodes.  A block that fails either declines, and so does
     a read whose blocks fill fewer slots than there are units (an empty
-    slot at a block's edge, a count array's trailing comma), but for a
-    line file's blank lines."""
-    cut_byte, sep, tail, check, read = row
+    slot at a block's edge)."""
+    cut_byte, sep, tail, check, table = row
     closes = cut_byte == sep
     # counted a block at a time by numpy, which bytes.count is slower than
     octets = np.frombuffer(data, np.uint8, end - start, start)
@@ -902,27 +880,30 @@ def _read_blocks(data: bytes, start: int, end: int, row: tuple) -> np.ndarray | 
         block[0], block[-1] = b"[]"
         if not check(block):
             return None
+        if table:  # which blanks a knot block's brackets too
+            block = block.translate(table)
+            block[0], block[-1] = b"[]"
         try:
-            values = read(block)
+            values = _floats(block)
         except ValueError:
             return None
         flat[i:i + len(values)] = values
         at, i = cut + closes, i + len(values)
-    return flat[:i].reshape(-1, *tail) if i == len(flat) or row is _LINES else None
+    return array if i == len(flat) else None
 
 
 def parse_citations(text: str) -> np.ndarray:
     """Parse one nonnegative count per line, blank lines skipped, into a
     float array.  A text longer than one ``_TEXT_BLOCK`` (a shorter one
     never imports orjson) is read as ``_read_blocks``' ``_LINES`` row.
-    Where a block declines (a sign, ``1_000``, two numbers on a line that
-    a lone ``"\\r"`` splits, a byte beyond ASCII), the whole text is read
-    again, and a short text at once, each line by ``float``
-    (``_split_lines``), which names a bad line."""
+    Where a block declines (a sign, a blank line between counts,
+    ``1_000``, two numbers on a line that a lone ``"\\r"`` splits, a byte
+    beyond ASCII), the whole text is read again, and a short text at once,
+    each line by ``float`` (``_split_lines``), which names a bad line."""
     values = None
     if len(text) > _TEXT_BLOCK and text.isascii():
-        # in brackets, as a JSON array is; trailing blank lines, stripped,
-        # leave the last block no empty slot to read again
+        # in brackets, as a JSON array is; trailing blank lines would end
+        # the last block in an empty slot
         data = b"[%b]" % text.rstrip().encode()
         values = _read_blocks(data, 1, len(data) - 1, _LINES)
     if values is None:

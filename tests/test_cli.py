@@ -721,15 +721,19 @@ def test_flat_citations_cut_at_every_byte(block, monkeypatch):
 
 
 def test_each_block_of_a_file_is_decoded_at_most_once(tmp_path, monkeypatch):
-    # 4x10^4 distinct counts as lines, as CRLF lines and as a citations
-    # object through ingest, then its spec's knots through eval: each file
-    # is cut into several blocks, and orjson decodes none of them twice
+    # 4x10^4 distinct counts as lines, as lines with a blank line or a
+    # "+5" line late in the file (a block that declines), as CRLF lines and
+    # as a citations object through ingest, then its spec's knots through
+    # eval: each file is cut into several blocks, and orjson decodes none
+    # of them twice
     counts = list(range(40_000, 0, -1))
+    lines = [f"{c}\n" for c in counts]
     decoded, floats = [], fn._floats
     monkeypatch.setattr(fn, "_floats", lambda block: decoded.append(bytes(block)) or floats(block))
     src, spec = tmp_path / "in.txt", tmp_path / "spec.json"
-    for text in ("".join(f"{c}\n" for c in counts), "".join(f"{c}\r\n" for c in counts),
-                 json.dumps({"citations": counts}), None):
+    for text in ("".join(lines), "".join(lines[:35_000] + ["\n"] + lines[35_000:]),
+                 "".join(lines[:35_000] + ["+5\n"] + lines[35_000:]),
+                 "".join(f"{c}\r\n" for c in counts), json.dumps({"citations": counts}), None):
         if text is None:  # the spec that the last ingest wrote
             argv = ["eval", "--input", str(spec)]
         else:
@@ -1101,13 +1105,12 @@ class TestIngestCmd:
 
     def test_line_ends_and_a_blank_line_write_one_spec(self, tmp_path, monkeypatch):
         # 10^5 counts with LF ends, CRLF ends, and LF ends with a blank line
-        # or a whitespace-only one in the middle, which the block read
-        # drops as the line loop skips them: no file reaches the line loop
+        # in the middle, which the block read declines: the line loop then
+        # reads that file whole, and only that file
         counts = np.floor(np.random.default_rng(13).pareto(1.2, 10**5) * 5.0).astype(int).tolist()
         lines = [f"{c}\n" for c in counts]
         texts = {"lf": "".join(lines), "crlf": "".join(f"{c}\r\n" for c in counts),
-                 "blank": "".join(lines[:50_000]) + "\n" + "".join(lines[50_000:]),
-                 "spaces": "".join(lines[:50_000]) + "  \t\n" + "".join(lines[50_000:])}
+                 "blank": "".join(lines[:50_000]) + "\n" + "".join(lines[50_000:])}
         split, split_lines = [], fn._split_lines
         monkeypatch.setattr(fn, "_split_lines", lambda text: split.append(text) or split_lines(text))
         specs = {}
@@ -1116,8 +1119,8 @@ class TestIngestCmd:
             src.write_bytes(text.encode())
             assert main(["ingest", "--input", str(src), "--output", str(out)]) == 0
             specs[name] = out.read_bytes()
-        assert specs["lf"] == specs["crlf"] == specs["blank"] == specs["spaces"]
-        assert split == []
+        assert specs["lf"] == specs["crlf"] == specs["blank"]
+        assert split == [texts["blank"]]
 
     @pytest.mark.parametrize("text", ['{"type": "linear", "S": 10, "T": 20}', "{}", "null",
                                       "true", '"5"'])
@@ -1283,6 +1286,27 @@ class TestOutputMode:
         out.chmod(0o640)
         assert self._ingest(citations_file, out, umask) == 0o640
         assert json.loads(out.read_text())["T"] == 3.0
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o666], ids=oct)
+    def test_replaced_files_temporary_is_never_wider_than_it(self, mode, citations_file,
+                                                             tmp_path, monkeypatch):
+        # the temporary's mode from the moment it exists: the target's less
+        # the umask, so a user the target shuts out never opens it; the
+        # rename then leaves the target's whole mode
+        out = tmp_path / "spec.json"
+        out.write_text("old\n")
+        out.chmod(mode)
+        created, os_open = [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            fd = os_open(path, flags, *args, **kwargs)
+            if ".tmp-ebundles-" in str(path):
+                created.append(stat.S_IMODE(os.fstat(fd).st_mode))
+            return fd
+
+        monkeypatch.setattr(os, "open", spy)
+        assert self._ingest(citations_file, out, 0o022) == mode
+        assert created == [mode & ~0o022]
 
     @pytest.mark.parametrize("command", ["ingest", "converge"])
     def test_symlink_keeps_its_link_and_its_target_mode(self, command, citations_file,

@@ -706,8 +706,7 @@ class TestParseCitations:
         # one, such as the Arabic-Indic digit three, which float reads as
         # 3.0, among them), and a bad line after it, whose number counts the
         # lines that "\x0c" and a lone "\r" end: at every block size, what
-        # the line loop gives.  A blank line, which the blocks read, reaches
-        # the line loop only with the bad line after it
+        # the line loop gives
         def outcome(parse):
             try:
                 return repr(parse(text))  # repr tells -0.0 from 0.0
@@ -722,20 +721,7 @@ class TestParseCitations:
         for block in range(1, 65):
             monkeypatch.setattr(functions, "_TEXT_BLOCK", block)
             assert outcome(lambda t: parse_citations(t).tolist()) == want, block
-        assert bool(split) == bool(line or tail)
-
-    @pytest.mark.parametrize("blank", ["", " ", "  \t", "\r", " \r "])
-    def test_blank_lines_stay_on_the_block_path(self, blank, monkeypatch):
-        # blank and whitespace-only lines first, between counts (one or
-        # two in a row) and last, each at a block's edge at some block
-        # size: what the line loop gives, and never the line loop itself
-        monkeypatch.setattr(functions, "_split_lines", lambda *args: pytest.fail(repr(args)))
-        text = (f"{blank}\n" + "3\n12\r\n 7\t\n" * 4 + f"{blank}\n" + "5\n"
-                + f"{blank}\n{blank}\r\n" + "2.5\n" * 8 + f"{blank}\n")
-        want = repr(oracles.parse_citations_by_line(text))
-        for block in range(1, 65):
-            monkeypatch.setattr(functions, "_TEXT_BLOCK", block)
-            assert repr(parse_citations(text).tolist()) == want, block
+        assert split
 
     def test_a_file_declined_at_its_last_block_is_split_once(self, monkeypatch):
         # distinct lines, in several blocks of 64 KiB, the last line bad:
